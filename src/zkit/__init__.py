@@ -8,7 +8,7 @@ carries a witness that re-verifies by plain ring arithmetic.
 """
 
 from .errors import (BaseMismatch, CodomainNotFinite, IncompatibleFamily,
-                     InvalidWitness, NonInvertibleDenominator,
+                     InvalidRing, InvalidWitness, NonInvertibleDenominator,
                      NotUnimodular, NotWellDefined, ResourceExceeded,
                      RingMismatch, ScriptSyntaxError, TypeMismatch,
                      UnknownName, UnknownVariable, UnsupportedBase,

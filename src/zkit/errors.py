@@ -33,6 +33,11 @@ class NotWellDefined(ZkitError):
     """A would-be homomorphism fails a relation or base-compatibility check."""
 
 
+class InvalidRing(ZkitError, ValueError):
+    """A ring description names no supported ring (a modulus below 2, a
+    field size that is not prime, repeated variable names)."""
+
+
 class InvalidWitness(ZkitError):
     """A supplied witness (e.g. an inverse) does not verify."""
 

@@ -76,8 +76,8 @@ class BezoutCertificate:
         return self.generators[0].ring if self.generators else None
 
     def verify(self) -> bool:
-        if not self.generators:
-            return False  # no ring to check the sum in
+        if not self.generators or len(self.cofactors) != len(self.generators):
+            return False  # no ring to check the sum in, or a cut list
         ring = self.generators[0].ring
         total = ring.zero()
         for a, f in zip(self.cofactors, self.generators):
@@ -323,41 +323,35 @@ def unimodular_certificate(elements):
     return cert
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def power_certificate(cert: BezoutCertificate, m: int) -> BezoutCertificate:
     """From sum(a_i f_i) == 1 derive sum(b_i f_i^m) == 1.
 
-    Expands (sum a_i f_i)^(n(m-1)+1); by pigeonhole every multinomial
-    term contains some f_i-exponent >= m and is assigned to the first
-    such index.
+    Telescoping, one generator at a time.  Given sum(c_j g_j) == 1 with
+    g_i == f_i, let x = c_i f_i and s = 1 + x + ... + x^(m-1).  Then
+
+        1 = x^m + (1 - x) * s,    1 - x = sum_{j != i} c_j g_j,
+
+    so c_i <- c_i^m, g_i <- f_i^m and c_j <- c_j * s (j != i) is again a
+    certificate.  After every index has had its turn, every generator is
+    f_i^m.  Each turn costs m multiplications for x and s, one m-th
+    power and n - 1 rescaled cofactors; no ideal computation is run, so
+    every ring kind takes this one path.  The result is re-verified.
     """
     if m < 1:
         raise ValueError("power must be >= 1")
     if m == 1:
         return cert
     fs = cert.generators
-    ring = fs[0].ring
-    n = len(fs)
-    e = n * (m - 1) + 1
-    b = [ring.zero()] * n
-    for ks in _compositions(e, n):
-        j = next(i for i, k in enumerate(ks) if k >= m)
-        coeff = math.factorial(e)
-        for k in ks:
-            coeff //= math.factorial(k)
-        term = ring.from_int(coeff)
-        for i, k in enumerate(ks):
-            term = term * cert.cofactors[i] ** k
-            term = term * fs[i] ** (k - m if i == j else k)
-        b[j] = b[j] + term
+    one = fs[0].ring.one()
+    b = list(cert.cofactors)
+    for i, f in enumerate(fs):
+        x = b[i] * f
+        if not x.is_zero:  # x == 0 gives s == 1: the others stay as they are
+            s = one
+            for _ in range(m - 1):
+                s = one + x * s
+            b = [c if j == i else c * s for j, c in enumerate(b)]
+        b[i] = b[i] ** m
     out = BezoutCertificate(tuple(f ** m for f in fs), tuple(b))
     if not out.verify():
         raise AssertionError("power certificate failed re-verification")

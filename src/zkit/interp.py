@@ -31,7 +31,7 @@ from .limits import limits
 from .localization import localize
 from .poly import PrimeField, Rationals
 from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
-                    hom_apply, make_hom, normalize)
+                    hom_apply, make_hom)
 from .schemes import (AffineScheme, CompactOpen, affine_cover,
                       point_membership, points_over, qcqs_certificate,
                       whole_scheme)
@@ -146,14 +146,8 @@ def _build_ring(expr: dsl.RingExpr, env: _Env):
 
 def _eval(env: _Env, ring, node):
     """Evaluate an expression to ('elem', e) or ('latt', u)."""
-    if isinstance(node, dsl.IntLit):
-        return "elem", ring.from_int(node.value)
-    if isinstance(node, dsl.RatLit):
-        from fractions import Fraction as _Q
-        if not (isinstance(ring, QuotientRing)
-                and isinstance(ring.base, Rationals)):
-            raise TypeMismatch("rational literals need a Q coefficient base")
-        return "elem", normalize(ring, _Q(node.num, node.den))
+    if isinstance(node, (dsl.IntLit, dsl.RatLit)):
+        return "elem", serialize.eval_element_expr(ring, node)
     if isinstance(node, dsl.NameRef):
         if isinstance(ring, QuotientRing) and node.name in ring.variables:
             return "elem", ring.var(node.name)

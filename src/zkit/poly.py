@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction as _Q
 from functools import cached_property
 
-from .errors import NonInvertibleDenominator, ResourceExceeded
+from .errors import InvalidRing, NonInvertibleDenominator, ResourceExceeded
 from .limits import current_limits, stats
 
 Mono = tuple  # exponent tuple
@@ -101,7 +101,7 @@ class PrimeField:
 
     def __post_init__(self):
         if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+            raise InvalidRing(f"{self.p} is not prime")
 
     @property
     def characteristic(self) -> int:
@@ -562,8 +562,10 @@ def _reduced(ctx, basis, cofs, track):
     lims = current_limits()
     stats.bases_computed += 1
     if lims.check_bases:
-        assert is_reduced_basis(ctx, basis3), "basis not reduced"
-        assert is_groebner(ctx, basis3), "Buchberger criterion failed"
+        if not is_reduced_basis(ctx, basis3):
+            raise AssertionError("basis not reduced")
+        if not is_groebner(ctx, basis3):
+            raise AssertionError("Buchberger criterion failed")
         stats.bases_checked += 1
     return basis3, cofs3
 

@@ -19,8 +19,8 @@ from fractions import Fraction as _Q
 from functools import cached_property
 
 from . import poly
-from .errors import (CodomainNotFinite, NotWellDefined, RingMismatch,
-                     UnknownVariable)
+from .errors import (CodomainNotFinite, InvalidRing, NotWellDefined,
+                     RingMismatch, UnknownVariable)
 from .poly import Poly, PolyContext, PrimeField, Rationals
 
 
@@ -55,7 +55,7 @@ class ResidueRing:
 
     def __post_init__(self):
         if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
+            raise InvalidRing(f"modulus {self.modulus} is below 2")
 
     def __str__(self):
         return f"Z/{self.modulus}"
@@ -90,11 +90,11 @@ class QuotientRing:
 
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
-            raise ValueError("variable names must be distinct")
+            raise InvalidRing("variable names must be distinct")
         for rel in self.relations:
             for mono, _ in rel:
                 if len(mono) != len(self.variables):
-                    raise ValueError("relation arity does not match variables")
+                    raise InvalidRing("relation arity does not match variables")
 
     @cached_property
     def ctx(self) -> PolyContext:
@@ -213,14 +213,15 @@ class RingElement:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not ring operations")
-        result = self.ring.one()
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return self.ring.one() if result is None else result
 
 
 def _coerce(ring, value):
@@ -311,7 +312,8 @@ def is_unit(a: RingElement):
     if cof is None:
         return None
     inv = RingElement(ring, poly.normal_form(ctx, cof[0], ring.relation_basis))
-    assert (a * inv) == ring.one(), "inverse witness failed to verify"
+    if a * inv != ring.one():
+        raise AssertionError("inverse witness failed to verify")
     return inv
 
 
@@ -412,15 +414,54 @@ def _base_compatible(domain, codomain) -> None:
     raise NotWellDefined(f"no map from Q into {codomain}")
 
 
-def _subst(domain: QuotientRing, p: Poly, images, codomain) -> RingElement:
-    total = codomain.zero()
-    for mono, coeff in p:
-        term = _coeff_image(domain.base, codomain, coeff)
-        for img, e in zip(images, mono):
-            if e:
-                term = term * img ** e
-        total = total + term
-    return total
+def _relation_terms(domain: QuotientRing, codomain) -> list:
+    """Each domain relation as a dict from exponent tuple to the image of
+    its coefficient, so coefficients are mapped once per hom search."""
+    zero = {(0,) * len(domain.variables): codomain.zero()}
+    return [{mono: _coeff_image(domain.base, codomain, c) for mono, c in rel}
+            or zero for rel in domain.relations]
+
+
+def _top_exponents(domain: QuotientRing) -> list:
+    """Largest exponent of each generator over all relations."""
+    return [max((mono[k] for rel in domain.relations for mono, _ in rel),
+                default=0) for k in range(len(domain.variables))]
+
+
+def _powers(a: RingElement, top: int) -> list:
+    """[1, a, a^2, ..., a^top]."""
+    out = [a.ring.one()]
+    for _ in range(top):
+        out.append(out[-1] * a)
+    return out
+
+
+def _substitute(rels: list, pw: list) -> list:
+    """Substitute the first remaining generator into partially evaluated
+    relations.
+
+    Each relation maps the exponents of the generators not yet substituted
+    to a codomain coefficient; pw[e] is the first generator's image to the
+    e.  Terms that agree on the remaining exponents are summed, so once
+    every generator is substituted each relation is {(): its image}.
+    """
+    out = []
+    for rel in rels:
+        acc = {}
+        for mono, c in rel.items():
+            e, rest = mono[0], mono[1:]
+            term = c * pw[e] if e else c
+            prev = acc.get(rest)
+            acc[rest] = term if prev is None else prev + term
+        out.append(acc)
+    return out
+
+
+def _failed_relation(rels: list):
+    """Index of the first fully substituted relation whose image is not
+    zero, or None when the assignment is a hom."""
+    return next((i for i, rel in enumerate(rels) if not rel[()].is_zero),
+                None)
 
 
 def make_hom(domain, codomain, images=()) -> RingHom:
@@ -439,15 +480,15 @@ def make_hom(domain, codomain, images=()) -> RingHom:
         raise NotWellDefined(
             f"expected {len(domain.variables)} images, got {len(images)}")
     _base_compatible(domain, codomain)
-    checks = []
-    for rel in domain.relations:
-        image = _subst(domain, rel, images, codomain)
-        if not image.is_zero:
-            raise NotWellDefined(
-                f"relation {render_poly(rel, domain.variables)} "
-                f"maps to {image} != 0")
-        checks.append(image)
-    return RingHom(domain, codomain, images, tuple(checks))
+    rels = _relation_terms(domain, codomain)
+    for img, top in zip(images, _top_exponents(domain)):
+        rels = _substitute(rels, _powers(img, top))
+    bad = _failed_relation(rels)
+    if bad is not None:
+        raise NotWellDefined(
+            f"relation {render_poly(domain.relations[bad], domain.variables)}"
+            f" maps to {rels[bad][()]} != 0")
+    return RingHom(domain, codomain, images, tuple(rel[()] for rel in rels))
 
 
 def identity_hom(ring) -> RingHom:
@@ -459,9 +500,22 @@ def identity_hom(ring) -> RingHom:
 def hom_apply(phi: RingHom, a: RingElement) -> RingElement:
     if a.ring != phi.domain:
         raise RingMismatch(f"{a!r} is not in the domain of {phi}")
+    codomain = phi.codomain
     if isinstance(phi.domain, (IntegerRing, ResidueRing)):
-        return phi.codomain.from_int(a.payload)
-    return _subst(phi.domain, a.payload, phi.generator_images, phi.codomain)
+        return codomain.from_int(a.payload)
+    base, images = phi.domain.base, phi.generator_images
+    powers = {}  # (generator index, exponent) -> image ** exponent
+    total = codomain.zero()
+    for mono, coeff in a.payload:
+        term = _coeff_image(base, codomain, coeff)
+        for k, e in enumerate(mono):
+            if e:
+                pw = powers.get((k, e))
+                if pw is None:
+                    pw = powers[k, e] = images[k] ** e
+                term = term * pw
+        total = total + term
+    return total
 
 
 def hom_compose(outer: RingHom, inner: RingHom) -> RingHom:
@@ -499,7 +553,13 @@ def ring_elements(ring) -> list:
 
 def enumerate_homs(domain, codomain) -> list:
     """All homomorphisms into a finite ring, in lexicographic assignment
-    order over the codomain's element enumeration."""
+    order over the codomain's element enumeration.
+
+    This checks |codomain|^generators assignments.  Each element's powers
+    are computed once, each prefix of an assignment is substituted once
+    for all of its completions, and a rejected assignment costs no more
+    than its relation images.
+    """
     elements = ring_elements(codomain)
     if isinstance(domain, (IntegerRing, ResidueRing)):
         try:
@@ -516,10 +576,19 @@ def enumerate_homs(domain, codomain) -> list:
         _base_compatible(domain, codomain)
     except NotWellDefined:
         return []
+    top = max(_top_exponents(domain), default=0)
+    table = [_powers(a, top) for a in elements]
+    nvars = len(domain.variables)
     homs = []
-    for assignment in itertools.product(elements, repeat=len(domain.variables)):
-        try:
-            homs.append(make_hom(domain, codomain, assignment))
-        except NotWellDefined:
-            continue
+
+    def extend(rels, prefix):
+        if len(prefix) == nvars:
+            if _failed_relation(rels) is None:
+                homs.append(RingHom(domain, codomain, prefix,
+                                    tuple(rel[()] for rel in rels)))
+            return
+        for a, pw in zip(elements, table):
+            extend(_substitute(rels, pw), prefix + (a,))
+
+    extend(_relation_terms(domain, codomain), ())
     return homs

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from .errors import RingMismatch, UnsupportedBase
+from .errors import NotWellDefined, RingMismatch, UnsupportedBase, ZkitError
 from .gluing import (UnimodularCover, glue_hom, make_cover, make_hom_family)
 from .ideals import BezoutCertificate, unimodular_certificate
 from .lattice import (ZarElt, lattice_morphism, loc_eq_top, loc_zar_elt,
@@ -27,7 +27,6 @@ from .localization import (LocalizedRing, LocRingHom, localize,
 from .poly import PrimeField
 from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
                     RingHom, enumerate_homs, hom_apply, make_hom, normalize)
-from .errors import NotWellDefined
 
 
 @dataclass(frozen=True)
@@ -336,7 +335,7 @@ def _candidate_cover(ring, rng: random.Random) -> UnimodularCover:
                 return make_cover(ring, [h, ring.one() - h])
             g = _random_element(ring, rng)
             return make_cover(ring, [h, ring.one() - h * g, g])
-        except Exception:
+        except ZkitError:
             continue
     return make_cover(ring, [ring.one()])
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 from fractions import Fraction as _Q
 
 from . import dsl
-from .errors import TypeMismatch, ZkitError
+from .errors import (InvalidWitness, NonInvertibleDenominator, TypeMismatch,
+                     ZkitError)
 from .ideals import BezoutCertificate
+from .limits import current_limits
 from .localization import Fraction, frac_eq, localize
 from .poly import PrimeField, Rationals
 from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
@@ -103,6 +105,8 @@ def eval_element_expr(ring, node) -> RingElement:
         if not (isinstance(ring, QuotientRing)
                 and isinstance(ring.base, Rationals)):
             raise TypeMismatch("rational literals need a Q coefficient base")
+        if node.den == 0:
+            raise NonInvertibleDenominator(f"{node.num}/0 has a zero denominator")
         return normalize(ring, _Q(node.num, node.den))
     if isinstance(node, dsl.NameRef):
         if isinstance(ring, QuotientRing) and node.name in ring.variables:
@@ -183,43 +187,54 @@ def point_to_json(pt) -> dict:
             "cofactors": [element_to_str(c) for c in pt.witness.cofactors]}
 
 
+def _generators_and_cofactors(ring, data: dict, gens_key="generators",
+                              cofs_key="cofactors"):
+    gens = [element_from_str(ring, s) for s in data[gens_key]]
+    cofs = [element_from_str(ring, s) for s in data[cofs_key]]
+    if len(gens) != len(cofs):
+        raise InvalidWitness(f"{len(cofs)} {cofs_key} for "
+                             f"{len(gens)} {gens_key}")
+    return gens, cofs
+
+
 def verify_certificate(data: dict) -> tuple:
-    """Re-verify a serialized certificate; returns (ok, detail)."""
+    """Re-verify a serialized certificate; returns (ok, detail).
+
+    Every list that is zipped with another must match its length, and a
+    claimed exponent must lie within the exponent cap, so a truncated or
+    inflated certificate is rejected rather than checked in part or at
+    unbounded cost.
+    """
     try:
         claim = data.get("claim")
         if claim in ("bezout", "bezout-power"):
             ring = ring_from_json(data["ring"])
-            gens = [element_from_str(ring, s) for s in data["generators"]]
-            cofs = [element_from_str(ring, s) for s in data["cofactors"]]
+            gens, cofs = _generators_and_cofactors(ring, data)
             ok = BezoutCertificate(tuple(gens), tuple(cofs)).verify()
             return ok, "sum(cofactor*generator) == 1" if ok else "sum != 1"
-        if claim == "membership":
+        if claim in ("membership", "radical-membership"):
             ring = ring_from_json(data["ring"])
             a = element_from_str(ring, data["element"])
-            gens = [element_from_str(ring, s) for s in data["generators"]]
-            cofs = [element_from_str(ring, s) for s in data["cofactors"]]
+            gens, cofs = _generators_and_cofactors(ring, data)
             total = ring.zero()
             for c, g in zip(cofs, gens):
                 total = total + c * g
-            return total == a, f"sum == {data['element']}"
-        if claim == "radical-membership":
-            ring = ring_from_json(data["ring"])
-            a = element_from_str(ring, data["element"])
-            gens = [element_from_str(ring, s) for s in data["generators"]]
-            cofs = [element_from_str(ring, s) for s in data["cofactors"]]
+            if claim == "membership":
+                return total == a, f"sum == {data['element']}"
             k = data["exponent"]
-            total = ring.zero()
-            for c, g in zip(cofs, gens):
-                total = total + c * g
+            cap = current_limits().max_exponent
+            if type(k) is not int or not 1 <= k <= cap:
+                return False, f"exponent {k!r} is not an integer in [1, {cap}]"
             return total == a ** k, f"sum == element^{k}"
         if claim == "glue":
             ring = ring_from_json(data["ring"])
-            cover_elts = [element_from_str(ring, s) for s in data["cover"]]
-            cover_cofs = [element_from_str(ring, s)
-                          for s in data["cover_cofactors"]]
+            cover_elts, cover_cofs = _generators_and_cofactors(
+                ring, data, "cover", "cover_cofactors")
             if not BezoutCertificate(tuple(cover_elts),
                                      tuple(cover_cofs)).verify():
                 return False, "cover certificate failed"
+            if len(data["family"]) != len(cover_elts):
+                return False, "family size does not match the cover"
             glued = element_from_str(ring, data["glued"])
             for f, frdata in zip(cover_elts, data["family"]):
                 L = localize(ring, f)

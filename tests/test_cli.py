@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -8,6 +9,7 @@ import pytest
 
 from zkit.dsl import parse, pretty_print
 from zkit.interp import Options, REPORT_SCHEMA, run_source
+from zkit.serialize import verify_certificate
 
 SCRIPTS = Path(__file__).parent / "scripts"
 MANIFEST = json.loads((SCRIPTS / "manifest.json").read_text())
@@ -86,6 +88,62 @@ def test_verify_flags_tampered_reports(tmp_path):
     _tamper_and_verify(tmp_path, "basics_z", bump_cofactor)
     _tamper_and_verify(tmp_path, "glue_z", bump_glued)
     _tamper_and_verify(tmp_path, "member_f5", bump_image)
+
+
+def _corpus_certificates():
+    for name in MANIFEST["ok"] + MANIFEST["refuted"]:
+        report = run_source(load(name), Options(seed=11))
+        for r in report.results:
+            if r.certificate is not None:
+                yield name, r.certificate
+
+
+def _tampered_copies(cert):
+    """(label, copy) pairs, each changing a list length or an exponent."""
+    if cert["claim"] == "glue":
+        yield "family truncated", dict(cert, family=cert["family"][:-1])
+        yield "family emptied", dict(cert, family=[])
+    for key in ("cofactors", "cover_cofactors"):
+        if cert.get(key):
+            yield f"{key} cut", dict(cert, **{key: cert[key][:-1]})
+    if cert["claim"] == "radical-membership":
+        yield "exponent 10**6", dict(cert, exponent=10 ** 6)
+
+
+def test_verify_rejects_cut_and_inflated_certificates():
+    """Every corpus certificate with a list cut short or an exponent far
+    past the cap is rejected, and rejected without doing the work."""
+    labels = set()
+    for name, cert in _corpus_certificates():
+        assert verify_certificate(cert)[0], (name, cert)
+        for label, bad in _tampered_copies(cert):
+            start = time.perf_counter()
+            ok, detail = verify_certificate(bad)
+            assert not ok, (name, label, detail)
+            assert time.perf_counter() - start < 2.0, (name, label)
+            labels.add(label)
+    assert labels == {"family truncated", "family emptied", "cofactors cut",
+                      "cover_cofactors cut", "exponent 10**6"}
+
+
+@pytest.mark.parametrize("source, kind", [
+    ("ring S = Q[x]; elem a = 1/0;", "NonInvertibleDenominator"),
+    ("ring F = Fp(4)[x];", "InvalidRing"),
+    ("ring R = Z/1;", "InvalidRing"),
+])
+def test_cli_bad_input_is_an_error_record(tmp_path, source, kind):
+    script = tmp_path / "bad.zk"
+    script.write_text(source)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zkit.cli", str(script), "--json"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    data = json.loads(proc.stdout)
+    jsonschema.validate(data, REPORT_SCHEMA)
+    last = data["results"][-1]
+    assert last["status"] == "error"
+    assert last["result"]["kind"] == kind
 
 
 def test_verify_missing_file():

@@ -1,10 +1,13 @@
 import random
+import time
 
 import pytest
 
-from zkit import (IntegerRing, Rationals, ResourceExceeded,
-                  ResidueRing, fin_gen_ideal, groebner, ideal_member,
-                  limits, polynomial_ring, power_certificate, quotient_by,
+from zkit import (BezoutCertificate, IntegerRing, PrimeField, Rationals,
+                  ResourceExceeded, ResidueRing, UnimodularCover,
+                  fin_gen_ideal, glue_element, groebner, ideal_member,
+                  limits, localize, make_cover, make_family,
+                  polynomial_ring, power_certificate, quotient_by,
                   radical_member, radical_witness, saturates,
                   saturation_member, unimodular_certificate)
 from helpers import random_element, random_ring
@@ -171,6 +174,38 @@ def test_power_certificate():
         cover = random_unimodular_cover(ring, rng)
         for m in (2, 3):
             assert power_certificate(cover.certificate, m).verify()
+    # n = 6, m = 8 over Z with every cofactor nonzero: a multinomial
+    # expansion would have C(48, 5) terms and take minutes
+    fs = tuple(Z.element(v) for v in (2, 3, 5, 7, 11, 13))
+    cert = BezoutCertificate(fs, tuple(Z.element(v)
+                                       for v in (1, 1, 1, -1, 1, -1)))
+    assert cert.verify()
+    start = time.perf_counter()
+    out = power_certificate(cert, 8)
+    assert time.perf_counter() - start < 2.0
+    assert out.verify()
+    assert [f.payload for f in out.generators] == [v ** 8 for v in
+                                                   (2, 3, 5, 7, 11, 13)]
+    cover = UnimodularCover(Z, fs, cert)
+    assert _glue_known(cover, Z.element(-17), 8) == Z.element(-17)
+    # a 3-element cover of a multivariate Fp quotient, m = 6
+    F7xy = polynomial_ring(PrimeField(7), ["x", "y"])
+    x, y = F7xy.gens()
+    R = quotient_by(F7xy, [x ** 2 + y ** 2 - 1])
+    x, y = R.gens()
+    cover = make_cover(R, [x, y, R.one() - x - y])
+    out = power_certificate(cover.certificate, 6)
+    assert out.verify()
+    assert out.generators == tuple(f ** 6 for f in cover.elements)
+    g = x * y + 3 * x - 2
+    assert _glue_known(cover, g, 6) == g
+
+
+def _glue_known(cover, g, m):
+    """Glue the family g * f^m / f^m, which needs a power-m certificate."""
+    fracs = tuple(localize(cover.ring, f).fraction(g * f ** m, m)
+                  for f in cover.elements)
+    return glue_element(make_family(cover, fracs))
 
 
 def test_resource_caps():

@@ -186,3 +186,75 @@ def test_enumerate_homs_matches_zero_count():
                    for rel in ring.relations):
                 count += 1
         assert len(homs) == count
+        _check_enumeration(ring, field, homs)
+        # Z/p is the same field under another presentation
+        homs = enumerate_homs(ring, ResidueRing(p))
+        assert len(homs) == count
+        _check_enumeration(ring, ResidueRing(p), homs)
+        if p <= 3:
+            # the non-field Fp[t]/(t^2): a hom is a zero a of the
+            # relations with a tangent b, grad(rel)(a) . b == 0
+            Fpt = polynomial_ring(PrimeField(p), ["t"])
+            dual = quotient_by(Fpt, [Fpt.var("t") ** 2])
+            homs = enumerate_homs(ring, dual)
+            assert len(homs) == _tangent_count(ring, p)
+            _check_enumeration(ring, dual, homs)
+    # fixed rings with points, so the dual-number oracle counts tangents
+    F3 = polynomial_ring(PrimeField(3), ["x", "y", "z"])
+    x, y, z = F3.gens()
+    F3t = polynomial_ring(PrimeField(3), ["t"])
+    dual = quotient_by(F3t, [F3t.var("t") ** 2])
+    for ring, expected in ((quotient_by(F3, [x * y - z, x ** 2 + y ** 2 - 1]),
+                            12),
+                           (quotient_by(F3, [y ** 2 - x ** 3, z - x * y]),
+                            15)):  # the cusp's origin has a 2-dim tangent
+        homs = enumerate_homs(ring, dual)
+        assert len(homs) == _tangent_count(ring, 3) == expected
+        _check_enumeration(ring, dual, homs)
+
+
+def _tangent_count(ring, p):
+    """Points of the relations over Fp[t]/(t^2), by plain integer
+    arithmetic: zeros a with a tangent b killing every gradient."""
+    import itertools
+    n = len(ring.variables)
+
+    def value(rel, a, skip=None):
+        total = 0
+        for mono, c in rel:
+            term = int(c)
+            for k, e in enumerate(mono):
+                if k == skip:
+                    term *= e * a[k] ** (e - 1) if e else 0
+                else:
+                    term *= a[k] ** e
+            total += term
+        return total % p
+
+    count = 0
+    for a in itertools.product(range(p), repeat=n):
+        if any(value(rel, a) for rel in ring.relations):
+            continue
+        grads = [[value(rel, a, skip=k) for k in range(n)]
+                 for rel in ring.relations]
+        for b in itertools.product(range(p), repeat=n):
+            if all(sum(g * x for g, x in zip(grad, b)) % p == 0
+                   for grad in grads):
+                count += 1
+    return count
+
+
+def _check_enumeration(domain, codomain, homs):
+    """Every enumerated hom re-verifies through make_hom, and the list
+    follows itertools.product order over the codomain's elements."""
+    elements = ring_elements(codomain)
+    for h in homs:
+        again = make_hom(domain, codomain, h.generator_images)
+        assert h == again
+        assert h.relation_checks == again.relation_checks
+        assert len(h.relation_checks) == len(domain.relations)
+        assert all(c.is_zero and c.ring == codomain
+                   for c in h.relation_checks)
+    keys = [tuple(elements.index(a) for a in h.generator_images)
+            for h in homs]
+    assert keys == sorted(set(keys))
