@@ -45,6 +45,21 @@ def test_corpus_runs_and_validates(name):
         if r.status != "ok"]
 
 
+GOLDEN = json.loads((SCRIPTS / "expected.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPTS.glob("*.zk")))
+def test_corpus_matches_golden_report(name):
+    """The whole report at seed 0, apart from timings, is pinned by
+    scripts/expected.json: echoed commands, statuses, results and
+    certificates must come out exactly as recorded there."""
+    data = json.loads(json.dumps(
+        run_source(load(name), Options(seed=0)).to_json(), default=str))
+    for entry in data["results"]:
+        del entry["ms"]
+    assert data == GOLDEN[name]
+
+
 @pytest.mark.parametrize("name", MANIFEST["ok"])
 def test_certificates_reverify(name, tmp_path):
     """Feed every emitted certificate back through the verify command."""
