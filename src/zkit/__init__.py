@@ -8,7 +8,8 @@ carries a witness that re-verifies by plain ring arithmetic.
 """
 
 from .errors import (BaseMismatch, CodomainNotFinite, IncompatibleFamily,
-                     InvalidRing, InvalidWitness, NonInvertibleDenominator,
+                     InvalidRing, InvalidWitness, InvariantViolated,
+                     NonInvertibleDenominator,
                      NotUnimodular, NotWellDefined, ResourceExceeded,
                      RingMismatch, ScriptSyntaxError, TypeMismatch,
                      UnknownName, UnknownVariable, UnsupportedBase,
@@ -39,11 +40,10 @@ from .poly import PolyContext, PrimeField, Rationals, is_prime
 from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
                     RingHom, enumerate_homs, hom_apply, hom_compose,
                     identity_hom, is_unit, make_hom, normalize,
-                    polynomial_ring, quotient_by, ring_arith, ring_elements)
+                    polynomial_ring, quotient_by)
 from .schemes import (AffineCover, AffineScheme, CompactOpen, QcqsReport,
                       SchemePoint, affine_cover, compact_open,
-                      compopen_eq, compopen_join, compopen_lattice,
-                      compopen_leq, compopen_meet, empty_open, function_eval,
+                      empty_open, function_eval,
                       loc_point_membership, locality_trial, point_from_localized_hom,
                       point_membership, point_to_localized_hom, points_over,
                       qcqs_certificate, standard_open, whole_scheme)

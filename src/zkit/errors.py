@@ -38,6 +38,11 @@ class InvalidRing(ZkitError, ValueError):
     field size that is not prime, repeated variable names)."""
 
 
+class InvariantViolated(ZkitError, AssertionError):
+    """An internal consistency check failed: a witness the library built
+    itself did not re-verify.  This is a bug in zkit, never in the input."""
+
+
 class InvalidWitness(ZkitError):
     """A supplied witness (e.g. an inverse) does not verify."""
 

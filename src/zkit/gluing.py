@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import IncompatibleFamily, NotUnimodular, RingMismatch
+from .errors import (IncompatibleFamily, InvariantViolated, NotUnimodular,
+                     RingMismatch)
 from .ideals import (BezoutCertificate, power_certificate,
                      saturation_member, unimodular_certificate)
 from .localization import (Fraction, LocalizedRing, LocRingHom,
                            compose_canonical, frac_eq, localize)
-from .rings import (IntegerRing, ResidueRing, RingElement, RingHom,
-                    hom_apply, make_hom, normalize)
+from .rings import RingElement, RingHom, hom_apply, make_hom, normalize
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,9 @@ class UnimodularCover:
 
 
 def make_cover(ring, elements) -> UnimodularCover:
-    elts = tuple(normalize(ring, f) if not isinstance(f, RingElement) else f
-                 for f in elements)
+    elts = tuple(normalize(ring, f) for f in elements)
     if not elts:
         raise NotUnimodular("a cover needs at least one element")
-    for f in elts:
-        if f.ring != ring:
-            raise RingMismatch(f"{f!r} is not in {ring}")
     cert = unimodular_certificate(elts)
     if cert is None:
         raise NotUnimodular(f"1 is not in <{', '.join(map(str, elts))}>")
@@ -133,7 +129,7 @@ def make_family(cover: UnimodularCover, elements) -> CompatibleFamily:
 
 def restrict_element(cover: UnimodularCover, g) -> CompatibleFamily:
     """The canonical family (g/1, ..., g/1)."""
-    g = normalize(cover.ring, g) if not isinstance(g, RingElement) else g
+    g = normalize(cover.ring, g)
     return make_family(cover, tuple(L.from_base(g) for L in cover.localized))
 
 
@@ -188,7 +184,7 @@ def pullback_cover(cover: UnimodularCover, phi: RingHom):
     cofs = tuple(hom_apply(phi, a) for a in cover.certificate.cofactors)
     cert = BezoutCertificate(images, cofs)
     if not cert.verify():
-        raise AssertionError("pulled back certificate failed to verify")
+        raise InvariantViolated("pulled back certificate failed to verify")
     new_cover = UnimodularCover(phi.codomain, images, cert)
     maps = tuple(LocalizationSquare(phi, src, dst)
                  for src, dst in zip(cover.localized, new_cover.localized))
@@ -256,9 +252,6 @@ def glue_hom(fam: CompatibleHomFamily) -> RingHom:
     """
     cover = fam.cover
     domain = fam.domain
-    if isinstance(domain, (IntegerRing, ResidueRing)):
-        glued = make_hom(domain, cover.ring)
-        return glued
     images = []
     for g in range(len(domain.variables)):
         comps = tuple(h.generator_images[g] for h in fam.homs)

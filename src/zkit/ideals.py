@@ -5,21 +5,20 @@ here for every ring in the tower.  Positive answers come with explicit
 witnesses (cofactors, exponents, Bezout certificates) that re-verify by
 plain ring arithmetic; this is what the lattice and gluing layers lean on.
 
-For polynomial quotient rings the engine is Buchberger with cofactor
-tracking in the ambient free ring (the ring's own relations are always
-adjoined).  For Z and Z/n a gcd surrogate plays the same role.
+The ring-specific engines are the ideal primitives of the ring protocol
+(see rings): Buchberger with cofactor tracking in the ambient free ring
+for polynomial quotient rings (the ring's own relations are always
+adjoined), and a gcd surrogate for Z and Z/n.  This module turns their
+answers into witnesses and checks them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import poly
-from .errors import ResourceExceeded, RingMismatch
+from .errors import InvariantViolated, ResourceExceeded, RingMismatch
 from .limits import current_limits
-from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
-                    normalize, polynomial_ring)
+from .rings import RingElement, normalize
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +39,7 @@ class FinGenIdeal:
 def fin_gen_ideal(ring, generators) -> FinGenIdeal:
     gens = []
     for g in generators:
-        g = normalize(ring, g) if not isinstance(g, RingElement) else g
-        if g.ring != ring:
-            raise RingMismatch(f"generator {g!r} not in {ring}")
+        g = normalize(ring, g)
         if not g.is_zero:
             gens.append(g)
     return FinGenIdeal(ring, tuple(gens))
@@ -61,7 +58,6 @@ class GroebnerBasis:
     ambient: object
     basis: tuple
     lift: tuple
-    order: str
 
 
 @dataclass(frozen=True)
@@ -85,39 +81,6 @@ class BezoutCertificate:
         return total == ring.one()
 
 
-def _ext_gcd_list(values):
-    """gcd of a list with cofactors: g = sum(c_i * v_i), g >= 0."""
-    g, coeffs = 0, []
-    for v in values:
-        if g == 0:
-            g, coeffs = abs(v), [0] * len(coeffs) + [1 if v >= 0 else -1]
-            continue
-        d = math.gcd(g, v)
-        if d == g:
-            coeffs.append(0)
-            continue
-        # d = s*g + t*v via the extended Euclid step
-        s, t = _ext_gcd_pair(g, v)
-        coeffs = [c * s for c in coeffs] + [t]
-        g = d
-    return g, coeffs
-
-
-def _ext_gcd_pair(a, b):
-    """(s, t) with s*a + t*b == gcd(a, b) for a >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
-
-
 @lru_cache(maxsize=None)
 def groebner(ideal: FinGenIdeal) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal, cached per ideal.
@@ -127,25 +90,11 @@ def groebner(ideal: FinGenIdeal) -> GroebnerBasis:
     the single gcd generator (with cofactors from extended Euclid).
     """
     ring = ideal.ring
-    if isinstance(ring, IntegerRing):
-        g, coeffs = _ext_gcd_list([e.payload for e in ideal.generators])
-        basis = (RingElement(ring, g),) if g else ()
-        lift = ((tuple(RingElement(ring, c) for c in coeffs),) if g else ())
-        return GroebnerBasis(ideal, ring, basis, lift, "n/a")
-    if isinstance(ring, ResidueRing):
-        n = ring.modulus
-        g, coeffs = _ext_gcd_list([e.payload for e in ideal.generators] + [n])
-        gmod = g % n
-        if gmod == 0:
-            return GroebnerBasis(ideal, ring, (), (), "n/a")
-        lift = (tuple(RingElement(ring, c % n) for c in coeffs[:-1]),)
-        return GroebnerBasis(ideal, ring, (RingElement(ring, gmod),), lift, "n/a")
-    ambient = polynomial_ring(ring.base, ring.variables, ring.order)
-    gens = [e.payload for e in ideal.generators] + list(ring.relations)
-    basis, cofs = poly.reduced_groebner(ambient.ctx, gens, track=True)
-    basis_elts = tuple(RingElement(ambient, b) for b in basis)
-    lift = tuple(tuple(RingElement(ambient, c) for c in row) for row in cofs)
-    return GroebnerBasis(ideal, ambient, basis_elts, lift, ring.order)
+    ambient = ring.ambient
+    basis, lift = ring.ideal_basis(e.payload for e in ideal.generators)
+    return GroebnerBasis(
+        ideal, ambient, tuple(RingElement(ambient, b) for b in basis),
+        tuple(tuple(RingElement(ambient, c) for c in row) for row in lift))
 
 
 def ideal_member(a: RingElement, ideal: FinGenIdeal):
@@ -154,35 +103,18 @@ def ideal_member(a: RingElement, ideal: FinGenIdeal):
     ring = ideal.ring
     if a.ring != ring:
         raise RingMismatch(f"{a!r} not in {ring}")
-    gens = ideal.generators
-    if isinstance(ring, (IntegerRing, ResidueRing)):
-        gb = groebner(ideal)
-        n = ring.modulus if isinstance(ring, ResidueRing) else None
-        if not gb.basis:
-            return tuple(ring.zero() for _ in gens) if a.is_zero else None
-        g = gb.basis[0].payload
-        if a.payload % g != 0:
-            return None
-        q = a.payload // g
-        cof = tuple(ring.element(q * c.payload) for c in gb.lift[0])
-        return cof
     gb = groebner(ideal)
-    ctx = gb.ambient.ctx
-    basis_polys = [b.payload for b in gb.basis]
-    lift_polys = [[c.payload for c in row] for row in gb.lift]
-    total = poly.cofactors_of(ctx, a.payload, basis_polys, lift_polys,
-                              len(gens) + len(ring.relations))
-    if total is None:
+    ambient = gb.ambient
+    quotients, rem = ambient.divide(a.payload, [b.payload for b in gb.basis])
+    if rem:  # a nonzero remainder
         return None
-    return tuple(normalize(ring, c) for c in total[:len(gens)])
-
-
-def _int_radical_member(a: int, d: int) -> bool:
-    """a in sqrt(<d>) over Z: d == 0 reduces to a == 0, else check
-    d | a^bitlen(d) (no prime exponent in d exceeds log2 d)."""
-    if d == 0:
-        return a == 0
-    return pow(a, d.bit_length(), d) == 0
+    # a == sum_i q_i * basis_i, and basis_i == sum_j lift[i][j] * gen_j
+    total = [ambient.zero()] * len(ideal.generators)
+    for q, row in zip(quotients, gb.lift):
+        if q:
+            q = RingElement(ambient, q)
+            total = [t + q * c for t, c in zip(total, row)]
+    return tuple(normalize(ring, t.payload) for t in total)
 
 
 def radical_member(a: RingElement, ideal: FinGenIdeal) -> bool:
@@ -192,22 +124,8 @@ def radical_member(a: RingElement, ideal: FinGenIdeal) -> bool:
         raise RingMismatch(f"{a!r} not in {ring}")
     if a.is_zero:
         return True
-    if isinstance(ring, IntegerRing):
-        d, _ = _ext_gcd_list([e.payload for e in ideal.generators])
-        return _int_radical_member(a.payload, d)
-    if isinstance(ring, ResidueRing):
-        d, _ = _ext_gcd_list([e.payload for e in ideal.generators]
-                             + [ring.modulus])
-        return _int_radical_member(a.payload, d)
-    # Rabinowitsch: a in sqrt(I) iff 1 in I + relations + <1 - t*a>
-    ctx = ring.ctx.extended()
-    gens = [poly.p_extend(e.payload) for e in ideal.generators]
-    gens += [poly.p_extend(r) for r in ring.relations]
-    t = poly.var_poly(ctx, ctx.nvars - 1)
-    gens.append(poly.p_sub(ctx, poly.const_poly(ctx, 1),
-                           poly.p_mul(ctx, t, poly.p_extend(a.payload))))
-    basis, _ = poly.reduced_groebner(ctx, gens, stop_at_one=True)
-    return len(basis) == 1 and poly.mono_deg(basis[0][0][0]) == 0
+    return ring.radical_member(a.payload,
+                               [e.payload for e in ideal.generators])
 
 
 def radical_witness(a: RingElement, ideal: FinGenIdeal):
@@ -228,38 +146,13 @@ def radical_witness(a: RingElement, ideal: FinGenIdeal):
     raise ResourceExceeded(f"no radical witness with exponent <= {cap}")
 
 
-@lru_cache(maxsize=None)
-def _saturation_basis(ring: QuotientRing, f_payload):
-    """Groebner basis of relations + <1 - t*f> in the extended free ring;
-    cached per (ring, f) so fraction equality tests share it."""
-    ctx = ring.ctx.extended()
-    gens = [poly.p_extend(r) for r in ring.relations]
-    t = poly.var_poly(ctx, ctx.nvars - 1)
-    gens.append(poly.p_sub(ctx, poly.const_poly(ctx, 1),
-                           poly.p_mul(ctx, t, poly.p_extend(f_payload))))
-    basis, _ = poly.reduced_groebner(ctx, gens, stop_at_one=True)
-    return ctx, basis
-
-
 def saturates(a: RingElement, f: RingElement) -> bool:
     """Decide whether a * f^k == 0 for some k >= 0."""
     if a.ring != f.ring:
         raise RingMismatch(f"{a.ring} vs {f.ring}")
-    ring = a.ring
     if a.is_zero:
         return True
-    if isinstance(ring, IntegerRing):
-        return f.payload == 0  # a*f = 0 with a != 0 forces f == 0 in Z
-    if isinstance(ring, ResidueRing):
-        n = ring.modulus
-        power = a.payload
-        for _ in range(n.bit_length() + 1):
-            if power % n == 0:
-                return True
-            power = power * f.payload
-        return False
-    ctx, basis = _saturation_basis(ring, f.payload)
-    return not poly.normal_form(ctx, poly.p_extend(a.payload), basis)
+    return a.ring.saturates(a.payload, f.payload)
 
 
 def saturation_member(a: RingElement, f: RingElement):
@@ -271,10 +164,7 @@ def saturation_member(a: RingElement, f: RingElement):
     """
     if not saturates(a, f):
         return None
-    ring = a.ring
-    cap = current_limits().max_exponent
-    if isinstance(ring, ResidueRing):
-        cap = max(cap, ring.modulus.bit_length() + 1)
+    cap = max(current_limits().max_exponent, a.ring.saturation_bound)
     acc = a
     for k in range(cap + 1):
         if acc.is_zero:
@@ -297,29 +187,15 @@ def unimodular_certificate(elements):
         if e.ring != ring:
             raise RingMismatch("mixed rings in unimodularity test")
     nonzero = [(i, e) for i, e in enumerate(elements) if not e.is_zero]
-    cof = None
-    if isinstance(ring, IntegerRing):
-        g, coeffs = _ext_gcd_list([e.payload for _, e in nonzero])
-        if g == 1:
-            cof = [ring.element(c) for c in coeffs]
-    elif isinstance(ring, ResidueRing):
-        n = ring.modulus
-        g, coeffs = _ext_gcd_list([e.payload for _, e in nonzero] + [n])
-        if g == 1:
-            cof = [ring.element(c) for c in coeffs[:-1]]
-    else:
-        gens = [e.payload for _, e in nonzero] + list(ring.relations)
-        raw = poly.one_cofactors(ring.ctx, gens)
-        if raw is not None:
-            cof = [normalize(ring, c) for c in raw[:len(nonzero)]]
+    cof = ring.unit_cofactors(e.payload for _, e in nonzero)
     if cof is None:
         return None
     full = [ring.zero()] * len(elements)
     for (i, _), c in zip(nonzero, cof):
-        full[i] = c
+        full[i] = RingElement(ring, c)
     cert = BezoutCertificate(elements, tuple(full))
     if not cert.verify():
-        raise AssertionError("Bezout certificate failed re-verification")
+        raise InvariantViolated("Bezout certificate failed re-verification")
     return cert
 
 
@@ -354,5 +230,5 @@ def power_certificate(cert: BezoutCertificate, m: int) -> BezoutCertificate:
         b[i] = b[i] ** m
     out = BezoutCertificate(tuple(f ** m for f in fs), tuple(b))
     if not out.verify():
-        raise AssertionError("power certificate failed re-verification")
+        raise InvariantViolated("power certificate failed re-verification")
     return out

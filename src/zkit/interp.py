@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import dsl, serialize
 from .errors import (IncompatibleFamily, NotUnimodular, NotWellDefined,
-                     ResourceExceeded, TypeMismatch, UnknownName, ZkitError)
+                     ResourceExceeded, TypeMismatch, UnknownName,
+                     UnsupportedBase, ZkitError)
 from .gluing import glue_element, make_cover, make_family
 from .ideals import fin_gen_ideal, radical_member, radical_witness, \
     unimodular_certificate
@@ -149,7 +150,7 @@ def _eval(env: _Env, ring, node):
     if isinstance(node, (dsl.IntLit, dsl.RatLit)):
         return "elem", serialize.eval_element_expr(ring, node)
     if isinstance(node, dsl.NameRef):
-        if isinstance(ring, QuotientRing) and node.name in ring.variables:
+        if node.name in ring.variables:
             return "elem", ring.var(node.name)
         if node.name in env.bindings:
             b = env.bindings[node.name]
@@ -219,10 +220,7 @@ def _hom_from_spec(env, domain, codomain, spec: dsl.HomSpec):
     """Build a verified hom domain -> codomain from a {x -> e} spec;
     image expressions evaluate over the codomain."""
     assigned = {name: expr for name, expr in spec.assignments}
-    if isinstance(domain, QuotientRing):
-        expected = list(domain.variables)
-    else:
-        expected = []
+    expected = list(domain.variables)
     if sorted(assigned) != sorted(expected):
         raise TypeMismatch(
             f"hom spec names {sorted(assigned)} do not match the domain "
@@ -236,10 +234,8 @@ def _hom_from_spec(env, domain, codomain, spec: dsl.HomSpec):
 
 def _point_json(pt) -> dict:
     phi = pt.hom
-    if isinstance(phi.domain, QuotientRing):
-        return {v: serialize.element_to_str(i)
-                for v, i in zip(phi.domain.variables, phi.generator_images)}
-    return {}
+    return {v: serialize.element_to_str(i)
+            for v, i in zip(phi.domain.variables, phi.generator_images)}
 
 
 def _execute(stmt, env: _Env, options: Options):
@@ -307,7 +303,7 @@ def _execute(stmt, env: _Env, options: Options):
         L = localize(ring, f)
         try:
             pres = serialize.ring_to_json(L.presentation)
-        except ZkitError:
+        except UnsupportedBase:
             pres = None
         return "ok", {"localization": str(L), "presentation": pres}, None
     if isinstance(stmt, dsl.GlueCmd):

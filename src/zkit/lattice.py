@@ -23,7 +23,7 @@ from .errors import RingMismatch, UnsupportedBase
 from .ideals import fin_gen_ideal, radical_member, \
     unimodular_certificate
 from .localization import Fraction, LocalizedRing, frac_arith, from_presentation
-from .rings import RingElement, RingHom, hom_apply, normalize, ring_is_trivial
+from .rings import RingElement, RingHom, hom_apply, normalize
 
 
 # ---------------------------------------------------------------------------
@@ -44,9 +44,7 @@ def _normalize_gens(ring, gens):
     seen = set()
     out = []
     for g in gens:
-        g = normalize(ring, g) if not isinstance(g, RingElement) else g
-        if g.ring != ring:
-            raise RingMismatch(f"generator {g!r} not over {ring}")
+        g = normalize(ring, g)
         if g.is_zero or g.payload in seen:
             continue
         seen.add(g.payload)
@@ -105,7 +103,7 @@ def zar_eq_top(u: ZarElt):
     if not u.generators:
         # bottom is D(0); the empty join is top only in the trivial ring,
         # where 1 in <0> holds with a zero cofactor
-        if ring_is_trivial(u.ring):
+        if u.ring.is_trivial:
             return unimodular_certificate([u.ring.zero()])
         return None
     return unimodular_certificate(u.generators)

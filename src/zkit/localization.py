@@ -18,8 +18,8 @@ from .errors import (BaseMismatch, InvalidWitness, NotWellDefined,
 from .ideals import fin_gen_ideal, ideal_member, radical_member, \
     saturates, saturation_member
 from .limits import current_limits
-from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
-                    RingHom, _coeff_image, normalize)
+from .rings import (QuotientRing, RingElement, RingHom, _coeff_image,
+                    is_unit, normalize)
 
 
 @dataclass(frozen=True)
@@ -70,34 +70,32 @@ class LocalizedRing:
     def __str__(self):
         return f"{self.ring}[1/({self.f})]"
 
-    @cached_property
+    @property
     def inverse_variable(self) -> str:
-        if not isinstance(self.ring, QuotientRing):
-            raise UnsupportedBase(f"{self.ring} has no polynomial presentation")
-        name = "y"
-        k = 0
-        while name in self.ring.variables:
-            k += 1
-            name = f"y{k}"
-        return name
+        return self.presentation.variables[-1]
 
     @cached_property
     def presentation(self) -> QuotientRing:
-        """base[y]/(relations + <y*f - 1>) (Rabinowitsch presentation)."""
+        """base[y]/(relations + <y*f - 1>) (Rabinowitsch presentation),
+        with y renamed y1, y2, ... if the base already has a y."""
         base = self.ring
         if not isinstance(base, QuotientRing):
             raise UnsupportedBase(f"{base} has no polynomial presentation")
+        name = "y"
+        k = 0
+        while name in base.variables:
+            k += 1
+            name = f"y{k}"
         ctx = base.ctx.extended()
         y = poly.var_poly(ctx, ctx.nvars - 1)
         rels = [poly.p_extend(r) for r in base.relations]
         rels.append(poly.p_sub(ctx, poly.p_mul(ctx, y, poly.p_extend(self.f.payload)),
                                poly.const_poly(ctx, 1)))
-        return QuotientRing(base.base, base.variables + (self.inverse_variable,),
+        return QuotientRing(base.base, base.variables + (name,),
                             tuple(rels), base.order)
 
     def fraction(self, num, exp: int = 0) -> Fraction:
-        num = normalize(self.ring, num) if not isinstance(num, RingElement) else num
-        return Fraction(self.ring, self.f, num, exp)
+        return Fraction(self.ring, self.f, normalize(self.ring, num), exp)
 
     def from_base(self, r) -> Fraction:
         """The canonical map r |-> r/1."""
@@ -111,8 +109,7 @@ class LocalizedRing:
 
 
 def localize(ring, f) -> LocalizedRing:
-    f = normalize(ring, f) if not isinstance(f, RingElement) else f
-    return LocalizedRing(ring, f)
+    return LocalizedRing(ring, normalize(ring, f))
 
 
 def _check_same(a: Fraction, b: Fraction):
@@ -175,8 +172,7 @@ def frac_is_unit(a: Fraction):
     membership g in sqrt(<num>) with an explicit exponent witness.
     """
     ring, g = a.ring, a.f
-    if isinstance(ring, QuotientRing):
-        from .rings import is_unit  # unit test in the presentation ring
+    if isinstance(ring, QuotientRing):  # unit test in the presentation ring
         L = LocalizedRing(ring, g)
         e = to_presentation(L, a)
         w = is_unit(e)
@@ -283,8 +279,7 @@ class DoubleLocalizationMap:
 
 def double_localization_maps(ring, fi, fj):
     """(chi_left, chi_right) into R[1/(f_i f_j)]."""
-    fi = normalize(ring, fi) if not isinstance(fi, RingElement) else fi
-    fj = normalize(ring, fj) if not isinstance(fj, RingElement) else fj
+    fi, fj = normalize(ring, fi), normalize(ring, fj)
     target = localize(ring, fi * fj)
     left = DoubleLocalizationMap(localize(ring, fi), target, fj)
     right = DoubleLocalizationMap(localize(ring, fj), target, fi)
@@ -343,18 +338,18 @@ class LocRingHom:
         return loc_hom_apply(self, a)
 
     def __str__(self):
-        if isinstance(self.domain, QuotientRing) and self.domain.variables:
+        if self.domain.variables:
             body = ", ".join(f"{v} -> {img}" for v, img in
                              zip(self.domain.variables, self.generator_images))
             return f"{{{body}}} : {self.domain} -> {self.target}"
         return f"canonical : {self.domain} -> {self.target}"
 
 
-def _subst_frac(domain: QuotientRing, p, images, L: LocalizedRing) -> Fraction:
-    """Substitute fraction images into a raw free-ring polynomial."""
+def _subst_frac(domain, terms, images, L: LocalizedRing) -> Fraction:
+    """Substitute fraction images into (exponents, coefficient) terms."""
     total = L.zero()
-    for mono, coeff in p:
-        term = L.from_base(_coeff_image(domain.base, L.ring, coeff))
+    for mono, coeff in terms:
+        term = L.from_base(_coeff_image(domain, L.ring, coeff))
         for img, e in zip(images, mono):
             for _ in range(e):
                 term = frac_arith("mul", term, img)
@@ -365,10 +360,8 @@ def _subst_frac(domain: QuotientRing, p, images, L: LocalizedRing) -> Fraction:
 def loc_hom_apply(h: LocRingHom, a: RingElement) -> Fraction:
     if a.ring != h.domain:
         raise RingMismatch(f"{a!r} not in {h.domain}")
-    L = h.target
-    if isinstance(h.domain, (IntegerRing, ResidueRing)):
-        return L.from_base(L.ring.from_int(a.payload))
-    return _subst_frac(h.domain, a.payload, h.generator_images, L)
+    return _subst_frac(h.domain, h.domain.terms(a.payload),
+                       h.generator_images, h.target)
 
 
 def make_loc_hom(domain, L: LocalizedRing, images=()) -> LocRingHom:
@@ -376,27 +369,15 @@ def make_loc_hom(domain, L: LocalizedRing, images=()) -> LocRingHom:
     for img in images:
         if not isinstance(img, Fraction) or img.ring != L.ring or img.f != L.f:
             raise RingMismatch(f"image {img!r} is not a fraction of {L}")
-    zero = L.zero()
-    if isinstance(domain, (IntegerRing, ResidueRing)):
-        if images:
-            raise NotWellDefined(f"{domain} carries no generators")
-        if isinstance(domain, ResidueRing):
-            n1 = L.from_base(L.ring.from_int(domain.modulus))
-            if not frac_eq(n1, zero):
-                raise NotWellDefined(
-                    f"{domain.modulus}*1 != 0 in {L}")
-        return LocRingHom(domain, L)
     if len(images) != len(domain.variables):
         raise NotWellDefined(
             f"expected {len(domain.variables)} images, got {len(images)}")
-    if isinstance(domain.base, poly.PrimeField):
-        p1 = L.from_base(L.ring.from_int(domain.base.p))
-        if not frac_eq(p1, zero):
-            raise NotWellDefined(f"char {domain.base.p} incompatible with {L}")
-    else:
-        if not (isinstance(L.ring, QuotientRing)
-                and isinstance(L.ring.base, poly.Rationals)):
-            raise NotWellDefined(f"no map from Q into {L}")
+    zero = L.zero()
+    char = domain.characteristic
+    if char and not frac_eq(L.from_base(L.ring.from_int(char)), zero):
+        raise NotWellDefined(f"char {char} incompatible with {L}")
+    if domain.is_q_algebra and not L.ring.is_q_algebra:
+        raise NotWellDefined(f"no map from Q into {L}")
     checks = []
     for rel in domain.relations:
         image = _subst_frac(domain, rel, images, L)

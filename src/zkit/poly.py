@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction as _Q
 from functools import cached_property
 
-from .errors import InvalidRing, NonInvertibleDenominator, ResourceExceeded
+from .errors import (InvalidRing, InvariantViolated, NonInvertibleDenominator,
+                     ResourceExceeded)
 from .limits import current_limits, stats
 
 Mono = tuple  # exponent tuple
@@ -387,18 +388,10 @@ def normal_form(ctx: PolyContext, f: Poly, basis) -> Poly:
 # ---------------------------------------------------------------------------
 # Buchberger with cofactor tracking
 
-def _vec_zero(n):
-    return [()] * n
-
-
 def _vec_unit(n, i, one_poly):
     v = [()] * n
     v[i] = one_poly
     return v
-
-
-def _vec_add(ctx, u, v):
-    return [p_add(ctx, a, b) for a, b in zip(u, v)]
 
 
 def _vec_sub(ctx, u, v):
@@ -563,16 +556,11 @@ def _reduced(ctx, basis, cofs, track):
     stats.bases_computed += 1
     if lims.check_bases:
         if not is_reduced_basis(ctx, basis3):
-            raise AssertionError("basis not reduced")
+            raise InvariantViolated("basis not reduced")
         if not is_groebner(ctx, basis3):
-            raise AssertionError("Buchberger criterion failed")
+            raise InvariantViolated("Buchberger criterion failed")
         stats.bases_checked += 1
     return basis3, cofs3
-
-
-def reduced_groebner(ctx: PolyContext, gens, *, track: bool = False,
-                     stop_at_one: bool = False):
-    return buchberger(ctx, gens, track=track, stop_at_one=stop_at_one)
 
 
 def is_groebner(ctx: PolyContext, basis) -> bool:
@@ -618,21 +606,6 @@ def one_cofactors(ctx: PolyContext, gens):
     if len(basis) == 1 and basis[0] and mono_deg(basis[0][0][0]) == 0:
         return list(cofs[0])
     return None
-
-
-def cofactors_of(ctx: PolyContext, f: Poly, basis, basiscofs, ngens):
-    """Express f over the original generators given a tracked basis;
-    returns None when f is not in the ideal."""
-    if not basis:
-        return [()] * ngens if not f else None
-    quots, rem = p_divmod(ctx, f, list(basis), track=True)
-    if rem:
-        return None
-    total = _vec_zero(ngens)
-    for q, bc in zip(quots, basiscofs):
-        if q:
-            total = _vec_add(ctx, total, _vec_poly_mul(ctx, bc, q))
-    return total
 
 
 def quotient_monomial_basis(ctx: PolyContext, basis):

@@ -6,9 +6,43 @@ generated ideal.  Every element is kept in a canonical form (integers,
 residues in [0, n), or the normal form modulo the reduced Groebner basis
 of the defining relations), so ring equality is plain payload equality.
 
-Homomorphisms are finite data: one codomain element per domain variable.
-Construction verifies well-definedness (every relation maps to zero, and
-the characteristic is compatible) and records the checked images.
+Every kind answers one protocol, so the layers above never ask which
+kind of ring they hold.  Z and Z/n share one implementation in which Z
+is the modulus-0 case; their payloads are ints and their ideals are
+principal, so a gcd with extended-Euclid cofactors stands in for a
+Groebner basis.  Quotient rings compute with Buchberger in the free
+polynomial ring, with the relations adjoined.
+
+- variables, relations: generator names and defining relations as
+  free-ring polynomials; both () for Z and Z/n.
+- characteristic: n for Z/n and p over Fp, 0 for Z and over Q.
+- is_q_algebra: whether Q maps in (quotients over Q only).
+- is_trivial: whether 1 == 0 (never for Z and Z/n).
+- zero(), one(), from_int(k), element(raw), gens().
+- canonical(raw): a raw value (int, Fraction, or for quotients a
+  monomial dict or term tuple) read as a canonical payload.
+- add, sub, mul, neg: arithmetic on canonical payloads.
+- terms(payload): the payload as (exponent tuple, coefficient) pairs;
+  an integer is one term with no exponents.
+- elements(): every element of a finite ring, in a fixed order;
+  CodomainNotFinite otherwise.
+- ambient: the ring that ideal computations run in (the free
+  polynomial ring of a quotient, the ring itself for Z and Z/n).
+- ideal_basis(gens): reduced Groebner basis (or the gcd) of the
+  generators plus relations, in the ambient ring, with each basis
+  element's cofactors over the generators followed by the relations.
+- divide(x, basis): quotients and remainder of x by such a basis.
+- unit_cofactors(gens): cofactors c with sum(c_i * gens_i) == 1, or None.
+- radical_member(a, gens): whether a^k lies in <gens> for some k.
+- saturates(a, f): whether a * f^k == 0 for some k.
+- saturation_bound: an exponent that such a k never needs to exceed
+  (n's bit length + 1 for Z/n), or 0 when the ring gives none.
+
+zero, one, from_int, element, gens and elements give RingElements; the
+other methods take and return payloads.  Homomorphisms are finite data:
+one codomain element per domain variable.  Construction verifies
+well-definedness (every relation maps to zero, and the characteristic
+is compatible) and records the checked images.
 """
 from __future__ import annotations
 
@@ -16,23 +50,50 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as _Q
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import poly
-from .errors import (CodomainNotFinite, InvalidRing, NotWellDefined,
-                     RingMismatch, UnknownVariable)
+from .errors import (CodomainNotFinite, InvalidRing, InvariantViolated,
+                     NotWellDefined, RingMismatch, UnknownVariable)
 from .poly import Poly, PolyContext, PrimeField, Rationals
 
 
 # ---------------------------------------------------------------------------
 # ring descriptions
 
-@dataclass(frozen=True)
-class IntegerRing:
-    """The ring of integers."""
+class _Ring:
+    """What all ring kinds share."""
 
-    def __str__(self):
-        return "Z"
+    variables = ()
+    relations = ()
+
+    def element(self, raw):
+        return normalize(self, raw)
+
+    def gens(self):
+        return tuple(self.var(v) for v in self.variables)
+
+
+class _Integers(_Ring):
+    """Z/n with n = self.modulus, and Z itself as n = 0."""
+
+    is_q_algebra = False
+    is_trivial = False  # Z and Z/n (n >= 2) never are
+
+    @property
+    def characteristic(self) -> int:
+        return self.modulus
+
+    @property
+    def ambient(self):
+        return self
+
+    @property
+    def saturation_bound(self) -> int:
+        return self.modulus.bit_length() + 1
+
+    def _reduce(self, x: int) -> int:
+        return x % self.modulus if self.modulus else x
 
     def zero(self):
         return RingElement(self, 0)
@@ -40,15 +101,78 @@ class IntegerRing:
     def one(self):
         return RingElement(self, 1)
 
-    def element(self, raw):
-        return normalize(self, raw)
-
     def from_int(self, k: int):
-        return RingElement(self, k)
+        return RingElement(self, self._reduce(k))
+
+    def canonical(self, raw) -> int:
+        if isinstance(raw, _Q):
+            if raw.denominator != 1:
+                raise ValueError(f"{raw} is not an integer")
+            raw = raw.numerator
+        if not isinstance(raw, int):
+            raise TypeError(f"cannot read {raw!r} in {self}")
+        return self._reduce(raw)
+
+    def add(self, x, y):
+        return self._reduce(x + y)
+
+    def sub(self, x, y):
+        return self._reduce(x - y)
+
+    def mul(self, x, y):
+        return self._reduce(x * y)
+
+    def neg(self, x):
+        return self._reduce(-x)
+
+    def terms(self, x):
+        return (((), x),) if x else ()
+
+    def elements(self) -> list:
+        if not self.modulus:
+            raise CodomainNotFinite(f"{self} is infinite")
+        return [RingElement(self, k) for k in range(self.modulus)]
+
+    def ideal_basis(self, gens):
+        """The gcd of the generators and n, lifted by extended Euclid."""
+        g, coeffs = _ext_gcd_list(list(gens) + [self.modulus])
+        g = self._reduce(g)
+        if g == 0:
+            return (), ()
+        return (g,), (tuple(self._reduce(c) for c in coeffs[:-1]),)
+
+    def divide(self, x, basis):
+        if not basis:
+            return [], x
+        (g,) = basis
+        return [x // g], x % g
+
+    def unit_cofactors(self, gens):
+        g, coeffs = _ext_gcd_list(list(gens) + [self.modulus])
+        return [self._reduce(c) for c in coeffs[:-1]] if g == 1 else None
+
+    def radical_member(self, a, gens) -> bool:
+        d, _ = _ext_gcd_list(list(gens) + [self.modulus])
+        return _int_radical_member(a, d)
+
+    def saturates(self, a, f) -> bool:
+        # a * f^k == 0 iff f^k is a multiple of n / gcd(n, a)
+        return a == 0 or _int_radical_member(
+            f, self.modulus // math.gcd(self.modulus, a))
 
 
 @dataclass(frozen=True)
-class ResidueRing:
+class IntegerRing(_Integers):
+    """The ring of integers."""
+
+    modulus = 0
+
+    def __str__(self):
+        return "Z"
+
+
+@dataclass(frozen=True)
+class ResidueRing(_Integers):
     """Z/n for a modulus n >= 2."""
 
     modulus: int
@@ -60,21 +184,50 @@ class ResidueRing:
     def __str__(self):
         return f"Z/{self.modulus}"
 
-    def zero(self):
-        return RingElement(self, 0)
 
-    def one(self):
-        return RingElement(self, 1 % self.modulus)
+def _ext_gcd_list(values):
+    """gcd of a list with cofactors: g = sum(c_i * v_i), g >= 0."""
+    g, coeffs = 0, []
+    for v in values:
+        if g == 0:
+            g, coeffs = abs(v), [0] * len(coeffs) + [1 if v >= 0 else -1]
+            continue
+        d = math.gcd(g, v)
+        if d == g:
+            coeffs.append(0)
+            continue
+        # d = s*g + t*v via the extended Euclid step
+        s, t = _ext_gcd_pair(g, v)
+        coeffs = [c * s for c in coeffs] + [t]
+        g = d
+    return g, coeffs
 
-    def element(self, raw):
-        return normalize(self, raw)
 
-    def from_int(self, k: int):
-        return RingElement(self, k % self.modulus)
+def _ext_gcd_pair(a, b):
+    """(s, t) with s*a + t*b == gcd(a, b) for a >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_s, old_t = -old_s, -old_t
+    return old_s, old_t
+
+
+def _int_radical_member(a: int, d: int) -> bool:
+    """a in sqrt(<d>) over Z: d == 0 reduces to a == 0, else check
+    d | a^bitlen(d) (no prime exponent in d exceeds log2 d)."""
+    if d == 0:
+        return a == 0
+    return pow(a, d.bit_length(), d) == 0
 
 
 @dataclass(frozen=True)
-class QuotientRing:
+class QuotientRing(_Ring):
     """base[x1, ..., xn] / <relations>, for base Q or Fp.
 
     With no variables this is just the base field; with no relations it
@@ -87,6 +240,8 @@ class QuotientRing:
     variables: tuple = ()
     relations: tuple = ()
     order: str = "grevlex"
+
+    saturation_bound = 0
 
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
@@ -102,13 +257,27 @@ class QuotientRing:
 
     @cached_property
     def relation_basis(self) -> tuple:
-        basis, _ = poly.reduced_groebner(self.ctx, list(self.relations))
+        if not self.relations:  # a free ring, such as every ambient ring
+            return ()
+        basis, _ = poly.buchberger(self.ctx, list(self.relations))
         return basis
 
     @cached_property
     def is_trivial(self) -> bool:
         """True when 1 = 0 here, i.e. the relations generate everything."""
         return any(f and poly.mono_deg(f[0][0]) == 0 for f in self.relation_basis)
+
+    @cached_property
+    def is_q_algebra(self) -> bool:
+        return isinstance(self.base, Rationals)
+
+    @cached_property
+    def characteristic(self) -> int:
+        return self.base.characteristic
+
+    @cached_property
+    def ambient(self) -> QuotientRing:
+        return polynomial_ring(self.base, self.variables, self.order)
 
     def __str__(self):
         base = str(self.base)
@@ -126,9 +295,6 @@ class QuotientRing:
     def one(self):
         return normalize(self, 1)
 
-    def element(self, raw):
-        return normalize(self, raw)
-
     def from_int(self, k: int):
         return normalize(self, k)
 
@@ -137,8 +303,92 @@ class QuotientRing:
             raise UnknownVariable(f"{name} not declared in {self}")
         return normalize(self, poly.var_poly(self.ctx, self.variables.index(name)))
 
-    def gens(self):
-        return tuple(self.var(v) for v in self.variables)
+    def canonical(self, raw) -> Poly:
+        ctx = self.ctx
+        if isinstance(raw, (int, _Q)):
+            p = poly.const_poly(ctx, raw)
+        elif isinstance(raw, dict):
+            p = poly.poly_from_dict(ctx, {m: ctx.field.coerce(c)
+                                          for m, c in raw.items()})
+        elif isinstance(raw, tuple):
+            p = poly.poly_from_dict(ctx, dict(raw))
+        else:
+            raise TypeError(f"cannot read {raw!r} as a polynomial")
+        return poly.normal_form(ctx, p, self.relation_basis)
+
+    def add(self, x, y):
+        return poly.p_add(self.ctx, x, y)
+
+    def sub(self, x, y):
+        return poly.p_sub(self.ctx, x, y)
+
+    def mul(self, x, y):
+        # products of normal forms need re-reduction; sums do not
+        return poly.normal_form(self.ctx, poly.p_mul(self.ctx, x, y),
+                                self.relation_basis)
+
+    def neg(self, x):
+        return poly.p_neg(self.ctx, x)
+
+    def terms(self, x):
+        return x
+
+    def elements(self) -> list:
+        if self.is_q_algebra:
+            if self.is_trivial:
+                return [self.zero()]
+            raise CodomainNotFinite(f"{self} is infinite")
+        monos = poly.quotient_monomial_basis(self.ctx, self.relation_basis)
+        if monos is None:
+            raise CodomainNotFinite(f"{self} has an infinite monomial basis")
+        return [RingElement(self, poly.poly_from_dict(self.ctx,
+                                                      dict(zip(monos, c))))
+                for c in itertools.product(range(self.base.p),
+                                           repeat=len(monos))]
+
+    def ideal_basis(self, gens):
+        return poly.buchberger(self.ctx, list(gens) + list(self.relations),
+                               track=True)
+
+    def divide(self, x, basis):
+        return poly.p_divmod(self.ctx, x, list(basis))
+
+    def unit_cofactors(self, gens):
+        gens = list(gens)
+        cof = poly.one_cofactors(self.ctx, gens + list(self.relations))
+        if cof is None:
+            return None
+        return [poly.normal_form(self.ctx, c, self.relation_basis)
+                for c in cof[:len(gens)]]
+
+    def radical_member(self, a, gens) -> bool:
+        # Rabinowitsch: a in sqrt(I) iff 1 in I + relations + <1 - t*a>
+        _, basis = _rabinowitsch_basis(self, tuple(gens), a)
+        return len(basis) == 1 and poly.mono_deg(basis[0][0][0]) == 0
+
+    def saturates(self, a, f) -> bool:
+        ctx, basis = _saturation_basis(self, f)
+        return not poly.normal_form(ctx, poly.p_extend(a), basis)
+
+
+def _rabinowitsch_basis(ring: QuotientRing, gens, f):
+    """Groebner basis of gens + relations + <1 - t*f> in the free ring
+    with one more variable t; 1 is in it iff f in sqrt(<gens> + relations),
+    and a reduces to 0 by it iff a * f^k lies in <gens> + relations."""
+    ctx = ring.ctx.extended()
+    ext = [poly.p_extend(g) for g in gens + ring.relations]
+    t = poly.var_poly(ctx, ctx.nvars - 1)
+    ext.append(poly.p_sub(ctx, poly.const_poly(ctx, 1),
+                          poly.p_mul(ctx, t, poly.p_extend(f))))
+    basis, _ = poly.buchberger(ctx, ext, stop_at_one=True)
+    return ctx, basis
+
+
+@lru_cache(maxsize=None)
+def _saturation_basis(ring: QuotientRing, f):
+    """_rabinowitsch_basis with no generators, cached per (ring, f) so
+    fraction equality tests share it."""
+    return _rabinowitsch_basis(ring, (), f)
 
 
 RingDesc = object  # IntegerRing | ResidueRing | QuotientRing
@@ -154,12 +404,6 @@ def quotient_by(ring: QuotientRing, relations) -> QuotientRing:
     of that ring, or of the underlying free ring)."""
     rels = ring.relations + tuple(r.payload for r in relations if r.payload)
     return QuotientRing(ring.base, ring.variables, rels, ring.order)
-
-
-def ring_is_trivial(ring) -> bool:
-    if isinstance(ring, QuotientRing):
-        return ring.is_trivial
-    return False  # Z and Z/n (n >= 2) are never trivial
 
 
 # ---------------------------------------------------------------------------
@@ -189,26 +433,34 @@ class RingElement:
     def __repr__(self):
         return f"<{self} : {self.ring}>"
 
+    def _other(self, other):
+        """The payload of other, read into this element's ring."""
+        if isinstance(other, RingElement):
+            if other.ring != self.ring:
+                raise RingMismatch(f"{self.ring} vs {other.ring}")
+            return other.payload
+        return self.ring.canonical(other)
+
     def __add__(self, other):
-        return ring_arith("add", self, _coerce(self.ring, other))
+        return RingElement(self.ring, self.ring.add(self.payload, self._other(other)))
 
     def __radd__(self, other):
-        return ring_arith("add", _coerce(self.ring, other), self)
+        return RingElement(self.ring, self.ring.add(self._other(other), self.payload))
 
     def __sub__(self, other):
-        return ring_arith("sub", self, _coerce(self.ring, other))
+        return RingElement(self.ring, self.ring.sub(self.payload, self._other(other)))
 
     def __rsub__(self, other):
-        return ring_arith("sub", _coerce(self.ring, other), self)
+        return RingElement(self.ring, self.ring.sub(self._other(other), self.payload))
 
     def __mul__(self, other):
-        return ring_arith("mul", self, _coerce(self.ring, other))
+        return RingElement(self.ring, self.ring.mul(self.payload, self._other(other)))
 
     def __rmul__(self, other):
-        return ring_arith("mul", _coerce(self.ring, other), self)
+        return RingElement(self.ring, self.ring.mul(self._other(other), self.payload))
 
     def __neg__(self):
-        return ring_arith("neg", self, self)
+        return RingElement(self.ring, self.ring.neg(self.payload))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -224,96 +476,27 @@ class RingElement:
         return self.ring.one() if result is None else result
 
 
-def _coerce(ring, value):
-    if isinstance(value, RingElement):
-        return value
-    return normalize(ring, value)
-
-
 def normalize(ring, raw) -> RingElement:
     """Canonical form of a raw element expression; idempotent."""
     if isinstance(raw, RingElement):
         if raw.ring != ring:
             raise RingMismatch(f"element of {raw.ring} used in {ring}")
         return raw
-    if isinstance(ring, IntegerRing):
-        if isinstance(raw, _Q):
-            if raw.denominator != 1:
-                raise ValueError(f"{raw} is not an integer")
-            raw = raw.numerator
-        if not isinstance(raw, int):
-            raise TypeError(f"cannot read {raw!r} as an integer")
-        return RingElement(ring, raw)
-    if isinstance(ring, ResidueRing):
-        if isinstance(raw, _Q):
-            if raw.denominator != 1:
-                raise ValueError(f"{raw} is not an integer")
-            raw = raw.numerator
-        if not isinstance(raw, int):
-            raise TypeError(f"cannot read {raw!r} as a residue")
-        return RingElement(ring, raw % ring.modulus)
-    if isinstance(ring, QuotientRing):
-        ctx = ring.ctx
-        if isinstance(raw, (int, _Q)):
-            p = poly.const_poly(ctx, raw)
-        elif isinstance(raw, dict):
-            p = poly.poly_from_dict(ctx, {m: ctx.field.coerce(c)
-                                          for m, c in raw.items()})
-        elif isinstance(raw, tuple):
-            p = poly.poly_from_dict(ctx, dict(raw))
-        else:
-            raise TypeError(f"cannot read {raw!r} as a polynomial")
-        return RingElement(ring, poly.normal_form(ctx, p, ring.relation_basis))
-    raise TypeError(f"unknown ring {ring!r}")
-
-
-def ring_arith(op: str, a: RingElement, b: RingElement) -> RingElement:
-    """Canonical add/sub/mul/neg; operands must share a ring."""
-    if a.ring != b.ring:
-        raise RingMismatch(f"{a.ring} vs {b.ring}")
-    ring = a.ring
-    if isinstance(ring, IntegerRing):
-        x, y = a.payload, b.payload
-        val = {"add": x + y, "sub": x - y, "mul": x * y, "neg": -x}[op]
-        return RingElement(ring, val)
-    if isinstance(ring, ResidueRing):
-        n = ring.modulus
-        x, y = a.payload, b.payload
-        val = {"add": x + y, "sub": x - y, "mul": x * y, "neg": -x}[op]
-        return RingElement(ring, val % n)
-    ctx = ring.ctx
-    if op == "add":
-        return RingElement(ring, poly.p_add(ctx, a.payload, b.payload))
-    if op == "sub":
-        return RingElement(ring, poly.p_sub(ctx, a.payload, b.payload))
-    if op == "neg":
-        return RingElement(ring, poly.p_neg(ctx, a.payload))
-    # products of normal forms need re-reduction; sums do not
-    prod = poly.p_mul(ctx, a.payload, b.payload)
-    return RingElement(ring, poly.normal_form(ctx, prod, ring.relation_basis))
+    return RingElement(ring, ring.canonical(raw))
 
 
 def is_unit(a: RingElement):
     """Inverse witness b with a*b == 1, or None.
 
-    For quotient rings this is the ideal-membership test 1 in
-    <a> + relations; the cofactor of a is the inverse.
+    This is the test 1 in <a> (plus the relations); the cofactor of a is
+    the inverse, and it is checked before it is returned.
     """
-    ring = a.ring
-    if isinstance(ring, IntegerRing):
-        return a if a.payload in (1, -1) else None
-    if isinstance(ring, ResidueRing):
-        if math.gcd(a.payload, ring.modulus) != 1:
-            return None
-        return RingElement(ring, pow(a.payload, -1, ring.modulus))
-    ctx = ring.ctx
-    gens = [a.payload] + list(ring.relations)
-    cof = poly.one_cofactors(ctx, gens)
+    cof = a.ring.unit_cofactors([a.payload])
     if cof is None:
         return None
-    inv = RingElement(ring, poly.normal_form(ctx, cof[0], ring.relation_basis))
-    if a * inv != ring.one():
-        raise AssertionError("inverse witness failed to verify")
+    inv = RingElement(a.ring, cof[0])
+    if a * inv != a.ring.one():
+        raise InvariantViolated("inverse witness failed to verify")
     return inv
 
 
@@ -373,52 +556,36 @@ class RingHom:
         return hom_apply(self, a)
 
     def __str__(self):
-        if isinstance(self.domain, QuotientRing) and self.domain.variables:
+        if self.domain.variables:
             body = ", ".join(f"{v} -> {img}" for v, img in
                              zip(self.domain.variables, self.generator_images))
             return f"{{{body}}} : {self.domain} -> {self.codomain}"
         return f"canonical : {self.domain} -> {self.codomain}"
 
 
-def _coeff_image(base, codomain, c) -> RingElement:
-    """Image of a base-field coefficient under any hom out of the ring."""
-    if isinstance(base, PrimeField):
-        return codomain.from_int(int(c))
-    # rational coefficient: the codomain is a Q-algebra or trivial
-    if isinstance(codomain, QuotientRing) and isinstance(codomain.base, Rationals):
-        return normalize(codomain, c)
-    return codomain.zero()  # trivial codomain: everything is zero
+def _coeff_image(domain, codomain, c) -> RingElement:
+    """Image of a coefficient of domain under any hom out of it; rational
+    coefficients only reach a Q-algebra or the zero ring."""
+    if not domain.is_q_algebra:
+        return codomain.from_int(c)
+    return normalize(codomain, c) if codomain.is_q_algebra else codomain.zero()
 
 
 def _base_compatible(domain, codomain) -> None:
     """Raise NotWellDefined unless a hom can exist on coefficients."""
-    if isinstance(domain, IntegerRing):
-        return
-    if isinstance(domain, ResidueRing):
-        n1 = codomain.from_int(domain.modulus)
-        if not n1.is_zero:
-            raise NotWellDefined(
-                f"{domain.modulus}*1 is {n1} != 0 in {codomain}")
-        return
-    base = domain.base
-    if isinstance(base, PrimeField):
-        p1 = codomain.from_int(base.p)
-        if not p1.is_zero:
-            raise NotWellDefined(f"char {base.p} incompatible with {codomain}")
-        return
-    # rational base: need a Q-algebra codomain (or a trivial codomain)
-    if isinstance(codomain, QuotientRing) and isinstance(codomain.base, Rationals):
-        return
-    if codomain.one().is_zero if isinstance(codomain, QuotientRing) else False:
-        return
-    raise NotWellDefined(f"no map from Q into {codomain}")
+    char = domain.characteristic
+    if char and not codomain.from_int(char).is_zero:
+        raise NotWellDefined(f"char {char} incompatible with {codomain}")
+    if domain.is_q_algebra and not (codomain.is_q_algebra
+                                    or codomain.is_trivial):
+        raise NotWellDefined(f"no map from Q into {codomain}")
 
 
 def _relation_terms(domain: QuotientRing, codomain) -> list:
     """Each domain relation as a dict from exponent tuple to the image of
     its coefficient, so coefficients are mapped once per hom search."""
     zero = {(0,) * len(domain.variables): codomain.zero()}
-    return [{mono: _coeff_image(domain.base, codomain, c) for mono, c in rel}
+    return [{mono: _coeff_image(domain, codomain, c) for mono, c in rel}
             or zero for rel in domain.relations]
 
 
@@ -466,16 +633,7 @@ def _failed_relation(rels: list):
 
 def make_hom(domain, codomain, images=()) -> RingHom:
     """Build and verify a homomorphism from generator images."""
-    images = tuple(normalize(codomain, i) if not isinstance(i, RingElement)
-                   else i for i in images)
-    for img in images:
-        if img.ring != codomain:
-            raise RingMismatch(f"image {img!r} not in {codomain}")
-    if isinstance(domain, (IntegerRing, ResidueRing)):
-        if images:
-            raise NotWellDefined(f"{domain} carries no generators")
-        _base_compatible(domain, codomain)
-        return RingHom(domain, codomain)
+    images = tuple(normalize(codomain, i) for i in images)
     if len(images) != len(domain.variables):
         raise NotWellDefined(
             f"expected {len(domain.variables)} images, got {len(images)}")
@@ -492,22 +650,17 @@ def make_hom(domain, codomain, images=()) -> RingHom:
 
 
 def identity_hom(ring) -> RingHom:
-    if isinstance(ring, QuotientRing):
-        return make_hom(ring, ring, ring.gens())
-    return make_hom(ring, ring)
+    return make_hom(ring, ring, ring.gens())
 
 
 def hom_apply(phi: RingHom, a: RingElement) -> RingElement:
     if a.ring != phi.domain:
         raise RingMismatch(f"{a!r} is not in the domain of {phi}")
-    codomain = phi.codomain
-    if isinstance(phi.domain, (IntegerRing, ResidueRing)):
-        return codomain.from_int(a.payload)
-    base, images = phi.domain.base, phi.generator_images
+    domain, codomain, images = phi.domain, phi.codomain, phi.generator_images
     powers = {}  # (generator index, exponent) -> image ** exponent
     total = codomain.zero()
-    for mono, coeff in a.payload:
-        term = _coeff_image(base, codomain, coeff)
+    for mono, coeff in domain.terms(a.payload):
+        term = _coeff_image(domain, codomain, coeff)
         for k, e in enumerate(mono):
             if e:
                 pw = powers.get((k, e))
@@ -529,28 +682,6 @@ def hom_compose(outer: RingHom, inner: RingHom) -> RingHom:
 # ---------------------------------------------------------------------------
 # finite enumeration
 
-def ring_elements(ring) -> list:
-    """All elements of a finite ring, in a deterministic order."""
-    if isinstance(ring, ResidueRing):
-        return [RingElement(ring, k) for k in range(ring.modulus)]
-    if isinstance(ring, QuotientRing):
-        if isinstance(ring.base, Rationals):
-            if ring.is_trivial:
-                return [ring.zero()]
-            raise CodomainNotFinite(f"{ring} is infinite")
-        monos = poly.quotient_monomial_basis(ring.ctx, ring.relation_basis)
-        if monos is None:
-            raise CodomainNotFinite(f"{ring} has an infinite monomial basis")
-        p = ring.base.p
-        out = []
-        for coeffs in itertools.product(range(p), repeat=len(monos)):
-            payload = poly.poly_from_dict(
-                ring.ctx, {m: c for m, c in zip(monos, coeffs)})
-            out.append(RingElement(ring, payload))
-        return out
-    raise CodomainNotFinite(f"{ring} is infinite")
-
-
 def enumerate_homs(domain, codomain) -> list:
     """All homomorphisms into a finite ring, in lexicographic assignment
     order over the codomain's element enumeration.
@@ -560,18 +691,7 @@ def enumerate_homs(domain, codomain) -> list:
     for all of its completions, and a rejected assignment costs no more
     than its relation images.
     """
-    elements = ring_elements(codomain)
-    if isinstance(domain, (IntegerRing, ResidueRing)):
-        try:
-            return [make_hom(domain, codomain)]
-        except NotWellDefined:
-            return []
-    if isinstance(domain.base, Rationals):
-        if len(elements) == 1:  # trivial codomain admits exactly one map
-            zero = elements[0]
-            return [make_hom(domain, codomain,
-                             tuple(zero for _ in domain.variables))]
-        return []
+    elements = codomain.elements()
     try:
         _base_compatible(domain, codomain)
     except NotWellDefined:

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from .errors import NotWellDefined, RingMismatch, UnsupportedBase, ZkitError
+from .errors import (InvariantViolated, NotUnimodular, NotWellDefined,
+                     ResourceExceeded, RingMismatch, UnsupportedBase)
 from .gluing import (UnimodularCover, glue_hom, make_cover, make_hom_family)
 from .ideals import BezoutCertificate, unimodular_certificate
 from .lattice import (ZarElt, lattice_morphism, loc_eq_top, loc_zar_elt,
                       support_D, zar_bottom, zar_elt, zar_eq, zar_eq_top,
-                      zar_join, zar_leq, zar_meet, zar_top)
+                      zar_top)
 from .localization import (LocalizedRing, LocRingHom, localize,
                            make_loc_hom)
 from .poly import PrimeField
@@ -80,8 +81,7 @@ def empty_open(ring) -> CompactOpen:
 
 
 def standard_open(ring, f) -> CompactOpen:
-    f = normalize(ring, f) if not isinstance(f, RingElement) else f
-    return CompactOpen(AffineScheme(ring), support_D(f))
+    return CompactOpen(AffineScheme(ring), support_D(normalize(ring, f)))
 
 
 def compact_open(ring, gens) -> CompactOpen:
@@ -127,39 +127,6 @@ def function_eval(r: RingElement, pt: SchemePoint) -> RingElement:
 
 
 # ---------------------------------------------------------------------------
-# the lattice of compact opens
-
-def _check_base(V: CompactOpen, W: CompactOpen):
-    if V.scheme != W.scheme:
-        raise RingMismatch(f"opens of {V.scheme} vs {W.scheme}")
-
-
-def compopen_join(V: CompactOpen, W: CompactOpen) -> CompactOpen:
-    _check_base(V, W)
-    return CompactOpen(V.scheme, zar_join(V.element, W.element))
-
-
-def compopen_meet(V: CompactOpen, W: CompactOpen) -> CompactOpen:
-    _check_base(V, W)
-    return CompactOpen(V.scheme, zar_meet(V.element, W.element))
-
-
-def compopen_leq(V: CompactOpen, W: CompactOpen) -> bool:
-    _check_base(V, W)
-    return zar_leq(V.element, W.element)
-
-
-def compopen_eq(V: CompactOpen, W: CompactOpen) -> bool:
-    _check_base(V, W)
-    return zar_eq(V.element, W.element)
-
-
-def compopen_lattice(op: str, V: CompactOpen, W: CompactOpen):
-    return {"join": compopen_join, "meet": compopen_meet,
-            "leq": compopen_leq, "eq": compopen_eq}[op](V, W)
-
-
-# ---------------------------------------------------------------------------
 # the standard-open bijection
 
 def point_from_localized_hom(L: LocalizedRing, psi: RingHom) -> SchemePoint:
@@ -173,7 +140,7 @@ def point_from_localized_hom(L: LocalizedRing, psi: RingHom) -> SchemePoint:
     phi = make_hom(base, psi.codomain, images)
     pt = point_membership(standard_open(base, L.f), phi)
     if pt is None:
-        raise AssertionError("presentation hom failed to give a point")
+        raise InvariantViolated("presentation hom failed to give a point")
     return pt
 
 
@@ -189,7 +156,7 @@ def point_to_localized_hom(pt: SchemePoint, L: LocalizedRing) -> RingHom:
     phi = pt.hom
     cert = unimodular_certificate([hom_apply(phi, L.f)])
     if cert is None:
-        raise AssertionError("point witness lost: phi(f) is not a unit")
+        raise InvariantViolated("point witness lost: phi(f) is not a unit")
     w = cert.cofactors[0]
     return make_hom(L.presentation, phi.codomain,
                     phi.generator_images + (w,))
@@ -260,7 +227,7 @@ def locality_trial(V: CompactOpen, psi: RingHom, cover: UnimodularCover,
     the components with padded denominators, glue back, and check that
     the result is still a point of V (and is the original point)."""
     if point_membership(V, psi) is None:
-        raise AssertionError("locality trials need a point of V")
+        raise InvariantViolated("locality trials need a point of V")
     domain = V.scheme.ring
     homs = []
     paddings = []
@@ -335,7 +302,7 @@ def _candidate_cover(ring, rng: random.Random) -> UnimodularCover:
                 return make_cover(ring, [h, ring.one() - h])
             g = _random_element(ring, rng)
             return make_cover(ring, [h, ring.one() - h * g, g])
-        except ZkitError:
+        except (NotUnimodular, ResourceExceeded):
             continue
     return make_cover(ring, [ring.one()])
 

@@ -102,14 +102,13 @@ def eval_element_expr(ring, node) -> RingElement:
     if isinstance(node, dsl.IntLit):
         return ring.from_int(node.value)
     if isinstance(node, dsl.RatLit):
-        if not (isinstance(ring, QuotientRing)
-                and isinstance(ring.base, Rationals)):
+        if not ring.is_q_algebra:
             raise TypeMismatch("rational literals need a Q coefficient base")
         if node.den == 0:
             raise NonInvertibleDenominator(f"{node.num}/0 has a zero denominator")
         return normalize(ring, _Q(node.num, node.den))
     if isinstance(node, dsl.NameRef):
-        if isinstance(ring, QuotientRing) and node.name in ring.variables:
+        if node.name in ring.variables:
             return ring.var(node.name)
         raise TypeMismatch(f"unknown variable {node.name!r} in {ring}")
     if isinstance(node, dsl.Neg):

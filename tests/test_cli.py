@@ -161,6 +161,18 @@ def test_cli_bad_input_is_an_error_record(tmp_path, source, kind):
     assert last["result"]["kind"] == kind
 
 
+def test_failed_invariant_is_an_error_record(monkeypatch):
+    """A witness that fails its own re-verification is reported as an
+    InvariantViolated record, not raised out of run_script."""
+    from zkit.ideals import BezoutCertificate
+    monkeypatch.setattr(BezoutCertificate, "verify", lambda self: False)
+    report = run_source("ring R = Z; unimodular [2, 3];")
+    last = report.results[-1]
+    assert last.status == "error"
+    assert last.result["kind"] == "InvariantViolated"
+    assert report.exit_code == 2
+
+
 def test_verify_missing_file():
     report = run_source('verify "does-not-exist.json";')
     assert report.results[0].status == "error"

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from zkit import (IncompatibleFamily, IntegerRing, NotUnimodular,
-                  Rationals, ResidueRing, check_compatibility, frac_eq,
-                  glue_element, glue_hom, make_cover, make_family,
-                  make_hom, make_hom_family, make_loc_hom, polynomial_ring,
-                  pullback_cover, quotient_by, restrict_element, restrict_hom)
+                  NotWellDefined, Rationals, ResidueRing, check_compatibility,
+                  frac_eq, glue_element, glue_hom, identity_hom, localize,
+                  make_cover, make_family, make_hom, make_hom_family,
+                  make_loc_hom, polynomial_ring, pullback_cover, quotient_by,
+                  restrict_element, restrict_hom)
 from helpers import (random_element, random_endo, random_ring,
                      random_unimodular_cover)
 
@@ -236,3 +237,17 @@ def test_glue_hom_integer_domains():
     fam6 = restrict_hom(cov6, make_hom(Z6, Z6))
     glued = glue_hom(fam6)
     assert glued.domain == Z6 and glued.codomain == Z6
+    for ring, elements in ((Z, [2, 3]), (ResidueRing(12), [3, 4])):
+        ident = identity_hom(ring)
+        glued = glue_hom(restrict_hom(make_cover(ring, elements), ident))
+        assert glued == ident
+        assert glued(ring.element(7)) == ring.element(7)
+
+
+def test_loc_homs_out_of_residue_rings():
+    # 4 is not 0 in Z[1/2], but 4 * 2 == 0 in Z/8, so 4/1 == 0 in (Z/8)[1/2]
+    Z4, Z8 = ResidueRing(4), ResidueRing(8)
+    with pytest.raises(NotWellDefined):
+        make_loc_hom(Z4, localize(Z, 2))
+    h = make_loc_hom(Z4, localize(Z8, 2))
+    assert frac_eq(h(Z4.element(3)), localize(Z8, 2).from_base(3))

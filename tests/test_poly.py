@@ -3,11 +3,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from zkit.poly import (PolyContext, PrimeField, Rationals, const_poly,
-                       is_groebner, is_prime, is_reduced_basis,
+from zkit.poly import (PolyContext, PrimeField, Rationals, buchberger,
+                       const_poly, is_groebner, is_prime, is_reduced_basis,
                        normal_form, one_cofactors, p_add, p_divmod, p_mul,
                        p_pow, p_sub, poly_from_dict, quotient_monomial_basis,
-                       reduced_groebner, var_poly)
+                       var_poly)
 
 
 def rand_poly(ctx, rng, deg=3, terms=4):
@@ -81,7 +81,7 @@ def test_division_invariant():
 def test_buchberger_textbook_example():
     ctx = PolyContext(Rationals(), 2)
     x, y = var_poly(ctx, 0), var_poly(ctx, 1)
-    basis, cofs = reduced_groebner(
+    basis, cofs = buchberger(
         ctx, [p_sub(ctx, p_pow(ctx, x, 2), y), p_pow(ctx, x, 3)], track=True)
     rendered = {tuple(b) for b in basis}
     expected = {
@@ -103,7 +103,7 @@ def test_cofactor_identity_random():
                             for _ in range(rng.choice([1, 2, 3]))) if g]
         if not gens:
             continue
-        basis, cofs = reduced_groebner(ctx, gens, track=True)
+        basis, cofs = buchberger(ctx, gens, track=True)
         for b, row in zip(basis, cofs):
             acc = ()
             for c, g in zip(row, gens):
@@ -126,14 +126,14 @@ def test_one_cofactors():
 def test_quotient_monomial_basis():
     ctx = PolyContext(PrimeField(5), 2)
     x, y = var_poly(ctx, 0), var_poly(ctx, 1)
-    basis, _ = reduced_groebner(ctx, [p_pow(ctx, x, 2), p_pow(ctx, y, 3)])
+    basis, _ = buchberger(ctx, [p_pow(ctx, x, 2), p_pow(ctx, y, 3)])
     monos = quotient_monomial_basis(ctx, basis)
     assert len(monos) == 6
     # x alone leaves y free: infinite
-    basis2, _ = reduced_groebner(ctx, [x])
+    basis2, _ = buchberger(ctx, [x])
     assert quotient_monomial_basis(ctx, basis2) is None
     # unit ideal: empty basis of monomials
-    basis3, _ = reduced_groebner(ctx, [const_poly(ctx, 2)])
+    basis3, _ = buchberger(ctx, [const_poly(ctx, 2)])
     assert quotient_monomial_basis(ctx, basis3) == []
 
 
@@ -141,7 +141,7 @@ def test_normal_form_is_linear():
     rng = random.Random(3)
     ctx = PolyContext(Rationals(), 2)
     gens = [rand_poly(ctx, rng, deg=2, terms=2) for _ in range(2)]
-    basis, _ = reduced_groebner(ctx, [g for g in gens if g])
+    basis, _ = buchberger(ctx, [g for g in gens if g])
     for _ in range(20):
         f, g = rand_poly(ctx, rng), rand_poly(ctx, rng)
         lhs = normal_form(ctx, p_add(ctx, f, g), basis)

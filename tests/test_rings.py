@@ -6,8 +6,7 @@ import pytest
 from zkit import (CodomainNotFinite, IntegerRing, NotWellDefined, PrimeField,
                   QuotientRing, Rationals, ResidueRing, RingMismatch,
                   enumerate_homs, hom_apply, hom_compose, identity_hom,
-                  is_unit, make_hom, normalize, polynomial_ring, quotient_by,
-                  ring_elements)
+                  is_unit, make_hom, normalize, polynomial_ring, quotient_by)
 from helpers import random_element, random_quotient_ring, random_ring
 
 Z = IntegerRing()
@@ -121,6 +120,17 @@ def test_hom_examples():
     assert hom_compose(psi, phi).generator_images[0] == 2 * x + 1
     to8 = make_hom(Z, ResidueRing(8))
     assert hom_apply(to8, Z.element(13)).payload == 5
+    # homs out of Z/n and into Z/n, with and without generators
+    Z6 = ResidueRing(6)
+    F3x = polynomial_ring(PrimeField(3), ["x"])
+    dual = quotient_by(F3x, [F3x.var("x") ** 2])
+    assert hom_apply(make_hom(Z6, dual), Z6.element(5)) == dual.from_int(2)
+    F5x = polynomial_ring(PrimeField(5), ["x"])
+    at2 = make_hom(F5x, ResidueRing(5), (2,))
+    assert hom_apply(at2, F5x.var("x") ** 2 + 3) == ResidueRing(5).element(2)
+    assert str(identity_hom(Z)) == "canonical : Z -> Z"
+    assert str(identity_hom(Z6)) == "canonical : Z/6 -> Z/6"
+    assert hom_apply(identity_hom(Z6), Z6.element(4)) == Z6.element(4)
 
 
 def test_hom_verification():
@@ -133,23 +143,25 @@ def test_hom_verification():
         make_hom(ResidueRing(4), ResidueRing(6))
     make_hom(ResidueRing(4), ResidueRing(2))
     with pytest.raises(NotWellDefined):
+        make_hom(ResidueRing(6), Qx)  # 6 is not 0 in Q[x]
+    with pytest.raises(NotWellDefined):
         make_hom(polynomial_ring(Rationals(), ["t"]),
                  QuotientRing(PrimeField(5)), (QuotientRing(PrimeField(5)).zero(),))
 
 
 def test_ring_elements_enumeration():
-    assert len(ring_elements(ResidueRing(6))) == 6
+    assert len(ResidueRing(6).elements()) == 6
     F5 = QuotientRing(PrimeField(5))
-    assert len(ring_elements(F5)) == 5
+    assert len(F5.elements()) == 5
     F5x = polynomial_ring(PrimeField(5), ["x"])
     D = quotient_by(F5x, [F5x.var("x") ** 2 - 1])
-    assert len(ring_elements(D)) == 25
+    assert len(D.elements()) == 25
     with pytest.raises(CodomainNotFinite):
-        ring_elements(Z)
+        Z.elements()
     with pytest.raises(CodomainNotFinite):
-        ring_elements(F5x)
+        F5x.elements()
     with pytest.raises(CodomainNotFinite):
-        ring_elements(polynomial_ring(Rationals(), ["x"]))
+        polynomial_ring(Rationals(), ["x"]).elements()
 
 
 def test_enumerate_homs_examples():
@@ -160,6 +172,9 @@ def test_enumerate_homs_examples():
     assert images == ["1", "4"]
     assert len(enumerate_homs(Z, ResidueRing(3))) == 1
     assert len(enumerate_homs(ResidueRing(4), ResidueRing(6))) == 0
+    F3x = polynomial_ring(PrimeField(3), ["x"])
+    dual = quotient_by(F3x, [F3x.var("x") ** 2])
+    assert len(enumerate_homs(ResidueRing(6), dual)) == 1
     # Q-based domain into a finite ring only through the trivial ring
     Qx = polynomial_ring(Rationals(), ["x"])
     assert enumerate_homs(Qx, F5) == []
@@ -247,7 +262,7 @@ def _tangent_count(ring, p):
 def _check_enumeration(domain, codomain, homs):
     """Every enumerated hom re-verifies through make_hom, and the list
     follows itertools.product order over the codomain's elements."""
-    elements = ring_elements(codomain)
+    elements = codomain.elements()
     for h in homs:
         again = make_hom(domain, codomain, h.generator_images)
         assert h == again

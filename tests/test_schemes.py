@@ -2,15 +2,14 @@ import random
 
 import pytest
 
-from zkit import (CodomainNotFinite, IntegerRing, PrimeField, QuotientRing,
-                  Rationals, affine_cover, compact_open,
-                  compopen_join, compopen_leq, compopen_meet,
+from zkit import (CodomainNotFinite, CompactOpen, IntegerRing, PrimeField,
+                  QuotientRing, Rationals, affine_cover, compact_open,
                   empty_open, enumerate_homs, function_eval, localize,
                   locality_trial, loc_point_membership, make_hom,
                   point_from_localized_hom, point_membership,
                   point_to_localized_hom, points_over, polynomial_ring,
                   qcqs_certificate, quotient_by, standard_open,
-                  whole_scheme)
+                  whole_scheme, zar_join, zar_leq, zar_meet)
 from helpers import random_quotient_ring, random_unimodular_cover
 
 Z = IntegerRing()
@@ -76,9 +75,12 @@ def test_point_sets_respect_lattice():
                                        for _ in range(rng.randrange(3))])
 
         V, W = rand_open(), rand_open()
-        assert keyset(compopen_join(V, W)) == keyset(V) | keyset(W)
-        assert keyset(compopen_meet(V, W)) == keyset(V) & keyset(W)
-        if compopen_leq(V, W):
+        u, v = V.element, W.element
+        assert (keyset(CompactOpen(V.scheme, zar_join(u, v)))
+                == keyset(V) | keyset(W))
+        assert (keyset(CompactOpen(V.scheme, zar_meet(u, v)))
+                == keyset(V) & keyset(W))
+        if zar_leq(u, v):
             assert keyset(V) <= keyset(W)
         assert len(keyset(whole_scheme(ring))) == len(total)
 
