@@ -376,7 +376,8 @@ def make_loc_hom(domain, L: LocalizedRing, images=()) -> LocRingHom:
     char = domain.characteristic
     if char and not frac_eq(L.from_base(L.ring.from_int(char)), zero):
         raise NotWellDefined(f"char {char} incompatible with {L}")
-    if domain.is_q_algebra and not L.ring.is_q_algebra:
+    if (domain.is_q_algebra and not L.ring.is_q_algebra
+            and not frac_eq(L.one(), zero)):
         raise NotWellDefined(f"no map from Q into {L}")
     checks = []
     for rel in domain.relations:

@@ -9,12 +9,28 @@ arithmetic) or a prime field (ints reduced mod p).
 The Buchberger engine optionally tracks cofactors: each basis element
 then carries its expression as a combination of the original generators,
 which is what turns ideal-membership answers into checkable certificates.
+
+Each term order has an ascending key (`PolyContext.key`) and a
+descending one (`PolyContext.desc_key`), computed once per monomial
+wherever monomials are sorted or queued.  Division keeps the working
+terms in a heap on the descending key and pops the largest each step;
+Buchberger keeps pending S-pairs in a heap of (key of the lcm, insertion
+number), which picks the pair with the smallest lcm and, among equal
+lcms, the one added first.  Both reproduce exactly what a scan of all
+terms or all pairs would pick, so every S-pair is processed in the same
+order and every basis, quotient and cofactor is the same as with a scan
+(tests/helpers.py keeps the scan as the reference).
+
+A coefficient is zero exactly when it is falsy (Fraction or int).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as _Q
 from functools import cached_property
+from heapq import heapify, heappop, heappush
+from itertools import count
+from operator import add, le, neg, sub
 
 from .errors import (InvalidRing, InvariantViolated, NonInvertibleDenominator,
                      ResourceExceeded)
@@ -158,40 +174,59 @@ Field = object  # Rationals | PrimeField
 # monomials and orders
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a: Mono) -> int:
     return sum(a)
 
 
+# Each order has an ascending key (larger key = larger monomial) and a
+# descending key (smaller key = larger monomial), so that sorts and heaps
+# can put the largest monomial first without reverse=True or a lambda.
+
 def _key_lex(m: Mono):
     return m
+
+
+def _desc_lex(m: Mono):
+    return tuple(map(neg, m))
 
 
 def _key_grlex(m: Mono):
     return (sum(m), m)
 
 
+def _desc_grlex(m: Mono):
+    return (-sum(m), *map(neg, m))
+
+
 def _key_grevlex(m: Mono):
     # larger key = larger monomial: compare degree first, then the
     # negated reversed exponents (last variable weighs least).
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(neg, reversed(m))))
 
 
-ORDER_KEYS = {"lex": _key_lex, "grlex": _key_grlex, "grevlex": _key_grevlex}
+def _desc_grevlex(m: Mono):
+    return (-sum(m), *reversed(m))
+
+
+# order name -> (ascending key, descending key)
+ORDER_KEYS = {"lex": (_key_lex, _desc_lex),
+              "grlex": (_key_grlex, _desc_grlex),
+              "grevlex": (_key_grevlex, _desc_grevlex)}
 
 
 @dataclass(frozen=True)
@@ -208,7 +243,11 @@ class PolyContext:
 
     @cached_property
     def key(self):
-        return ORDER_KEYS[self.order]
+        return ORDER_KEYS[self.order][0]
+
+    @cached_property
+    def desc_key(self):
+        return ORDER_KEYS[self.order][1]
 
     def extended(self, extra: int = 1) -> "PolyContext":
         """Context with extra variables appended (they sort smallest in
@@ -220,9 +259,10 @@ class PolyContext:
 # construction and arithmetic
 
 def poly_from_dict(ctx: PolyContext, d: dict) -> Poly:
-    items = [(m, c) for m, c in d.items() if c != ctx.field.zero]
-    items.sort(key=lambda t: ctx.key(t[0]), reverse=True)
-    return tuple(items)
+    monos = [m for m, c in d.items() if c]
+    if len(monos) > 1:
+        monos.sort(key=ctx.desc_key)
+    return tuple([(m, d[m]) for m in monos])
 
 
 def const_poly(ctx: PolyContext, c) -> Poly:
@@ -237,27 +277,16 @@ def var_poly(ctx: PolyContext, i: int) -> Poly:
     return ((mono, ctx.field.one),)
 
 
-def p_is_zero(f: Poly) -> bool:
-    return not f
-
-
-def p_leading(f: Poly):
-    return f[0]
-
-
-def p_total_deg(f: Poly) -> int:
-    return max((mono_deg(m) for m, _ in f), default=-1)
-
-
 def p_add(ctx: PolyContext, f: Poly, g: Poly) -> Poly:
     d = dict(f)
     fld = ctx.field
+    fadd, zero = fld.add, fld.zero
     for m, c in g:
-        s = fld.add(d.get(m, fld.zero), c)
-        if s == fld.zero:
-            d.pop(m, None)
-        else:
+        s = fadd(d.get(m, zero), c)
+        if s:
             d[m] = s
+        else:
+            d.pop(m, None)
     return poly_from_dict(ctx, d)
 
 
@@ -290,15 +319,16 @@ def p_mul(ctx: PolyContext, f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
     fld = ctx.field
+    fadd, fmul, zero = fld.add, fld.mul, fld.zero
     d = {}
     for mf, cf in f:
         for mg, cg in g:
-            m = mono_mul(mf, mg)
-            s = fld.add(d.get(m, fld.zero), fld.mul(cf, cg))
-            if s == fld.zero:
-                d.pop(m, None)
-            else:
+            m = tuple(map(add, mf, mg))
+            s = fadd(d.get(m, zero), fmul(cf, cg))
+            if s:
                 d[m] = s
+            else:
+                d.pop(m, None)
     return poly_from_dict(ctx, d)
 
 
@@ -342,40 +372,53 @@ def p_divmod(ctx: PolyContext, f: Poly, divisors, track: bool = True):
     term of rem is divisible by any divisor's leading monomial.
 
     Returns (quotients, rem); quotients is None when track is False.
+
+    The working terms sit in a dict (monomial -> coefficient) and their
+    monomials in a heap on the descending order key, so the largest term
+    is popped without a scan.  A monomial whose coefficient cancels is
+    dropped from the dict only; its heap entry is skipped when popped.
+    Terms are popped in strictly descending order (every term a step adds
+    is smaller than the one it eliminates), so the remainder and each
+    quotient come out sorted.
     """
     fld = ctx.field
-    key = ctx.key
-    quo = [{} for _ in divisors] if track else None
-    rem = {}
+    dkey = ctx.desc_key
+    fdiv, fmul, fsub, zero = fld.div, fld.mul, fld.sub, fld.zero
+    one = fld.one
+    # (leading monomial, its degree, leading coefficient or None if one,
+    #  tail terms, quotient terms)
+    leads = [(d[0][0], sum(d[0][0]), None if d[0][1] == one else d[0][1],
+              d[1:], []) for d in divisors]
+    rem = []
     work = dict(f)
-    leads = [(d[0][0], d[0][1]) for d in divisors]
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for i, (lm, lc) in enumerate(leads):
-            if mono_divides(lm, m):
-                q = mono_div(m, lm)
-                qc = fld.div(c, lc)
-                if track:
-                    s = fld.add(quo[i].get(q, fld.zero), qc)
-                    if s == fld.zero:
-                        quo[i].pop(q, None)
-                    else:
-                        quo[i][q] = s
-                for dm, dc in divisors[i][1:]:
-                    mm = mono_mul(q, dm)
-                    s = fld.sub(work.get(mm, fld.zero), fld.mul(qc, dc))
-                    if s == fld.zero:
-                        work.pop(mm, None)
-                    else:
+    heap = [(dkey(m), m) for m in work]
+    heapify(heap)
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue  # cancelled after it was pushed
+        deg = sum(m)
+        for lm, ldeg, lc, tail, quo in leads:
+            if ldeg <= deg and all(map(le, lm, m)):
+                q = tuple(map(sub, m, lm))
+                qc = c if lc is None else fdiv(c, lc)
+                quo.append((q, qc))
+                for tm, tc in tail:
+                    mm = tuple(map(add, q, tm))
+                    old = work.get(mm)
+                    s = fsub(zero if old is None else old, fmul(qc, tc))
+                    if s:
+                        if old is None:
+                            heappush(heap, (dkey(mm), mm))
                         work[mm] = s
+                    elif old is not None:
+                        del work[mm]
                 break
         else:
-            rem[m] = c
-    quotients = None
-    if track:
-        quotients = [poly_from_dict(ctx, q) for q in quo]
-    return quotients, poly_from_dict(ctx, rem)
+            rem.append((m, c))
+    quotients = [tuple(ld[4]) for ld in leads] if track else None
+    return quotients, tuple(rem)
 
 
 def normal_form(ctx: PolyContext, f: Poly, basis) -> Poly:
@@ -398,8 +441,14 @@ def _vec_sub(ctx, u, v):
     return [p_sub(ctx, a, b) for a, b in zip(u, v)]
 
 
-def _vec_term_mul(ctx, u, mono, c):
-    return [p_term_mul(ctx, a, mono, c) for a in u]
+def _shift(f: Poly, mono: Mono) -> Poly:
+    """f times the monomial mono (order is preserved)."""
+    return tuple([(tuple(map(add, m, mono)), c) for m, c in f])
+
+
+def _shift_sub(ctx, f, mf, g, mg):
+    """mf*f - mg*g for monomials mf, mg."""
+    return p_sub(ctx, _shift(f, mf), _shift(g, mg))
 
 
 def _vec_scale(ctx, u, c):
@@ -472,38 +521,47 @@ def buchberger(ctx: PolyContext, gens, *, track: bool = False,
         if is_one:
             return _trivial_basis(f, fcof, track)
 
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    # Normal selection: the pair with the smallest lcm of leading
+    # monomials, the earliest added among equal lcms.  Pending pairs sit
+    # in a heap of (key of lcm, insertion number, i, j), each key computed
+    # once when its pair is added.
+    pairs = []
+    added = count()
+    key = ctx.key
+
+    def add_pairs(new):
+        lm = basis[new][0][0]
+        for k in range(new):
+            heappush(pairs, (key(mono_lcm(basis[k][0][0], lm)), next(added),
+                             k, new))
+
+    for j in range(len(basis)):
+        add_pairs(j)
     processed = 0
     while pairs:
         processed += 1
         if processed > lims.max_pairs:
             raise ResourceExceeded(f"pair count exceeded {lims.max_pairs}")
-        # normal selection: smallest lcm of leading monomials
-        best = min(range(len(pairs)),
-                   key=lambda k: ctx.key(mono_lcm(basis[pairs[k][0]][0][0],
-                                                  basis[pairs[k][1]][0][0])))
-        i, j = pairs.pop(best)
+        _, _, i, j = heappop(pairs)
         fi, fj = basis[i], basis[j]
         lmi, lmj = fi[0][0], fj[0][0]
         lcm = mono_lcm(lmi, lmj)
         if lcm == mono_mul(lmi, lmj):
             continue  # coprime leading monomials: S-poly reduces to zero
         mi, mj = mono_div(lcm, lmi), mono_div(lcm, lmj)
-        # both basis elements are monic
-        s = p_sub(ctx, p_term_mul(ctx, fi, mi, fld.one),
-                  p_term_mul(ctx, fj, mj, fld.one))
+        # both basis elements are monic, so the S-polynomial needs shifts only
+        s = _shift_sub(ctx, fi, mi, fj, mj)
         scof = None
         if track:
-            scof = _vec_sub(ctx, _vec_term_mul(ctx, cofs[i], mi, fld.one),
-                            _vec_term_mul(ctx, cofs[j], mj, fld.one))
+            scof = [_shift_sub(ctx, a, mi, b, mj)
+                    for a, b in zip(cofs[i], cofs[j])]
         s, scof = _reduce_tracked(ctx, s, scof, basis, cofs, track)
         if not s:
             continue
         f, fcof, is_one = insert(s, scof)
         if is_one:
             return _trivial_basis(f, fcof, track)
-        new = len(basis) - 1
-        pairs.extend((k, new) for k in range(new))
+        add_pairs(len(basis) - 1)
 
     return _reduced(ctx, basis, cofs, track)
 

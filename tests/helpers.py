@@ -1,13 +1,15 @@
 """Shared random samplers for the test suite.
 
 Everything takes an explicit random.Random so failures reproduce from
-the seed printed by the test that used them.
+the seed printed by the test that used them.  The end of the file holds
+a reference Groebner engine that the fast one is checked against.
 """
 from __future__ import annotations
 
 from zkit import (IntegerRing, NotWellDefined, PrimeField, QuotientRing,
                   Rationals, ResidueRing, make_cover, make_hom,
                   unimodular_certificate)
+from zkit import poly as P
 
 SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -103,3 +105,141 @@ def random_endo(ring, rng):
         except NotWellDefined:
             continue
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference Groebner engine: the scan-based division (max over the working
+# dict for every term) and pair selection (min over all pending pairs at
+# every step) that zkit.poly's heaps replaced.  The engine must return
+# exactly what this returns: same quotients, remainders, bases, cofactors,
+# and it must reduce the same polynomials in the same order (the S-pair
+# trace), which reference_buchberger appends to `trace` when given one.
+
+def _ref_from_dict(ctx, d):
+    items = [(m, c) for m, c in d.items() if c != ctx.field.zero]
+    items.sort(key=lambda t: ctx.key(t[0]), reverse=True)
+    return tuple(items)
+
+
+def reference_divmod(ctx, f, divisors, track=True):
+    fld = ctx.field
+    key = ctx.key
+    quo = [{} for _ in divisors] if track else None
+    rem = {}
+    work = dict(f)
+    leads = [(d[0][0], d[0][1]) for d in divisors]
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for i, (lm, lc) in enumerate(leads):
+            if P.mono_divides(lm, m):
+                q = P.mono_div(m, lm)
+                qc = fld.div(c, lc)
+                if track:
+                    s = fld.add(quo[i].get(q, fld.zero), qc)
+                    if s == fld.zero:
+                        quo[i].pop(q, None)
+                    else:
+                        quo[i][q] = s
+                for dm, dc in divisors[i][1:]:
+                    mm = P.mono_mul(q, dm)
+                    s = fld.sub(work.get(mm, fld.zero), fld.mul(qc, dc))
+                    if s == fld.zero:
+                        work.pop(mm, None)
+                    else:
+                        work[mm] = s
+                break
+        else:
+            rem[m] = c
+    quotients = None
+    if track:
+        quotients = [_ref_from_dict(ctx, q) for q in quo]
+    return quotients, _ref_from_dict(ctx, rem)
+
+
+def _ref_reduce(ctx, f, fcof, basis, basiscofs, track, trace):
+    if trace is not None:
+        trace.append(f)
+    if not basis:
+        return f, fcof
+    quots, rem = reference_divmod(ctx, f, basis, track=track)
+    if track:
+        for q, bc in zip(quots, basiscofs):
+            if q:
+                fcof = [P.p_sub(ctx, a, P.p_mul(ctx, b, q))
+                        for a, b in zip(fcof, bc)]
+    return rem, fcof
+
+
+def reference_buchberger(ctx, gens, *, track=False, stop_at_one=False,
+                         trace=None):
+    fld = ctx.field
+    one = P.const_poly(ctx, 1)
+    gens = list(gens)
+    n = len(gens)
+    basis, cofs = [], []
+
+    def insert(f, fcof):
+        lc = f[0][1]
+        if lc != fld.one:
+            f = P.p_scale(ctx, f, fld.invert(lc))
+            if track:
+                fcof = [P.p_scale(ctx, a, fld.invert(lc)) for a in fcof]
+        if stop_at_one and P.mono_deg(f[0][0]) == 0:
+            return True, ((f,), [fcof] if track else None)
+        basis.append(f)
+        cofs.append(fcof)
+        return False, None
+
+    for i, g in enumerate(gens):
+        if not g:
+            continue
+        gcof = [one if k == i else () for k in range(n)] if track else None
+        g, gcof = _ref_reduce(ctx, g, gcof, basis, cofs, track, trace)
+        if g:
+            done, out = insert(g, gcof)
+            if done:
+                return out
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        best = min(range(len(pairs)),
+                   key=lambda k: ctx.key(P.mono_lcm(basis[pairs[k][0]][0][0],
+                                                    basis[pairs[k][1]][0][0])))
+        i, j = pairs.pop(best)
+        fi, fj = basis[i], basis[j]
+        lmi, lmj = fi[0][0], fj[0][0]
+        lcm = P.mono_lcm(lmi, lmj)
+        if lcm == P.mono_mul(lmi, lmj):
+            continue
+        mi, mj = P.mono_div(lcm, lmi), P.mono_div(lcm, lmj)
+        s = P.p_sub(ctx, P.p_term_mul(ctx, fi, mi, fld.one),
+                    P.p_term_mul(ctx, fj, mj, fld.one))
+        scof = None
+        if track:
+            scof = [P.p_sub(ctx, P.p_term_mul(ctx, a, mi, fld.one),
+                            P.p_term_mul(ctx, b, mj, fld.one))
+                    for a, b in zip(cofs[i], cofs[j])]
+        s, scof = _ref_reduce(ctx, s, scof, basis, cofs, track, trace)
+        if not s:
+            continue
+        done, out = insert(s, scof)
+        if done:
+            return out
+        new = len(basis) - 1
+        pairs.extend((k, new) for k in range(new))
+    # minimize (first of equal leading monomials), then reduce each tail
+    keep = [i for i, f in enumerate(basis)
+            if not any(j != i and P.mono_divides(g[0][0], f[0][0])
+                       and (g[0][0] != f[0][0] or j < i)
+                       for j, g in enumerate(basis))]
+    basis = [basis[i] for i in keep]
+    cofs = [cofs[i] for i in keep]
+    out = []
+    for i, f in enumerate(basis):
+        f, fcof = _ref_reduce(ctx, f, cofs[i], basis[:i] + basis[i + 1:],
+                              cofs[:i] + cofs[i + 1:], track, trace)
+        if f:
+            out.append((f, fcof))
+    out.sort(key=lambda t: ctx.key(t[0][0][0]))
+    return (tuple(f for f, _ in out),
+            [c for _, c in out] if track else None)

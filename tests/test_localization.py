@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zkit import (BaseMismatch, IntegerRing, InvalidWitness, PrimeField,
-                  Rationals, ResidueRing, UnsupportedBase, canonical_map,
-                  compose_canonical, double_localization_maps,
+from zkit import (BaseMismatch, IntegerRing, InvalidWitness, NotWellDefined,
+                  PrimeField, Rationals, ResidueRing, UnsupportedBase,
+                  canonical_map, compose_canonical, double_localization_maps,
                   frac_eq, frac_is_unit, frac_reduce,
                   from_presentation, localize, make_hom, make_loc_hom,
                   polynomial_ring, quotient_by, to_presentation,
@@ -213,3 +213,19 @@ def test_loc_hom_and_compose_canonical():
     assert frac_eq(out, L.from_base(x ** 2 + 1))
     h2 = make_loc_hom(Qt, L, (L.fraction(Qx.one(), 1),))
     assert frac_eq(h2(Qt.var("t") ** 2), L.fraction(Qx.one(), 2))
+
+
+def test_loc_hom_from_q_algebra_into_zero_ring():
+    # Z[1/0] is the zero ring, so Q[x] maps into it although Z is not a
+    # Q-algebra
+    Qx = polynomial_ring(Rationals(), ["x"])
+    L0 = localize(Z, 0)
+    h = make_loc_hom(Qx, L0, (L0.zero(),))
+    assert frac_eq(h(Qx.var("x") + 1), L0.zero())
+
+
+def test_loc_hom_from_q_algebra_into_nonzero_z_localization():
+    Qx = polynomial_ring(Rationals(), ["x"])
+    L2 = localize(Z, 2)
+    with pytest.raises(NotWellDefined):
+        make_loc_hom(Qx, L2, (L2.zero(),))

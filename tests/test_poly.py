@@ -3,11 +3,16 @@ from fractions import Fraction as Q
 
 import pytest
 
+from helpers import reference_buchberger, reference_divmod
+from zkit import poly
 from zkit.poly import (PolyContext, PrimeField, Rationals, buchberger,
                        const_poly, is_groebner, is_prime, is_reduced_basis,
                        normal_form, one_cofactors, p_add, p_divmod, p_mul,
-                       p_pow, p_sub, poly_from_dict, quotient_monomial_basis,
-                       var_poly)
+                       p_pow, p_scale, p_sub, poly_from_dict,
+                       quotient_monomial_basis, var_poly)
+
+ORDERS = ("lex", "grlex", "grevlex")
+FIELDS = (Rationals(), PrimeField(7), PrimeField(32003))
 
 
 def rand_poly(ctx, rng, deg=3, terms=4):
@@ -148,3 +153,128 @@ def test_normal_form_is_linear():
         rhs = p_add(ctx, normal_form(ctx, f, basis),
                     normal_form(ctx, g, basis))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_descending_key_sorts_like_reversed_key(order):
+    rng = random.Random(f"desc-key/{order}")
+    for nvars in range(5):
+        ctx = PolyContext(PrimeField(5), nvars, order)
+        monos = list({tuple(rng.randrange(5) for _ in range(nvars))
+                      for _ in range(60)})
+        rng.shuffle(monos)
+        expected = sorted(monos, key=ctx.key, reverse=True)
+        assert sorted(monos, key=ctx.desc_key) == expected, nvars
+        f = poly_from_dict(ctx, {m: 1 + i % 4 for i, m in enumerate(monos)})
+        assert [m for m, _ in f] == expected, nvars
+    # a zero-variable ring: constants only, and zero drops out
+    ctx = PolyContext(PrimeField(5), 0, order)
+    assert poly_from_dict(ctx, {(): 3}) == (((), 3),)
+    assert poly_from_dict(ctx, {(): 0}) == ()
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_division_matches_reference(field, order):
+    rng = random.Random(f"divmod/{field}/{order}")
+    for trial in range(40):
+        ctx = PolyContext(field, rng.choice([1, 2, 3]), order)
+        f = rand_poly(ctx, rng, deg=4, terms=8)
+        divisors = [g for g in (rand_poly(ctx, rng, deg=2, terms=3)
+                                for _ in range(rng.randrange(1, 4))) if g]
+        if not divisors:
+            continue
+        if trial % 2:  # monic, as every Groebner and membership divisor is
+            divisors = [p_scale(ctx, g, field.invert(g[0][1]))
+                        for g in divisors]
+        for track in (True, False):
+            assert (p_divmod(ctx, f, divisors, track=track)
+                    == reference_divmod(ctx, f, divisors, track=track)), trial
+
+
+def _from_terms(ctx, terms):
+    """{exponent string: coefficient}, e.g. {"1100": 2} for 2*x0*x1."""
+    return poly_from_dict(ctx, {tuple(map(int, m)): ctx.field.coerce(c)
+                                for m, c in terms.items()})
+
+
+CYCLIC4 = [{"1000": 1, "0100": 1, "0010": 1, "0001": 1},
+           {"1100": 1, "0110": 1, "0011": 1, "1001": 1},
+           {"1110": 1, "0111": 1, "1011": 1, "1101": 1},
+           {"1111": 1, "0000": -1}]
+KATSURA3 = [{"1000": 1, "0100": 2, "0010": 2, "0001": 2, "0000": -1},
+            {"2000": 1, "0200": 2, "0020": 2, "0002": 2, "1000": -1},
+            {"1100": 2, "0110": 2, "0011": 2, "0100": -1},
+            {"0200": 1, "1010": 2, "0101": 2, "0010": -1}]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_buchberger_matches_reference(field, order, monkeypatch):
+    # record every polynomial the engine hands to reduction: generators,
+    # S-polynomials in selection order, then the tails of the final basis
+    trace = []
+    reduce_tracked = poly._reduce_tracked
+
+    def recording(ctx, f, *rest):
+        trace.append(f)
+        return reduce_tracked(ctx, f, *rest)
+
+    monkeypatch.setattr(poly, "_reduce_tracked", recording)
+    rng = random.Random(f"buchberger/{field}/{order}")
+    cases = []
+    for _ in range(15):
+        ctx = PolyContext(field, rng.choice([1, 2, 3]), order)
+        cases.append((ctx, [rand_poly(ctx, rng, deg=3, terms=3)
+                            for _ in range(rng.randrange(1, 5))]))
+    # bases of 6-8 elements with many pairs sharing an lcm, so the
+    # tie-break of pair selection matters (katsura-3 in lex has tracked
+    # cofactors that take seconds to build, so lex runs cyclic-4 only)
+    ctx = PolyContext(field, 4, order)
+    for system in (CYCLIC4,) if order == "lex" else (CYCLIC4, KATSURA3):
+        cases.append((ctx, [_from_terms(ctx, g) for g in system]))
+    for trial, (ctx, gens) in enumerate(cases):
+        for track in (True, False):
+            for stop_at_one in (False, True):
+                trace.clear()
+                ref_trace = []
+                ours = buchberger(ctx, gens, track=track,
+                                  stop_at_one=stop_at_one)
+                ref = reference_buchberger(ctx, gens, track=track,
+                                           stop_at_one=stop_at_one,
+                                           trace=ref_trace)
+                assert ours == ref, (trial, track, stop_at_one)
+                assert trace == ref_trace, (trial, track, stop_at_one)
+
+
+def _to_sympy(sympy, syms, f):
+    return sum((sympy.Rational(int(c.numerator), int(c.denominator))
+                * sympy.Mul(*[x ** e for x, e in zip(syms, m)])
+                for m, c in f), sympy.Integer(0))
+
+
+@pytest.mark.parametrize("modulus", [None, 7, 32003])
+def test_buchberger_matches_sympy(modulus):
+    import sympy
+    field = Rationals() if modulus is None else PrimeField(modulus)
+    kwargs = {"domain": "QQ"} if modulus is None else {"modulus": modulus}
+    rng = random.Random(f"sympy/{modulus}")
+    for trial in range(24):
+        nvars = rng.choice([2, 3])
+        ctx = PolyContext(field, nvars)
+        gens = [g for g in (rand_poly(ctx, rng, deg=3, terms=3)
+                            for _ in range(rng.randrange(1, 4))) if g]
+        if not gens:
+            continue
+        basis, _ = buchberger(ctx, gens)
+        syms = sympy.symbols(f"x0:{nvars}")
+        theirs = sympy.groebner([_to_sympy(sympy, syms, g) for g in gens],
+                                *syms, order="grevlex", **kwargs)
+        expected = set()
+        for g in theirs.polys:
+            # Poly.monic() divides by the lex leading coefficient
+            terms = [(m, field.coerce(Q(int(c.p), int(c.q))))
+                     for m, c in g.terms(order="grevlex")]
+            lc = terms[0][1]
+            expected.add(tuple((m, field.div(c, lc)) for m, c in terms))
+        assert set(basis) == expected, trial
