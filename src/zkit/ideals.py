@@ -81,9 +81,13 @@ class BezoutCertificate:
         return total == ring.one()
 
 
-@lru_cache(maxsize=None)
+GROEBNER_CACHE_SIZE = 1024  # ideals whose bases groebner keeps
+
+
+@lru_cache(maxsize=GROEBNER_CACHE_SIZE)
 def groebner(ideal: FinGenIdeal) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal, cached per ideal.
+    """Reduced Groebner basis of the ideal, cached per ideal (the
+    GROEBNER_CACHE_SIZE most recently used).
 
     For quotient rings the computation runs in the ambient free ring
     with the ring's relations adjoined; for Z and Z/n the surrogate is

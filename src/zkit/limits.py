@@ -14,9 +14,18 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Limits:
+    """The caps in force; `limits(...)` overrides them for a block.
+
+    max_assignments bounds finite enumeration: the element count of a
+    ring whose elements() are listed, and the |B|^generators assignments
+    rings.enumerate_homs would try.  Both are checked before any element
+    or assignment is built.
+    """
+
     max_pairs: int = 4000        # S-pairs processed per basis computation
     max_basis: int = 256         # basis elements per computation
     max_exponent: int = 64       # saturation / radical witness search cap
+    max_assignments: int = 10**6  # elements listed / homs tried per enumeration
     check_bases: bool = False    # post-hoc Buchberger criterion on every basis
 
 

@@ -25,7 +25,8 @@ polynomial ring, with the relations adjoined.
 - terms(payload): the payload as (exponent tuple, coefficient) pairs;
   an integer is one term with no exponents.
 - elements(): every element of a finite ring, in a fixed order;
-  CodomainNotFinite otherwise.
+  CodomainNotFinite otherwise, ResourceExceeded when there are more
+  than Limits.max_assignments of them.
 - ambient: the ring that ideal computations run in (the free
   polynomial ring of a quotient, the ring itself for Z and Z/n).
 - ideal_basis(gens): reduced Groebner basis (or the gcd) of the
@@ -48,13 +49,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction as _Q
 from functools import cached_property, lru_cache
 
 from . import poly
 from .errors import (CodomainNotFinite, InvalidRing, InvariantViolated,
-                     NotWellDefined, RingMismatch, UnknownVariable)
+                     NotWellDefined, ResourceExceeded, RingMismatch,
+                     UnknownVariable)
+from .limits import current_limits
 from .poly import Poly, PolyContext, PrimeField, Rationals
 
 
@@ -131,6 +135,7 @@ class _Integers(_Ring):
     def elements(self) -> list:
         if not self.modulus:
             raise CodomainNotFinite(f"{self} is infinite")
+        _check_assignments("elements", self.modulus, f"elements of {self}")
         return [RingElement(self, k) for k in range(self.modulus)]
 
     def ideal_basis(self, gens):
@@ -183,6 +188,14 @@ class ResidueRing(_Integers):
 
     def __str__(self):
         return f"Z/{self.modulus}"
+
+
+def _check_assignments(where: str, count: int, what: str) -> None:
+    """Raise ResourceExceeded before an enumeration of count items."""
+    cap = current_limits().max_assignments
+    if count > cap:
+        raise ResourceExceeded(
+            f"{where}: {count} {what} exceed max_assignments={cap}")
 
 
 def _ext_gcd_list(values):
@@ -341,6 +354,8 @@ class QuotientRing(_Ring):
         monos = poly.quotient_monomial_basis(self.ctx, self.relation_basis)
         if monos is None:
             raise CodomainNotFinite(f"{self} has an infinite monomial basis")
+        _check_assignments("elements", self.base.p ** len(monos),
+                           f"elements of {self}")
         return [RingElement(self, poly.poly_from_dict(self.ctx,
                                                       dict(zip(monos, c))))
                 for c in itertools.product(range(self.base.p),
@@ -384,10 +399,14 @@ def _rabinowitsch_basis(ring: QuotientRing, gens, f):
     return ctx, basis
 
 
-@lru_cache(maxsize=None)
+SATURATION_CACHE_SIZE = 1024  # (ring, f) pairs whose bases are kept
+
+
+@lru_cache(maxsize=SATURATION_CACHE_SIZE)
 def _saturation_basis(ring: QuotientRing, f):
-    """_rabinowitsch_basis with no generators, cached per (ring, f) so
-    fraction equality tests share it."""
+    """_rabinowitsch_basis with no generators, cached per (ring, f) (the
+    SATURATION_CACHE_SIZE most recently used) so fraction equality tests
+    share it."""
     return _rabinowitsch_basis(ring, (), f)
 
 
@@ -595,15 +614,15 @@ def _top_exponents(domain: QuotientRing) -> list:
                 default=0) for k in range(len(domain.variables))]
 
 
-def _powers(a: RingElement, top: int) -> list:
-    """[1, a, a^2, ..., a^top]."""
-    out = [a.ring.one()]
-    for _ in range(top):
-        out.append(out[-1] * a)
+def _powers(a, top: int, one, mul) -> list:
+    """[1, a, a^2, ..., a^top] under the given arithmetic."""
+    out = [one, a][:top + 1]
+    for _ in range(top - 1):
+        out.append(mul(out[-1], a))
     return out
 
 
-def _substitute(rels: list, pw: list) -> list:
+def _substitute(rels: list, pw: list, add, mul) -> list:
     """Substitute the first remaining generator into partially evaluated
     relations.
 
@@ -611,24 +630,19 @@ def _substitute(rels: list, pw: list) -> list:
     to a codomain coefficient; pw[e] is the first generator's image to the
     e.  Terms that agree on the remaining exponents are summed, so once
     every generator is substituted each relation is {(): its image}.
+    Coefficients are whatever add and mul compute on: RingElements for
+    make_hom, element indices for enumerate_homs.
     """
     out = []
     for rel in rels:
         acc = {}
         for mono, c in rel.items():
             e, rest = mono[0], mono[1:]
-            term = c * pw[e] if e else c
+            term = mul(c, pw[e]) if e else c
             prev = acc.get(rest)
-            acc[rest] = term if prev is None else prev + term
+            acc[rest] = term if prev is None else add(prev, term)
         out.append(acc)
     return out
-
-
-def _failed_relation(rels: list):
-    """Index of the first fully substituted relation whose image is not
-    zero, or None when the assignment is a hom."""
-    return next((i for i, rel in enumerate(rels) if not rel[()].is_zero),
-                None)
 
 
 def make_hom(domain, codomain, images=()) -> RingHom:
@@ -639,9 +653,10 @@ def make_hom(domain, codomain, images=()) -> RingHom:
             f"expected {len(domain.variables)} images, got {len(images)}")
     _base_compatible(domain, codomain)
     rels = _relation_terms(domain, codomain)
+    one, add, mul = codomain.one(), operator.add, operator.mul
     for img, top in zip(images, _top_exponents(domain)):
-        rels = _substitute(rels, _powers(img, top))
-    bad = _failed_relation(rels)
+        rels = _substitute(rels, _powers(img, top, one, mul), add, mul)
+    bad = next((i for i, rel in enumerate(rels) if not rel[()].is_zero), None)
     if bad is not None:
         raise NotWellDefined(
             f"relation {render_poly(domain.relations[bad], domain.variables)}"
@@ -682,33 +697,93 @@ def hom_compose(outer: RingHom, inner: RingHom) -> RingHom:
 # ---------------------------------------------------------------------------
 # finite enumeration
 
+def _index_arithmetic(codomain, elements):
+    """(index of payload, add, mul) on indices into elements.
+
+    Each sum or product of a pair of indices is computed once by the
+    codomain's own arithmetic and memoized; the memos fill only with the
+    pairs an enumeration asks for, so a large field costs only what is
+    used, never a |B|^2 table.
+    """
+    n = len(elements)
+    payloads = [e.payload for e in elements]
+    index = {p: i for i, p in enumerate(payloads)}
+
+    def memoized(op):
+        memo = {}
+
+        def apply(i, j):
+            key = i * n + j
+            r = memo.get(key)
+            if r is None:
+                r = memo[key] = index[op(payloads[i], payloads[j])]
+            return r
+        return apply
+
+    return index, memoized(codomain.add), memoized(codomain.mul)
+
+
 def enumerate_homs(domain, codomain) -> list:
     """All homomorphisms into a finite ring, in lexicographic assignment
-    order over the codomain's element enumeration.
+    order over the codomain's element enumeration (itertools.product
+    order), each with its relation_checks.
 
-    This checks |codomain|^generators assignments.  Each element's powers
-    are computed once, each prefix of an assignment is substituted once
-    for all of its completions, and a rejected assignment costs no more
-    than its relation images.
+    This checks |codomain|^generators assignments, and raises
+    ResourceExceeded before trying any when that exceeds
+    Limits.max_assignments.  The walk runs on indices into
+    codomain.elements(): coefficient images, powers and partial
+    substitutions are ints, and sums and products of index pairs are
+    memoized (see _index_arithmetic).  Each prefix of an assignment is
+    substituted once for all of its completions; the last generator's
+    terms are evaluated per candidate and a candidate is dropped at its
+    first relation that is not zero.  Only accepted assignments are
+    mapped back to RingElements.
     """
     elements = codomain.elements()
     try:
         _base_compatible(domain, codomain)
     except NotWellDefined:
         return []
-    top = max(_top_exponents(domain), default=0)
-    table = [_powers(a, top) for a in elements]
     nvars = len(domain.variables)
+    _check_assignments("rings.enumerate_homs", len(elements) ** nvars,
+                       f"assignments into {codomain}")
+    index, add, mul = _index_arithmetic(codomain, elements)
+    zero = index[codomain.zero().payload]
+    rels = [{mono: index[c.payload] for mono, c in rel.items()}
+            for rel in _relation_terms(domain, codomain)]
+    checks = (elements[zero],) * len(rels)
     homs = []
 
-    def extend(rels, prefix):
-        if len(prefix) == nvars:
-            if _failed_relation(rels) is None:
-                homs.append(RingHom(domain, codomain, prefix,
-                                    tuple(rel[()] for rel in rels)))
-            return
-        for a, pw in zip(elements, table):
-            extend(_substitute(rels, pw), prefix + (a,))
+    def accept(prefix):
+        homs.append(RingHom(domain, codomain,
+                            tuple(elements[i] for i in prefix), checks))
 
-    extend(_relation_terms(domain, codomain), ())
+    if not nvars:
+        if all(rel[()] == zero for rel in rels):
+            accept(())
+        return homs
+    one = index[codomain.one().payload]
+    top = max(_top_exponents(domain))
+    table = [_powers(a, top, one, mul) for a in range(len(elements))]
+
+    def extend(rels, prefix):
+        if len(prefix) < nvars - 1:
+            for a, pw in enumerate(table):
+                extend(_substitute(rels, pw, add, mul), prefix + (a,))
+            return
+        # the last generator: each relation is univariate in it
+        univariate = [[(mono[0], c) for mono, c in rel.items()]
+                      for rel in rels]
+        for a, pw in enumerate(table):
+            for terms in univariate:
+                total = None
+                for e, c in terms:
+                    term = mul(c, pw[e]) if e else c
+                    total = term if total is None else add(total, term)
+                if total != zero:
+                    break
+            else:
+                accept(prefix + (a,))
+
+    extend(rels, ())
     return homs

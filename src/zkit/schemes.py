@@ -103,12 +103,22 @@ def point_membership(V: CompactOpen, phi: RingHom):
 
 
 def points_over(V: CompactOpen, codomain) -> list:
-    """All codomain-valued points of V, in enumeration order."""
+    """All codomain-valued points of V, in enumeration order.
+
+    Many homs pull V back to the same generator list (D(1) for the whole
+    scheme), so membership is decided once per distinct pulled-back
+    element and its certificate shared: each point's witness is what
+    point_membership(V, phi) returns.  Enumeration runs under
+    Limits.max_assignments (see rings.enumerate_homs).
+    """
+    certs = {}  # pulled-back ZarElt -> Bezout certificate or None
     pts = []
     for phi in enumerate_homs(V.scheme.ring, codomain):
-        pt = point_membership(V, phi)
-        if pt is not None:
-            pts.append(pt)
+        u = lattice_morphism(phi, V.element)
+        if u not in certs:
+            certs[u] = zar_eq_top(u)
+        if certs[u] is not None:
+            pts.append(SchemePoint(V, phi, certs[u]))
     return pts
 
 

@@ -2,14 +2,16 @@
 
 Everything takes an explicit random.Random so failures reproduce from
 the seed printed by the test that used them.  The end of the file holds
-a reference Groebner engine that the fast one is checked against.
+reference engines that the fast ones are checked against: hom
+enumeration on RingElements and a scan-based Groebner engine.
 """
 from __future__ import annotations
 
 from zkit import (IntegerRing, NotWellDefined, PrimeField, QuotientRing,
-                  Rationals, ResidueRing, make_cover, make_hom,
+                  Rationals, ResidueRing, RingHom, make_cover, make_hom,
                   unimodular_certificate)
 from zkit import poly as P
+from zkit import rings as R
 
 SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -105,6 +107,55 @@ def random_endo(ring, rng):
         except NotWellDefined:
             continue
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference hom enumeration: the depth-first walk on RingElements that
+# rings.enumerate_homs replaced by index arithmetic.  Powers are tabled
+# once per element, each prefix is substituted once for its completions,
+# and every relation is fully evaluated for every assignment.  The fast
+# walk must return the same homs, in the same order, with equal
+# relation_checks.
+
+def _ref_substitute(rels, pw):
+    out = []
+    for rel in rels:
+        acc = {}
+        for mono, c in rel.items():
+            e, rest = mono[0], mono[1:]
+            term = c * pw[e] if e else c
+            acc[rest] = acc[rest] + term if rest in acc else term
+        out.append(acc)
+    return out
+
+
+def reference_enumerate_homs(domain, codomain):
+    elements = codomain.elements()
+    try:
+        R._base_compatible(domain, codomain)
+    except NotWellDefined:
+        return []
+    top = max(R._top_exponents(domain), default=0)
+    table = []
+    for a in elements:
+        pw = [codomain.one()]
+        for _ in range(top):
+            pw.append(pw[-1] * a)
+        table.append(pw)
+    nvars = len(domain.variables)
+    homs = []
+
+    def extend(rels, prefix):
+        if len(prefix) == nvars:
+            if all(rel[()].is_zero for rel in rels):
+                homs.append(RingHom(domain, codomain, prefix,
+                                    tuple(rel[()] for rel in rels)))
+            return
+        for a, pw in zip(elements, table):
+            extend(_ref_substitute(rels, pw), prefix + (a,))
+
+    extend(R._relation_terms(domain, codomain), ())
+    return homs
 
 
 # ---------------------------------------------------------------------------

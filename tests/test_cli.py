@@ -45,6 +45,25 @@ def test_corpus_runs_and_validates(name):
         if r.status != "ok"]
 
 
+def test_points_over_the_assignment_cap_is_an_error_record():
+    """Fp(101)^3 is over a 1000-assignment cap: the points statement
+    fails fast with ResourceExceeded instead of enumerating."""
+    from zkit.limits import limits
+    source = ("ring F = Fp(101)[x,y,z]/(x^3 + y^3 + z^3 + x*y*z - 1);\n"
+              "points F over Fp(101);\n")
+    start = time.perf_counter()
+    with limits(max_assignments=1000):
+        report = run_source(source, Options(seed=0))
+    elapsed = time.perf_counter() - start
+    assert report.exit_code == 2
+    last = report.results[-1]
+    assert last.status == "error"
+    assert last.result["kind"] == "ResourceExceeded"
+    assert "max_assignments=1000" in last.result["message"]
+    assert "rings.enumerate_homs: 1030301" in last.result["message"]
+    assert elapsed < 1.0
+
+
 GOLDEN = json.loads((SCRIPTS / "expected.json").read_text())
 
 

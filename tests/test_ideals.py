@@ -219,3 +219,21 @@ def test_resource_caps():
     with limits(max_pairs=1):
         with pytest.raises(ResourceExceeded):
             groebner(hard)
+
+
+def test_caches_are_bounded():
+    """groebner and the saturation bases keep at most their module's
+    cache size, however many distinct ideals pass through."""
+    from zkit import ideals, rings
+    for k in range(1, ideals.GROEBNER_CACHE_SIZE + 10):
+        groebner(fin_gen_ideal(Z, [k]))
+    info = groebner.cache_info()
+    assert info.maxsize == ideals.GROEBNER_CACHE_SIZE
+    assert info.currsize <= info.maxsize
+    F = polynomial_ring(PrimeField(32003), ["x"])
+    x = F.var("x")
+    for k in range(rings.SATURATION_CACHE_SIZE + 10):
+        rings._saturation_basis(F, (x - k).payload)
+    info = rings._saturation_basis.cache_info()
+    assert info.maxsize == rings.SATURATION_CACHE_SIZE
+    assert info.currsize <= info.maxsize

@@ -4,10 +4,12 @@ from fractions import Fraction as Q
 import pytest
 
 from zkit import (CodomainNotFinite, IntegerRing, NotWellDefined, PrimeField,
-                  QuotientRing, Rationals, ResidueRing, RingMismatch,
-                  enumerate_homs, hom_apply, hom_compose, identity_hom,
-                  is_unit, make_hom, normalize, polynomial_ring, quotient_by)
-from helpers import random_element, random_quotient_ring, random_ring
+                  QuotientRing, Rationals, ResidueRing, ResourceExceeded,
+                  RingMismatch, enumerate_homs, hom_apply, hom_compose,
+                  identity_hom, is_unit, limits, make_hom, normalize,
+                  polynomial_ring, quotient_by)
+from helpers import (random_element, random_quotient_ring, random_ring,
+                     reference_enumerate_homs)
 
 Z = IntegerRing()
 
@@ -273,3 +275,87 @@ def _check_enumeration(domain, codomain, homs):
     keys = [tuple(elements.index(a) for a in h.generator_images)
             for h in homs]
     assert keys == sorted(set(keys))
+
+
+def _finite_pairs(rng):
+    """Domains and codomains of one characteristic p, so that most pairs
+    have homs: every codomain kind the index walk must treat alike, and
+    domains with and without relations or variables."""
+    p = rng.choice((2, 3, 5))
+    Fpt = polynomial_ring(PrimeField(p), ["t"])
+    t = Fpt.var("t")
+    zero_divisors = ResidueRing(p * rng.choice((2, 3, p)))
+    codomains = [QuotientRing(PrimeField(p)),  # Fp with no variables
+                 ResidueRing(p), zero_divisors,
+                 quotient_by(Fpt, [t ** 2]),
+                 quotient_by(Fpt, [Fpt.one()])]  # the zero ring
+    domains = [random_quotient_ring(rng, base=PrimeField(p), max_vars=3,
+                                    max_relations=2, rel_deg=3),
+               random_quotient_ring(rng, base=PrimeField(p), max_vars=2,
+                                    max_relations=1, rel_deg=2),
+               random_quotient_ring(rng, base=Rationals(), max_vars=2),
+               polynomial_ring(PrimeField(p), ["x", "y"]),  # no relations
+               QuotientRing(PrimeField(p)),                 # no variables
+               QuotientRing(Rationals()),
+               Z, ResidueRing(zero_divisors.modulus * rng.choice((1, 2)))]
+    return [(d, c) for d in domains for c in codomains
+            if len(c.elements()) ** len(d.variables) <= 2000]
+
+
+def test_enumerate_homs_matches_reference():
+    """The index walk returns the homs of the RingElement walk in
+    tests/helpers.py: same list, same order, equal relation_checks."""
+    rng = random.Random(2024)
+    counts = []
+    for _ in range(6):
+        for domain, codomain in _finite_pairs(rng):
+            homs = enumerate_homs(domain, codomain)
+            ref = reference_enumerate_homs(domain, codomain)
+            assert homs == ref, (domain, codomain)
+            assert ([h.relation_checks for h in homs]
+                    == [h.relation_checks for h in ref]), (domain, codomain)
+            counts.append(len(homs))
+    assert len(counts) >= 150
+    assert sum(n > 1 for n in counts) >= 40  # not just empty or trivial
+
+
+def test_enumerate_homs_memo_is_lazy(monkeypatch):
+    """A 1-variable domain into Fp(32003) costs a few codomain products
+    per element, far from the 32003^2 of a full table, and returns
+    exactly the roots."""
+    F = QuotientRing(PrimeField(32003))
+    Fx = polynomial_ring(PrimeField(32003), ["x"])
+    x = Fx.var("x")
+    D = quotient_by(Fx, [x ** 2 - 4])
+    calls = []
+    mul = QuotientRing.mul
+    monkeypatch.setattr(QuotientRing, "mul",
+                        lambda self, a, b: calls.append(1) or mul(self, a, b))
+    homs = enumerate_homs(D, F)
+    assert [h.generator_images for h in homs] == [(F.from_int(2),),
+                                                  (F.from_int(-2),)]
+    assert len(calls) <= 2 * 32003
+
+
+def test_enumeration_cap():
+    F101 = QuotientRing(PrimeField(101))
+    F5x = polynomial_ring(PrimeField(5), ["x"])
+    cubic = quotient_by(F5x, [F5x.var("x") ** 3])  # 125 elements
+    free = polynomial_ring(PrimeField(101), ["x", "y"])
+    with limits(max_assignments=100):
+        for ring, count in ((ResidueRing(101), 101), (F101, 101),
+                            (cubic, 125)):
+            with pytest.raises(ResourceExceeded) as exc:
+                ring.elements()
+            assert str(exc.value).startswith(f"elements: {count} elements")
+            assert "max_assignments=100" in str(exc.value)
+        assert len(ResidueRing(100).elements()) == 100
+    with limits(max_assignments=10201):
+        with pytest.raises(ResourceExceeded) as exc:
+            enumerate_homs(polynomial_ring(PrimeField(101), ["x", "y", "z"]),
+                           F101)
+        assert str(exc.value).startswith(
+            "rings.enumerate_homs: 1030301 assignments")
+        assert "max_assignments=10201" in str(exc.value)
+        # exactly at the cap is allowed
+        assert len(enumerate_homs(free, F101)) == 10201

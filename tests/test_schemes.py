@@ -9,8 +9,9 @@ from zkit import (CodomainNotFinite, CompactOpen, IntegerRing, PrimeField,
                   point_from_localized_hom, point_membership,
                   point_to_localized_hom, points_over, polynomial_ring,
                   qcqs_certificate, quotient_by, standard_open,
-                  whole_scheme, zar_join, zar_leq, zar_meet)
-from helpers import random_quotient_ring, random_unimodular_cover
+                  whole_scheme, zar_eq_top, zar_join, zar_leq, zar_meet)
+from helpers import (random_element, random_quotient_ring,
+                     random_unimodular_cover)
 
 Z = IntegerRing()
 F5 = QuotientRing(PrimeField(5))
@@ -46,6 +47,35 @@ def test_point_membership_examples():
     # top admits every hom
     top = whole_scheme(Qx)
     assert point_membership(top, make_hom(Qx, Qx, (Qx.zero(),))) is not None
+
+
+def test_points_over_witness_is_point_membership():
+    """points_over shares one certificate per pulled-back element; each
+    point's witness is still exactly point_membership's."""
+    rng = random.Random(97)
+    members = non_members = 0
+    for trial in range(12):
+        p = (2, 3, 5)[trial % 3]
+        ring = random_quotient_ring(rng, base=PrimeField(p), max_vars=2,
+                                    max_relations=1, rel_deg=2)
+        opens = (compact_open(ring, [random_element(ring, rng, max_deg=2)
+                                     for _ in range(rng.randrange(1, 3))])
+                 for _ in range(20))
+        V = next((V for V in opens if zar_eq_top(V.element) is None), None)
+        if V is None:  # the zero ring, or only units drawn
+            continue
+        field = QuotientRing(PrimeField(p))
+        pts = points_over(V, field)
+        expected = [point_membership(V, phi)
+                    for phi in enumerate_homs(ring, field)]
+        assert [pt.hom for pt in pts] == [e.hom for e in expected
+                                          if e is not None]
+        for pt in pts:
+            assert pt.witness == point_membership(V, pt.hom).witness
+            assert pt.witness.verify()
+        members += len(pts)
+        non_members += expected.count(None)
+    assert members and non_members
 
 
 def test_points_over_standard_open():
