@@ -10,11 +10,19 @@ and hom specifications {x -> e, ...}.
 Parsing is independent of any ring; name and sort resolution happen at
 evaluation time, so a lattice operation applied to a ring element is a
 TypeMismatch report, not a parse error.
+
+The tokenizer is one regex scan; tokens are named tuples carrying their
+1-based line and column.  Expressions are read by precedence climbing
+over one table (_PREC: | below & below + and - below *), with prefix
+minus and ^ on an operand: -x^2 is -(x^2), -x*y is (-x)*y, and every
+binary operator associates to the left.  The printer uses the same
+table, so printing and re-parsing gives the same AST.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ScriptSyntaxError
 
@@ -22,26 +30,33 @@ from .errors import ScriptSyntaxError
 # ---------------------------------------------------------------------------
 # tokens
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<radmem>radical-member\b)
-  | (?P<int>\d+)
+# Blanks before a token are part of its match; other whitespace (a run
+# with a newline in it) is a token of its own, so that lines are counted.
+# The last group takes any single character, which is an error, so every
+# position matches and one finditer scan covers the source.
+_TOKEN_RE = re.compile(r"""[ \t]*(?:
+    (?P<radmem>radical-member\b)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"[^"\n]*")
+  | (?P<int>\d+)
   | (?P<arrow>->)
   | (?P<eqeq>==)
   | (?P<leq><=)
   | (?P<sym>[;=()\[\]{},+\-*/^|&])
-""", re.VERBOSE)
+  | (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<string>"[^"\n]*")
+  | (?P<bad>.)
+)""", re.VERBOSE)
+
+# token groups whose kind is their own text
+_SYMBOLIC = frozenset(("arrow", "eqeq", "leq", "sym"))
 
 KEYWORDS = {"ring", "elem", "ideal", "latt", "check", "unimodular",
             "radical-member", "localize", "glue", "points", "cover",
             "member", "eval", "qcqs", "verify"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -49,30 +64,32 @@ class Token:
 
 
 def tokenize(source: str):
+    """Tokens with 1-based line and column, ending with an eof token."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ScriptSyntaxError(f"unexpected character {source[pos]!r}",
-                                    line, col)
-        text = m.group(0)
+    append = tokens.append
+    new = tuple.__new__  # builds a Token without a Python-level __new__
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            if kind == "radmem":
-                kind, text = "name", "radical-member"
-            elif kind in ("arrow", "eqeq", "leq", "sym"):
-                kind = text
-            tokens.append(Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "ws":
+            newlines = m.group(kind).count("\n")
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", 0, m.end()) + 1
+            continue
+        if kind == "comment":
+            continue
+        text = m.group(kind)
+        column = m.start(kind) - line_start + 1
+        if kind in _SYMBOLIC:
+            kind = text
+        elif kind == "radmem":
+            kind = "name"
+        elif kind == "bad":
+            raise ScriptSyntaxError(f"unexpected character {text!r}",
+                                    line, column)
+        append(new(Token, (kind, text, line, column)))
+    append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -234,13 +251,17 @@ class Script:
 # ---------------------------------------------------------------------------
 # parser
 
+# binary operators and their precedence, shared with the printer
+_PREC = {"|": 1, "&": 2, "+": 3, "-": 3, "*": 4}
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -249,7 +270,7 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, what: str = "") -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             want = what or kind
             raise ScriptSyntaxError(f"expected {want}, found {tok.text!r}",
@@ -257,7 +278,7 @@ class _Parser:
         return self.advance()
 
     def at(self, kind: str, text: str = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     # -- statements ---------------------------------------------------------
@@ -462,72 +483,58 @@ class _Parser:
         self.expect("}")
         return HomSpec(tuple(assignments))
 
-    def expr(self, no_div: bool = False):
-        left = self.and_expr(no_div)
-        while self.at("|"):
-            self.advance()
-            left = BinOp("|", left, self.and_expr(no_div))
-        return left
-
-    def and_expr(self, no_div: bool):
-        left = self.add_expr(no_div)
-        while self.at("&"):
-            self.advance()
-            left = BinOp("&", left, self.add_expr(no_div))
-        return left
-
-    def add_expr(self, no_div: bool):
-        left = self.mul_expr(no_div)
-        while self.at("+") or self.at("-"):
-            op = self.advance().kind
-            left = BinOp(op, left, self.mul_expr(no_div))
-        return left
-
-    def mul_expr(self, no_div: bool):
+    def expr(self, no_div: bool = False, min_prec: int = 1):
+        """Precedence climbing over _PREC: read an operand, then every
+        binary operator that binds at least min_prec, each with a right
+        operand of strictly higher precedence, so all of them associate
+        to the left."""
         left = self.unary(no_div)
-        while self.at("*"):
-            self.advance()
-            left = BinOp("*", left, self.unary(no_div))
-        return left
+        tokens = self.tokens
+        while True:
+            op = tokens[self.pos].kind
+            prec = _PREC.get(op)
+            if prec is None or prec < min_prec:
+                return left
+            self.pos += 1
+            left = BinOp(op, left, self.expr(no_div, prec + 1))
 
     def unary(self, no_div: bool):
-        if self.at("-"):
-            self.advance()
+        """Prefix minus binds looser than ^ and tighter than *."""
+        if self.tokens[self.pos].kind == "-":
+            self.pos += 1
             return Neg(self.unary(no_div))
-        return self.power(no_div)
-
-    def power(self, no_div: bool):
         base = self.atom(no_div)
-        if self.at("^"):
-            self.advance()
-            exp = int(self.expect("int").text)
-            return Pow(base, exp)
+        if self.tokens[self.pos].kind == "^":
+            self.pos += 1
+            return Pow(base, int(self.expect("int").text))
         return base
 
     def atom(self, no_div: bool = False):
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        kind = tok.kind
+        if kind == "int":
+            self.pos += 1
             value = int(tok.text)
-            if not no_div and self.at("/") and self.peek(1).kind == "int":
-                self.advance()
-                den = int(self.advance().text)
+            if (not no_div and tokens[self.pos].kind == "/"
+                    and tokens[self.pos + 1].kind == "int"):
+                den = int(tokens[self.pos + 1].text)
+                self.pos += 2
                 return RatLit(value, den)
             return IntLit(value)
-        if tok.kind == "name" and tok.text == "D" and self.peek(1).kind == "(":
-            self.advance()
-            self.advance()
+        if kind == "name":
+            self.pos += 1
+            if tok.text != "D" or tokens[self.pos].kind != "(":
+                return NameRef(tok.text)
+            self.pos += 1
             args = [self.expr()]
             while self.at(","):
                 self.advance()
                 args.append(self.expr())
             self.expect(")")
             return DLit(tuple(args))
-        if tok.kind == "name":
-            self.advance()
-            return NameRef(tok.text)
-        if tok.kind == "(":
-            self.advance()
+        if kind == "(":
+            self.pos += 1
             inner = self.expr()  # parentheses re-enable rational literals
             self.expect(")")
             return inner
@@ -555,9 +562,6 @@ def parse_expression(source: str):
 
 def _wrap(node, parent_prec: int, own_prec: int, text: str) -> str:
     return f"({text})" if own_prec < parent_prec else text
-
-
-_PREC = {"|": 1, "&": 2, "+": 3, "-": 3, "*": 4}
 
 
 def print_expr(node, parent_prec: int = 0) -> str:

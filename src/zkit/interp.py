@@ -145,39 +145,27 @@ def _build_ring(expr: dsl.RingExpr, env: _Env):
                         tuple(r.payload for r in rels if not r.is_zero))
 
 
+_ELEMENT_NODES = (dsl.IntLit, dsl.RatLit, dsl.NameRef, dsl.Neg, dsl.BinOp,
+                  dsl.Pow)
+
+
 def _eval(env: _Env, ring, node):
-    """Evaluate an expression to ('elem', e) or ('latt', u)."""
-    if isinstance(node, (dsl.IntLit, dsl.RatLit)):
-        return "elem", serialize.eval_element_expr(ring, node)
-    if isinstance(node, dsl.NameRef):
-        if node.name in ring.variables:
-            return "elem", ring.var(node.name)
+    """Evaluate an expression to ('elem', e) or ('latt', u).
+
+    Element arithmetic is serialize.eval_element_expr's, with bound
+    names as its leaves; a bare name gives its binding as it is.
+    """
+    if isinstance(node, dsl.NameRef) and node.name not in ring.variables:
         if node.name in env.bindings:
             b = env.bindings[node.name]
             return b.kind, b.value
         raise UnknownName(f"unknown name {node.name!r}")
-    if isinstance(node, dsl.Neg):
-        tag, v = _eval(env, ring, node.arg)
-        if tag != "elem":
-            raise TypeMismatch("negation applies to ring elements")
-        return "elem", -v
-    if isinstance(node, dsl.Pow):
-        tag, v = _eval(env, ring, node.base)
-        if tag != "elem":
-            raise TypeMismatch("powers apply to ring elements")
-        return "elem", v ** node.exp
-    if isinstance(node, dsl.BinOp):
+    if isinstance(node, dsl.BinOp) and node.op in ("|", "&"):
         ltag, lv = _eval(env, ring, node.left)
         rtag, rv = _eval(env, ring, node.right)
-        if node.op in ("|", "&"):
-            if ltag != "latt" or rtag != "latt":
-                raise TypeMismatch(f"{node.op!r} applies to lattice elements")
-            return "latt", (zar_join if node.op == "|" else zar_meet)(lv, rv)
-        if ltag != "elem" or rtag != "elem":
-            raise TypeMismatch(f"{node.op!r} applies to ring elements")
-        ops = {"+": lambda: lv + rv, "-": lambda: lv - rv,
-               "*": lambda: lv * rv}
-        return "elem", ops[node.op]()
+        if ltag != "latt" or rtag != "latt":
+            raise TypeMismatch(f"{node.op!r} applies to lattice elements")
+        return "latt", (zar_join if node.op == "|" else zar_meet)(lv, rv)
     if isinstance(node, dsl.DLit):
         elems = []
         for arg in node.args:
@@ -187,7 +175,10 @@ def _eval(env: _Env, ring, node):
             elems.append(v)
         owner = elems[0].ring if elems else ring
         return "latt", zar_elt(owner, elems)
-    raise TypeMismatch(f"cannot evaluate {node!r}")
+    if not isinstance(node, _ELEMENT_NODES):
+        raise TypeMismatch(f"cannot evaluate {node!r}")
+    return "elem", serialize.eval_element_expr(
+        ring, node, lambda sub: _eval_elem(env, ring, sub))
 
 
 def _eval_elem(env, ring, node) -> RingElement:

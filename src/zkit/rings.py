@@ -19,8 +19,9 @@ polynomial ring, with the relations adjoined.
 - is_q_algebra: whether Q maps in (quotients over Q only).
 - is_trivial: whether 1 == 0 (never for Z and Z/n).
 - zero(), one(), from_int(k), element(raw), gens().
-- canonical(raw): a raw value (int, Fraction, or for quotients a
-  monomial dict or term tuple) read as a canonical payload.
+- canonical(raw): a raw value (int, Fraction, a monomial dict, or for
+  quotients a term tuple) read as a canonical payload.
+- unit_monomials: each variable name -> its exponent tuple.
 - add, sub, mul, neg: arithmetic on canonical payloads.
 - terms(payload): the payload as (exponent tuple, coefficient) pairs;
   an integer is one term with no exponents.
@@ -74,6 +75,13 @@ class _Ring:
     def element(self, raw):
         return normalize(self, raw)
 
+    @cached_property
+    def unit_monomials(self) -> dict:
+        """Each variable name -> its exponent tuple."""
+        n = len(self.variables)
+        return {v: tuple(int(i == k) for i in range(n))
+                for k, v in enumerate(self.variables)}
+
     def gens(self):
         return tuple(self.var(v) for v in self.variables)
 
@@ -109,6 +117,8 @@ class _Integers(_Ring):
         return RingElement(self, self._reduce(k))
 
     def canonical(self, raw) -> int:
+        if isinstance(raw, dict):  # a term dict; its one monomial is ()
+            raw = raw.get((), 0)
         if isinstance(raw, _Q):
             if raw.denominator != 1:
                 raise ValueError(f"{raw} is not an integer")

@@ -4,10 +4,30 @@ Certificates embed their ring description and all elements as script
 expressions, so a report is self-contained: the verify command can
 rebuild everything and re-check the claimed identities by plain ring
 arithmetic, with no access to the session that produced them.
+
+Element expressions, in certificates and in scripts alike, are evaluated
+by one reader (eval_element_expr) into a term dict {exponent tuple:
+coefficient}; Z and Z/n are the case with no variables, whose one
+monomial is ().  ring.canonical turns the dict into a payload once, at
+the end.  In between, sums are never reduced.  A product, and each step
+of square-and-multiply, is reduced modulo the relations only when the
+ring has relations, and its coefficients modulo the characteristic when
+that is not 0 (Z/n and Fp), which keeps every intermediate bounded.
+Normal forms are unique, so the payload is the one that reducing at
+every operation would give.  Integer coefficients over Q stay ints
+until canonical runs.
+
+A certificate writes ^ only on a variable name, and element_from_str,
+which reads every element and relation of a certificate, rejects any
+other power before evaluating anything.  A power of a variable is one
+monomial in a free ring and square-and-multiply with reduction in a
+quotient, so x^1000000000000 is cheap in both.
 """
 from __future__ import annotations
 
 from fractions import Fraction as _Q
+from functools import partial
+from operator import add, sub
 
 from . import dsl
 from .errors import (InvalidWitness, NonInvertibleDenominator, TypeMismatch,
@@ -96,40 +116,149 @@ def element_to_str(e: RingElement) -> str:
     return dsl.print_expr(_poly_to_expr(e.payload, e.ring.variables))
 
 
-def eval_element_expr(ring, node) -> RingElement:
-    """Evaluate a pure element expression over a ring (variables only,
-    no script bindings)."""
-    if isinstance(node, dsl.IntLit):
-        return ring.from_int(node.value)
-    if isinstance(node, dsl.RatLit):
-        if not ring.is_q_algebra:
-            raise TypeMismatch("rational literals need a Q coefficient base")
-        if node.den == 0:
-            raise NonInvertibleDenominator(f"{node.num}/0 has a zero denominator")
-        return normalize(ring, _Q(node.num, node.den))
+def _not_an_element(ring, node):
+    """The leaf resolver when a caller names none, as for certificates:
+    their only names are ring variables, so every other leaf is an
+    error."""
     if isinstance(node, dsl.NameRef):
-        if node.name in ring.variables:
-            return ring.var(node.name)
         raise TypeMismatch(f"unknown variable {node.name!r} in {ring}")
-    if isinstance(node, dsl.Neg):
-        return -eval_element_expr(ring, node.arg)
     if isinstance(node, dsl.BinOp):
-        left = eval_element_expr(ring, node.left)
-        right = eval_element_expr(ring, node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
         raise TypeMismatch(f"operator {node.op!r} is not a ring operation")
-    if isinstance(node, dsl.Pow):
-        return eval_element_expr(ring, node.base) ** node.exp
     raise TypeMismatch(f"{node!r} is not a ring element expression")
 
 
+class _TermReader:
+    """Reads element expressions over one ring into term dicts
+    {exponent tuple: coefficient} (see the module docstring)."""
+
+    __slots__ = ("ring", "leaf", "units", "const", "char", "reduce")
+
+    def __init__(self, ring, leaf):
+        self.ring = ring
+        self.leaf = leaf
+        self.units = ring.unit_monomials
+        self.const = (0,) * len(ring.variables)
+        self.char = ring.characteristic
+        self.reduce = ring.canonical if ring.relations else None
+
+    def mul(self, a, b):
+        out = {}
+        get = out.get
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = tuple(map(add, ma, mb))
+                out[m] = get(m, 0) + ca * cb
+        if self.reduce is not None:
+            return dict(self.reduce(out))
+        char = self.char
+        if char:
+            return {m: r for m, c in out.items() if (r := c % char)}
+        return {m: c for m, c in out.items() if c}
+
+    @staticmethod
+    def merge(a, b, op):
+        """a op b for op add or sub, in place in a."""
+        get = a.get
+        for m, c in b.items():
+            s = op(get(m, 0), c)
+            if s:
+                a[m] = s
+            else:
+                del a[m]  # no dict holds a zero, so m was in a
+        return a
+
+    def power(self, d, k):
+        if len(d) == 1 and self.reduce is None:
+            ((m, c),) = d.items()
+            c = pow(c, k, self.char) if self.char else c ** k
+            return {tuple([e * k for e in m]): c} if c else {}
+        result = None
+        while k:
+            if k & 1:
+                result = d if result is None else self.mul(result, d)
+            k >>= 1
+            if k:
+                d = self.mul(d, d)
+        return {self.const: 1} if result is None else result
+
+    def leaf_terms(self, node):
+        ring = self.ring
+        return dict(ring.terms(normalize(ring, self.leaf(node)).payload))
+
+    def read(self, node):
+        kind = type(node)
+        if kind is dsl.BinOp:
+            op = node.op
+            a = self.read(node.left)
+            b = self.read(node.right)
+            if op == "*":
+                return self.mul(a, b)
+            if op == "+" or op == "-":
+                return self.merge(a, b, add if op == "+" else sub)
+            return self.leaf_terms(node)
+        if kind is dsl.Pow:
+            return self.power(self.read(node.base), node.exp)
+        if kind is dsl.NameRef:
+            mono = self.units.get(node.name)
+            return {mono: 1} if mono is not None else self.leaf_terms(node)
+        if kind is dsl.IntLit:
+            return {self.const: node.value} if node.value else {}
+        if kind is dsl.Neg:
+            return {m: -c for m, c in self.read(node.arg).items()}
+        if kind is dsl.RatLit:
+            if not self.ring.is_q_algebra:
+                raise TypeMismatch("rational literals need a Q coefficient base")
+            if node.den == 0:
+                raise NonInvertibleDenominator(
+                    f"{node.num}/0 has a zero denominator")
+            return {self.const: _Q(node.num, node.den)} if node.num else {}
+        return self.leaf_terms(node)
+
+
+def eval_element_expr(ring, node, leaf=None) -> RingElement:
+    """Evaluate an element expression over ring.
+
+    leaf(node) gives the RingElement of ring that a node other than
+    element arithmetic stands for: a name that is not a variable of
+    ring, D(...), or | and & (whose operands are read first).  Without
+    a leaf such a node is a TypeMismatch.
+    """
+    if leaf is None:
+        leaf = partial(_not_an_element, ring)
+    return RingElement(ring, ring.canonical(_TermReader(ring, leaf).read(node)))
+
+
+def _variable_powers_only(node) -> bool:
+    """Whether every ^ in node (outside D(...)) has a variable name as
+    its base."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is dsl.BinOp:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif kind is dsl.Pow:
+            if type(node.base) is not dsl.NameRef:
+                return False
+        elif kind is dsl.Neg:
+            stack.append(node.arg)
+    return True
+
+
 def element_from_str(ring, text: str) -> RingElement:
-    return eval_element_expr(ring, dsl.parse_expression(text))
+    """Read an element as a certificate writes it.
+
+    The canonical printer writes ^ only on a variable name, so any other
+    power is rejected before anything is evaluated: its cost has no
+    bound that the certificate's size sets (3^3000000 is a 9-character
+    string), and no statement timeout can interrupt one bigint product.
+    """
+    node = dsl.parse_expression(text)
+    if not _variable_powers_only(node):
+        raise InvalidWitness(f"{text[:40]!r} raises something other than "
+                             f"a variable to a power")
+    return eval_element_expr(ring, node)
 
 
 def fraction_to_json(fr: Fraction) -> dict:

@@ -3,15 +3,24 @@
 Everything takes an explicit random.Random so failures reproduce from
 the seed printed by the test that used them.  The end of the file holds
 reference engines that the fast ones are checked against: hom
-enumeration on RingElements and a scan-based Groebner engine.
+enumeration on RingElements, a scan-based Groebner engine, the
+recursive-descent script parser and the RingElement evaluator of
+element expressions.
 """
 from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+from fractions import Fraction
 
 from zkit import (IntegerRing, NotWellDefined, PrimeField, QuotientRing,
                   Rationals, ResidueRing, RingHom, make_cover, make_hom,
                   unimodular_certificate)
+from zkit import dsl
 from zkit import poly as P
 from zkit import rings as R
+from zkit.errors import (NonInvertibleDenominator, ScriptSyntaxError,
+                         TypeMismatch)
 
 SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -294,3 +303,201 @@ def reference_buchberger(ctx, gens, *, track=False, stop_at_one=False,
     out.sort(key=lambda t: ctx.key(t[0][0][0]))
     return (tuple(f for f, _ in out),
             [c for _, c in out] if track else None)
+
+
+# ---------------------------------------------------------------------------
+# Reference script front end: the regex-per-position tokenizer with
+# frozen-dataclass tokens and the six-level recursive descent over
+# expressions that zkit.dsl's finditer scan and precedence climbing
+# replaced.  Statements are parsed by the shared code.  Both must give
+# equal ASTs, and equal ScriptSyntaxError lines and columns.
+
+_REF_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<radmem>radical-member\b)
+  | (?P<int>\d+)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<string>"[^"\n]*")
+  | (?P<arrow>->)
+  | (?P<eqeq>==)
+  | (?P<leq><=)
+  | (?P<sym>[;=()\[\]{},+\-*/^|&])
+""", re.VERBOSE)
+
+
+@dataclass(frozen=True)
+class _RefToken:
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+def reference_tokenize(source):
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(source):
+        m = _REF_TOKEN_RE.match(source, pos)
+        if m is None:
+            raise ScriptSyntaxError(f"unexpected character {source[pos]!r}",
+                               line, col)
+        text = m.group(0)
+        kind = m.lastgroup
+        if kind not in ("ws", "comment"):
+            if kind == "radmem":
+                kind, text = "name", "radical-member"
+            elif kind in ("arrow", "eqeq", "leq", "sym"):
+                kind = text
+            tokens.append(_RefToken(kind, text, line, col))
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    tokens.append(_RefToken("eof", "", line, col))
+    return tokens
+
+
+class ReferenceParser(dsl._Parser):
+    def peek(self, ahead=0):
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+
+    def expect(self, kind, what=""):
+        tok = self.peek()
+        if tok.kind != kind:
+            want = what or kind
+            raise ScriptSyntaxError(f"expected {want}, found {tok.text!r}",
+                               tok.line, tok.column)
+        return self.advance()
+
+    def at(self, kind, text=None):
+        tok = self.peek()
+        return tok.kind == kind and (text is None or tok.text == text)
+
+    def expr(self, no_div=False):
+        left = self.and_expr(no_div)
+        while self.at("|"):
+            self.advance()
+            left = dsl.BinOp("|", left, self.and_expr(no_div))
+        return left
+
+    def and_expr(self, no_div):
+        left = self.add_expr(no_div)
+        while self.at("&"):
+            self.advance()
+            left = dsl.BinOp("&", left, self.add_expr(no_div))
+        return left
+
+    def add_expr(self, no_div):
+        left = self.mul_expr(no_div)
+        while self.at("+") or self.at("-"):
+            op = self.advance().kind
+            left = dsl.BinOp(op, left, self.mul_expr(no_div))
+        return left
+
+    def mul_expr(self, no_div):
+        left = self.unary(no_div)
+        while self.at("*"):
+            self.advance()
+            left = dsl.BinOp("*", left, self.unary(no_div))
+        return left
+
+    def unary(self, no_div):
+        if self.at("-"):
+            self.advance()
+            return dsl.Neg(self.unary(no_div))
+        return self.power(no_div)
+
+    def power(self, no_div):
+        base = self.atom(no_div)
+        if self.at("^"):
+            self.advance()
+            exp = int(self.expect("int").text)
+            return dsl.Pow(base, exp)
+        return base
+
+    def atom(self, no_div=False):
+        tok = self.peek()
+        if tok.kind == "int":
+            self.advance()
+            value = int(tok.text)
+            if not no_div and self.at("/") and self.peek(1).kind == "int":
+                self.advance()
+                den = int(self.advance().text)
+                return dsl.RatLit(value, den)
+            return dsl.IntLit(value)
+        if tok.kind == "name" and tok.text == "D" and self.peek(1).kind == "(":
+            self.advance()
+            self.advance()
+            args = [self.expr()]
+            while self.at(","):
+                self.advance()
+                args.append(self.expr())
+            self.expect(")")
+            return dsl.DLit(tuple(args))
+        if tok.kind == "name":
+            self.advance()
+            return dsl.NameRef(tok.text)
+        if tok.kind == "(":
+            self.advance()
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        raise ScriptSyntaxError(f"expected an expression, found {tok.text!r}",
+                           tok.line, tok.column)
+
+
+def reference_parse(source):
+    return ReferenceParser(reference_tokenize(source)).script()
+
+
+def reference_parse_expression(source):
+    parser = ReferenceParser(reference_tokenize(source))
+    node = parser.expr()
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise ScriptSyntaxError(f"trailing input {tok.text!r}", tok.line,
+                           tok.column)
+    return node
+
+
+# ---------------------------------------------------------------------------
+# Reference element evaluator: one RingElement per AST node, with the
+# ring's own payload arithmetic at every operation, as zkit.serialize
+# read elements before it evaluated into term dicts.  The term-dict
+# evaluator must give the same payload, or the same exception type and
+# message.
+
+
+def reference_eval_element_expr(ring, node):
+    if isinstance(node, dsl.IntLit):
+        return ring.from_int(node.value)
+    if isinstance(node, dsl.RatLit):
+        if not ring.is_q_algebra:
+            raise TypeMismatch("rational literals need a Q coefficient base")
+        if node.den == 0:
+            raise NonInvertibleDenominator(f"{node.num}/0 has a zero denominator")
+        return R.normalize(ring, Fraction(node.num, node.den))
+    if isinstance(node, dsl.NameRef):
+        if node.name in ring.variables:
+            return ring.var(node.name)
+        raise TypeMismatch(f"unknown variable {node.name!r} in {ring}")
+    if isinstance(node, dsl.Neg):
+        return -reference_eval_element_expr(ring, node.arg)
+    if isinstance(node, dsl.BinOp):
+        left = reference_eval_element_expr(ring, node.left)
+        right = reference_eval_element_expr(ring, node.right)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        raise TypeMismatch(f"operator {node.op!r} is not a ring operation")
+    if isinstance(node, dsl.Pow):
+        return reference_eval_element_expr(ring, node.base) ** node.exp
+    raise TypeMismatch(f"{node!r} is not a ring element expression")

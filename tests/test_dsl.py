@@ -9,7 +9,10 @@ from zkit.interp import Options, run_source
 def test_tokenizer_positions():
     with pytest.raises(ScriptSyntaxError) as err:
         parse("ring R = Z;\ncheck D(2) ?? D(3);")
-    assert err.value.line == 2
+    assert (err.value.line, err.value.column) == (2, 12)
+    with pytest.raises(ScriptSyntaxError) as err:
+        parse("ring R = Z; # a comment\n\t  elem a = (x +\n  * 2);")
+    assert (err.value.line, err.value.column) == (3, 3)
 
 
 def test_parse_examples():

@@ -1,0 +1,101 @@
+"""The precedence-climbing parser against the recursive-descent parser
+it replaced (tests/helpers.py): equal ASTs, and equal syntax errors down
+to the line and column.
+
+These hypothesis tests live apart from test_dsl.py, whose statement
+timeout test must not run after hypothesis has installed its gc
+callback: an alarm that fires during a collection raises inside that
+callback, where the exception is swallowed.
+"""
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import reference_parse, reference_parse_expression
+from zkit.dsl import parse, parse_expression
+from zkit.errors import ScriptSyntaxError
+
+SCRIPTS = sorted((Path(__file__).parent / "scripts").glob("*.zk"))
+
+
+def _outcome(parse_fn, source):
+    """The AST, or the error's type, message, line and column."""
+    try:
+        return parse_fn(source)
+    except ScriptSyntaxError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_parser_matches_reference_on_corpus(path):
+    """The precedence-climbing parser gives the recursive-descent
+    parser's AST on every corpus script."""
+    source = path.read_text()
+    assert parse(source) == reference_parse(source)
+
+
+_ATOMS = st.one_of(
+    st.integers(0, 40).map(str),
+    st.tuples(st.integers(0, 9), st.integers(0, 9)).map(
+        lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["x", "y", "z1", "D", "_t"]))
+
+
+def _combine(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*", "|", "&"]),
+                  children).map(lambda t: f"{t[0]} {t[1]} {t[2]}"),
+        children.map(lambda e: f"-{e}"),
+        st.tuples(children, st.integers(0, 12)).map(
+            lambda t: f"{t[0]}^{t[1]}"),
+        children.map(lambda e: f"({e})"),
+        st.lists(children, min_size=1, max_size=3).map(
+            lambda es: "D(" + ", ".join(es) + ")"))
+
+
+EXPRESSIONS = st.recursive(_ATOMS, _combine, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRESSIONS)
+def test_parser_matches_reference_on_expressions(text):
+    """Precedence, unary minus, ^, rational literals and D(...)."""
+    assert (_outcome(parse_expression, text)
+            == _outcome(reference_parse_expression, text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(EXPRESSIONS, min_size=1, max_size=3), EXPRESSIONS,
+       st.integers(0, 5))
+def test_parser_matches_reference_on_fraction_literals(nums, den, exp):
+    """Numerators and denominators of glue fractions, where INT/INT is
+    not a rational literal."""
+    family = ", ".join(f"{n} / {den}^{exp}" for n in nums)
+    source = f"glue cover [x, 1 - x] with [{family}];"
+    assert _outcome(parse, source) == _outcome(reference_parse, source)
+
+
+_NOISE = ["?", "@", "^", ")", "(", "/", "-", ",", ";", "\n", " # c\n",
+          "1/", "D(", "->", "==", "<=", "{", "]", '"', "\t"]
+
+
+def test_parser_errors_match_reference_on_malformed_scripts():
+    """Corpus scripts with a character deleted or some noise inserted:
+    both parsers accept with equal ASTs, or fail with the same message,
+    line and column."""
+    rng = random.Random(7)
+    failures = 0
+    for path in SCRIPTS:
+        source = f"# {path.stem}\n" + path.read_text()
+        for _ in range(25):
+            pos = rng.randrange(len(source))
+            if rng.random() < 0.4:
+                bad = source[:pos] + source[pos + 1:]
+            else:
+                bad = source[:pos] + rng.choice(_NOISE) + source[pos:]
+            new, ref = _outcome(parse, bad), _outcome(reference_parse, bad)
+            assert new == ref, (path.stem, bad)
+            failures += isinstance(new, tuple)
+    assert failures > 500  # most mutations are syntax errors
