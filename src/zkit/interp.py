@@ -413,23 +413,35 @@ def _compact_open(u: ZarElt) -> CompactOpen:
 # driver
 
 def _alarm_guard(timeout_ms):
-    """SIGALRM-based statement timeout; only usable on the main thread."""
+    """SIGALRM-based statement timeout; only usable on the main thread.
+
+    The handler raises _Timeout wherever Python happens to run it.  Where
+    that exception is swallowed (inside a gc callback it is only printed
+    as unraisable), the flag it sets makes the block raise _Timeout on
+    exit all the same.
+    """
     usable = (timeout_ms and hasattr(signal, "setitimer")
               and threading.current_thread() is threading.main_thread())
+    message = f"statement exceeded {timeout_ms} ms"
 
     class _Guard:
+        fired = False
+
         def __enter__(self):
             if usable:
                 def handler(signum, frame):
-                    raise _Timeout(f"statement exceeded {timeout_ms} ms")
+                    self.fired = True
+                    raise _Timeout(message)
                 self._old = signal.signal(signal.SIGALRM, handler)
                 signal.setitimer(signal.ITIMER_REAL, timeout_ms / 1000.0)
             return self
 
-        def __exit__(self, *exc):
+        def __exit__(self, exc_type, exc, tb):
             if usable:
                 signal.setitimer(signal.ITIMER_REAL, 0)
                 signal.signal(signal.SIGALRM, self._old)
+                if self.fired and exc_type is None:
+                    raise _Timeout(message)
             return False
 
     return _Guard()

@@ -6,9 +6,24 @@ exponent tuples.  The zero polynomial is the empty tuple.  Coefficients
 live in one of two fields: the rationals (exact fractions.Fraction
 arithmetic) or a prime field (ints reduced mod p).
 
+The Groebner engine (division and Buchberger) computes in the field's
+`engine` ring.  Over Fp that is the field itself.  Over Q it is the
+integers: Buchberger keeps integer-primitive polynomials (content
+divided out, positive leading coefficient), and division takes cleared
+denominators (`Rationals.integral`).  One division loop serves both:
+eliminating a term c against a leading coefficient a is the engine's
+step (m, q) with m*c == q*a, which scales the working polynomial by m
+and subtracts q times the shifted divisor.  Over the integers m = a/g
+and q = c/g with g = gcd(c, a); over Fp, m = 1 and q = c/a.
+Fractions appear only where results leave the engine
+(`Rationals.lift`): the monic reduced basis, the cofactors, and the
+quotients and remainder of p_divmod and normal_form.
+
 The Buchberger engine optionally tracks cofactors: each basis element
 then carries its expression as a combination of the original generators,
 which is what turns ideal-membership answers into checkable certificates.
+Inside the engine a cofactor vector over Q is kept as integer
+polynomials with one common denominator, updated once per reduction.
 
 Each term order has an ascending key (`PolyContext.key`) and a
 descending one (`PolyContext.desc_key`), computed once per monomial
@@ -21,6 +36,13 @@ terms or all pairs would pick, so every S-pair is processed in the same
 order and every basis, quotient and cofactor is the same as with a scan
 (tests/helpers.py keeps the scan as the reference).
 
+Working over Q on integer multiples changes no choice the engine makes:
+pairs are chosen by leading monomials only, and each polynomial the
+engine reduces is a nonzero integer multiple of the one the Fraction
+arithmetic would reduce, with the same terms.  So the S-pair trace and
+the pair count are those of the field arithmetic, and the monic basis,
+quotients, remainders and cofactors are equal to it exactly.
+
 A coefficient is zero exactly when it is falsy (Fraction or int).
 """
 from __future__ import annotations
@@ -30,7 +52,8 @@ from fractions import Fraction as _Q
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import count
-from operator import add, le, neg, sub
+from math import gcd, lcm
+from operator import add, le, mul, neg, sub
 
 from .errors import (InvalidRing, InvariantViolated, NonInvertibleDenominator,
                      ResourceExceeded)
@@ -71,13 +94,64 @@ def is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
+class _Integers:
+    """The coefficients of the Q engine: ints, on integer-primitive
+    polynomials (content divided out, positive leading coefficient)."""
+
+    zero = 0
+    one = 1
+
+    def coerce(self, value):
+        if isinstance(value, int):
+            return value
+        raise TypeError(f"cannot coerce {value!r} into Z")
+
+    add = staticmethod(add)
+    sub = staticmethod(sub)
+    mul = staticmethod(mul)
+    neg = staticmethod(neg)
+
+    def step(self, c, a):
+        """(m, q) with m*c - q*a == 0: eliminating a term c against a
+        leading coefficient a scales the working polynomial by m."""
+        g = gcd(c, a)
+        return a // g, c // g
+
+    def unit(self, f):
+        """The content of f, signed like its leading coefficient."""
+        g = gcd(*[c for _, c in f])
+        return g if f[0][1] > 0 else -g
+
+    def divide_out(self, f, s):
+        return tuple([(m, c // s) for m, c in f])
+
+    def unscale(self, vec, d, s):
+        """The vector vec/(d*s) as (vec', d') in lowest terms, d' > 0."""
+        d *= s
+        h = gcd(d, *[c for v in vec for _, c in v])
+        if d < 0:
+            h = -h
+        if h == 1:
+            return vec, d
+        return [tuple([(m, c // h) for m, c in v]) for v in vec], d // h
+
+
+_ZZ = _Integers()
+
+
+@dataclass(frozen=True)
 class Rationals:
-    """The field of rational numbers; coefficients are fractions.Fraction."""
+    """The field of rational numbers; coefficients are fractions.Fraction.
+
+    The Groebner engine works over `engine`, the integers: `integral`
+    clears denominators on the way in and `lift` divides on the way out.
+    """
 
     characteristic = 0
 
     zero = _Q(0)
     one = _Q(1)
+    engine = _ZZ
 
     def coerce(self, value):
         if isinstance(value, _Q):
@@ -106,13 +180,32 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
 
+    def integral(self, f):
+        """(L, L*f) with L the least common denominator of f."""
+        dens = [c.denominator for _, c in f]
+        den = lcm(*dens)
+        if den == 1:
+            return 1, tuple([(m, c.numerator) for m, c in f])
+        return den, tuple([(m, c.numerator * (den // d))
+                           for (m, c), d in zip(f, dens)])
+
+    def lift(self, f, num, den):
+        """The engine polynomial f times num/den, with Fraction
+        coefficients."""
+        if den == 1:  # Fraction(n) skips the gcd of Fraction(n, d)
+            return tuple([(m, _Q(c * num)) for m, c in f])
+        return tuple([(m, _Q(c * num, den)) for m, c in f])
+
     def __str__(self):
         return "Q"
 
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The prime field with p elements; coefficients are ints in [0, p)."""
+    """The prime field with p elements; coefficients are ints in [0, p).
+
+    The Groebner engine works over the field itself.
+    """
 
     p: int
 
@@ -131,6 +224,10 @@ class PrimeField:
     @property
     def one(self):
         return 1 % self.p
+
+    @property
+    def engine(self):
+        return self
 
     def coerce(self, value):
         if isinstance(value, int):
@@ -162,6 +259,33 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
+
+    # the engine's side: the multiplier is always 1, and elements are
+    # made monic, so cofactor denominators stay 1
+
+    def step(self, c, a):
+        return 1, c * pow(a, -1, self.p) % self.p
+
+    def unit(self, f):
+        return f[0][1]
+
+    def divide_out(self, f, s):
+        inv, p = pow(s, -1, self.p), self.p
+        return tuple([(m, c * inv % p) for m, c in f])
+
+    def unscale(self, vec, d, s):
+        s = s * d % self.p
+        if s == 1:
+            return vec, 1
+        return [self.divide_out(v, s) for v in vec], 1
+
+    def integral(self, f):
+        return 1, f
+
+    def lift(self, f, num, den):
+        if num == den:
+            return f
+        return self.divide_out(f, den * pow(num, -1, self.p) % self.p)
 
     def __str__(self):
         return f"Fp({self.p})"
@@ -248,6 +372,15 @@ class PolyContext:
     @cached_property
     def desc_key(self):
         return ORDER_KEYS[self.order][1]
+
+    @cached_property
+    def engine(self) -> "PolyContext":
+        """The context the Groebner engine computes in: the integers for
+        Q, the field itself for Fp."""
+        fld = self.field.engine
+        if fld is self.field:
+            return self
+        return PolyContext(fld, self.nvars, self.order)
 
     def extended(self, extra: int = 1) -> "PolyContext":
         """Context with extra variables appended (they sort smallest in
@@ -367,11 +500,20 @@ def p_eval(ctx: PolyContext, f: Poly, point):
 # ---------------------------------------------------------------------------
 # division with quotient tracking
 
-def p_divmod(ctx: PolyContext, f: Poly, divisors, track: bool = True):
-    """Multivariate division: f = sum(q_i * divisors_i) + rem, where no
-    term of rem is divisible by any divisor's leading monomial.
+def _divide(ctx: PolyContext, f: Poly, divisors, track: bool):
+    """The division loop, on engine coefficients (see PolyContext.engine):
+    returns (quotients, rem, mult) with
 
-    Returns (quotients, rem); quotients is None when track is False.
+        mult * f == sum(q_i * divisors_i) + rem,
+
+    where no term of rem is divisible by any divisor's leading monomial;
+    quotients is None when track is False.
+
+    Eliminating a term c against a leading coefficient a is the field's
+    step: (m, q) with m*c == q*a.  The working polynomial is scaled by m,
+    and so are the remainder and quotients built so far, before q times
+    the shifted divisor is subtracted.  Over Fp, m is 1 and q is c/a;
+    over the integers, m = a/g and q = c/g with g = gcd(c, a).
 
     The working terms sit in a dict (monomial -> coefficient) and their
     monomials in a heap on the descending order key, so the largest term
@@ -383,13 +525,13 @@ def p_divmod(ctx: PolyContext, f: Poly, divisors, track: bool = True):
     """
     fld = ctx.field
     dkey = ctx.desc_key
-    fdiv, fmul, fsub, zero = fld.div, fld.mul, fld.sub, fld.zero
-    one = fld.one
+    step, fmul, fsub = fld.step, fld.mul, fld.sub
     # (leading monomial, its degree, leading coefficient or None if one,
     #  tail terms, quotient terms)
-    leads = [(d[0][0], sum(d[0][0]), None if d[0][1] == one else d[0][1],
+    leads = [(d[0][0], sum(d[0][0]), None if d[0][1] == 1 else d[0][1],
               d[1:], []) for d in divisors]
     rem = []
+    total = 1
     work = dict(f)
     heap = [(dkey(m), m) for m in work]
     heapify(heap)
@@ -402,12 +544,24 @@ def p_divmod(ctx: PolyContext, f: Poly, divisors, track: bool = True):
         for lm, ldeg, lc, tail, quo in leads:
             if ldeg <= deg and all(map(le, lm, m)):
                 q = tuple(map(sub, m, lm))
-                qc = c if lc is None else fdiv(c, lc)
+                if lc is None:
+                    qc = c
+                else:
+                    k, qc = step(c, lc)
+                    if k != 1:
+                        total *= k
+                        for wm in work:
+                            work[wm] = fmul(work[wm], k)
+                        rem = [(rm, fmul(rc, k)) for rm, rc in rem]
+                        if track:
+                            for ld in leads:
+                                ld[4][:] = [(qm, fmul(qk, k))
+                                            for qm, qk in ld[4]]
                 quo.append((q, qc))
                 for tm, tc in tail:
                     mm = tuple(map(add, q, tm))
                     old = work.get(mm)
-                    s = fsub(zero if old is None else old, fmul(qc, tc))
+                    s = fsub(0 if old is None else old, fmul(qc, tc))
                     if s:
                         if old is None:
                             heappush(heap, (dkey(mm), mm))
@@ -418,7 +572,29 @@ def p_divmod(ctx: PolyContext, f: Poly, divisors, track: bool = True):
         else:
             rem.append((m, c))
     quotients = [tuple(ld[4]) for ld in leads] if track else None
-    return quotients, tuple(rem)
+    return quotients, tuple(rem), total
+
+
+def p_divmod(ctx: PolyContext, f: Poly, divisors, track: bool = True):
+    """Multivariate division: f = sum(q_i * divisors_i) + rem, where no
+    term of rem is divisible by any divisor's leading monomial.
+
+    Returns (quotients, rem); quotients is None when track is False.
+    The work is done by the engine's loop (_divide) on cleared
+    denominators; quotients and remainder come back over ctx.field.
+    """
+    fld = ctx.field
+    den, f = fld.integral(f)
+    dens, divs = [], []
+    for d in divisors:
+        dd, d = fld.integral(d)
+        dens.append(dd)
+        divs.append(d)
+    quots, rem, mult = _divide(ctx.engine, f, divs, track)
+    den *= mult
+    if track:
+        quots = [fld.lift(q, dd, den) for q, dd in zip(quots, dens)]
+    return quots, fld.lift(rem, 1, den)
 
 
 def normal_form(ctx: PolyContext, f: Poly, basis) -> Poly:
@@ -430,44 +606,60 @@ def normal_form(ctx: PolyContext, f: Poly, basis) -> Poly:
 
 # ---------------------------------------------------------------------------
 # Buchberger with cofactor tracking
+#
+# Everything below runs in the engine context.  A cofactor vector is a
+# pair (vec, d): the element it belongs to is sum(vec_j * gens_j) / d,
+# with vec over the engine's coefficients and d a positive int (always 1
+# over Fp, where elements are kept monic).
 
-def _vec_unit(n, i, one_poly):
-    v = [()] * n
-    v[i] = one_poly
-    return v
-
-
-def _vec_sub(ctx, u, v):
-    return [p_sub(ctx, a, b) for a, b in zip(u, v)]
-
-
-def _shift(f: Poly, mono: Mono) -> Poly:
-    """f times the monomial mono (order is preserved)."""
-    return tuple([(tuple(map(add, m, mono)), c) for m, c in f])
+def _shift(ctx, f: Poly, mono: Mono, c) -> Poly:
+    """c times the monomial mono times f (the order is preserved)."""
+    if c == 1:
+        return tuple([(tuple(map(add, m, mono)), co) for m, co in f])
+    fmul = ctx.field.mul
+    return tuple([(tuple(map(add, m, mono)), fmul(co, c)) for m, co in f])
 
 
-def _shift_sub(ctx, f, mf, g, mg):
-    """mf*f - mg*g for monomials mf, mg."""
-    return p_sub(ctx, _shift(f, mf), _shift(g, mg))
+def _shift_sub(ctx, f, mf, cf, g, mg, cg):
+    """cf*mf*f - cg*mg*g for monomials mf, mg and coefficients cf, cg."""
+    return p_sub(ctx, _shift(ctx, f, mf, cf), _shift(ctx, g, mg, cg))
 
 
-def _vec_scale(ctx, u, c):
-    return [p_scale(ctx, a, c) for a in u]
-
-
-def _vec_poly_mul(ctx, u, q):
-    return [p_mul(ctx, a, q) for a in u]
+def _combine(ctx, fcof, mult, quots, basiscofs):
+    """The cofactors of mult*f - sum(q_k * basis_k), from f's and the
+    basis elements', over the lcm of their denominators.  Each component
+    is summed in one dict and sorted once."""
+    vec, d = fcof
+    used = [(q, bc) for q, bc in zip(quots, basiscofs) if q]
+    if not used:
+        return fcof
+    den = lcm(d, *[bc[1] for _, bc in used])
+    fld = ctx.field
+    fmul, fsub = fld.mul, fld.sub
+    scale = fmul(mult, den // d)
+    used = [(q if den == bd else p_scale(ctx, q, den // bd), bvec)
+            for q, (bvec, bd) in used]
+    out = []
+    for j, comp in enumerate(vec):
+        acc = dict(comp) if scale == 1 else {m: fmul(c, scale)
+                                             for m, c in comp}
+        for q, bvec in used:
+            for bm, bc in bvec[j]:
+                for qm, qc in q:
+                    m = tuple(map(add, qm, bm))
+                    acc[m] = fsub(acc.get(m, 0), fmul(qc, bc))
+        out.append(poly_from_dict(ctx, acc))
+    return out, den
 
 
 def _reduce_tracked(ctx, f, fcof, basis, basiscofs, track):
-    """Fully reduce f against basis, updating its cofactor vector."""
+    """Fully reduce f against basis, updating its cofactors.  The
+    remainder is a multiple of the true one; insert() normalizes it."""
     if not basis:
         return f, fcof
-    quots, rem = p_divmod(ctx, f, basis, track=track)
+    quots, rem, mult = _divide(ctx, f, basis, track)
     if track:
-        for q, bc in zip(quots, basiscofs):
-            if q:
-                fcof = _vec_sub(ctx, fcof, _vec_poly_mul(ctx, bc, q))
+        fcof = _combine(ctx, fcof, mult, quots, basiscofs)
     return rem, fcof
 
 
@@ -484,7 +676,8 @@ def buchberger(ctx: PolyContext, gens, *, track: bool = False,
     """
     lims = current_limits()
     fld = ctx.field
-    one = const_poly(ctx, 1)
+    ectx = ctx.engine
+    eng = ectx.field
     gens = list(gens)
     n = len(gens)
 
@@ -492,13 +685,13 @@ def buchberger(ctx: PolyContext, gens, *, track: bool = False,
     cofs = [] if track else None
 
     def insert(f, fcof):
-        """Monicize and append; returns the constant's cofactors if f is a
-        nonzero constant and stop_at_one is set."""
-        lc = f[0][1]
-        if lc != fld.one:
-            f = p_scale(ctx, f, fld.invert(lc))
-            if track:
-                fcof = _vec_scale(ctx, fcof, fld.invert(lc))
+        """Normalize (primitive over Z, monic over Fp) and append; returns
+        True if f is a nonzero constant and stop_at_one is set."""
+        s = eng.unit(f)
+        if s != 1:
+            f = eng.divide_out(f, s)
+        if track:
+            fcof = eng.unscale(fcof[0], fcof[1], s)
         if stop_at_one and mono_deg(f[0][0]) == 0:
             return f, fcof, True
         basis.append(f)
@@ -513,13 +706,18 @@ def buchberger(ctx: PolyContext, gens, *, track: bool = False,
     for i, g in enumerate(gens):
         if not g:
             continue
-        gcof = _vec_unit(n, i, one) if track else None
-        g, gcof = _reduce_tracked(ctx, g, gcof, basis, cofs, track)
+        den, g = fld.integral(g)
+        gcof = None
+        if track:
+            gcof = [()] * n
+            gcof[i] = const_poly(ectx, den)
+            gcof = (gcof, 1)
+        g, gcof = _reduce_tracked(ectx, g, gcof, basis, cofs, track)
         if not g:
             continue
         f, fcof, is_one = insert(g, gcof)
         if is_one:
-            return _trivial_basis(f, fcof, track)
+            return _trivial_basis(fld, f, fcof, track)
 
     # Normal selection: the pair with the smallest lcm of leading
     # monomials, the earliest added among equal lcms.  Pending pairs sit
@@ -545,37 +743,52 @@ def buchberger(ctx: PolyContext, gens, *, track: bool = False,
         _, _, i, j = heappop(pairs)
         fi, fj = basis[i], basis[j]
         lmi, lmj = fi[0][0], fj[0][0]
-        lcm = mono_lcm(lmi, lmj)
-        if lcm == mono_mul(lmi, lmj):
+        lcm_ij = mono_lcm(lmi, lmj)
+        if lcm_ij == mono_mul(lmi, lmj):
             continue  # coprime leading monomials: S-poly reduces to zero
-        mi, mj = mono_div(lcm, lmi), mono_div(lcm, lmj)
-        # both basis elements are monic, so the S-polynomial needs shifts only
-        s = _shift_sub(ctx, fi, mi, fj, mj)
+        mi, mj = mono_div(lcm_ij, lmi), mono_div(lcm_ij, lmj)
+        ci, cj = eng.step(fi[0][1], fj[0][1])
+        s = _shift_sub(ectx, fi, mi, ci, fj, mj, cj)
         scof = None
         if track:
-            scof = [_shift_sub(ctx, a, mi, b, mj)
-                    for a, b in zip(cofs[i], cofs[j])]
-        s, scof = _reduce_tracked(ctx, s, scof, basis, cofs, track)
+            (veci, di), (vecj, dj) = cofs[i], cofs[j]
+            den = lcm(di, dj)
+            ki, kj = ci * (den // di), cj * (den // dj)
+            scof = ([_shift_sub(ectx, a, mi, ki, b, mj, kj)
+                     for a, b in zip(veci, vecj)], den)
+        s, scof = _reduce_tracked(ectx, s, scof, basis, cofs, track)
         if not s:
             continue
         f, fcof, is_one = insert(s, scof)
         if is_one:
-            return _trivial_basis(f, fcof, track)
+            return _trivial_basis(fld, f, fcof, track)
         add_pairs(len(basis) - 1)
 
     return _reduced(ctx, basis, cofs, track)
 
 
-def _trivial_basis(f, fcof, track):
+def _monic(fld, f, fcof):
+    """An engine element and its cofactors over fld, made monic."""
+    lc = f[0][1]
+    if fcof is None:
+        return fld.lift(f, 1, lc), None
+    vec, d = fcof
+    return fld.lift(f, 1, lc), [fld.lift(v, 1, d * lc) for v in vec]
+
+
+def _trivial_basis(fld, f, fcof, track):
     """Early-exit result for the unit ideal; (1,) is trivially reduced."""
     stats.bases_computed += 1
     if current_limits().check_bases:
         stats.bases_checked += 1
+    f, fcof = _monic(fld, f, fcof)
     return (f,), ([fcof] if track else None)
 
 
 def _reduced(ctx, basis, cofs, track):
-    """Minimize and auto-reduce a Buchberger-complete basis."""
+    """Minimize and auto-reduce a Buchberger-complete engine basis, and
+    make it monic over ctx.field."""
+    ectx = ctx.engine
     # drop elements whose leading monomial is divisible by another's;
     # for equal leading monomials keep the first occurrence only
     keep = []
@@ -602,8 +815,9 @@ def _reduced(ctx, basis, cofs, track):
             othercofs = cofs2[:i] + cofs2[i + 1:]
         else:
             othercofs = None
-        f, fcof = _reduce_tracked(ctx, f, fcof, others, othercofs, track)
+        f, fcof = _reduce_tracked(ectx, f, fcof, others, othercofs, track)
         if f:
+            f, fcof = _monic(ctx.field, f, fcof)
             out.append(f)
             if track:
                 outc.append(fcof)
@@ -656,8 +870,9 @@ def one_cofactors(ctx: PolyContext, gens):
     sum(c_i * gens_i) == 1, else None.
 
     Relies on the stop_at_one early exit: a constant can only ever enter
-    the basis through insert(), which monicizes first, so the returned
-    basis is exactly (1,) whenever the ideal is the whole ring.
+    the basis through insert(), and the early exit returns it made
+    monic, so the returned basis is exactly (1,) whenever the ideal is
+    the whole ring.
     """
     gens = list(gens)
     basis, cofs = buchberger(ctx, gens, track=True, stop_at_one=True)

@@ -228,36 +228,58 @@ def eval_element_expr(ring, node, leaf=None) -> RingElement:
     return RingElement(ring, ring.canonical(_TermReader(ring, leaf).read(node)))
 
 
-def _variable_powers_only(node) -> bool:
-    """Whether every ^ in node (outside D(...)) has a variable name as
-    its base."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
+def _shape_fault(node):
+    """Why node is not shaped as the canonical printer writes elements,
+    or None.  The printer writes a sum of monomials, so every ^ (outside
+    D(...)) has a variable name as its base, and no * has a sum (+ or -)
+    under both of its operands.
+
+    One post-order walk without recursion: a binary node is followed on
+    the stack by its operator, which combines its operands' entries in
+    `sums` (whether a sum lies under each) into its own.
+    """
+    todo, sums = [node], []
+    while todo:
+        node = todo.pop()
         kind = type(node)
-        if kind is dsl.BinOp:
-            stack.append(node.left)
-            stack.append(node.right)
-        elif kind is dsl.Pow:
-            if type(node.base) is not dsl.NameRef:
-                return False
+        if kind is str:
+            right = sums.pop()
+            if node == "*":
+                if right and sums[-1]:
+                    return "multiplies two sums"
+                sums[-1] = sums[-1] or right
+            elif node == "+" or node == "-":
+                sums[-1] = True
+            else:
+                sums[-1] = sums[-1] or right
+        elif kind is dsl.BinOp:
+            todo.append(node.op)
+            todo.append(node.right)
+            todo.append(node.left)
         elif kind is dsl.Neg:
-            stack.append(node.arg)
-    return True
+            todo.append(node.arg)
+        elif kind is dsl.Pow and type(node.base) is not dsl.NameRef:
+            return "raises something other than a variable to a power"
+        else:
+            sums.append(False)
+    return None
 
 
 def element_from_str(ring, text: str) -> RingElement:
     """Read an element as a certificate writes it.
 
-    The canonical printer writes ^ only on a variable name, so any other
-    power is rejected before anything is evaluated: its cost has no
-    bound that the certificate's size sets (3^3000000 is a 9-character
-    string), and no statement timeout can interrupt one bigint product.
+    Anything the canonical printer would not write is rejected before
+    anything is evaluated (_shape_fault): the cost of a power of a sum or
+    of a number has no bound that the certificate's size sets
+    (3^3000000 is a 9-character string, and no statement timeout can
+    interrupt one bigint product), and a product of sums expands to
+    exponentially many terms ((x0 + 1)*...*(x15 + 1) is 149 characters
+    and 65536 terms).
     """
     node = dsl.parse_expression(text)
-    if not _variable_powers_only(node):
-        raise InvalidWitness(f"{text[:40]!r} raises something other than "
-                             f"a variable to a power")
+    fault = _shape_fault(node)
+    if fault is not None:
+        raise InvalidWitness(f"{text[:40]!r} {fault}")
     return eval_element_expr(ring, node)
 
 

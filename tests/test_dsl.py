@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from zkit import interp
 from zkit.dsl import (BinOp, DLit, FracLit, IntLit, Pow, RatLit, parse,
                       parse_expression)
 from zkit.errors import ScriptSyntaxError
@@ -104,4 +107,27 @@ def test_statement_timeout():
     report = run_source(source, Options(timeout_ms=1))
     assert report.results[1].status == "error"
     assert "exceeded" in report.results[1].result["message"]
+    assert report.exit_code == 2
+
+
+def test_swallowed_timeout_still_reported(monkeypatch):
+    # a body that catches the alarm's exception (as a gc callback does)
+    # and keeps running past the limit must still end in a timeout error
+    def swallowing(stmt, env, options):
+        deadline = time.perf_counter() + 1.0
+        try:
+            while time.perf_counter() < deadline:
+                pass
+        except BaseException:
+            pass
+        end = time.perf_counter() + 0.01
+        while time.perf_counter() < end:
+            pass
+        return "ok", {}, None
+
+    monkeypatch.setattr(interp, "_execute", swallowing)
+    report = run_source("ring R = Z;", Options(timeout_ms=5))
+    assert report.results[0].status == "error"
+    assert report.results[0].result["kind"] == "_Timeout"
+    assert "exceeded 5 ms" in report.results[0].result["message"]
     assert report.exit_code == 2

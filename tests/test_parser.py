@@ -2,10 +2,12 @@
 it replaced (tests/helpers.py): equal ASTs, and equal syntax errors down
 to the line and column.
 
-These hypothesis tests live apart from test_dsl.py, whose statement
-timeout test must not run after hypothesis has installed its gc
-callback: an alarm that fires during a collection raises inside that
-callback, where the exception is swallowed.
+These hypothesis tests live apart from test_dsl.py's statement timeout
+tests.  Hypothesis installs a gc callback, and an alarm that fires during
+a collection raises inside that callback, where the exception is
+swallowed; the statement still ends in a timeout error
+(test_swallowed_timeout_still_reported), but the split keeps those
+tests independent of the order in which modules run.
 """
 import random
 from pathlib import Path

@@ -24,6 +24,22 @@ def rand_poly(ctx, rng, deg=3, terms=4):
     return poly_from_dict(ctx, d)
 
 
+def rand_wide_poly(ctx, rng, deg=3, terms=4):
+    """Q coefficients with numerators up to 10^12 and denominators up to
+    10^6, either sign."""
+    d = {}
+    for _ in range(terms):
+        m = tuple(rng.randrange(deg + 1) for _ in range(ctx.nvars))
+        if sum(m) <= deg:
+            d[m] = Q(rng.randrange(-10**12, 10**12 + 1),
+                     rng.randrange(1, 10**6 + 1))
+    return poly_from_dict(ctx, d)
+
+
+def negative_lead(ctx, f):
+    return f if f[0][1] < 0 else p_scale(ctx, f, Q(-1))
+
+
 def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 97, 101, 7919}
     for n in range(2, 200):
@@ -187,9 +203,20 @@ def test_division_matches_reference(field, order):
         if trial % 2:  # monic, as every Groebner and membership divisor is
             divisors = [p_scale(ctx, g, field.invert(g[0][1]))
                         for g in divisors]
-        for track in (True, False):
-            assert (p_divmod(ctx, f, divisors, track=track)
-                    == reference_divmod(ctx, f, divisors, track=track)), trial
+        cases = [(f, divisors)]
+        if isinstance(field, Rationals):
+            # wide coefficients, and divisors leading with a negative one
+            wide = [g for g in (rand_wide_poly(ctx, rng, deg=2, terms=3)
+                                for _ in range(rng.randrange(1, 4))) if g]
+            if wide:
+                cases.append((rand_wide_poly(ctx, rng, deg=4, terms=8),
+                              wide))
+            cases.append((f, [negative_lead(ctx, g) for g in divisors]))
+        for f, divisors in cases:
+            for track in (True, False):
+                assert (p_divmod(ctx, f, divisors, track=track)
+                        == reference_divmod(ctx, f, divisors,
+                                            track=track)), trial
 
 
 def _from_terms(ctx, terms):
@@ -206,6 +233,10 @@ KATSURA3 = [{"1000": 1, "0100": 2, "0010": 2, "0001": 2, "0000": -1},
             {"2000": 1, "0200": 2, "0020": 2, "0002": 2, "1000": -1},
             {"1100": 2, "0110": 2, "0011": 2, "0100": -1},
             {"0200": 1, "1010": 2, "0101": 2, "0010": -1}]
+
+
+def _monic(f):
+    return tuple((m, Q(c) / f[0][1]) for m, c in f)
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -233,6 +264,24 @@ def test_buchberger_matches_reference(field, order, monkeypatch):
     ctx = PolyContext(field, 4, order)
     for system in (CYCLIC4,) if order == "lex" else (CYCLIC4, KATSURA3):
         cases.append((ctx, [_from_terms(ctx, g) for g in system]))
+    if isinstance(field, Rationals):
+        for _ in range(6):
+            ctx = PolyContext(field, rng.choice([1, 2]), order)
+            cases.append((ctx, [rand_wide_poly(ctx, rng, deg=2, terms=3)
+                                for _ in range(rng.randrange(1, 4))]))
+        for _ in range(4):
+            ctx = PolyContext(field, rng.choice([2, 3]), order)
+            gens = [g for g in (rand_poly(ctx, rng, deg=3, terms=3)
+                                for _ in range(rng.randrange(2, 4))) if g]
+            cases.append((ctx, [negative_lead(ctx, g) for g in gens]))
+        # unit ideals whose first constant is 3/7: a generator, and an
+        # S-polynomial of x*y + 3/7 and 5*x
+        ctx = PolyContext(field, 2, order)
+        x, y = var_poly(ctx, 0), var_poly(ctx, 1)
+        cases.append((ctx, [const_poly(ctx, Q(3, 7)), p_add(ctx, x, y)]))
+        cases.append((ctx, [p_add(ctx, p_mul(ctx, x, y),
+                                  const_poly(ctx, Q(3, 7))),
+                            p_scale(ctx, x, Q(5))]))
     for trial, (ctx, gens) in enumerate(cases):
         for track in (True, False):
             for stop_at_one in (False, True):
@@ -244,7 +293,14 @@ def test_buchberger_matches_reference(field, order, monkeypatch):
                                            stop_at_one=stop_at_one,
                                            trace=ref_trace)
                 assert ours == ref, (trial, track, stop_at_one)
-                assert trace == ref_trace, (trial, track, stop_at_one)
+                if isinstance(field, Rationals):
+                    # the Q engine reduces integer multiples of the
+                    # reference's polynomials: compare them made monic
+                    assert ([_monic(f) for f in trace]
+                            == [_monic(f) for f in ref_trace]), \
+                        (trial, track, stop_at_one)
+                else:
+                    assert trace == ref_trace, (trial, track, stop_at_one)
 
 
 def _to_sympy(sympy, syms, f):

@@ -1,6 +1,6 @@
 """Reading element expressions: the term-dict evaluator against the
 RingElement evaluator it replaced (tests/helpers.py), script leaves, and
-certificates whose powers would cost without bound."""
+certificates whose powers or products would cost without bound."""
 import random
 import time
 
@@ -11,9 +11,10 @@ from helpers import (random_quotient_ring, reference_eval_element_expr,
 from zkit import (IntegerRing, PrimeField, QuotientRing, Rationals,
                   ResidueRing)
 from zkit.dsl import BinOp, IntLit, NameRef, Neg, Pow, RatLit
-from zkit.errors import ZkitError
+from zkit.errors import InvalidWitness, ZkitError
 from zkit.interp import run_source
-from zkit.serialize import eval_element_expr, verify_certificate
+from zkit.serialize import (element_from_str, eval_element_expr,
+                            verify_certificate)
 
 
 def _rings(rng):
@@ -134,6 +135,35 @@ def test_verify_rejects_powers_of_non_variables_at_once(cert):
     assert time.perf_counter() - start < 1.0
     assert not ok
     assert "raises something other than a variable to a power" in detail
+
+
+def test_verify_rejects_products_of_sums_at_once():
+    """(x0 + 1)*...*(x15 + 1) is 149 characters and 65536 terms."""
+    names = [f"x{i}" for i in range(16)]
+    ring = QuotientRing(Rationals(), tuple(names))
+    text = "*".join(f"({x} + 1)" for x in names)
+    assert len(text) == 149
+    start = time.perf_counter()
+    with pytest.raises(InvalidWitness, match="multiplies two sums"):
+        element_from_str(ring, text)
+    assert time.perf_counter() - start < 0.1
+    # also nested under a sign, and with the sums on either side
+    for text in ("-(x0 - 1)*(x1 + 1)", "x2*(x0 + 1)*(1 - x1)",
+                 "(x0*(x1 + 1))*(x2 + x3)"):
+        with pytest.raises(InvalidWitness, match="multiplies two sums"):
+            element_from_str(ring, text)
+    # a product with a sum on one side only stays readable
+    assert (element_from_str(ring, "x2*(x0 + 1)*x1")
+            == element_from_str(ring, "x0*x1*x2 + x1*x2"))
+    cert = {"claim": "bezout",
+            "ring": {"kind": "polyquot", "base": "Q", "variables": names,
+                     "relations": [], "order": "grevlex"},
+            "generators": ["x0", "1 - x0"],
+            "cofactors": ["*".join(f"({x} + 1)" for x in names), "1"]}
+    start = time.perf_counter()
+    ok, detail = verify_certificate(cert)
+    assert time.perf_counter() - start < 0.1
+    assert not ok and "multiplies two sums" in detail
 
 
 @pytest.mark.parametrize("ring", [
