@@ -43,7 +43,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="seed for sampling commands (default: "
                              "ZKIT_SEED or 0)")
     parser.add_argument("--max-pairs", type=int, default=None,
-                        help="cap on Groebner S-pairs per basis")
+                        help="cap on Groebner S-pairs reduced per basis "
+                             "(pairs the Gebauer-Moeller criteria skip do "
+                             "not count)")
     parser.add_argument("--max-exp", type=int, default=None,
                         help="cap on witness exponent searches")
     parser.add_argument("--fail-fast", action="store_true",

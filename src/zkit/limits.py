@@ -22,7 +22,8 @@ class Limits:
     or assignment is built.
     """
 
-    max_pairs: int = 4000        # S-pairs processed per basis computation
+    max_pairs: int = 4000        # S-pairs reduced per basis computation,
+                                 # after the pair criteria removed theirs
     max_basis: int = 256         # basis elements per computation
     max_exponent: int = 64       # saturation / radical witness search cap
     max_assignments: int = 10**6  # elements listed / homs tried per enumeration

@@ -31,10 +31,22 @@ wherever monomials are sorted or queued.  Division keeps the working
 terms in a heap on the descending key and pops the largest each step;
 Buchberger keeps pending S-pairs in a heap of (key of the lcm, insertion
 number), which picks the pair with the smallest lcm and, among equal
-lcms, the one added first.  Both reproduce exactly what a scan of all
-terms or all pairs would pick, so every S-pair is processed in the same
-order and every basis, quotient and cofactor is the same as with a scan
-(tests/helpers.py keeps the scan as the reference).
+lcms, the one added first (normal selection).  Both reproduce exactly
+what a scan of all terms or all pairs would pick (tests/helpers.py keeps
+the scan as the reference).
+
+Buchberger skips S-pairs by the Gebauer-Moeller criteria (J. Symbolic
+Comput. 6, 1988).  When an element t enters the basis, a pending pair
+(i, j) goes when lm(t) divides lcm(i, j) and both lcm(i, t) and lcm(j, t)
+differ from it (B); of the new pairs (k, t), one goes when another's lcm
+properly divides its own (M), only the earliest of those sharing an lcm
+stays (F), and none of those sharing an lcm stays when one of them has
+coprime leading monomials.  The pairs that survive are processed in the
+order the scan reference picks them.  Under normal selection every pair
+the criteria remove would reduce to zero at the point a criterion-free
+run reaches it, so not only the reduced basis, which is unique, but also
+every cofactor is the same as without the criteria.  Cyclic-5 reduces
+103 S-pairs where it took 733.
 
 Working over Q on integer multiples changes no choice the engine makes:
 pairs are chosen by leading monomials only, and each polynomial the
@@ -598,7 +610,12 @@ def p_divmod(ctx: PolyContext, f: Poly, divisors, track: bool = True):
 
 
 def normal_form(ctx: PolyContext, f: Poly, basis) -> Poly:
+    """The remainder of f modulo basis; f itself when no leading
+    monomial of basis divides any of its terms."""
     if not basis:
+        return f
+    leads = [g[0][0] for g in basis]
+    if not any(all(map(le, lm, m)) for m, _ in f for lm in leads):
         return f
     _, rem = p_divmod(ctx, f, basis, track=False)
     return rem
@@ -721,31 +738,65 @@ def buchberger(ctx: PolyContext, gens, *, track: bool = False,
 
     # Normal selection: the pair with the smallest lcm of leading
     # monomials, the earliest added among equal lcms.  Pending pairs sit
-    # in a heap of (key of lcm, insertion number, i, j), each key computed
-    # once when its pair is added.
-    pairs = []
+    # in a heap of (key of lcm, insertion number), each key computed once
+    # when its pair is added; `pending` maps the insertion number of each
+    # live pair to (i, j, lcm).  A pair the B criterion deletes leaves the
+    # dict only, and its heap entry is skipped when popped.
+    heap = []
+    pending = {}
     added = count()
     key = ctx.key
+    lms = []      # leading monomial of each basis element
 
-    def add_pairs(new):
-        lm = basis[new][0][0]
-        for k in range(new):
-            heappush(pairs, (key(mono_lcm(basis[k][0][0], lm)), next(added),
-                             k, new))
+    def update(t):
+        """Gebauer-Moeller: delete pending pairs by the B criterion, then
+        add the new pairs (k, t) that survive the M and F criteria."""
+        lm = basis[t][0][0]
+        lms.append(lm)
+        for n, (i, j, lij) in list(pending.items()):
+            if (all(map(le, lm, lij)) and mono_lcm(lms[i], lm) != lij
+                    and mono_lcm(lms[j], lm) != lij):
+                del pending[n]
+        # Group the new pairs by lcm.  F keeps the earliest k of a group;
+        # a group holding a coprime pair removes others under M, then
+        # goes itself.  Every earlier k takes part, also one whose leading
+        # monomial a later element divides: where its pair ties with that
+        # element's on the lcm, F keeps the pair a criterion-free run
+        # reduces first, so both runs give the same cofactors.
+        groups = {}
+        for k in range(t):
+            lk = lms[k]
+            lkt = tuple(map(max, lk, lm))
+            coprime = not any(map(min, lk, lm))
+            if lkt in groups:
+                if coprime:
+                    groups[lkt][1] = True
+            else:
+                groups[lkt] = [k, coprime]
+        for lkt, (k, coprime) in groups.items():
+            if coprime:
+                continue
+            deg = sum(lkt)
+            # M: another new pair's lcm properly divides this one
+            if any(sum(o) < deg and all(map(le, o, lkt)) for o in groups):
+                continue
+            n = next(added)
+            heappush(heap, (key(lkt), n))
+            pending[n] = (k, t, lkt)
 
     for j in range(len(basis)):
-        add_pairs(j)
+        update(j)
     processed = 0
-    while pairs:
+    while heap:
+        pair = pending.pop(heappop(heap)[1], None)
+        if pair is None:
+            continue  # deleted by the B criterion
         processed += 1
         if processed > lims.max_pairs:
             raise ResourceExceeded(f"pair count exceeded {lims.max_pairs}")
-        _, _, i, j = heappop(pairs)
+        i, j, lcm_ij = pair
         fi, fj = basis[i], basis[j]
-        lmi, lmj = fi[0][0], fj[0][0]
-        lcm_ij = mono_lcm(lmi, lmj)
-        if lcm_ij == mono_mul(lmi, lmj):
-            continue  # coprime leading monomials: S-poly reduces to zero
+        lmi, lmj = lms[i], lms[j]
         mi, mj = mono_div(lcm_ij, lmi), mono_div(lcm_ij, lmj)
         ci, cj = eng.step(fi[0][1], fj[0][1])
         s = _shift_sub(ectx, fi, mi, ci, fj, mj, cj)
@@ -762,7 +813,7 @@ def buchberger(ctx: PolyContext, gens, *, track: bool = False,
         f, fcof, is_one = insert(s, scof)
         if is_one:
             return _trivial_basis(fld, f, fcof, track)
-        add_pairs(len(basis) - 1)
+        update(len(basis) - 1)
 
     return _reduced(ctx, basis, cofs, track)
 

@@ -174,6 +174,13 @@ def reference_enumerate_homs(domain, codomain):
 # exactly what this returns: same quotients, remainders, bases, cofactors,
 # and it must reduce the same polynomials in the same order (the S-pair
 # trace), which reference_buchberger appends to `trace` when given one.
+#
+# With criteria=True the pair list is updated by the Gebauer-Moeller
+# criteria, written as a rescan of every pair; with criteria=False every
+# pair of basis elements is reduced (only coprime ones are skipped).  Both
+# pick pairs by normal selection, so the pairs the criteria delete are
+# exactly ones that reduce to zero there: the two return equal bases and
+# cofactors.
 
 def _ref_from_dict(ctx, d):
     items = [(m, c) for m, c in d.items() if c != ctx.field.zero]
@@ -231,8 +238,40 @@ def _ref_reduce(ctx, f, fcof, basis, basiscofs, track, trace):
     return rem, fcof
 
 
+def _ref_update(basis, pairs, t):
+    """Gebauer-Moeller: drop pending pairs by the B criterion, then append
+    the new pairs (k, t) that survive the M and F criteria."""
+    def lm(k):
+        return basis[k][0][0]
+
+    def lcm(i, j):
+        return P.mono_lcm(lm(i), lm(j))
+
+    def coprime(i, j):
+        return lcm(i, j) == P.mono_mul(lm(i), lm(j))
+
+    # B: lm(t) divides lcm(i, j), and lcm(i, t), lcm(j, t) differ from it
+    pairs[:] = [(i, j) for i, j in pairs
+                if not (P.mono_divides(lm(t), lcm(i, j))
+                        and lcm(i, t) != lcm(i, j)
+                        and lcm(j, t) != lcm(i, j))]
+    for k in range(t):
+        mine = lcm(k, t)
+        # M: the lcm of another new pair properly divides this one
+        if any(lcm(l, t) != mine and P.mono_divides(lcm(l, t), mine)
+               for l in range(t)):
+            continue
+        # F: of the new pairs with this lcm keep the first, and none
+        # when one of them is coprime
+        same = [l for l in range(t) if lcm(l, t) == mine]
+        if any(coprime(l, t) for l in same):
+            continue
+        if same[0] == k:
+            pairs.append((k, t))
+
+
 def reference_buchberger(ctx, gens, *, track=False, stop_at_one=False,
-                         trace=None):
+                         trace=None, criteria=True):
     fld = ctx.field
     one = P.const_poly(ctx, 1)
     gens = list(gens)
@@ -260,7 +299,16 @@ def reference_buchberger(ctx, gens, *, track=False, stop_at_one=False,
             done, out = insert(g, gcof)
             if done:
                 return out
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    pairs = []
+
+    def add_pairs(t):
+        if criteria:
+            _ref_update(basis, pairs, t)
+        else:
+            pairs.extend((k, t) for k in range(t))
+
+    for t in range(len(basis)):
+        add_pairs(t)
     while pairs:
         best = min(range(len(pairs)),
                    key=lambda k: ctx.key(P.mono_lcm(basis[pairs[k][0]][0][0],
@@ -285,8 +333,7 @@ def reference_buchberger(ctx, gens, *, track=False, stop_at_one=False,
         done, out = insert(s, scof)
         if done:
             return out
-        new = len(basis) - 1
-        pairs.extend((k, new) for k in range(new))
+        add_pairs(len(basis) - 1)
     # minimize (first of equal leading monomials), then reduce each tail
     keep = [i for i, f in enumerate(basis)
             if not any(j != i and P.mono_divides(g[0][0], f[0][0])

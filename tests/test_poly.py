@@ -5,6 +5,7 @@ import pytest
 
 from helpers import reference_buchberger, reference_divmod
 from zkit import poly
+from zkit.limits import limits
 from zkit.poly import (PolyContext, PrimeField, Rationals, buchberger,
                        const_poly, is_groebner, is_prime, is_reduced_basis,
                        normal_form, one_cofactors, p_add, p_divmod, p_mul,
@@ -234,6 +235,29 @@ KATSURA3 = [{"1000": 1, "0100": 2, "0010": 2, "0001": 2, "0000": -1},
             {"1100": 2, "0110": 2, "0011": 2, "0100": -1},
             {"0200": 1, "1010": 2, "0101": 2, "0010": -1}]
 
+# x^2 + 2y^2 - 3xy^2 - y^3, 5xy, -xy^3 - x^3y: in grlex and grevlex an
+# element whose leading monomial a later one divides ties with that
+# element on the lcm of a new pair.  Leaving it out of new pairs would
+# reduce the later element's pair first and change the cofactors.
+TIED_LCM = [{"20": 1, "02": 2, "12": -3, "03": -1}, {"11": 5},
+            {"13": -1, "31": -1}]
+
+
+def _cyclic(ctx, n):
+    """cyclic-n: for k < n the sum over i of x_i*...*x_(i+k-1), indices
+    mod n, and x_0*...*x_(n-1) - 1."""
+    gens = []
+    for k in range(1, n):
+        terms = {}
+        for i in range(n):
+            mono = [0] * n
+            for j in range(i, i + k):
+                mono[j % n] = 1
+            terms["".join(map(str, mono))] = 1
+        gens.append(terms)
+    gens.append({"1" * n: 1, "0" * n: -1})
+    return [_from_terms(ctx, g) for g in gens]
+
 
 def _monic(f):
     return tuple((m, Q(c) / f[0][1]) for m, c in f)
@@ -264,6 +288,8 @@ def test_buchberger_matches_reference(field, order, monkeypatch):
     ctx = PolyContext(field, 4, order)
     for system in (CYCLIC4,) if order == "lex" else (CYCLIC4, KATSURA3):
         cases.append((ctx, [_from_terms(ctx, g) for g in system]))
+    ctx = PolyContext(field, 2, order)
+    cases.append((ctx, [_from_terms(ctx, g) for g in TIED_LCM]))
     if isinstance(field, Rationals):
         for _ in range(6):
             ctx = PolyContext(field, rng.choice([1, 2]), order)
@@ -293,6 +319,12 @@ def test_buchberger_matches_reference(field, order, monkeypatch):
                                            stop_at_one=stop_at_one,
                                            trace=ref_trace)
                 assert ours == ref, (trial, track, stop_at_one)
+                # the criteria only skip pairs that reduce to zero: the
+                # criterion-free engine lifts to the same basis and
+                # cofactors
+                assert ours == reference_buchberger(
+                    ctx, gens, track=track, stop_at_one=stop_at_one,
+                    criteria=False), (trial, track, stop_at_one)
                 if isinstance(field, Rationals):
                     # the Q engine reduces integer multiples of the
                     # reference's polynomials: compare them made monic
@@ -301,6 +333,41 @@ def test_buchberger_matches_reference(field, order, monkeypatch):
                         (trial, track, stop_at_one)
                 else:
                     assert trace == ref_trace, (trial, track, stop_at_one)
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(32003)], ids=str)
+def test_cyclic5_pair_counts(field, monkeypatch):
+    """The criteria leave cyclic-5 with 128 reductions (generators,
+    S-pairs and the final tails) where every pair took 758, so it fits
+    under a cap of 150 S-pairs.  Counts do not depend on the machine."""
+    calls = []
+    reduce_tracked = poly._reduce_tracked
+
+    def counting(ctx, f, *rest):
+        calls.append(f)
+        return reduce_tracked(ctx, f, *rest)
+
+    monkeypatch.setattr(poly, "_reduce_tracked", counting)
+    ctx = PolyContext(field, 5)
+    gens = _cyclic(ctx, 5)
+    for track in (False, True):
+        for stop_at_one in (False, True):
+            calls.clear()
+            with limits(max_pairs=150):
+                basis, _ = buchberger(ctx, gens, track=track,
+                                      stop_at_one=stop_at_one)
+            assert len(basis) == 20
+            assert len(calls) <= 200, (track, stop_at_one, len(calls))
+
+
+def test_normal_form_of_a_reduced_polynomial_is_itself():
+    ctx = PolyContext(Rationals(), 3)
+    basis, _ = buchberger(ctx, [_from_terms(
+        ctx, {"300": 1, "030": 2, "111": 3, "000": 1})])
+    xy = _from_terms(ctx, {"110": 1})
+    assert normal_form(ctx, xy, basis) is xy
+    x3 = _from_terms(ctx, {"300": 1})
+    assert normal_form(ctx, x3, basis) == p_divmod(ctx, x3, basis)[1] != x3
 
 
 def _to_sympy(sympy, syms, f):
@@ -314,16 +381,9 @@ def test_buchberger_matches_sympy(modulus):
     import sympy
     field = Rationals() if modulus is None else PrimeField(modulus)
     kwargs = {"domain": "QQ"} if modulus is None else {"modulus": modulus}
-    rng = random.Random(f"sympy/{modulus}")
-    for trial in range(24):
-        nvars = rng.choice([2, 3])
-        ctx = PolyContext(field, nvars)
-        gens = [g for g in (rand_poly(ctx, rng, deg=3, terms=3)
-                            for _ in range(rng.randrange(1, 4))) if g]
-        if not gens:
-            continue
-        basis, _ = buchberger(ctx, gens)
-        syms = sympy.symbols(f"x0:{nvars}")
+
+    def sympy_basis(ctx, gens):
+        syms = sympy.symbols(f"x0:{ctx.nvars}")
         theirs = sympy.groebner([_to_sympy(sympy, syms, g) for g in gens],
                                 *syms, order="grevlex", **kwargs)
         expected = set()
@@ -333,4 +393,19 @@ def test_buchberger_matches_sympy(modulus):
                      for m, c in g.terms(order="grevlex")]
             lc = terms[0][1]
             expected.add(tuple((m, field.div(c, lc)) for m, c in terms))
-        assert set(basis) == expected, trial
+        return expected
+
+    rng = random.Random(f"sympy/{modulus}")
+    for trial in range(24):
+        nvars = rng.choice([2, 3])
+        ctx = PolyContext(field, nvars)
+        gens = [g for g in (rand_poly(ctx, rng, deg=3, terms=3)
+                            for _ in range(rng.randrange(1, 4))) if g]
+        if not gens:
+            continue
+        basis, _ = buchberger(ctx, gens)
+        assert set(basis) == sympy_basis(ctx, gens), trial
+    # cyclic-5, where the criteria remove most pairs
+    ctx = PolyContext(field, 5)
+    gens = _cyclic(ctx, 5)
+    assert set(buchberger(ctx, gens)[0]) == sympy_basis(ctx, gens)
