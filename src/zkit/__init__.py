@@ -1,9 +1,9 @@
 """zkit: constructive Zariski-lattice machinery over computable rings.
 
-Decidable Zariski lattices, single-element localizations, unimodular
-covers with Bezout certificates, element and hom gluing, and compact
-opens of affine schemes with enumerable point sets, over Z, Z/n and
-polynomial quotients of Q and prime fields.  Every positive decision
+Decidable Zariski lattices, single-element localizations as rings,
+unimodular covers with Bezout certificates, element and hom gluing, and
+compact opens of affine schemes with enumerable point sets, over Z, Z/n
+and polynomial quotients of Q and prime fields.  Every positive decision
 carries a witness that re-verifies by plain ring arithmetic.
 """
 
@@ -23,19 +23,14 @@ from .ideals import (BezoutCertificate, FinGenIdeal, GroebnerBasis,
                      fin_gen_ideal, groebner, ideal_member, power_certificate,
                      radical_member, radical_witness, saturates,
                      saturation_member, unimodular_certificate)
-from .lattice import (LocalZarElt, ZarElt, lattice_from_presentation,
-                      lattice_morphism, loc_bottom, loc_eq, loc_eq_top,
-                      loc_join, loc_leq, loc_meet, loc_support, loc_top,
-                      loc_zar_elt, pushdown, restrict, support_D, zar_bottom,
-                      zar_elt, zar_eq, zar_eq_top, zar_join, zar_leq,
-                      zar_meet, zar_top)
+from .lattice import (ZarElt, lattice_morphism, pushdown, restrict, support_D,
+                      zar_bottom, zar_elt, zar_eq, zar_eq_top, zar_join,
+                      zar_leq, zar_meet, zar_top)
 from .limits import Limits, current_limits, limits, set_limits
-from .localization import (CanonicalMap, Fraction, LocRingHom, LocalizedRing,
-                           canonical_map, compose_canonical,
-                           double_localization_maps, frac_arith, frac_eq,
-                           frac_is_unit, frac_reduce, frac_witness,
-                           from_presentation, localize, make_loc_hom,
-                           to_presentation, universal_property)
+from .localization import (Fraction, LocalizedRing, canonical_map,
+                           double_localization_maps, frac_eq,
+                           from_presentation, localize, to_presentation,
+                           universal_property)
 from .poly import PolyContext, PrimeField, Rationals, is_prime
 from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
                     RingHom, enumerate_homs, hom_apply, hom_compose,
@@ -43,8 +38,8 @@ from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
                     polynomial_ring, quotient_by)
 from .schemes import (AffineCover, AffineScheme, CompactOpen, QcqsReport,
                       SchemePoint, affine_cover, compact_open,
-                      empty_open, function_eval,
-                      loc_point_membership, locality_trial, point_from_localized_hom,
+                      empty_open, function_eval, locality_trial,
+                      point_from_localized_hom,
                       point_membership, point_to_localized_hom, points_over,
                       qcqs_certificate, standard_open, whole_scheme)
 

@@ -20,9 +20,10 @@ from .errors import (IncompatibleFamily, InvariantViolated, NotUnimodular,
                      RingMismatch)
 from .ideals import (BezoutCertificate, power_certificate,
                      saturation_member, unimodular_certificate)
-from .localization import (Fraction, LocalizedRing, LocRingHom,
-                           compose_canonical, frac_eq, localize)
-from .rings import RingElement, RingHom, hom_apply, make_hom, normalize
+from .localization import (Fraction, FractionMap, canonical_map, frac_eq,
+                           localize)
+from .rings import (RingElement, RingHom, _powers, hom_apply, hom_compose,
+                    make_hom, normalize)
 
 
 @dataclass(frozen=True)
@@ -65,25 +66,32 @@ class CompatCheck:
     witnesses: tuple = ()          # (i, j, k) saturation exponents
     failing_pair: tuple = None
 
-    def __bool__(self):
-        return self.ok
 
+def pair_differences(elements):
+    """((i, j), r_i f_j^N - r_j f_i^N) for each pair i < j, in the order
+    (0, 1), (0, 2), (1, 2), ..., with the fractions aligned to the largest
+    exponent N: r_i = num_i * f_i^(N - exp_i).
 
-def _pair_condition(cover: UnimodularCover, i: int, j: int,
-                    xi: Fraction, xj: Fraction, n_align: int):
-    """Least exponent k with (r_i f_j^N - r_j f_i^N) * (f_i f_j)^k == 0
-    after aligning both fractions to the denominator power N, or None.
-
-    This decides chi_l(x_i) == chi_r(x_j) in R[1/(f_i f_j)], and the
+    chi_l(x_i) == chi_r(x_j) in R[1/(f_i f_j)] iff a power (f_i f_j)^k
+    kills the difference, and the least such k is the pair witness.  The
     aligned form is the one the gluing algorithm consumes directly
     (witnesses on unaligned representatives can be off by unit factors
     that matter in rings with zero divisors).
     """
-    fi, fj = cover.elements[i], cover.elements[j]
-    ri = xi.num * fi ** (n_align - xi.exp)
-    rj = xj.num * fj ** (n_align - xj.exp)
-    return saturation_member(ri * fj ** n_align - rj * fi ** n_align,
-                             fi * fj)
+    if not elements:
+        return
+    ring = elements[0].ring
+    one, mul, sub = ring.one().payload, ring.mul, ring.sub  # on payloads
+    n = max(x.exp for x in elements)
+    aligned, powers = [], []
+    for x in elements:
+        pw = _powers(x.f.payload, n, one, mul)
+        aligned.append(mul(x.num.payload, pw[n - x.exp]))
+        powers.append(pw[n])
+    for j in range(len(elements)):
+        for i in range(j):
+            diff = sub(mul(aligned[i], powers[j]), mul(aligned[j], powers[i]))
+            yield (i, j), RingElement(ring, diff)
 
 
 def check_compatibility(cover: UnimodularCover, elements) -> CompatCheck:
@@ -94,15 +102,12 @@ def check_compatibility(cover: UnimodularCover, elements) -> CompatCheck:
     for x, L in zip(elements, cover.localized):
         if not isinstance(x, Fraction) or x.ring != cover.ring or x.f != L.f:
             raise RingMismatch(f"{x!r} is not a fraction over {L}")
-    n_align = max((x.exp for x in elements), default=0)
     witnesses = []
-    for j in range(len(elements)):
-        for i in range(j):
-            k = _pair_condition(cover, i, j, elements[i], elements[j],
-                                n_align)
-            if k is None:
-                return CompatCheck(False, tuple(witnesses), (i, j))
-            witnesses.append((i, j, k))
+    for (i, j), diff in pair_differences(elements):
+        k = saturation_member(diff, elements[i].f * elements[j].f)
+        if k is None:
+            return CompatCheck(False, tuple(witnesses), (i, j))
+        witnesses.append((i, j, k))
     return CompatCheck(True, tuple(witnesses))
 
 
@@ -160,24 +165,11 @@ def glue_element(fam: CompatibleFamily) -> RingElement:
 # ---------------------------------------------------------------------------
 # pullback of covers
 
-@dataclass(frozen=True)
-class LocalizationSquare:
-    """The induced map R[1/f] -> A[1/phi(f)] closing the pullback square
-    with the canonical morphisms: r/f^n |-> phi(r)/phi(f)^n."""
-
-    phi: RingHom
-    source: LocalizedRing
-    target: LocalizedRing
-
-    def __call__(self, a: Fraction) -> Fraction:
-        if a.ring != self.source.ring or a.f != self.source.f:
-            raise RingMismatch(f"{a!r} is not a fraction of {self.source}")
-        return self.target.fraction(hom_apply(self.phi, a.num), a.exp)
-
-
 def pullback_cover(cover: UnimodularCover, phi: RingHom):
     """Push a cover of R along phi : R -> A; returns the cover of A by
-    the phi(f_i) (certificate re-verified) and the connecting maps."""
+    the phi(f_i) (certificate re-verified) and the maps R[1/f_i] ->
+    A[1/phi(f_i)], r/f^n |-> phi(r)/phi(f)^n, that close the squares
+    with the canonical maps."""
     if phi.domain != cover.ring:
         raise RingMismatch("cover and hom live over different rings")
     images = tuple(hom_apply(phi, f) for f in cover.elements)
@@ -186,7 +178,8 @@ def pullback_cover(cover: UnimodularCover, phi: RingHom):
     if not cert.verify():
         raise InvariantViolated("pulled back certificate failed to verify")
     new_cover = UnimodularCover(phi.codomain, images, cert)
-    maps = tuple(LocalizationSquare(phi, src, dst)
+    one = phi.codomain.one()
+    maps = tuple(FractionMap(src, dst, phi, one)
                  for src, dst in zip(cover.localized, new_cover.localized))
     return new_cover, maps
 
@@ -196,7 +189,8 @@ def pullback_cover(cover: UnimodularCover, phi: RingHom):
 
 @dataclass(frozen=True)
 class CompatibleHomFamily:
-    """Homs phi_i : A -> R[1/f_i] agreeing pairwise on A's generators."""
+    """Homs phi_i : A -> R[1/f_i] agreeing pairwise on A's generators;
+    the witnesses are taken on the written forms of the images."""
 
     cover: UnimodularCover
     domain: object
@@ -204,25 +198,27 @@ class CompatibleHomFamily:
     witnesses: tuple   # (i, j, generator index, exponent)
 
 
+def _written_images(cover: UnimodularCover, homs, g: int) -> tuple:
+    """The image of domain generator g under each hom, written."""
+    return tuple(L.written(h.generator_images[g].payload)
+                 for h, L in zip(homs, cover.localized))
+
+
 def check_hom_compatibility(cover: UnimodularCover, domain, homs) -> CompatCheck:
+    """check_compatibility on the written images of each generator in
+    turn; the witnesses are (i, j, generator index, exponent)."""
     homs = tuple(homs)
     if len(homs) != len(cover):
         raise IncompatibleFamily("family size does not match the cover")
     for h, L in zip(homs, cover.localized):
-        if not isinstance(h, LocRingHom) or h.domain != domain or h.target != L:
+        if h.domain != domain or h.codomain != L:
             raise RingMismatch(f"{h!r} is not a hom {domain} -> {L}")
-    ngens = len(homs[0].generator_images) if homs else 0
     witnesses = []
-    for g in range(ngens):
-        n_align = max(h.generator_images[g].exp for h in homs)
-        for j in range(len(homs)):
-            for i in range(j):
-                k = _pair_condition(cover, i, j,
-                                    homs[i].generator_images[g],
-                                    homs[j].generator_images[g], n_align)
-                if k is None:
-                    return CompatCheck(False, tuple(witnesses), (i, j))
-                witnesses.append((i, j, g, k))
+    for g in range(len(domain.variables)):
+        check = check_compatibility(cover, _written_images(cover, homs, g))
+        witnesses.extend((i, j, g, k) for i, j, k in check.witnesses)
+        if not check.ok:
+            return CompatCheck(False, tuple(witnesses), check.failing_pair)
     return CompatCheck(True, tuple(witnesses))
 
 
@@ -239,7 +235,8 @@ def restrict_hom(cover: UnimodularCover, psi: RingHom) -> CompatibleHomFamily:
     """sigma at the hom level: compose psi with each canonical map."""
     if psi.codomain != cover.ring:
         raise RingMismatch("psi must land in the covered ring")
-    homs = tuple(compose_canonical(L, psi) for L in cover.localized)
+    homs = tuple(hom_compose(canonical_map(L), psi)
+                 for L in cover.localized)
     return make_hom_family(cover, psi.domain, homs)
 
 
@@ -254,15 +251,15 @@ def glue_hom(fam: CompatibleHomFamily) -> RingHom:
     domain = fam.domain
     images = []
     for g in range(len(domain.variables)):
-        comps = tuple(h.generator_images[g] for h in fam.homs)
+        comps = _written_images(cover, fam.homs, g)
         witnesses = tuple((i, j, k) for (i, j, gg, k) in fam.witnesses
                           if gg == g)
         family = CompatibleFamily(cover, comps, witnesses)
         images.append(glue_element(family))
     glued = make_hom(domain, cover.ring, tuple(images))
     for h, L in zip(fam.homs, cover.localized):
-        for img, frac in zip(glued.generator_images, h.generator_images):
-            if not frac_eq(L.from_base(img), frac):
+        for img, local in zip(glued.generator_images, h.generator_images):
+            if L.element(L.from_base(img)) != local:
                 raise IncompatibleFamily(
                     "glued hom fails to restrict to the family")
     return glued

@@ -28,11 +28,11 @@ from .gluing import glue_element, make_cover, make_family
 from .ideals import fin_gen_ideal, radical_member, radical_witness, \
     unimodular_certificate
 from .lattice import ZarElt, zar_elt, zar_eq, zar_join, zar_leq, zar_meet
-from .limits import limits
+from .limits import current_limits, limits
 from .localization import localize
 from .poly import PrimeField, Rationals
 from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
-                    hom_apply, make_hom)
+                    hom_apply, make_hom, quotient_by)
 from .schemes import (AffineScheme, CompactOpen, affine_cover,
                       point_membership, points_over, qcqs_certificate,
                       whole_scheme)
@@ -138,11 +138,8 @@ def _build_ring(expr: dsl.RingExpr, env: _Env):
         return ResidueRing(expr.modulus)
     base = Rationals() if expr.kind == "Q" else PrimeField(expr.modulus)
     free = QuotientRing(base, expr.variables)
-    if not expr.relations:
-        return free
-    rels = [serialize.eval_element_expr(free, r) for r in expr.relations]
-    return QuotientRing(base, expr.variables,
-                        tuple(r.payload for r in rels if not r.is_zero))
+    return quotient_by(free, [serialize.eval_element_expr(free, r)
+                              for r in expr.relations])
 
 
 _ELEMENT_NODES = (dsl.IntLit, dsl.RatLit, dsl.NameRef, dsl.Neg, dsl.BinOp,
@@ -306,6 +303,11 @@ def _execute(stmt, env: _Env, options: Options):
             return "refuted", {"glued": None, "reason": str(exc)}, None
         if len(stmt.fractions) != len(cover):
             raise TypeMismatch("family size does not match the cover")
+        cap = current_limits().max_exponent
+        top = max(lit.exp for lit in stmt.fractions)
+        if top > cap:  # verify refuses certificates with such exponents
+            raise ResourceExceeded(
+                f"glue: exponent {top} exceeds max_exponent={cap}")
         fracs = []
         for f, lit in zip(cover.elements, stmt.fractions):
             den = _eval_elem(env, ring, lit.den)

@@ -9,20 +9,20 @@ only normalized syntactically (no canonical form for radicals is
 attempted), so lattice elements are unsuitable as dict keys for semantic
 purposes.
 
-The lattice of a localized ring R[1/f] is represented separately with
-fraction generators.  Its order is decided back in R by absorbing one
-denominator factor: r/f^n lies under D(b1, ..., bm) iff r*f lies in
-sqrt(<b1, ..., bm>), which is exactly what makes the pushdown map
-sending D(r/f^n) to the meet of D(r) and D(f) a support.
+R[1/f] is a ring like any other, so its lattice is a ZarElt over it.
+Its order is decided back in R by absorbing one denominator factor:
+r/f^n lies under D(b1, ..., bm) iff r*f lies in sqrt(<b1, ..., bm>)
+(see localization), which is exactly what makes the pushdown map sending
+D(r/f^n) to the meet of D(r) and D(f) a support.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RingMismatch, UnsupportedBase
+from .errors import RingMismatch
 from .ideals import fin_gen_ideal, radical_member, \
     unimodular_certificate
-from .localization import Fraction, LocalizedRing, frac_arith, from_presentation
+from .localization import LocalizedRing, canonical_map
 from .rings import RingElement, RingHom, hom_apply, normalize
 
 
@@ -117,113 +117,17 @@ def lattice_morphism(phi: RingHom, u: ZarElt) -> ZarElt:
 
 
 # ---------------------------------------------------------------------------
-# lattice elements over a localized ring
-
-@dataclass(frozen=True)
-class LocalZarElt:
-    """D(fractions) in the lattice of R[1/f]."""
-
-    loc: LocalizedRing
-    generators: tuple
-
-    def __str__(self):
-        return f"D({', '.join(str(g) for g in self.generators)})"
-
-
-def _normalize_frac_gens(loc, gens):
-    seen = set()
-    out = []
-    for g in gens:
-        if not isinstance(g, Fraction) or g.ring != loc.ring or g.f != loc.f:
-            raise RingMismatch(f"{g!r} is not a fraction of {loc}")
-        key = (g.num.payload, g.exp)
-        if g.num.is_zero or key in seen:
-            continue
-        seen.add(key)
-        out.append(g)
-    out.sort(key=lambda fr: (fr.num.sort_key(), fr.exp))
-    return tuple(out)
-
-
-def loc_zar_elt(loc: LocalizedRing, gens) -> LocalZarElt:
-    return LocalZarElt(loc, _normalize_frac_gens(loc, gens))
-
-
-def loc_support(fr: Fraction) -> LocalZarElt:
-    return loc_zar_elt(LocalizedRing(fr.ring, fr.f), [fr])
-
-
-def loc_bottom(loc: LocalizedRing) -> LocalZarElt:
-    return LocalZarElt(loc, ())
-
-
-def loc_top(loc: LocalizedRing) -> LocalZarElt:
-    return loc_zar_elt(loc, [loc.one()])
-
-
-def _check_loc(u: LocalZarElt, v: LocalZarElt):
-    if u.loc != v.loc:
-        raise RingMismatch(f"lattice elements over {u.loc} vs {v.loc}")
-
-
-def loc_join(u: LocalZarElt, v: LocalZarElt) -> LocalZarElt:
-    _check_loc(u, v)
-    return loc_zar_elt(u.loc, u.generators + v.generators)
-
-
-def loc_meet(u: LocalZarElt, v: LocalZarElt) -> LocalZarElt:
-    _check_loc(u, v)
-    return loc_zar_elt(u.loc, [frac_arith("mul", a, b)
-                               for a in u.generators for b in v.generators])
-
-
-def loc_leq(u: LocalZarElt, v: LocalZarElt) -> bool:
-    """Decided in the base ring: denominators are units, so only the
-    numerators matter, and a/1 falls under sqrt(<b1, .., bm>)[1/f] iff
-    a*f does so already in R."""
-    _check_loc(u, v)
-    ring, f = u.loc.ring, u.loc.f
-    ideal = fin_gen_ideal(ring, [b.num for b in v.generators])
-    return all(radical_member(a.num * f, ideal) for a in u.generators)
-
-
-def loc_eq(u: LocalZarElt, v: LocalZarElt) -> bool:
-    return loc_leq(u, v) and loc_leq(v, u)
-
-
-def loc_eq_top(v: LocalZarElt) -> bool:
-    """Top iff f itself falls under the numerators' radical."""
-    ring, f = v.loc.ring, v.loc.f
-    return radical_member(f, fin_gen_ideal(ring, [b.num for b in v.generators]))
-
-
-# ---------------------------------------------------------------------------
 # restriction and pushdown
 
-def restrict(L: LocalizedRing, u: ZarElt) -> LocalZarElt:
-    """Apply the lattice map of the canonical morphism: D(g) |-> D(g/1)."""
-    if u.ring != L.ring:
-        raise RingMismatch(f"{u} is not over the base of {L}")
-    return loc_zar_elt(L, [L.from_base(g) for g in u.generators])
+def restrict(L: LocalizedRing, u: ZarElt) -> ZarElt:
+    """The lattice map of the canonical hom R -> R[1/f]: D(g) |-> D(g/1)."""
+    return lattice_morphism(canonical_map(L), u)
 
 
-def pushdown(L: LocalizedRing, v) -> ZarElt:
+def pushdown(L: LocalizedRing, v: ZarElt) -> ZarElt:
     """Map the lattice of R[1/f] into the part of L_R below D(f):
-    D(r/f^n) |-> D(r) /\\ D(f) = D(r*f), extended over joins.
-
-    Accepts fraction-generator elements; a ZarElt over the presentation
-    ring is converted generator-wise via from_presentation first.
-    """
-    if isinstance(v, ZarElt):
-        v = lattice_from_presentation(L, v)
-    if v.loc != L:
+    D(r/f^n) |-> D(r) /\\ D(f) = D(r*f), extended over joins."""
+    if v.ring != L:
         raise RingMismatch(f"{v} is not over {L}")
-    return zar_elt(L.ring, [g.num * L.f for g in v.generators])
-
-
-def lattice_from_presentation(L: LocalizedRing, u: ZarElt) -> LocalZarElt:
-    """Convert presentation-ring generators into fraction form."""
-    pres = L.presentation
-    if u.ring != pres:
-        raise UnsupportedBase(f"{u} is not over the presentation of {L}")
-    return loc_zar_elt(L, [from_presentation(L, g) for g in u.generators])
+    return zar_elt(L.ring, [L.written(g.payload).num * L.f
+                            for g in v.generators])

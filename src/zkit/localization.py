@@ -1,30 +1,46 @@
-"""Localization away from a single element: R[1/f].
+"""Localization away from a single element: R[1/f] as a ring kind.
 
-Fractions r/f^n are the primary representation; equality is the genuine
-localization equivalence (an extra f-power may be needed to absorb zero
-divisors and nilpotents) and is decided by the saturation procedure.
-For polynomial quotient bases the ring also has a derived presentation
-base[y]/(relations + <y*f - 1>), which is what lets homs and Groebner
-machinery treat R[1/f] as just another finitely presented ring.
+R[1/f] answers the ring protocol (see rings): its elements are
+RingElements with canonical payloads, so == decides equality, its
+lattice is a ZarElt over it and homs into it are RingHoms.  Each base
+kind builds its own localization (ring.localization(f)), with payloads
+
+- over Z, the pair (num, exp) of the fraction num/f^exp with the least
+  exponent, unique because Z is a domain (Z[1/0] is the zero ring);
+- over Z/n, (num, 0) with num in Z/m for the largest divisor m of n
+  coprime to f, since (Z/n)[1/f] is Z/m (the zero ring when m = 1);
+- over k[x]/I, the normal form of num*t^exp modulo the reduced basis of
+  I + <1 - t*f> in k[x, t] (rings._saturation_basis), the Rabinowitsch
+  presentation.
+
+Radical membership is decided back in R on numerators, the denominators
+being units: a/f^k lies in sqrt(<b_i/f^k_i>) iff a*f lies in
+sqrt(<b_i>) in R.  Over Z and Z/n, 1 = sum c_i b_i/f^k_i iff
+f^e = sum a_i b_i in R for some e, with c_i = a_i f^k_i / f^e.
+
+Fraction is the written form num/f^exp that scripts, glue families and
+certificates carry; L.element reads one, L.written writes a payload.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+import math
+import operator
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 from . import poly
-from .errors import (BaseMismatch, InvalidWitness, NotWellDefined,
-                     ResourceExceeded, RingMismatch, UnsupportedBase)
-from .ideals import fin_gen_ideal, ideal_member, radical_member, \
-    saturates, saturation_member
-from .limits import current_limits
-from .rings import (QuotientRing, RingElement, RingHom, _coeff_image,
-                    is_unit, normalize)
+from .errors import (BaseMismatch, InvalidWitness, RingMismatch,
+                     UnsupportedBase)
+from .ideals import fin_gen_ideal, radical_member, radical_witness
+from .rings import (QuotientRing, RingElement, RingHom, _Ring,
+                    _saturation_basis, make_hom, normalize, polynomial_ring,
+                    quotient_by)
 
 
 @dataclass(frozen=True)
 class Fraction:
-    """num / f^exp over the base ring; compare with frac_eq, never ==."""
+    """num / f^exp over the base ring as written; read it with
+    L.element, compare two with frac_eq."""
 
     ring: object
     f: RingElement
@@ -43,32 +59,177 @@ class Fraction:
     def __repr__(self):
         return f"<{self}>"
 
-    def __add__(self, other):
-        return frac_arith("add", self, other)
-
-    def __sub__(self, other):
-        return frac_arith("sub", self, other)
-
-    def __mul__(self, other):
-        return frac_arith("mul", self, other)
-
-    def __neg__(self):
-        return Fraction(self.ring, self.f, -self.num, self.exp)
-
 
 @dataclass(frozen=True)
-class LocalizedRing:
-    """R[1/f]; carries the presentation when the base is a quotient ring."""
+class LocalizedRing(_Ring):
+    """R[1/f]; localize picks the subclass that holds the payload
+    arithmetic (_make, add, sub, mul, neg, written) for the base kind."""
 
     ring: object
-    f: RingElement
-
-    def __post_init__(self):
-        if self.f.ring != self.ring:
-            raise RingMismatch("f must be an element of the base ring")
+    f: RingElement  # an element of ring, as localize makes sure
 
     def __str__(self):
         return f"{self.ring}[1/({self.f})]"
+
+    @property
+    def is_q_algebra(self) -> bool:
+        return self.ring.is_q_algebra
+
+    @cached_property
+    def is_trivial(self) -> bool:
+        """True when f is nilpotent, so that 1 = 0 here."""
+        return self.one().is_zero
+
+    @property
+    def presentation(self) -> QuotientRing:
+        raise UnsupportedBase(f"{self.ring} has no polynomial presentation")
+
+    def zero(self):
+        return self.element(0)
+
+    def one(self):
+        return self.element(1)
+
+    from_int = _Ring.element
+
+    def canonical(self, raw):
+        """A written Fraction of this ring, or a raw base value r as r/1."""
+        if isinstance(raw, Fraction):
+            if raw.ring != self.ring or raw.f != self.f:
+                raise BaseMismatch(f"{raw!r} is not a fraction of {self}")
+            return self._make(raw.num.payload, raw.exp)
+        return self._make(self.ring.canonical(raw), 0)
+
+    def fraction(self, num, exp: int = 0) -> Fraction:
+        return Fraction(self.ring, self.f, normalize(self.ring, num), exp)
+
+    def from_base(self, r) -> Fraction:
+        """r/1, the written image of r under the canonical map."""
+        return self.fraction(r, 0)
+
+    def render(self, x) -> str:
+        fr = self.written(x)
+        return str(fr) if fr.exp else str(fr.num)
+
+    def radical_member(self, a, gens) -> bool:
+        ideal = fin_gen_ideal(self.ring, [self.written(g).num for g in gens])
+        return radical_member(self.written(a).num * self.f, ideal)
+
+
+class LocalizedIntegers(LocalizedRing):
+    """Z[1/f] and (Z/n)[1/f], on (num, exp) pairs (module docstring)."""
+
+    @cached_property
+    def _modulus(self) -> int:
+        """m for Z/n (1 when f is nilpotent), 0 for Z."""
+        n, f = self.ring.modulus, self.f.payload
+        g = math.gcd(n, f)
+        while n and g > 1:
+            n //= g
+            g = math.gcd(n, f)
+        return n
+
+    def _make(self, num: int, exp: int):
+        f, m = self.f.payload, self._modulus
+        if m:
+            return num * pow(f, -exp, m) % m, 0
+        if not f:  # Z[1/0] is the zero ring
+            return 0, 0
+        while exp and num % f == 0:
+            num //= f
+            exp -= 1
+        return num, exp
+
+    def _aligned(self, x, y, op):
+        (a, i), (b, j) = x, y
+        f, k = self.f.payload, max(i, j)
+        return self._make(op(a * f ** (k - i), b * f ** (k - j)), k)
+
+    def add(self, x, y):
+        return self._aligned(x, y, operator.add)
+
+    def sub(self, x, y):
+        return self._aligned(x, y, operator.sub)
+
+    def mul(self, x, y):
+        return self._make(x[0] * y[0], x[1] + y[1])
+
+    def neg(self, x):
+        return self._make(-x[0], x[1])
+
+    def is_zero(self, x) -> bool:
+        return not x[0]
+
+    def unit_cofactors(self, gens):  # see the module docstring
+        written = [self.written(g) for g in gens]
+        witness = radical_witness(
+            self.f, fin_gen_ideal(self.ring, [w.num for w in written]))
+        if witness is None:
+            return None
+        e, cofs = witness
+        cofs = iter(cofs)  # aligned with the nonzero numerators
+        return [self._make((next(cofs) * self.f ** w.exp).payload, e)
+                if not w.num.is_zero else self.zero().payload
+                for w in written]
+
+    def written(self, x) -> Fraction:
+        return self.fraction(x[0], x[1])
+
+
+class LocalizedQuotient(LocalizedRing):
+    """(k[x]/I)[1/f]; payloads are normal forms in k[x, t] modulo the
+    basis of I + <1 - t*f> (see the module docstring)."""
+
+    @cached_property
+    def _basis(self):
+        """(context of k[x, t], reduced basis of I + <1 - t*f>)."""
+        return _saturation_basis(self.ring, self.f.payload)
+
+    def _make(self, num, exp: int):
+        ctx, basis = self._basis
+        p = poly.p_extend(num)
+        if exp:
+            t = (0,) * (ctx.nvars - 1) + (exp,)
+            p = poly.p_term_mul(ctx, p, t, ctx.field.one)
+        return poly.normal_form(ctx, p, basis)
+
+    def add(self, x, y):
+        return poly.p_add(self._basis[0], x, y)
+
+    def sub(self, x, y):
+        return poly.p_sub(self._basis[0], x, y)
+
+    def mul(self, x, y):
+        ctx, basis = self._basis
+        return poly.normal_form(ctx, poly.p_mul(ctx, x, y), basis)
+
+    def neg(self, x):
+        return poly.p_neg(self._basis[0], x)
+
+    def sort_key(self, x):
+        return self.ring.sort_key(x)
+
+    def unit_cofactors(self, gens):
+        """One tracked Groebner computation in k[x, t] with the basis of
+        I + <1 - t*f> adjoined."""
+        ctx, basis = self._basis
+        gens = list(gens)
+        cof = poly.one_cofactors(ctx, gens + list(basis))
+        if cof is None:
+            return None
+        return [poly.normal_form(ctx, c, basis) for c in cof[:len(gens)]]
+
+    def written(self, x) -> Fraction:
+        """Substitute t = 1/f: sum_k g_k t^k |-> (sum_k g_k f^(K-k)) / f^K."""
+        base, f = self.ring, self.f
+        slices = {}
+        for mono, coeff in x:
+            slices.setdefault(mono[-1], {})[mono[:-1]] = coeff
+        top = max(slices, default=0)
+        num = base.zero()
+        for k, terms in slices.items():
+            num = num + normalize(base, terms) * f ** (top - k)
+        return Fraction(base, f, num, top)
 
     @property
     def inverse_variable(self) -> str:
@@ -79,318 +240,98 @@ class LocalizedRing:
         """base[y]/(relations + <y*f - 1>) (Rabinowitsch presentation),
         with y renamed y1, y2, ... if the base already has a y."""
         base = self.ring
-        if not isinstance(base, QuotientRing):
-            raise UnsupportedBase(f"{base} has no polynomial presentation")
         name = "y"
         k = 0
         while name in base.variables:
             k += 1
             name = f"y{k}"
-        ctx = base.ctx.extended()
-        y = poly.var_poly(ctx, ctx.nvars - 1)
-        rels = [poly.p_extend(r) for r in base.relations]
-        rels.append(poly.p_sub(ctx, poly.p_mul(ctx, y, poly.p_extend(self.f.payload)),
-                               poly.const_poly(ctx, 1)))
-        return QuotientRing(base.base, base.variables + (name,),
-                            tuple(rels), base.order)
-
-    def fraction(self, num, exp: int = 0) -> Fraction:
-        return Fraction(self.ring, self.f, normalize(self.ring, num), exp)
-
-    def from_base(self, r) -> Fraction:
-        """The canonical map r |-> r/1."""
-        return self.fraction(r, 0)
-
-    def zero(self) -> Fraction:
-        return self.fraction(self.ring.zero())
-
-    def one(self) -> Fraction:
-        return self.fraction(self.ring.one())
+        free = polynomial_ring(base.base, base.variables + (name,), base.order)
+        rels = [free.element(poly.p_extend(r)) for r in base.relations]
+        f = free.element(poly.p_extend(self.f.payload))
+        return quotient_by(free, rels + [free.var(name) * f - 1])
 
 
 def localize(ring, f) -> LocalizedRing:
-    return LocalizedRing(ring, normalize(ring, f))
-
-
-def _check_same(a: Fraction, b: Fraction):
-    if a.ring != b.ring or a.f != b.f:
-        raise BaseMismatch(f"fractions over {a.ring}[1/{a.f}] vs "
-                           f"{b.ring}[1/{b.f}]")
+    return ring.localization(normalize(ring, f))
 
 
 def frac_eq(a: Fraction, b: Fraction) -> bool:
-    """r/f^n == r'/f^m iff (r*f^m - r'*f^n)*f^k == 0 for some k."""
-    _check_same(a, b)
-    diff = a.num * b.f ** b.exp - b.num * a.f ** a.exp
-    return saturates(diff, a.f)
-
-
-def frac_witness(a: Fraction, b: Fraction):
-    """Least k certifying frac_eq, or None when the fractions differ."""
-    _check_same(a, b)
-    diff = a.num * b.f ** b.exp - b.num * a.f ** a.exp
-    return saturation_member(diff, a.f)
-
-
-def frac_arith(op: str, a: Fraction, b: Fraction) -> Fraction:
-    _check_same(a, b)
-    f = a.f
-    if op == "add":
-        num = a.num * f ** b.exp + b.num * f ** a.exp
-        return Fraction(a.ring, f, num, a.exp + b.exp)
-    if op == "sub":
-        num = a.num * f ** b.exp - b.num * f ** a.exp
-        return Fraction(a.ring, f, num, a.exp + b.exp)
-    if op == "mul":
-        return Fraction(a.ring, f, a.num * b.num, a.exp + b.exp)
-    if op == "neg":
-        return Fraction(a.ring, f, -a.num, a.exp)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def frac_reduce(a: Fraction) -> Fraction:
-    """Greedily lower the exponent while num is a multiple of f.
-
-    Purely cosmetic: equality never goes through this.
-    """
-    num, exp = a.num, a.exp
-    fi = fin_gen_ideal(a.ring, [a.f])
-    while exp > 0:
-        cof = ideal_member(num, fi)
-        if cof is None:
-            break
-        num = cof[0]
-        exp -= 1
-    return Fraction(a.ring, a.f, num, exp)
-
-
-def frac_is_unit(a: Fraction):
-    """Inverse fraction witness, or None.
-
-    Over a quotient ring this runs as a plain unit test in the
-    presentation ring; over Z and Z/n it reduces to the radical
-    membership g in sqrt(<num>) with an explicit exponent witness.
-    """
-    ring, g = a.ring, a.f
-    if isinstance(ring, QuotientRing):  # unit test in the presentation ring
-        L = LocalizedRing(ring, g)
-        e = to_presentation(L, a)
-        w = is_unit(e)
-        if w is None:
-            return None
-        return from_presentation(L, w)
-    # integer-like: a = num/g^n invertible iff some g^k lands in <num>
-    ideal = fin_gen_ideal(ring, [a.num])
-    if not radical_member(g, ideal):
-        return None
-    cap = current_limits().max_exponent
-    power = ring.one()
-    for k in range(cap + 1):
-        cof = ideal_member(power, ideal)
-        if cof is not None:
-            # g^k == c*num, hence (num/g^n) * (c*g^n / g^k) == 1;
-            # an empty cofactor list means num == 0 and g nilpotent,
-            # i.e. the localized ring is trivial and 0 inverts 0
-            c = cof[0] if cof else ring.zero()
-            return Fraction(ring, g, c * g ** a.exp, k)
-        power = power * g
-    raise ResourceExceeded(f"no inverse exponent <= {cap}")
+    """r/f^n == r'/f^m in R[1/f] (BaseMismatch across R or f)."""
+    L = a.ring.localization(a.f)
+    return L.canonical(a) == L.canonical(b)
 
 
 # ---------------------------------------------------------------------------
 # the universal property and the canonical maps
 
-@dataclass(frozen=True)
-class CanonicalMap:
+def canonical_map(L: LocalizedRing) -> RingHom:
     """r |-> r/1 : R -> R[1/f]."""
-
-    target: LocalizedRing
-
-    @property
-    def source(self):
-        return self.target.ring
-
-    def __call__(self, r: RingElement) -> Fraction:
-        if r.ring != self.source:
-            raise RingMismatch(f"{r!r} not in {self.source}")
-        return self.target.from_base(r)
-
-
-def canonical_map(L: LocalizedRing) -> CanonicalMap:
-    return CanonicalMap(L)
-
-
-def _mul_like(x, y):
-    return frac_arith("mul", x, y) if isinstance(x, Fraction) else x * y
-
-
-def _is_one_like(x) -> bool:
-    if isinstance(x, Fraction):
-        one = Fraction(x.ring, x.f, x.ring.one(), 0)
-        return frac_eq(x, one)
-    return x == x.ring.one()
+    return make_hom(L.ring, L, [L.element(L.from_base(v))
+                                for v in L.ring.gens()])
 
 
 @dataclass(frozen=True)
 class InducedMap:
-    """psi : R[1/f] -> A determined by phi : R -> A and an inverse witness
-    w for phi(f); psi(r/f^n) = phi(r) * w^n.
-
-    phi may be a RingHom or any callable on base elements (e.g. another
-    canonical map), and w accordingly a ring element or a fraction.
-    """
+    """psi : R[1/f] -> A, psi(r/f^n) = phi(r) * w^n, for phi : R -> A (a
+    RingHom or any callable on base elements, such as another canonical
+    map) and an inverse w of phi(f); on elements and written fractions."""
 
     source: LocalizedRing
     phi: object
     witness: object
 
-    def __call__(self, a: Fraction):
-        if a.ring != self.source.ring or a.f != self.source.f:
-            raise BaseMismatch(f"{a!r} is not a fraction of {self.source}")
-        out = self.phi(a.num)
-        for _ in range(a.exp):
-            out = _mul_like(out, self.witness)
-        return out
+    def __call__(self, a):
+        fr = self.source.written(normalize(self.source, a).payload)
+        return self.phi(fr.num) * self.witness ** fr.exp
 
 
 def universal_property(L: LocalizedRing, phi, witness) -> InducedMap:
     """The unique map out of R[1/f] extending phi once phi(f) is a unit;
     the witness is checked before anything else."""
-    check = _mul_like(phi(L.f), witness)
-    if not _is_one_like(check):
+    check = phi(L.f) * witness
+    if check != check.ring.one():
         raise InvalidWitness(f"phi(f) * w = {check} != 1")
     return InducedMap(L, phi, witness)
 
 
 @dataclass(frozen=True)
-class DoubleLocalizationMap:
-    """chi : R[1/f_i] -> R[1/(f_i f_j)] multiplying through by the other
-    element: r/f_i^n |-> r*f_j^n / (f_i f_j)^n (and symmetrically)."""
+class FractionMap:
+    """r/f^n |-> phi(r) * c^n / g^n : R[1/f] -> A[1/g] on written
+    fractions, for phi : R -> A with phi(f) * c == g: the double
+    localization maps and the squares of pulled-back covers."""
 
     source: LocalizedRing
     target: LocalizedRing
-    other: RingElement
+    phi: object
+    factor: RingElement
 
     def __call__(self, a: Fraction) -> Fraction:
         if a.ring != self.source.ring or a.f != self.source.f:
             raise BaseMismatch(f"{a!r} is not a fraction of {self.source}")
-        return self.target.fraction(a.num * self.other ** a.exp, a.exp)
+        return self.target.fraction(self.phi(a.num) * self.factor ** a.exp,
+                                    a.exp)
 
 
 def double_localization_maps(ring, fi, fj):
-    """(chi_left, chi_right) into R[1/(f_i f_j)]."""
+    """(chi_left, chi_right) : R[1/f_i], R[1/f_j] -> R[1/(f_i f_j)],
+    multiplying through by the other element: r/f_i^n |-> r*f_j^n /
+    (f_i f_j)^n, and symmetrically."""
     fi, fj = normalize(ring, fi), normalize(ring, fj)
-    target = localize(ring, fi * fj)
-    left = DoubleLocalizationMap(localize(ring, fi), target, fj)
-    right = DoubleLocalizationMap(localize(ring, fj), target, fi)
-    return left, right
+    target, same = localize(ring, fi * fj), partial(normalize, ring)
+    return (FractionMap(localize(ring, fi), target, same, fj),
+            FractionMap(localize(ring, fj), target, same, fi))
 
 
 # ---------------------------------------------------------------------------
-# the derived presentation
+# the presentation
 
 def to_presentation(L: LocalizedRing, a: Fraction) -> RingElement:
     """r/f^n |-> r * y^n reduced in base[y]/(relations + <y*f - 1>)."""
-    if a.ring != L.ring or a.f != L.f:
-        raise BaseMismatch(f"{a!r} is not a fraction of {L}")
-    pres = L.presentation
-    y = pres.var(L.inverse_variable)
-    return normalize(pres, poly.p_extend(a.num.payload)) * y ** a.exp
+    return normalize(L.presentation, normalize(L, a).payload)
 
 
 def from_presentation(L: LocalizedRing, e: RingElement) -> Fraction:
     """Substitute y = 1/f: sum_k g_k * y^k |-> (sum_k g_k f^(K-k)) / f^K."""
-    pres = L.presentation
-    if e.ring != pres:
+    if e.ring != L.presentation:
         raise RingMismatch(f"{e!r} is not in the presentation of {L}")
-    base = L.ring
-    if not e.payload:
-        return L.zero()
-    slices = {}
-    for mono, coeff in e.payload:
-        k = mono[-1]
-        slices.setdefault(k, {})[mono[:-1]] = coeff
-    top = max(slices)
-    num = base.zero()
-    for k, terms in slices.items():
-        g = normalize(base, dict(terms))
-        num = num + g * L.f ** (top - k)
-    return L.fraction(num, top)
-
-
-# ---------------------------------------------------------------------------
-# homs into a localized ring
-
-@dataclass(frozen=True)
-class LocRingHom:
-    """A hom from a tower ring into R[1/f], generator images as fractions.
-
-    Verified at construction: relations (and the characteristic) must map
-    to zero up to frac_eq.
-    """
-
-    domain: object
-    target: LocalizedRing
-    generator_images: tuple = ()
-    relation_checks: tuple = field(default=(), compare=False, repr=False)
-
-    def __call__(self, a: RingElement) -> Fraction:
-        return loc_hom_apply(self, a)
-
-    def __str__(self):
-        if self.domain.variables:
-            body = ", ".join(f"{v} -> {img}" for v, img in
-                             zip(self.domain.variables, self.generator_images))
-            return f"{{{body}}} : {self.domain} -> {self.target}"
-        return f"canonical : {self.domain} -> {self.target}"
-
-
-def _subst_frac(domain, terms, images, L: LocalizedRing) -> Fraction:
-    """Substitute fraction images into (exponents, coefficient) terms."""
-    total = L.zero()
-    for mono, coeff in terms:
-        term = L.from_base(_coeff_image(domain, L.ring, coeff))
-        for img, e in zip(images, mono):
-            for _ in range(e):
-                term = frac_arith("mul", term, img)
-        total = frac_arith("add", total, term)
-    return total
-
-
-def loc_hom_apply(h: LocRingHom, a: RingElement) -> Fraction:
-    if a.ring != h.domain:
-        raise RingMismatch(f"{a!r} not in {h.domain}")
-    return _subst_frac(h.domain, h.domain.terms(a.payload),
-                       h.generator_images, h.target)
-
-
-def make_loc_hom(domain, L: LocalizedRing, images=()) -> LocRingHom:
-    images = tuple(images)
-    for img in images:
-        if not isinstance(img, Fraction) or img.ring != L.ring or img.f != L.f:
-            raise RingMismatch(f"image {img!r} is not a fraction of {L}")
-    if len(images) != len(domain.variables):
-        raise NotWellDefined(
-            f"expected {len(domain.variables)} images, got {len(images)}")
-    zero = L.zero()
-    char = domain.characteristic
-    if char and not frac_eq(L.from_base(L.ring.from_int(char)), zero):
-        raise NotWellDefined(f"char {char} incompatible with {L}")
-    if (domain.is_q_algebra and not L.ring.is_q_algebra
-            and not frac_eq(L.one(), zero)):
-        raise NotWellDefined(f"no map from Q into {L}")
-    checks = []
-    for rel in domain.relations:
-        image = _subst_frac(domain, rel, images, L)
-        if not frac_eq(image, zero):
-            raise NotWellDefined(f"relation maps to {image} != 0 in {L}")
-        checks.append(image)
-    return LocRingHom(domain, L, images, tuple(checks))
-
-
-def compose_canonical(L: LocalizedRing, psi: RingHom) -> LocRingHom:
-    """(-/1) o psi : A -> R[1/f] for psi : A -> R."""
-    if psi.codomain != L.ring:
-        raise RingMismatch("psi must land in the base of the localization")
-    images = tuple(L.from_base(img) for img in psi.generator_images)
-    return make_loc_hom(psi.domain, L, images)
+    return L.written(e.payload)

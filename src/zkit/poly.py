@@ -461,20 +461,23 @@ def p_term_mul(ctx: PolyContext, f: Poly, mono: Mono, c) -> Poly:
 
 
 def p_mul(ctx: PolyContext, f: Poly, g: Poly) -> Poly:
+    """f*g summed in ints: over Q denominators cleared, over Fp reduced once."""
     if not f or not g:
         return ()
     fld = ctx.field
-    fadd, fmul, zero = fld.add, fld.mul, fld.zero
+    p = fld.characteristic
+    if not p:
+        df, f = fld.integral(f)
+        dg, g = fld.integral(g)
     d = {}
+    get = d.get
     for mf, cf in f:
         for mg, cg in g:
             m = tuple(map(add, mf, mg))
-            s = fadd(d.get(m, zero), fmul(cf, cg))
-            if s:
-                d[m] = s
-            else:
-                d.pop(m, None)
-    return poly_from_dict(ctx, d)
+            d[m] = get(m, 0) + cf * cg
+    if p:
+        return poly_from_dict(ctx, {m: c % p for m, c in d.items()})
+    return fld.lift(poly_from_dict(ctx, d), 1, df * dg)
 
 
 def p_pow(ctx: PolyContext, f: Poly, k: int) -> Poly:

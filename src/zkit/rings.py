@@ -1,26 +1,32 @@
 """The tower of supported computable commutative rings.
 
-Three kinds of ring are supported: the integers, residue rings Z/n, and
+Four kinds of ring are supported: the integers, residue rings Z/n,
 quotients of polynomial rings over Q or a prime field by a finitely
-generated ideal.  Every element is kept in a canonical form (integers,
-residues in [0, n), or the normal form modulo the reduced Groebner basis
-of the defining relations), so ring equality is plain payload equality.
+generated ideal, and the localization R[1/f] of any of these at one
+element.  Every element is kept in a canonical form (integers, residues
+in [0, n), the normal form modulo the reduced Groebner basis of the
+defining relations, or a canonical fraction, see localization), so ring
+equality is plain payload equality.
 
 Every kind answers one protocol, so the layers above never ask which
 kind of ring they hold.  Z and Z/n share one implementation in which Z
 is the modulus-0 case; their payloads are ints and their ideals are
 principal, so a gcd with extended-Euclid cofactors stands in for a
 Groebner basis.  Quotient rings compute with Buchberger in the free
-polynomial ring, with the relations adjoined.
+polynomial ring, with the relations adjoined.  R[1/f] answers the part
+of the protocol that lattices and homs into it use.
 
 - variables, relations: generator names and defining relations as
-  free-ring polynomials; both () for Z and Z/n.
+  free-ring polynomials; both () for Z, Z/n and R[1/f].
 - characteristic: n for Z/n and p over Fp, 0 for Z and over Q.
-- is_q_algebra: whether Q maps in (quotients over Q only).
+- is_q_algebra: whether Q maps in (quotients over Q, localized or not).
 - is_trivial: whether 1 == 0 (never for Z and Z/n).
 - zero(), one(), from_int(k), element(raw), gens().
-- canonical(raw): a raw value (int, Fraction, a monomial dict, or for
-  quotients a term tuple) read as a canonical payload.
+- canonical(raw): a raw value (int, Fraction, a monomial dict, for
+  quotients a term tuple, for R[1/f] a written localization.Fraction)
+  read as a canonical payload.
+- is_zero(x), sort_key(x), render(x): payload tests, order and print.
+- localization(f): R[1/f] for an element f of this ring.
 - unit_monomials: each variable name -> its exponent tuple.
 - add, sub, mul, neg: arithmetic on canonical payloads.
 - terms(payload): the payload as (exponent tuple, coefficient) pairs;
@@ -74,6 +80,12 @@ class _Ring:
 
     def element(self, raw):
         return normalize(self, raw)
+
+    def is_zero(self, x) -> bool:
+        return not x
+
+    def sort_key(self, x):
+        return x
 
     @cached_property
     def unit_monomials(self) -> dict:
@@ -141,6 +153,13 @@ class _Integers(_Ring):
 
     def terms(self, x):
         return (((), x),) if x else ()
+
+    def render(self, x) -> str:
+        return str(x)
+
+    def localization(self, f):
+        from .localization import LocalizedIntegers  # built on this module
+        return LocalizedIntegers(self, f)
 
     def elements(self) -> list:
         if not self.modulus:
@@ -292,7 +311,7 @@ class QuotientRing(_Ring):
 
     @cached_property
     def is_q_algebra(self) -> bool:
-        return isinstance(self.base, Rationals)
+        return self.base.characteristic == 0
 
     @cached_property
     def characteristic(self) -> int:
@@ -356,6 +375,17 @@ class QuotientRing(_Ring):
     def terms(self, x):
         return x
 
+    def sort_key(self, x):
+        return tuple((m, (c.numerator, c.denominator) if isinstance(c, _Q)
+                      else c) for m, c in x)
+
+    def render(self, x) -> str:
+        return render_poly(x, self.variables)
+
+    def localization(self, f):
+        from .localization import LocalizedQuotient  # built on this module
+        return LocalizedQuotient(self, f)
+
     def elements(self) -> list:
         if self.is_q_algebra:
             if self.is_trivial:
@@ -415,12 +445,12 @@ SATURATION_CACHE_SIZE = 1024  # (ring, f) pairs whose bases are kept
 @lru_cache(maxsize=SATURATION_CACHE_SIZE)
 def _saturation_basis(ring: QuotientRing, f):
     """_rabinowitsch_basis with no generators, cached per (ring, f) (the
-    SATURATION_CACHE_SIZE most recently used) so fraction equality tests
-    share it."""
+    SATURATION_CACHE_SIZE most recently used): saturation tests share
+    it, and it is the presentation that R[1/f] reduces its payloads by."""
     return _rabinowitsch_basis(ring, (), f)
 
 
-RingDesc = object  # IntegerRing | ResidueRing | QuotientRing
+RingDesc = object  # IntegerRing | ResidueRing | QuotientRing | LocalizedRing
 
 
 def polynomial_ring(base, names, order: str = "grevlex") -> QuotientRing:
@@ -447,17 +477,13 @@ class RingElement:
 
     @property
     def is_zero(self) -> bool:
-        return self.payload == 0 or self.payload == ()
+        return self.ring.is_zero(self.payload)
 
     def sort_key(self):
-        return self.payload if isinstance(self.payload, int) else tuple(
-            (m, (c.numerator, c.denominator) if isinstance(c, _Q) else c)
-            for m, c in self.payload)
+        return self.ring.sort_key(self.payload)
 
     def __str__(self):
-        if isinstance(self.payload, int):
-            return str(self.payload)
-        return render_poly(self.payload, self.ring.variables)
+        return self.ring.render(self.payload)
 
     def __repr__(self):
         return f"<{self} : {self.ring}>"

@@ -20,11 +20,9 @@ from .errors import (InvariantViolated, NotUnimodular, NotWellDefined,
                      ResourceExceeded, RingMismatch, UnsupportedBase)
 from .gluing import (UnimodularCover, glue_hom, make_cover, make_hom_family)
 from .ideals import BezoutCertificate, unimodular_certificate
-from .lattice import (ZarElt, lattice_morphism, loc_eq_top, loc_zar_elt,
-                      support_D, zar_bottom, zar_elt, zar_eq, zar_eq_top,
-                      zar_top)
-from .localization import (LocalizedRing, LocRingHom, localize,
-                           make_loc_hom)
+from .lattice import (ZarElt, lattice_morphism, support_D, zar_bottom,
+                      zar_elt, zar_eq, zar_eq_top, zar_top)
+from .localization import LocalizedRing, localize
 from .poly import PrimeField
 from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
                     RingHom, enumerate_homs, hom_apply, make_hom, normalize)
@@ -120,14 +118,6 @@ def points_over(V: CompactOpen, codomain) -> list:
         if certs[u] is not None:
             pts.append(SchemePoint(V, phi, certs[u]))
     return pts
-
-
-def loc_point_membership(V: CompactOpen, h: LocRingHom) -> bool:
-    """Membership of a localized-ring-valued point (no certificate)."""
-    if h.domain != V.scheme.ring:
-        raise RingMismatch(f"{h} does not start at {V.scheme}")
-    images = [h(g) for g in V.element.generators]
-    return loc_eq_top(loc_zar_elt(h.target, images))
 
 
 def function_eval(r: RingElement, pt: SchemePoint) -> RingElement:
@@ -247,8 +237,9 @@ def locality_trial(V: CompactOpen, psi: RingHom, cover: UnimodularCover,
             pad = rng.randrange(0, 3)
             paddings.append(pad)
             images.append(L.fraction(img * L.f ** pad, pad))
-        homs.append(make_loc_hom(domain, L, tuple(images)))
-    components_member = all(loc_point_membership(V, h) for h in homs)
+        homs.append(make_hom(domain, L, images))
+    components_member = all(point_membership(V, h) is not None
+                            for h in homs)
     fam = make_hom_family(cover, domain, tuple(homs))
     glued = glue_hom(fam)
     glued_member = point_membership(V, glued) is not None

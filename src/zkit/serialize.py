@@ -32,12 +32,13 @@ from operator import add, sub
 from . import dsl
 from .errors import (InvalidWitness, NonInvertibleDenominator, TypeMismatch,
                      ZkitError)
+from .gluing import pair_differences
 from .ideals import BezoutCertificate
 from .limits import current_limits
-from .localization import Fraction, frac_eq, localize
+from .localization import Fraction, frac_eq
 from .poly import PrimeField, Rationals
-from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
-                    make_hom, normalize, polynomial_ring)
+from .rings import (IntegerRing, ResidueRing, RingElement, make_hom,
+                    normalize, polynomial_ring, quotient_by)
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +49,7 @@ def ring_to_json(ring) -> dict:
         return {"kind": "Z"}
     if isinstance(ring, ResidueRing):
         return {"kind": "Zmod", "n": ring.modulus}
-    base = ("Q" if isinstance(ring.base, Rationals)
-            else {"Fp": ring.base.p})
+    base = "Q" if ring.is_q_algebra else {"Fp": ring.base.p}
     return {"kind": "polyquot", "base": base,
             "variables": list(ring.variables),
             "relations": [dsl.print_expr(_poly_to_expr(r, ring.variables))
@@ -67,10 +67,8 @@ def ring_from_json(data: dict):
         base = Rationals() if data["base"] == "Q" else PrimeField(data["base"]["Fp"])
         free = polynomial_ring(base, data["variables"],
                                data.get("order", "grevlex"))
-        rels = [element_from_str(free, s) for s in data["relations"]]
-        return QuotientRing(base, tuple(data["variables"]),
-                            tuple(r.payload for r in rels if not r.is_zero),
-                            data.get("order", "grevlex"))
+        return quotient_by(free, [element_from_str(free, s)
+                                  for s in data["relations"]])
     raise ValueError(f"unknown ring kind {kind!r}")
 
 
@@ -283,16 +281,6 @@ def element_from_str(ring, text: str) -> RingElement:
     return eval_element_expr(ring, node)
 
 
-def fraction_to_json(fr: Fraction) -> dict:
-    return {"num": element_to_str(fr.num), "den": element_to_str(fr.f),
-            "exp": fr.exp}
-
-
-def fraction_from_json(ring, data: dict) -> Fraction:
-    L = localize(ring, element_from_str(ring, data["den"]))
-    return L.fraction(element_from_str(ring, data["num"]), data["exp"])
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -322,7 +310,9 @@ def glue_to_json(cover, fractions, witnesses, glued) -> dict:
             "cover": [element_to_str(f) for f in cover.elements],
             "cover_cofactors": [element_to_str(c)
                                 for c in cover.certificate.cofactors],
-            "family": [fraction_to_json(x) for x in fractions],
+            "family": [{"num": element_to_str(x.num),
+                        "den": element_to_str(x.f), "exp": x.exp}
+                       for x in fractions],
             "pair_exponents": [list(w) for w in witnesses],
             "glued": element_to_str(glued)}
 
@@ -345,6 +335,27 @@ def _generators_and_cofactors(ring, data: dict, gens_key="generators",
         raise InvalidWitness(f"{len(cofs)} {cofs_key} for "
                              f"{len(gens)} {gens_key}")
     return gens, cofs
+
+
+def _pair_exponents_fault(ring, fracs, pairs):
+    """Why pairs is not the pair_exponents list of the family fracs, or
+    None: one [i, j, k] for each pair i < j, in the order of
+    gluing.pair_differences, where (f_i f_j)^k kills the difference."""
+    count = len(fracs) * (len(fracs) - 1) // 2
+    if type(pairs) is not list or len(pairs) != count:
+        return f"pair_exponents must list the {count} pairs i < j"
+    cap = max(current_limits().max_exponent, ring.saturation_bound)
+    for entry, ((i, j), diff) in zip(pairs, pair_differences(fracs)):
+        if type(entry) is not list or entry[:2] != [i, j] or len(entry) != 3:
+            return f"pair_exponents entry {entry!r} is not [{i}, {j}, k]"
+        k = entry[2]
+        if type(k) is not int or not 0 <= k <= cap:
+            return f"pair exponent {k!r} is not an integer in [0, {cap}]"
+        if k:
+            diff = diff * (fracs[i].f * fracs[j].f) ** k
+        if not diff.is_zero:
+            return f"pair ({i}, {j}) does not vanish with exponent {k}"
+    return None
 
 
 def verify_certificate(data: dict) -> tuple:
@@ -383,15 +394,25 @@ def verify_certificate(data: dict) -> tuple:
             if not BezoutCertificate(tuple(cover_elts),
                                      tuple(cover_cofs)).verify():
                 return False, "cover certificate failed"
-            if len(data["family"]) != len(cover_elts):
+            family = data["family"]
+            if len(family) != len(cover_elts):
                 return False, "family size does not match the cover"
+            cap = current_limits().max_exponent
+            for frdata in family:
+                k = frdata["exp"]
+                if type(k) is not int or not 0 <= k <= cap:
+                    return False, (f"family exponent {k!r} is not an "
+                                   f"integer in [0, {cap}]")
             glued = element_from_str(ring, data["glued"])
-            for f, frdata in zip(cover_elts, data["family"]):
-                L = localize(ring, f)
-                fr = L.fraction(element_from_str(ring, frdata["num"]),
-                                frdata["exp"])
-                if not frac_eq(L.from_base(glued), fr):
-                    return False, f"restriction to R[1/({f})] differs"
+            fracs = [Fraction(ring, f, element_from_str(ring, frdata["num"]),
+                              frdata["exp"])
+                     for f, frdata in zip(cover_elts, family)]
+            for fr in fracs:
+                if not frac_eq(Fraction(ring, fr.f, glued), fr):
+                    return False, f"restriction to R[1/({fr.f})] differs"
+            fault = _pair_exponents_fault(ring, fracs, data["pair_exponents"])
+            if fault is not None:
+                return False, fault
             return True, "cover verifies and all restrictions match"
         if claim == "point":
             from .lattice import zar_elt

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from zkit import (IntegerRing, NotWellDefined, PrimeField, QuotientRing,
-                  Rationals, ResidueRing, RingHom, make_cover, make_hom,
+                  Rationals, ResidueRing, RingHom, fin_gen_ideal, make_cover,
+                  make_hom, radical_member, saturates,
                   unimodular_certificate)
 from zkit import dsl
 from zkit import poly as P
@@ -548,3 +549,26 @@ def reference_eval_element_expr(ring, node):
     if isinstance(node, dsl.Pow):
         return reference_eval_element_expr(ring, node.base) ** node.exp
     raise TypeMismatch(f"{node!r} is not a ring element expression")
+
+
+# ---------------------------------------------------------------------------
+# reference rules for R[1/f], on written fractions, decided in R
+
+def ref_loc_leq(us, vs) -> bool:
+    """D(us) <= D(vs) in R[1/f]: each numerator a of us has a*f in
+    sqrt(<numerators of vs>) in R."""
+    if not us:
+        return True
+    ring, f = us[0].ring, us[0].f
+    ideal = fin_gen_ideal(ring, [b.num for b in vs])
+    return all(radical_member(a.num * f, ideal) for a in us)
+
+
+def ref_loc_eq_top(L, vs) -> bool:
+    """D(vs) is the top of R[1/f]: f lies in sqrt(<numerators of vs>)."""
+    return radical_member(L.f, fin_gen_ideal(L.ring, [b.num for b in vs]))
+
+
+def ref_frac_eq(a, b) -> bool:
+    """r/f^n == r'/f^m iff (r*f^m - r'*f^n)*f^k == 0 for some k."""
+    return saturates(a.num * b.f ** b.exp - b.num * a.f ** a.exp, a.f)

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from zkit import (IntegerRing, Rationals, ResidueRing,
-                  RingMismatch, frac_is_unit, hom_compose, lattice_morphism,
-                  localize, loc_bottom, loc_eq, loc_eq_top, loc_join,
-                  loc_meet, loc_top, loc_zar_elt, make_hom,
+                  RingMismatch, hom_compose, is_unit, lattice_morphism,
+                  localize, make_hom,
                   polynomial_ring, pushdown, quotient_by, restrict,
                   support_D, zar_bottom, zar_elt, zar_eq, zar_eq_top,
                   zar_join, zar_leq, zar_meet, zar_top)
@@ -144,29 +143,29 @@ def test_order_unit_bridge():
         f, g = random_element(ring, rng, 2), random_element(ring, rng, 2)
         order = zar_leq(support_D(g), support_D(f))
         L = localize(ring, g)
-        unit = frac_is_unit(L.from_base(f)) is not None
+        unit = is_unit(L.element(L.from_base(f))) is not None
         assert order == unit, (ring, str(f), str(g))
 
 
 def test_restrict_examples():
     L2 = localize(Z, 2)
-    assert loc_eq_top(restrict(L2, support_D(Z.element(2))))
-    assert restrict(L2, zar_bottom(Z)) == loc_bottom(L2)
+    assert zar_eq_top(restrict(L2, support_D(Z.element(2)))).verify()
+    assert restrict(L2, zar_bottom(Z)) == zar_bottom(L2)
     r = restrict(L2, support_D(Z.element(6)))
-    assert loc_eq(r, loc_zar_elt(L2, [L2.fraction(3)]))
+    assert zar_eq(r, zar_elt(L2, [L2.fraction(3)]))
 
 
 def test_pushdown_examples():
     L2 = localize(Z, 2)
-    assert zar_eq(pushdown(L2, loc_top(L2)), support_D(Z.element(2)))
-    assert pushdown(L2, loc_zar_elt(L2, [L2.fraction(3, 1)])) == \
+    assert zar_eq(pushdown(L2, zar_top(L2)), support_D(Z.element(2)))
+    assert pushdown(L2, zar_elt(L2, [L2.fraction(3, 1)])) == \
         support_D(Z.element(6))
     Qx = polynomial_ring(Rationals(), ["x"])
     x = Qx.var("x")
     Lx = localize(Qx, x)
-    assert zar_eq(pushdown(Lx, loc_zar_elt(Lx, [Lx.fraction(x ** 2, 1)])),
+    assert zar_eq(pushdown(Lx, zar_elt(Lx, [Lx.fraction(x ** 2, 1)])),
                   support_D(x))
-    assert zar_leq(pushdown(Lx, loc_zar_elt(Lx, [Lx.fraction(x + 1, 2)])),
+    assert zar_leq(pushdown(Lx, zar_elt(Lx, [Lx.fraction(x + 1, 2)])),
                    support_D(x))
 
 
@@ -189,13 +188,13 @@ def test_pushdown_is_lattice_map_on_samples():
         f = random_element(ring, rng, 1)
         L = localize(ring, f)
         def rand_loc():
-            return loc_zar_elt(L, [L.fraction(random_element(ring, rng, 2),
-                                              rng.randrange(3))
-                                   for _ in range(rng.randrange(3))])
+            return zar_elt(L, [L.fraction(random_element(ring, rng, 2),
+                                          rng.randrange(3))
+                               for _ in range(rng.randrange(3))])
         u, v = rand_loc(), rand_loc()
-        assert zar_eq(pushdown(L, loc_join(u, v)),
+        assert zar_eq(pushdown(L, zar_join(u, v)),
                       zar_join(pushdown(L, u), pushdown(L, v)))
-        assert zar_eq(pushdown(L, loc_meet(u, v)),
+        assert zar_eq(pushdown(L, zar_meet(u, v)),
                       zar_meet(pushdown(L, u), pushdown(L, v)))
         assert zar_leq(pushdown(L, u), support_D(f))
 
@@ -216,11 +215,11 @@ def test_zariski_separated_random():
             positives += 1
             for f in cover.elements:
                 L = localize(ring, f)
-                assert loc_eq(restrict(L, u), restrict(L, v))
+                assert zar_eq(restrict(L, u), restrict(L, v))
         else:
             negatives += 1
             differs = any(
-                not loc_eq(restrict(localize(ring, f), u),
+                not zar_eq(restrict(localize(ring, f), u),
                            restrict(localize(ring, f), v))
                 for f in cover.elements)
             assert differs, (ring, str(u), str(v),

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from zkit import (BaseMismatch, IntegerRing, InvalidWitness, NotWellDefined,
                   PrimeField, Rationals, ResidueRing, UnsupportedBase,
-                  canonical_map, compose_canonical, double_localization_maps,
-                  frac_eq, frac_is_unit, frac_reduce,
-                  from_presentation, localize, make_hom, make_loc_hom,
-                  polynomial_ring, quotient_by, to_presentation,
-                  universal_property)
-from helpers import random_element, random_ring
+                  canonical_map, double_localization_maps, frac_eq,
+                  from_presentation, hom_compose, is_unit, localize,
+                  make_hom, polynomial_ring, quotient_by, to_presentation,
+                  universal_property, zar_elt, zar_eq_top, zar_leq)
+from helpers import (random_element, random_ring, ref_frac_eq,
+                     ref_loc_eq_top, ref_loc_leq)
 
 Z = IntegerRing()
 
@@ -23,7 +23,7 @@ def test_frac_eq_examples():
     Qxy = polynomial_ring(Rationals(), ["x", "y"])
     R = quotient_by(Qxy, [Qxy.var("x") * Qxy.var("y")])
     Ly = localize(R, R.var("y"))
-    assert frac_eq(Ly.from_base(R.var("x")), Ly.zero())
+    assert frac_eq(Ly.from_base(R.var("x")), Ly.fraction(0))
     with pytest.raises(BaseMismatch):
         frac_eq(L2.fraction(1, 0), localize(Z, 3).fraction(1, 0))
 
@@ -76,39 +76,40 @@ def test_frac_arith_congruence_random():
         a2 = L.fraction(a.num * f ** 2, a.exp + 2)
         b = L.fraction(random_element(ring, rng, 2), rng.randrange(3))
         assert frac_eq(a, a2)
-        assert frac_eq(a + b, a2 + b)
-        assert frac_eq(a * b, a2 * b)
-        assert frac_eq(a + (-a), L.zero())
-        assert frac_eq(a + L.zero(), a)
+        A, A2, B = L.element(a), L.element(a2), L.element(b)
+        assert A == A2
+        assert A + B == A2 + B
+        assert A * B == A2 * B
+        assert A + (-A) == L.zero()
+        assert A + L.zero() == A
+        # the ring operations are the fraction formulas
+        assert A + B == L.element(L.fraction(
+            a.num * f ** b.exp + b.num * f ** a.exp, a.exp + b.exp))
+        assert A - B == L.element(L.fraction(
+            a.num * f ** b.exp - b.num * f ** a.exp, a.exp + b.exp))
+        assert A * B == L.element(L.fraction(a.num * b.num, a.exp + b.exp))
 
 
 def test_frac_arith_examples():
     L2 = localize(Z, 2)
-    s = L2.fraction(1, 1) + L2.fraction(1, 1)
-    assert s.num.payload == 4 and s.exp == 2
-    assert frac_eq(s, L2.one())
-    prod = L2.fraction(3, 1) * L2.fraction(4, 1)
-    assert frac_eq(prod, L2.fraction(3, 0))
-
-
-def test_frac_reduce():
-    L2 = localize(Z, 2)
-    r = frac_reduce(L2.fraction(12, 2))
-    assert (r.num.payload, r.exp) == (3, 0)
-    assert frac_eq(r, L2.fraction(12, 2))
-    r2 = frac_reduce(L2.fraction(3, 1))
-    assert (r2.num.payload, r2.exp) == (3, 1)
+    s = L2.element(L2.fraction(1, 1)) + L2.element(L2.fraction(1, 1))
+    assert s.payload == (1, 0)  # 4/4, written with the least exponent
+    assert s == L2.one()
+    prod = L2.element(L2.fraction(3, 1)) * L2.element(L2.fraction(4, 1))
+    assert prod == L2.element(L2.fraction(3, 0))
+    assert L2.element(L2.fraction(12, 2)).payload == (3, 0)
+    assert L2.element(L2.fraction(3, 1)).payload == (3, 1)
 
 
 def test_canonical_map():
     L2 = localize(Z, 2)
     cm = canonical_map(L2)
-    assert cm(Z.element(5)) == L2.fraction(5, 0)
-    w = frac_is_unit(cm(Z.element(2)))
-    assert w is not None and frac_eq(cm(Z.element(2)) * w, L2.one())
+    assert cm(Z.element(5)) == L2.element(L2.fraction(10, 1))
+    w = is_unit(cm(Z.element(2)))
+    assert w is not None and cm(Z.element(2)) * w == L2.one()
     # kernel: 4 dies in (Z/8)[1/2]
     L82 = localize(ResidueRing(8), 2)
-    assert frac_eq(canonical_map(L82)(ResidueRing(8).element(4)), L82.zero())
+    assert canonical_map(L82)(ResidueRing(8).element(4)) == L82.zero()
 
 
 def test_universal_property():
@@ -185,21 +186,22 @@ def test_presentation_fresh_variable():
 
 
 def test_frac_is_unit_paths():
-    # integer path and presentation path must both verify
+    # the integer kinds and the presentation kind must all verify
     L2 = localize(Z, 2)
-    w = frac_is_unit(L2.fraction(4, 1))
-    assert w is not None and frac_eq(L2.fraction(4, 1) * w, L2.one())
-    assert frac_is_unit(L2.fraction(3, 1)) is None
+    a = L2.element(L2.fraction(4, 1))
+    w = is_unit(a)
+    assert w is not None and a * w == L2.one()
+    assert is_unit(L2.element(L2.fraction(3, 1))) is None
     Z12 = ResidueRing(12)
-    L = localize(Z12, 2)
-    w = frac_is_unit(L.fraction(8, 1))  # 8 = 2^3 up to the unit 2 mod ...
-    if w is not None:
-        assert frac_eq(L.fraction(8, 1) * w, L.one())
+    L = localize(Z12, 2)  # Z/3: 8/2 = 4 = 1
+    a = L.element(L.fraction(8, 1))
+    w = is_unit(a)
+    assert w is not None and a * w == L.one()
     F5x = polynomial_ring(PrimeField(5), ["x"])
     Lx = localize(F5x, F5x.var("x"))
-    w = frac_is_unit(Lx.fraction(F5x.var("x") ** 3, 1))
-    assert w is not None and frac_eq(Lx.fraction(F5x.var("x") ** 3, 1) * w,
-                                     Lx.one())
+    a = Lx.element(Lx.fraction(F5x.var("x") ** 3, 1))
+    w = is_unit(a)
+    assert w is not None and a * w == Lx.one()
 
 
 def test_loc_hom_and_compose_canonical():
@@ -208,11 +210,11 @@ def test_loc_hom_and_compose_canonical():
     x = Qx.var("x")
     L = localize(Qx, x)
     psi = make_hom(Qt, Qx, (x ** 2,))
-    h = compose_canonical(L, psi)
+    h = hom_compose(canonical_map(L), psi)
     out = h(Qt.var("t") + 1)
-    assert frac_eq(out, L.from_base(x ** 2 + 1))
-    h2 = make_loc_hom(Qt, L, (L.fraction(Qx.one(), 1),))
-    assert frac_eq(h2(Qt.var("t") ** 2), L.fraction(Qx.one(), 2))
+    assert out == L.element(L.from_base(x ** 2 + 1))
+    h2 = make_hom(Qt, L, (L.fraction(Qx.one(), 1),))
+    assert h2(Qt.var("t") ** 2) == L.element(L.fraction(Qx.one(), 2))
 
 
 def test_loc_hom_from_q_algebra_into_zero_ring():
@@ -220,12 +222,64 @@ def test_loc_hom_from_q_algebra_into_zero_ring():
     # Q-algebra
     Qx = polynomial_ring(Rationals(), ["x"])
     L0 = localize(Z, 0)
-    h = make_loc_hom(Qx, L0, (L0.zero(),))
-    assert frac_eq(h(Qx.var("x") + 1), L0.zero())
+    h = make_hom(Qx, L0, (L0.zero(),))
+    assert h(Qx.var("x") + 1) == L0.zero()
 
 
 def test_loc_hom_from_q_algebra_into_nonzero_z_localization():
     Qx = polynomial_ring(Rationals(), ["x"])
     L2 = localize(Z, 2)
     with pytest.raises(NotWellDefined):
-        make_loc_hom(Qx, L2, (L2.zero(),))
+        make_hom(Qx, L2, (L2.zero(),))
+
+
+def _reference_cases():
+    """(base ring, f) pairs: Z, Z/n with zero divisors, a nilpotent f
+    over Z/8 (the zero ring), Z[1/0], Q[x]/I and Fp[x,y]/I."""
+    Qx = polynomial_ring(Rationals(), ["x"])
+    Qx_I = quotient_by(Qx, [Qx.var("x") ** 3 - Qx.var("x") ** 2])
+    x = Qx_I.var("x")
+    F5xy = polynomial_ring(PrimeField(5), ["x", "y"])
+    F5_I = quotient_by(F5xy, [F5xy.var("x") * F5xy.var("y"),
+                              F5xy.var("y") ** 2 - F5xy.var("y")])
+    X, Y = F5_I.var("x"), F5_I.var("y")
+    Z8, Z12, Z36 = ResidueRing(8), ResidueRing(12), ResidueRing(36)
+    return [(Z, 2), (Z, 6), (Z, -3), (Z, 0), (Z, 1),
+            (Z12, 2), (Z12, 3), (Z36, 6), (Z36, 5), (Z8, 2), (Z8, 6),
+            (Qx_I, x), (Qx_I, x - 1), (Qx_I, x ** 2 - x),
+            (F5_I, X), (F5_I, Y), (F5_I, X + Y), (F5_I, X * Y)]
+
+
+def test_localized_ring_matches_reference_rules():
+    """zar_leq, zar_eq_top and == over localize(R, f) agree with the rules
+    decided on written numerators in R (helpers.ref_*), on random
+    fractions and on padded copies with localization-kernel noise."""
+    rng = random.Random(89)
+    for ring, f in _reference_cases():
+        f = ring.element(f)
+        L = localize(ring, f)
+        kernel = [z for z in (random_element(ring, rng, 2) for _ in range(20))
+                  if ref_frac_eq(L.from_base(z), L.fraction(0))]
+        equal = 0
+        for _ in range(12):
+            def frac():
+                return L.fraction(random_element(ring, rng, 2),
+                                  rng.randrange(3))
+            a = frac()
+            if rng.random() < 0.5:
+                pad = rng.randrange(3)
+                noise = rng.choice(kernel) if kernel else ring.zero()
+                b = L.fraction(a.num * f ** pad + noise, a.exp + pad)
+            else:
+                b = frac()
+            same = L.element(a) == L.element(b)
+            assert same == ref_frac_eq(a, b), (L, a, b)
+            equal += same
+            us = [frac() for _ in range(rng.randrange(3))]
+            vs = [frac() for _ in range(rng.randrange(3))]
+            assert zar_leq(zar_elt(L, us), zar_elt(L, vs)) == \
+                ref_loc_leq(us, vs), (L, us, vs)
+            cert = zar_eq_top(zar_elt(L, vs))
+            assert (cert is not None) == ref_loc_eq_top(L, vs), (L, vs)
+            assert cert is None or cert.verify()
+        assert equal > 0, L

@@ -5,7 +5,7 @@ import pytest
 from zkit import (CodomainNotFinite, CompactOpen, IntegerRing, PrimeField,
                   QuotientRing, Rationals, affine_cover, compact_open,
                   empty_open, enumerate_homs, function_eval, localize,
-                  locality_trial, loc_point_membership, make_hom,
+                  locality_trial, make_hom,
                   point_from_localized_hom, point_membership,
                   point_to_localized_hom, points_over, polynomial_ring,
                   qcqs_certificate, quotient_by, standard_open,
@@ -174,11 +174,12 @@ def test_loc_point_membership():
     F5x = polynomial_ring(PrimeField(5), ["x"])
     V = standard_open(F5x, F5x.var("x"))
     L = localize(F5, F5.from_int(2))
-    from zkit import make_loc_hom
-    h = make_loc_hom(F5x, L, (L.from_base(F5.from_int(3)),))
-    assert loc_point_membership(V, h)
-    h0 = make_loc_hom(F5x, L, (L.from_base(F5.zero()),))
-    assert not loc_point_membership(V, h0)
+    h = make_hom(F5x, L, (L.from_base(F5.from_int(3)),))
+    pt = point_membership(V, h)
+    assert pt is not None and pt.witness.verify()
+    assert pt.witness.ring == L
+    h0 = make_hom(F5x, L, (L.from_base(F5.zero()),))
+    assert point_membership(V, h0) is None
 
 
 def test_locality_trials():

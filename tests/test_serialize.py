@@ -1,6 +1,7 @@
 """Reading element expressions: the term-dict evaluator against the
-RingElement evaluator it replaced (tests/helpers.py), script leaves, and
-certificates whose powers or products would cost without bound."""
+RingElement evaluator it replaced (tests/helpers.py), script leaves,
+certificates whose powers or products would cost without bound, and the
+exponents a glue certificate claims."""
 import random
 import time
 
@@ -12,7 +13,8 @@ from zkit import (IntegerRing, PrimeField, QuotientRing, Rationals,
                   ResidueRing)
 from zkit.dsl import BinOp, IntLit, NameRef, Neg, Pow, RatLit
 from zkit.errors import InvalidWitness, ZkitError
-from zkit.interp import run_source
+from zkit.interp import Options, run_source
+from zkit.limits import limits
 from zkit.serialize import (element_from_str, eval_element_expr,
                             verify_certificate)
 
@@ -178,3 +180,93 @@ def test_huge_powers_of_a_variable_stay_cheap(ring):
         _cert(ring, [power, f"1 - {power}"], ["1", "1"]))
     assert time.perf_counter() - start < 1.0
     assert ok, detail
+
+
+def _glue_cert(source):
+    """The certificate of the last statement of source, a glue."""
+    result = run_source(source).results[-1]
+    assert result.status == "ok", result.result
+    return result.certificate
+
+
+_GLUE_QX = ("ring S = Q[x]; "
+            "glue cover [x + 1, -x] with [(x + 1) / (x + 1)^1, 1 / (-x)^0];")
+_GLUE_Z48 = "ring R = Z/48; glue cover [2, 3] with [13 / 2^1, 31 / 3^1];"
+_GLUE_Z3 = ("ring R = Z; "
+            "glue cover [2, 3, 5] with [28 / 2^2, 21 / 3^1, 7 / 5^0];")
+
+
+@pytest.mark.parametrize("exp", [2000, 65, -1, True, 1.0, "1", None])
+def test_verify_rejects_glue_exponents_outside_the_cap_at_once(exp):
+    """f^exp is never taken for an exponent outside [0, max_exponent]:
+    2000 over Q[x] took seconds when it was."""
+    cert = _glue_cert(_GLUE_QX)
+    assert verify_certificate(cert)[0]
+    cert["family"][0]["exp"] = exp
+    start = time.perf_counter()
+    ok, detail = verify_certificate(cert)
+    assert time.perf_counter() - start < 1.0
+    assert not ok and "family exponent" in detail and "[0, 64]" in detail
+
+
+def test_glue_statement_refuses_exponents_over_the_cap():
+    report = run_source("ring S = Q[x]; "
+                        "glue cover [x + 1, -x] with "
+                        "[(x + 1)^65 / (x + 1)^65, 1 / (-x)^0];")
+    result = report.results[-1]
+    assert result.status == "error" and result.certificate is None
+    assert result.result["kind"] == "ResourceExceeded"
+    assert "max_exponent=64" in result.result["message"]
+    # under --max-exp 3 the cap moves, for the statement and verify alike
+    source = ("ring S = Q[x]; glue cover [x + 1, -x] with "
+              "[(x + 1)^{0} / (x + 1)^{0}, 1 / (-x)^0];")
+    with limits(max_exponent=3):
+        at_cap = run_source(source.format(3)).results[-1]
+        assert at_cap.status == "ok"
+        assert verify_certificate(at_cap.certificate)[0]
+    over = run_source(source.format(4),
+                      Options(max_exponent=3)).results[-1]
+    assert over.result["kind"] == "ResourceExceeded"
+    assert "max_exponent=3" in over.result["message"]
+
+
+@pytest.mark.parametrize("source", [_GLUE_QX, _GLUE_Z48, _GLUE_Z3],
+                         ids=["Qx", "Z48", "Z-three-opens"])
+@pytest.mark.parametrize("edit", [
+    "garbage", "cut", "emptied", "extra", "swapped", "wrong-k", "k-over-cap",
+    "k-negative", "k-bool", "k-float", "entry-short", "entry-indices"])
+def test_verify_checks_pair_exponents(source, edit):
+    cert = _glue_cert(source)
+    assert verify_certificate(cert) == (
+        True, "cover verifies and all restrictions match")
+    pairs = cert["pair_exponents"]
+    i, j, k = pairs[0]
+    if edit == "wrong-k":
+        if k == 0:  # k = 0 already kills the difference: any k does
+            return
+        pairs[0] = [i, j, k - 1]  # the least k, so k - 1 does not
+    else:
+        cert["pair_exponents"] = {
+            "garbage": "garbage",
+            "cut": pairs[:-1],
+            "emptied": [],
+            "extra": pairs + [[0, 1, 0]],
+            "swapped": pairs[::-1] if len(pairs) > 1 else [[j, i, k]],
+            "k-over-cap": [[i, j, 65]] + pairs[1:],
+            "k-negative": [[i, j, -1]] + pairs[1:],
+            "k-bool": [[i, j, True]] + pairs[1:],
+            "k-float": [[i, j, float(k)]] + pairs[1:],
+            "entry-short": [[i, j]] + pairs[1:],
+            "entry-indices": [[i, j + 1, k]] + pairs[1:],
+        }[edit]
+    ok, detail = verify_certificate(cert)
+    assert not ok and "pair" in detail, detail
+
+
+def test_pair_exponents_cap_follows_the_saturation_bound():
+    """Over Z/n the saturation scan may go up to n's bit length + 1, so
+    verify accepts pair exponents up to that as well."""
+    cert = _glue_cert(_GLUE_Z48)
+    assert cert["pair_exponents"] == [[0, 1, 4]]
+    cert["pair_exponents"] = [[0, 1, 64]]
+    assert verify_certificate(cert)[0]  # any k past the least one holds
