@@ -140,6 +140,13 @@ def radical_witness(a: RingElement, ideal: FinGenIdeal):
     """
     if not radical_member(a, ideal):
         return None
+    return radical_exponent(a, ideal)
+
+
+def radical_exponent(a: RingElement, ideal: FinGenIdeal):
+    """(k, cofactors) for the least k <= the exponent cap with a^k in the
+    ideal, for an a already known to lie in its radical; raises
+    ResourceExceeded when no k under the cap works."""
     cap = current_limits().max_exponent
     power = a
     for k in range(1, cap + 1):

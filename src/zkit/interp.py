@@ -25,7 +25,7 @@ from .errors import (IncompatibleFamily, NotUnimodular, NotWellDefined,
                      ResourceExceeded, TypeMismatch, UnknownName,
                      UnsupportedBase, ZkitError)
 from .gluing import glue_element, make_cover, make_family
-from .ideals import fin_gen_ideal, radical_member, radical_witness, \
+from .ideals import fin_gen_ideal, radical_exponent, radical_member, \
     unimodular_certificate
 from .lattice import ZarElt, zar_elt, zar_eq, zar_join, zar_leq, zar_meet
 from .limits import current_limits, limits
@@ -278,7 +278,7 @@ def _execute(stmt, env: _Env, options: Options):
         cert = None
         exponent = None
         try:
-            exponent, cofs = radical_witness(a, ideal)
+            exponent, cofs = radical_exponent(a, ideal)
             cert = serialize.membership_to_json(ideal.ring, a,
                                                 ideal.generators, cofs,
                                                 exponent)

@@ -86,12 +86,15 @@ def zar_meet(u: ZarElt, v: ZarElt) -> ZarElt:
 
 
 def zar_leq(u: ZarElt, v: ZarElt) -> bool:
-    """u <= v iff every generator of u lies in sqrt(<generators of v>)."""
+    """u <= v iff every generator of u lies in sqrt(<generators of v>);
+    a generator of v itself needs no decision."""
     _check_ring(u, v)
     if u.generators == v.generators:
         return True
     ideal = fin_gen_ideal(v.ring, v.generators)
-    return all(radical_member(g, ideal) for g in u.generators)
+    own = {g.payload for g in v.generators}
+    return all(g.payload in own or radical_member(g, ideal)
+               for g in u.generators)
 
 
 def zar_eq(u: ZarElt, v: ZarElt) -> bool:

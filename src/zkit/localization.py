@@ -11,7 +11,10 @@ kind builds its own localization (ring.localization(f)), with payloads
   coprime to f, since (Z/n)[1/f] is Z/m (the zero ring when m = 1);
 - over k[x]/I, the normal form of num*t^exp modulo the reduced basis of
   I + <1 - t*f> in k[x, t] (rings._saturation_basis), the Rabinowitsch
-  presentation.
+  presentation;
+- over the field k itself (rings.FieldRing), the field payload of
+  num*f^(-exp), since k[1/f] is k for f != 0 (and the zero ring, with
+  payload 0, for f = 0); no basis is computed.
 
 Radical membership is decided back in R on numerators, the denominators
 being units: a/f^k lies in sqrt(<b_i/f^k_i>) iff a*f lies in
@@ -176,7 +179,33 @@ class LocalizedIntegers(LocalizedRing):
         return self.fraction(x[0], x[1])
 
 
-class LocalizedQuotient(LocalizedRing):
+class _Presented(LocalizedRing):
+    """(k[x]/I)[1/f], with the Rabinowitsch presentation."""
+
+    def sort_key(self, x):
+        return self.ring.sort_key(x)
+
+    @property
+    def inverse_variable(self) -> str:
+        return self.presentation.variables[-1]
+
+    @cached_property
+    def presentation(self) -> QuotientRing:
+        """base[y]/(relations + <y*f - 1>) (Rabinowitsch presentation),
+        with y renamed y1, y2, ... if the base already has a y."""
+        base = self.ring
+        name = "y"
+        k = 0
+        while name in base.variables:
+            k += 1
+            name = f"y{k}"
+        free = polynomial_ring(base.base, base.variables + (name,), base.order)
+        rels = [free.element(poly.p_extend(r)) for r in base.relations]
+        f = free.element(poly.p_extend(self.f.payload))
+        return quotient_by(free, rels + [free.var(name) * f - 1])
+
+
+class LocalizedQuotient(_Presented):
     """(k[x]/I)[1/f]; payloads are normal forms in k[x, t] modulo the
     basis of I + <1 - t*f> (see the module docstring)."""
 
@@ -206,9 +235,6 @@ class LocalizedQuotient(LocalizedRing):
     def neg(self, x):
         return poly.p_neg(self._basis[0], x)
 
-    def sort_key(self, x):
-        return self.ring.sort_key(x)
-
     def unit_cofactors(self, gens):
         """One tracked Groebner computation in k[x, t] with the basis of
         I + <1 - t*f> adjoined."""
@@ -231,24 +257,40 @@ class LocalizedQuotient(LocalizedRing):
             num = num + normalize(base, terms) * f ** (top - k)
         return Fraction(base, f, num, top)
 
-    @property
-    def inverse_variable(self) -> str:
-        return self.presentation.variables[-1]
 
-    @cached_property
-    def presentation(self) -> QuotientRing:
-        """base[y]/(relations + <y*f - 1>) (Rabinowitsch presentation),
-        with y renamed y1, y2, ... if the base already has a y."""
-        base = self.ring
-        name = "y"
-        k = 0
-        while name in base.variables:
-            k += 1
-            name = f"y{k}"
-        free = polynomial_ring(base.base, base.variables + (name,), base.order)
-        rels = [free.element(poly.p_extend(r)) for r in base.relations]
-        f = free.element(poly.p_extend(self.f.payload))
-        return quotient_by(free, rels + [free.var(name) * f - 1])
+class LocalizedField(_Presented):
+    """k[1/c] for the field k (rings.FieldRing), on k's own payloads: k
+    itself when c != 0, where num/c^exp is num * c^(-exp), and the zero
+    ring when c = 0.  No saturation basis is computed."""
+
+    def _make(self, num, exp: int):
+        k, c = self.ring, self.f.payload
+        if not c:
+            return ()  # k[1/0] is the zero ring
+        if not exp:
+            return num
+        inverse = RingElement(k, k.unit_cofactors([c])[0])
+        return k.mul(num, (inverse ** exp).payload)
+
+    def add(self, x, y):
+        return self.ring.add(x, y)
+
+    def sub(self, x, y):
+        return self.ring.sub(x, y)
+
+    def mul(self, x, y):
+        return self.ring.mul(x, y)
+
+    def neg(self, x):
+        return self.ring.neg(x)
+
+    def unit_cofactors(self, gens):
+        if not self.f.payload:  # 1 = 0 here: every cofactor is 0
+            return [()] * len(list(gens))
+        return self.ring.unit_cofactors(gens)
+
+    def written(self, x) -> Fraction:
+        return Fraction(self.ring, self.f, RingElement(self.ring, x), 0)
 
 
 def localize(ring, f) -> LocalizedRing:

@@ -13,8 +13,10 @@ kind of ring they hold.  Z and Z/n share one implementation in which Z
 is the modulus-0 case; their payloads are ints and their ideals are
 principal, so a gcd with extended-Euclid cofactors stands in for a
 Groebner basis.  Quotient rings compute with Buchberger in the free
-polynomial ring, with the relations adjoined.  R[1/f] answers the part
-of the protocol that lattices and homs into it use.
+polynomial ring, with the relations adjoined; the quotient with no
+variables and no relations is the field itself (FieldRing), which
+computes on its one coefficient instead.  R[1/f] answers the part of
+the protocol that lattices and homs into it use.
 
 - variables, relations: generator names and defining relations as
   free-ring polynomials; both () for Z, Z/n and R[1/f].
@@ -272,8 +274,8 @@ def _int_radical_member(a: int, d: int) -> bool:
 class QuotientRing(_Ring):
     """base[x1, ..., xn] / <relations>, for base Q or Fp.
 
-    With no variables this is just the base field; with no relations it
-    is the free polynomial ring.  Relations are stored as canonical
+    With no variables and no relations this is the base field, built as
+    a FieldRing; with no relations it is the free polynomial ring.  Relations are stored as canonical
     free-ring polynomials; their reduced Groebner basis is computed once
     and cached, and every element payload is a normal form modulo it.
     """
@@ -284,6 +286,12 @@ class QuotientRing(_Ring):
     order: str = "grevlex"
 
     saturation_bound = 0
+
+    def __new__(cls, base=None, variables=(), relations=(), order="grevlex"):
+        # copy and pickle call this with no arguments: keep cls then
+        if base is not None and not variables and not relations:
+            cls = FieldRing
+        return super().__new__(cls)
 
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
@@ -424,6 +432,84 @@ class QuotientRing(_Ring):
     def saturates(self, a, f) -> bool:
         ctx, basis = _saturation_basis(self, f)
         return not poly.normal_form(ctx, poly.p_extend(a), basis)
+
+
+class FieldRing(QuotientRing):
+    """The field k (Q or Fp) as a ring: what QuotientRing(k) builds.
+
+    Payloads keep the shape of a constant polynomial, ((), c) for c != 0
+    and () for 0, so printing, serialization and certificates read them
+    as before.  Arithmetic and the ideal primitives work on the one
+    coefficient c, with no Groebner engine: every nonzero element is a
+    unit, so an ideal is (1) as soon as one generator is nonzero, and
+    its cofactors are the inverse of the first nonzero generator and
+    zeros elsewhere, which is what the engine returns.
+    """
+
+    is_trivial = False
+
+    def _scalar(self, c) -> Poly:
+        return (((), c),) if c else ()
+
+    def canonical(self, raw) -> Poly:
+        if isinstance(raw, dict):
+            raw = raw.get((), 0)
+        elif isinstance(raw, tuple):
+            raw = dict(raw).get((), 0)
+        elif not isinstance(raw, (int, _Q)):
+            raise TypeError(f"cannot read {raw!r} in {self}")
+        return self._scalar(self.base.coerce(raw))
+
+    def add(self, x, y):
+        if not x:
+            return y
+        if not y:
+            return x
+        return self._scalar(self.base.add(x[0][1], y[0][1]))
+
+    def sub(self, x, y):
+        if not y:
+            return x
+        if not x:
+            return self.neg(y)
+        return self._scalar(self.base.sub(x[0][1], y[0][1]))
+
+    def mul(self, x, y):
+        if not x or not y:
+            return ()
+        return (((), self.base.mul(x[0][1], y[0][1])),)
+
+    def neg(self, x):
+        return (((), self.base.neg(x[0][1])),) if x else ()
+
+    def localization(self, f):
+        from .localization import LocalizedField  # built on this module
+        return LocalizedField(self, f)
+
+    def ideal_basis(self, gens):
+        cof = self.unit_cofactors(gens)
+        if cof is None:
+            return (), ()
+        return (self._scalar(self.base.one),), (cof,)
+
+    def divide(self, x, basis):
+        # a basis here is () or (1,), see ideal_basis
+        return ([x], ()) if basis else ([], x)
+
+    def unit_cofactors(self, gens):
+        gens = list(gens)
+        for i, g in enumerate(gens):
+            if g:
+                cof = [()] * len(gens)
+                cof[i] = (((), self.base.invert(g[0][1])),)
+                return cof
+        return None
+
+    def radical_member(self, a, gens) -> bool:
+        return not a or any(gens)
+
+    def saturates(self, a, f) -> bool:
+        return not a or not f
 
 
 def _rabinowitsch_basis(ring: QuotientRing, gens, f):

@@ -1,5 +1,7 @@
 """Names that live outside src/zkit still resolve in zkit: README's
-Python examples and the span table the benchmark's tracer wraps."""
+Python examples and the span table the benchmark's tracer wraps; and
+src/zkit keeps the rules its readers rely on."""
+import ast
 import importlib
 import importlib.util
 import re
@@ -32,3 +34,13 @@ def test_trace_spans_resolve():
     for mod, attr, _ in trace.SPANS:
         module = importlib.import_module(f"zkit.{mod}")
         assert callable(getattr(module, attr, None)), f"zkit.{mod}.{attr}"
+
+
+def test_src_has_no_assert_statements():
+    """Invariants raise: `python -O` strips assert statements."""
+    found = []
+    for path in sorted((ROOT / "src" / "zkit").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"assert statements in src/zkit: {found}"

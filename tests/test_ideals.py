@@ -237,3 +237,24 @@ def test_caches_are_bounded():
     info = rings._saturation_basis.cache_info()
     assert info.maxsize == rings.SATURATION_CACHE_SIZE
     assert info.currsize <= info.maxsize
+
+
+def test_radical_member_statement_decides_once(monkeypatch):
+    """A radical-member statement runs one Rabinowitsch basis; when the
+    witness search hits the exponent cap the element is still a member,
+    with no exponent and no certificate."""
+    from zkit import dsl, interp, rings
+    runs = []
+    real = rings._rabinowitsch_basis
+    monkeypatch.setattr(rings, "_rabinowitsch_basis",
+                        lambda *args: runs.append(args) or real(*args))
+    script = dsl.parse("ring S = Q[x, y];\n"
+                       "radical-member x + y in [x^3, y^2];\n")
+    _, res = interp.run_script(script).results
+    assert res.result == {"member": True, "exponent": 4}
+    assert res.certificate is not None and len(runs) == 1
+    runs.clear()
+    _, res = interp.run_script(script, interp.Options(max_exponent=2)).results
+    assert res.status == "ok"
+    assert res.result == {"member": True, "exponent": None}
+    assert res.certificate is None and len(runs) == 1

@@ -224,3 +224,19 @@ def test_zariski_separated_random():
                 for f in cover.elements)
             assert differs, (ring, str(u), str(v),
                              [str(f) for f in cover.elements])
+
+
+def test_zar_leq_decides_only_foreign_generators(monkeypatch):
+    """A generator of u that is a generator of v lies in sqrt(<v>)
+    without a radical-membership decision."""
+    from zkit import lattice
+    decided = []
+    real = lattice.radical_member
+    monkeypatch.setattr(lattice, "radical_member",
+                        lambda a, ideal: decided.append(a) or real(a, ideal))
+    Qxy = polynomial_ring(Rationals(), ["x", "y"])
+    x, y = Qxy.var("x"), Qxy.var("y")
+    assert zar_leq(zar_elt(Qxy, [x, y]), zar_elt(Qxy, [x, y, x * y]))
+    assert decided == []
+    assert not zar_leq(zar_elt(Qxy, [x, x + 1]), zar_elt(Qxy, [x, y]))
+    assert decided == [x + 1]
