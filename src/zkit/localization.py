@@ -246,16 +246,7 @@ class LocalizedQuotient(_Presented):
         return [poly.normal_form(ctx, c, basis) for c in cof[:len(gens)]]
 
     def written(self, x) -> Fraction:
-        """Substitute t = 1/f: sum_k g_k t^k |-> (sum_k g_k f^(K-k)) / f^K."""
-        base, f = self.ring, self.f
-        slices = {}
-        for mono, coeff in x:
-            slices.setdefault(mono[-1], {})[mono[:-1]] = coeff
-        top = max(slices, default=0)
-        num = base.zero()
-        for k, terms in slices.items():
-            num = num + normalize(base, terms) * f ** (top - k)
-        return Fraction(base, f, num, top)
+        return _inverse_substituted(self, x)
 
 
 class LocalizedField(_Presented):
@@ -267,10 +258,9 @@ class LocalizedField(_Presented):
         k, c = self.ring, self.f.payload
         if not c:
             return ()  # k[1/0] is the zero ring
-        if not exp:
+        if not exp or not num:
             return num
-        inverse = RingElement(k, k.unit_cofactors([c])[0])
-        return k.mul(num, (inverse ** exp).payload)
+        return k._scalar(k.base.div(num[0][1], c[0][1] ** exp))
 
     def add(self, x, y):
         return self.ring.add(x, y)
@@ -369,11 +359,29 @@ def double_localization_maps(ring, fi, fj):
 
 def to_presentation(L: LocalizedRing, a: Fraction) -> RingElement:
     """r/f^n |-> r * y^n reduced in base[y]/(relations + <y*f - 1>)."""
-    return normalize(L.presentation, normalize(L, a).payload)
+    pres = L.presentation
+    fr = L.written(normalize(L, a).payload)
+    y = pres.var(L.inverse_variable)
+    return normalize(pres, poly.p_extend(fr.num.payload)) * y ** fr.exp
 
 
 def from_presentation(L: LocalizedRing, e: RingElement) -> Fraction:
     """Substitute y = 1/f: sum_k g_k * y^k |-> (sum_k g_k f^(K-k)) / f^K."""
     if e.ring != L.presentation:
         raise RingMismatch(f"{e!r} is not in the presentation of {L}")
-    return L.written(e.payload)
+    return _inverse_substituted(L, e.payload)
+
+
+def _inverse_substituted(L: LocalizedRing, x) -> Fraction:
+    """The fraction of a polynomial in base[t], t its last variable and
+    standing for 1/f: the written form of a LocalizedQuotient payload
+    and of an element of the presentation."""
+    base, f = L.ring, L.f
+    slices = {}
+    for mono, coeff in x:
+        slices.setdefault(mono[-1], {})[mono[:-1]] = coeff
+    top = max(slices, default=0)
+    num = base.zero()
+    for k, terms in slices.items():
+        num = num + normalize(base, terms) * f ** (top - k)
+    return Fraction(base, f, num, top)

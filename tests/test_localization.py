@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zkit import (BaseMismatch, IntegerRing, InvalidWitness, NotWellDefined,
-                  PrimeField, Rationals, ResidueRing, UnsupportedBase,
-                  canonical_map, double_localization_maps, frac_eq,
-                  from_presentation, hom_compose, is_unit, localize,
-                  make_hom, polynomial_ring, quotient_by, to_presentation,
-                  universal_property, zar_elt, zar_eq_top, zar_leq)
+                  PrimeField, QuotientRing, Rationals, ResidueRing,
+                  UnsupportedBase, canonical_map, double_localization_maps,
+                  frac_eq, from_presentation, hom_compose, is_unit,
+                  localize, make_hom, polynomial_ring, quotient_by,
+                  to_presentation, universal_property, zar_elt, zar_eq_top,
+                  zar_leq)
 from helpers import (random_element, random_ring, ref_frac_eq,
                      ref_loc_eq_top, ref_loc_leq)
 
@@ -166,14 +167,27 @@ def test_presentation_round_trips():
     fr = from_presentation(L, L.presentation.var("y") ** 2)
     assert fr.num == Qx.one() and fr.exp == 2
     rng = random.Random(4)
-    for _ in range(30):
-        fr = L.fraction(random_element(Qx, rng, 3), rng.randrange(5))
-        back = from_presentation(L, to_presentation(L, fr))
-        assert frac_eq(back, fr)
-    for _ in range(30):
-        e = random_element(L.presentation, rng, 3)
-        back = to_presentation(L, from_presentation(L, e))
-        assert back == e
+    # the field kind has payloads of k, not of k[t]: both directions go
+    # through the written form
+    F7, Q = QuotientRing(PrimeField(7)), QuotientRing(Rationals())
+    for L in (L, localize(F7, 3), localize(Q, 2), localize(F7, 0)):
+        for _ in range(30):
+            fr = L.fraction(random_element(L.ring, rng, 3), rng.randrange(5))
+            back = from_presentation(L, to_presentation(L, fr))
+            assert back.num.ring == L.ring and frac_eq(back, fr)
+        for _ in range(30):
+            e = random_element(L.presentation, rng, 3)
+            back = to_presentation(L, from_presentation(L, e))
+            assert back == e
+    for c, inverse in ((3, 5), (0, 0)):
+        L = localize(F7, c)
+        y = L.presentation.var("y")
+        assert to_presentation(L, L.fraction(1, 1)) == y
+        assert to_presentation(L, L.fraction(c, 1)) == L.presentation.one()
+        fr = from_presentation(L, y * c)
+        assert L.element(fr) == L.one()
+        assert frac_eq(fr, L.fraction(1)) and frac_eq(fr, L.fraction(c, 1))
+        assert frac_eq(from_presentation(L, y), L.fraction(inverse))
     with pytest.raises(UnsupportedBase):
         to_presentation(localize(Z, 2), localize(Z, 2).fraction(1, 0))
 
