@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import dsl, serialize
-from .errors import (IncompatibleFamily, NotUnimodular, NotWellDefined,
-                     ResourceExceeded, TypeMismatch, UnknownName,
-                     UnsupportedBase, ZkitError)
+from .errors import (IncompatibleFamily, InvalidWitness, NotUnimodular,
+                     NotWellDefined, ResourceExceeded, TypeMismatch,
+                     UnknownName, UnsupportedBase, ZkitError)
 from .gluing import glue_element, make_cover, make_family
 from .ideals import fin_gen_ideal, radical_exponent, radical_member, \
     unimodular_certificate
@@ -391,9 +391,14 @@ def _execute(stmt, env: _Env, options: Options):
             data = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UnknownName(f"cannot read report {stmt.path!r}: {exc}")
+        entries = data.get("results", []) if type(data) is dict else None
+        if type(entries) is not list or any(type(e) is not dict
+                                            for e in entries):
+            raise InvalidWitness(f"report {stmt.path!r} is not an object "
+                                 "with a list of result objects")
         failures = []
         checked = 0
-        for entry in data.get("results", []):
+        for entry in entries:
             cert = entry.get("certificate")
             if cert is None:
                 continue
@@ -414,7 +419,7 @@ def _compact_open(u: ZarElt) -> CompactOpen:
 # ---------------------------------------------------------------------------
 # driver
 
-def _alarm_guard(timeout_ms):
+class _AlarmGuard:
     """SIGALRM-based statement timeout; only usable on the main thread.
 
     The handler raises _Timeout wherever Python happens to run it.  Where
@@ -422,31 +427,32 @@ def _alarm_guard(timeout_ms):
     as unraisable), the flag it sets makes the block raise _Timeout on
     exit all the same.
     """
-    usable = (timeout_ms and hasattr(signal, "setitimer")
-              and threading.current_thread() is threading.main_thread())
-    message = f"statement exceeded {timeout_ms} ms"
 
-    class _Guard:
-        fired = False
+    def __init__(self, timeout_ms):
+        self.timeout_ms = timeout_ms
+        self.usable = (timeout_ms and hasattr(signal, "setitimer")
+                       and threading.current_thread()
+                       is threading.main_thread())
+        self.message = f"statement exceeded {timeout_ms} ms"
+        self.fired = False
 
-        def __enter__(self):
-            if usable:
-                def handler(signum, frame):
-                    self.fired = True
-                    raise _Timeout(message)
-                self._old = signal.signal(signal.SIGALRM, handler)
-                signal.setitimer(signal.ITIMER_REAL, timeout_ms / 1000.0)
-            return self
+    def _handler(self, signum, frame):
+        self.fired = True
+        raise _Timeout(self.message)
 
-        def __exit__(self, exc_type, exc, tb):
-            if usable:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-                signal.signal(signal.SIGALRM, self._old)
-                if self.fired and exc_type is None:
-                    raise _Timeout(message)
-            return False
+    def __enter__(self):
+        if self.usable:
+            self._old = signal.signal(signal.SIGALRM, self._handler)
+            signal.setitimer(signal.ITIMER_REAL, self.timeout_ms / 1000.0)
+        return self
 
-    return _Guard()
+    def __exit__(self, exc_type, exc, tb):
+        if self.usable:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, self._old)
+            if self.fired and exc_type is None:
+                raise _Timeout(self.message)
+        return False
 
 
 def run_script(script: dsl.Script, options: Options = None) -> Report:
@@ -463,7 +469,7 @@ def run_script(script: dsl.Script, options: Options = None) -> Report:
             echo = dsl.print_statement(stmt)
             start = time.perf_counter()
             try:
-                with _alarm_guard(options.timeout_ms):
+                with _AlarmGuard(options.timeout_ms):
                     status, result, cert = _execute(stmt, env, options)
             except ZkitError as exc:
                 status = "error"

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 from . import poly
 from .errors import (BaseMismatch, InvalidWitness, RingMismatch,
@@ -283,13 +283,24 @@ class LocalizedField(_Presented):
         return Fraction(self.ring, self.f, RingElement(self.ring, x), 0)
 
 
+LOCALIZATION_CACHE_SIZE = 1024  # (ring, f) pairs whose R[1/f] is kept
+
+
+@lru_cache(maxsize=LOCALIZATION_CACHE_SIZE)
+def _localization(ring, f: RingElement) -> LocalizedRing:
+    """ring.localization(f), one per (ring, f) among the
+    LOCALIZATION_CACHE_SIZE most recently used, so that what it computes
+    once (its modulus, its basis) is computed once."""
+    return ring.localization(f)
+
+
 def localize(ring, f) -> LocalizedRing:
-    return ring.localization(normalize(ring, f))
+    return _localization(ring, normalize(ring, f))
 
 
 def frac_eq(a: Fraction, b: Fraction) -> bool:
     """r/f^n == r'/f^m in R[1/f] (BaseMismatch across R or f)."""
-    L = a.ring.localization(a.f)
+    L = _localization(a.ring, a.f)
     return L.canonical(a) == L.canonical(b)
 
 

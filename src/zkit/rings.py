@@ -20,6 +20,8 @@ the protocol that lattices and homs into it use.
 
 - variables, relations: generator names and defining relations as
   free-ring polynomials; both () for Z, Z/n and R[1/f].
+- leading_monomials: those of the relations' reduced Groebner basis; a
+  payload's monomials are the ones none of them divides.
 - characteristic: n for Z/n and p over Fp, 0 for Z and over Q.
 - is_q_algebra: whether Q maps in (quotients over Q, localized or not).
 - is_trivial: whether 1 == 0 (never for Z and Z/n).
@@ -79,6 +81,7 @@ class _Ring:
 
     variables = ()
     relations = ()
+    leading_monomials = ()
 
     def element(self, raw):
         return normalize(self, raw)
@@ -311,6 +314,10 @@ class QuotientRing(_Ring):
             return ()
         basis, _ = poly.buchberger(self.ctx, list(self.relations))
         return basis
+
+    @cached_property
+    def leading_monomials(self) -> tuple:
+        return tuple(g[0][0] for g in self.relation_basis)
 
     @cached_property
     def is_trivial(self) -> bool:

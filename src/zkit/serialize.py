@@ -1,33 +1,38 @@
 """JSON serialization for rings, elements and certificates.
 
-Certificates embed their ring description and all elements as script
-expressions, so a report is self-contained: the verify command can
-rebuild everything and re-check the claimed identities by plain ring
-arithmetic, with no access to the session that produced them.
+Certificates embed their ring description and all elements as text, so
+a report is self-contained: the verify command can rebuild everything
+and re-check the claimed identities by plain ring arithmetic, with no
+access to the run that produced them.
 
-Element expressions, in certificates and in scripts alike, are evaluated
-by one reader (eval_element_expr) into a term dict {exponent tuple:
-coefficient}; Z and Z/n are the case with no variables, whose one
-monomial is ().  ring.canonical turns the dict into a payload once, at
-the end.  In between, sums are never reduced.  A product, and each step
-of square-and-multiply, is reduced modulo the relations only when the
-ring has relations, and its coefficients modulo the characteristic when
-that is not 0 (Z/n and Fp), which keeps every intermediate bounded.
-Normal forms are unique, so the payload is the one that reducing at
-every operation would give.  Integer coefficients over Q stay ints
-until canonical runs.
+Certificate elements and relations are written in one canonical
+language, the one element_to_str prints from payload terms: a sum of
+monomials in descending term order with no repeated or zero terms, such
+as 6 * x^2 - 5/3 or -(3 * x^2) + y.  Coefficients are written as the
+payload holds them (any integer over Z, [0, n) over Z/n, [1, p) over Fp,
+lowest terms over Q), and over a quotient ring no monomial is divisible
+by a leading monomial of the relation basis.  element_from_str accepts
+exactly that language and rejects any other text with InvalidWitness
+before any arithmetic.
 
-A certificate writes ^ only on a variable name, and element_from_str,
-which reads every element and relation of a certificate, rejects any
-other power before evaluating anything.  A power of a variable is one
-monomial in a free ring and square-and-multiply with reduction in a
-quotient, so x^1000000000000 is cheap in both.
+Scripts are read by the general parser (dsl) and evaluated by
+eval_element_expr into a term dict {exponent tuple: coefficient}; Z and
+Z/n are the case with no variables, whose one monomial is ().
+ring.canonical turns the dict into a payload once, at the end.  In
+between, sums are never reduced.  A product, and each step of
+square-and-multiply, is reduced modulo the relations only when the ring
+has relations, and its coefficients modulo the characteristic when that
+is not 0 (Z/n and Fp), which keeps every intermediate bounded.  Normal
+forms are unique, so the payload is the one that reducing at every
+operation would give.  Integer coefficients over Q stay ints until
+canonical runs.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction as _Q
 from functools import partial
-from operator import add, sub
+from operator import add, le, sub
 
 from . import dsl
 from .errors import (InvalidWitness, NonInvertibleDenominator, TypeMismatch,
@@ -52,7 +57,7 @@ def ring_to_json(ring) -> dict:
     base = "Q" if ring.is_q_algebra else {"Fp": ring.base.p}
     return {"kind": "polyquot", "base": base,
             "variables": list(ring.variables),
-            "relations": [dsl.print_expr(_poly_to_expr(r, ring.variables))
+            "relations": [_terms_to_str(r, ring.variables)
                           for r in ring.relations],
             "order": ring.order}
 
@@ -75,43 +80,34 @@ def ring_from_json(data: dict):
 # ---------------------------------------------------------------------------
 # elements as script expressions
 
-def _poly_to_expr(p, variables):
-    """Rebuild an AST for a polynomial payload (canonical term order)."""
-    if not p:
-        return dsl.IntLit(0)
-    expr = None
-    for mono, coeff in p:
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
-        factors = []
-        if isinstance(mag, _Q):
-            if mag != 1 or not any(mono):
-                factors.append(dsl.IntLit(mag.numerator) if mag.denominator == 1
-                               else dsl.RatLit(mag.numerator, mag.denominator))
-        else:
-            if mag != 1 or not any(mono):
-                factors.append(dsl.IntLit(mag))
-        for name, e in zip(variables, mono):
-            if e == 1:
-                factors.append(dsl.NameRef(name))
-            elif e > 1:
-                factors.append(dsl.Pow(dsl.NameRef(name), e))
-        term = factors[0]
-        for f in factors[1:]:
-            term = dsl.BinOp("*", term, f)
+def _terms_to_str(terms, variables) -> str:
+    """The canonical text (module docstring) of (exponent tuple,
+    coefficient) pairs in descending term order."""
+    parts = []
+    for mono, c in terms:
+        num, den = c.numerator, c.denominator  # an int is num/1
+        neg = num < 0
         if neg:
-            term = dsl.Neg(term) if expr is None else term
-        if expr is None:
-            expr = term
+            num = -num
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(variables, mono) if e]
+        if den != 1:
+            factors.insert(0, f"{num}/{den}")
+        elif num != 1 or not factors:
+            factors.insert(0, str(num))
+        body = " * ".join(factors)
+        if parts:
+            parts.append(f" - {body}" if neg else f" + {body}")
+        elif neg:
+            parts.append(f"-({body})" if len(factors) > 1 else f"-{body}")
         else:
-            expr = dsl.BinOp("-" if neg else "+", expr, term)
-    return expr
+            parts.append(body)
+    return "".join(parts) or "0"
 
 
 def element_to_str(e: RingElement) -> str:
-    if isinstance(e.payload, int):
-        return str(e.payload)
-    return dsl.print_expr(_poly_to_expr(e.payload, e.ring.variables))
+    ring = e.ring
+    return _terms_to_str(ring.terms(e.payload), ring.variables)
 
 
 def _not_an_element(ring, node):
@@ -226,59 +222,78 @@ def eval_element_expr(ring, node, leaf=None) -> RingElement:
     return RingElement(ring, ring.canonical(_TermReader(ring, leaf).read(node)))
 
 
-def _shape_fault(node):
-    """Why node is not shaped as the canonical printer writes elements,
-    or None.  The printer writes a sum of monomials, so every ^ (outside
-    D(...)) has a variable name as its base, and no * has a sum (+ or -)
-    under both of its operands.
+# One factor of a canonical text with what joins it to the text before
+# it: nothing, "-" or "-(" at the start, " * " inside a term, and " + "
+# or " - " between terms; then a coefficient, or a variable with its
+# exponent, and the ")" that may close a first term.  The scan takes
+# more than the language: a ")" anywhere, variables in any order, any
+# exponent, coefficient or term order, repeated and zero terms.  The
+# payload must print back to the text, and that rejects all of these.
+_FACTOR = re.compile(r"(-\(?| [-+*] |)(?:([0-9]+)(?:/([0-9]+))?"
+                     r"|([A-Za-z_][A-Za-z0-9_]*)(?:\^([0-9]+))?)\)?")
 
-    One post-order walk without recursion: a binary node is followed on
-    the stack by its operator, which combines its operands' entries in
-    `sums` (whether a sum lies under each) into its own.
-    """
-    todo, sums = [node], []
-    while todo:
-        node = todo.pop()
-        kind = type(node)
-        if kind is str:
-            right = sums.pop()
-            if node == "*":
-                if right and sums[-1]:
-                    return "multiplies two sums"
-                sums[-1] = sums[-1] or right
-            elif node == "+" or node == "-":
-                sums[-1] = True
-            else:
-                sums[-1] = sums[-1] or right
-        elif kind is dsl.BinOp:
-            todo.append(node.op)
-            todo.append(node.right)
-            todo.append(node.left)
-        elif kind is dsl.Neg:
-            todo.append(node.arg)
-        elif kind is dsl.Pow and type(node.base) is not dsl.NameRef:
-            return "raises something other than a variable to a power"
+
+def _read_terms(ring, text: str):
+    """The term dict text spells over ring, or None when it is not a
+    signed sum of products of a coefficient and variables."""
+    variables = ring.variables
+    terms = []  # (coefficient, exponents) per term, in text order
+    pos = 0
+    for m in _FACTOR.finditer(text):
+        if m.start() != pos:
+            return None
+        pos = m.end()
+        join, num, den, name, power = m.groups()
+        if join == " * ":
+            if not terms or name is None:  # a coefficient must come first
+                return None
         else:
-            sums.append(False)
-    return None
+            # a sign or nothing opens the text, " + " or " - " a later term
+            if (len(join) == 3) != bool(terms):
+                return None
+            coeff = -1 if "-" in join else 1
+            if den is not None:
+                if not (ring.is_q_algebra and int(den)):
+                    return None
+                coeff *= _Q(int(num), int(den))
+            elif num is not None:
+                coeff *= int(num)
+            exps = [0] * len(variables)
+            terms.append((coeff, exps))
+            if name is None:
+                continue
+        try:
+            k = variables.index(name)
+        except ValueError:  # not a variable of ring
+            return None
+        exps[k] += int(power) if power is not None else 1
+    if pos != len(text) or not terms:
+        return None
+    return {tuple(exps): c for c, exps in terms if c}
 
 
 def element_from_str(ring, text: str) -> RingElement:
-    """Read an element as a certificate writes it.
+    """Read an element as a certificate writes it: exactly the text the
+    canonical printer gives (module docstring), else InvalidWitness.
 
-    Anything the canonical printer would not write is rejected before
-    anything is evaluated (_shape_fault): the cost of a power of a sum or
-    of a number has no bound that the certificate's size sets
-    (3^3000000 is a 9-character string, and no statement timeout can
-    interrupt one bigint product), and a product of sums expands to
-    exponentially many terms ((x0 + 1)*...*(x15 + 1) is 149 characters
-    and 65536 terms).
+    Nothing is expanded or reduced, so no certificate can make reading
+    cost much more than its length: a power of a number or of a sum
+    (3^3000000 is 9 characters), a product of sums ((x0 + 1)*...*(x15 +
+    1) is 149 characters and 65536 terms) and a huge power of a variable
+    in a quotient ring are refused as written.
     """
-    node = dsl.parse_expression(text)
-    fault = _shape_fault(node)
-    if fault is not None:
-        raise InvalidWitness(f"{text[:40]!r} {fault}")
-    return eval_element_expr(ring, node)
+    try:
+        terms = _read_terms(ring, text) if type(text) is str else None
+    except ValueError:  # an integer past int()'s digit limit
+        terms = None
+    if terms is not None:
+        leads = ring.leading_monomials
+        if not (leads and any(all(map(le, lm, m))
+                              for m in terms for lm in leads)):
+            payload = ring.canonical(terms)
+            if _terms_to_str(ring.terms(payload), ring.variables) == text:
+                return RingElement(ring, payload)
+    raise InvalidWitness(f"{str(text)[:40]!r} is not in canonical form")
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +342,21 @@ def point_to_json(pt) -> dict:
             "cofactors": [element_to_str(c) for c in pt.witness.cofactors]}
 
 
-def _generators_and_cofactors(ring, data: dict, gens_key="generators",
-                              cofs_key="cofactors"):
-    gens = [element_from_str(ring, s) for s in data[gens_key]]
-    cofs = [element_from_str(ring, s) for s in data[cofs_key]]
-    if len(gens) != len(cofs):
-        raise InvalidWitness(f"{len(cofs)} {cofs_key} for "
-                             f"{len(gens)} {gens_key}")
-    return gens, cofs
+def _lists(data: dict, *keys) -> list:
+    """The lists data holds under keys, each as long as the first; every
+    certificate checks this before it reads any element."""
+    lists = [data[key] for key in keys]
+    for key, value in zip(keys, lists):
+        if type(value) is not list:
+            raise InvalidWitness(f"{key} is not a list")
+        if len(value) != len(lists[0]):
+            raise InvalidWitness(f"{len(value)} {key} for "
+                                 f"{len(lists[0])} {keys[0]}")
+    return lists
+
+
+def _read(ring, texts) -> list:
+    return [element_from_str(ring, s) for s in texts]
 
 
 def _pair_exponents_fault(ring, fracs, pairs):
@@ -366,19 +388,22 @@ def verify_certificate(data: dict) -> tuple:
     inflated certificate is rejected rather than checked in part or at
     unbounded cost.
     """
+    if type(data) is not dict:
+        return False, "the certificate is not an object"
     try:
         claim = data.get("claim")
         if claim in ("bezout", "bezout-power"):
+            gens, cofs = _lists(data, "generators", "cofactors")
             ring = ring_from_json(data["ring"])
-            gens, cofs = _generators_and_cofactors(ring, data)
-            ok = BezoutCertificate(tuple(gens), tuple(cofs)).verify()
+            ok = BezoutCertificate(tuple(_read(ring, gens)),
+                                   tuple(_read(ring, cofs))).verify()
             return ok, "sum(cofactor*generator) == 1" if ok else "sum != 1"
         if claim in ("membership", "radical-membership"):
+            gens, cofs = _lists(data, "generators", "cofactors")
             ring = ring_from_json(data["ring"])
             a = element_from_str(ring, data["element"])
-            gens, cofs = _generators_and_cofactors(ring, data)
             total = ring.zero()
-            for c, g in zip(cofs, gens):
+            for c, g in zip(_read(ring, cofs), _read(ring, gens)):
                 total = total + c * g
             if claim == "membership":
                 return total == a, f"sum == {data['element']}"
@@ -388,25 +413,23 @@ def verify_certificate(data: dict) -> tuple:
                 return False, f"exponent {k!r} is not an integer in [1, {cap}]"
             return total == a ** k, f"sum == element^{k}"
         if claim == "glue":
-            ring = ring_from_json(data["ring"])
-            cover_elts, cover_cofs = _generators_and_cofactors(
-                ring, data, "cover", "cover_cofactors")
-            if not BezoutCertificate(tuple(cover_elts),
-                                     tuple(cover_cofs)).verify():
-                return False, "cover certificate failed"
-            family = data["family"]
-            if len(family) != len(cover_elts):
-                return False, "family size does not match the cover"
+            cover, cover_cofs, family = _lists(data, "cover",
+                                               "cover_cofactors", "family")
             cap = current_limits().max_exponent
             for frdata in family:
                 k = frdata["exp"]
                 if type(k) is not int or not 0 <= k <= cap:
                     return False, (f"family exponent {k!r} is not an "
                                    f"integer in [0, {cap}]")
+            ring = ring_from_json(data["ring"])
+            cover = _read(ring, cover)
+            if not BezoutCertificate(tuple(cover),
+                                     tuple(_read(ring, cover_cofs))).verify():
+                return False, "cover certificate failed"
             glued = element_from_str(ring, data["glued"])
             fracs = [Fraction(ring, f, element_from_str(ring, frdata["num"]),
                               frdata["exp"])
-                     for f, frdata in zip(cover_elts, family)]
+                     for f, frdata in zip(cover, family)]
             for fr in fracs:
                 if not frac_eq(Fraction(ring, fr.f, glued), fr):
                     return False, f"restriction to R[1/({fr.f})] differs"
@@ -416,20 +439,23 @@ def verify_certificate(data: dict) -> tuple:
             return True, "cover verifies and all restrictions match"
         if claim == "point":
             from .lattice import zar_elt
+            images, gens, cofs = (_lists(data, key)[0] for key in
+                                  ("images", "open", "cofactors"))
             domain = ring_from_json(data["domain"])
+            if len(images) != len(domain.variables):
+                return False, "image count does not match the domain"
             codomain = ring_from_json(data["codomain"])
-            images = [element_from_str(codomain, s) for s in data["images"]]
-            phi = make_hom(domain, codomain, tuple(images))  # re-verifies
-            gens = [element_from_str(domain, s) for s in data["open"]]
-            cofs = [element_from_str(codomain, s) for s in data["cofactors"]]
+            phi = make_hom(domain, codomain,  # re-verifies
+                           tuple(_read(codomain, images)))
             # cofactors align with the normalized pulled-back generators
-            norm = list(zar_elt(codomain, [phi(g) for g in gens]).generators)
+            norm = list(zar_elt(codomain, [phi(g) for g in
+                                           _read(domain, gens)]).generators)
             if not norm:
                 norm = [codomain.zero()]
             if len(norm) != len(cofs):
                 return False, "cofactor count does not match the open"
             total = codomain.zero()
-            for c, g in zip(cofs, norm):
+            for c, g in zip(_read(codomain, cofs), norm):
                 total = total + c * g
             ok = total == codomain.one()
             return ok, "hom well-defined and membership certificate checks"

@@ -4,8 +4,9 @@ Everything takes an explicit random.Random so failures reproduce from
 the seed printed by the test that used them.  The end of the file holds
 reference engines that the fast ones are checked against: hom
 enumeration on RingElements, a scan-based Groebner engine, the
-recursive-descent script parser and the RingElement evaluator of
-element expressions.
+recursive-descent script parser, the RingElement evaluator of element
+expressions, and the certificate printer and reader that went through
+the script AST.
 """
 from __future__ import annotations
 
@@ -20,8 +21,9 @@ from zkit import (IntegerRing, NotWellDefined, PrimeField, QuotientRing,
 from zkit import dsl
 from zkit import poly as P
 from zkit import rings as R
-from zkit.errors import (NonInvertibleDenominator, ScriptSyntaxError,
-                         TypeMismatch)
+from zkit.errors import (InvalidWitness, NonInvertibleDenominator,
+                         ScriptSyntaxError, TypeMismatch)
+from zkit.serialize import eval_element_expr
 
 SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -572,3 +574,101 @@ def ref_loc_eq_top(L, vs) -> bool:
 def ref_frac_eq(a, b) -> bool:
     """r/f^n == r'/f^m iff (r*f^m - r'*f^n)*f^k == 0 for some k."""
     return saturates(a.num * b.f ** b.exp - b.num * a.f ** a.exp, a.f)
+
+
+# ---------------------------------------------------------------------------
+# Reference certificate printer and reader: the script AST printer and the
+# general parser and evaluator, as zkit.serialize wrote and read
+# certificate elements before it had a printer and a reader of its own.
+# The canonical ones must print the same bytes and read the same values.
+
+
+def reference_poly_to_expr(p, variables):
+    """Rebuild an AST for a polynomial payload (canonical term order)."""
+    if not p:
+        return dsl.IntLit(0)
+    expr = None
+    for mono, coeff in p:
+        neg = coeff < 0
+        mag = -coeff if neg else coeff
+        factors = []
+        if isinstance(mag, Fraction):
+            if mag != 1 or not any(mono):
+                factors.append(dsl.IntLit(mag.numerator) if mag.denominator == 1
+                               else dsl.RatLit(mag.numerator, mag.denominator))
+        else:
+            if mag != 1 or not any(mono):
+                factors.append(dsl.IntLit(mag))
+        for name, e in zip(variables, mono):
+            if e == 1:
+                factors.append(dsl.NameRef(name))
+            elif e > 1:
+                factors.append(dsl.Pow(dsl.NameRef(name), e))
+        term = factors[0]
+        for f in factors[1:]:
+            term = dsl.BinOp("*", term, f)
+        if neg:
+            term = dsl.Neg(term) if expr is None else term
+        if expr is None:
+            expr = term
+        else:
+            expr = dsl.BinOp("-" if neg else "+", expr, term)
+    return expr
+
+
+def reference_print(payload, variables) -> str:
+    """The text of a payload (an int, or terms in any order)."""
+    if isinstance(payload, int):
+        return str(payload)
+    return dsl.print_expr(reference_poly_to_expr(payload, variables))
+
+
+def reference_element_to_str(e) -> str:
+    return reference_print(e.payload, e.ring.variables)
+
+
+def reference_shape_fault(node):
+    """Why node is not shaped as the canonical printer writes elements,
+    or None.  The printer writes a sum of monomials, so every ^ (outside
+    D(...)) has a variable name as its base, and no * has a sum (+ or -)
+    under both of its operands.
+
+    One post-order walk without recursion: a binary node is followed on
+    the stack by its operator, which combines its operands' entries in
+    `sums` (whether a sum lies under each) into its own.
+    """
+    todo, sums = [node], []
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is str:
+            right = sums.pop()
+            if node == "*":
+                if right and sums[-1]:
+                    return "multiplies two sums"
+                sums[-1] = sums[-1] or right
+            elif node == "+" or node == "-":
+                sums[-1] = True
+            else:
+                sums[-1] = sums[-1] or right
+        elif kind is dsl.BinOp:
+            todo.append(node.op)
+            todo.append(node.right)
+            todo.append(node.left)
+        elif kind is dsl.Neg:
+            todo.append(node.arg)
+        elif kind is dsl.Pow and type(node.base) is not dsl.NameRef:
+            return "raises something other than a variable to a power"
+        else:
+            sums.append(False)
+    return None
+
+
+def reference_element_from_str(ring, text):
+    """Parse, refuse a power of a non-variable or a product of sums,
+    then evaluate."""
+    node = dsl.parse_expression(text)
+    fault = reference_shape_fault(node)
+    if fault is not None:
+        raise InvalidWitness(f"{text[:40]!r} {fault}")
+    return eval_element_expr(ring, node)

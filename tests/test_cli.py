@@ -192,6 +192,35 @@ def test_failed_invariant_is_an_error_record(monkeypatch):
     assert report.exit_code == 2
 
 
+@pytest.mark.parametrize("report, status", [
+    ({"results": [{"certificate": [1, 2]}]}, "refuted"),
+    ({"results": [{"certificate": "x"}]}, "refuted"),
+    ({"results": [5]}, "error"),
+    ({"results": 5}, "error"),
+    ([1], "error"),
+], ids=["certificate-list", "certificate-string", "entry-int",
+        "results-int", "top-level-list"])
+def test_verify_malformed_report(tmp_path, report, status):
+    """A certificate that is not an object fails on its own; a report
+    that is not an object with a list of objects is an error record.
+    Neither is a traceback."""
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    script = tmp_path / "verify.zk"
+    script.write_text(f'verify "{path}";')
+    (res,) = run_source(script.read_text()).results
+    assert res.status == status, res.result
+    if status == "refuted":
+        assert res.result["checked"] == 1 and res.result["passed"] == 0
+    else:
+        assert res.result["kind"] == "InvalidWitness"
+    proc = subprocess.run(
+        [sys.executable, "-m", "zkit.cli", str(script), "--json"],
+        capture_output=True, text=True)
+    assert proc.returncode == {"refuted": 1, "error": 2}[status], proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_missing_file():
     report = run_source('verify "does-not-exist.json";')
     assert report.results[0].status == "error"
