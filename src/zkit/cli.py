@@ -57,17 +57,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    if args.script == "-":
-        source = sys.stdin.read()
-        base_dir = Path.cwd()
-    else:
-        path = Path(args.script)
-        try:
-            source = path.read_text()
-        except OSError as exc:
-            print(f"zkit: cannot read {args.script}: {exc}", file=sys.stderr)
-            return 2
-        base_dir = path.parent
+    path = Path(args.script)
+    try:
+        source = (sys.stdin.read() if args.script == "-"
+                  else path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"zkit: cannot read {args.script}: {exc}", file=sys.stderr)
+        return 2
+    base_dir = Path.cwd() if args.script == "-" else path.parent
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("ZKIT_SEED", "0"))

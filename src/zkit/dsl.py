@@ -21,10 +21,10 @@ table, so printing and re-parsing gives the same AST.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ScriptSyntaxError
+from .records import record
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def tokenize(source: str):
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RingExpr:
     kind: str                 # "Z" | "Zmod" | "Q" | "Fp"
     modulus: int = 0          # for Zmod and Fp
@@ -104,146 +104,146 @@ class RingExpr:
     relations: tuple = ()     # element expressions
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RingName:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntLit:
     value: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RatLit:
     num: int
     den: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NameRef:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Neg:
     arg: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BinOp:
     op: str                   # + - * | &
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pow:
     base: object
     exp: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DLit:
     args: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BracketList:
     items: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FracLit:
     num: object
     den: object
     exp: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HomSpec:
     assignments: tuple        # ((name, expr), ...)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RingDecl:
     name: str
     ring: object              # RingExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Bind:
     kind: str                 # elem | ideal | latt
     name: str
     value: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckCmd:
     op: str                   # "==" | "<="
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnimodularCmd:
     items: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RadicalMemberCmd:
     element: object
     ideal: object             # BracketList or NameRef
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LocalizeCmd:
     ring_name: str
     at: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GlueCmd:
     cover_items: tuple
     fractions: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PointsCmd:
     ring_name: str
     over: object              # RingExpr or RingName
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoverCmd:
     latt: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MemberCmd:
     homspec: HomSpec
     latt: object
     over: object = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EvalCmd:
     expr: object
     homspec: HomSpec
     over: object = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QcqsCmd:
     latt: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VerifyCmd:
     path: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Script:
     statements: tuple
 
@@ -254,11 +254,17 @@ class Script:
 # binary operators and their precedence, shared with the printer
 _PREC = {"|": 1, "&": 2, "+": 3, "-": 3, "*": 4}
 
+# Parentheses, D(...) and prefix minus nest in an expression at most this
+# deep.  The parser, the printer and the evaluators all recurse on that
+# nesting, so a deeper expression is a syntax error, not a RecursionError.
+MAX_NESTING = 50
+
 
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses, D(...) and prefix minuses
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -498,11 +504,23 @@ class _Parser:
             self.pos += 1
             left = BinOp(op, left, self.expr(no_div, prec + 1))
 
+    def nest(self, tok: Token) -> None:
+        """Open one more level of nesting at tok."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ScriptSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels",
+                tok.line, tok.column)
+
     def unary(self, no_div: bool):
         """Prefix minus binds looser than ^ and tighter than *."""
-        if self.tokens[self.pos].kind == "-":
+        tok = self.tokens[self.pos]
+        if tok.kind == "-":
             self.pos += 1
-            return Neg(self.unary(no_div))
+            self.nest(tok)
+            node = Neg(self.unary(no_div))
+            self.depth -= 1
+            return node
         base = self.atom(no_div)
         if self.tokens[self.pos].kind == "^":
             self.pos += 1
@@ -527,16 +545,20 @@ class _Parser:
             if tok.text != "D" or tokens[self.pos].kind != "(":
                 return NameRef(tok.text)
             self.pos += 1
+            self.nest(tok)
             args = [self.expr()]
             while self.at(","):
                 self.advance()
                 args.append(self.expr())
             self.expect(")")
+            self.depth -= 1
             return DLit(tuple(args))
         if kind == "(":
             self.pos += 1
+            self.nest(tok)
             inner = self.expr()  # parentheses re-enable rational literals
             self.expect(")")
+            self.depth -= 1
             return inner
         raise ScriptSyntaxError(f"expected an expression, found {tok.text!r}",
                                 tok.line, tok.column)

@@ -13,7 +13,6 @@ a global element then gluing gives back that element on the nose.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (IncompatibleFamily, InvariantViolated, NotUnimodular,
@@ -22,11 +21,12 @@ from .ideals import (BezoutCertificate, power_certificate,
                      saturation_member, unimodular_certificate)
 from .localization import (Fraction, FractionMap, canonical_map, frac_eq,
                            localize)
+from .records import record
 from .rings import (RingElement, RingHom, _powers, hom_apply, hom_compose,
                     make_hom, normalize)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnimodularCover:
     """f1, ..., fn with a verified certificate that 1 in <f1, ..., fn>."""
 
@@ -58,7 +58,7 @@ def make_cover(ring, elements) -> UnimodularCover:
 # ---------------------------------------------------------------------------
 # compatibility
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CompatCheck:
     """Outcome of a pairwise compatibility scan."""
 
@@ -111,7 +111,7 @@ def check_compatibility(cover: UnimodularCover, elements) -> CompatCheck:
     return CompatCheck(True, tuple(witnesses))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CompatibleFamily:
     """A cover-indexed family of fractions with verified pair witnesses."""
 
@@ -187,7 +187,7 @@ def pullback_cover(cover: UnimodularCover, phi: RingHom):
 # ---------------------------------------------------------------------------
 # hom-level families
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CompatibleHomFamily:
     """Homs phi_i : A -> R[1/f_i] agreeing pairwise on A's generators;
     the witnesses are taken on the written forms of the images."""

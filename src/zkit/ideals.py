@@ -13,18 +13,18 @@ answers into witnesses and checks them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantViolated, ResourceExceeded, RingMismatch
 from .limits import current_limits
+from .records import record
 from .rings import RingElement, normalize
 
 
 # ---------------------------------------------------------------------------
 # ideals
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FinGenIdeal:
     """A finitely generated ideal; zero generators are normalized away.
 
@@ -45,7 +45,7 @@ def fin_gen_ideal(ring, generators) -> FinGenIdeal:
     return FinGenIdeal(ring, tuple(gens))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroebnerBasis:
     """A reduced Groebner basis (or gcd surrogate) with its lifting data.
 
@@ -60,7 +60,7 @@ class GroebnerBasis:
     lift: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BezoutCertificate:
     """Cofactors a_i with sum(a_i * f_i) == 1; re-verifiable by .verify()."""
 

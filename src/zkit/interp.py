@@ -17,7 +17,6 @@ import json
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import dsl, serialize
@@ -31,6 +30,7 @@ from .lattice import ZarElt, zar_elt, zar_eq, zar_join, zar_leq, zar_meet
 from .limits import current_limits, limits
 from .localization import localize
 from .poly import PrimeField, Rationals
+from .records import field, record
 from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
                     hom_apply, make_hom, quotient_by)
 from .schemes import (AffineScheme, CompactOpen, affine_cover,
@@ -63,7 +63,7 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass
+@record
 class Options:
     seed: int = 0
     fail_fast: bool = False
@@ -73,7 +73,7 @@ class Options:
     base_dir: Path = None
 
 
-@dataclass
+@record
 class CommandResult:
     cmd: str
     status: str                  # ok | refuted | error
@@ -86,7 +86,7 @@ class CommandResult:
                 "certificate": self.certificate, "ms": round(self.ms, 3)}
 
 
-@dataclass
+@record
 class Report:
     results: list = field(default_factory=list)
 
@@ -102,7 +102,7 @@ class Report:
         return 0
 
 
-@dataclass
+@record
 class _Binding:
     kind: str      # elem | latt | ideal
     value: object
@@ -389,8 +389,14 @@ def _execute(stmt, env: _Env, options: Options):
             path = options.base_dir / path
         try:
             data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except OSError as exc:
             raise UnknownName(f"cannot read report {stmt.path!r}: {exc}")
+        except (ValueError, RecursionError) as exc:
+            # undecodable bytes, invalid JSON, an integer past Python's
+            # digit limit, or nesting past the recursion limit: the input
+            # is at fault, not a name
+            raise InvalidWitness(f"report {stmt.path!r} is not readable "
+                                 f"JSON: {exc}")
         entries = data.get("results", []) if type(data) is dict else None
         if type(entries) is not list or any(type(e) is not dict
                                             for e in entries):

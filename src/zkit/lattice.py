@@ -17,19 +17,18 @@ D(r/f^n) to the meet of D(r) and D(f) a support.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import RingMismatch
 from .ideals import fin_gen_ideal, radical_member, \
     unimodular_certificate
 from .localization import LocalizedRing, canonical_map
+from .records import record
 from .rings import RingElement, RingHom, hom_apply, normalize
 
 
 # ---------------------------------------------------------------------------
 # lattice elements over a plain ring
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ZarElt:
     """D(generators); the empty tuple is bottom."""
 

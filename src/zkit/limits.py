@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+
+from .records import record, replace
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Limits:
     """The caps in force; `limits(...)` overrides them for a block.
 

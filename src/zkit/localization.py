@@ -28,19 +28,19 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 from . import poly
 from .errors import (BaseMismatch, InvalidWitness, RingMismatch,
                      UnsupportedBase)
 from .ideals import fin_gen_ideal, radical_member, radical_witness
+from .records import record
 from .rings import (QuotientRing, RingElement, RingHom, _Ring,
                     _saturation_basis, make_hom, normalize, polynomial_ring,
                     quotient_by)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Fraction:
     """num / f^exp over the base ring as written; read it with
     L.element, compare two with frac_eq."""
@@ -63,7 +63,7 @@ class Fraction:
         return f"<{self}>"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LocalizedRing(_Ring):
     """R[1/f]; localize picks the subclass that holds the payload
     arithmetic (_make, add, sub, mul, neg, written) for the base kind."""
@@ -313,7 +313,7 @@ def canonical_map(L: LocalizedRing) -> RingHom:
                                 for v in L.ring.gens()])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InducedMap:
     """psi : R[1/f] -> A, psi(r/f^n) = phi(r) * w^n, for phi : R -> A (a
     RingHom or any callable on base elements, such as another canonical
@@ -337,7 +337,7 @@ def universal_property(L: LocalizedRing, phi, witness) -> InducedMap:
     return InducedMap(L, phi, witness)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FractionMap:
     """r/f^n |-> phi(r) * c^n / g^n : R[1/f] -> A[1/g] on written
     fractions, for phi : R -> A with phi(f) * c == g: the double

@@ -59,7 +59,6 @@ A coefficient is zero exactly when it is falsy (Fraction or int).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as _Q
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -70,6 +69,7 @@ from operator import add, le, mul, neg, sub
 from .errors import (InvalidRing, InvariantViolated, NonInvertibleDenominator,
                      ResourceExceeded)
 from .limits import current_limits, stats
+from .records import record
 
 Mono = tuple  # exponent tuple
 Poly = tuple  # ((mono, coeff), ...) descending, no zero coefficients
@@ -105,7 +105,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Integers:
     """The coefficients of the Q engine: ints, on integer-primitive
     polynomials (content divided out, positive leading coefficient)."""
@@ -151,7 +151,7 @@ class _Integers:
 _ZZ = _Integers()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Rationals:
     """The field of rational numbers; coefficients are fractions.Fraction.
 
@@ -212,7 +212,7 @@ class Rationals:
         return "Q"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PrimeField:
     """The prime field with p elements; coefficients are ints in [0, p).
 
@@ -365,7 +365,7 @@ ORDER_KEYS = {"lex": (_key_lex, _desc_lex),
               "grevlex": (_key_grevlex, _desc_grevlex)}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PolyContext:
     """Ambient data for polynomial arithmetic: field, arity, term order."""
 

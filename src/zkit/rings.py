@@ -61,7 +61,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction as _Q
 from functools import cached_property, lru_cache
 
@@ -71,6 +70,7 @@ from .errors import (CodomainNotFinite, InvalidRing, InvariantViolated,
                      UnknownVariable)
 from .limits import current_limits
 from .poly import Poly, PolyContext, PrimeField, Rationals
+from .records import field, record
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ class _Integers(_Ring):
             f, self.modulus // math.gcd(self.modulus, a))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntegerRing(_Integers):
     """The ring of integers."""
 
@@ -210,7 +210,7 @@ class IntegerRing(_Integers):
         return "Z"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ResidueRing(_Integers):
     """Z/n for a modulus n >= 2."""
 
@@ -273,7 +273,7 @@ def _int_radical_member(a: int, d: int) -> bool:
     return pow(a, d.bit_length(), d) == 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuotientRing(_Ring):
     """base[x1, ..., xn] / <relations>, for base Q or Fp.
 
@@ -561,7 +561,7 @@ def quotient_by(ring: QuotientRing, relations) -> QuotientRing:
 # ---------------------------------------------------------------------------
 # elements
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RingElement:
     """An element in canonical form; equality is payload equality."""
 
@@ -687,7 +687,7 @@ def render_poly(p: Poly, variables) -> str:
 # ---------------------------------------------------------------------------
 # homomorphisms
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RingHom:
     """A ring map given by generator images, verified at construction.
 

@@ -15,7 +15,6 @@ executed glue-preserves-membership trials.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from .errors import (InvariantViolated, NotUnimodular, NotWellDefined,
                      ResourceExceeded, RingMismatch, UnsupportedBase)
 from .gluing import (UnimodularCover, glue_hom, make_cover, make_hom_family)
@@ -24,11 +23,12 @@ from .lattice import (ZarElt, lattice_morphism, support_D, zar_bottom,
                       zar_elt, zar_eq, zar_eq_top, zar_top)
 from .localization import LocalizedRing, localize
 from .poly import PrimeField
+from .records import record
 from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
                     RingHom, enumerate_homs, hom_apply, make_hom, normalize)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AffineScheme:
     """A ring seen through its functor of points."""
 
@@ -38,7 +38,7 @@ class AffineScheme:
         return f"Sp({self.ring})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CompactOpen:
     """A compact open of an affine scheme, i.e. a lattice element of its
     coordinate ring; equality of opens is zar_eq of the elements."""
@@ -54,7 +54,7 @@ class CompactOpen:
         return f"{self.element} of {self.scheme}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SchemePoint:
     """A B-valued point of a compact open, with its membership witness."""
 
@@ -165,7 +165,7 @@ def point_to_localized_hom(pt: SchemePoint, L: LocalizedRing) -> RingHom:
 # ---------------------------------------------------------------------------
 # affine covers
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AffineCover:
     """A finite cover of a compact open by standard opens, each carrying
     its localization; join_matches re-verifies the covering condition and
@@ -203,7 +203,7 @@ def affine_cover(V: CompactOpen) -> AffineCover:
 # ---------------------------------------------------------------------------
 # locality evidence (glue preserves membership)
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LocalityTrial:
     """One executed glue-preserves-membership experiment."""
 
@@ -320,7 +320,7 @@ def _random_element(ring, rng: random.Random) -> RingElement:
     return ring.element(payload)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QcqsReport:
     """The affine cover of a compact open plus executed locality evidence."""
 

@@ -5,15 +5,19 @@ the seed printed by the test that used them.  The end of the file holds
 reference engines that the fast ones are checked against: hom
 enumeration on RingElements, a scan-based Groebner engine, the
 recursive-descent script parser, the RingElement evaluator of element
-expressions, and the certificate printer and reader that went through
-the script AST.
+expressions, the certificate printer and reader that went through
+the script AST, and the stdlib-dataclass twins of zkit's record classes.
 """
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import pkgutil
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+import zkit
 from zkit import (IntegerRing, NotWellDefined, PrimeField, QuotientRing,
                   Rationals, ResidueRing, RingHom, fin_gen_ideal, make_cover,
                   make_hom, radical_member, saturates,
@@ -23,6 +27,7 @@ from zkit import poly as P
 from zkit import rings as R
 from zkit.errors import (InvalidWitness, NonInvertibleDenominator,
                          ScriptSyntaxError, TypeMismatch)
+from zkit.records import MISSING
 from zkit.serialize import eval_element_expr
 
 SMALL_PRIMES = (2, 3, 5, 7)
@@ -672,3 +677,44 @@ def reference_element_from_str(ring, text):
     if fault is not None:
         raise InvalidWitness(f"{text[:40]!r} {fault}")
     return eval_element_expr(ring, node)
+
+
+# ---------------------------------------------------------------------------
+# Record classes and their dataclass twins: zkit.records builds zkit's
+# record classes without the dataclasses module, and each twin is the
+# stdlib dataclass that the same declaration gives (field names in order,
+# base-class fields first, the defaults left on the class or the
+# default_factory, each field's compare and repr options, frozen or not),
+# under the same qualified name, so the two compare instance by instance.
+
+def record_classes():
+    """Every class that zkit.records.record decorated, module by module."""
+    found = []
+    names = sorted(info.name for info in pkgutil.iter_modules(zkit.__path__))
+    for name in names:
+        module = importlib.import_module(f"zkit.{name}")
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and obj.__module__ == module.__name__
+                  and "__record_fields__" in vars(obj)]
+    return found
+
+
+def dataclass_twin(cls):
+    options = {f.name: f for f in cls.__record_fields__}
+    names = []
+    for klass in reversed(cls.__mro__):
+        if "__record_fields__" in vars(klass):
+            names += [n for n in vars(klass).get("__annotations__", {})
+                      if n not in names]
+    specs = []
+    for name in names:
+        kwargs = {"compare": options[name].compare, "repr": options[name].repr}
+        if name in vars(cls):
+            kwargs["default"] = vars(cls)[name]
+        elif options[name].default_factory is not MISSING:
+            kwargs["default_factory"] = options[name].default_factory
+        specs.append((name, object, dataclasses.field(**kwargs)))
+    frozen = cls.__setattr__ is not object.__setattr__
+    twin = dataclasses.make_dataclass(cls.__name__, specs, frozen=frozen)
+    twin.__qualname__ = cls.__qualname__
+    return twin

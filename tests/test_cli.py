@@ -286,3 +286,53 @@ def test_cli_max_pairs_cap():
     report = run_source(source, Options(max_pairs=1))
     assert report.results[1].status == "error"
     assert report.results[1].result["kind"] == "ResourceExceeded"
+
+
+def test_cli_script_that_is_not_utf8(tmp_path, monkeypatch, capsys):
+    """Undecodable bytes in a script file or on stdin are a one-line
+    'cannot read' with exit code 2, not a traceback."""
+    import io
+
+    from zkit import cli
+    script = tmp_path / "bad.zk"
+    script.write_bytes(b"\xff\xfe")
+    assert cli.main([str(script)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"zkit: cannot read {script}: ")
+    assert len(err.strip().splitlines()) == 1
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(b"\xff\xfe"), encoding="utf-8", errors="strict"))
+    assert cli.main(["-"]) == 2
+    assert capsys.readouterr().err.startswith("zkit: cannot read -: ")
+    proc = subprocess.run(
+        [sys.executable, "-m", "zkit.cli", str(script), "--json"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("zkit: cannot read ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe", b"[" * 200000, b'{"results": [',
+    b'{"results": [' + b"1" * 5000 + b"]}",
+], ids=["not-utf8", "nested-200000", "truncated", "digits-5000"])
+def test_verify_report_that_is_not_json(tmp_path, content):
+    """A report file that cannot be decoded, nests past the recursion
+    limit, is not JSON or holds an integer past Python's digit limit is
+    an InvalidWitness record; a missing file stays UnknownName."""
+    path = tmp_path / "report.json"
+    path.write_bytes(content)
+    script = tmp_path / "verify.zk"
+    script.write_text(f'verify "{path}";\nverify "{tmp_path / "none.json"}";')
+    first, missing = run_source(script.read_text()).results
+    assert first.status == "error"
+    assert first.result["kind"] == "InvalidWitness"
+    assert "is not readable JSON" in first.result["message"]
+    assert missing.result["kind"] == "UnknownName"
+    proc = subprocess.run(
+        [sys.executable, "-m", "zkit.cli", str(script), "--json"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    kinds = [r["result"]["kind"] for r in json.loads(proc.stdout)["results"]]
+    assert kinds == ["InvalidWitness", "UnknownName"]

@@ -131,3 +131,46 @@ def test_swallowed_timeout_still_reported(monkeypatch):
     assert report.results[0].result["kind"] == "_Timeout"
     assert "exceeded 5 ms" in report.results[0].result["message"]
     assert report.exit_code == 2
+
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("D(", ")"),
+                                            ("-", ""), ("-(", ")")])
+def test_nesting_past_the_bound_is_a_syntax_error(opener, closer):
+    """MAX_NESTING levels of parentheses, D(...) and prefix minus parse;
+    one more, or 5000, is a ScriptSyntaxError at the token that opens
+    the level too many, never a RecursionError."""
+    from zkit.dsl import MAX_NESTING
+    per_copy = 2 if opener == "-(" else 1      # levels one opener adds
+    width = 2 if opener == "D(" else 1         # characters per level
+
+    def source(copies):
+        return ("ring S = Q[x];\nelem a = " + opener * copies + "x"
+                + closer * copies + ";")
+
+    parse(source(MAX_NESTING // per_copy))
+    for copies in (MAX_NESTING // per_copy + 1, 5000):
+        with pytest.raises(ScriptSyntaxError,
+                           match=f"nested deeper than {MAX_NESTING} levels"
+                           ) as err:
+            parse(source(copies))
+        column = len("elem a = ") + width * MAX_NESTING + 1
+        assert (err.value.line, err.value.column) == (2, column)
+
+
+def test_nesting_at_the_bound_runs():
+    """Expressions nested MAX_NESTING deep, with every precedence level
+    between the openings, parse, print and evaluate without running out
+    of stack."""
+    from zkit.dsl import MAX_NESTING as N
+    exprs = ["x | x & x + x * (" * N + "x" + ")" * N,
+             "D(x | x & x + x * -" * (N // 2) + "x" + ")" * (N // 2),
+             "D(x) | D(x) & (" * (N - 1) + "D(x)" + ")" * (N - 1),
+             "x * -" * N + "x^2"]
+    for e in exprs:
+        for stmt in (f"elem a = {e};", f"check {e} == D(x);",
+                     f"radical-member {e} in [x];",
+                     f"glue cover [1] with [{e} / 1^0];"):
+            report = run_source("ring S = Q[x];\n" + stmt)
+            assert len(report.results) == 2
+            assert report.results[1].status in ("ok", "refuted", "error")
