@@ -598,11 +598,20 @@ def print_expr(node, parent_prec: int = 0) -> str:
         inner = print_expr(node.arg, 5)
         return _wrap(node, parent_prec, 3, f"-{inner}")
     if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        left = print_expr(node.left, prec)
-        right = print_expr(node.right, prec + 1)
-        text = f"{left} {node.op} {right}"
-        return _wrap(node, parent_prec, prec, text)
+        # a left-deep chain (a + b + ... + z) is as long as the input, so
+        # its left spine is walked in a loop, innermost operation first
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.left
+        text = print_expr(node, _PREC[spine[-1].op])
+        while spine:
+            node = spine.pop()
+            prec = _PREC[node.op]
+            text = f"{text} {node.op} {print_expr(node.right, prec + 1)}"
+            if prec < (_PREC[spine[-1].op] if spine else parent_prec):
+                text = f"({text})"
+        return text
     if isinstance(node, Pow):
         base = print_expr(node.base, 5)
         return f"{base}^{node.exp}"

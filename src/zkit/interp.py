@@ -158,11 +158,19 @@ def _eval(env: _Env, ring, node):
             return b.kind, b.value
         raise UnknownName(f"unknown name {node.name!r}")
     if isinstance(node, dsl.BinOp) and node.op in ("|", "&"):
-        ltag, lv = _eval(env, ring, node.left)
-        rtag, rv = _eval(env, ring, node.right)
-        if ltag != "latt" or rtag != "latt":
-            raise TypeMismatch(f"{node.op!r} applies to lattice elements")
-        return "latt", (zar_join if node.op == "|" else zar_meet)(lv, rv)
+        # a chain u | v | ... | w is walked along its left spine in a loop
+        spine = []
+        while isinstance(node, dsl.BinOp) and node.op in ("|", "&"):
+            spine.append(node)
+            node = node.left
+        ltag, lv = _eval(env, ring, node)
+        while spine:
+            node = spine.pop()
+            rtag, rv = _eval(env, ring, node.right)
+            if ltag != "latt" or rtag != "latt":
+                raise TypeMismatch(f"{node.op!r} applies to lattice elements")
+            lv = (zar_join if node.op == "|" else zar_meet)(lv, rv)
+        return "latt", lv
     if isinstance(node, dsl.DLit):
         elems = []
         for arg in node.args:

@@ -49,18 +49,24 @@ the protocol that lattices and homs into it use.
 - saturates(a, f): whether a * f^k == 0 for some k.
 - saturation_bound: an exponent that such a k never needs to exceed
   (n's bit length + 1 for Z/n), or 0 when the ring gives none.
+- random_element(rng), sample_homs(rng, budget): a small random
+  element, and homs into small value rings, for the locality trials
+  that schemes.qcqs_certificate samples (Z, Z/n and quotients only).
 
 zero, one, from_int, element, gens and elements give RingElements; the
 other methods take and return payloads.  Homomorphisms are finite data:
 one codomain element per domain variable.  Construction verifies
 well-definedness (every relation maps to zero, and the characteristic
-is compatible) and records the checked images.
+is compatible) and records the checked images.  Homs are evaluated on
+payloads: evaluate substitutes the images' payloads for the generators
+with the codomain's payload arithmetic, mapping each coefficient once
+per call, and make_hom (on the relations) and hom_apply both call it.
+enumerate_homs walks on indices into the codomain's elements instead.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction as _Q
 from functools import cached_property, lru_cache
 
@@ -198,6 +204,20 @@ class _Integers(_Ring):
         # a * f^k == 0 iff f^k is a multiple of n / gcd(n, a)
         return a == 0 or _int_radical_member(
             f, self.modulus // math.gcd(self.modulus, a))
+
+    def random_element(self, rng):
+        return self.element(rng.randrange(self.modulus) if self.modulus
+                            else rng.randrange(-6, 7))
+
+    def sample_homs(self, rng, budget: int) -> list:
+        """The hom into Z/m for budget random m in [2, 40) (for Z), or
+        for every divisor m >= 2 of n (for Z/n)."""
+        if self.modulus:
+            ms = [m for m in range(2, self.modulus + 1)
+                  if self.modulus % m == 0]
+        else:
+            ms = [rng.randrange(2, 40) for _ in range(budget)]
+        return [make_hom(self, ResidueRing(m)) for m in ms]
 
 
 @record(frozen=True)
@@ -440,6 +460,33 @@ class QuotientRing(_Ring):
         ctx, basis = _saturation_basis(self, f)
         return not poly.normal_form(ctx, poly.p_extend(a), basis)
 
+    def random_element(self, rng):
+        payload = {}
+        for _ in range(rng.randrange(1, 3)):
+            mono = tuple(rng.randrange(0, 2) for _ in self.variables)
+            payload[mono] = rng.randrange(-3, 4)
+        return self.element(payload)
+
+    def sample_homs(self, rng, budget: int) -> list:
+        """Over Fp, every hom into Fp.  Over Q, budget random
+        endomorphisms sending each variable to a constant c in [-3, 3]
+        or, with probability 0.3, to itself plus c (those that are not
+        well defined are skipped)."""
+        if not self.is_q_algebra:
+            return enumerate_homs(self, QuotientRing(self.base))
+        homs = []
+        for _ in range(budget):
+            images = []
+            for name in self.variables:
+                c = self.from_int(rng.choice((0, 1, -1, 2, -2, 3, -3)))
+                images.append(self.var(name) + c if rng.random() < 0.3
+                              else c)
+            try:
+                homs.append(make_hom(self, self, tuple(images)))
+            except NotWellDefined:
+                continue
+        return homs
+
 
 class FieldRing(QuotientRing):
     """The field k (Q or Fp) as a ring: what QuotientRing(k) builds.
@@ -613,15 +660,9 @@ class RingElement:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not ring operations")
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return self.ring.one() if result is None else result
+        if not k:
+            return self.ring.one()
+        return RingElement(self.ring, _power(self.payload, k, self.ring.mul))
 
 
 def normalize(ring, raw) -> RingElement:
@@ -711,12 +752,22 @@ class RingHom:
         return f"canonical : {self.domain} -> {self.codomain}"
 
 
-def _coeff_image(domain, codomain, c) -> RingElement:
-    """Image of a coefficient of domain under any hom out of it; rational
-    coefficients only reach a Q-algebra or the zero ring."""
-    if not domain.is_q_algebra:
-        return codomain.from_int(c)
-    return normalize(codomain, c) if codomain.is_q_algebra else codomain.zero()
+def _coefficient_images(domain, codomain):
+    """The codomain payload of a domain coefficient under any hom out of
+    domain, each distinct coefficient read once per caller; rational
+    coefficients only reach a Q-algebra or the zero ring, where they
+    map to 0."""
+    if domain.is_q_algebra and not codomain.is_q_algebra:
+        zero = codomain.zero().payload
+        return lambda c: zero
+    memo = {}
+
+    def image(c):
+        p = memo.get(c)
+        if p is None:
+            p = memo[c] = codomain.canonical(c)
+        return p
+    return image
 
 
 def _base_compatible(domain, codomain) -> None:
@@ -727,14 +778,6 @@ def _base_compatible(domain, codomain) -> None:
     if domain.is_q_algebra and not (codomain.is_q_algebra
                                     or codomain.is_trivial):
         raise NotWellDefined(f"no map from Q into {codomain}")
-
-
-def _relation_terms(domain: QuotientRing, codomain) -> list:
-    """Each domain relation as a dict from exponent tuple to the image of
-    its coefficient, so coefficients are mapped once per hom search."""
-    zero = {(0,) * len(domain.variables): codomain.zero()}
-    return [{mono: _coeff_image(domain, codomain, c) for mono, c in rel}
-            or zero for rel in domain.relations]
 
 
 def _top_exponents(domain: QuotientRing) -> list:
@@ -751,27 +794,56 @@ def _powers(a, top: int, one, mul) -> list:
     return out
 
 
-def _substitute(rels: list, pw: list, add, mul) -> list:
-    """Substitute the first remaining generator into partially evaluated
-    relations.
+def _power(x, e: int, mul):
+    """x^e for e >= 1 by repeated squaring under the given mul."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if not e:
+            return result
+        x = mul(x, x)
 
-    Each relation maps the exponents of the generators not yet substituted
-    to a codomain coefficient; pw[e] is the first generator's image to the
-    e.  Terms that agree on the remaining exponents are summed, so once
-    every generator is substituted each relation is {(): its image}.
-    Coefficients are whatever add and mul compute on: RingElements for
-    make_hom, element indices for enumerate_homs.
+
+def _evaluate(polys, images, add, mul) -> list:
+    """The value of each polynomial at the generator images, None for a
+    polynomial with no terms.
+
+    A polynomial is a sequence of (exponent tuple, coefficient image)
+    terms; images, coefficient images and values are whatever add and
+    mul compute on: codomain payloads for evaluate, element indices for
+    schemes.points_over.  Each power images[k]^e is computed once per
+    call.
     """
+    powers = {}  # (generator index, exponent) -> images[k] ** e
     out = []
-    for rel in rels:
-        acc = {}
-        for mono, c in rel.items():
-            e, rest = mono[0], mono[1:]
-            term = mul(c, pw[e]) if e else c
-            prev = acc.get(rest)
-            acc[rest] = term if prev is None else add(prev, term)
-        out.append(acc)
+    for terms in polys:
+        total = None
+        for mono, term in terms:
+            for k, e in enumerate(mono):
+                if e:
+                    pw = powers.get((k, e))
+                    if pw is None:
+                        pw = powers[k, e] = _power(images[k], e, mul)
+                    term = mul(term, pw)
+            total = term if total is None else add(total, term)
+        out.append(total)
     return out
+
+
+def evaluate(domain, codomain, images, polys) -> list:
+    """The codomain payload of each domain polynomial (exponent tuple,
+    coefficient pairs, such as domain.terms(payload) or a relation) with
+    generator k sent to the codomain payload images[k].
+
+    This is how every hom computes: make_hom on the relations, hom_apply
+    on one element.  Each distinct coefficient is mapped once per call.
+    """
+    coeff = _coefficient_images(domain, codomain)
+    values = _evaluate([[(mono, coeff(c)) for mono, c in p] for p in polys],
+                       images, codomain.add, codomain.mul)
+    return [codomain.zero().payload if v is None else v for v in values]
 
 
 def make_hom(domain, codomain, images=()) -> RingHom:
@@ -781,16 +853,14 @@ def make_hom(domain, codomain, images=()) -> RingHom:
         raise NotWellDefined(
             f"expected {len(domain.variables)} images, got {len(images)}")
     _base_compatible(domain, codomain)
-    rels = _relation_terms(domain, codomain)
-    one, add, mul = codomain.one(), operator.add, operator.mul
-    for img, top in zip(images, _top_exponents(domain)):
-        rels = _substitute(rels, _powers(img, top, one, mul), add, mul)
-    bad = next((i for i, rel in enumerate(rels) if not rel[()].is_zero), None)
+    checks = tuple(RingElement(codomain, v) for v in evaluate(
+        domain, codomain, [i.payload for i in images], domain.relations))
+    bad = next((i for i, c in enumerate(checks) if not c.is_zero), None)
     if bad is not None:
         raise NotWellDefined(
             f"relation {render_poly(domain.relations[bad], domain.variables)}"
-            f" maps to {rels[bad][()]} != 0")
-    return RingHom(domain, codomain, images, tuple(rel[()] for rel in rels))
+            f" maps to {checks[bad]} != 0")
+    return RingHom(domain, codomain, images, checks)
 
 
 def identity_hom(ring) -> RingHom:
@@ -800,19 +870,10 @@ def identity_hom(ring) -> RingHom:
 def hom_apply(phi: RingHom, a: RingElement) -> RingElement:
     if a.ring != phi.domain:
         raise RingMismatch(f"{a!r} is not in the domain of {phi}")
-    domain, codomain, images = phi.domain, phi.codomain, phi.generator_images
-    powers = {}  # (generator index, exponent) -> image ** exponent
-    total = codomain.zero()
-    for mono, coeff in domain.terms(a.payload):
-        term = _coeff_image(domain, codomain, coeff)
-        for k, e in enumerate(mono):
-            if e:
-                pw = powers.get((k, e))
-                if pw is None:
-                    pw = powers[k, e] = images[k] ** e
-                term = term * pw
-        total = total + term
-    return total
+    (value,) = evaluate(phi.domain, phi.codomain,
+                        [i.payload for i in phi.generator_images],
+                        [phi.domain.terms(a.payload)])
+    return RingElement(phi.codomain, value)
 
 
 def hom_compose(outer: RingHom, inner: RingHom) -> RingHom:
@@ -852,6 +913,28 @@ def _index_arithmetic(codomain, elements):
     return index, memoized(codomain.add), memoized(codomain.mul)
 
 
+def _substitute(rels: list, pw: list, add, mul) -> list:
+    """Substitute the first remaining generator into partially evaluated
+    relations, on element indices.
+
+    Each relation maps the exponents of the generators not yet substituted
+    to a coefficient index; pw[e] is the index of the first generator's
+    image to the e.  Terms that agree on the remaining exponents are
+    summed, so once every generator is substituted each relation is
+    {(): the index of its image}.
+    """
+    out = []
+    for rel in rels:
+        acc = {}
+        for mono, c in rel.items():
+            e, rest = mono[0], mono[1:]
+            term = mul(c, pw[e]) if e else c
+            prev = acc.get(rest)
+            acc[rest] = term if prev is None else add(prev, term)
+        out.append(acc)
+    return out
+
+
 def enumerate_homs(domain, codomain) -> list:
     """All homomorphisms into a finite ring, in lexicographic assignment
     order over the codomain's element enumeration (itertools.product
@@ -866,7 +949,9 @@ def enumerate_homs(domain, codomain) -> list:
     substituted once for all of its completions; the last generator's
     terms are evaluated per candidate and a candidate is dropped at its
     first relation that is not zero.  Only accepted assignments are
-    mapped back to RingElements.
+    mapped back to RingElements, each image being an element of
+    codomain.elements(), so that schemes.points_over can read the
+    images back as indices and pull opens back on them.
     """
     elements = codomain.elements()
     try:
@@ -878,8 +963,9 @@ def enumerate_homs(domain, codomain) -> list:
                        f"assignments into {codomain}")
     index, add, mul = _index_arithmetic(codomain, elements)
     zero = index[codomain.zero().payload]
-    rels = [{mono: index[c.payload] for mono, c in rel.items()}
-            for rel in _relation_terms(domain, codomain)]
+    coeff = _coefficient_images(domain, codomain)
+    rels = [{mono: index[coeff(c)] for mono, c in rel}
+            or {(0,) * nvars: zero} for rel in domain.relations]
     checks = (elements[zero],) * len(rels)
     homs = []
 

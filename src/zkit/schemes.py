@@ -15,17 +15,17 @@ executed glue-preserves-membership trials.
 from __future__ import annotations
 
 import random
-from .errors import (InvariantViolated, NotUnimodular, NotWellDefined,
-                     ResourceExceeded, RingMismatch, UnsupportedBase)
+from .errors import (InvariantViolated, NotUnimodular, ResourceExceeded,
+                     RingMismatch, UnsupportedBase)
 from .gluing import (UnimodularCover, glue_hom, make_cover, make_hom_family)
 from .ideals import BezoutCertificate, unimodular_certificate
 from .lattice import (ZarElt, lattice_morphism, support_D, zar_bottom,
                       zar_elt, zar_eq, zar_eq_top, zar_top)
 from .localization import LocalizedRing, localize
-from .poly import PrimeField
 from .records import record
-from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
-                    RingHom, enumerate_homs, hom_apply, make_hom, normalize)
+from .rings import (RingElement, RingHom, _coefficient_images, _evaluate,
+                    _index_arithmetic, enumerate_homs, hom_apply, make_hom,
+                    normalize)
 
 
 @record(frozen=True)
@@ -103,20 +103,38 @@ def point_membership(V: CompactOpen, phi: RingHom):
 def points_over(V: CompactOpen, codomain) -> list:
     """All codomain-valued points of V, in enumeration order.
 
-    Many homs pull V back to the same generator list (D(1) for the whole
-    scheme), so membership is decided once per distinct pulled-back
-    element and its certificate shared: each point's witness is what
-    point_membership(V, phi) returns.  Enumeration runs under
-    Limits.max_assignments (see rings.enumerate_homs).
+    The homs come from rings.enumerate_homs, under
+    Limits.max_assignments.  V is pulled back on indices into
+    codomain.elements(), as the enumeration walks: V's generators are
+    compiled once to terms with coefficient indices and evaluated at
+    each hom's image indices, with the codomain's sums and products
+    memoized (rings._index_arithmetic).  Many homs pull V back to the
+    same element (D(1) for the whole scheme), so membership is decided
+    once per distinct set of nonzero image indices and its certificate
+    shared: each point's witness is what point_membership(V, phi)
+    returns.
     """
-    certs = {}  # pulled-back ZarElt -> Bezout certificate or None
+    domain = V.scheme.ring
+    homs = enumerate_homs(domain, codomain)
+    if not homs:
+        return []
+    elements = codomain.elements()
+    index, add, mul = _index_arithmetic(codomain, elements)
+    coeff = _coefficient_images(domain, codomain)
+    gens = [[(mono, index[coeff(c)]) for mono, c in domain.terms(g.payload)]
+            for g in V.element.generators]
+    zero = index[codomain.zero().payload]
+    certs = {}  # nonzero pulled-back indices -> certificate or None
     pts = []
-    for phi in enumerate_homs(V.scheme.ring, codomain):
-        u = lattice_morphism(phi, V.element)
-        if u not in certs:
-            certs[u] = zar_eq_top(u)
-        if certs[u] is not None:
-            pts.append(SchemePoint(V, phi, certs[u]))
+    for phi in homs:
+        images = [index[g.payload] for g in phi.generator_images]
+        key = frozenset(v for v in _evaluate(gens, images, add, mul)
+                        if v != zero)
+        if key not in certs:
+            certs[key] = zar_eq_top(zar_elt(codomain,
+                                            [elements[i] for i in key]))
+        if certs[key] is not None:
+            pts.append(SchemePoint(V, phi, certs[key]))
     return pts
 
 
@@ -255,69 +273,24 @@ def locality_trial(V: CompactOpen, psi: RingHom, cover: UnimodularCover,
 
 
 def _candidate_points(V: CompactOpen, rng: random.Random, budget: int = 40):
-    """Verified points of V with small value rings, for sampling."""
-    ring = V.scheme.ring
-    points = []
-    if isinstance(ring, IntegerRing):
-        for _ in range(budget):
-            m = rng.randrange(2, 40)
-            phi = make_hom(ring, ResidueRing(m))
-            if point_membership(V, phi) is not None:
-                points.append(phi)
-    elif isinstance(ring, ResidueRing):
-        divisors = [m for m in range(2, ring.modulus + 1)
-                    if ring.modulus % m == 0]
-        for m in divisors:
-            phi = make_hom(ring, ResidueRing(m))
-            if point_membership(V, phi) is not None:
-                points.append(phi)
-    elif isinstance(ring.base, PrimeField):
-        field = QuotientRing(ring.base)
-        points.extend(pt.hom for pt in points_over(V, field))
-    else:
-        # Q-algebra: sample endpoints among constant and shifted images
-        consts = [0, 1, -1, 2, -2, 3, -3]
-        for _ in range(budget):
-            images = []
-            for name in ring.variables:
-                c = ring.from_int(rng.choice(consts))
-                if rng.random() < 0.3:
-                    images.append(ring.var(name) + c)
-                else:
-                    images.append(c)
-            try:
-                phi = make_hom(ring, ring, tuple(images))
-            except NotWellDefined:
-                continue
-            if point_membership(V, phi) is not None:
-                points.append(phi)
-    return points
+    """Verified points of V with small value rings, for sampling: the
+    members of V among the ring's sample_homs."""
+    return [phi for phi in V.scheme.ring.sample_homs(rng, budget)
+            if point_membership(V, phi) is not None]
 
 
 def _candidate_cover(ring, rng: random.Random) -> UnimodularCover:
     """A small unimodular cover of the value ring; (h, 1-h) always works."""
     for _ in range(8):
-        h = _random_element(ring, rng)
+        h = ring.random_element(rng)
         try:
             if rng.random() < 0.5:
                 return make_cover(ring, [h, ring.one() - h])
-            g = _random_element(ring, rng)
+            g = ring.random_element(rng)
             return make_cover(ring, [h, ring.one() - h * g, g])
         except (NotUnimodular, ResourceExceeded):
             continue
     return make_cover(ring, [ring.one()])
-
-
-def _random_element(ring, rng: random.Random) -> RingElement:
-    if isinstance(ring, IntegerRing):
-        return ring.element(rng.randrange(-6, 7))
-    if isinstance(ring, ResidueRing):
-        return ring.element(rng.randrange(ring.modulus))
-    payload = {}
-    for _ in range(rng.randrange(1, 3)):
-        mono = tuple(rng.randrange(0, 2) for _ in ring.variables)
-        payload[mono] = rng.randrange(-3, 4)
-    return ring.element(payload)
 
 
 @record(frozen=True)

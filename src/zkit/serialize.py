@@ -182,14 +182,24 @@ class _TermReader:
     def read(self, node):
         kind = type(node)
         if kind is dsl.BinOp:
-            op = node.op
-            a = self.read(node.left)
-            b = self.read(node.right)
-            if op == "*":
-                return self.mul(a, b)
-            if op == "+" or op == "-":
-                return self.merge(a, b, add if op == "+" else sub)
-            return self.leaf_terms(node)
+            # the left spine of a chain a + b + ... + z is walked in a
+            # loop (it is as long as the input), innermost operation first
+            spine = []
+            while type(node) is dsl.BinOp:
+                spine.append(node)
+                node = node.left
+            a = self.read(node)
+            while spine:
+                node = spine.pop()
+                op = node.op
+                b = self.read(node.right)
+                if op == "*":
+                    a = self.mul(a, b)
+                elif op == "+" or op == "-":
+                    a = self.merge(a, b, add if op == "+" else sub)
+                else:
+                    a = self.leaf_terms(node)
+            return a
         if kind is dsl.Pow:
             return self.power(self.read(node.base), node.exp)
         if kind is dsl.NameRef:

@@ -3,10 +3,11 @@
 Everything takes an explicit random.Random so failures reproduce from
 the seed printed by the test that used them.  The end of the file holds
 reference engines that the fast ones are checked against: hom
-enumeration on RingElements, a scan-based Groebner engine, the
-recursive-descent script parser, the RingElement evaluator of element
-expressions, the certificate printer and reader that went through
-the script AST, and the stdlib-dataclass twins of zkit's record classes.
+construction, application, points and enumeration on RingElements, a
+scan-based Groebner engine, the recursive-descent script parser, the
+RingElement evaluator of element expressions, the certificate printer
+and reader that went through the script AST, and the stdlib-dataclass
+twins of zkit's record classes.
 """
 from __future__ import annotations
 
@@ -27,7 +28,9 @@ from zkit import poly as P
 from zkit import rings as R
 from zkit.errors import (InvalidWitness, NonInvertibleDenominator,
                          ScriptSyntaxError, TypeMismatch)
+from zkit.lattice import zar_elt, zar_eq_top
 from zkit.records import MISSING
+from zkit.schemes import SchemePoint
 from zkit.serialize import eval_element_expr
 
 SMALL_PRIMES = (2, 3, 5, 7)
@@ -127,6 +130,81 @@ def random_endo(ring, rng):
 
 
 # ---------------------------------------------------------------------------
+# Reference homs on RingElements: hom construction, application and
+# points of an open, as they were before rings.evaluate computed them on
+# payloads and schemes.points_over pulled opens back on element indices.
+# Every coefficient goes through from_int (or normalize) once per term,
+# relations are substituted one generator at a time, and every hom pulls
+# the open back by RingElement arithmetic.  The fast code must give equal
+# images, equal relation_checks, the same NotWellDefined message, and the
+# same points with equal witnesses in the same order.
+
+def _ref_coeff_image(domain, codomain, c):
+    if not domain.is_q_algebra:
+        return codomain.from_int(c)
+    if codomain.is_q_algebra:
+        return R.normalize(codomain, c)
+    return codomain.zero()
+
+
+def _ref_relation_terms(domain, codomain):
+    zero = {(0,) * len(domain.variables): codomain.zero()}
+    return [{mono: _ref_coeff_image(domain, codomain, c) for mono, c in rel}
+            or zero for rel in domain.relations]
+
+
+def _ref_power_table(a, top, one):
+    pw = [one]
+    for _ in range(top):
+        pw.append(pw[-1] * a)
+    return pw
+
+
+def reference_make_hom(domain, codomain, images=()):
+    images = tuple(R.normalize(codomain, i) for i in images)
+    if len(images) != len(domain.variables):
+        raise NotWellDefined(
+            f"expected {len(domain.variables)} images, got {len(images)}")
+    R._base_compatible(domain, codomain)
+    rels = _ref_relation_terms(domain, codomain)
+    for img, top in zip(images, R._top_exponents(domain)):
+        rels = _ref_substitute(rels, _ref_power_table(img, top,
+                                                      codomain.one()))
+    bad = next((i for i, rel in enumerate(rels) if not rel[()].is_zero),
+               None)
+    if bad is not None:
+        rel = R.render_poly(domain.relations[bad], domain.variables)
+        raise NotWellDefined(f"relation {rel} maps to {rels[bad][()]} != 0")
+    return RingHom(domain, codomain, images, tuple(rel[()] for rel in rels))
+
+
+def reference_hom_apply(phi, a):
+    domain, codomain, images = phi.domain, phi.codomain, phi.generator_images
+    total = codomain.zero()
+    for mono, coeff in domain.terms(a.payload):
+        term = _ref_coeff_image(domain, codomain, coeff)
+        for k, e in enumerate(mono):
+            if e:
+                term = term * images[k] ** e
+        total = total + term
+    return total
+
+
+def reference_points_over(V, codomain):
+    """Per hom: pull V back by reference_hom_apply, decide membership once
+    per distinct pulled-back element."""
+    certs = {}
+    pts = []
+    for phi in R.enumerate_homs(V.scheme.ring, codomain):
+        u = zar_elt(codomain, [reference_hom_apply(phi, g)
+                               for g in V.element.generators])
+        if u not in certs:
+            certs[u] = zar_eq_top(u)
+        if certs[u] is not None:
+            pts.append(SchemePoint(V, phi, certs[u]))
+    return pts
+
+
 # Reference hom enumeration: the depth-first walk on RingElements that
 # rings.enumerate_homs replaced by index arithmetic.  Powers are tabled
 # once per element, each prefix is substituted once for its completions,
@@ -153,12 +231,7 @@ def reference_enumerate_homs(domain, codomain):
     except NotWellDefined:
         return []
     top = max(R._top_exponents(domain), default=0)
-    table = []
-    for a in elements:
-        pw = [codomain.one()]
-        for _ in range(top):
-            pw.append(pw[-1] * a)
-        table.append(pw)
+    table = [_ref_power_table(a, top, codomain.one()) for a in elements]
     nvars = len(domain.variables)
     homs = []
 
@@ -171,7 +244,7 @@ def reference_enumerate_homs(domain, codomain):
         for a, pw in zip(elements, table):
             extend(_ref_substitute(rels, pw), prefix + (a,))
 
-    extend(R._relation_terms(domain, codomain), ())
+    extend(_ref_relation_terms(domain, codomain), ())
     return homs
 
 

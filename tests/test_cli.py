@@ -180,6 +180,24 @@ def test_cli_bad_input_is_an_error_record(tmp_path, source, kind):
     assert last["result"]["kind"] == kind
 
 
+@pytest.mark.parametrize("source", [
+    "ring S = Q[x]; elem a = " + " + ".join(["x"] * 5000) + ";",
+    "ring S = Q[x]; check " + " | ".join(["D(x)"] * 5000) + " == D(x);",
+], ids=["5000 terms", "5000 joins"])
+def test_cli_long_left_deep_chain(tmp_path, source):
+    # the parser reads such a chain in a loop; the statement echo and
+    # the evaluators must not recurse along it either
+    script = tmp_path / "chain.zk"
+    script.write_text(source)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zkit.cli", str(script), "--json"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    data = json.loads(proc.stdout)
+    assert [r["status"] for r in data["results"]] == ["ok", "ok"]
+
+
 def test_failed_invariant_is_an_error_record(monkeypatch):
     """A witness that fails its own re-verification is reported as an
     InvariantViolated record, not raised out of run_script."""

@@ -3,7 +3,6 @@ Python examples and the span table the benchmark's tracer wraps; and
 src/zkit keeps the rules its readers rely on."""
 import ast
 import importlib
-import importlib.util
 import re
 from pathlib import Path
 
@@ -25,13 +24,21 @@ def test_readme_python_blocks_run():
 
 
 def test_trace_spans_resolve():
-    """bench/trace.py wraps each (module, attribute) of SPANS by name."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_trace", ROOT / "bench" / "trace.py")
-    trace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(trace)
-    assert trace.SPANS
-    for mod, attr, _ in trace.SPANS:
+    """bench/trace.py wraps each (module, attribute) of SPANS by name, and
+    rings.enumerate_homs, poly.buchberger and ideals.groebner with
+    wrappers of their own; a rename in zkit must fail here, not only in
+    a benchmark run.  trace.py is read, not imported, so nothing is
+    written under bench/."""
+    source = (ROOT / "bench" / "trace.py").read_text()
+    spans = next(ast.literal_eval(node.value)
+                 for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["SPANS"])
+    assert spans
+    wrapped = [(mod, attr) for mod, attr, _ in spans] + [
+        ("rings", "enumerate_homs"), ("poly", "buchberger"),
+        ("ideals", "groebner")]
+    for mod, attr in wrapped:
         module = importlib.import_module(f"zkit.{mod}")
         assert callable(getattr(module, attr, None)), f"zkit.{mod}.{attr}"
 

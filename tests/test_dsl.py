@@ -102,8 +102,10 @@ def test_fail_fast():
 
 
 def test_statement_timeout():
-    source = ("ring F = Fp(7)[x,y,z]/(x^3 + y^3 - z^3);"
-              "points F over Fp(7);")
+    # 97^3 assignments, just under max_assignments: far more than 1 ms
+    # of work on any host, so the timeout always fires first
+    source = ("ring F = Fp(97)[x,y,z]/(x^3 + y^3 - z^3);"
+              "points F over Fp(97);")
     report = run_source(source, Options(timeout_ms=1))
     assert report.results[1].status == "error"
     assert "exceeded" in report.results[1].result["message"]
