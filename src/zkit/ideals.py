@@ -6,10 +6,14 @@ witnesses (cofactors, exponents, Bezout certificates) that re-verify by
 plain ring arithmetic; this is what the lattice and gluing layers lean on.
 
 The ring-specific engines are the ideal primitives of the ring protocol
-(see rings): Buchberger with cofactor tracking in the ambient free ring
-for polynomial quotient rings (the ring's own relations are always
-adjoined), and a gcd surrogate for Z and Z/n.  This module turns their
-answers into witnesses and checks them.
+(see rings): Buchberger in the ambient free ring for polynomial
+quotient rings (the ring's own relations are always adjoined), and a gcd
+surrogate for Z and Z/n.  This module turns their answers into
+witnesses and checks them.  Witnesses are built on demand: a decision
+(radical membership, a refuted membership or unimodularity test) builds
+no cofactor, and a positive membership answer lifts only the
+combination it returns, by the reverse pass over the Groebner run's
+trace (see poly).
 """
 from __future__ import annotations
 
@@ -47,11 +51,14 @@ def fin_gen_ideal(ring, generators) -> FinGenIdeal:
 
 @record(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis (or gcd surrogate) with its lifting data.
+    """A reduced Groebner basis (or gcd surrogate) with its lift.
 
     basis lives in the ambient ring: the free polynomial ring for
-    quotient-ring ideals, the ring itself for Z and Z/n.  lift[i][j]
-    expresses basis[i] over ideal generators followed by ring relations.
+    quotient-ring ideals, the ring itself for Z and Z/n.  lift(q), for
+    payloads q aligned with basis and not all zero, gives the cofactors
+    of sum(q_i * basis_i) over the ideal generators followed by the ring
+    relations (the ring protocol's ideal_basis); it is None for an empty
+    basis.  No cofactor is stored: each call lifts its one combination.
     """
 
     ideal: FinGenIdeal
@@ -97,8 +104,7 @@ def groebner(ideal: FinGenIdeal) -> GroebnerBasis:
     ambient = ring.ambient
     basis, lift = ring.ideal_basis(e.payload for e in ideal.generators)
     return GroebnerBasis(
-        ideal, ambient, tuple(RingElement(ambient, b) for b in basis),
-        tuple(tuple(RingElement(ambient, c) for c in row) for row in lift))
+        ideal, ambient, tuple(RingElement(ambient, b) for b in basis), lift)
 
 
 def ideal_member(a: RingElement, ideal: FinGenIdeal):
@@ -108,17 +114,15 @@ def ideal_member(a: RingElement, ideal: FinGenIdeal):
     if a.ring != ring:
         raise RingMismatch(f"{a!r} not in {ring}")
     gb = groebner(ideal)
-    ambient = gb.ambient
-    quotients, rem = ambient.divide(a.payload, [b.payload for b in gb.basis])
+    quotients, rem = gb.ambient.divide(a.payload,
+                                       [b.payload for b in gb.basis])
     if rem:  # a nonzero remainder
         return None
-    # a == sum_i q_i * basis_i, and basis_i == sum_j lift[i][j] * gen_j
-    total = [ambient.zero()] * len(ideal.generators)
-    for q, row in zip(quotients, gb.lift):
-        if q:
-            q = RingElement(ambient, q)
-            total = [t + q * c for t, c in zip(total, row)]
-    return tuple(normalize(ring, t.payload) for t in total)
+    n = len(ideal.generators)
+    if not any(quotients):  # a == 0
+        return (ring.zero(),) * n
+    # a == sum_i q_i * basis_i: lift that one combination to the generators
+    return tuple(normalize(ring, c) for c in gb.lift(quotients)[:n])
 
 
 def radical_member(a: RingElement, ideal: FinGenIdeal) -> bool:
@@ -154,7 +158,9 @@ def radical_exponent(a: RingElement, ideal: FinGenIdeal):
         if cof is not None:
             return k, cof
         power = power * a
-    raise ResourceExceeded(f"no radical witness with exponent <= {cap}")
+    raise ResourceExceeded(
+        f"ideals.radical_exponent: exponent {cap + 1} exceeded "
+        f"max_exponent={cap} with no radical witness")
 
 
 def saturates(a: RingElement, f: RingElement) -> bool:
@@ -175,13 +181,17 @@ def saturation_member(a: RingElement, f: RingElement):
     """
     if not saturates(a, f):
         return None
-    cap = max(current_limits().max_exponent, a.ring.saturation_bound)
+    top, bound = current_limits().max_exponent, a.ring.saturation_bound
+    cap = max(top, bound)
     acc = a
     for k in range(cap + 1):
         if acc.is_zero:
             return k
         acc = acc * f
-    raise ResourceExceeded(f"no saturation exponent <= {cap}")
+    raise ResourceExceeded(
+        f"ideals.saturation_member: exponent {cap + 1} exceeded "
+        f"{cap} = max(max_exponent={top}, saturation_bound={bound}) "
+        f"with no saturation exponent")
 
 
 def unimodular_certificate(elements):

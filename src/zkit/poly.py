@@ -19,11 +19,22 @@ Fractions appear only where results leave the engine
 (`Rationals.lift`): the monic reduced basis, the cofactors, and the
 quotients and remainder of p_divmod and normal_form.
 
-The Buchberger engine optionally tracks cofactors: each basis element
-then carries its expression as a combination of the original generators,
-which is what turns ideal-membership answers into checkable certificates.
-Inside the engine a cofactor vector over Q is kept as integer
-polynomials with one common denominator, updated once per reduction.
+Cofactors are what turn ideal-membership answers into checkable
+certificates, and they are built on demand.  A tracked Buchberger run
+computes exactly what an untracked one does and records its reduction
+trace (`Trace`): for each element it makes, the S-pair with its shifts
+and step coefficients or the generator it came from, the steps and
+multiplier of its division and its content divisor, and for the
+returned basis the inter-reductions and the monic scaling.  No element
+carries cofactors.  A caller that reads one combination of the basis
+(the quotients of a membership test, or the constant that stop_at_one
+found) has it lifted by one reverse pass over the trace, which pushes
+the multipliers back into one accumulator per generator.  That is the
+same exact linear combination a forward expansion of every element's
+cofactors builds, in another order, so the cofactors are equal to its.
+With stop_at_one, a run that finds no constant returns its
+Buchberger-complete basis as it stands, in engine coefficients: a
+decision whether 1 lies in the ideal reads nothing else.
 
 Each term order has an ascending key (`PolyContext.key`) and a
 descending one (`PolyContext.desc_key`), computed once per monomial
@@ -64,7 +75,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import count
 from math import gcd, lcm
-from operator import add, le, mul, neg, sub
+from operator import add, le, lshift, mul, neg, sub
 
 from .errors import (InvalidRing, InvariantViolated, NonInvertibleDenominator,
                      ResourceExceeded)
@@ -136,16 +147,6 @@ class _Integers:
 
     def divide_out(self, f, s):
         return tuple([(m, c // s) for m, c in f])
-
-    def unscale(self, vec, d, s):
-        """The vector vec/(d*s) as (vec', d') in lowest terms, d' > 0."""
-        d *= s
-        h = gcd(d, *[c for v in vec for _, c in v])
-        if d < 0:
-            h = -h
-        if h == 1:
-            return vec, d
-        return [tuple([(m, c // h) for m, c in v]) for v in vec], d // h
 
 
 _ZZ = _Integers()
@@ -273,7 +274,7 @@ class PrimeField:
         return pow(a, -1, self.p)
 
     # the engine's side: the multiplier is always 1, and elements are
-    # made monic, so cofactor denominators stay 1
+    # made monic
 
     def step(self, c, a):
         return 1, c * pow(a, -1, self.p) % self.p
@@ -284,12 +285,6 @@ class PrimeField:
     def divide_out(self, f, s):
         inv, p = pow(s, -1, self.p), self.p
         return tuple([(m, c * inv % p) for m, c in f])
-
-    def unscale(self, vec, d, s):
-        s = s * d % self.p
-        if s == 1:
-            return vec, 1
-        return [self.divide_out(v, s) for v in vec], 1
 
     def integral(self, f):
         return 1, f
@@ -513,22 +508,27 @@ def p_eval(ctx: PolyContext, f: Poly, point):
 
 
 # ---------------------------------------------------------------------------
-# division with quotient tracking
+# division
 
-def _divide(ctx: PolyContext, f: Poly, divisors, track: bool):
+def _divide(ctx: PolyContext, f: Poly, divisors, steps=None):
     """The division loop, on engine coefficients (see PolyContext.engine):
-    returns (quotients, rem, mult) with
+    returns (rem, mult) with
 
         mult * f == sum(q_i * divisors_i) + rem,
 
-    where no term of rem is divisible by any divisor's leading monomial;
-    quotients is None when track is False.
+    where no term of rem is divisible by any divisor's leading monomial.
 
     Eliminating a term c against a leading coefficient a is the field's
     step: (m, q) with m*c == q*a.  The working polynomial is scaled by m,
-    and so are the remainder and quotients built so far, before q times
-    the shifted divisor is subtracted.  Over Fp, m is 1 and q is c/a;
-    over the integers, m = a/g and q = c/g with g = gcd(c, a).
+    and so is the remainder built so far, before q times the shifted
+    divisor is subtracted.  Over Fp, m is 1 and q is c/a; over the
+    integers, m = a/g and q = c/g with g = gcd(c, a).
+
+    When steps is a list, each elimination appends (i, shift, q, total):
+    the divisor's index, the monomial it is shifted by, the step's q, and
+    the product of the multipliers so far.  The multipliers of later
+    steps scale that term too, so it enters q_i as q * (mult // total)
+    times the shift (see _quotients).
 
     The working terms sit in a dict (monomial -> coefficient) and their
     monomials in a heap on the descending order key, so the largest term
@@ -542,9 +542,9 @@ def _divide(ctx: PolyContext, f: Poly, divisors, track: bool):
     dkey = ctx.desc_key
     step, fmul, fsub = fld.step, fld.mul, fld.sub
     # (leading monomial, its degree, leading coefficient or None if one,
-    #  tail terms, quotient terms)
+    #  tail terms, index)
     leads = [(d[0][0], sum(d[0][0]), None if d[0][1] == 1 else d[0][1],
-              d[1:], []) for d in divisors]
+              d[1:], i) for i, d in enumerate(divisors)]
     rem = []
     total = 1
     work = dict(f)
@@ -556,7 +556,7 @@ def _divide(ctx: PolyContext, f: Poly, divisors, track: bool):
         if c is None:
             continue  # cancelled after it was pushed
         deg = sum(m)
-        for lm, ldeg, lc, tail, quo in leads:
+        for lm, ldeg, lc, tail, i in leads:
             if ldeg <= deg and all(map(le, lm, m)):
                 q = tuple(map(sub, m, lm))
                 if lc is None:
@@ -568,11 +568,8 @@ def _divide(ctx: PolyContext, f: Poly, divisors, track: bool):
                         for wm in work:
                             work[wm] = fmul(work[wm], k)
                         rem = [(rm, fmul(rc, k)) for rm, rc in rem]
-                        if track:
-                            for ld in leads:
-                                ld[4][:] = [(qm, fmul(qk, k))
-                                            for qm, qk in ld[4]]
-                quo.append((q, qc))
+                if steps is not None:
+                    steps.append((i, q, qc, total))
                 for tm, tc in tail:
                     mm = tuple(map(add, q, tm))
                     old = work.get(mm)
@@ -586,8 +583,17 @@ def _divide(ctx: PolyContext, f: Poly, divisors, track: bool):
                 break
         else:
             rem.append((m, c))
-    quotients = [tuple(ld[4]) for ld in leads] if track else None
-    return quotients, tuple(rem), total
+    return tuple(rem), total
+
+
+def _quotients(count: int, steps, mult):
+    """The quotient of each of count divisors, from a division's steps
+    and its final multiplier; terms come out in the order they were made,
+    which is descending."""
+    quots = [[] for _ in range(count)]
+    for i, q, qc, total in steps:
+        quots[i].append((q, qc if total == mult else qc * (mult // total)))
+    return [tuple(q) for q in quots]
 
 
 def p_divmod(ctx: PolyContext, f: Poly, divisors, track: bool = True):
@@ -605,11 +611,13 @@ def p_divmod(ctx: PolyContext, f: Poly, divisors, track: bool = True):
         dd, d = fld.integral(d)
         dens.append(dd)
         divs.append(d)
-    quots, rem, mult = _divide(ctx.engine, f, divs, track)
-    den *= mult
+    steps = [] if track else None
+    rem, mult = _divide(ctx.engine, f, divs, steps)
+    quots = None
     if track:
-        quots = [fld.lift(q, dd, den) for q, dd in zip(quots, dens)]
-    return quots, fld.lift(rem, 1, den)
+        quots = [fld.lift(q, dd, den * mult) for q, dd
+                 in zip(_quotients(len(divs), steps, mult), dens)]
+    return quots, fld.lift(rem, 1, den * mult)
 
 
 def normal_form(ctx: PolyContext, f: Poly, basis) -> Poly:
@@ -625,12 +633,12 @@ def normal_form(ctx: PolyContext, f: Poly, basis) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Buchberger with cofactor tracking
+# Buchberger, and cofactors by a reverse pass over its trace
 #
-# Everything below runs in the engine context.  A cofactor vector is a
-# pair (vec, d): the element it belongs to is sum(vec_j * gens_j) / d,
-# with vec over the engine's coefficients and d a positive int (always 1
-# over Fp, where elements are kept monic).
+# The engine runs in the engine context.  A tracked run records how each
+# element it makes is an exact combination of the generators and of the
+# elements made before it (a Trace); no cofactor is built until a caller
+# asks for the cofactors of one combination of the returned basis.
 
 def _shift(ctx, f: Poly, mono: Mono, c) -> Poly:
     """c times the monomial mono times f (the order is preserved)."""
@@ -645,99 +653,210 @@ def _shift_sub(ctx, f, mf, cf, g, mg, cg):
     return p_sub(ctx, _shift(ctx, f, mf, cf), _shift(ctx, g, mg, cg))
 
 
-def _combine(ctx, fcof, mult, quots, basiscofs):
-    """The cofactors of mult*f - sum(q_k * basis_k), from f's and the
-    basis elements', over the lcm of their denominators.  Each component
-    is summed in one dict and sorted once."""
-    vec, d = fcof
-    used = [(q, bc) for q, bc in zip(quots, basiscofs) if q]
-    if not used:
-        return fcof
-    den = lcm(d, *[bc[1] for _, bc in used])
-    fld = ctx.field
-    fmul, fsub = fld.mul, fld.sub
-    scale = fmul(mult, den // d)
-    used = [(q if den == bd else p_scale(ctx, q, den // bd), bvec)
-            for q, (bvec, bd) in used]
-    out = []
-    for j, comp in enumerate(vec):
-        acc = dict(comp) if scale == 1 else {m: fmul(c, scale)
-                                             for m, c in comp}
-        for q, bvec in used:
-            for bm, bc in bvec[j]:
-                for qm, qc in q:
-                    m = tuple(map(add, qm, bm))
-                    acc[m] = fsub(acc.get(m, 0), fmul(qc, bc))
-        out.append(poly_from_dict(ctx, acc))
-    return out, den
-
-
-def _reduce_tracked(ctx, f, fcof, basis, basiscofs, track):
-    """Fully reduce f against basis, updating its cofactors.  The
-    remainder is a multiple of the true one; insert() normalizes it."""
+def _reduce(ctx, f, basis, steps):
+    """(rem, mult): f fully reduced against basis, with mult * f minus a
+    combination of basis equal to rem; steps, when a list, records the
+    division (see _divide)."""
     if not basis:
-        return f, fcof
-    quots, rem, mult = _divide(ctx, f, basis, track)
-    if track:
-        fcof = _combine(ctx, fcof, mult, quots, basiscofs)
-    return rem, fcof
+        return f, 1
+    return _divide(ctx, f, basis, steps)
+
+
+class Trace:
+    """The reduction trace of one tracked Buchberger run over ctx.
+
+    Node k is an element the run made, in engine coefficients; the
+    engine's basis elements are nodes 0, 1, ... in the order they
+    entered, and outs names the node of each element of the returned
+    basis.  nodes[k] = (parents, steps, mult, s) says that node k is
+
+        (mult * sum(c * x^shift * P) - sum(q' * x^shift' * B_i)) / s
+
+    summed over its parents (P, shift, c) and over the steps
+    (i, shift', q, total) of its division (see _divide), with
+    q' = q * (mult // total).  A parent is an earlier node k >= 0 or
+    generator j, written ~j, which enters scaled by its common
+    denominator; a shift of None is the unit monomial.  s divides out
+    the content (over Z) or makes the element monic (over Fp, and for
+    the returned basis over both).
+    """
+
+    __slots__ = ("ctx", "ngens", "nodes", "outs")
+
+    def __init__(self, ctx: PolyContext, ngens: int):
+        self.ctx = ctx
+        self.ngens = ngens
+        self.nodes = []
+        self.outs = []
+
+    def lift(self, multipliers) -> list:
+        """Cofactors c over ctx.field with
+
+            sum(c_j * gens_j) == sum(multipliers_i * basis_i),
+
+        for multipliers over ctx.field aligned with the returned basis.
+
+        Reverse-mode accumulation: each node's multiplier (its adjoint)
+        is pushed back through its definition into the adjoints of its
+        parents and divisors, latest node first, so every node is read
+        once and one cofactor vector is built.  The adjoints are exact:
+        ints mod p over Fp, and over Q integer terms over one positive
+        denominator, kept in lowest terms.  The cofactors are the same
+        linear combination of the trace as a forward expansion of every
+        element's cofactors, evaluated in another order, so they are
+        equal to its cofactors exactly.
+
+        Inside the pass a monomial is one int, its exponents packed in
+        fields wide enough for the largest degree any term can reach, so
+        a shift is one addition that never carries into the next field.
+        That degree is at most a multiplier's plus, over the nodes, the
+        largest degree of a shift each applies: a path back through the
+        trace visits a node at most once and takes one shift there.
+        """
+        ctx = self.ctx
+        fld = ctx.field
+        p = fld.characteristic
+        nodes = self.nodes
+        seeds = [(k, m) for k, m in zip(self.outs, multipliers) if m]
+        top = max([sum(mono) for _, m in seeds for mono, _ in m], default=0)
+        top += sum(max([sum(sh) for _, sh, _ in parents if sh is not None]
+                       + [sum(sh) for _, sh, _, _ in steps], default=0)
+                   for parents, steps, _, _ in nodes)
+        bits = max(1, top.bit_length())
+        offsets = range(0, bits * ctx.nvars, bits)
+
+        def pack(mono):
+            return 0 if mono is None else sum(map(lshift, mono, offsets))
+
+        acc = {}  # node k or generator ~j -> [terms, den]: sum(terms) / den
+        for k, m in seeds:
+            den, m = fld.integral(m)
+            acc[k] = [{pack(mono): c for mono, c in m}, den]
+        for k in range(len(nodes) - 1, -1, -1):
+            adj = acc.pop(k, None)
+            if adj is None:
+                continue
+            parents, steps, mult, s = nodes[k]
+            terms, den = _divided(adj[0], adj[1] * s, p)
+            if not terms:
+                continue
+            for t, shift, c in parents:
+                _push(acc, t, terms, den, pack(shift), c * mult)
+            for i, shift, q, total in steps:
+                _push(acc, i, terms, den, pack(shift), -q * (mult // total))
+        mask = (1 << bits) - 1
+        out = []
+        for j in range(self.ngens):
+            terms, den = acc.get(~j, ({}, 1))
+            if p:
+                d = {m: c % p for m, c in terms.items()}
+            elif den == 1:  # Fraction(n) skips the gcd of Fraction(n, d)
+                d = {m: _Q(c) for m, c in terms.items()}
+            else:
+                d = {m: _Q(c, den) for m, c in terms.items()}
+            out.append(poly_from_dict(ctx, {
+                tuple([m >> o & mask for o in offsets]): c
+                for m, c in d.items() if c}))
+        return out
+
+
+def _divided(terms: dict, den: int, p: int):
+    """(terms', den') for the adjoint sum(terms)/den: over Fp (p > 0) den
+    is inverted into the terms and den' is 1; over Q, den' > 0 and terms'
+    share no factor with it.  Zero terms are dropped."""
+    if p:
+        inv = pow(den, -1, p)
+        terms = {m: c * inv % p for m, c in terms.items()}
+        return {m: c for m, c in terms.items() if c}, 1
+    terms = {m: c for m, c in terms.items() if c}
+    g = gcd(den, *terms.values())
+    if den < 0:
+        g = -g
+    if g == 1:
+        return terms, den
+    return {m: c // g for m, c in terms.items()}, den // g
+
+
+def _push(acc: dict, target, terms: dict, den: int, shift: int, c: int):
+    """Add c * x^shift * sum(terms)/den, on packed monomials, into the
+    adjoint of target, over the lcm of the two denominators."""
+    cur = acc.get(target)
+    if cur is None:
+        acc[target] = [{m + shift: v * c for m, v in terms.items()}, den]
+        return
+    d = cur[1]
+    if d != den:
+        top = lcm(d, den)
+        if top != d:
+            k = top // d
+            tgt = cur[0]
+            for m in tgt:
+                tgt[m] *= k
+            cur[1] = top
+        c *= top // den
+    tgt = cur[0]
+    get = tgt.get
+    for m, v in terms.items():
+        m += shift
+        tgt[m] = get(m, 0) + v * c
 
 
 def buchberger(ctx: PolyContext, gens, *, track: bool = False,
                stop_at_one: bool = False):
-    """Compute a Groebner basis (monic, Buchberger-complete) of gens.
+    """A Groebner basis of gens, with its reduction trace.
 
-    Returns (basis, cofactors); cofactors is None unless track is set, and
-    otherwise satisfies basis[i] == sum_j cofactors[i][j] * gens[j].
+    Returns (basis, trace).  basis is the reduced Groebner basis over
+    ctx.field (minimal, inter-reduced, monic, sorted ascending).  trace
+    is None unless track is set, and otherwise a Trace whose lift(m)
+    gives cofactors c over gens with sum(c_j * gens_j) equal to
+    sum(m_i * basis_i).
 
-    With stop_at_one the computation returns ((1,), cof) as soon as a
-    nonzero constant appears, which is all that membership-of-1 style
-    decisions need.
+    With stop_at_one the run decides whether 1 is in the ideal.  As soon
+    as a nonzero constant appears it returns ((1,), trace), trace lifting
+    the constant.  Otherwise it returns the Buchberger-complete basis in
+    engine coefficients as it stands: not minimized, not inter-reduced,
+    over Q integer-primitive rather than monic.
     """
     lims = current_limits()
     fld = ctx.field
     ectx = ctx.engine
     eng = ectx.field
     gens = list(gens)
-    n = len(gens)
 
     basis = []
-    cofs = [] if track else None
+    trace = Trace(ctx, len(gens)) if track else None
 
-    def insert(f, fcof):
-        """Normalize (primitive over Z, monic over Fp) and append; returns
-        True if f is a nonzero constant and stop_at_one is set."""
+    def insert(f, parents, steps, mult):
+        """Normalize the remainder f (primitive over Z, monic over Fp),
+        record its node, and append it; returns f, left out, if it is a
+        nonzero constant and stop_at_one is set, else None."""
         s = eng.unit(f)
         if s != 1:
             f = eng.divide_out(f, s)
         if track:
-            fcof = eng.unscale(fcof[0], fcof[1], s)
+            trace.nodes.append((parents, steps, mult, s))
         if stop_at_one and mono_deg(f[0][0]) == 0:
-            return f, fcof, True
+            return f
         basis.append(f)
-        if track:
-            cofs.append(fcof)
         if len(basis) > lims.max_basis:
             raise ResourceExceeded(
-                f"basis size exceeded {lims.max_basis}")
-        return f, fcof, False
+                f"poly.buchberger: {len(basis)} basis elements exceeded "
+                f"max_basis={lims.max_basis}")
+        return None
 
-    # seed with inter-reduced generators
-    for i, g in enumerate(gens):
+    # seed with inter-reduced generators; generator j enters as its
+    # common denominator times itself
+    for j, g in enumerate(gens):
         if not g:
             continue
         den, g = fld.integral(g)
-        gcof = None
-        if track:
-            gcof = [()] * n
-            gcof[i] = const_poly(ectx, den)
-            gcof = (gcof, 1)
-        g, gcof = _reduce_tracked(ectx, g, gcof, basis, cofs, track)
+        steps = [] if track else None
+        g, mult = _reduce(ectx, g, basis, steps)
         if not g:
             continue
-        f, fcof, is_one = insert(g, gcof)
-        if is_one:
-            return _trivial_basis(fld, f, fcof, track)
+        one = insert(g, [(~j, None, den)], steps, mult)
+        if one is not None:
+            return _unit_basis(ctx, one, trace)
 
     # Normal selection: the pair with the smallest lcm of leading
     # monomials, the earliest added among equal lcms.  Pending pairs sit
@@ -796,97 +915,109 @@ def buchberger(ctx: PolyContext, gens, *, track: bool = False,
             continue  # deleted by the B criterion
         processed += 1
         if processed > lims.max_pairs:
-            raise ResourceExceeded(f"pair count exceeded {lims.max_pairs}")
+            raise ResourceExceeded(
+                f"poly.buchberger: {processed} S-pairs exceeded "
+                f"max_pairs={lims.max_pairs}")
         i, j, lcm_ij = pair
         fi, fj = basis[i], basis[j]
-        lmi, lmj = lms[i], lms[j]
-        mi, mj = mono_div(lcm_ij, lmi), mono_div(lcm_ij, lmj)
+        mi, mj = mono_div(lcm_ij, lms[i]), mono_div(lcm_ij, lms[j])
         ci, cj = eng.step(fi[0][1], fj[0][1])
         s = _shift_sub(ectx, fi, mi, ci, fj, mj, cj)
-        scof = None
-        if track:
-            (veci, di), (vecj, dj) = cofs[i], cofs[j]
-            den = lcm(di, dj)
-            ki, kj = ci * (den // di), cj * (den // dj)
-            scof = ([_shift_sub(ectx, a, mi, ki, b, mj, kj)
-                     for a, b in zip(veci, vecj)], den)
-        s, scof = _reduce_tracked(ectx, s, scof, basis, cofs, track)
+        steps = [] if track else None
+        s, mult = _reduce(ectx, s, basis, steps)
         if not s:
             continue
-        f, fcof, is_one = insert(s, scof)
-        if is_one:
-            return _trivial_basis(fld, f, fcof, track)
+        one = insert(s, [(i, mi, ci), (j, mj, -cj)], steps, mult)
+        if one is not None:
+            return _unit_basis(ctx, one, trace)
         update(len(basis) - 1)
 
-    return _reduced(ctx, basis, cofs, track)
+    if stop_at_one:
+        return _complete_basis(ctx, basis, trace)
+    return _reduced(ctx, basis, trace)
 
 
-def _monic(fld, f, fcof):
-    """An engine element and its cofactors over fld, made monic."""
-    lc = f[0][1]
-    if fcof is None:
-        return fld.lift(f, 1, lc), None
-    vec, d = fcof
-    return fld.lift(f, 1, lc), [fld.lift(v, 1, d * lc) for v in vec]
-
-
-def _trivial_basis(fld, f, fcof, track):
-    """Early-exit result for the unit ideal; (1,) is trivially reduced."""
+def _unit_basis(ctx, f, trace):
+    """The early exit for the unit ideal: (1,), which is trivially
+    reduced, from the engine constant f (the trace's last node)."""
     stats.bases_computed += 1
     if current_limits().check_bases:
         stats.bases_checked += 1
-    f, fcof = _monic(fld, f, fcof)
-    return (f,), ([fcof] if track else None)
+    lc = f[0][1]
+    if trace is not None:
+        nodes = trace.nodes
+        nodes.append(([(len(nodes) - 1, None, 1)], (), 1, lc))
+        trace.outs = [len(nodes) - 1]
+    return (ctx.field.lift(f, 1, lc),), trace
 
 
-def _reduced(ctx, basis, cofs, track):
-    """Minimize and auto-reduce a Buchberger-complete engine basis, and
-    make it monic over ctx.field."""
-    ectx = ctx.engine
-    # drop elements whose leading monomial is divisible by another's;
-    # for equal leading monomials keep the first occurrence only
+def _complete_basis(ctx, basis, trace):
+    """The Buchberger-complete engine basis as it stands: what
+    stop_at_one returns when 1 is not in the ideal.
+
+    The check runs the Buchberger criterion on its minimal part, and
+    reduces every other element to zero by it: then the minimal part is
+    a Groebner basis of the ideal of the whole, and so is the whole."""
+    stats.bases_computed += 1
+    if current_limits().check_bases:
+        fld = ctx.field
+        monic = [fld.lift(f, 1, f[0][1]) for f in basis]
+        keep = _minimal(basis)
+        core = [monic[i] for i in keep]
+        if not is_groebner(ctx, core) or any(
+                normal_form(ctx, f, core) for f in monic if f not in core):
+            raise InvariantViolated("Buchberger criterion failed")
+        stats.bases_checked += 1
+    if trace is not None:
+        trace.outs = list(range(len(basis)))
+    return tuple(basis), trace
+
+
+def _minimal(basis) -> list:
+    """The indices of the elements whose leading monomial no other's
+    divides; of equal leading monomials, the first one's."""
     keep = []
     for i, f in enumerate(basis):
         lm = f[0][0]
-        dominated = False
-        for j, g in enumerate(basis):
-            if j == i:
-                continue
-            lmj = g[0][0]
-            if mono_divides(lmj, lm) and (lmj != lm or j < i):
-                dominated = True
-                break
-        if not dominated:
+        if not any(mono_divides(g[0][0], lm) and (g[0][0] != lm or j < i)
+                   for j, g in enumerate(basis) if j != i):
             keep.append(i)
-    basis2 = [basis[i] for i in keep]
-    cofs2 = [cofs[i] for i in keep] if track else None
+    return keep
+
+
+def _reduced(ctx, basis, trace):
+    """Minimize and auto-reduce a Buchberger-complete engine basis, make
+    it monic over ctx.field and sort it; each returned element is a node
+    of the trace."""
+    ectx = ctx.engine
+    keep = _minimal(basis)
     # reduce each tail against the others
-    out, outc = [], []
-    for i, f in enumerate(basis2):
-        others = basis2[:i] + basis2[i + 1:]
-        fcof = cofs2[i] if track else None
-        if track:
-            othercofs = cofs2[:i] + cofs2[i + 1:]
-        else:
-            othercofs = None
-        f, fcof = _reduce_tracked(ectx, f, fcof, others, othercofs, track)
+    out, outs = [], []
+    for n, i in enumerate(keep):
+        others = keep[:n] + keep[n + 1:]
+        steps = [] if trace is not None else None
+        f, mult = _reduce(ectx, basis[i], [basis[k] for k in others], steps)
         if f:
-            f, fcof = _monic(ctx.field, f, fcof)
-            out.append(f)
-            if track:
-                outc.append(fcof)
+            lc = f[0][1]
+            out.append(ctx.field.lift(f, 1, lc))
+            if trace is not None:
+                trace.nodes.append((
+                    [(i, None, 1)],
+                    [(others[k], q, qc, t) for k, q, qc, t in steps],
+                    mult, lc))
+                outs.append(len(trace.nodes) - 1)
     order = sorted(range(len(out)), key=lambda k: ctx.key(out[k][0][0]))
-    basis3 = tuple(out[k] for k in order)
-    cofs3 = [outc[k] for k in order] if track else None
-    lims = current_limits()
+    reduced = tuple(out[k] for k in order)
+    if trace is not None:
+        trace.outs = [outs[k] for k in order]
     stats.bases_computed += 1
-    if lims.check_bases:
-        if not is_reduced_basis(ctx, basis3):
+    if current_limits().check_bases:
+        if not is_reduced_basis(ctx, reduced):
             raise InvariantViolated("basis not reduced")
-        if not is_groebner(ctx, basis3):
+        if not is_groebner(ctx, reduced):
             raise InvariantViolated("Buchberger criterion failed")
         stats.bases_checked += 1
-    return basis3, cofs3
+    return reduced, trace
 
 
 def is_groebner(ctx: PolyContext, basis) -> bool:
@@ -926,12 +1057,11 @@ def one_cofactors(ctx: PolyContext, gens):
     Relies on the stop_at_one early exit: a constant can only ever enter
     the basis through insert(), and the early exit returns it made
     monic, so the returned basis is exactly (1,) whenever the ideal is
-    the whole ring.
+    the whole ring; the constant is then lifted by the trace.
     """
-    gens = list(gens)
-    basis, cofs = buchberger(ctx, gens, track=True, stop_at_one=True)
-    if len(basis) == 1 and basis[0] and mono_deg(basis[0][0][0]) == 0:
-        return list(cofs[0])
+    basis, trace = buchberger(ctx, list(gens), track=True, stop_at_one=True)
+    if len(basis) == 1 and mono_deg(basis[0][0][0]) == 0:
+        return trace.lift([basis[0]])
     return None
 
 

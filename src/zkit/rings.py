@@ -40,11 +40,16 @@ the protocol that lattices and homs into it use.
   than Limits.max_assignments of them.
 - ambient: the ring that ideal computations run in (the free
   polynomial ring of a quotient, the ring itself for Z and Z/n).
-- ideal_basis(gens): reduced Groebner basis (or the gcd) of the
-  generators plus relations, in the ambient ring, with each basis
-  element's cofactors over the generators followed by the relations.
+- ideal_basis(gens): (basis, lift): the reduced Groebner basis (or the
+  gcd) of the generators plus relations, in the ambient ring, and a
+  function that takes multipliers q aligned with basis, not all zero,
+  and returns cofactors c over the generators followed by the relations
+  with sum(c_j * g_j) == sum(q_i * basis_i).  Nothing is lifted until it
+  is called (for quotients, by a reverse pass over the Groebner run's
+  trace, see poly); lift is None when the basis is empty.
 - divide(x, basis): quotients and remainder of x by such a basis.
-- unit_cofactors(gens): cofactors c with sum(c_i * gens_i) == 1, or None.
+- unit_cofactors(gens): cofactors c with sum(c_i * gens_i) == 1, or None;
+  a refuted answer builds no cofactor.
 - radical_member(a, gens): whether a^k lies in <gens> for some k.
 - saturates(a, f): whether a * f^k == 0 for some k.
 - saturation_bound: an exponent that such a k never needs to exceed
@@ -183,8 +188,10 @@ class _Integers(_Ring):
         g, coeffs = _ext_gcd_list(list(gens) + [self.modulus])
         g = self._reduce(g)
         if g == 0:
-            return (), ()
-        return (g,), (tuple(self._reduce(c) for c in coeffs[:-1]),)
+            return (), None
+        row = [self._reduce(c) for c in coeffs[:-1]]
+        return (g,), lambda quotients: [self._reduce(quotients[0] * c)
+                                        for c in row]
 
     def divide(self, x, basis):
         if not basis:
@@ -437,8 +444,9 @@ class QuotientRing(_Ring):
                                            repeat=len(monos))]
 
     def ideal_basis(self, gens):
-        return poly.buchberger(self.ctx, list(gens) + list(self.relations),
-                               track=True)
+        basis, trace = poly.buchberger(
+            self.ctx, list(gens) + list(self.relations), track=True)
+        return basis, (trace.lift if basis else None)
 
     def divide(self, x, basis):
         return poly.p_divmod(self.ctx, x, list(basis))
@@ -453,7 +461,7 @@ class QuotientRing(_Ring):
 
     def radical_member(self, a, gens) -> bool:
         # Rabinowitsch: a in sqrt(I) iff 1 in I + relations + <1 - t*a>
-        _, basis = _rabinowitsch_basis(self, tuple(gens), a)
+        basis = _rabinowitsch_basis(self, tuple(gens), a)
         return len(basis) == 1 and poly.mono_deg(basis[0][0][0]) == 0
 
     def saturates(self, a, f) -> bool:
@@ -543,8 +551,9 @@ class FieldRing(QuotientRing):
     def ideal_basis(self, gens):
         cof = self.unit_cofactors(gens)
         if cof is None:
-            return (), ()
-        return (self._scalar(self.base.one),), (cof,)
+            return (), None
+        return (self._scalar(self.base.one),), \
+            lambda quotients: [self.mul(quotients[0], c) for c in cof]
 
     def divide(self, x, basis):
         # a basis here is () or (1,), see ideal_basis
@@ -566,17 +575,26 @@ class FieldRing(QuotientRing):
         return not a or not f
 
 
-def _rabinowitsch_basis(ring: QuotientRing, gens, f):
-    """Groebner basis of gens + relations + <1 - t*f> in the free ring
-    with one more variable t; 1 is in it iff f in sqrt(<gens> + relations),
-    and a reduces to 0 by it iff a * f^k lies in <gens> + relations."""
+def _rabinowitsch(ring: QuotientRing, gens, f):
+    """(ctx, gens + relations + <1 - t*f>) in the free ring with one more
+    variable t; 1 is in their ideal iff f in sqrt(<gens> + relations),
+    and a reduces to 0 by its Groebner basis iff a * f^k lies in
+    <gens> + relations."""
     ctx = ring.ctx.extended()
     ext = [poly.p_extend(g) for g in gens + ring.relations]
     t = poly.var_poly(ctx, ctx.nvars - 1)
     ext.append(poly.p_sub(ctx, poly.const_poly(ctx, 1),
                           poly.p_mul(ctx, t, poly.p_extend(f))))
+    return ctx, ext
+
+
+def _rabinowitsch_basis(ring: QuotientRing, gens, f):
+    """The decision basis of _rabinowitsch: (1,) when 1 is in the ideal,
+    else its Buchberger-complete basis as it stands (stop_at_one), with
+    no cofactors and no reduction, since the decision reads neither."""
+    ctx, ext = _rabinowitsch(ring, gens, f)
     basis, _ = poly.buchberger(ctx, ext, stop_at_one=True)
-    return ctx, basis
+    return basis
 
 
 SATURATION_CACHE_SIZE = 1024  # (ring, f) pairs whose bases are kept
@@ -584,10 +602,13 @@ SATURATION_CACHE_SIZE = 1024  # (ring, f) pairs whose bases are kept
 
 @lru_cache(maxsize=SATURATION_CACHE_SIZE)
 def _saturation_basis(ring: QuotientRing, f):
-    """_rabinowitsch_basis with no generators, cached per (ring, f) (the
-    SATURATION_CACHE_SIZE most recently used): saturation tests share
-    it, and it is the presentation that R[1/f] reduces its payloads by."""
-    return _rabinowitsch_basis(ring, (), f)
+    """(ctx, reduced Groebner basis) of _rabinowitsch with no generators,
+    cached per (ring, f) (the SATURATION_CACHE_SIZE most recently used):
+    saturation tests share it, and it is the presentation that R[1/f]
+    reduces its payloads by."""
+    ctx, ext = _rabinowitsch(ring, (), f)
+    basis, _ = poly.buchberger(ctx, ext)
+    return ctx, basis
 
 
 RingDesc = object  # IntegerRing | ResidueRing | QuotientRing | LocalizedRing

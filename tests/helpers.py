@@ -12,11 +12,13 @@ twins of zkit's record classes.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import importlib
 import pkgutil
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import zkit
 from zkit import (IntegerRing, NotWellDefined, PrimeField, QuotientRing,
@@ -261,7 +263,8 @@ def reference_enumerate_homs(domain, codomain):
 # pair of basis elements is reduced (only coprime ones are skipped).  Both
 # pick pairs by normal selection, so the pairs the criteria delete are
 # exactly ones that reduce to zero there: the two return equal bases and
-# cofactors.
+# cofactors.  With stop_at_one, an ideal without 1 gets its
+# Buchberger-complete basis (monic here), neither minimized nor reduced.
 
 def _ref_from_dict(ctx, d):
     items = [(m, c) for m, c in d.items() if c != ctx.field.zero]
@@ -415,6 +418,8 @@ def reference_buchberger(ctx, gens, *, track=False, stop_at_one=False,
         if done:
             return out
         add_pairs(len(basis) - 1)
+    if stop_at_one:  # 1 is not in the ideal: the complete basis as it is
+        return tuple(basis), cofs if track else None
     # minimize (first of equal leading monomials), then reduce each tail
     keep = [i for i, f in enumerate(basis)
             if not any(j != i and P.mono_divides(g[0][0], f[0][0])
@@ -431,6 +436,250 @@ def reference_buchberger(ctx, gens, *, track=False, stop_at_one=False,
     out.sort(key=lambda t: ctx.key(t[0][0][0]))
     return (tuple(f for f, _ in out),
             [c for _, c in out] if track else None)
+
+
+# ---------------------------------------------------------------------------
+# Reference forward-tracked engine: zkit.poly's Buchberger as it was
+# before cofactors were lifted on demand.  Every element the engine makes
+# carries its full cofactor vector over the generators, (vec, d) with
+# vec over the engine's coefficients and d a positive int (1 over Fp),
+# updated by every reduction; with stop_at_one the basis is reduced also
+# when 1 is not in the ideal.  Returns (basis, cofactor rows) like
+# reference_buchberger, and the reverse lift of poly.Trace must give
+# exactly these rows.
+
+def _fwd_divide(ctx, f, divisors):
+    """(quotients, rem, mult) with mult*f == sum(q_i*divisors_i) + rem, on
+    engine coefficients: the heap-driven division loop, with quotients
+    rescaled by every step's multiplier."""
+    fld = ctx.field
+    dkey = ctx.desc_key
+    leads = [(d[0][0], None if d[0][1] == 1 else d[0][1], d[1:], [])
+             for d in divisors]
+    rem = []
+    total = 1
+    work = dict(f)
+    heap = [(dkey(m), m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        for lm, lc, tail, quo in leads:
+            if P.mono_divides(lm, m):
+                q = P.mono_div(m, lm)
+                if lc is None:
+                    qc = c
+                else:
+                    k, qc = fld.step(c, lc)
+                    if k != 1:
+                        total *= k
+                        for wm in work:
+                            work[wm] = fld.mul(work[wm], k)
+                        rem = [(rm, fld.mul(rc, k)) for rm, rc in rem]
+                        for ld in leads:
+                            ld[3][:] = [(qm, fld.mul(qk, k))
+                                        for qm, qk in ld[3]]
+                quo.append((q, qc))
+                for tm, tc in tail:
+                    mm = P.mono_mul(q, tm)
+                    old = work.get(mm)
+                    s = fld.sub(0 if old is None else old, fld.mul(qc, tc))
+                    if s:
+                        if old is None:
+                            heapq.heappush(heap, (dkey(mm), mm))
+                        work[mm] = s
+                    elif old is not None:
+                        del work[mm]
+                break
+        else:
+            rem.append((m, c))
+    return [tuple(ld[3]) for ld in leads], tuple(rem), total
+
+
+def _fwd_unit(eng, f):
+    """The content of f signed like its leading coefficient over Z, its
+    leading coefficient over Fp."""
+    if isinstance(eng, PrimeField):
+        return f[0][1]
+    g = gcd(*[c for _, c in f])
+    return g if f[0][1] > 0 else -g
+
+
+def _fwd_divide_out(eng, f, s):
+    if isinstance(eng, PrimeField):
+        inv = pow(s, -1, eng.p)
+        return tuple((m, c * inv % eng.p) for m, c in f)
+    return tuple((m, c // s) for m, c in f)
+
+
+def _fwd_unscale(eng, vec, d, s):
+    """The vector vec/(d*s) as (vec', d') in lowest terms, d' > 0."""
+    if isinstance(eng, PrimeField):
+        s = s * d % eng.p
+        if s == 1:
+            return vec, 1
+        return [_fwd_divide_out(eng, v, s) for v in vec], 1
+    d *= s
+    h = gcd(d, *[c for v in vec for _, c in v])
+    if d < 0:
+        h = -h
+    if h == 1:
+        return vec, d
+    return [tuple((m, c // h) for m, c in v) for v in vec], d // h
+
+
+def _fwd_shift_sub(ctx, f, mf, cf, g, mg, cg):
+    """cf*mf*f - cg*mg*g."""
+    return P.p_sub(ctx, P.p_term_mul(ctx, f, mf, cf),
+                   P.p_term_mul(ctx, g, mg, cg))
+
+
+def _fwd_combine(ctx, fcof, mult, quots, basiscofs):
+    """The cofactors of mult*f - sum(q_k * basis_k), over the lcm of the
+    denominators."""
+    vec, d = fcof
+    used = [(q, bc) for q, bc in zip(quots, basiscofs) if q]
+    if not used:
+        return fcof
+    den = lcm(d, *[bc[1] for _, bc in used])
+    fld = ctx.field
+    scale = fld.mul(mult, den // d)
+    used = [(q if den == bd else P.p_scale(ctx, q, den // bd), bvec)
+            for q, (bvec, bd) in used]
+    out = []
+    for j, comp in enumerate(vec):
+        acc = {m: fld.mul(c, scale) for m, c in comp}
+        for q, bvec in used:
+            for bm, bc in bvec[j]:
+                for qm, qc in q:
+                    m = P.mono_mul(qm, bm)
+                    acc[m] = fld.sub(acc.get(m, 0), fld.mul(qc, bc))
+        out.append(P.poly_from_dict(ctx, acc))
+    return out, den
+
+
+def _fwd_reduce(ctx, f, fcof, basis, basiscofs, track):
+    if not basis:
+        return f, fcof
+    quots, rem, mult = _fwd_divide(ctx, f, basis)
+    if track:
+        fcof = _fwd_combine(ctx, fcof, mult, quots, basiscofs)
+    return rem, fcof
+
+
+def _fwd_monic(fld, f, fcof):
+    lc = f[0][1]
+    if fcof is None:
+        return fld.lift(f, 1, lc), None
+    vec, d = fcof
+    return fld.lift(f, 1, lc), [fld.lift(v, 1, d * lc) for v in vec]
+
+
+def reference_buchberger_tracked(ctx, gens, *, track=False,
+                                 stop_at_one=False):
+    fld = ctx.field
+    ectx = ctx.engine
+    eng = ectx.field
+    gens = list(gens)
+    n = len(gens)
+    basis, cofs = [], []
+
+    def insert(f, fcof):
+        s = _fwd_unit(eng, f)
+        if s != 1:
+            f = _fwd_divide_out(eng, f, s)
+        if track:
+            fcof = _fwd_unscale(eng, fcof[0], fcof[1], s)
+        if stop_at_one and P.mono_deg(f[0][0]) == 0:
+            f, fcof = _fwd_monic(fld, f, fcof)
+            return (f,), ([fcof] if track else None)
+        basis.append(f)
+        cofs.append(fcof)
+        return None
+
+    for i, g in enumerate(gens):
+        if not g:
+            continue
+        den, g = fld.integral(g)
+        gcof = None
+        if track:
+            gcof = [()] * n
+            gcof[i] = P.const_poly(ectx, den)
+            gcof = (gcof, 1)
+        g, gcof = _fwd_reduce(ectx, g, gcof, basis, cofs, track)
+        if g:
+            out = insert(g, gcof)
+            if out is not None:
+                return out
+    pairs = []
+    for t in range(len(basis)):
+        _ref_update(basis, pairs, t)
+    while pairs:
+        best = min(range(len(pairs)),
+                   key=lambda k: ctx.key(P.mono_lcm(basis[pairs[k][0]][0][0],
+                                                    basis[pairs[k][1]][0][0])))
+        i, j = pairs.pop(best)
+        fi, fj = basis[i], basis[j]
+        lcm_ij = P.mono_lcm(fi[0][0], fj[0][0])
+        mi, mj = P.mono_div(lcm_ij, fi[0][0]), P.mono_div(lcm_ij, fj[0][0])
+        ci, cj = eng.step(fi[0][1], fj[0][1])
+        s = _fwd_shift_sub(ectx, fi, mi, ci, fj, mj, cj)
+        scof = None
+        if track:
+            (veci, di), (vecj, dj) = cofs[i], cofs[j]
+            den = lcm(di, dj)
+            ki, kj = ci * (den // di), cj * (den // dj)
+            scof = ([_fwd_shift_sub(ectx, a, mi, ki, b, mj, kj)
+                     for a, b in zip(veci, vecj)], den)
+        s, scof = _fwd_reduce(ectx, s, scof, basis, cofs, track)
+        if s:
+            out = insert(s, scof)
+            if out is not None:
+                return out
+            _ref_update(basis, pairs, len(basis) - 1)
+    keep = [i for i, f in enumerate(basis)
+            if not any(j != i and P.mono_divides(g[0][0], f[0][0])
+                       and (g[0][0] != f[0][0] or j < i)
+                       for j, g in enumerate(basis))]
+    out = []
+    for i in keep:
+        others = [k for k in keep if k != i]
+        f, fcof = _fwd_reduce(ectx, basis[i], cofs[i],
+                              [basis[k] for k in others],
+                              [cofs[k] for k in others], track)
+        if f:
+            out.append(_fwd_monic(fld, f, fcof))
+    out.sort(key=lambda t: ctx.key(t[0][0][0]))
+    return (tuple(f for f, _ in out),
+            [c for _, c in out] if track else None)
+
+
+def reference_one_cofactors(ctx, gens):
+    """one_cofactors on the forward-tracked engine."""
+    basis, cofs = reference_buchberger_tracked(ctx, gens, track=True,
+                                               stop_at_one=True)
+    if len(basis) == 1 and P.mono_deg(basis[0][0][0]) == 0:
+        return list(cofs[0])
+    return None
+
+
+def reference_ideal_member(ring, a, gens):
+    """ideal_member in a free polynomial ring on the forward-tracked
+    engine's rows: the cofactors sum(q_i * row_i) of a's quotients by the
+    reduced basis, or None."""
+    ctx = ring.ctx
+    basis, rows = reference_buchberger_tracked(ctx, gens, track=True)
+    quots, rem = P.p_divmod(ctx, a, list(basis))
+    if rem:
+        return None
+    total = [()] * len(gens)
+    for q, row in zip(quots, rows):
+        if q:
+            total = [P.p_add(ctx, t, P.p_mul(ctx, q, c))
+                     for t, c in zip(total, row)]
+    return total
 
 
 # ---------------------------------------------------------------------------

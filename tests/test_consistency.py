@@ -1,6 +1,7 @@
 """Names that live outside src/zkit still resolve in zkit: README's
-Python examples and the span table the benchmark's tracer wraps; and
-src/zkit keeps the rules its readers rely on."""
+Python examples, and the span table and signatures of the functions the
+benchmark's tracer wraps; and src/zkit keeps the rules its readers rely
+on."""
 import ast
 import importlib
 import re
@@ -41,6 +42,66 @@ def test_trace_spans_resolve():
     for mod, attr in wrapped:
         module = importlib.import_module(f"zkit.{mod}")
         assert callable(getattr(module, attr, None)), f"zkit.{mod}.{attr}"
+
+
+def _tracer_wrappers():
+    """{method name: (its inner wrapper's FunctionDef, attributes it
+    reads on fn)} for the methods of bench/trace.py's Tracer that wrap a
+    zkit function with a signature of their own."""
+    source = (ROOT / "bench" / "trace.py").read_text()
+    tracer = next(node for node in ast.parse(source).body
+                  if isinstance(node, ast.ClassDef) and node.name == "Tracer")
+    out = {}
+    for method in tracer.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        wrapper = next((node for node in ast.walk(method)
+                        if isinstance(node, ast.FunctionDef)
+                        and node.name == "wrapper"), None)
+        reads = {node.attr for node in ast.walk(method)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "fn"}
+        out[method.name] = (wrapper, reads)
+    return out
+
+
+def test_trace_wrappers_match_signatures():
+    """The tracer calls poly.buchberger(ctx, gens, track=..,
+    stop_at_one=..) and reads len(out[0]), reads ideals.groebner's
+    cache_info(), and calls rings.enumerate_homs(domain, codomain): each
+    wrapper's parameters must bind to the zkit function's signature, its
+    keyword-only ones as keyword-only, with nothing else required, and
+    every attribute it reads on the function must exist."""
+    import inspect
+    wrappers = _tracer_wrappers()
+    for method, (mod, attr) in {"buchberger": ("poly", "buchberger"),
+                                "groebner": ("ideals", "groebner"),
+                                "enumerate_homs": ("rings",
+                                                   "enumerate_homs")}.items():
+        wrapper, reads = wrappers[method]
+        fn = getattr(importlib.import_module(f"zkit.{mod}"), attr)
+        params = inspect.signature(fn).parameters
+        positional = [a.arg for a in wrapper.args.args]
+        keywords = [a.arg for a in wrapper.args.kwonlyargs]
+        assert list(params)[:len(positional)] == positional, method
+        for name in keywords:
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, name
+        required = [name for name, p in params.items()
+                    if p.default is inspect.Parameter.empty]
+        assert set(required) <= set(positional), (method, required)
+        for name in reads:
+            assert hasattr(fn, name), f"zkit.{mod}.{attr}.{name}"
+    assert wrappers["groebner"][1] == {"cache_info"}
+    assert [a.arg for a in wrappers["buchberger"][0].args.kwonlyargs] == [
+        "track", "stop_at_one"]
+    from zkit.poly import PolyContext, Rationals, buchberger, var_poly
+    ctx = PolyContext(Rationals(), 1)
+    for track in (False, True):
+        for stop_at_one in (False, True):
+            out = buchberger(ctx, [var_poly(ctx, 0)], track=track,
+                             stop_at_one=stop_at_one)
+            assert len(out[0]) == 1
 
 
 def test_src_has_no_assert_statements():

@@ -68,11 +68,17 @@ def test_field_arithmetic_matches_engine_path():
             basis, lift = K.ideal_basis(gens)
             ref_basis, ref_lift = ref.ideal_basis(gens)
             assert tuple(basis) == tuple(ref_basis)
-            assert [list(r) for r in lift] == [list(r) for r in ref_lift]
+            # the lift of each basis element is its row of cofactors
+            assert (lift is None) == (ref_lift is None) == (not basis)
+            for i, b in enumerate(basis):
+                unit = [b if j == i else () for j in range(len(basis))]
+                assert list(lift(unit)) == list(ref_lift(unit))
             for x in xs:
                 quots, rem = K.divide(x, basis)
                 ref_quots, ref_rem = ref.divide(x, ref_basis)
                 assert (list(quots), rem) == (list(ref_quots), ref_rem)
+                if any(quots):
+                    assert list(lift(quots)) == list(ref_lift(ref_quots))
 
 
 def test_localized_field_matches_rabinowitsch_reference():

@@ -221,6 +221,31 @@ def test_resource_caps():
             groebner(hard)
 
 
+def test_radical_exponent_cap_names_layer_value_and_cap():
+    """x + y is in the radical of <x^3, y^2> with exponent 4."""
+    from zkit.ideals import radical_exponent
+    Qxy = polynomial_ring(Rationals(), ["x", "y"])
+    x, y = Qxy.gens()
+    with limits(max_exponent=2):
+        with pytest.raises(ResourceExceeded) as exc:
+            radical_exponent(x + y, fin_gen_ideal(Qxy, [x ** 3, y ** 2]))
+    assert str(exc.value) == ("ideals.radical_exponent: exponent 3 exceeded "
+                              "max_exponent=2 with no radical witness")
+
+
+def test_saturation_cap_names_layer_value_and_cap():
+    """x saturates 1 in Q[x]/(x^5) with exponent 5."""
+    Qx = polynomial_ring(Rationals(), ["x"])
+    R = quotient_by(Qx, [Qx.var("x") ** 5])
+    assert saturation_member(R.one(), R.var("x")) == 5
+    with limits(max_exponent=3):
+        with pytest.raises(ResourceExceeded) as exc:
+            saturation_member(R.one(), R.var("x"))
+    assert str(exc.value) == (
+        "ideals.saturation_member: exponent 4 exceeded 3 = "
+        "max(max_exponent=3, saturation_bound=0) with no saturation exponent")
+
+
 def test_caches_are_bounded():
     """groebner and the saturation bases keep at most their module's
     cache size, however many distinct ideals pass through."""

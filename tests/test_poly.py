@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from helpers import reference_buchberger, reference_divmod
-from zkit import poly
+from zkit import ResourceExceeded, poly
 from zkit.limits import limits
 from zkit.poly import (PolyContext, PrimeField, Rationals, buchberger,
                        const_poly, is_groebner, is_prime, is_reduced_basis,
@@ -125,8 +125,8 @@ def test_cofactor_identity_random():
                             for _ in range(rng.choice([1, 2, 3]))) if g]
         if not gens:
             continue
-        basis, cofs = buchberger(ctx, gens, track=True)
-        for b, row in zip(basis, cofs):
+        basis, trace = buchberger(ctx, gens, track=True)
+        for b, row in zip(basis, _rows(ctx, basis, trace)):
             acc = ()
             for c, g in zip(row, gens):
                 acc = p_add(ctx, acc, p_mul(ctx, c, g))
@@ -263,19 +263,40 @@ def _monic(f):
     return tuple((m, Q(c) / f[0][1]) for m, c in f)
 
 
+def _made_monic(ctx, basis):
+    """A basis over ctx.field, or a stop_at_one basis in engine
+    coefficients, with each element divided by its leading coefficient."""
+    fld = ctx.field
+    return tuple(tuple((m, fld.div(fld.coerce(c), fld.coerce(f[0][1])))
+                       for m, c in f) for f in basis)
+
+
+def _rows(ctx, basis, trace):
+    """The lift of each basis element made monic: the cofactor rows that
+    a forward-tracked engine keeps for the monic basis."""
+    fld = ctx.field
+    rows = []
+    for i, b in enumerate(basis):
+        unit = [()] * len(basis)
+        unit[i] = const_poly(ctx, fld.invert(fld.coerce(b[0][1])))
+        rows.append(trace.lift(unit))
+    return rows
+
+
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_buchberger_matches_reference(field, order, monkeypatch):
     # record every polynomial the engine hands to reduction: generators,
     # S-polynomials in selection order, then the tails of the final basis
+    # (none under stop_at_one when 1 is not in the ideal)
     trace = []
-    reduce_tracked = poly._reduce_tracked
+    reduce = poly._reduce
 
     def recording(ctx, f, *rest):
         trace.append(f)
-        return reduce_tracked(ctx, f, *rest)
+        return reduce(ctx, f, *rest)
 
-    monkeypatch.setattr(poly, "_reduce_tracked", recording)
+    monkeypatch.setattr(poly, "_reduce", recording)
     rng = random.Random(f"buchberger/{field}/{order}")
     cases = []
     for _ in range(15):
@@ -313,8 +334,15 @@ def test_buchberger_matches_reference(field, order, monkeypatch):
             for stop_at_one in (False, True):
                 trace.clear()
                 ref_trace = []
-                ours = buchberger(ctx, gens, track=track,
-                                  stop_at_one=stop_at_one)
+                basis, lift = buchberger(ctx, gens, track=track,
+                                         stop_at_one=stop_at_one)
+                # the lift of each element made monic is the reference's
+                # forward-tracked row; a stop_at_one basis is compared
+                # made monic, every other one as it is
+                ours = (_made_monic(ctx, basis),
+                        _rows(ctx, basis, lift) if track else None)
+                if not stop_at_one:
+                    assert ours[0] == basis, (trial, track)
                 ref = reference_buchberger(ctx, gens, track=track,
                                            stop_at_one=stop_at_one,
                                            trace=ref_trace)
@@ -339,15 +367,18 @@ def test_buchberger_matches_reference(field, order, monkeypatch):
 def test_cyclic5_pair_counts(field, monkeypatch):
     """The criteria leave cyclic-5 with 128 reductions (generators,
     S-pairs and the final tails) where every pair took 758, so it fits
-    under a cap of 150 S-pairs.  Counts do not depend on the machine."""
+    under a cap of 150 S-pairs.  Under stop_at_one the 42 elements of
+    the Buchberger-complete basis are returned as they are, so the 20
+    tail reductions of the reduced basis are not run.  Counts do not
+    depend on the machine."""
     calls = []
-    reduce_tracked = poly._reduce_tracked
+    reduce = poly._reduce
 
     def counting(ctx, f, *rest):
         calls.append(f)
-        return reduce_tracked(ctx, f, *rest)
+        return reduce(ctx, f, *rest)
 
-    monkeypatch.setattr(poly, "_reduce_tracked", counting)
+    monkeypatch.setattr(poly, "_reduce", counting)
     ctx = PolyContext(field, 5)
     gens = _cyclic(ctx, 5)
     for track in (False, True):
@@ -356,8 +387,9 @@ def test_cyclic5_pair_counts(field, monkeypatch):
             with limits(max_pairs=150):
                 basis, _ = buchberger(ctx, gens, track=track,
                                       stop_at_one=stop_at_one)
-            assert len(basis) == 20
-            assert len(calls) <= 200, (track, stop_at_one, len(calls))
+            assert (len(basis), len(calls)) == ((42, 108) if stop_at_one
+                                                else (20, 128)), \
+                (track, stop_at_one)
 
 
 def test_normal_form_of_a_reduced_polynomial_is_itself():
@@ -409,3 +441,29 @@ def test_buchberger_matches_sympy(modulus):
     ctx = PolyContext(field, 5)
     gens = _cyclic(ctx, 5)
     assert set(buchberger(ctx, gens)[0]) == sympy_basis(ctx, gens)
+
+
+def _katsura_like(ctx):
+    """x^2 + 2y^2 + 2z^2 - 7x, 2xy + 2yz - 7y, x + 2y + 2z - 7."""
+    return [_from_terms(ctx, g) for g in (
+        {"200": 1, "020": 2, "002": 2, "100": -7},
+        {"110": 2, "011": 2, "010": -7}, {"100": 1, "010": 2, "001": 2,
+                                          "000": -7})]
+
+
+def test_pair_cap_names_layer_value_and_cap():
+    ctx = PolyContext(Rationals(), 3)
+    with limits(max_pairs=1):
+        with pytest.raises(ResourceExceeded) as exc:
+            buchberger(ctx, _katsura_like(ctx))
+    assert str(exc.value) == ("poly.buchberger: 2 S-pairs exceeded "
+                              "max_pairs=1")
+
+
+def test_basis_cap_names_layer_value_and_cap():
+    ctx = PolyContext(Rationals(), 3)
+    with limits(max_basis=2):
+        with pytest.raises(ResourceExceeded) as exc:
+            buchberger(ctx, _katsura_like(ctx), track=True)
+    assert str(exc.value) == ("poly.buchberger: 3 basis elements exceeded "
+                              "max_basis=2")
