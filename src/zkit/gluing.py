@@ -6,10 +6,11 @@ the R[1/f_i] is compatible when each pair agrees in the double
 localization R[1/(f_i f_j)]; the witnesses are the saturation exponents.
 
 glue_element inverts the restriction map: align the denominators to a
-common power N, take the largest pairwise witness exponent k, raise the
-Bezout certificate to the power N+k, and recombine.  The result is
-verified against the input family before it is returned, and restricting
-a global element then gluing gives back that element on the nose.
+common power N, take the largest pairwise witness exponent k, find
+cofactors of the f_i^(N+k) (the ring's own, see ideals.power_certificate)
+and recombine.  The result is verified against the input family before
+it is returned, and restricting a global element then gluing gives back
+that element on the nose.
 """
 from __future__ import annotations
 

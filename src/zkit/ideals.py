@@ -207,6 +207,33 @@ def unimodular_certificate(elements):
     for e in elements:
         if e.ring != ring:
             raise RingMismatch("mixed rings in unimodularity test")
+    return _bezout(ring, elements)
+
+
+def power_certificate(cert: BezoutCertificate, m: int) -> BezoutCertificate:
+    """From sum(a_i f_i) == 1 derive sum(b_i f_i^m) == 1.
+
+    The b_i are the ring's own unit cofactors of the f_i^m (the same
+    step unimodular_certificate takes), re-verified; the input
+    certificate shows that they exist, since the m-th powers of a cover
+    generate the unit ideal again.  Their size is that of the ring's
+    cofactors, not a power of the a_i.
+    """
+    if m < 1:
+        raise ValueError("power must be >= 1")
+    if m == 1:
+        return cert
+    fs = cert.generators
+    out = _bezout(fs[0].ring, tuple(f ** m for f in fs))
+    if out is None:
+        raise InvariantViolated("the powers of a cover generate no unit ideal")
+    return out
+
+
+def _bezout(ring, elements: tuple):
+    """The ring's unit cofactors of elements, as a re-verified
+    certificate aligned with them (a zero element gets a zero
+    cofactor), or None when 1 is not in their ideal."""
     nonzero = [(i, e) for i, e in enumerate(elements) if not e.is_zero]
     cof = ring.unit_cofactors(e.payload for _, e in nonzero)
     if cof is None:
@@ -218,38 +245,3 @@ def unimodular_certificate(elements):
     if not cert.verify():
         raise InvariantViolated("Bezout certificate failed re-verification")
     return cert
-
-
-def power_certificate(cert: BezoutCertificate, m: int) -> BezoutCertificate:
-    """From sum(a_i f_i) == 1 derive sum(b_i f_i^m) == 1.
-
-    Telescoping, one generator at a time.  Given sum(c_j g_j) == 1 with
-    g_i == f_i, let x = c_i f_i and s = 1 + x + ... + x^(m-1).  Then
-
-        1 = x^m + (1 - x) * s,    1 - x = sum_{j != i} c_j g_j,
-
-    so c_i <- c_i^m, g_i <- f_i^m and c_j <- c_j * s (j != i) is again a
-    certificate.  After every index has had its turn, every generator is
-    f_i^m.  Each turn costs m multiplications for x and s, one m-th
-    power and n - 1 rescaled cofactors; no ideal computation is run, so
-    every ring kind takes this one path.  The result is re-verified.
-    """
-    if m < 1:
-        raise ValueError("power must be >= 1")
-    if m == 1:
-        return cert
-    fs = cert.generators
-    one = fs[0].ring.one()
-    b = list(cert.cofactors)
-    for i, f in enumerate(fs):
-        x = b[i] * f
-        if not x.is_zero:  # x == 0 gives s == 1: the others stay as they are
-            s = one
-            for _ in range(m - 1):
-                s = one + x * s
-            b = [c if j == i else c * s for j, c in enumerate(b)]
-        b[i] = b[i] ** m
-    out = BezoutCertificate(tuple(f ** m for f in fs), tuple(b))
-    if not out.verify():
-        raise InvariantViolated("power certificate failed re-verification")
-    return out

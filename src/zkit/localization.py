@@ -18,8 +18,11 @@ kind builds its own localization (ring.localization(f)), with payloads
 
 Radical membership is decided back in R on numerators, the denominators
 being units: a/f^k lies in sqrt(<b_i/f^k_i>) iff a*f lies in
-sqrt(<b_i>) in R.  Over Z and Z/n, 1 = sum c_i b_i/f^k_i iff
-f^e = sum a_i b_i in R for some e, with c_i = a_i f^k_i / f^e.
+sqrt(<b_i>) in R.  Over Z and Z/n, extended Euclid gives g = gcd(b_i,
+n) = sum a_i b_i.  The ideal is the unit ideal iff g | f^e for some e,
+the least such e being found by dividing gcd(g, f) out of g as m is
+found from n; then c_i = a_i f^k_i / g = a_i f^k_i (f^e / g) / f^e
+gives 1 = sum c_i b_i/f^k_i.
 
 Fraction is the written form num/f^exp that scripts, glue families and
 certificates carry; L.element reads one, L.written writes a payload.
@@ -33,11 +36,11 @@ from functools import cached_property, lru_cache, partial
 from . import poly
 from .errors import (BaseMismatch, InvalidWitness, RingMismatch,
                      UnsupportedBase)
-from .ideals import fin_gen_ideal, radical_member, radical_witness
+from .ideals import fin_gen_ideal, radical_member
 from .records import record
-from .rings import (QuotientRing, RingElement, RingHom, _Ring,
-                    _saturation_basis, make_hom, normalize, polynomial_ring,
-                    quotient_by)
+from .rings import (QuotientRing, RingElement, RingHom, _ext_gcd_list,
+                    _Ring, _saturation_basis, make_hom, normalize,
+                    polynomial_ring, quotient_by)
 
 
 @record(frozen=True)
@@ -125,12 +128,7 @@ class LocalizedIntegers(LocalizedRing):
     @cached_property
     def _modulus(self) -> int:
         """m for Z/n (1 when f is nilpotent), 0 for Z."""
-        n, f = self.ring.modulus, self.f.payload
-        g = math.gcd(n, f)
-        while n and g > 1:
-            n //= g
-            g = math.gcd(n, f)
-        return n
+        return _strip(self.ring.modulus, self.f.payload)[0]
 
     def _make(self, num: int, exp: int):
         f, m = self.f.payload, self._modulus
@@ -165,18 +163,30 @@ class LocalizedIntegers(LocalizedRing):
 
     def unit_cofactors(self, gens):  # see the module docstring
         written = [self.written(g) for g in gens]
-        witness = radical_witness(
-            self.f, fin_gen_ideal(self.ring, [w.num for w in written]))
-        if witness is None:
+        if self.is_trivial:  # 1 = 0: every cofactor is 0
+            return [self.zero().payload] * len(written)
+        f = self.f.payload
+        g, coeffs = _ext_gcd_list([w.num.payload for w in written]
+                                  + [self.ring.modulus])
+        rest, e = _strip(g, f)
+        if rest != 1:  # g is no unit here
             return None
-        e, cofs = witness
-        cofs = iter(cofs)  # aligned with the nonzero numerators
-        return [self._make((next(cofs) * self.f ** w.exp).payload, e)
-                if not w.num.is_zero else self.zero().payload
-                for w in written]
+        scale = f ** e // g  # 1/g == scale / f^e
+        return [self._make(a * scale * f ** w.exp, e)
+                for a, w in zip(coeffs, written)]
 
     def written(self, x) -> Fraction:
         return self.fraction(x[0], x[1])
+
+
+def _strip(n: int, f: int):
+    """(r, e) for n >= 0: r is n with every prime that n shares with f
+    divided out (0 for n = 0), and e the least exponent with n | r * f^e."""
+    e = 0
+    while n > 1 and (g := math.gcd(n, f)) > 1:
+        n //= g
+        e += 1
+    return n, e
 
 
 class _Presented(LocalizedRing):

@@ -439,13 +439,6 @@ def p_sub(ctx: PolyContext, f: Poly, g: Poly) -> Poly:
     return p_add(ctx, f, p_neg(ctx, g))
 
 
-def p_scale(ctx: PolyContext, f: Poly, c) -> Poly:
-    fld = ctx.field
-    if c == fld.zero:
-        return ()
-    return tuple((m, fld.mul(co, c)) for m, co in f)
-
-
 def p_term_mul(ctx: PolyContext, f: Poly, mono: Mono, c) -> Poly:
     fld = ctx.field
     if c == fld.zero:
@@ -475,36 +468,10 @@ def p_mul(ctx: PolyContext, f: Poly, g: Poly) -> Poly:
     return fld.lift(poly_from_dict(ctx, d), 1, df * dg)
 
 
-def p_pow(ctx: PolyContext, f: Poly, k: int) -> Poly:
-    if k < 0:
-        raise ValueError("negative exponent")
-    result = const_poly(ctx, 1)
-    base = f
-    while k:
-        if k & 1:
-            result = p_mul(ctx, result, base)
-        base = p_mul(ctx, base, base)
-        k >>= 1
-    return result
-
-
 def p_extend(f: Poly, extra: int = 1) -> Poly:
     """Reinterpret f in a context with extra trailing variables."""
     pad = (0,) * extra
     return tuple((m + pad, c) for m, c in f)
-
-
-def p_eval(ctx: PolyContext, f: Poly, point):
-    """Evaluate at a tuple of field values (used by brute-force oracles)."""
-    fld = ctx.field
-    total = fld.zero
-    for m, c in f:
-        v = c
-        for e, x in zip(m, point):
-            for _ in range(e):
-                v = fld.mul(v, x)
-        total = fld.add(total, v)
-    return total
 
 
 # ---------------------------------------------------------------------------

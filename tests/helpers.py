@@ -132,6 +132,25 @@ def random_endo(ring, rng):
 
 
 # ---------------------------------------------------------------------------
+# payload arithmetic that only the tests use
+
+def p_scale(ctx, f, c):
+    """f * c for a coefficient c."""
+    return P.p_term_mul(ctx, f, (0,) * ctx.nvars, c)
+
+
+def p_eval(ctx, f, point):
+    """f at a tuple of field values (for brute-force oracles)."""
+    fld = ctx.field
+    total = fld.zero
+    for m, c in f:
+        for e, x in zip(m, point):
+            c = fld.mul(c, x ** e)
+        total = fld.add(total, c)
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Reference homs on RingElements: hom construction, application and
 # points of an open, as they were before rings.evaluate computed them on
 # payloads and schemes.points_over pulled opens back on element indices.
@@ -365,9 +384,9 @@ def reference_buchberger(ctx, gens, *, track=False, stop_at_one=False,
     def insert(f, fcof):
         lc = f[0][1]
         if lc != fld.one:
-            f = P.p_scale(ctx, f, fld.invert(lc))
+            f = p_scale(ctx, f, fld.invert(lc))
             if track:
-                fcof = [P.p_scale(ctx, a, fld.invert(lc)) for a in fcof]
+                fcof = [p_scale(ctx, a, fld.invert(lc)) for a in fcof]
         if stop_at_one and P.mono_deg(f[0][0]) == 0:
             return True, ((f,), [fcof] if track else None)
         basis.append(f)
@@ -546,7 +565,7 @@ def _fwd_combine(ctx, fcof, mult, quots, basiscofs):
     den = lcm(d, *[bc[1] for _, bc in used])
     fld = ctx.field
     scale = fld.mul(mult, den // d)
-    used = [(q if den == bd else P.p_scale(ctx, q, den // bd), bvec)
+    used = [(q if den == bd else p_scale(ctx, q, den // bd), bvec)
             for q, (bvec, bd) in used]
     out = []
     for j, comp in enumerate(vec):

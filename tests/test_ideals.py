@@ -174,8 +174,7 @@ def test_power_certificate():
         cover = random_unimodular_cover(ring, rng)
         for m in (2, 3):
             assert power_certificate(cover.certificate, m).verify()
-    # n = 6, m = 8 over Z with every cofactor nonzero: a multinomial
-    # expansion would have C(48, 5) terms and take minutes
+    # n = 6, m = 8 over Z with every cofactor nonzero
     fs = tuple(Z.element(v) for v in (2, 3, 5, 7, 11, 13))
     cert = BezoutCertificate(fs, tuple(Z.element(v)
                                        for v in (1, 1, 1, -1, 1, -1)))
@@ -194,11 +193,29 @@ def test_power_certificate():
     R = quotient_by(F7xy, [x ** 2 + y ** 2 - 1])
     x, y = R.gens()
     cover = make_cover(R, [x, y, R.one() - x - y])
+    start = time.perf_counter()
     out = power_certificate(cover.certificate, 6)
+    assert time.perf_counter() - start < 0.3
     assert out.verify()
     assert out.generators == tuple(f ** 6 for f in cover.elements)
+    assert max(sum(mono) for b in out.cofactors for mono, _ in b.payload) < 20
     g = x * y + 3 * x - 2
     assert _glue_known(cover, g, 6) == g
+    # Q[x] at the default exponent cap, 64
+    Qx = polynomial_ring(Rationals(), ["x"])
+    x = Qx.var("x")
+    cover = make_cover(Qx, [x + 1, -x])
+    start = time.perf_counter()
+    assert _glue_known(cover, x ** 2 - 3, 64) == x ** 2 - 3
+    assert time.perf_counter() - start < 1.0
+    # Z[1/2] and (Z/12)[1/3] = Z/4 at m = 64: 4^64 = 2^128 needs the
+    # exponent 128 in Z[1/2], past the exponent cap
+    for L, gens in ((localize(Z, 2), [4]), (localize(ResidueRing(12), 3),
+                                            [2, 3])):
+        cover = make_cover(L, [L.element(v) for v in gens])
+        out = power_certificate(cover.certificate, 64)
+        assert out.verify()
+        assert out.generators == tuple(f ** 64 for f in cover.elements)
 
 
 def _glue_known(cover, g, m):

@@ -8,8 +8,8 @@ from zkit import (CodomainNotFinite, IntegerRing, NotWellDefined, PrimeField,
                   RingMismatch, enumerate_homs, hom_apply, hom_compose,
                   identity_hom, is_unit, limits, make_hom, normalize,
                   polynomial_ring, quotient_by)
-from helpers import (random_element, random_quotient_ring, random_ring,
-                     reference_enumerate_homs)
+from helpers import (p_eval, random_element, random_quotient_ring,
+                     random_ring, reference_enumerate_homs)
 
 Z = IntegerRing()
 
@@ -190,7 +190,6 @@ def test_enumerate_homs_matches_zero_count():
     builds hom objects)."""
     import itertools
     rng = random.Random(31)
-    from zkit.poly import p_eval
     for trial in range(16):
         p = (2, 3, 5, 7)[trial % 4]
         ring = random_quotient_ring(rng, base=PrimeField(p), max_vars=3,
