@@ -569,7 +569,9 @@ def parse(source: str) -> Script:
 
 
 def parse_expression(source: str):
-    """Parse a single expression (used when reading serialized elements)."""
+    """Parse a single element or lattice expression, such as 1/2 * x + 3
+    or D(x) | D(y).  Certificates are never read with it: their elements
+    are canonical text, which serialize.element_from_str reads."""
     parser = _Parser(tokenize(source))
     node = parser.expr()
     tok = parser.peek()

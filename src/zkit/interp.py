@@ -230,7 +230,7 @@ def _hom_from_spec(env, domain, codomain, spec: dsl.HomSpec):
 
 def _point_json(pt) -> dict:
     phi = pt.hom
-    return {v: serialize.element_to_str(i)
+    return {v: str(i)
             for v, i in zip(phi.domain.variables, phi.generator_images)}
 
 
@@ -244,14 +244,13 @@ def _execute(stmt, env: _Env, options: Options):
         ring = env.current_ring()
         if stmt.kind == "elem":
             value = _eval_elem(env, ring, stmt.value)
-            result = {"elem": serialize.element_to_str(value)}
+            result = {"elem": str(value)}
         elif stmt.kind == "latt":
             value = _eval_latt(env, ring, stmt.value)
             result = {"latt": str(value)}
         else:
             value = _eval_ideal(env, ring, stmt.value)
-            result = {"ideal": [serialize.element_to_str(g)
-                                for g in value.generators]}
+            result = {"ideal": [str(g) for g in value.generators]}
         env.bindings[stmt.name] = _Binding(stmt.kind, value)
         return "ok", result, None
     if isinstance(stmt, dsl.CheckCmd):
@@ -331,7 +330,7 @@ def _execute(stmt, env: _Env, options: Options):
             return "refuted", {"glued": None, "reason": str(exc)}, None
         cert = serialize.glue_to_json(cover, fam.elements, fam.witnesses,
                                       glued)
-        return "ok", {"glued": serialize.element_to_str(glued)}, cert
+        return "ok", {"glued": str(glued)}, cert
     if isinstance(stmt, dsl.PointsCmd):
         ring = env.ring(stmt.ring_name)
         codomain = _build_ring(stmt.over, env)
@@ -372,7 +371,7 @@ def _execute(stmt, env: _Env, options: Options):
                     else ring)
         phi = _hom_from_spec(env, r.ring, codomain, stmt.homspec)
         value = hom_apply(phi, r)
-        return "ok", {"value": serialize.element_to_str(value)}, None
+        return "ok", {"value": str(value)}, None
     if isinstance(stmt, dsl.QcqsCmd):
         ring = env.current_ring()
         u = _eval_latt(env, ring, stmt.latt)

@@ -29,7 +29,8 @@ the protocol that lattices and homs into it use.
 - canonical(raw): a raw value (int, Fraction, a monomial dict, for
   quotients a term tuple, for R[1/f] a written localization.Fraction)
   read as a canonical payload.
-- is_zero(x), sort_key(x), render(x): payload tests, order and print.
+- is_zero(x), sort_key(x), render(x): payload tests, order, and the
+  text str() prints (the canonical text below; num / (f)^k for R[1/f]).
 - localization(f): R[1/f] for an element f of this ring.
 - unit_monomials: each variable name -> its exponent tuple.
 - add, sub, mul, neg: arithmetic on canonical payloads.
@@ -67,11 +68,21 @@ payloads: evaluate substitutes the images' payloads for the generators
 with the codomain's payload arithmetic, mapping each coefficient once
 per call, and make_hom (on the relations) and hom_apply both call it.
 enumerate_homs walks on indices into the codomain's elements instead.
+
+Results and certificates write elements in one canonical text, which
+terms_to_str prints: a sum of monomials in descending term order with
+no repeated or zero terms, such as 6 * x^2 - 5/3 or -(3 * x^2) + y,
+each coefficient as the payload holds it (any integer over Z, [0, n)
+over Z/n, [1, p) over Fp, lowest terms over Q); over a quotient ring no
+monomial is divisible by a leading monomial of the relation basis.
+read_terms scans a text back, and serialize.element_from_str accepts
+exactly this text.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction as _Q
 from functools import cached_property, lru_cache
 
@@ -112,6 +123,9 @@ class _Ring:
 
     def gens(self):
         return tuple(self.var(v) for v in self.variables)
+
+    def render(self, x) -> str:
+        return terms_to_str(self.terms(x), self.variables)
 
 
 class _Integers(_Ring):
@@ -169,9 +183,6 @@ class _Integers(_Ring):
 
     def terms(self, x):
         return (((), x),) if x else ()
-
-    def render(self, x) -> str:
-        return str(x)
 
     def localization(self, f):
         from .localization import LocalizedIntegers  # built on this module
@@ -370,7 +381,7 @@ class QuotientRing(_Ring):
         vars_part = f"[{','.join(self.variables)}]"
         if not self.relations:
             return base + vars_part
-        rels = ", ".join(render_poly(r, self.variables) for r in self.relations)
+        rels = ", ".join(terms_to_str(r, self.variables) for r in self.relations)
         return f"{base}{vars_part}/({rels})"
 
     def zero(self):
@@ -420,9 +431,6 @@ class QuotientRing(_Ring):
     def sort_key(self, x):
         return tuple((m, (c.numerator, c.denominator) if isinstance(c, _Q)
                       else c) for m, c in x)
-
-    def render(self, x) -> str:
-        return render_poly(x, self.variables)
 
     def localization(self, f):
         from .localization import LocalizedQuotient  # built on this module
@@ -711,39 +719,81 @@ def is_unit(a: RingElement):
 
 
 # ---------------------------------------------------------------------------
-# rendering (shared with the script front end)
+# canonical text
 
-def _render_coeff(c) -> str:
-    if isinstance(c, _Q) and c.denominator != 1:
-        return f"({c.numerator}/{c.denominator})"
-    if isinstance(c, _Q):
-        return str(c.numerator)
-    return str(c)
-
-
-def render_poly(p: Poly, variables) -> str:
-    if not p:
-        return "0"
+def terms_to_str(terms, variables) -> str:
+    """The canonical text (module docstring) of (exponent tuple,
+    coefficient) pairs in descending term order."""
     parts = []
-    for mono, coeff in p:
-        factors = []
-        for name, e in zip(variables, mono):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        neg = (coeff < 0) if not isinstance(coeff, tuple) else False
-        mag = -coeff if neg else coeff
-        body = _render_coeff(mag)
-        if factors and body == "1":
-            body = "*".join(factors)
-        elif factors:
-            body = body + "*" + "*".join(factors)
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
+    for mono, c in terms:
+        num, den = c.numerator, c.denominator  # an int is num/1
+        neg = num < 0
+        if neg:
+            num = -num
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(variables, mono) if e]
+        if den != 1:
+            factors.insert(0, f"{num}/{den}")
+        elif num != 1 or not factors:
+            factors.insert(0, str(num))
+        body = " * ".join(factors)
+        if parts:
+            parts.append(f" - {body}" if neg else f" + {body}")
+        elif neg:
+            parts.append(f"-({body})" if len(factors) > 1 else f"-{body}")
         else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts)
+            parts.append(body)
+    return "".join(parts) or "0"
+
+
+# One factor of a canonical text with what joins it to the text before
+# it: nothing, "-" or "-(" at the start, " * " inside a term, and " + "
+# or " - " between terms; then a coefficient, or a variable with its
+# exponent, and the ")" that may close a first term.  The scan takes
+# more than the language: a ")" anywhere, variables in any order, any
+# exponent, coefficient or term order, repeated and zero terms.  The
+# payload must print back to the text, and that rejects all of these.
+_FACTOR = re.compile(r"(-\(?| [-+*] |)(?:([0-9]+)(?:/([0-9]+))?"
+                     r"|([A-Za-z_][A-Za-z0-9_]*)(?:\^([0-9]+))?)\)?")
+
+
+def read_terms(ring, text: str):
+    """The term dict text spells over ring, or None when it is not a
+    signed sum of products of a coefficient and variables."""
+    variables = ring.variables
+    terms = []  # (coefficient, exponents) per term, in text order
+    pos = 0
+    for m in _FACTOR.finditer(text):
+        if m.start() != pos:
+            return None
+        pos = m.end()
+        join, num, den, name, power = m.groups()
+        if join == " * ":
+            if not terms or name is None:  # a coefficient must come first
+                return None
+        else:
+            # a sign or nothing opens the text, " + " or " - " a later term
+            if (len(join) == 3) != bool(terms):
+                return None
+            coeff = -1 if "-" in join else 1
+            if den is not None:
+                if not (ring.is_q_algebra and int(den)):
+                    return None
+                coeff *= _Q(int(num), int(den))
+            elif num is not None:
+                coeff *= int(num)
+            exps = [0] * len(variables)
+            terms.append((coeff, exps))
+            if name is None:
+                continue
+        try:
+            k = variables.index(name)
+        except ValueError:  # not a variable of ring
+            return None
+        exps[k] += int(power) if power is not None else 1
+    if pos != len(text) or not terms:
+        return None
+    return {tuple(exps): c for c, exps in terms if c}
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +929,7 @@ def make_hom(domain, codomain, images=()) -> RingHom:
     bad = next((i for i, c in enumerate(checks) if not c.is_zero), None)
     if bad is not None:
         raise NotWellDefined(
-            f"relation {render_poly(domain.relations[bad], domain.variables)}"
+            f"relation {terms_to_str(domain.relations[bad], domain.variables)}"
             f" maps to {checks[bad]} != 0")
     return RingHom(domain, codomain, images, checks)
 

@@ -5,15 +5,11 @@ a report is self-contained: the verify command can rebuild everything
 and re-check the claimed identities by plain ring arithmetic, with no
 access to the run that produced them.
 
-Certificate elements and relations are written in one canonical
-language, the one element_to_str prints from payload terms: a sum of
-monomials in descending term order with no repeated or zero terms, such
-as 6 * x^2 - 5/3 or -(3 * x^2) + y.  Coefficients are written as the
-payload holds them (any integer over Z, [0, n) over Z/n, [1, p) over Fp,
-lowest terms over Q), and over a quotient ring no monomial is divisible
-by a leading monomial of the relation basis.  element_from_str accepts
-exactly that language and rejects any other text with InvalidWitness
-before any arithmetic.
+Certificate elements and relations are written in the canonical text
+that str() prints for every element (see rings): a sum of monomials in
+descending term order, such as 6 * x^2 - 5/3 or -(3 * x^2) + y.
+element_from_str accepts exactly that language and rejects any other
+text with InvalidWitness before any arithmetic.
 
 Scripts are read by the general parser (dsl) and evaluated by
 eval_element_expr into a term dict {exponent tuple: coefficient}; Z and
@@ -29,7 +25,6 @@ canonical runs.
 """
 from __future__ import annotations
 
-import re
 from fractions import Fraction as _Q
 from functools import partial
 from operator import add, le, sub
@@ -43,7 +38,8 @@ from .limits import current_limits
 from .localization import Fraction, frac_eq
 from .poly import PrimeField, Rationals
 from .rings import (IntegerRing, ResidueRing, RingElement, make_hom,
-                    normalize, polynomial_ring, quotient_by)
+                    normalize, polynomial_ring, quotient_by, read_terms,
+                    terms_to_str)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +53,7 @@ def ring_to_json(ring) -> dict:
     base = "Q" if ring.is_q_algebra else {"Fp": ring.base.p}
     return {"kind": "polyquot", "base": base,
             "variables": list(ring.variables),
-            "relations": [_terms_to_str(r, ring.variables)
+            "relations": [terms_to_str(r, ring.variables)
                           for r in ring.relations],
             "order": ring.order}
 
@@ -79,36 +75,6 @@ def ring_from_json(data: dict):
 
 # ---------------------------------------------------------------------------
 # elements as script expressions
-
-def _terms_to_str(terms, variables) -> str:
-    """The canonical text (module docstring) of (exponent tuple,
-    coefficient) pairs in descending term order."""
-    parts = []
-    for mono, c in terms:
-        num, den = c.numerator, c.denominator  # an int is num/1
-        neg = num < 0
-        if neg:
-            num = -num
-        factors = [name if e == 1 else f"{name}^{e}"
-                   for name, e in zip(variables, mono) if e]
-        if den != 1:
-            factors.insert(0, f"{num}/{den}")
-        elif num != 1 or not factors:
-            factors.insert(0, str(num))
-        body = " * ".join(factors)
-        if parts:
-            parts.append(f" - {body}" if neg else f" + {body}")
-        elif neg:
-            parts.append(f"-({body})" if len(factors) > 1 else f"-{body}")
-        else:
-            parts.append(body)
-    return "".join(parts) or "0"
-
-
-def element_to_str(e: RingElement) -> str:
-    ring = e.ring
-    return _terms_to_str(ring.terms(e.payload), ring.variables)
-
 
 def _not_an_element(ring, node):
     """The leaf resolver when a caller names none, as for certificates:
@@ -232,59 +198,9 @@ def eval_element_expr(ring, node, leaf=None) -> RingElement:
     return RingElement(ring, ring.canonical(_TermReader(ring, leaf).read(node)))
 
 
-# One factor of a canonical text with what joins it to the text before
-# it: nothing, "-" or "-(" at the start, " * " inside a term, and " + "
-# or " - " between terms; then a coefficient, or a variable with its
-# exponent, and the ")" that may close a first term.  The scan takes
-# more than the language: a ")" anywhere, variables in any order, any
-# exponent, coefficient or term order, repeated and zero terms.  The
-# payload must print back to the text, and that rejects all of these.
-_FACTOR = re.compile(r"(-\(?| [-+*] |)(?:([0-9]+)(?:/([0-9]+))?"
-                     r"|([A-Za-z_][A-Za-z0-9_]*)(?:\^([0-9]+))?)\)?")
-
-
-def _read_terms(ring, text: str):
-    """The term dict text spells over ring, or None when it is not a
-    signed sum of products of a coefficient and variables."""
-    variables = ring.variables
-    terms = []  # (coefficient, exponents) per term, in text order
-    pos = 0
-    for m in _FACTOR.finditer(text):
-        if m.start() != pos:
-            return None
-        pos = m.end()
-        join, num, den, name, power = m.groups()
-        if join == " * ":
-            if not terms or name is None:  # a coefficient must come first
-                return None
-        else:
-            # a sign or nothing opens the text, " + " or " - " a later term
-            if (len(join) == 3) != bool(terms):
-                return None
-            coeff = -1 if "-" in join else 1
-            if den is not None:
-                if not (ring.is_q_algebra and int(den)):
-                    return None
-                coeff *= _Q(int(num), int(den))
-            elif num is not None:
-                coeff *= int(num)
-            exps = [0] * len(variables)
-            terms.append((coeff, exps))
-            if name is None:
-                continue
-        try:
-            k = variables.index(name)
-        except ValueError:  # not a variable of ring
-            return None
-        exps[k] += int(power) if power is not None else 1
-    if pos != len(text) or not terms:
-        return None
-    return {tuple(exps): c for c, exps in terms if c}
-
-
 def element_from_str(ring, text: str) -> RingElement:
-    """Read an element as a certificate writes it: exactly the text the
-    canonical printer gives (module docstring), else InvalidWitness.
+    """Read an element as a certificate writes it: exactly the text str()
+    prints for it (rings module docstring), else InvalidWitness.
 
     Nothing is expanded or reduced, so no certificate can make reading
     cost much more than its length: a power of a number or of a sum
@@ -293,16 +209,16 @@ def element_from_str(ring, text: str) -> RingElement:
     in a quotient ring are refused as written.
     """
     try:
-        terms = _read_terms(ring, text) if type(text) is str else None
+        terms = read_terms(ring, text) if type(text) is str else None
     except ValueError:  # an integer past int()'s digit limit
         terms = None
     if terms is not None:
         leads = ring.leading_monomials
         if not (leads and any(all(map(le, lm, m))
                               for m in terms for lm in leads)):
-            payload = ring.canonical(terms)
-            if _terms_to_str(ring.terms(payload), ring.variables) == text:
-                return RingElement(ring, payload)
+            e = RingElement(ring, ring.canonical(terms))
+            if str(e) == text:
+                return e
     raise InvalidWitness(f"{str(text)[:40]!r} is not in canonical form")
 
 
@@ -313,17 +229,17 @@ def bezout_to_json(cert: BezoutCertificate, claim: str = "bezout") -> dict:
     ring = cert.ring
     return {"claim": claim,
             "ring": ring_to_json(ring) if ring is not None else None,
-            "generators": [element_to_str(g) for g in cert.generators],
-            "cofactors": [element_to_str(c) for c in cert.cofactors]}
+            "generators": [str(g) for g in cert.generators],
+            "cofactors": [str(c) for c in cert.cofactors]}
 
 
 def membership_to_json(ring, element, generators, cofactors,
                        exponent: int = None) -> dict:
     data = {"claim": "membership" if exponent is None else "radical-membership",
             "ring": ring_to_json(ring),
-            "element": element_to_str(element),
-            "generators": [element_to_str(g) for g in generators],
-            "cofactors": [element_to_str(c) for c in cofactors]}
+            "element": str(element),
+            "generators": [str(g) for g in generators],
+            "cofactors": [str(c) for c in cofactors]}
     if exponent is not None:
         data["exponent"] = exponent
     return data
@@ -332,14 +248,12 @@ def membership_to_json(ring, element, generators, cofactors,
 def glue_to_json(cover, fractions, witnesses, glued) -> dict:
     return {"claim": "glue",
             "ring": ring_to_json(cover.ring),
-            "cover": [element_to_str(f) for f in cover.elements],
-            "cover_cofactors": [element_to_str(c)
-                                for c in cover.certificate.cofactors],
-            "family": [{"num": element_to_str(x.num),
-                        "den": element_to_str(x.f), "exp": x.exp}
+            "cover": [str(f) for f in cover.elements],
+            "cover_cofactors": [str(c) for c in cover.certificate.cofactors],
+            "family": [{"num": str(x.num), "den": str(x.f), "exp": x.exp}
                        for x in fractions],
             "pair_exponents": [list(w) for w in witnesses],
-            "glued": element_to_str(glued)}
+            "glued": str(glued)}
 
 
 def point_to_json(pt) -> dict:
@@ -347,9 +261,9 @@ def point_to_json(pt) -> dict:
     return {"claim": "point",
             "domain": ring_to_json(phi.domain),
             "codomain": ring_to_json(phi.codomain),
-            "images": [element_to_str(i) for i in phi.generator_images],
-            "open": [element_to_str(g) for g in pt.open.element.generators],
-            "cofactors": [element_to_str(c) for c in pt.witness.cofactors]}
+            "images": [str(i) for i in phi.generator_images],
+            "open": [str(g) for g in pt.open.element.generators],
+            "cofactors": [str(c) for c in pt.witness.cofactors]}
 
 
 def _lists(data: dict, *keys) -> list:

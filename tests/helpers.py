@@ -194,7 +194,7 @@ def reference_make_hom(domain, codomain, images=()):
     bad = next((i for i, rel in enumerate(rels) if not rel[()].is_zero),
                None)
     if bad is not None:
-        rel = R.render_poly(domain.relations[bad], domain.variables)
+        rel = R.terms_to_str(domain.relations[bad], domain.variables)
         raise NotWellDefined(f"relation {rel} maps to {rels[bad][()]} != 0")
     return RingHom(domain, codomain, images, tuple(rel[()] for rel in rels))
 

@@ -1,7 +1,8 @@
-"""The canonical element text of certificates: its printer and its strict
-reader (zkit.serialize) against each other, against the script printer,
-parser and evaluator they replaced (tests/helpers.py), and on edited
-texts, which must be refused with InvalidWitness and nothing else."""
+"""The canonical element text of results and certificates: its printer
+(str, zkit.rings) and its strict reader (zkit.serialize) against each
+other, against the script printer, parser and evaluator they replaced
+(tests/helpers.py), and on edited texts, which must be refused with
+InvalidWitness and nothing else."""
 import json
 import re
 import sys
@@ -17,9 +18,9 @@ from zkit import (IntegerRing, PrimeField, QuotientRing, Rationals,
 from zkit import poly as P
 from zkit.errors import InvalidWitness
 from zkit.interp import Options, run_source
-from zkit.rings import quotient_by
-from zkit.serialize import (element_from_str, element_to_str,
-                            ring_from_json, ring_to_json, verify_certificate)
+from zkit.rings import quotient_by, terms_to_str
+from zkit.serialize import (element_from_str, ring_from_json, ring_to_json,
+                            verify_certificate)
 
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
@@ -79,14 +80,20 @@ RINGS = _rings()
 @given(st.data())
 def test_print_and_read_round_trip(data):
     """read(print(e)) == e, coefficient types included, and
-    print(read(s)) == s; the ring description round-trips too."""
+    print(read(s)) == s; str() writes elements and the relations of a
+    ring in that same text; the ring description round-trips too."""
     ring = data.draw(RINGS)
     assert ring_from_json(ring_to_json(ring)) == ring
     e = data.draw(_elements(ring))
-    text = element_to_str(e)
+    text = terms_to_str(ring.terms(e.payload), ring.variables)
     back = element_from_str(ring, text)
     assert repr(back.payload) == repr(e.payload)
-    assert element_to_str(back) == text == reference_element_to_str(e)
+    assert str(back) == text == reference_element_to_str(e)
+    assert str(e) == text
+    relations = ring_to_json(ring).get("relations")
+    if relations:
+        assert str(ring) == (f"{ring.base}[{','.join(ring.variables)}]"
+                             f"/({', '.join(relations)})")
 
 
 _PIECES = ["x", "y", "0", "1", "2", "3", "5", "7", "12", "1/2", "2/4",
@@ -107,7 +114,7 @@ def test_every_accepted_text_prints_back(data):
         e = element_from_str(ring, text)
     except InvalidWitness:
         return
-    assert element_to_str(e) == text
+    assert str(e) == text
     assert e == reference_element_from_str(ring, text)
 
 
@@ -161,7 +168,7 @@ def _edits(ring, e, text, data):
 def test_edited_texts_are_rejected(data):
     ring = data.draw(RINGS)
     e = data.draw(_elements(ring))
-    text = element_to_str(e)
+    text = str(e)
     labels = set()
     for label, edited in _edits(ring, e, text, data):
         if edited == text:  # the edit does not apply to this text
@@ -182,7 +189,7 @@ def test_each_edit_applies():
                        (qxy, "x + 1/2"), (fp, "x * y + 3 * y^2 + 2"),
                        (z12, "11"), (IntegerRing(), "-12"),
                        (QuotientRing(Rationals()), "-2/3")]:
-        assert element_to_str(element_from_str(ring, text)) == text
+        assert str(element_from_str(ring, text)) == text
     for ring, edited in [
             (qxy, "x + -(5/3 * x^2 * y) + y - 7"), (qxy, "y - (5/3 * x^2)"),
             (qxy, "x  + 1/2"), (qxy, "x +1/2"), (qxy, "1 * x + 1/2"),
@@ -268,7 +275,7 @@ def test_printer_and_reader_match_the_references(certificates):
             new = element_from_str(ring, text)
             ref = reference_element_from_str(ring, text)
             assert repr(new.payload) == repr(ref.payload), (name, text)
-            assert element_to_str(new) == text, (name, text)
+            assert str(new) == text, (name, text)
             assert reference_element_to_str(new) == text, (name, text)
             count += 1
     assert count > 2000

@@ -32,7 +32,7 @@ def test_groebner_deterministic():
     I = fin_gen_ideal(Qxy, [x ** 2 - y, x ** 3])
     assert groebner(I) is groebner(I)  # cached per ideal
     names = [str(b) for b in groebner(I).basis]
-    assert names == ["y^2", "x*y", "x^2 - y"]
+    assert names == ["y^2", "x * y", "x^2 - y"]
 
 
 def test_ideal_member_with_certificates():

@@ -57,7 +57,7 @@ def test_ring_mismatch():
 def test_rational_coefficients():
     Qx = polynomial_ring(Rationals(), ["x"])
     e = Qx.element({(1,): Q(1, 2), (0,): Q(-3, 4)})
-    assert str(e) == "(1/2)*x - (3/4)"
+    assert str(e) == "1/2 * x - 3/4"
     F5x = polynomial_ring(PrimeField(5), ["x"])
     assert F5x.element({(0,): Q(1, 2)}) == F5x.from_int(3)
 
