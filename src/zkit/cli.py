@@ -77,10 +77,12 @@ def main(argv=None) -> int:
                       max_pairs=args.max_pairs, max_exponent=args.max_exp,
                       timeout_ms=args.timeout_ms, base_dir=base_dir)
     report = run_script(script, options)
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2, default=str))
-    else:
-        print(_render_table(report))
+    try:
+        print(json.dumps(report.to_json(), indent=2, default=str)
+              if args.json else _render_table(report), flush=True)
+    except BrokenPipeError:  # `zkit ... | head`: keep the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return report.exit_code
 
 

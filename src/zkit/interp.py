@@ -279,18 +279,13 @@ def _execute(stmt, env: _Env, options: Options):
         ring = env.current_ring()
         a = _eval_elem(env, ring, stmt.element)
         ideal = _eval_ideal(env, ring, stmt.ideal)
-        member = radical_member(a, ideal)
-        if not member:
+        if not radical_member(a, ideal):
             return "refuted", {"member": False}, None
-        cert = None
-        exponent = None
-        try:
-            exponent, cofs = radical_exponent(a, ideal)
-            cert = serialize.membership_to_json(ideal.ring, a,
-                                                ideal.generators, cofs,
-                                                exponent)
-        except ResourceExceeded:
-            pass
+        # a positive answer carries its witness: past the exponent cap
+        # the statement is radical_exponent's ResourceExceeded record
+        exponent, cofs = radical_exponent(a, ideal)
+        cert = serialize.membership_to_json(ideal.ring, a, ideal.generators,
+                                            cofs, exponent)
         return "ok", {"member": True, "exponent": exponent}, cert
     if isinstance(stmt, dsl.LocalizeCmd):
         ring = env.ring(stmt.ring_name)

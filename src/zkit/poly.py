@@ -36,15 +36,19 @@ With stop_at_one, a run that finds no constant returns its
 Buchberger-complete basis as it stands, in engine coefficients: a
 decision whether 1 lies in the ideal reads nothing else.
 
-Each term order has an ascending key (`PolyContext.key`) and a
-descending one (`PolyContext.desc_key`), computed once per monomial
-wherever monomials are sorted or queued.  Division keeps the working
-terms in a heap on the descending key and pops the largest each step;
-Buchberger keeps pending S-pairs in a heap of (key of the lcm, insertion
-number), which picks the pair with the smallest lcm and, among equal
-lcms, the one added first (normal selection).  Both reproduce exactly
-what a scan of all terms or all pairs would pick (tests/helpers.py keeps
-the scan as the reference).
+Within one Buchberger run or one division a monomial is one int, its
+exponents packed (Monagan and Pearce, CASC 2007) in fields of one width
+under the order's fields: none for lex, the degree for grlex, and for
+grevlex the degree, then the sums e1+...+e(n-1), ..., e1.  Comparing
+ints is the term order, a shift is one addition, and l divides m when
+m - l sets none of the guard bits, the top bit of each field.  The width
+holds twice the largest input degree; a shift that would set a guard bit
+stops the run, which is deterministic, to be redone at double width.
+Division pops the largest working term from a heap of negated monomials;
+Buchberger pops the S-pair of smallest lcm, the earliest of equal lcms
+(normal selection), from a heap of (lcm, insertion number).  Both pick
+exactly what a scan would (tests/helpers.py keeps the scan as the
+reference).  Outside the engine, monomials are exponent tuples.
 
 Buchberger skips S-pairs by the Gebauer-Moeller criteria (J. Symbolic
 Comput. 6, 1988).  When an element t enters the basis, a pending pair
@@ -71,7 +75,7 @@ A coefficient is zero exactly when it is falsy (Fraction or int).
 from __future__ import annotations
 
 from fractions import Fraction as _Q
-from functools import cached_property
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import count
 from math import gcd, lcm
@@ -121,6 +125,7 @@ class _Integers:
     """The coefficients of the Q engine: ints, on integer-primitive
     polynomials (content divided out, positive leading coefficient)."""
 
+    characteristic = 0
     zero = 0
     one = 1
 
@@ -475,11 +480,76 @@ def p_extend(f: Poly, extra: int = 1) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# division
+# packed monomials
 
-def _divide(ctx: PolyContext, f: Poly, divisors, steps=None):
-    """The division loop, on engine coefficients (see PolyContext.engine):
-    returns (rem, mult) with
+class _Overflow(Exception):
+    """A shift set a guard bit: the run is redone at double width."""
+
+
+class _Layout:
+    """Packed monomials of one width (see the module docstring): field f
+    is bits [f*width, (f+1)*width), x_i's exponent is field nvars-1-i,
+    and the order fields are the ones above, e_1 + ... + e_k in field
+    nvars+k-1 for grevlex.  units[i] is x_i packed."""
+
+    __slots__ = ("width", "guard", "units", "offsets", "mask")
+
+    def __init__(self, nvars: int, order: str, width: int):
+        top = nvars + {"lex": 0, "grlex": 1, "grevlex": nvars}[order]
+        self.width, self.mask = width, (1 << width) - 1
+        self.offsets = [width * (nvars - 1 - i) for i in range(nvars)]
+        # x_i enters the order fields from low[i] up: the degree (grlex),
+        # or the sums e_1 + ... + e_k with k > i (grevlex)
+        low = [nvars + i * (order == "grevlex") for i in range(nvars)]
+        self.units = [(1 << o) + sum(1 << width * f for f in range(lo, top))
+                      for lo, o in zip(low, self.offsets)]
+        self.guard = sum(1 << width * f + width - 1 for f in range(top))
+
+    def packed(self, f) -> list:
+        return [(sum(map(mul, m, self.units)), c) for m, c in f]
+
+    def unpack(self, m: int) -> Mono:
+        mask = self.mask
+        return tuple([m >> o & mask for o in self.offsets])
+
+    def unpacked(self, f) -> Poly:
+        return tuple([(self.unpack(m), c) for m, c in f])
+
+    def hull(self, monos) -> int:
+        """The fieldwise maximum of packed monomials: a shift by q
+        overflows none of them when q + hull sets no guard bit."""
+        h = 0
+        for m in monos:
+            d = ((h | self.guard) - m) & self.guard  # fields where h >= m
+            d -= d >> self.width - 1  # their low bits
+            h = h & d | m & ~d
+        return h
+
+
+_layout = lru_cache(maxsize=64)(_Layout)
+
+
+def _packed_run(ctx: PolyContext, top: int, run):
+    """run(layout) at the width input degree top asks, doubled on overflow."""
+    width = (2 * top).bit_length() + 1
+    while True:
+        try:
+            return run(_layout(ctx.nvars, ctx.order, width))
+        except _Overflow:
+            width *= 2
+
+
+def _row(lay: _Layout, f, i: int):
+    """Divisor i's row: (lm, lc or None if 1, tail, hull of tail, i)."""
+    lc, tail = f[0][1], f[1:]
+    return (f[0][0], None if lc == 1 else lc, tail,
+            lay.hull([m for m, _ in tail]), i)
+
+
+def _divide(fld, work: dict, rows, guard: int, steps=None):
+    """The division loop, on packed monomials and engine coefficients
+    (see PolyContext.engine): reduces f, the terms of work (consumed), by
+    the divisors of rows (see _row) and returns (rem, mult) with
 
         mult * f == sum(q_i * divisors_i) + rem,
 
@@ -489,78 +559,75 @@ def _divide(ctx: PolyContext, f: Poly, divisors, steps=None):
     step: (m, q) with m*c == q*a.  The working polynomial is scaled by m,
     and so is the remainder built so far, before q times the shifted
     divisor is subtracted.  Over Fp, m is 1 and q is c/a; over the
-    integers, m = a/g and q = c/g with g = gcd(c, a).
+    integers, m = a/g and q = c/g with g = gcd(c, a).  When steps is a
+    list, each elimination appends (i, shift, q, total): the divisor, the
+    packed shift, q, and the product of the multipliers so far, which
+    later ones scale too (see p_divmod).
 
-    When steps is a list, each elimination appends (i, shift, q, total):
-    the divisor's index, the monomial it is shifted by, the step's q, and
-    the product of the multipliers so far.  The multipliers of later
-    steps scale that term too, so it enters q_i as q * (mult // total)
-    times the shift (see _quotients).
-
-    The working terms sit in a dict (monomial -> coefficient) and their
-    monomials in a heap on the descending order key, so the largest term
-    is popped without a scan.  A monomial whose coefficient cancels is
-    dropped from the dict only; its heap entry is skipped when popped.
-    Terms are popped in strictly descending order (every term a step adds
-    is smaller than the one it eliminates), so the remainder and each
-    quotient come out sorted.
+    Each monomial is pushed once, negated, on a heap when it enters work,
+    whose coefficients are ints reduced mod p when popped; one that
+    cancelled is skipped then.  Terms are popped in strictly descending
+    order (a step adds only terms smaller than the one it eliminates),
+    so the remainder and each quotient come out sorted.
     """
-    fld = ctx.field
-    dkey = ctx.desc_key
-    step, fmul, fsub = fld.step, fld.mul, fld.sub
-    # (leading monomial, its degree, leading coefficient or None if one,
-    #  tail terms, index)
-    leads = [(d[0][0], sum(d[0][0]), None if d[0][1] == 1 else d[0][1],
-              d[1:], i) for i, d in enumerate(divisors)]
+    p, step = fld.characteristic, fld.step
     rem = []
     total = 1
-    work = dict(f)
-    heap = [(dkey(m), m) for m in work]
+    heap = [-m for m in work]
     heapify(heap)
     while heap:
-        m = heappop(heap)[1]
-        c = work.pop(m, None)
-        if c is None:
-            continue  # cancelled after it was pushed
-        deg = sum(m)
-        for lm, ldeg, lc, tail, i in leads:
-            if ldeg <= deg and all(map(le, lm, m)):
-                q = tuple(map(sub, m, lm))
-                if lc is None:
-                    qc = c
+        m = -heappop(heap)
+        c = work.pop(m)
+        if p:
+            c %= p
+        if not c:
+            continue  # cancelled
+        for lm, lc, tail, hull, i in rows:
+            q = m - lm
+            if q & guard:
+                continue
+            if (q + hull) & guard:
+                raise _Overflow
+            if lc is None:
+                qc = c
+            else:
+                k, qc = step(c, lc)
+                if k != 1:
+                    total *= k
+                    for wm in work:
+                        work[wm] *= k
+                    rem = [(rm, rc * k) for rm, rc in rem]
+            if steps is not None:
+                steps.append((i, q, qc, total))
+            for tm, tc in tail:
+                tm += q
+                old = work.get(tm)
+                if old is None:
+                    heappush(heap, -tm)
+                    work[tm] = -qc * tc
                 else:
-                    k, qc = step(c, lc)
-                    if k != 1:
-                        total *= k
-                        for wm in work:
-                            work[wm] = fmul(work[wm], k)
-                        rem = [(rm, fmul(rc, k)) for rm, rc in rem]
-                if steps is not None:
-                    steps.append((i, q, qc, total))
-                for tm, tc in tail:
-                    mm = tuple(map(add, q, tm))
-                    old = work.get(mm)
-                    s = fsub(0 if old is None else old, fmul(qc, tc))
-                    if s:
-                        if old is None:
-                            heappush(heap, (dkey(mm), mm))
-                        work[mm] = s
-                    elif old is not None:
-                        del work[mm]
-                break
+                    work[tm] = old - qc * tc
+            break
         else:
             rem.append((m, c))
-    return tuple(rem), total
+    return rem, total
 
 
-def _quotients(count: int, steps, mult):
-    """The quotient of each of count divisors, from a division's steps
-    and its final multiplier; terms come out in the order they were made,
-    which is descending."""
-    quots = [[] for _ in range(count)]
-    for i, q, qc, total in steps:
-        quots[i].append((q, qc if total == mult else qc * (mult // total)))
-    return [tuple(q) for q in quots]
+_DIVISORS = {}  # a relation basis is packed once, not on every normal form
+
+
+def _divisors(ctx: PolyContext, divisors):
+    """(dens, integral divisors, top degree, rows by layout) for p_divmod,
+    kept by the ids of ctx and the polynomials, which the entry holds."""
+    key = (id(ctx), *map(id, divisors))
+    if key not in _DIVISORS:
+        if len(_DIVISORS) >= 256:
+            _DIVISORS.clear()
+        pairs = [ctx.field.integral(d) for d in divisors]
+        _DIVISORS[key] = (ctx, tuple(divisors), (
+            [dd for dd, _ in pairs], [d for _, d in pairs],
+            max([sum(m) for _, d in pairs for m, _ in d], default=0), {}))
+    return _DIVISORS[key][2]
 
 
 def p_divmod(ctx: PolyContext, f: Poly, divisors, track: bool = True):
@@ -568,23 +635,31 @@ def p_divmod(ctx: PolyContext, f: Poly, divisors, track: bool = True):
     term of rem is divisible by any divisor's leading monomial.
 
     Returns (quotients, rem); quotients is None when track is False.
-    The work is done by the engine's loop (_divide) on cleared
-    denominators; quotients and remainder come back over ctx.field.
+    The engine's loop (_divide) does the work on packed monomials and
+    cleared denominators; the results come back over ctx.field.
     """
     fld = ctx.field
     den, f = fld.integral(f)
-    dens, divs = [], []
-    for d in divisors:
-        dd, d = fld.integral(d)
-        dens.append(dd)
-        divs.append(d)
-    steps = [] if track else None
-    rem, mult = _divide(ctx.engine, f, divs, steps)
+    dens, divs, top, rows = _divisors(ctx, divisors)
+
+    def run(lay):
+        if lay not in rows:
+            rows[lay] = [_row(lay, lay.packed(d), i)
+                         for i, d in enumerate(divs)]
+        steps = [] if track else None
+        return (lay, steps, *_divide(ctx.engine.field, dict(lay.packed(f)),
+                                     rows[lay], lay.guard, steps))
+
+    lay, steps, rem, mult = _packed_run(
+        ctx, max([top] + [sum(m) for m, _ in f]), run)
     quots = None
-    if track:
-        quots = [fld.lift(q, dd, den * mult) for q, dd
-                 in zip(_quotients(len(divs), steps, mult), dens)]
-    return quots, fld.lift(rem, 1, den * mult)
+    if track:  # terms come out in the order they were made: descending
+        quots = [[] for _ in divs]
+        for i, q, qc, total in steps:
+            quots[i].append((q, qc if total == mult else qc * (mult // total)))
+        quots = [fld.lift(lay.unpacked(q), dd, den * mult)
+                 for q, dd in zip(quots, dens)]
+    return quots, fld.lift(lay.unpacked(rem), 1, den * mult)
 
 
 def normal_form(ctx: PolyContext, f: Poly, basis) -> Poly:
@@ -602,35 +677,21 @@ def normal_form(ctx: PolyContext, f: Poly, basis) -> Poly:
 # ---------------------------------------------------------------------------
 # Buchberger, and cofactors by a reverse pass over its trace
 #
-# The engine runs in the engine context.  A tracked run records how each
-# element it makes is an exact combination of the generators and of the
-# elements made before it (a Trace); no cofactor is built until a caller
-# asks for the cofactors of one combination of the returned basis.
+# The engine runs in the engine context, on packed monomials.  A tracked
+# run records how each element it makes is an exact combination of the
+# generators and of the elements made before it (a Trace); no cofactor
+# is built until a caller asks for the cofactors of one combination of
+# the returned basis.
 
-def _shift(ctx, f: Poly, mono: Mono, c) -> Poly:
-    """c times the monomial mono times f (the order is preserved)."""
-    if c == 1:
-        return tuple([(tuple(map(add, m, mono)), co) for m, co in f])
-    fmul = ctx.field.mul
-    return tuple([(tuple(map(add, m, mono)), fmul(co, c)) for m, co in f])
-
-
-def _shift_sub(ctx, f, mf, cf, g, mg, cg):
-    """cf*mf*f - cg*mg*g for monomials mf, mg and coefficients cf, cg."""
-    return p_sub(ctx, _shift(ctx, f, mf, cf), _shift(ctx, g, mg, cg))
-
-
-def _reduce(ctx, f, basis, steps):
-    """(rem, mult): f fully reduced against basis, with mult * f minus a
-    combination of basis equal to rem; steps, when a list, records the
-    division (see _divide)."""
-    if not basis:
-        return f, 1
-    return _divide(ctx, f, basis, steps)
+def _reduce(lay: _Layout, work: dict, rows, fld, steps):
+    """_divide for the engine's own reductions, which tests record here
+    apart from p_divmod's; lay unpacks work's terms (see _divide)."""
+    return _divide(fld, work, rows, lay.guard, steps)
 
 
 class Trace:
-    """The reduction trace of one tracked Buchberger run over ctx.
+    """The reduction trace of one tracked Buchberger run over ctx, whose
+    monomials lay packs.
 
     Node k is an element the run made, in engine coefficients; the
     engine's basis elements are nodes 0, 1, ... in the order they
@@ -643,15 +704,16 @@ class Trace:
     (i, shift', q, total) of its division (see _divide), with
     q' = q * (mult // total).  A parent is an earlier node k >= 0 or
     generator j, written ~j, which enters scaled by its common
-    denominator; a shift of None is the unit monomial.  s divides out
-    the content (over Z) or makes the element monic (over Fp, and for
-    the returned basis over both).
+    denominator.  Shifts are monomials packed by lay, the unit monomial
+    being 0.  s divides out the content (over Z) or makes the element
+    monic (over Fp, and for the returned basis over both).
     """
 
-    __slots__ = ("ctx", "ngens", "nodes", "outs")
+    __slots__ = ("ctx", "lay", "ngens", "nodes", "outs")
 
-    def __init__(self, ctx: PolyContext, ngens: int):
+    def __init__(self, ctx: PolyContext, lay: _Layout, ngens: int):
         self.ctx = ctx
+        self.lay = lay
         self.ngens = ngens
         self.nodes = []
         self.outs = []
@@ -675,30 +737,32 @@ class Trace:
 
         Inside the pass a monomial is one int, its exponents packed in
         fields wide enough for the largest degree any term can reach, so
-        a shift is one addition that never carries into the next field.
-        That degree is at most a multiplier's plus, over the nodes, the
-        largest degree of a shift each applies: a path back through the
-        trace visits a node at most once and takes one shift there.
+        a shift is one addition that never carries into the next field;
+        the run's shifts are laid out that way once.  That degree is at
+        most a multiplier's plus, over the nodes, the largest degree of a
+        shift each applies: a path back through the trace visits a node
+        at most once and takes one shift there.
         """
         ctx = self.ctx
         fld = ctx.field
         p = fld.characteristic
         nodes = self.nodes
         seeds = [(k, m) for k, m in zip(self.outs, multipliers) if m]
+        shifts = [[sh for _, sh, _ in parents] + [sh for _, sh, _, _ in steps]
+                  for parents, steps, _, _ in nodes]
+        exps = {sh: self.lay.unpack(sh) for node in shifts for sh in node}
         top = max([sum(mono) for _, m in seeds for mono, _ in m], default=0)
-        top += sum(max([sum(sh) for _, sh, _ in parents if sh is not None]
-                       + [sum(sh) for _, sh, _, _ in steps], default=0)
-                   for parents, steps, _, _ in nodes)
+        top += sum(max([sum(exps[sh]) for sh in node], default=0)
+                   for node in shifts)
         bits = max(1, top.bit_length())
         offsets = range(0, bits * ctx.nvars, bits)
-
-        def pack(mono):
-            return 0 if mono is None else sum(map(lshift, mono, offsets))
+        relaid = {sh: sum(map(lshift, e, offsets)) for sh, e in exps.items()}
 
         acc = {}  # node k or generator ~j -> [terms, den]: sum(terms) / den
         for k, m in seeds:
             den, m = fld.integral(m)
-            acc[k] = [{pack(mono): c for mono, c in m}, den]
+            acc[k] = [{sum(map(lshift, mono, offsets)): c for mono, c in m},
+                      den]
         for k in range(len(nodes) - 1, -1, -1):
             adj = acc.pop(k, None)
             if adj is None:
@@ -708,9 +772,9 @@ class Trace:
             if not terms:
                 continue
             for t, shift, c in parents:
-                _push(acc, t, terms, den, pack(shift), c * mult)
+                _push(acc, t, terms, den, relaid[shift], c * mult)
             for i, shift, q, total in steps:
-                _push(acc, i, terms, den, pack(shift), -q * (mult // total))
+                _push(acc, i, terms, den, relaid[shift], -q * (mult // total))
         mask = (1 << bits) - 1
         out = []
         for j in range(self.ngens):
@@ -784,14 +848,23 @@ def buchberger(ctx: PolyContext, gens, *, track: bool = False,
     engine coefficients as it stands: not minimized, not inter-reduced,
     over Q integer-primitive rather than monic.
     """
+    gens = list(gens)
+    top = max([sum(m) for g in gens for m, _ in g], default=0)
+    return _packed_run(ctx, top, lambda lay: _buchberger(
+        ctx, lay, gens, track, stop_at_one))
+
+
+def _buchberger(ctx, lay, gens, track, stop_at_one):
+    """buchberger on monomials packed by lay."""
     lims = current_limits()
     fld = ctx.field
-    ectx = ctx.engine
-    eng = ectx.field
-    gens = list(gens)
+    eng = ctx.engine.field
+    fmul, fsub = eng.mul, eng.sub
+    units, guard = lay.units, lay.guard
 
     basis = []
-    trace = Trace(ctx, len(gens)) if track else None
+    rows = []  # the division row of each basis element
+    trace = Trace(ctx, lay, len(gens)) if track else None
 
     def insert(f, parents, steps, mult):
         """Normalize the remainder f (primitive over Z, monic over Fp),
@@ -802,8 +875,9 @@ def buchberger(ctx: PolyContext, gens, *, track: bool = False,
             f = eng.divide_out(f, s)
         if track:
             trace.nodes.append((parents, steps, mult, s))
-        if stop_at_one and mono_deg(f[0][0]) == 0:
+        if stop_at_one and not f[0][0]:
             return f
+        rows.append(_row(lay, f, len(basis)))
         basis.append(f)
         if len(basis) > lims.max_basis:
             raise ResourceExceeded(
@@ -818,59 +892,55 @@ def buchberger(ctx: PolyContext, gens, *, track: bool = False,
             continue
         den, g = fld.integral(g)
         steps = [] if track else None
-        g, mult = _reduce(ectx, g, basis, steps)
+        g, mult = _reduce(lay, dict(lay.packed(g)), rows, eng, steps)
         if not g:
             continue
-        one = insert(g, [(~j, None, den)], steps, mult)
+        one = insert(g, [(~j, 0, den)], steps, mult)
         if one is not None:
-            return _unit_basis(ctx, one, trace)
+            return _unit_basis(ctx, lay, one, trace)
 
     # Normal selection: the pair with the smallest lcm of leading
     # monomials, the earliest added among equal lcms.  Pending pairs sit
-    # in a heap of (key of lcm, insertion number), each key computed once
-    # when its pair is added; `pending` maps the insertion number of each
-    # live pair to (i, j, lcm).  A pair the B criterion deletes leaves the
-    # dict only, and its heap entry is skipped when popped.
+    # in a heap of (packed lcm, insertion number); `pending` maps the
+    # insertion number of each live pair to (i, j, lcm).  A pair the B
+    # criterion deletes leaves the dict only, and its heap entry is
+    # skipped when popped.
     heap = []
     pending = {}
     added = count()
-    key = ctx.key
-    lms = []      # leading monomial of each basis element
+    lms = []  # the exponents of each basis element's leading monomial
 
     def update(t):
         """Gebauer-Moeller: delete pending pairs by the B criterion, then
         add the new pairs (k, t) that survive the M and F criteria."""
-        lm = basis[t][0][0]
+        lm = lay.unpack(rows[t][0])
         lms.append(lm)
-        for n, (i, j, lij) in list(pending.items()):
-            if (all(map(le, lm, lij)) and mono_lcm(lms[i], lm) != lij
-                    and mono_lcm(lms[j], lm) != lij):
-                del pending[n]
         # Group the new pairs by lcm.  F keeps the earliest k of a group;
         # a group holding a coprime pair removes others under M, then
         # goes itself.  Every earlier k takes part, also one whose leading
         # monomial a later element divides: where its pair ties with that
         # element's on the lcm, F keeps the pair a criterion-free run
         # reduces first, so both runs give the same cofactors.
+        lcms = []
         groups = {}
         for k in range(t):
             lk = lms[k]
-            lkt = tuple(map(max, lk, lm))
-            coprime = not any(map(min, lk, lm))
-            if lkt in groups:
-                if coprime:
-                    groups[lkt][1] = True
-            else:
-                groups[lkt] = [k, coprime]
+            lkt = sum(map(mul, map(max, lk, lm), units))
+            if lkt & guard:
+                raise _Overflow
+            lcms.append(lkt)
+            groups.setdefault(lkt, [k, False])[1] |= not any(map(min, lk, lm))
+        lm = rows[t][0]
+        for n, (i, j, lij) in list(pending.items()):
+            if not (lij - lm) & guard and lcms[i] != lij != lcms[j]:
+                del pending[n]
         for lkt, (k, coprime) in groups.items():
-            if coprime:
-                continue
-            deg = sum(lkt)
             # M: another new pair's lcm properly divides this one
-            if any(sum(o) < deg and all(map(le, o, lkt)) for o in groups):
+            if coprime or any(not (lkt - o) & guard and o != lkt
+                              for o in groups):
                 continue
             n = next(added)
-            heappush(heap, (key(lkt), n))
+            heappush(heap, (lkt, n))
             pending[n] = (k, t, lkt)
 
     for j in range(len(basis)):
@@ -886,25 +956,32 @@ def buchberger(ctx: PolyContext, gens, *, track: bool = False,
                 f"poly.buchberger: {processed} S-pairs exceeded "
                 f"max_pairs={lims.max_pairs}")
         i, j, lcm_ij = pair
-        fi, fj = basis[i], basis[j]
-        mi, mj = mono_div(lcm_ij, lms[i]), mono_div(lcm_ij, lms[j])
-        ci, cj = eng.step(fi[0][1], fj[0][1])
-        s = _shift_sub(ectx, fi, mi, ci, fj, mj, cj)
+        lmi, _, taili, hulli, _ = rows[i]
+        lmj, _, tailj, hullj, _ = rows[j]
+        mi, mj = lcm_ij - lmi, lcm_ij - lmj
+        if (mi + hulli) & guard or (mj + hullj) & guard:
+            raise _Overflow
+        ci, cj = eng.step(basis[i][0][1], basis[j][0][1])
+        # the S-polynomial ci*mi*fi - cj*mj*fj: its leading terms cancel
+        work = {m + mi: fmul(c, ci) for m, c in taili}
+        for m, c in tailj:
+            work[m + mj] = fsub(work.get(m + mj, 0), fmul(c, cj))
+        work = {m: c for m, c in work.items() if c}
         steps = [] if track else None
-        s, mult = _reduce(ectx, s, basis, steps)
+        s, mult = _reduce(lay, work, rows, eng, steps)
         if not s:
             continue
         one = insert(s, [(i, mi, ci), (j, mj, -cj)], steps, mult)
         if one is not None:
-            return _unit_basis(ctx, one, trace)
+            return _unit_basis(ctx, lay, one, trace)
         update(len(basis) - 1)
 
     if stop_at_one:
-        return _complete_basis(ctx, basis, trace)
-    return _reduced(ctx, basis, trace)
+        return _complete_basis(ctx, lay, basis, trace)
+    return _reduced(ctx, lay, basis, rows, trace)
 
 
-def _unit_basis(ctx, f, trace):
+def _unit_basis(ctx, lay, f, trace):
     """The early exit for the unit ideal: (1,), which is trivially
     reduced, from the engine constant f (the trace's last node)."""
     stats.bases_computed += 1
@@ -913,12 +990,12 @@ def _unit_basis(ctx, f, trace):
     lc = f[0][1]
     if trace is not None:
         nodes = trace.nodes
-        nodes.append(([(len(nodes) - 1, None, 1)], (), 1, lc))
+        nodes.append(([(len(nodes) - 1, 0, 1)], (), 1, lc))
         trace.outs = [len(nodes) - 1]
-    return (ctx.field.lift(f, 1, lc),), trace
+    return (ctx.field.lift(lay.unpacked(f), 1, lc),), trace
 
 
-def _complete_basis(ctx, basis, trace):
+def _complete_basis(ctx, lay, basis, trace):
     """The Buchberger-complete engine basis as it stands: what
     stop_at_one returns when 1 is not in the ideal.
 
@@ -926,10 +1003,10 @@ def _complete_basis(ctx, basis, trace):
     reduces every other element to zero by it: then the minimal part is
     a Groebner basis of the ideal of the whole, and so is the whole."""
     stats.bases_computed += 1
+    out = tuple([lay.unpacked(f) for f in basis])
     if current_limits().check_bases:
-        fld = ctx.field
-        monic = [fld.lift(f, 1, f[0][1]) for f in basis]
-        keep = _minimal(basis)
+        monic = [ctx.field.lift(f, 1, f[0][1]) for f in out]
+        keep = _minimal([f[0][0] for f in basis], lay.guard)
         core = [monic[i] for i in keep]
         if not is_groebner(ctx, core) or any(
                 normal_form(ctx, f, core) for f in monic if f not in core):
@@ -937,46 +1014,39 @@ def _complete_basis(ctx, basis, trace):
         stats.bases_checked += 1
     if trace is not None:
         trace.outs = list(range(len(basis)))
-    return tuple(basis), trace
+    return out, trace
 
 
-def _minimal(basis) -> list:
-    """The indices of the elements whose leading monomial no other's
-    divides; of equal leading monomials, the first one's."""
-    keep = []
-    for i, f in enumerate(basis):
-        lm = f[0][0]
-        if not any(mono_divides(g[0][0], lm) and (g[0][0] != lm or j < i)
-                   for j, g in enumerate(basis) if j != i):
-            keep.append(i)
-    return keep
+def _minimal(lms, guard: int) -> list:
+    """The indices of the packed leading monomials no other divides; of
+    equal ones, the first one's."""
+    return [i for i, lm in enumerate(lms)
+            if not any(not (lm - o) & guard and (o != lm or j < i)
+                       for j, o in enumerate(lms) if j != i)]
 
 
-def _reduced(ctx, basis, trace):
+def _reduced(ctx, lay, basis, rows, trace):
     """Minimize and auto-reduce a Buchberger-complete engine basis, make
     it monic over ctx.field and sort it; each returned element is a node
     of the trace."""
-    ectx = ctx.engine
-    keep = _minimal(basis)
+    eng = ctx.engine.field
+    keep = _minimal([f[0][0] for f in basis], lay.guard)
     # reduce each tail against the others
-    out, outs = [], []
+    out = []  # (leading monomial, element, node)
     for n, i in enumerate(keep):
-        others = keep[:n] + keep[n + 1:]
+        others = [rows[k] for k in keep[:n] + keep[n + 1:]]
         steps = [] if trace is not None else None
-        f, mult = _reduce(ectx, basis[i], [basis[k] for k in others], steps)
+        f, mult = _reduce(lay, dict(basis[i]), others, eng, steps)
         if f:
             lc = f[0][1]
-            out.append(ctx.field.lift(f, 1, lc))
             if trace is not None:
-                trace.nodes.append((
-                    [(i, None, 1)],
-                    [(others[k], q, qc, t) for k, q, qc, t in steps],
-                    mult, lc))
-                outs.append(len(trace.nodes) - 1)
-    order = sorted(range(len(out)), key=lambda k: ctx.key(out[k][0][0]))
-    reduced = tuple(out[k] for k in order)
+                trace.nodes.append(([(i, 0, 1)], steps, mult, lc))
+            out.append((f[0][0], ctx.field.lift(lay.unpacked(f), 1, lc),
+                        len(trace.nodes) - 1 if trace is not None else None))
+    out.sort()  # leading monomials differ
+    reduced = tuple([f for _, f, _ in out])
     if trace is not None:
-        trace.outs = [outs[k] for k in order]
+        trace.outs = [k for _, _, k in out]
     stats.bases_computed += 1
     if current_limits().check_bases:
         if not is_reduced_basis(ctx, reduced):

@@ -348,10 +348,12 @@ class QuotientRing(_Ring):
 
     @cached_property
     def relation_basis(self) -> tuple:
-        if not self.relations:  # a free ring, such as every ambient ring
-            return ()
-        basis, _ = poly.buchberger(self.ctx, list(self.relations))
-        return basis
+        rels = [r for r in self.relations if r]
+        if len(rels) > 1:
+            return poly.buchberger(self.ctx, rels)[0]
+        # no relation (a free ring, such as every ambient ring), or one,
+        # whose principal ideal's reduced basis is itself made monic
+        return tuple(self.base.lift(r, 1, r[0][1]) for r in rels)
 
     @cached_property
     def leading_monomials(self) -> tuple:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ import pytest
 
 from zkit.dsl import parse, pretty_print
 from zkit.interp import Options, REPORT_SCHEMA, run_source
+from zkit.limits import limits
 from zkit.serialize import verify_certificate
 
 SCRIPTS = Path(__file__).parent / "scripts"
@@ -304,6 +306,58 @@ def test_cli_max_pairs_cap():
     report = run_source(source, Options(max_pairs=1))
     assert report.results[1].status == "error"
     assert report.results[1].result["kind"] == "ResourceExceeded"
+
+
+def test_radical_member_past_the_exponent_cap(tmp_path):
+    """2 is in the radical of (2^100) but its witness needs exponent 100:
+    under the default cap of 64 the statement is the cap's error record,
+    exit 2, never a positive answer without a witness; --max-exp 128
+    answers ok with exponent 100 and a certificate verify accepts."""
+    script = tmp_path / "pow.zk"
+    script.write_text(f"ring R = Z; radical-member 2 in [{2 ** 100}];")
+    proc = subprocess.run(
+        [sys.executable, "-m", "zkit.cli", str(script), "--json"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    res = json.loads(proc.stdout)["results"][1]
+    assert res["status"] == "error" and res["certificate"] is None
+    assert res["result"] == {
+        "kind": "ResourceExceeded",
+        "message": "ideals.radical_exponent: exponent 65 exceeded "
+                   "max_exponent=64 with no radical witness"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "zkit.cli", str(script), "--json",
+         "--max-exp", "128"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout)["results"][1]
+    assert res["status"] == "ok"
+    assert res["result"] == {"member": True, "exponent": 100}
+    # verify reads exponents under the same cap
+    with limits(max_exponent=128):
+        assert verify_certificate(res["certificate"]) == (
+            True, "sum == element^100")
+    report = tmp_path / "pow.json"
+    report.write_text(proc.stdout)
+    (res,) = run_source(f'verify "{report}";',
+                        Options(max_exponent=128)).results
+    assert res.status == "ok", res.result
+
+
+def test_cli_closed_stdout_is_exit_2_without_traceback(tmp_path):
+    """`zkit script.zk --json | head` with the reader gone before zkit
+    writes: exit code 2 and no traceback."""
+    script = tmp_path / "basics.zk"
+    script.write_text(load("basics_z"))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zkit.cli", str(script), "--json"],
+            stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_cli_script_that_is_not_utf8(tmp_path, monkeypatch, capsys):

@@ -283,8 +283,8 @@ def test_caches_are_bounded():
 
 def test_radical_member_statement_decides_once(monkeypatch):
     """A radical-member statement runs one Rabinowitsch basis; when the
-    witness search hits the exponent cap the element is still a member,
-    with no exponent and no certificate."""
+    witness search hits the exponent cap the statement is the cap's
+    error record, since a positive answer carries its witness."""
     from zkit import dsl, interp, rings
     runs = []
     real = rings._rabinowitsch_basis
@@ -297,6 +297,9 @@ def test_radical_member_statement_decides_once(monkeypatch):
     assert res.certificate is not None and len(runs) == 1
     runs.clear()
     _, res = interp.run_script(script, interp.Options(max_exponent=2)).results
-    assert res.status == "ok"
-    assert res.result == {"member": True, "exponent": None}
+    assert res.status == "error"
+    assert res.result == {
+        "kind": "ResourceExceeded",
+        "message": "ideals.radical_exponent: exponent 3 exceeded "
+                   "max_exponent=2 with no radical witness"}
     assert res.certificate is None and len(runs) == 1

@@ -261,6 +261,12 @@ def _cyclic(ctx, n):
     return [_from_terms(ctx, g) for g in gens]
 
 
+def _unpacked(lay, work):
+    """The polynomial a packed engine run hands to reduction, as a
+    payload: exponent tuples, in descending order."""
+    return tuple((lay.unpack(m), work[m]) for m in sorted(work, reverse=True))
+
+
 def _monic(f):
     return tuple((m, Q(c) / f[0][1]) for m, c in f)
 
@@ -294,9 +300,9 @@ def test_buchberger_matches_reference(field, order, monkeypatch):
     trace = []
     reduce = poly._reduce
 
-    def recording(ctx, f, *rest):
-        trace.append(f)
-        return reduce(ctx, f, *rest)
+    def recording(lay, work, *rest):
+        trace.append(_unpacked(lay, work))
+        return reduce(lay, work, *rest)
 
     monkeypatch.setattr(poly, "_reduce", recording)
     rng = random.Random(f"buchberger/{field}/{order}")
@@ -376,9 +382,9 @@ def test_cyclic5_pair_counts(field, monkeypatch):
     calls = []
     reduce = poly._reduce
 
-    def counting(ctx, f, *rest):
-        calls.append(f)
-        return reduce(ctx, f, *rest)
+    def counting(lay, work, *rest):
+        calls.append(_unpacked(lay, work))
+        return reduce(lay, work, *rest)
 
     monkeypatch.setattr(poly, "_reduce", counting)
     ctx = PolyContext(field, 5)
@@ -410,25 +416,31 @@ def _to_sympy(sympy, syms, f):
                 for m, c in f), sympy.Integer(0))
 
 
+def _sympy_reduced_basis(ctx, gens):
+    """sympy's reduced Groebner basis of gens in ctx's order, made monic
+    over ctx.field and sorted like zkit's (ascending leading monomials).
+    Over GF(p) sympy's coefficients are symmetric, in (-p/2, p/2]:
+    coerce maps them mod p."""
+    import sympy
+    field = ctx.field
+    kwargs = ({"modulus": field.p} if field.characteristic
+              else {"domain": "QQ"})
+    syms = sympy.symbols(f"x0:{ctx.nvars}")
+    theirs = sympy.groebner([_to_sympy(sympy, syms, g) for g in gens],
+                            *syms, order=ctx.order, **kwargs)
+    basis = []
+    for g in theirs.polys:
+        # Poly.monic() divides by the lex leading coefficient
+        terms = [(m, field.coerce(Q(int(c.p), int(c.q))))
+                 for m, c in g.terms(order=ctx.order)]
+        lc = terms[0][1]
+        basis.append(tuple((m, field.div(c, lc)) for m, c in terms))
+    return tuple(sorted(basis, key=lambda f: ctx.key(f[0][0])))
+
+
 @pytest.mark.parametrize("modulus", [None, 7, 32003])
 def test_buchberger_matches_sympy(modulus):
-    import sympy
     field = Rationals() if modulus is None else PrimeField(modulus)
-    kwargs = {"domain": "QQ"} if modulus is None else {"modulus": modulus}
-
-    def sympy_basis(ctx, gens):
-        syms = sympy.symbols(f"x0:{ctx.nvars}")
-        theirs = sympy.groebner([_to_sympy(sympy, syms, g) for g in gens],
-                                *syms, order="grevlex", **kwargs)
-        expected = set()
-        for g in theirs.polys:
-            # Poly.monic() divides by the lex leading coefficient
-            terms = [(m, field.coerce(Q(int(c.p), int(c.q))))
-                     for m, c in g.terms(order="grevlex")]
-            lc = terms[0][1]
-            expected.add(tuple((m, field.div(c, lc)) for m, c in terms))
-        return expected
-
     rng = random.Random(f"sympy/{modulus}")
     for trial in range(24):
         nvars = rng.choice([2, 3])
@@ -438,11 +450,75 @@ def test_buchberger_matches_sympy(modulus):
         if not gens:
             continue
         basis, _ = buchberger(ctx, gens)
-        assert set(basis) == sympy_basis(ctx, gens), trial
+        assert basis == _sympy_reduced_basis(ctx, gens), trial
     # cyclic-5, where the criteria remove most pairs
     ctx = PolyContext(field, 5)
     gens = _cyclic(ctx, 5)
-    assert set(buchberger(ctx, gens)[0]) == sympy_basis(ctx, gens)
+    assert buchberger(ctx, gens)[0] == _sympy_reduced_basis(ctx, gens)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(32003)], ids=str)
+def test_buchberger_matches_sympy_in_every_order(field, order):
+    """Seeded random ideals in 2-3 variables: the reduced basis equals
+    sympy's made monic, term by term."""
+    rng = random.Random(f"sympy-orders/{field}/{order}")
+    for trial in range(80):
+        ctx = PolyContext(field, rng.choice([2, 3]), order)
+        gens = [g for g in (rand_poly(ctx, rng, deg=3, terms=4)
+                            for _ in range(rng.randrange(2, 4))) if g]
+        if gens:
+            assert (buchberger(ctx, gens)[0]
+                    == _sympy_reduced_basis(ctx, gens)), trial
+
+
+def _checked_against_reference(ctx, gens, expected):
+    """buchberger on gens has the reduced basis expected and the
+    reference engine's basis and cofactor rows, exactly."""
+    basis, lift = buchberger(ctx, gens, track=True)
+    assert basis == expected
+    assert ((_made_monic(ctx, basis), _rows(ctx, basis, lift))
+            == reference_buchberger(ctx, gens, track=True))
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(32003)], ids=str)
+def test_packed_run_redone_wider(field, monkeypatch):
+    """Widths come from the input degrees, here 10, which leaves room
+    for exponents below 32; lex reduction of x^2 by x - y^10 and
+    y - z^10 reaches z^200, so the run is redone at double width with
+    the same results, and division alike.  Exponents of 10^12 are packed
+    in wide fields from the start."""
+    widths = []
+    layout = poly._layout
+    monkeypatch.setattr(poly, "_layout",
+                        lambda *key: widths.append(key[2]) or layout(*key))
+
+    def make(ctx, terms):
+        return poly_from_dict(ctx, {m: field.coerce(c)
+                                    for m, c in terms.items()})
+
+    ctx = PolyContext(field, 3, "lex")
+    gens = [make(ctx, {(1, 0, 0): 1, (0, 10, 0): -1}),
+            make(ctx, {(0, 1, 0): 1, (0, 0, 10): -1}),
+            make(ctx, {(2, 0, 0): 1})]
+    _checked_against_reference(ctx, gens, (
+        make(ctx, {(0, 0, 200): 1}),
+        make(ctx, {(0, 1, 0): 1, (0, 0, 10): -1}),
+        make(ctx, {(1, 0, 0): 1, (0, 0, 100): -1})))
+    # the run's two widths; the suite's post-hoc basis checks divide
+    # at their own widths after them
+    assert widths[:2] == [6, 12]
+    widths.clear()
+    f = gens[2]
+    assert p_divmod(ctx, f, gens[:2]) == reference_divmod(ctx, f, gens[:2])
+    assert widths == [6, 12]
+    ctx = PolyContext(field, 2)
+    n = 10**12
+    _checked_against_reference(
+        ctx, [make(ctx, {(n, 1): 1, (0, 1): -1}),
+              make(ctx, {(0, 2): 1, (0, 0): -1})],
+        (make(ctx, {(0, 2): 1, (0, 0): -1}),
+         make(ctx, {(n, 0): 1, (0, 0): -1})))
 
 
 def _katsura_like(ctx):
