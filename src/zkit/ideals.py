@@ -164,12 +164,15 @@ def radical_exponent(a: RingElement, ideal: FinGenIdeal):
 
 
 def saturates(a: RingElement, f: RingElement) -> bool:
-    """Decide whether a * f^k == 0 for some k >= 0."""
+    """Decide whether a * f^k == 0 for some k >= 0: whether a/1 == 0 in
+    R[1/f], whose kernel these elements are."""
     if a.ring != f.ring:
         raise RingMismatch(f"{a.ring} vs {f.ring}")
     if a.is_zero:
         return True
-    return a.ring.saturates(a.payload, f.payload)
+    from .localization import localize  # built on this module
+    L = localize(a.ring, f)
+    return L.element(L.from_base(a)).is_zero
 
 
 def saturation_member(a: RingElement, f: RingElement):

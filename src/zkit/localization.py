@@ -9,12 +9,15 @@ kind builds its own localization (ring.localization(f)), with payloads
   exponent, unique because Z is a domain (Z[1/0] is the zero ring);
 - over Z/n, (num, 0) with num in Z/m for the largest divisor m of n
   coprime to f, since (Z/n)[1/f] is Z/m (the zero ring when m = 1);
-- over k[x]/I, the normal form of num*t^exp modulo the reduced basis of
-  I + <1 - t*f> in k[x, t] (rings._saturation_basis), the Rabinowitsch
-  presentation;
+- over k[x]/I, the payload of num*y^exp in the Rabinowitsch
+  presentation k[x, y]/(I + <y*f - 1>) (rings._rabinowitsch), whose
+  arithmetic it is;
 - over the field k itself (rings.FieldRing), the field payload of
   num*f^(-exp), since k[1/f] is k for f != 0 (and the zero ring, with
   payload 0, for f = 0); no basis is computed.
+
+The kernel of R -> R[1/f] is the set of elements that some power of f
+kills, so ideals.saturates decides a * f^k == 0 as a/1 == 0 here.
 
 Radical membership is decided back in R on numerators, the denominators
 being units: a/f^k lies in sqrt(<b_i/f^k_i>) iff a*f lies in
@@ -39,8 +42,7 @@ from .errors import (BaseMismatch, InvalidWitness, RingMismatch,
 from .ideals import fin_gen_ideal, radical_member
 from .records import record
 from .rings import (QuotientRing, RingElement, RingHom, _ext_gcd_list,
-                    _Ring, _saturation_basis, make_hom, normalize,
-                    polynomial_ring, quotient_by)
+                    _rabinowitsch, _Ring, make_hom, normalize)
 
 
 @record(frozen=True)
@@ -190,7 +192,8 @@ def _strip(n: int, f: int):
 
 
 class _Presented(LocalizedRing):
-    """(k[x]/I)[1/f], with the Rabinowitsch presentation."""
+    """(k[x]/I)[1/f], with the Rabinowitsch presentation; its payloads
+    are those of its payload ring, which does the arithmetic."""
 
     def sort_key(self, x):
         return self.ring.sort_key(x)
@@ -209,51 +212,44 @@ class _Presented(LocalizedRing):
         while name in base.variables:
             k += 1
             name = f"y{k}"
-        free = polynomial_ring(base.base, base.variables + (name,), base.order)
-        rels = [free.element(poly.p_extend(r)) for r in base.relations]
-        f = free.element(poly.p_extend(self.f.payload))
-        return quotient_by(free, rels + [free.var(name) * f - 1])
+        _, rels = _rabinowitsch(base, (), self.f.payload)
+        return QuotientRing(base.base, base.variables + (name,), tuple(rels),
+                            base.order)
+
+    @cached_property
+    def _payloads(self):
+        return self.presentation
+
+    def add(self, x, y):
+        return self._payloads.add(x, y)
+
+    def sub(self, x, y):
+        return self._payloads.sub(x, y)
+
+    def mul(self, x, y):
+        return self._payloads.mul(x, y)
+
+    def neg(self, x):
+        return self._payloads.neg(x)
+
+    def unit_cofactors(self, gens):
+        gens = list(gens)
+        if self.is_trivial:  # 1 = 0: every cofactor is 0
+            return [()] * len(gens)
+        return self._payloads.unit_cofactors(gens)
 
 
 class LocalizedQuotient(_Presented):
-    """(k[x]/I)[1/f]; payloads are normal forms in k[x, t] modulo the
-    basis of I + <1 - t*f> (see the module docstring)."""
-
-    @cached_property
-    def _basis(self):
-        """(context of k[x, t], reduced basis of I + <1 - t*f>)."""
-        return _saturation_basis(self.ring, self.f.payload)
+    """(k[x]/I)[1/f]; payloads are normal forms in its presentation (see
+    the module docstring)."""
 
     def _make(self, num, exp: int):
-        ctx, basis = self._basis
-        p = poly.p_extend(num)
+        pres = self.presentation
+        ctx, p = pres.ctx, poly.p_extend(num)
         if exp:
-            t = (0,) * (ctx.nvars - 1) + (exp,)
-            p = poly.p_term_mul(ctx, p, t, ctx.field.one)
-        return poly.normal_form(ctx, p, basis)
-
-    def add(self, x, y):
-        return poly.p_add(self._basis[0], x, y)
-
-    def sub(self, x, y):
-        return poly.p_sub(self._basis[0], x, y)
-
-    def mul(self, x, y):
-        ctx, basis = self._basis
-        return poly.normal_form(ctx, poly.p_mul(ctx, x, y), basis)
-
-    def neg(self, x):
-        return poly.p_neg(self._basis[0], x)
-
-    def unit_cofactors(self, gens):
-        """One tracked Groebner computation in k[x, t] with the basis of
-        I + <1 - t*f> adjoined."""
-        ctx, basis = self._basis
-        gens = list(gens)
-        cof = poly.one_cofactors(ctx, gens + list(basis))
-        if cof is None:
-            return None
-        return [poly.normal_form(ctx, c, basis) for c in cof[:len(gens)]]
+            y = (0,) * (ctx.nvars - 1) + (exp,)
+            p = poly.p_term_mul(ctx, p, y, ctx.field.one)
+        return poly.normal_form(ctx, p, pres.relation_basis)
 
     def written(self, x) -> Fraction:
         return _inverse_substituted(self, x)
@@ -262,7 +258,11 @@ class LocalizedQuotient(_Presented):
 class LocalizedField(_Presented):
     """k[1/c] for the field k (rings.FieldRing), on k's own payloads: k
     itself when c != 0, where num/c^exp is num * c^(-exp), and the zero
-    ring when c = 0.  No saturation basis is computed."""
+    ring when c = 0.  The presentation is built only when asked for."""
+
+    @cached_property
+    def _payloads(self):
+        return self.ring
 
     def _make(self, num, exp: int):
         k, c = self.ring, self.f.payload
@@ -271,23 +271,6 @@ class LocalizedField(_Presented):
         if not exp or not num:
             return num
         return k._scalar(k.base.div(num[0][1], c[0][1] ** exp))
-
-    def add(self, x, y):
-        return self.ring.add(x, y)
-
-    def sub(self, x, y):
-        return self.ring.sub(x, y)
-
-    def mul(self, x, y):
-        return self.ring.mul(x, y)
-
-    def neg(self, x):
-        return self.ring.neg(x)
-
-    def unit_cofactors(self, gens):
-        if not self.f.payload:  # 1 = 0 here: every cofactor is 0
-            return [()] * len(list(gens))
-        return self.ring.unit_cofactors(gens)
 
     def written(self, x) -> Fraction:
         return Fraction(self.ring, self.f, RingElement(self.ring, x), 0)
@@ -300,7 +283,8 @@ LOCALIZATION_CACHE_SIZE = 1024  # (ring, f) pairs whose R[1/f] is kept
 def _localization(ring, f: RingElement) -> LocalizedRing:
     """ring.localization(f), one per (ring, f) among the
     LOCALIZATION_CACHE_SIZE most recently used, so that what it computes
-    once (its modulus, its basis) is computed once."""
+    once (its modulus, its presentation and that one's basis) is
+    computed once."""
     return ring.localization(f)
 
 

@@ -79,7 +79,7 @@ from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import count
 from math import gcd, lcm
-from operator import add, le, lshift, mul, neg, sub
+from operator import add, le, mul, neg, sub
 
 from .errors import (InvalidRing, InvariantViolated, NonInvertibleDenominator,
                      ResourceExceeded)
@@ -228,6 +228,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        if type(self.p) is not int:
+            raise InvalidRing(f"field size {self.p!r} is not an integer")
         if not is_prime(self.p):
             raise InvalidRing(f"{self.p} is not prime")
 
@@ -735,8 +737,8 @@ class Trace:
         element's cofactors, evaluated in another order, so they are
         equal to its cofactors exactly.
 
-        Inside the pass a monomial is one int, its exponents packed in
-        fields wide enough for the largest degree any term can reach, so
+        Inside the pass a monomial is one int, packed by a lex _Layout
+        with fields wide enough for the largest degree any term reaches, so
         a shift is one addition that never carries into the next field;
         the run's shifts are laid out that way once.  That degree is at
         most a multiplier's plus, over the nodes, the largest degree of a
@@ -754,15 +756,13 @@ class Trace:
         top = max([sum(mono) for _, m in seeds for mono, _ in m], default=0)
         top += sum(max([sum(exps[sh]) for sh in node], default=0)
                    for node in shifts)
-        bits = max(1, top.bit_length())
-        offsets = range(0, bits * ctx.nvars, bits)
-        relaid = {sh: sum(map(lshift, e, offsets)) for sh, e in exps.items()}
+        lay = _layout(ctx.nvars, "lex", max(1, top.bit_length()) + 1)
+        relaid = {sh: sum(map(mul, e, lay.units)) for sh, e in exps.items()}
 
         acc = {}  # node k or generator ~j -> [terms, den]: sum(terms) / den
         for k, m in seeds:
             den, m = fld.integral(m)
-            acc[k] = [{sum(map(lshift, mono, offsets)): c for mono, c in m},
-                      den]
+            acc[k] = [dict(lay.packed(m)), den]
         for k in range(len(nodes) - 1, -1, -1):
             adj = acc.pop(k, None)
             if adj is None:
@@ -775,7 +775,6 @@ class Trace:
                 _push(acc, t, terms, den, relaid[shift], c * mult)
             for i, shift, q, total in steps:
                 _push(acc, i, terms, den, relaid[shift], -q * (mult // total))
-        mask = (1 << bits) - 1
         out = []
         for j in range(self.ngens):
             terms, den = acc.get(~j, ({}, 1))
@@ -786,8 +785,7 @@ class Trace:
             else:
                 d = {m: _Q(c, den) for m, c in terms.items()}
             out.append(poly_from_dict(ctx, {
-                tuple([m >> o & mask for o in offsets]): c
-                for m, c in d.items() if c}))
+                lay.unpack(m): c for m, c in d.items() if c}))
         return out
 
 

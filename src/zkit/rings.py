@@ -52,9 +52,9 @@ the protocol that lattices and homs into it use.
 - unit_cofactors(gens): cofactors c with sum(c_i * gens_i) == 1, or None;
   a refuted answer builds no cofactor.
 - radical_member(a, gens): whether a^k lies in <gens> for some k.
-- saturates(a, f): whether a * f^k == 0 for some k.
-- saturation_bound: an exponent that such a k never needs to exceed
-  (n's bit length + 1 for Z/n), or 0 when the ring gives none.
+- saturation_bound: an exponent that a k with a * f^k == 0 (see
+  ideals.saturates) never needs to exceed (n's bit length + 1 for Z/n),
+  or 0 when the ring gives none.
 - random_element(rng), sample_homs(rng, budget): a small random
   element, and homs into small value rings, for the locality trials
   that schemes.qcqs_certificate samples (Z, Z/n and quotients only).
@@ -84,7 +84,7 @@ import itertools
 import math
 import re
 from fractions import Fraction as _Q
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import poly
 from .errors import (CodomainNotFinite, InvalidRing, InvariantViolated,
@@ -218,11 +218,6 @@ class _Integers(_Ring):
         d, _ = _ext_gcd_list(list(gens) + [self.modulus])
         return _int_radical_member(a, d)
 
-    def saturates(self, a, f) -> bool:
-        # a * f^k == 0 iff f^k is a multiple of n / gcd(n, a)
-        return a == 0 or _int_radical_member(
-            f, self.modulus // math.gcd(self.modulus, a))
-
     def random_element(self, rng):
         return self.element(rng.randrange(self.modulus) if self.modulus
                             else rng.randrange(-6, 7))
@@ -255,6 +250,8 @@ class ResidueRing(_Integers):
     modulus: int
 
     def __post_init__(self):
+        if type(self.modulus) is not int:
+            raise InvalidRing(f"modulus {self.modulus!r} is not an integer")
         if self.modulus < 2:
             raise InvalidRing(f"modulus {self.modulus} is below 2")
 
@@ -470,13 +467,9 @@ class QuotientRing(_Ring):
                 for c in cof[:len(gens)]]
 
     def radical_member(self, a, gens) -> bool:
-        # Rabinowitsch: a in sqrt(I) iff 1 in I + relations + <1 - t*a>
+        # Rabinowitsch: a in sqrt(I) iff 1 in I + relations + <t*a - 1>
         basis = _rabinowitsch_basis(self, tuple(gens), a)
         return len(basis) == 1 and poly.mono_deg(basis[0][0][0]) == 0
-
-    def saturates(self, a, f) -> bool:
-        ctx, basis = _saturation_basis(self, f)
-        return not poly.normal_form(ctx, poly.p_extend(a), basis)
 
     def random_element(self, rng):
         payload = {}
@@ -581,20 +574,18 @@ class FieldRing(QuotientRing):
     def radical_member(self, a, gens) -> bool:
         return not a or any(gens)
 
-    def saturates(self, a, f) -> bool:
-        return not a or not f
-
 
 def _rabinowitsch(ring: QuotientRing, gens, f):
-    """(ctx, gens + relations + <1 - t*f>) in the free ring with one more
+    """(ctx, gens + relations + <t*f - 1>) in the free ring with one more
     variable t; 1 is in their ideal iff f in sqrt(<gens> + relations),
     and a reduces to 0 by its Groebner basis iff a * f^k lies in
-    <gens> + relations."""
+    <gens> + relations.  With no gens these are the relations of
+    R[1/f]'s presentation (localization)."""
     ctx = ring.ctx.extended()
     ext = [poly.p_extend(g) for g in gens + ring.relations]
     t = poly.var_poly(ctx, ctx.nvars - 1)
-    ext.append(poly.p_sub(ctx, poly.const_poly(ctx, 1),
-                          poly.p_mul(ctx, t, poly.p_extend(f))))
+    ext.append(poly.p_sub(ctx, poly.p_mul(ctx, t, poly.p_extend(f)),
+                          poly.const_poly(ctx, 1)))
     return ctx, ext
 
 
@@ -605,20 +596,6 @@ def _rabinowitsch_basis(ring: QuotientRing, gens, f):
     ctx, ext = _rabinowitsch(ring, gens, f)
     basis, _ = poly.buchberger(ctx, ext, stop_at_one=True)
     return basis
-
-
-SATURATION_CACHE_SIZE = 1024  # (ring, f) pairs whose bases are kept
-
-
-@lru_cache(maxsize=SATURATION_CACHE_SIZE)
-def _saturation_basis(ring: QuotientRing, f):
-    """(ctx, reduced Groebner basis) of _rabinowitsch with no generators,
-    cached per (ring, f) (the SATURATION_CACHE_SIZE most recently used):
-    saturation tests share it, and it is the presentation that R[1/f]
-    reduces its payloads by."""
-    ctx, ext = _rabinowitsch(ring, (), f)
-    basis, _ = poly.buchberger(ctx, ext)
-    return ctx, basis
 
 
 RingDesc = object  # IntegerRing | ResidueRing | QuotientRing | LocalizedRing

@@ -23,14 +23,14 @@ from math import gcd, lcm
 import zkit
 from zkit import (IntegerRing, NotWellDefined, PrimeField, QuotientRing,
                   Rationals, ResidueRing, RingHom, fin_gen_ideal, make_cover,
-                  make_hom, radical_member, saturates,
-                  unimodular_certificate)
+                  make_hom, radical_member, unimodular_certificate)
 from zkit import dsl
 from zkit import poly as P
 from zkit import rings as R
 from zkit.errors import (InvalidWitness, NonInvertibleDenominator,
                          ScriptSyntaxError, TypeMismatch)
 from zkit.lattice import zar_elt, zar_eq_top
+from zkit.limits import current_limits
 from zkit.records import MISSING
 from zkit.schemes import SchemePoint
 from zkit.serialize import eval_element_expr
@@ -918,8 +918,16 @@ def ref_loc_eq_top(L, vs) -> bool:
 
 
 def ref_frac_eq(a, b) -> bool:
-    """r/f^n == r'/f^m iff (r*f^m - r'*f^n)*f^k == 0 for some k."""
-    return saturates(a.num * b.f ** b.exp - b.num * a.f ** a.exp, a.f)
+    """r/f^n == r'/f^m iff d = (r*f^m - r'*f^n) has d*f^k == 0 for some
+    k, scanned up to max(max_exponent, saturation_bound): a bounded
+    search that asks nothing of R[1/f]."""
+    d = a.num * b.f ** b.exp - b.num * a.f ** a.exp
+    for _ in range(max(current_limits().max_exponent,
+                       d.ring.saturation_bound) + 1):
+        if d.is_zero:
+            return True
+        d = d * a.f
+    return False
 
 
 # ---------------------------------------------------------------------------

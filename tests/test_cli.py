@@ -215,11 +215,19 @@ def test_failed_invariant_is_an_error_record(monkeypatch):
 @pytest.mark.parametrize("report, status", [
     ({"results": [{"certificate": [1, 2]}]}, "refuted"),
     ({"results": [{"certificate": "x"}]}, "refuted"),
+    ({"results": [{"certificate": {
+        "claim": "bezout", "ring": {"kind": "Zmod", "n": 6.0},
+        "generators": ["5", "3"], "cofactors": ["5", "2"]}}]}, "refuted"),
+    ({"results": [{"certificate": {
+        "claim": "bezout", "ring": {
+            "kind": "polyquot", "base": {"Fp": 7.0}, "variables": [],
+            "relations": [], "order": "grevlex"},
+        "generators": ["3"], "cofactors": ["5"]}}]}, "refuted"),
     ({"results": [5]}, "error"),
     ({"results": 5}, "error"),
     ([1], "error"),
-], ids=["certificate-list", "certificate-string", "entry-int",
-        "results-int", "top-level-list"])
+], ids=["certificate-list", "certificate-string", "float-modulus",
+        "float-field-size", "entry-int", "results-int", "top-level-list"])
 def test_verify_malformed_report(tmp_path, report, status):
     """A certificate that is not an object fails on its own; a report
     that is not an object with a list of objects is an error record.

@@ -8,8 +8,9 @@ from itertools import product
 
 import pytest
 
-from zkit import (PrimeField, QuotientRing, Rationals, dsl, frac_eq, interp,
-                  localization, poly, polynomial_ring, rings)
+from zkit import (PrimeField, QuotientRing, Rationals, RingElement, dsl,
+                  frac_eq, interp, localization, poly, polynomial_ring, rings,
+                  saturates)
 from zkit.localization import LocalizedField, LocalizedQuotient
 from zkit.rings import FieldRing
 
@@ -59,7 +60,8 @@ def test_field_arithmetic_matches_engine_path():
             for op in ("add", "sub", "mul"):
                 assert getattr(K, op)(x, y) == getattr(ref, op)(x, y), op
             assert K.radical_member(x, [y]) == ref.radical_member(x, [y])
-            assert K.saturates(x, y) == ref.saturates(x, y)
+            assert saturates(RingElement(K, x), RingElement(K, y)) == \
+                saturates(RingElement(ref, x), RingElement(ref, y))
         assert [K.neg(x) for x in xs] == [ref.neg(x) for x in xs]
         gen_lists = [[x] for x in xs] + [[xs[0], x, y] for x, y in
                                          product(xs[:4], repeat=2)]
@@ -153,17 +155,18 @@ def test_field_path_runs_no_engine(monkeypatch):
             raise RuntimeError("Buchberger run over a field")
         return buchberger(ctx, gens, **kw)
 
-    def no_field(saturation_basis):
-        def guarded(ring, f):
+    def no_field(rabinowitsch):
+        def guarded(ring, gens, f):
             if not ring.variables:
-                raise RuntimeError(f"saturation basis over {ring}")
-            return saturation_basis(ring, f)
+                raise RuntimeError(f"presentation basis over {ring}")
+            return rabinowitsch(ring, gens, f)
         return guarded
 
     monkeypatch.setattr(poly, "buchberger", engine)
     for module in (rings, localization):  # each holds its own reference
-        monkeypatch.setattr(module, "_saturation_basis",
-                            no_field(module._saturation_basis))
+        monkeypatch.setattr(module, "_rabinowitsch",
+                            no_field(module._rabinowitsch))
+    localization._localization.cache_clear()  # rebuild under the guard
     assert [_run(src) for src in FIELD_SCRIPTS] == expected
 
 

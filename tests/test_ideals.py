@@ -264,9 +264,10 @@ def test_saturation_cap_names_layer_value_and_cap():
 
 
 def test_caches_are_bounded():
-    """groebner and the saturation bases keep at most their module's
-    cache size, however many distinct ideals pass through."""
-    from zkit import ideals, rings
+    """groebner and the localizations, which hold the saturation bases,
+    keep at most their module's cache size, however many distinct ideals
+    pass through."""
+    from zkit import ideals, localization
     for k in range(1, ideals.GROEBNER_CACHE_SIZE + 10):
         groebner(fin_gen_ideal(Z, [k]))
     info = groebner.cache_info()
@@ -274,10 +275,10 @@ def test_caches_are_bounded():
     assert info.currsize <= info.maxsize
     F = polynomial_ring(PrimeField(32003), ["x"])
     x = F.var("x")
-    for k in range(rings.SATURATION_CACHE_SIZE + 10):
-        rings._saturation_basis(F, (x - k).payload)
-    info = rings._saturation_basis.cache_info()
-    assert info.maxsize == rings.SATURATION_CACHE_SIZE
+    for k in range(localization.LOCALIZATION_CACHE_SIZE + 10):
+        saturates(x, x - k)
+    info = localization._localization.cache_info()
+    assert info.maxsize == localization.LOCALIZATION_CACHE_SIZE
     assert info.currsize <= info.maxsize
 
 

@@ -8,7 +8,7 @@ from zkit import (BaseMismatch, IntegerRing, InvalidWitness, NotWellDefined,
                   UnsupportedBase, canonical_map, double_localization_maps,
                   frac_eq, from_presentation, hom_compose, is_unit,
                   localize, make_hom, polynomial_ring, quotient_by,
-                  to_presentation, universal_property, zar_elt, zar_eq_top,
+                  saturates, to_presentation, universal_property, zar_elt, zar_eq_top,
                   zar_leq)
 from helpers import (random_element, random_ring, ref_frac_eq,
                      ref_loc_eq_top, ref_loc_leq)
@@ -267,13 +267,17 @@ def _reference_cases():
 def test_localized_ring_matches_reference_rules():
     """zar_leq, zar_eq_top and == over localize(R, f) agree with the rules
     decided on written numerators in R (helpers.ref_*), on random
-    fractions and on padded copies with localization-kernel noise."""
+    fractions and on padded copies with localization-kernel noise; the
+    kernel candidates also check saturates against the bounded scan."""
     rng = random.Random(89)
     for ring, f in _reference_cases():
         f = ring.element(f)
         L = localize(ring, f)
-        kernel = [z for z in (random_element(ring, rng, 2) for _ in range(20))
+        candidates = [random_element(ring, rng, 2) for _ in range(20)]
+        kernel = [z for z in candidates
                   if ref_frac_eq(L.from_base(z), L.fraction(0))]
+        for z in candidates:
+            assert saturates(z, f) == (z in kernel), (L, z)
         equal = 0
         for _ in range(12):
             def frac():
