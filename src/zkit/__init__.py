@@ -15,10 +15,9 @@ from .errors import (BaseMismatch, CodomainNotFinite, IncompatibleFamily,
                      UnknownName, UnknownVariable, UnsupportedBase,
                      ZkitError)
 from .gluing import (CompatibleFamily, CompatibleHomFamily, UnimodularCover,
-                     check_compatibility, check_hom_compatibility,
-                     glue_element, glue_hom, make_cover, make_family,
-                     make_hom_family, pullback_cover, restrict_element,
-                     restrict_hom)
+                     check_compatibility, glue_element, glue_hom, make_cover,
+                     make_family, make_hom_family, pullback_cover,
+                     restrict_element, restrict_hom)
 from .ideals import (BezoutCertificate, FinGenIdeal, GroebnerBasis,
                      fin_gen_ideal, groebner, ideal_member, power_certificate,
                      radical_member, radical_witness, saturates,

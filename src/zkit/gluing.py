@@ -6,11 +6,17 @@ the R[1/f_i] is compatible when each pair agrees in the double
 localization R[1/(f_i f_j)]; the witnesses are the saturation exponents.
 
 glue_element inverts the restriction map: align the denominators to a
-common power N, take the largest pairwise witness exponent k, find
+common power N, take the largest pairwise witness exponent k (any k at
+or past the witnesses works, and k >= 1 keeps N + k >= 1), find
 cofactors of the f_i^(N+k) (the ring's own, see ideals.power_certificate)
 and recombine.  The result is verified against the input family before
 it is returned, and restricting a global element then gluing gives back
 that element on the nose.
+
+A hom A -> R out of A = k[x]/I is its generator images, so homs are
+glued generator by generator: the written images of each generator
+form a CompatibleFamily, glue_element glues each one, and make_hom
+checks the relations of A on the glued images.
 """
 from __future__ import annotations
 
@@ -147,12 +153,8 @@ def glue_element(fam: CompatibleFamily) -> RingElement:
     n_exp = max((x.exp for x in fam.elements), default=0)
     aligned = [x.num * fs[i] ** (n_exp - x.exp)
                for i, x in enumerate(fam.elements)]
-    k = max((w[2] for w in fam.witnesses), default=0)
-    m = n_exp + k
-    if m == 0:
-        cof = [a * f for a, f in zip(cover.certificate.cofactors, fs)]
-    else:
-        cof = power_certificate(cover.certificate, m).cofactors
+    k = max([w[2] for w in fam.witnesses] + [0 if n_exp else 1])
+    cof = power_certificate(cover.certificate, n_exp + k).cofactors
     g = ring.zero()
     for b, r, f in zip(cof, aligned, fs):
         g = g + b * r * f ** k
@@ -190,46 +192,27 @@ def pullback_cover(cover: UnimodularCover, phi: RingHom):
 
 @record(frozen=True)
 class CompatibleHomFamily:
-    """Homs phi_i : A -> R[1/f_i] agreeing pairwise on A's generators;
-    the witnesses are taken on the written forms of the images."""
+    """Homs phi_i : A -> R[1/f_i] and, for each generator of A, the
+    CompatibleFamily of its written images phi_i(generator)."""
 
     cover: UnimodularCover
     domain: object
     homs: tuple
-    witnesses: tuple   # (i, j, generator index, exponent)
+    families: tuple   # one CompatibleFamily per domain generator
 
 
-def _written_images(cover: UnimodularCover, homs, g: int) -> tuple:
-    """The image of domain generator g under each hom, written."""
-    return tuple(L.written(h.generator_images[g].payload)
-                 for h, L in zip(homs, cover.localized))
-
-
-def check_hom_compatibility(cover: UnimodularCover, domain, homs) -> CompatCheck:
-    """check_compatibility on the written images of each generator in
-    turn; the witnesses are (i, j, generator index, exponent)."""
+def make_hom_family(cover: UnimodularCover, domain, homs) -> CompatibleHomFamily:
     homs = tuple(homs)
     if len(homs) != len(cover):
         raise IncompatibleFamily("family size does not match the cover")
     for h, L in zip(homs, cover.localized):
         if h.domain != domain or h.codomain != L:
             raise RingMismatch(f"{h!r} is not a hom {domain} -> {L}")
-    witnesses = []
-    for g in range(len(domain.variables)):
-        check = check_compatibility(cover, _written_images(cover, homs, g))
-        witnesses.extend((i, j, g, k) for i, j, k in check.witnesses)
-        if not check.ok:
-            return CompatCheck(False, tuple(witnesses), check.failing_pair)
-    return CompatCheck(True, tuple(witnesses))
-
-
-def make_hom_family(cover: UnimodularCover, domain, homs) -> CompatibleHomFamily:
-    check = check_hom_compatibility(cover, domain, homs)
-    if not check.ok:
-        i, j = check.failing_pair
-        raise IncompatibleFamily(
-            f"homs {i} and {j} disagree on some generator")
-    return CompatibleHomFamily(cover, domain, tuple(homs), check.witnesses)
+    families = tuple(
+        make_family(cover, [L.written(h.generator_images[g].payload)
+                            for h, L in zip(homs, cover.localized)])
+        for g in range(len(domain.variables)))
+    return CompatibleHomFamily(cover, domain, homs, families)
 
 
 def restrict_hom(cover: UnimodularCover, psi: RingHom) -> CompatibleHomFamily:
@@ -242,25 +225,12 @@ def restrict_hom(cover: UnimodularCover, psi: RingHom) -> CompatibleHomFamily:
 
 
 def glue_hom(fam: CompatibleHomFamily) -> RingHom:
-    """Glue generator-wise and reassemble a verified hom A -> R.
+    """Glue each generator's family and assemble the hom A -> R.
 
-    Raises NotWellDefined when a domain relation fails on the glued
-    images (an incompatibility the pairwise checks cannot see), and
-    IncompatibleFamily when a restriction fails to match.
+    glue_element raises IncompatibleFamily when a glued image fails to
+    restrict to its family, and make_hom raises NotWellDefined when a
+    domain relation fails on the glued images (an incompatibility the
+    pairwise checks cannot see).
     """
-    cover = fam.cover
-    domain = fam.domain
-    images = []
-    for g in range(len(domain.variables)):
-        comps = _written_images(cover, fam.homs, g)
-        witnesses = tuple((i, j, k) for (i, j, gg, k) in fam.witnesses
-                          if gg == g)
-        family = CompatibleFamily(cover, comps, witnesses)
-        images.append(glue_element(family))
-    glued = make_hom(domain, cover.ring, tuple(images))
-    for h, L in zip(fam.homs, cover.localized):
-        for img, local in zip(glued.generator_images, h.generator_images):
-            if L.element(L.from_base(img)) != local:
-                raise IncompatibleFamily(
-                    "glued hom fails to restrict to the family")
-    return glued
+    return make_hom(fam.domain, fam.cover.ring,
+                    [glue_element(f) for f in fam.families])

@@ -24,8 +24,7 @@ from .errors import (IncompatibleFamily, InvalidWitness, NotUnimodular,
                      NotWellDefined, ResourceExceeded, TypeMismatch,
                      UnknownName, UnsupportedBase, ZkitError)
 from .gluing import glue_element, make_cover, make_family
-from .ideals import fin_gen_ideal, radical_exponent, radical_member, \
-    unimodular_certificate
+from .ideals import fin_gen_ideal, radical_witness, unimodular_certificate
 from .lattice import ZarElt, zar_elt, zar_eq, zar_join, zar_leq, zar_meet
 from .limits import current_limits, limits
 from .localization import localize
@@ -279,11 +278,12 @@ def _execute(stmt, env: _Env, options: Options):
         ring = env.current_ring()
         a = _eval_elem(env, ring, stmt.element)
         ideal = _eval_ideal(env, ring, stmt.ideal)
-        if not radical_member(a, ideal):
-            return "refuted", {"member": False}, None
         # a positive answer carries its witness: past the exponent cap
-        # the statement is radical_exponent's ResourceExceeded record
-        exponent, cofs = radical_exponent(a, ideal)
+        # the statement is radical_witness's ResourceExceeded record
+        witness = radical_witness(a, ideal)
+        if witness is None:
+            return "refuted", {"member": False}, None
+        exponent, cofs = witness
         cert = serialize.membership_to_json(ideal.ring, a, ideal.generators,
                                             cofs, exponent)
         return "ok", {"member": True, "exponent": exponent}, cert

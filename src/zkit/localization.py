@@ -3,7 +3,9 @@
 R[1/f] answers the ring protocol (see rings): its elements are
 RingElements with canonical payloads, so == decides equality, its
 lattice is a ZarElt over it and homs into it are RingHoms.  Each base
-kind builds its own localization (ring.localization(f)), with payloads
+kind builds its own localization (ring.localization(f)); R[1/f] builds
+none and raises UnsupportedBase naming the product to localize R at
+instead.  The payloads are
 
 - over Z, the pair (num, exp) of the fraction num/f^exp with the least
   exponent, unique because Z is a domain (Z[1/0] is the zero ring);
@@ -122,6 +124,13 @@ class LocalizedRing(_Ring):
     def radical_member(self, a, gens) -> bool:
         ideal = fin_gen_ideal(self.ring, [self.written(g).num for g in gens])
         return radical_member(self.written(a).num * self.f, ideal)
+
+    def localization(self, g):
+        """R[1/f][1/g] is R[1/(f*num)] for g = num/f^e, and only base
+        rings are localized: raise UnsupportedBase naming that product."""
+        num = self.written(g.payload).num
+        raise UnsupportedBase(f"{self} is a localization already: localize "
+                              f"{self.ring} at ({self.f}) * ({num}) instead")
 
 
 class LocalizedIntegers(LocalizedRing):

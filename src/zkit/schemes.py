@@ -21,7 +21,7 @@ from .gluing import (UnimodularCover, glue_hom, make_cover, make_hom_family)
 from .ideals import BezoutCertificate, unimodular_certificate
 from .lattice import (ZarElt, lattice_morphism, support_D, zar_bottom,
                       zar_elt, zar_eq, zar_eq_top, zar_top)
-from .localization import LocalizedRing, localize
+from .localization import LocalizedRing
 from .records import record
 from .rings import (RingElement, RingHom, _coefficient_images, _evaluate,
                     _index_arithmetic, enumerate_homs, hom_apply, make_hom,
@@ -185,13 +185,13 @@ def point_to_localized_hom(pt: SchemePoint, L: LocalizedRing) -> RingHom:
 
 @record(frozen=True)
 class AffineCover:
-    """A finite cover of a compact open by standard opens, each carrying
-    its localization; join_matches re-verifies the covering condition and
-    top_certificate is present exactly when the open is everything."""
+    """A finite cover of a compact open by the standard opens D(f_i) of
+    its generators (each affine, as Sp(R[1/f_i]): localize(ring, f_i));
+    join_matches re-verifies the covering condition and top_certificate
+    is present exactly when the open is everything."""
 
     open: CompactOpen
     opens: tuple
-    localized: tuple
     join_matches: bool
     top_certificate: object
     degenerate: bool
@@ -206,12 +206,10 @@ def affine_cover(V: CompactOpen) -> AffineCover:
     ring = V.scheme.ring
     gens = V.element.generators
     opens = tuple(standard_open(ring, f) for f in gens)
-    localized = tuple(localize(ring, f) for f in gens)
     join = zar_elt(ring, gens)
     return AffineCover(
         open=V,
         opens=opens,
-        localized=localized,
         join_matches=zar_eq(join, V.element),
         top_certificate=zar_eq_top(V.element),
         degenerate=not gens,
@@ -228,7 +226,6 @@ class LocalityTrial:
     ring: str
     cover_elements: tuple
     point: str
-    paddings: tuple
     components_member: bool
     glued_member: bool
     glued_equals_point: bool
@@ -239,33 +236,29 @@ class LocalityTrial:
                 and self.glued_equals_point)
 
 
-def locality_trial(V: CompactOpen, psi: RingHom, cover: UnimodularCover,
+def locality_trial(pt: SchemePoint, cover: UnimodularCover,
                    rng: random.Random) -> LocalityTrial:
-    """Restrict a point of V along a cover of its value ring, re-represent
-    the components with padded denominators, glue back, and check that
-    the result is still a point of V (and is the original point)."""
-    if point_membership(V, psi) is None:
-        raise InvariantViolated("locality trials need a point of V")
+    """Restrict a point of V (a SchemePoint, so membership is already
+    witnessed) along a cover of its value ring, pad the components'
+    denominators by random powers 0..2 of f_i, glue back generator by
+    generator, and check that the result is still a point of V (and is
+    the original point)."""
+    V, psi = pt.open, pt.hom
     domain = V.scheme.ring
     homs = []
-    paddings = []
     for L in cover.localized:
-        images = []
-        for img in psi.generator_images:
-            pad = rng.randrange(0, 3)
-            paddings.append(pad)
-            images.append(L.fraction(img * L.f ** pad, pad))
-        homs.append(make_hom(domain, L, images))
+        pads = [rng.randrange(0, 3) for _ in psi.generator_images]
+        homs.append(make_hom(domain, L, [
+            L.fraction(img * L.f ** pad, pad)
+            for img, pad in zip(psi.generator_images, pads)]))
     components_member = all(point_membership(V, h) is not None
                             for h in homs)
-    fam = make_hom_family(cover, domain, tuple(homs))
-    glued = glue_hom(fam)
+    glued = glue_hom(make_hom_family(cover, domain, homs))
     glued_member = point_membership(V, glued) is not None
     return LocalityTrial(
         ring=str(cover.ring),
         cover_elements=tuple(str(f) for f in cover.elements),
         point=str(psi),
-        paddings=tuple(paddings),
         components_member=components_member,
         glued_member=glued_member,
         glued_equals_point=glued.generator_images == psi.generator_images,
@@ -273,10 +266,10 @@ def locality_trial(V: CompactOpen, psi: RingHom, cover: UnimodularCover,
 
 
 def _candidate_points(V: CompactOpen, rng: random.Random, budget: int = 40):
-    """Verified points of V with small value rings, for sampling: the
-    members of V among the ring's sample_homs."""
-    return [phi for phi in V.scheme.ring.sample_homs(rng, budget)
-            if point_membership(V, phi) is not None]
+    """Points of V with small value rings, for sampling: the members of
+    V among the ring's sample_homs."""
+    return [pt for phi in V.scheme.ring.sample_homs(rng, budget)
+            if (pt := point_membership(V, phi)) is not None]
 
 
 def _candidate_cover(ring, rng: random.Random) -> UnimodularCover:
@@ -320,9 +313,9 @@ def qcqs_certificate(V: CompactOpen, *, seed: int = 0,
         note = "no qualifying point found for locality sampling"
     else:
         for _ in range(trials):
-            psi = rng.choice(points)
-            test_cover = _candidate_cover(psi.codomain, rng)
-            records.append(locality_trial(V, psi, test_cover, rng))
+            pt = rng.choice(points)
+            test_cover = _candidate_cover(pt.values, rng)
+            records.append(locality_trial(pt, test_cover, rng))
     if cover.degenerate:
         note = (note + "; " if note else "") + "empty open: degenerate cover"
     return QcqsReport(V, cover, tuple(records), note)

@@ -288,24 +288,24 @@ def test_criterion_8_locality_sampling():
         ring = polynomial_ring(PrimeField(p), ["x"])
         V = standard_open(ring, ring.var("x"))
         for pt in points_over(V, field):
-            setups.append((V, pt.hom, field))
+            setups.append((pt, field))
     # integer points valued in residue rings
     VZ = compact_open(Z, [2, 3])
     for m in (5, 7, 11, 25, 35):
-        phi = make_hom(Z, ResidueRing(m))
-        if point_membership(VZ, phi) is not None:
-            setups.append((VZ, phi, ResidueRing(m)))
+        pt = point_membership(VZ, make_hom(Z, ResidueRing(m)))
+        if pt is not None:
+            setups.append((pt, ResidueRing(m)))
     # rational endo points
     Qx = polynomial_ring(Rationals(), ["x"])
     VQ = compact_open(Qx, [Qx.var("x"), 1 - Qx.var("x")])
     for c in (0, 1, 2, -1, 3):
-        phi = make_hom(Qx, Qx, (Qx.from_int(c),))
-        if point_membership(VQ, phi) is not None:
-            setups.append((VQ, phi, Qx))
+        pt = point_membership(VQ, make_hom(Qx, Qx, (Qx.from_int(c),)))
+        if pt is not None:
+            setups.append((pt, Qx))
     while trials < 100:
-        V, phi, S = setups[trials % len(setups)]
+        pt, S = setups[trials % len(setups)]
         cover = random_unimodular_cover(S, rng)
-        trial = locality_trial(V, phi, cover, rng)
+        trial = locality_trial(pt, cover, rng)
         trials += 1
         if not trial.ok:
             failures += 1

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from zkit import (IncompatibleFamily, IntegerRing, NotUnimodular,
-                  NotWellDefined, Rationals, ResidueRing, check_compatibility,
+from zkit import (CompatibleFamily, CompatibleHomFamily, IncompatibleFamily,
+                  IntegerRing, NotUnimodular, NotWellDefined, Rationals,
+                  ResidueRing, check_compatibility,
                   frac_eq, glue_element, glue_hom, identity_hom, localize,
                   make_cover, make_family, make_hom, make_hom_family,
                   polynomial_ring, pullback_cover, quotient_by,
@@ -198,6 +199,29 @@ def test_hom_family_by_hand():
     bad2 = make_hom(Qt, L1x, (L1x.from_base(Qx.zero()),))
     with pytest.raises(IncompatibleFamily):
         make_hom_family(cov, Qt, (h1, bad2))
+
+
+def test_forged_witnesses_do_not_glue():
+    """A family whose witnesses claim compatibility it does not have is
+    caught when the glued element fails to restrict to it, for elements
+    and, through the per-generator families, for homs."""
+    cov = make_cover(Z, [2, 3])
+    L2, L3 = cov.localized
+    forged = CompatibleFamily(cov, (L2.fraction(1), L3.fraction(0)),
+                              ((0, 1, 0),))
+    with pytest.raises(IncompatibleFamily, match="fails to restrict"):
+        glue_element(forged)
+    Qx = polynomial_ring(Rationals(), ["x"])
+    Qt = polynomial_ring(Rationals(), ["t"])
+    x = Qx.var("x")
+    cov = make_cover(Qx, [x, 1 - x])
+    Lx, L1x = cov.localized
+    one, zero = Lx.from_base(Qx.one()), L1x.from_base(Qx.zero())
+    homs = (make_hom(Qt, Lx, (one,)), make_hom(Qt, L1x, (zero,)))
+    forged = CompatibleHomFamily(
+        cov, Qt, homs, (CompatibleFamily(cov, (one, zero), ((0, 1, 0),)),))
+    with pytest.raises(IncompatibleFamily, match="fails to restrict"):
+        glue_hom(forged)
 
 
 def test_glue_hom_relation_failure():

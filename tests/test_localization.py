@@ -192,6 +192,20 @@ def test_presentation_round_trips():
         to_presentation(localize(Z, 2), localize(Z, 2).fraction(1, 0))
 
 
+def test_localizing_a_localization_names_the_product():
+    """R[1/f] is localized no further: localize and saturates over it
+    raise UnsupportedBase naming the element of R to localize at."""
+    L2 = localize(Z, 2)
+    with pytest.raises(UnsupportedBase, match=r"localize Z at \(2\) \* \(3\)"):
+        localize(L2, 3)
+    with pytest.raises(UnsupportedBase, match=r"localize Z at \(2\) \* \(1\)"):
+        saturates(L2.one(), L2.one())
+    Qx = polynomial_ring(Rationals(), ["x"])
+    with pytest.raises(UnsupportedBase,
+                       match=r"localize Q\[x\] at \(x\) \* \(1\)"):
+        localize(localize(Qx, Qx.var("x")), 1)
+
+
 def test_presentation_fresh_variable():
     Qy = polynomial_ring(Rationals(), ["y"])
     L = localize(Qy, Qy.var("y"))

@@ -188,7 +188,7 @@ def test_locality_trials():
     V = standard_open(F5x, F5x.var("x"))
     for pt in points_over(V, F5):
         cover = random_unimodular_cover(F5, rng)
-        trial = locality_trial(V, pt.hom, cover, rng)
+        trial = locality_trial(pt, cover, rng)
         assert trial.ok, trial
 
 
