@@ -14,13 +14,16 @@ TypeMismatch report, not a parse error.
 The tokenizer is one regex scan; tokens are named tuples carrying their
 1-based line and column.  Expressions are read by precedence climbing
 over one table (_PREC: | below & below + and - below *), with prefix
-minus and ^ on an operand: -x^2 is -(x^2), -x*y is (-x)*y, and every
-binary operator associates to the left.  The printer uses the same
-table, so printing and re-parsing gives the same AST.
+minus and ^ on an operand: -x^2 is -(x^2) and -x*y is (-x)*y.  The
+operators of one precedence level make one Chain, read left to right,
+and a parenthesized first operand of that level joins it: (a + b) + c
+is a + b + c.  The printer uses the same table, so printing and
+re-parsing gives the same AST.
 """
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple
 
 from .errors import ScriptSyntaxError
@@ -131,10 +134,9 @@ class Neg:
 
 
 @record(frozen=True)
-class BinOp:
-    op: str                   # + - * | &
-    left: object
-    right: object
+class Chain:
+    ops: tuple                # the len(args) - 1 operators between args,
+    args: tuple               # all of one level: | or & or * or + and -
 
 
 @record(frozen=True)
@@ -255,8 +257,9 @@ class Script:
 _PREC = {"|": 1, "&": 2, "+": 3, "-": 3, "*": 4}
 
 # Parentheses, D(...) and prefix minus nest in an expression at most this
-# deep.  The parser, the printer and the evaluators all recurse on that
-# nesting, so a deeper expression is a syntax error, not a RecursionError.
+# deep; a chain of operators is one flat Chain, however long.  The parser,
+# the printer and the evaluators all recurse on that nesting, so a deeper
+# expression is a syntax error, not a RecursionError.
 MAX_NESTING = 50
 
 
@@ -302,17 +305,16 @@ class _Parser:
             raise ScriptSyntaxError(f"expected a statement, found {tok.text!r}",
                                     tok.line, tok.column)
         word = tok.text
+        self.advance()
         if word == "ring":
             return self.ring_decl()
         if word in ("elem", "ideal", "latt"):
-            return self.bind()
+            return self.bind(word)
         if word == "check":
             return self.check_cmd()
         if word == "unimodular":
-            self.advance()
             return UnimodularCmd(self.bracket_exprs())
         if word == "radical-member":
-            self.advance()
             element = self.expr()
             self.expect_word("in")
             if self.at("["):
@@ -321,43 +323,35 @@ class _Parser:
                 ideal = NameRef(self.expect("name").text)
             return RadicalMemberCmd(element, ideal)
         if word == "localize":
-            self.advance()
             name = self.expect("name").text
             self.expect_word("at")
             return LocalizeCmd(name, self.expr())
         if word == "glue":
-            self.advance()
             self.expect_word("cover")
             items = self.bracket_exprs()
             self.expect_word("with")
             return GlueCmd(items, self.bracket_fracs())
         if word == "points":
-            self.advance()
             name = self.expect("name").text
             self.expect_word("over")
             return PointsCmd(name, self.ring_expr_or_name())
         if word == "cover":
-            self.advance()
             return CoverCmd(self.expr())
         if word == "member":
-            self.advance()
             spec = self.homspec()
             self.expect_word("in")
             latt = self.expr()
             over = self.optional_over()
             return MemberCmd(spec, latt, over)
         if word == "eval":
-            self.advance()
             expr = self.expr()
             self.expect_word("at")
             spec = self.homspec()
             over = self.optional_over()
             return EvalCmd(expr, spec, over)
         if word == "qcqs":
-            self.advance()
             return QcqsCmd(self.expr())
         if word == "verify":
-            self.advance()
             tok = self.expect("string", "a quoted file path")
             return VerifyCmd(tok.text[1:-1])
         raise ScriptSyntaxError(f"unknown statement {word!r}",
@@ -371,7 +365,6 @@ class _Parser:
         return self.advance()
 
     def ring_decl(self) -> RingDecl:
-        self.expect_word("ring")
         name = self.expect("name").text
         self.expect("=")
         return RingDecl(name, self.ring_expr())
@@ -387,15 +380,14 @@ class _Parser:
         if tok.text == "Z":
             if self.at("/"):
                 self.advance()
-                n = int(self.expect("int").text)
-                return RingExpr("Zmod", n)
+                return RingExpr("Zmod", self.integer())
             return RingExpr("Z")
         if tok.text == "Q":
             variables, relations = self.poly_part()
             return RingExpr("Q", 0, variables, relations)
         if tok.text == "Fp":
             self.expect("(")
-            p = int(self.expect("int").text)
+            p = self.integer()
             self.expect(")")
             variables, relations = self.poly_part()
             return RingExpr("Fp", p, variables, relations)
@@ -406,25 +398,15 @@ class _Parser:
         if not self.at("["):
             return (), ()
         self.advance()
-        names = [self.expect("name").text]
-        while self.at(","):
-            self.advance()
-            names.append(self.expect("name").text)
-        self.expect("]")
+        names = self.listed(lambda: self.expect("name").text, "]")
         relations = ()
         if self.at("/"):
             self.advance()
             self.expect("(")
-            rels = [self.expr()]
-            while self.at(","):
-                self.advance()
-                rels.append(self.expr())
-            self.expect(")")
-            relations = tuple(rels)
-        return tuple(names), relations
+            relations = self.listed(self.expr, ")")
+        return names, relations
 
-    def bind(self) -> Bind:
-        kind = self.advance().text
+    def bind(self, kind: str) -> Bind:
         name = self.expect("name").text
         self.expect("=")
         if kind == "ideal" and self.at("["):
@@ -432,7 +414,6 @@ class _Parser:
         return Bind(kind, name, self.expr())
 
     def check_cmd(self) -> CheckCmd:
-        self.expect_word("check")
         left = self.expr()
         tok = self.peek()
         if tok.kind not in ("==", "<="):
@@ -449,31 +430,29 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def bracket_exprs(self) -> tuple:
-        self.expect("[")
-        items = [self.expr()]
+    def listed(self, read, close: str) -> tuple:
+        """One or more items read() separated by commas, then close."""
+        items = [read()]
         while self.at(","):
             self.advance()
-            items.append(self.expr())
-        self.expect("]")
+            items.append(read())
+        self.expect(close)
         return tuple(items)
+
+    def bracket_exprs(self) -> tuple:
+        self.expect("[")
+        return self.listed(self.expr, "]")
 
     def bracket_fracs(self) -> tuple:
         self.expect("[")
-        items = [self.frac_lit()]
-        while self.at(","):
-            self.advance()
-            items.append(self.frac_lit())
-        self.expect("]")
-        return tuple(items)
+        return self.listed(self.frac_lit, "]")
 
     def frac_lit(self) -> FracLit:
         num = self.expr(no_div=True)
         self.expect("/", "'/' in fraction literal")
         den = self.atom(no_div=True)
         self.expect("^", "'^' with the denominator exponent")
-        exp = int(self.expect("int").text)
-        return FracLit(num, den, exp)
+        return FracLit(num, den, self.integer())
 
     def homspec(self) -> HomSpec:
         self.expect("{")
@@ -490,19 +469,35 @@ class _Parser:
         return HomSpec(tuple(assignments))
 
     def expr(self, no_div: bool = False, min_prec: int = 1):
-        """Precedence climbing over _PREC: read an operand, then every
-        binary operator that binds at least min_prec, each with a right
-        operand of strictly higher precedence, so all of them associate
-        to the left."""
+        """Precedence climbing over _PREC: read an operand, then each
+        level of operators that bind at least min_prec into one Chain,
+        with right operands of strictly higher precedence; a first
+        operand that is a Chain of that level, as in (a + b) + c, grows."""
         left = self.unary(no_div)
         tokens = self.tokens
-        while True:
-            op = tokens[self.pos].kind
-            prec = _PREC.get(op)
-            if prec is None or prec < min_prec:
-                return left
-            self.pos += 1
-            left = BinOp(op, left, self.expr(no_div, prec + 1))
+        while (prec := _PREC.get(tokens[self.pos].kind, 0)) >= min_prec:
+            if type(left) is Chain and _PREC[left.ops[0]] == prec:
+                ops, args = list(left.ops), list(left.args)
+            else:
+                ops, args = [], [left]
+            while _PREC.get(op := tokens[self.pos].kind) == prec:
+                self.pos += 1
+                ops.append(op)
+                args.append(self.expr(no_div, prec + 1))
+            left = Chain(tuple(ops), tuple(args))
+        return left
+
+    def integer(self) -> int:
+        """The value of the int token that comes next."""
+        tok = self.expect("int")
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than Python reads into an int
+            raise ScriptSyntaxError(
+                f"integer literal of {len(tok.text)} digits is past "
+                f"sys.get_int_max_str_digits() = "
+                f"{sys.get_int_max_str_digits()}",
+                tok.line, tok.column) from None
 
     def nest(self, tok: Token) -> None:
         """Open one more level of nesting at tok."""
@@ -524,7 +519,7 @@ class _Parser:
         base = self.atom(no_div)
         if self.tokens[self.pos].kind == "^":
             self.pos += 1
-            return Pow(base, int(self.expect("int").text))
+            return Pow(base, self.integer())
         return base
 
     def atom(self, no_div: bool = False):
@@ -532,13 +527,11 @@ class _Parser:
         tok = tokens[self.pos]
         kind = tok.kind
         if kind == "int":
-            self.pos += 1
-            value = int(tok.text)
+            value = self.integer()
             if (not no_div and tokens[self.pos].kind == "/"
                     and tokens[self.pos + 1].kind == "int"):
-                den = int(tokens[self.pos + 1].text)
-                self.pos += 2
-                return RatLit(value, den)
+                self.pos += 1
+                return RatLit(value, self.integer())
             return IntLit(value)
         if kind == "name":
             self.pos += 1
@@ -546,13 +539,9 @@ class _Parser:
                 return NameRef(tok.text)
             self.pos += 1
             self.nest(tok)
-            args = [self.expr()]
-            while self.at(","):
-                self.advance()
-                args.append(self.expr())
-            self.expect(")")
+            args = self.listed(self.expr, ")")
             self.depth -= 1
-            return DLit(tuple(args))
+            return DLit(args)
         if kind == "(":
             self.pos += 1
             self.nest(tok)
@@ -584,10 +573,6 @@ def parse_expression(source: str):
 # ---------------------------------------------------------------------------
 # pretty-printer
 
-def _wrap(node, parent_prec: int, own_prec: int, text: str) -> str:
-    return f"({text})" if own_prec < parent_prec else text
-
-
 def print_expr(node, parent_prec: int = 0) -> str:
     if isinstance(node, IntLit):
         return str(node.value)
@@ -597,23 +582,15 @@ def print_expr(node, parent_prec: int = 0) -> str:
     if isinstance(node, NameRef):
         return node.name
     if isinstance(node, Neg):
-        inner = print_expr(node.arg, 5)
-        return _wrap(node, parent_prec, 3, f"-{inner}")
-    if isinstance(node, BinOp):
-        # a left-deep chain (a + b + ... + z) is as long as the input, so
-        # its left spine is walked in a loop, innermost operation first
-        spine = []
-        while isinstance(node, BinOp):
-            spine.append(node)
-            node = node.left
-        text = print_expr(node, _PREC[spine[-1].op])
-        while spine:
-            node = spine.pop()
-            prec = _PREC[node.op]
-            text = f"{text} {node.op} {print_expr(node.right, prec + 1)}"
-            if prec < (_PREC[spine[-1].op] if spine else parent_prec):
-                text = f"({text})"
-        return text
+        text = "-" + print_expr(node.arg, 5)
+        return f"({text})" if parent_prec > 3 else text
+    if isinstance(node, Chain):
+        prec = _PREC[node.ops[0]]
+        args = node.args
+        text = print_expr(args[0], prec) + "".join(
+            [f" {op} {print_expr(arg, prec + 1)}"
+             for op, arg in zip(node.ops, args[1:])])
+        return f"({text})" if parent_prec > prec else text
     if isinstance(node, Pow):
         base = print_expr(node.base, 5)
         return f"{base}^{node.exp}"

@@ -141,7 +141,7 @@ def _build_ring(expr: dsl.RingExpr, env: _Env):
                               for r in expr.relations])
 
 
-_ELEMENT_NODES = (dsl.IntLit, dsl.RatLit, dsl.NameRef, dsl.Neg, dsl.BinOp,
+_ELEMENT_NODES = (dsl.IntLit, dsl.RatLit, dsl.NameRef, dsl.Neg, dsl.Chain,
                   dsl.Pow)
 
 
@@ -156,19 +156,14 @@ def _eval(env: _Env, ring, node):
             b = env.bindings[node.name]
             return b.kind, b.value
         raise UnknownName(f"unknown name {node.name!r}")
-    if isinstance(node, dsl.BinOp) and node.op in ("|", "&"):
-        # a chain u | v | ... | w is walked along its left spine in a loop
-        spine = []
-        while isinstance(node, dsl.BinOp) and node.op in ("|", "&"):
-            spine.append(node)
-            node = node.left
-        ltag, lv = _eval(env, ring, node)
-        while spine:
-            node = spine.pop()
-            rtag, rv = _eval(env, ring, node.right)
+    if isinstance(node, dsl.Chain) and node.ops[0] in ("|", "&"):
+        op = node.ops[0]
+        ltag, lv = _eval(env, ring, node.args[0])
+        for arg in node.args[1:]:
+            rtag, rv = _eval(env, ring, arg)
             if ltag != "latt" or rtag != "latt":
-                raise TypeMismatch(f"{node.op!r} applies to lattice elements")
-            lv = (zar_join if node.op == "|" else zar_meet)(lv, rv)
+                raise TypeMismatch(f"{op!r} applies to lattice elements")
+            lv = (zar_join if op == "|" else zar_meet)(lv, rv)
         return "latt", lv
     if isinstance(node, dsl.DLit):
         elems = []

@@ -83,6 +83,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction as _Q
 from functools import cached_property
 
@@ -702,26 +703,36 @@ def is_unit(a: RingElement):
 
 def terms_to_str(terms, variables) -> str:
     """The canonical text (module docstring) of (exponent tuple,
-    coefficient) pairs in descending term order."""
+    coefficient) pairs in descending term order; ResourceExceeded when
+    a number in it has more digits than Python prints."""
     parts = []
-    for mono, c in terms:
-        num, den = c.numerator, c.denominator  # an int is num/1
-        neg = num < 0
-        if neg:
-            num = -num
-        factors = [name if e == 1 else f"{name}^{e}"
-                   for name, e in zip(variables, mono) if e]
-        if den != 1:
-            factors.insert(0, f"{num}/{den}")
-        elif num != 1 or not factors:
-            factors.insert(0, str(num))
-        body = " * ".join(factors)
-        if parts:
-            parts.append(f" - {body}" if neg else f" + {body}")
-        elif neg:
-            parts.append(f"-({body})" if len(factors) > 1 else f"-{body}")
-        else:
-            parts.append(body)
+    try:
+        for mono, c in terms:
+            num, den = c.numerator, c.denominator  # an int is num/1
+            neg = num < 0
+            if neg:
+                num = -num
+            factors = [name if e == 1 else f"{name}^{e}"
+                       for name, e in zip(variables, mono) if e]
+            if den != 1:
+                factors.insert(0, f"{num}/{den}")
+            elif num != 1 or not factors:
+                factors.insert(0, str(num))
+            body = " * ".join(factors)
+            if parts:
+                parts.append(f" - {body}" if neg else f" + {body}")
+            elif neg:
+                parts.append(f"-({body})" if len(factors) > 1 else f"-{body}")
+            else:
+                parts.append(body)
+    except ValueError:  # str() of an int past Python's digit limit
+        big = max(num, den, *mono)
+        digits = int(big.bit_length() * math.log10(2)) + 1
+        digits -= big < 10 ** (digits - 1)
+        raise ResourceExceeded(
+            f"cannot print a number of {digits} digits, past "
+            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
+        ) from None
     return "".join(parts) or "0"
 
 

@@ -25,13 +25,14 @@ canonical runs.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction as _Q
 from functools import partial
 from operator import add, le, sub
 
 from . import dsl
-from .errors import (InvalidWitness, NonInvertibleDenominator, TypeMismatch,
-                     ZkitError)
+from .errors import (InvalidWitness, NonInvertibleDenominator,
+                     ResourceExceeded, TypeMismatch, ZkitError)
 from .gluing import pair_differences
 from .ideals import BezoutCertificate
 from .limits import current_limits
@@ -77,13 +78,13 @@ def ring_from_json(data: dict):
 # elements as script expressions
 
 def _not_an_element(ring, node):
-    """The leaf resolver when a caller names none, as for certificates:
-    their only names are ring variables, so every other leaf is an
-    error."""
+    """The leaf resolver when a caller names none, as for the relations
+    of a ring declaration: their only names are ring variables, so every
+    other leaf is an error."""
     if isinstance(node, dsl.NameRef):
         raise TypeMismatch(f"unknown variable {node.name!r} in {ring}")
-    if isinstance(node, dsl.BinOp):
-        raise TypeMismatch(f"operator {node.op!r} is not a ring operation")
+    if isinstance(node, dsl.Chain):
+        raise TypeMismatch(f"operator {node.ops[0]!r} is not a ring operation")
     raise TypeMismatch(f"{node!r} is not a ring element expression")
 
 
@@ -130,7 +131,18 @@ class _TermReader:
     def power(self, d, k):
         if len(d) == 1 and self.reduce is None:
             ((m, c),) = d.items()
-            c = pow(c, k, self.char) if self.char else c ** k
+            if self.char:
+                c = pow(c, k, self.char)
+            else:
+                # c^k has at least `bits` bits; refused before the one
+                # C-level power, which no timeout interrupts, if unprintable
+                bits = (max(abs(c.numerator), c.denominator).bit_length() - 1) * k
+                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                if limit and bits * 3 >= limit * 10:  # log10(2) > 3/10
+                    raise ResourceExceeded(
+                        f"a power of at least {bits * 3 // 10} digits is "
+                        f"past sys.get_int_max_str_digits() = {limit}")
+                c = c ** k
             return {tuple([e * k for e in m]): c} if c else {}
         result = None
         while k:
@@ -147,24 +159,17 @@ class _TermReader:
 
     def read(self, node):
         kind = type(node)
-        if kind is dsl.BinOp:
-            # the left spine of a chain a + b + ... + z is walked in a
-            # loop (it is as long as the input), innermost operation first
-            spine = []
-            while type(node) is dsl.BinOp:
-                spine.append(node)
-                node = node.left
-            a = self.read(node)
-            while spine:
-                node = spine.pop()
-                op = node.op
-                b = self.read(node.right)
+        if kind is dsl.Chain:
+            args = node.args
+            a = self.read(args[0])
+            for op, arg in zip(node.ops, args[1:]):
+                b = self.read(arg)
                 if op == "*":
                     a = self.mul(a, b)
                 elif op == "+" or op == "-":
                     a = self.merge(a, b, add if op == "+" else sub)
-                else:
-                    a = self.leaf_terms(node)
+                else:  # | or &, after its first two operands
+                    return self.leaf_terms(node)
             return a
         if kind is dsl.Pow:
             return self.power(self.read(node.base), node.exp)
@@ -190,8 +195,8 @@ def eval_element_expr(ring, node, leaf=None) -> RingElement:
 
     leaf(node) gives the RingElement of ring that a node other than
     element arithmetic stands for: a name that is not a variable of
-    ring, D(...), or | and & (whose operands are read first).  Without
-    a leaf such a node is a TypeMismatch.
+    ring, D(...), or a chain of | or & (whose first two operands are
+    read first).  Without a leaf such a node is a TypeMismatch.
     """
     if leaf is None:
         leaf = partial(_not_an_element, ring)

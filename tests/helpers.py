@@ -774,33 +774,32 @@ class ReferenceParser(dsl._Parser):
         tok = self.peek()
         return tok.kind == kind and (text is None or tok.text == text)
 
+    def chain(self, level, operand, no_div):
+        """operand (op operand)* for the operators op of one level, as
+        one Chain whose first operand, if it is a Chain of the same
+        level, as in (a + b) + c, is spliced in."""
+        ops, args = [], [operand(no_div)]
+        while self.peek().kind in level:
+            ops.append(self.advance().kind)
+            args.append(operand(no_div))
+        if not ops:
+            return args[0]
+        first = args[0]
+        if isinstance(first, dsl.Chain) and first.ops[0] in level:
+            ops[:0], args[:1] = first.ops, first.args
+        return dsl.Chain(tuple(ops), tuple(args))
+
     def expr(self, no_div=False):
-        left = self.and_expr(no_div)
-        while self.at("|"):
-            self.advance()
-            left = dsl.BinOp("|", left, self.and_expr(no_div))
-        return left
+        return self.chain(("|",), self.and_expr, no_div)
 
     def and_expr(self, no_div):
-        left = self.add_expr(no_div)
-        while self.at("&"):
-            self.advance()
-            left = dsl.BinOp("&", left, self.add_expr(no_div))
-        return left
+        return self.chain(("&",), self.add_expr, no_div)
 
     def add_expr(self, no_div):
-        left = self.mul_expr(no_div)
-        while self.at("+") or self.at("-"):
-            op = self.advance().kind
-            left = dsl.BinOp(op, left, self.mul_expr(no_div))
-        return left
+        return self.chain(("+", "-"), self.mul_expr, no_div)
 
     def mul_expr(self, no_div):
-        left = self.unary(no_div)
-        while self.at("*"):
-            self.advance()
-            left = dsl.BinOp("*", left, self.unary(no_div))
-        return left
+        return self.chain(("*",), self.unary, no_div)
 
     def unary(self, no_div):
         if self.at("-"):
@@ -884,16 +883,19 @@ def reference_eval_element_expr(ring, node):
         raise TypeMismatch(f"unknown variable {node.name!r} in {ring}")
     if isinstance(node, dsl.Neg):
         return -reference_eval_element_expr(ring, node.arg)
-    if isinstance(node, dsl.BinOp):
-        left = reference_eval_element_expr(ring, node.left)
-        right = reference_eval_element_expr(ring, node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        raise TypeMismatch(f"operator {node.op!r} is not a ring operation")
+    if isinstance(node, dsl.Chain):
+        value = reference_eval_element_expr(ring, node.args[0])
+        for op, arg in zip(node.ops, node.args[1:]):
+            right = reference_eval_element_expr(ring, arg)
+            if op == "+":
+                value = value + right
+            elif op == "-":
+                value = value - right
+            elif op == "*":
+                value = value * right
+            else:
+                raise TypeMismatch(f"operator {op!r} is not a ring operation")
+        return value
     if isinstance(node, dsl.Pow):
         return reference_eval_element_expr(ring, node.base) ** node.exp
     raise TypeMismatch(f"{node!r} is not a ring element expression")
@@ -941,7 +943,7 @@ def reference_poly_to_expr(p, variables):
     """Rebuild an AST for a polynomial payload (canonical term order)."""
     if not p:
         return dsl.IntLit(0)
-    expr = None
+    ops, terms = [], []
     for mono, coeff in p:
         neg = coeff < 0
         mag = -coeff if neg else coeff
@@ -958,16 +960,14 @@ def reference_poly_to_expr(p, variables):
                 factors.append(dsl.NameRef(name))
             elif e > 1:
                 factors.append(dsl.Pow(dsl.NameRef(name), e))
-        term = factors[0]
-        for f in factors[1:]:
-            term = dsl.BinOp("*", term, f)
-        if neg:
-            term = dsl.Neg(term) if expr is None else term
-        if expr is None:
-            expr = term
-        else:
-            expr = dsl.BinOp("-" if neg else "+", expr, term)
-    return expr
+        term = (factors[0] if len(factors) == 1 else
+                dsl.Chain(("*",) * (len(factors) - 1), tuple(factors)))
+        if terms:
+            ops.append("-" if neg else "+")
+        elif neg:
+            term = dsl.Neg(term)
+        terms.append(term)
+    return terms[0] if not ops else dsl.Chain(tuple(ops), tuple(terms))
 
 
 def reference_print(payload, variables) -> str:
@@ -987,28 +987,24 @@ def reference_shape_fault(node):
     D(...)) has a variable name as its base, and no * has a sum (+ or -)
     under both of its operands.
 
-    One post-order walk without recursion: a binary node is followed on
-    the stack by its operator, which combines its operands' entries in
-    `sums` (whether a sum lies under each) into its own.
+    One post-order walk without recursion: a chain is followed on the
+    stack by its operator and operand count, which combine its operands'
+    entries in `sums` (whether a sum lies under each) into its own.
     """
     todo, sums = [node], []
     while todo:
         node = todo.pop()
         kind = type(node)
-        if kind is str:
-            right = sums.pop()
-            if node == "*":
-                if right and sums[-1]:
-                    return "multiplies two sums"
-                sums[-1] = sums[-1] or right
-            elif node == "+" or node == "-":
-                sums[-1] = True
-            else:
-                sums[-1] = sums[-1] or right
-        elif kind is dsl.BinOp:
-            todo.append(node.op)
-            todo.append(node.right)
-            todo.append(node.left)
+        if kind is tuple:
+            op, count = node
+            under = sums[-count:]
+            del sums[-count:]
+            if op == "*" and under.count(True) > 1:
+                return "multiplies two sums"
+            sums.append(op == "+" or op == "-" or any(under))
+        elif kind is dsl.Chain:
+            todo.append((node.ops[0], len(node.args)))
+            todo.extend(reversed(node.args))
         elif kind is dsl.Neg:
             todo.append(node.arg)
         elif kind is dsl.Pow and type(node.base) is not dsl.NameRef:

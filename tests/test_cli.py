@@ -166,13 +166,19 @@ def test_verify_rejects_cut_and_inflated_certificates():
     ("ring S = Q[x]; elem a = 1/0;", "NonInvertibleDenominator"),
     ("ring F = Fp(4)[x];", "InvalidRing"),
     ("ring R = Z/1;", "InvalidRing"),
+    # numbers past Python's int-to-text digit limit, refused before the
+    # power is computed or when the result is printed
+    ("ring R = Z; elem a = 2^100000;", "ResourceExceeded"),
+    ("ring R = Z; unimodular [2^20000, 3];", "ResourceExceeded"),
+    ("ring R = Z; elem a = 2^99999999999;", "ResourceExceeded"),
+    ("ring R = Z; elem a = 2^10000 * 2^10000;", "ResourceExceeded"),
 ])
 def test_cli_bad_input_is_an_error_record(tmp_path, source, kind):
     script = tmp_path / "bad.zk"
     script.write_text(source)
     proc = subprocess.run(
         [sys.executable, "-m", "zkit.cli", str(script), "--json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     data = json.loads(proc.stdout)
@@ -185,10 +191,16 @@ def test_cli_bad_input_is_an_error_record(tmp_path, source, kind):
 @pytest.mark.parametrize("source", [
     "ring S = Q[x]; elem a = " + " + ".join(["x"] * 5000) + ";",
     "ring S = Q[x]; check " + " | ".join(["D(x)"] * 5000) + " == D(x);",
-], ids=["5000 terms", "5000 joins"])
+    "ring S = Q[x]; elem a = " + " * ".join(["x"] * 5000) + ";",
+], ids=["5000 terms", "5000 joins", "5000 factors"])
 def test_cli_long_left_deep_chain(tmp_path, source):
-    # the parser reads such a chain in a loop; the statement echo and
-    # the evaluators must not recurse along it either
+    # such a chain is one flat node, which the parser, the records'
+    # repr, == and hash, the statement echo and the evaluators all walk
+    # as a list, not by recursion
+    parsed = parse(source)
+    assert repr(parsed) and hash(parsed) == hash(parse(source))
+    assert parsed == parse(source)
+    assert parse(pretty_print(parsed)) == parsed
     script = tmp_path / "chain.zk"
     script.write_text(source)
     proc = subprocess.run(

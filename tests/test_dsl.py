@@ -3,7 +3,7 @@ import time
 import pytest
 
 from zkit import interp
-from zkit.dsl import (BinOp, DLit, FracLit, IntLit, Pow, RatLit, parse,
+from zkit.dsl import (Chain, DLit, FracLit, IntLit, Pow, RatLit, parse,
                       parse_expression)
 from zkit.errors import ScriptSyntaxError
 from zkit.interp import Options, run_source
@@ -31,12 +31,12 @@ def test_parse_examples():
 
 def test_expression_shapes():
     e = parse_expression("1/2 * x + 3")
-    assert isinstance(e, BinOp) and e.op == "+"
-    assert isinstance(e.left.left, RatLit)
+    assert isinstance(e, Chain) and e.ops == ("+",)
+    assert isinstance(e.args[0].args[0], RatLit)
     e = parse_expression("x^3")
     assert isinstance(e, Pow) and e.exp == 3
     e = parse_expression("D(x) | D(y) & D(z)")
-    assert e.op == "|" and e.right.op == "&"
+    assert e.ops == ("|",) and e.args[1].ops == ("&",)
 
 
 def test_fraction_literals():
@@ -47,7 +47,7 @@ def test_fraction_literals():
     # numerators with operators need no parens before the slash
     script = parse("glue cover [x] with [x^2 + x / x^1];")
     fr = script.statements[0].fractions[0]
-    assert isinstance(fr.num, BinOp)
+    assert isinstance(fr.num, Chain)
 
 
 def test_syntax_errors():
@@ -56,6 +56,10 @@ def test_syntax_errors():
                 "points R over;"]:
         with pytest.raises(ScriptSyntaxError):
             parse(bad)
+    # an integer literal with more digits than Python reads into an int
+    with pytest.raises(ScriptSyntaxError) as info:
+        parse("ring R = Z;\nelem a = 1" + "0" * 5000 + ";")
+    assert (info.value.line, info.value.column) == (2, 10)
 
 
 def test_unknown_and_mismatch_are_contained():

@@ -1,6 +1,9 @@
 """The precedence-climbing parser against the recursive-descent parser
 it replaced (tests/helpers.py): equal ASTs, and equal syntax errors down
-to the line and column.
+to the line and column.  Both read the operators of one precedence level
+into one flat Chain, and a parenthesized first operand of that level
+into the same Chain, so the expressions below include long chains and
+same-level operands in parentheses on either side.
 
 These hypothesis tests live apart from test_dsl.py's statement timeout
 tests.  Hypothesis installs a gc callback, and an alarm that fires during
@@ -45,10 +48,32 @@ _ATOMS = st.one_of(
     st.sampled_from(["x", "y", "z1", "D", "_t"]))
 
 
+# the operators of each precedence level
+_LEVELS = [["+", "-"], ["*"], ["|"], ["&"]]
+
+
+def _chain(children, ops):
+    """Three to six operands joined by operators drawn from ops."""
+    return st.tuples(children, st.lists(
+        st.tuples(st.sampled_from(ops), children), min_size=2, max_size=5)
+    ).map(lambda t: t[0] + "".join(f" {op} {e}" for op, e in t[1]))
+
+
+def _same_level(children, ops):
+    """(a op b) op c or a op (b op c), both operators drawn from ops."""
+    op = st.sampled_from(ops)
+    return st.tuples(children, op, children, op, children, st.booleans()).map(
+        lambda t: (f"({t[0]} {t[1]} {t[2]}) {t[3]} {t[4]}" if t[5]
+                   else f"{t[0]} {t[1]} ({t[2]} {t[3]} {t[4]})"))
+
+
 def _combine(children):
+    levels = st.sampled_from(_LEVELS)
     return st.one_of(
         st.tuples(children, st.sampled_from(["+", "-", "*", "|", "&"]),
                   children).map(lambda t: f"{t[0]} {t[1]} {t[2]}"),
+        levels.flatmap(lambda ops: _chain(children, ops)),
+        levels.flatmap(lambda ops: _same_level(children, ops)),
         children.map(lambda e: f"-{e}"),
         st.tuples(children, st.integers(0, 12)).map(
             lambda t: f"{t[0]}^{t[1]}"),

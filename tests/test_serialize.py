@@ -11,7 +11,7 @@ from helpers import (random_quotient_ring, reference_eval_element_expr,
                      SMALL_PRIMES)
 from zkit import (IntegerRing, PrimeField, QuotientRing, Rationals,
                   ResidueRing)
-from zkit.dsl import BinOp, IntLit, NameRef, Neg, Pow, RatLit
+from zkit.dsl import Chain, IntLit, NameRef, Neg, Pow, RatLit
 from zkit.errors import InvalidWitness, ZkitError
 from zkit.interp import Options, run_source
 from zkit.limits import limits
@@ -31,6 +31,15 @@ def _rings(rng):
         yield random_quotient_ring(rng, max_vars=3)
 
 
+def _chain(rng, ring, depth, bad, ops):
+    """A Chain of two or three random operands, its operators drawn from
+    ops."""
+    count = rng.randrange(2, 4)
+    return Chain(tuple(rng.choice(ops) for _ in range(count - 1)),
+                 tuple(_tree(rng, ring, depth - 1, bad)
+                       for _ in range(count)))
+
+
 def _tree(rng, ring, depth, bad):
     """A random element expression; with bad, its leaves include each
     kind of error the evaluator reports."""
@@ -48,11 +57,9 @@ def _tree(rng, ring, depth, bad):
         return IntLit(rng.randrange(70))
     roll = rng.random()
     if bad and roll < 0.05:
-        return BinOp(rng.choice("|&"), _tree(rng, ring, depth - 1, bad),
-                     _tree(rng, ring, depth - 1, bad))
+        return _chain(rng, ring, depth, bad, rng.choice("|&"))
     if roll < 0.55:
-        return BinOp(rng.choice("+-*"), _tree(rng, ring, depth - 1, bad),
-                     _tree(rng, ring, depth - 1, bad))
+        return _chain(rng, ring, depth, bad, rng.choice(["+-", "*"]))
     if roll < 0.7:
         return Neg(_tree(rng, ring, depth - 1, bad))
     if names and ring.relations and roll < 0.8:
@@ -94,6 +101,7 @@ def test_script_leaves_are_bound_elements():
         latt u = D(f);
         elem bad = f + u;
         elem gone = f * q;
+        elem z = y + (D(x) | x);
         ring R = Z;
         elem a = 3;
         ring T = Q[x];
@@ -104,9 +112,12 @@ def test_script_leaves_are_bound_elements():
     assert res[3] == {"holds": True} and res[4] == {"holds": False}
     assert res[6]["kind"] == "TypeMismatch"
     assert res[7] == {"kind": "UnknownName", "message": "unknown name 'q'"}
+    # the operands of | are read before the operator is refused
+    assert res[8] == {"kind": "TypeMismatch",
+                      "message": "expected a ring element"}
     # a bare name is its binding; arithmetic runs in the current ring
-    assert res[11] == {"elem": "3"}
-    assert res[12]["kind"] == "RingMismatch"
+    assert res[12] == {"elem": "3"}
+    assert res[13]["kind"] == "RingMismatch"
 
 
 def _cert(ring, gens, cofs, claim="bezout"):
