@@ -39,7 +39,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("script", help="script file ('-' for stdin)")
     parser.add_argument("--json", action="store_true",
                         help="emit the JSON report instead of a table")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int,
+                        default=os.environ.get("ZKIT_SEED", "0"),
                         help="seed for sampling commands (default: "
                              "ZKIT_SEED or 0)")
     parser.add_argument("--max-pairs", type=int, default=None,
@@ -47,7 +48,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "(pairs the Gebauer-Moeller criteria skip do "
                              "not count)")
     parser.add_argument("--max-exp", type=int, default=None,
-                        help="cap on witness exponent searches")
+                        help="cap on witness exponents (also in verify)")
     parser.add_argument("--fail-fast", action="store_true",
                         help="stop at the first non-ok statement")
     parser.add_argument("--timeout-ms", type=int, default=None,
@@ -65,15 +66,12 @@ def main(argv=None) -> int:
         print(f"zkit: cannot read {args.script}: {exc}", file=sys.stderr)
         return 2
     base_dir = Path.cwd() if args.script == "-" else path.parent
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("ZKIT_SEED", "0"))
     try:
         script = parse(source)
     except ScriptSyntaxError as exc:
         print(f"zkit: syntax error: {exc}", file=sys.stderr)
         return 2
-    options = Options(seed=seed, fail_fast=args.fail_fast,
+    options = Options(seed=args.seed, fail_fast=args.fail_fast,
                       max_pairs=args.max_pairs, max_exponent=args.max_exp,
                       timeout_ms=args.timeout_ms, base_dir=base_dir)
     report = run_script(script, options)

@@ -54,10 +54,6 @@ _TOKEN_RE = re.compile(r"""[ \t]*(?:
 # token groups whose kind is their own text
 _SYMBOLIC = frozenset(("arrow", "eqeq", "leq", "sym"))
 
-KEYWORDS = {"ring", "elem", "ideal", "latt", "check", "unimodular",
-            "radical-member", "localize", "glue", "points", "cover",
-            "member", "eval", "qcqs", "verify"}
-
 
 class Token(NamedTuple):
     kind: str

@@ -13,7 +13,8 @@ witnesses and checks them.  Witnesses are built on demand: a decision
 (radical membership, a refuted membership or unimodularity test) builds
 no cofactor, and a positive membership answer lifts only the
 combination it returns, by the reverse pass over the Groebner run's
-trace (see poly).
+trace (see poly).  A radical witness is one unit-cofactor test in
+A[1/a], A the ring's ambient domain (see radical_witness).
 """
 from __future__ import annotations
 
@@ -54,9 +55,9 @@ class GroebnerBasis:
     """A reduced Groebner basis (or gcd surrogate) with its lift.
 
     basis lives in the ambient ring: the free polynomial ring for
-    quotient-ring ideals, the ring itself for Z and Z/n.  lift(q), for
-    payloads q aligned with basis and not all zero, gives the cofactors
-    of sum(q_i * basis_i) over the ideal generators followed by the ring
+    quotient-ring ideals, Z for Z and Z/n.  lift(q), for payloads q
+    aligned with basis and not all zero, gives the cofactors of
+    sum(q_i * basis_i) over the ideal generators followed by the ring
     relations (the ring protocol's ideal_basis); it is None for an empty
     basis.  No cofactor is stored: each call lifts its one combination.
     """
@@ -139,28 +140,31 @@ def radical_member(a: RingElement, ideal: FinGenIdeal) -> bool:
 def radical_witness(a: RingElement, ideal: FinGenIdeal):
     """(k, cofactors) with a^k == sum(c_i * gen_i), or None.
 
-    Searches k = 1.. up to the exponent cap once radical_member says yes;
-    raises ResourceExceeded if no witness is found under the cap.
+    The ring is its ambient domain A modulo its relations and its
+    characteristic, so a is in the radical iff these and the generators
+    g_i give 1 = sum(num_i / a^e_i * g_i) in A[1/a]; then a^k =
+    sum(num_i * a^(k - e_i) * g_i) in A, a domain, and so in the ring,
+    for k the largest e_i (at least 1), refused past the exponent cap.
     """
-    if not radical_member(a, ideal):
+    ring = ideal.ring
+    if a.ring != ring:
+        raise RingMismatch(f"{a!r} not in {ring}")
+    from .localization import localize  # built on this module
+    A = ring.ambient
+    L = localize(A, a.payload)
+    gens = ([e.payload for e in ideal.generators] + list(ring.relations)
+            + [A.from_int(ring.characteristic).payload])
+    cof = L.unit_cofactors([L._make(g, 0) for g in gens])
+    if cof is None:
         return None
-    return radical_exponent(a, ideal)
-
-
-def radical_exponent(a: RingElement, ideal: FinGenIdeal):
-    """(k, cofactors) for the least k <= the exponent cap with a^k in the
-    ideal, for an a already known to lie in its radical; raises
-    ResourceExceeded when no k under the cap works."""
+    written = [L.written(c) for c in cof]
+    k = max([1] + [w.exp for w in written])
     cap = current_limits().max_exponent
-    power = a
-    for k in range(1, cap + 1):
-        cof = ideal_member(power, ideal)
-        if cof is not None:
-            return k, cof
-        power = power * a
-    raise ResourceExceeded(
-        f"ideals.radical_exponent: exponent {cap + 1} exceeded "
-        f"max_exponent={cap} with no radical witness")
+    if k > cap:
+        raise ResourceExceeded(
+            f"ideals.radical_witness: exponent {k} exceeds max_exponent={cap}")
+    return k, tuple(normalize(ring, (w.num * L.f ** (k - w.exp)).payload)
+                    for w in written[:len(ideal.generators)])
 
 
 def saturates(a: RingElement, f: RingElement) -> bool:

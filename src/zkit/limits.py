@@ -26,7 +26,7 @@ class Limits:
     max_pairs: int = 4000        # S-pairs reduced per basis computation,
                                  # after the pair criteria removed theirs
     max_basis: int = 256         # basis elements per computation
-    max_exponent: int = 64       # saturation / radical witness search cap
+    max_exponent: int = 64       # witness exponents (radical, saturation, glue)
     max_assignments: int = 10**6  # elements listed / homs tried per enumeration
     check_bases: bool = False    # post-hoc Buchberger criterion on every basis
 

@@ -39,8 +39,9 @@ the protocol that lattices and homs into it use.
 - elements(): every element of a finite ring, in a fixed order;
   CodomainNotFinite otherwise, ResourceExceeded when there are more
   than Limits.max_assignments of them.
-- ambient: the ring that ideal computations run in (the free
-  polynomial ring of a quotient, the ring itself for Z and Z/n).
+- ambient: the domain A that ideal computations run in, the ring being
+  A modulo its relations and its characteristic: the free polynomial
+  ring of a quotient (the field itself for a field), Z for Z and Z/n.
 - ideal_basis(gens): (basis, lift): the reduced Groebner basis (or the
   gcd) of the generators plus relations, in the ambient ring, and a
   function that takes multipliers q aligned with basis, not all zero,
@@ -141,7 +142,7 @@ class _Integers(_Ring):
 
     @property
     def ambient(self):
-        return self
+        return IntegerRing()
 
     @property
     def saturation_bound(self) -> int:
@@ -468,8 +469,10 @@ class QuotientRing(_Ring):
                 for c in cof[:len(gens)]]
 
     def radical_member(self, a, gens) -> bool:
-        # Rabinowitsch: a in sqrt(I) iff 1 in I + relations + <t*a - 1>
-        basis = _rabinowitsch_basis(self, tuple(gens), a)
+        # Rabinowitsch: a in sqrt(I) iff 1 in I + relations + <t*a - 1>;
+        # the basis as stop_at_one leaves it, unreduced and untracked
+        basis, _ = poly.buchberger(*_rabinowitsch(self, tuple(gens), a),
+                                   stop_at_one=True)
         return len(basis) == 1 and poly.mono_deg(basis[0][0][0]) == 0
 
     def random_element(self, rng):
@@ -588,15 +591,6 @@ def _rabinowitsch(ring: QuotientRing, gens, f):
     ext.append(poly.p_sub(ctx, poly.p_mul(ctx, t, poly.p_extend(f)),
                           poly.const_poly(ctx, 1)))
     return ctx, ext
-
-
-def _rabinowitsch_basis(ring: QuotientRing, gens, f):
-    """The decision basis of _rabinowitsch: (1,) when 1 is in the ideal,
-    else its Buchberger-complete basis as it stands (stop_at_one), with
-    no cofactors and no reduction, since the decision reads neither."""
-    ctx, ext = _rabinowitsch(ring, gens, f)
-    basis, _ = poly.buchberger(ctx, ext, stop_at_one=True)
-    return basis
 
 
 RingDesc = object  # IntegerRing | ResidueRing | QuotientRing | LocalizedRing

@@ -88,6 +88,18 @@ def _not_an_element(ring, node):
     raise TypeMismatch(f"{node!r} is not a ring element expression")
 
 
+def _check_digits(coeffs, k: int = 1) -> None:
+    """Refuse c^k, for a coefficient c, once it is past Python's
+    int-to-text digit limit (none when that is 0)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = k * max((max(abs(c.numerator), c.denominator).bit_length() - 1
+                    for c in coeffs), default=0)
+    if limit and bits * 3 >= limit * 10:  # log10(2) > 3/10
+        raise ResourceExceeded(
+            f"a power of at least {bits * 3 // 10} digits is "
+            f"past sys.get_int_max_str_digits() = {limit}")
+
+
 class _TermReader:
     """Reads element expressions over one ring into term dicts
     {exponent tuple: coefficient} (see the module docstring)."""
@@ -134,14 +146,8 @@ class _TermReader:
             if self.char:
                 c = pow(c, k, self.char)
             else:
-                # c^k has at least `bits` bits; refused before the one
-                # C-level power, which no timeout interrupts, if unprintable
-                bits = (max(abs(c.numerator), c.denominator).bit_length() - 1) * k
-                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-                if limit and bits * 3 >= limit * 10:  # log10(2) > 3/10
-                    raise ResourceExceeded(
-                        f"a power of at least {bits * 3 // 10} digits is "
-                        f"past sys.get_int_max_str_digits() = {limit}")
+                # refused before the C-level power, which no timeout stops
+                _check_digits((c,), k)
                 c = c ** k
             return {tuple([e * k for e in m]): c} if c else {}
         result = None
@@ -151,6 +157,8 @@ class _TermReader:
             k >>= 1
             if k:
                 d = self.mul(d, d)
+                if not self.char:  # the squares bound the work
+                    _check_digits(d.values())
         return {self.const: 1} if result is None else result
 
     def leaf_terms(self, node):

@@ -172,6 +172,7 @@ def test_verify_rejects_cut_and_inflated_certificates():
     ("ring R = Z; unimodular [2^20000, 3];", "ResourceExceeded"),
     ("ring R = Z; elem a = 2^99999999999;", "ResourceExceeded"),
     ("ring R = Z; elem a = 2^10000 * 2^10000;", "ResourceExceeded"),
+    ("ring S = Q[x]/(x^2); elem a = 2^99999999999;", "ResourceExceeded"),
 ])
 def test_cli_bad_input_is_an_error_record(tmp_path, source, kind):
     script = tmp_path / "bad.zk"
@@ -319,6 +320,19 @@ def test_cli_env_seed(tmp_path, monkeypatch):
     assert strip(p1.stdout) == strip(p2.stdout)
 
 
+def test_cli_bad_env_seed_is_a_usage_error(tmp_path):
+    """A ZKIT_SEED that is no integer is refused like a bad --seed: exit
+    2 with a usage message, no traceback."""
+    script = tmp_path / "seeded.zk"
+    script.write_text(load("qcqs_z"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zkit.cli", str(script)],
+        capture_output=True, text=True, env=dict(os.environ, ZKIT_SEED="abc"))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert "argument --seed: invalid int value: 'abc'" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_cli_max_pairs_cap():
     source = ("ring S = Q[x,y,z];"
               "radical-member x in [x^2 + 2*y^2 + 2*z^2 - 5*x,"
@@ -343,8 +357,8 @@ def test_radical_member_past_the_exponent_cap(tmp_path):
     assert res["status"] == "error" and res["certificate"] is None
     assert res["result"] == {
         "kind": "ResourceExceeded",
-        "message": "ideals.radical_exponent: exponent 65 exceeded "
-                   "max_exponent=64 with no radical witness"}
+        "message": "ideals.radical_witness: exponent 100 exceeds "
+                   "max_exponent=64"}
     proc = subprocess.run(
         [sys.executable, "-m", "zkit.cli", str(script), "--json",
          "--max-exp", "128"], capture_output=True, text=True)

@@ -3,13 +3,14 @@ import time
 
 import pytest
 
-from zkit import (BezoutCertificate, IntegerRing, PrimeField, Rationals,
-                  ResourceExceeded, ResidueRing, UnimodularCover,
+from zkit import (BezoutCertificate, IntegerRing, PrimeField, QuotientRing,
+                  Rationals, ResourceExceeded, ResidueRing, UnimodularCover,
                   fin_gen_ideal, glue_element, groebner, ideal_member,
-                  limits, localize, make_cover, make_family,
+                  limits, localize, make_cover, make_family, normalize,
                   polynomial_ring, power_certificate, quotient_by,
                   radical_member, radical_witness, saturates,
                   saturation_member, unimodular_certificate)
+from zkit.serialize import membership_to_json, verify_certificate
 from helpers import random_element, random_ring
 
 Z = IntegerRing()
@@ -238,16 +239,15 @@ def test_resource_caps():
             groebner(hard)
 
 
-def test_radical_exponent_cap_names_layer_value_and_cap():
+def test_radical_witness_cap_names_layer_value_and_cap():
     """x + y is in the radical of <x^3, y^2> with exponent 4."""
-    from zkit.ideals import radical_exponent
     Qxy = polynomial_ring(Rationals(), ["x", "y"])
     x, y = Qxy.gens()
     with limits(max_exponent=2):
         with pytest.raises(ResourceExceeded) as exc:
-            radical_exponent(x + y, fin_gen_ideal(Qxy, [x ** 3, y ** 2]))
-    assert str(exc.value) == ("ideals.radical_exponent: exponent 3 exceeded "
-                              "max_exponent=2 with no radical witness")
+            radical_witness(x + y, fin_gen_ideal(Qxy, [x ** 3, y ** 2]))
+    assert str(exc.value) == ("ideals.radical_witness: exponent 4 exceeds "
+                              "max_exponent=2")
 
 
 def test_saturation_cap_names_layer_value_and_cap():
@@ -283,24 +283,71 @@ def test_caches_are_bounded():
 
 
 def test_radical_member_statement_decides_once(monkeypatch):
-    """A radical-member statement runs one Rabinowitsch basis; when the
-    witness search hits the exponent cap the statement is the cap's
-    error record, since a positive answer carries its witness."""
-    from zkit import dsl, interp, rings
-    runs = []
-    real = rings._rabinowitsch_basis
-    monkeypatch.setattr(rings, "_rabinowitsch_basis",
-                        lambda *args: runs.append(args) or real(*args))
+    """A radical-member statement over Q[x, y] runs one Buchberger run,
+    which decides and certifies; when the witness exponent passes the
+    cap the statement is the cap's error record, since a positive answer
+    carries its witness."""
+    from zkit import dsl, interp, poly
+    runs, real = [], poly.buchberger
+
+    def counted(*args, **kw):
+        runs.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(poly, "buchberger", counted)
     script = dsl.parse("ring S = Q[x, y];\n"
                        "radical-member x + y in [x^3, y^2];\n")
     _, res = interp.run_script(script).results
     assert res.result == {"member": True, "exponent": 4}
     assert res.certificate is not None and len(runs) == 1
+    assert verify_certificate(res.certificate)[0]
     runs.clear()
     _, res = interp.run_script(script, interp.Options(max_exponent=2)).results
     assert res.status == "error"
     assert res.result == {
         "kind": "ResourceExceeded",
-        "message": "ideals.radical_exponent: exponent 3 exceeded "
-                   "max_exponent=2 with no radical witness"}
+        "message": "ideals.radical_witness: exponent 4 exceeds "
+                   "max_exponent=2"}
     assert res.certificate is None and len(runs) == 1
+    runs.clear()
+    script = dsl.parse("ring S = Q[x, y];\n"
+                       "radical-member x + 1 in [x^3, y^2];\n")
+    _, res = interp.run_script(script).results
+    assert res.result == {"member": False} and len(runs) == 1
+
+
+def _radical_cases():
+    """(ring, a, generators, k): k the witness exponent, None when a is
+    outside the radical; one refuted case per ring."""
+    Qx = polynomial_ring(Rationals(), ["x"])
+    x = Qx.var("x")
+    Qxy = polynomial_ring(Rationals(), ["x", "y"])
+    cusp = quotient_by(Qxy, [Qxy.var("x") ** 2 - Qxy.var("y") ** 3])
+    Fp = QuotientRing(PrimeField(7))
+    Z8, Z2 = ResidueRing(8), ResidueRing(2 ** 100)
+    return [
+        (Z, 6, [12], 2), (Z, 5, [12], None),
+        (Z8, 2, [], 3), (Z8, 3, [], None),
+        (Z2, 2, [2 ** 50], 50), (Z2, 3, [2 ** 50], None),
+        (Fp, 3, [2], 1), (Fp, 3, [], None),
+        (Qx, x, [x ** 3], 3), (Qx, x + 1, [x ** 3], None),
+        (cusp, cusp.var("x"), [cusp.var("y")], 2),
+        (cusp, cusp.var("x") + 1, [cusp.var("y")], None),
+    ]
+
+
+@pytest.mark.parametrize(
+    "ring, a, gens, k", _radical_cases(),
+    ids=[f"{r}:{a}:{k}" for r, a, _, k in _radical_cases()])
+def test_radical_witness_table(ring, a, gens, k):
+    """The witness exponent over each ring kind, and a certificate that
+    verify accepts for every positive answer."""
+    a, ideal = normalize(ring, a), fin_gen_ideal(ring, gens)
+    witness = radical_witness(a, ideal)
+    assert radical_member(a, ideal) == (k is not None)
+    if k is None:
+        assert witness is None
+        return
+    assert witness[0] == k
+    cert = membership_to_json(ring, a, ideal.generators, witness[1], k)
+    assert verify_certificate(cert) == (True, f"sum == element^{k}")
