@@ -112,6 +112,8 @@ class _Env:
         self.rings = {}
         self.bindings = {}
         self.current = None
+        # the verify statements of a run share their rings and elements
+        self.certificates = serialize.CertificateReader()
 
     def current_ring(self):
         if self.current is None:
@@ -406,7 +408,7 @@ def _execute(stmt, env: _Env, options: Options):
             if cert is None:
                 continue
             checked += 1
-            ok, detail = serialize.verify_certificate(cert)
+            ok, detail = serialize.verify_certificate(cert, env.certificates)
             if not ok:
                 failures.append({"cmd": entry.get("cmd"), "detail": detail})
         result = {"checked": checked, "passed": checked - len(failures),

@@ -20,7 +20,8 @@ class Limits:
     max_assignments bounds finite enumeration: the element count of a
     ring whose elements() are listed, and the |B|^generators assignments
     rings.enumerate_homs would try.  Both are checked before any element
-    or assignment is built.
+    or assignment is built.  It also bounds the term pairs of each
+    product in a power of a sum that a script writes (serialize).
     """
 
     max_pairs: int = 4000        # S-pairs reduced per basis computation,

@@ -9,7 +9,11 @@ Certificate elements and relations are written in the canonical text
 that str() prints for every element (see rings): a sum of monomials in
 descending term order, such as 6 * x^2 - 5/3 or -(3 * x^2) + y.
 element_from_str accepts exactly that language and rejects any other
-text with InvalidWitness before any arithmetic.
+text with InvalidWitness before any arithmetic.  verify_certificate
+reads through a CertificateReader, which the verify statements of one
+run (one interp.run_script call) share: a run reads each distinct ring
+JSON and each element text of a ring once, and a read that failed
+raises again, with the same detail, each time it is asked for.
 
 Scripts are read by the general parser (dsl) and evaluated by
 eval_element_expr into a term dict {exponent tuple: coefficient}; Z and
@@ -18,13 +22,15 @@ ring.canonical turns the dict into a payload once, at the end.  In
 between, sums are never reduced.  A product, and each step of
 square-and-multiply, is reduced modulo the relations only when the ring
 has relations, and its coefficients modulo the characteristic when that
-is not 0 (Z/n and Fp), which keeps every intermediate bounded.  Normal
-forms are unique, so the payload is the one that reducing at every
-operation would give.  Integer coefficients over Q stay ints until
-canonical runs.
+is not 0 (Z/n and Fp), which keeps every intermediate bounded; each
+product of a power is refused before it forms more term pairs than
+Limits.max_assignments.  Normal forms are unique, so the payload is the
+one that reducing at every operation would give.  Integer coefficients
+over Q stay ints until canonical runs.
 """
 from __future__ import annotations
 
+import json
 import sys
 from fractions import Fraction as _Q
 from functools import partial
@@ -38,9 +44,9 @@ from .ideals import BezoutCertificate
 from .limits import current_limits
 from .localization import Fraction, frac_eq
 from .poly import PrimeField, Rationals
-from .rings import (IntegerRing, ResidueRing, RingElement, make_hom,
-                    normalize, polynomial_ring, quotient_by, read_terms,
-                    terms_to_str)
+from .rings import (IntegerRing, ResidueRing, RingElement,
+                    _check_assignments, make_hom, normalize, polynomial_ring,
+                    quotient_by, read_terms, terms_to_str)
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +159,21 @@ class _TermReader:
         result = None
         while k:
             if k & 1:
-                result = d if result is None else self.mul(result, d)
+                result = d if result is None else self.capped_mul(result, d)
             k >>= 1
             if k:
-                d = self.mul(d, d)
-                if not self.char:  # the squares bound the work
+                d = self.capped_mul(d, d)
+                if not self.char:  # the squares bound the coefficients
                     _check_digits(d.values())
         return {self.const: 1} if result is None else result
+
+    def capped_mul(self, a, b):
+        """mul, refused before it forms more term pairs than
+        max_assignments: a power of a sum doubles its terms with each
+        squaring, so (x + 1)^99999999999 would otherwise run until a
+        timeout stopped it."""
+        _check_assignments("serialize.power", len(a) * len(b), "term pairs")
+        return self.mul(a, b)
 
     def leaf_terms(self, node):
         ring = self.ring
@@ -292,8 +306,46 @@ def _lists(data: dict, *keys) -> list:
     return lists
 
 
-def _read(ring, texts) -> list:
-    return [element_from_str(ring, s) for s in texts]
+_canonical_json = json.JSONEncoder(sort_keys=True).encode
+
+
+class CertificateReader:
+    """The rings and elements of the certificates that one run verifies.
+
+    A ring is interned by the canonical text of its JSON, so its
+    relation_basis and other cached properties are computed once per
+    distinct ring description, and each element text is read once per
+    interned ring.  A failed read is not kept: it raises again, with
+    the same detail, when it is asked for again.  The interp keeps one
+    reader per run_script call, so nothing outlives the run.
+    """
+
+    def __init__(self):
+        self._rings = {}     # canonical JSON text -> ring
+        self._elements = {}  # id of a ring in _rings -> {text: element}
+
+    def ring(self, data):
+        try:
+            key = _canonical_json(data)
+        except (TypeError, ValueError):  # not JSON data: read it as it is
+            return ring_from_json(data)
+        ring = self._rings.get(key)
+        if ring is None:
+            ring = self._rings[key] = ring_from_json(data)
+            self._elements[id(ring)] = {}
+        return ring
+
+    def element(self, ring, text) -> RingElement:
+        memo = self._elements.get(id(ring))
+        if memo is None or type(text) is not str:
+            return element_from_str(ring, text)
+        e = memo.get(text)
+        if e is None:
+            e = memo[text] = element_from_str(ring, text)
+        return e
+
+    def elements(self, ring, texts) -> list:
+        return [self.element(ring, s) for s in texts]
 
 
 def _pair_exponents_fault(ring, fracs, pairs):
@@ -317,9 +369,11 @@ def _pair_exponents_fault(ring, fracs, pairs):
     return None
 
 
-def verify_certificate(data: dict) -> tuple:
+def verify_certificate(data: dict, reader: CertificateReader = None) -> tuple:
     """Re-verify a serialized certificate; returns (ok, detail).
 
+    Rings and elements are read through reader, which the certificates
+    of one run share; without one the certificate is read on its own.
     Every list that is zipped with another must match its length, and a
     claimed exponent must lie within the exponent cap, so a truncated or
     inflated certificate is rejected rather than checked in part or at
@@ -327,20 +381,23 @@ def verify_certificate(data: dict) -> tuple:
     """
     if type(data) is not dict:
         return False, "the certificate is not an object"
+    if reader is None:
+        reader = CertificateReader()
+    read = reader.elements
     try:
         claim = data.get("claim")
         if claim in ("bezout", "bezout-power"):
             gens, cofs = _lists(data, "generators", "cofactors")
-            ring = ring_from_json(data["ring"])
-            ok = BezoutCertificate(tuple(_read(ring, gens)),
-                                   tuple(_read(ring, cofs))).verify()
+            ring = reader.ring(data["ring"])
+            ok = BezoutCertificate(tuple(read(ring, gens)),
+                                   tuple(read(ring, cofs))).verify()
             return ok, "sum(cofactor*generator) == 1" if ok else "sum != 1"
         if claim in ("membership", "radical-membership"):
             gens, cofs = _lists(data, "generators", "cofactors")
-            ring = ring_from_json(data["ring"])
-            a = element_from_str(ring, data["element"])
+            ring = reader.ring(data["ring"])
+            a = reader.element(ring, data["element"])
             total = ring.zero()
-            for c, g in zip(_read(ring, cofs), _read(ring, gens)):
+            for c, g in zip(read(ring, cofs), read(ring, gens)):
                 total = total + c * g
             if claim == "membership":
                 return total == a, f"sum == {data['element']}"
@@ -353,18 +410,22 @@ def verify_certificate(data: dict) -> tuple:
             cover, cover_cofs, family = _lists(data, "cover",
                                                "cover_cofactors", "family")
             cap = current_limits().max_exponent
-            for frdata in family:
+            for i, (text, frdata) in enumerate(zip(cover, family)):
                 k = frdata["exp"]
                 if type(k) is not int or not 0 <= k <= cap:
                     return False, (f"family exponent {k!r} is not an "
                                    f"integer in [0, {cap}]")
-            ring = ring_from_json(data["ring"])
-            cover = _read(ring, cover)
+                den = frdata.get("den")
+                if type(den) is not str or den != text:
+                    return False, (f"family den {den!r} is not cover "
+                                   f"element {i}")
+            ring = reader.ring(data["ring"])
+            cover = read(ring, cover)
             if not BezoutCertificate(tuple(cover),
-                                     tuple(_read(ring, cover_cofs))).verify():
+                                     tuple(read(ring, cover_cofs))).verify():
                 return False, "cover certificate failed"
-            glued = element_from_str(ring, data["glued"])
-            fracs = [Fraction(ring, f, element_from_str(ring, frdata["num"]),
+            glued = reader.element(ring, data["glued"])
+            fracs = [Fraction(ring, f, reader.element(ring, frdata["num"]),
                               frdata["exp"])
                      for f, frdata in zip(cover, family)]
             for fr in fracs:
@@ -378,21 +439,21 @@ def verify_certificate(data: dict) -> tuple:
             from .lattice import zar_elt
             images, gens, cofs = (_lists(data, key)[0] for key in
                                   ("images", "open", "cofactors"))
-            domain = ring_from_json(data["domain"])
+            domain = reader.ring(data["domain"])
             if len(images) != len(domain.variables):
                 return False, "image count does not match the domain"
-            codomain = ring_from_json(data["codomain"])
+            codomain = reader.ring(data["codomain"])
             phi = make_hom(domain, codomain,  # re-verifies
-                           tuple(_read(codomain, images)))
+                           tuple(read(codomain, images)))
             # cofactors align with the normalized pulled-back generators
             norm = list(zar_elt(codomain, [phi(g) for g in
-                                           _read(domain, gens)]).generators)
+                                           read(domain, gens)]).generators)
             if not norm:
                 norm = [codomain.zero()]
             if len(norm) != len(cofs):
                 return False, "cofactor count does not match the open"
             total = codomain.zero()
-            for c, g in zip(_read(codomain, cofs), norm):
+            for c, g in zip(read(codomain, cofs), norm):
                 total = total + c * g
             ok = total == codomain.one()
             return ok, "hom well-defined and membership certificate checks"

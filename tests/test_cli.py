@@ -66,6 +66,24 @@ def test_points_over_the_assignment_cap_is_an_error_record():
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("base", ["Q", "Fp(7)"])
+def test_power_of_a_sum_past_the_assignment_cap_is_an_error_record(base):
+    """(x+1)^k doubles its term count with each squaring: the statement
+    is refused before the product that would pass max_assignments term
+    pairs, with no timeout set, instead of running until one stops it."""
+    start = time.perf_counter()
+    report = run_source(f"ring S = {base}[x]; "
+                        "elem a = (x+1)^99999999999;")
+    elapsed = time.perf_counter() - start
+    last = report.results[-1]
+    assert last.status == "error"
+    assert last.result["kind"] == "ResourceExceeded"
+    assert last.result["message"].startswith("serialize.power: ")
+    assert "term pairs exceed max_assignments=1000000" in \
+        last.result["message"]
+    assert elapsed < 1.0
+
+
 GOLDEN = json.loads((SCRIPTS / "expected.json").read_text())
 
 
@@ -135,10 +153,18 @@ def _corpus_certificates():
 
 
 def _tampered_copies(cert):
-    """(label, copy) pairs, each changing a list length or an exponent."""
+    """(label, copy) pairs, each changing a list length, an exponent or
+    the den of a glue family entry, which must be its cover element."""
     if cert["claim"] == "glue":
         yield "family truncated", dict(cert, family=cert["family"][:-1])
         yield "family emptied", dict(cert, family=[])
+        first, rest = cert["family"][0], cert["family"][1:]
+        for den in ("7", "x + 1", "not a ring element", 5):
+            if den != cert["cover"][0]:
+                yield (f"den {den!r}",
+                       dict(cert, family=[dict(first, den=den)] + rest))
+        missing = {key: v for key, v in first.items() if key != "den"}
+        yield "den missing", dict(cert, family=[missing] + rest)
     for key in ("cofactors", "cover_cofactors"):
         if cert.get(key):
             yield f"{key} cut", dict(cert, **{key: cert[key][:-1]})
@@ -159,7 +185,9 @@ def test_verify_rejects_cut_and_inflated_certificates():
             assert time.perf_counter() - start < 2.0, (name, label)
             labels.add(label)
     assert labels == {"family truncated", "family emptied", "cofactors cut",
-                      "cover_cofactors cut", "exponent 10**6"}
+                      "cover_cofactors cut", "exponent 10**6", "den '7'",
+                      "den 'x + 1'", "den 'not a ring element'", "den 5",
+                      "den missing"}
 
 
 @pytest.mark.parametrize("source, kind", [

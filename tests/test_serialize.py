@@ -1,9 +1,15 @@
 """Reading element expressions: the term-dict evaluator against the
 RingElement evaluator it replaced (tests/helpers.py), script leaves,
-certificates whose powers or products would cost without bound, and the
-exponents a glue certificate claims."""
+certificates whose powers or products would cost without bound, the
+exponents a glue certificate claims, and the certificate reader that
+the verify statements of one run share."""
+import json
 import random
+import sys
 import time
+from collections import Counter
+from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +21,15 @@ from zkit.dsl import Chain, IntLit, NameRef, Neg, Pow, RatLit
 from zkit.errors import InvalidWitness, ZkitError
 from zkit.interp import Options, run_source
 from zkit.limits import limits
-from zkit.serialize import (element_from_str, eval_element_expr,
+from zkit.serialize import (CertificateReader, element_from_str,
+                            eval_element_expr, ring_to_json,
                             verify_certificate)
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))  # the bench package generates scripts
+
+from bench import gen  # noqa: E402
 
 
 def _rings(rng):
@@ -285,3 +298,103 @@ def test_pair_exponents_cap_follows_the_saturation_bound():
     assert cert["pair_exponents"] == [[0, 1, 4]]
     cert["pair_exponents"] = [[0, 1, 64]]
     assert verify_certificate(cert)[0]  # any k past the least one holds
+
+
+# ---------------------------------------------------------------------------
+# one certificate reader per run
+
+@pytest.fixture(scope="module")
+def replay_files():
+    """The report files of the seed-1 cert-replay workload, each a list
+    of (id, certificate): the certificates of the seed-1 decision
+    scripts and their tampered copies.  Validity only decides which
+    certificates the benchmark expects to pass, not the files."""
+    certs = []
+    for script in gen.ideal_decide(1) + gen.points_glue(1):
+        certs += [(json.loads(json.dumps(r.certificate)), True)
+                  for r in run_source(script.source()).results
+                  if r.certificate is not None]
+    return gen.cert_replay(1, certs)[0]
+
+
+def _verify_script(tmp_path, files) -> str:
+    """One verify statement per report file, in the order of files."""
+    lines = []
+    for group in files:
+        path = tmp_path / f"{group[0][0]}.json"
+        path.write_text(json.dumps({"version": 1, "results": [
+            {"cmd": cid, "status": "ok", "result": None,
+             "certificate": cert, "ms": 0.0} for cid, cert in group]}))
+        lines.append(f'verify "{path}";\n')
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("order", ["file order", "reversed"])
+def test_one_run_verifies_each_certificate_as_a_fresh_read(
+        tmp_path, replay_files, order):
+    """Read in one run, every certificate gets exactly the (ok, detail)
+    of verify_certificate on its own.  Reversing the files makes each
+    tampered copy follow its honest original once and precede it once."""
+    files = replay_files if order == "file order" else replay_files[::-1]
+    fresh = {cid: verify_certificate(cert)
+             for group in files for cid, cert in group}
+    assert 0 < Counter(ok for ok, _ in fresh.values())[False] < len(fresh)
+    report = run_source(_verify_script(tmp_path, files))
+    for group, res in zip(files, report.results, strict=True):
+        failures = [{"cmd": cid, "detail": fresh[cid][1]}
+                    for cid, _ in group if not fresh[cid][0]]
+        assert res.result == {"checked": len(group),
+                              "passed": len(group) - len(failures),
+                              "failures": failures}
+    reader = CertificateReader()
+    for group in files:
+        for cid, cert in group:
+            assert verify_certificate(cert, reader) == fresh[cid], cid
+
+
+def test_a_run_computes_each_relation_basis_once(
+        tmp_path, replay_files, monkeypatch):
+    """The rings of one run are interned by their JSON: a run computes
+    the relation basis of each distinct certificate ring with relations
+    once, and the next run_script computes it again."""
+    computed = Counter()
+    real = QuotientRing.relation_basis.func
+
+    def counted(ring):
+        computed[json.dumps(ring_to_json(ring), sort_keys=True)] += 1
+        return real(ring)
+
+    prop = cached_property(counted)
+    prop.__set_name__(QuotientRing, "relation_basis")
+    monkeypatch.setattr(QuotientRing, "relation_basis", prop)
+    rings = {json.dumps(ring, sort_keys=True)
+             for group in replay_files for _, cert in group
+             for ring in (cert.get("ring"), cert.get("domain"),
+                          cert.get("codomain"))
+             if ring and ring.get("relations")}
+    assert len(rings) > 1
+    script = _verify_script(tmp_path, replay_files)
+    for runs in (1, 2):
+        run_source(script)
+        assert {k: computed[k] for k in rings} == dict.fromkeys(rings, runs)
+
+
+def test_failed_reads_are_not_kept():
+    """A read that fails raises again, with the same detail, however
+    often it is asked for; a successful one is read once."""
+    reader = CertificateReader()
+    ring = reader.ring({"kind": "polyquot", "base": "Q", "variables": ["x"],
+                        "relations": ["x^2 - 1"], "order": "grevlex"})
+    assert reader.ring(json.loads(json.dumps(ring_to_json(ring)))) is ring
+    for text in ("1 * x", "x^2", 5, ["x"]):
+        details = set()
+        for _ in range(2):
+            with pytest.raises(InvalidWitness) as exc:
+                reader.element(ring, text)
+            details.add(str(exc.value))
+        assert len(details) == 1
+    assert reader.element(ring, "x + 1") is reader.element(ring, "x + 1")
+    bad = {"kind": "Zmod", "n": 1}
+    for _ in range(2):
+        with pytest.raises(ZkitError, match="modulus 1 is below 2"):
+            reader.ring(bad)
