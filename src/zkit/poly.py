@@ -3,8 +3,8 @@
 A polynomial is a tuple of (monomial, coefficient) pairs sorted in
 descending monomial order with no zero coefficients; monomials are
 exponent tuples.  The zero polynomial is the empty tuple.  Coefficients
-live in one of two fields: the rationals (exact fractions.Fraction
-arithmetic) or a prime field (ints reduced mod p).
+live in one of two fields: the rationals (ints, and exact
+fractions.Fraction where not integral) or a prime field (ints mod p).
 
 The Groebner engine (division and Buchberger) computes in the field's
 `engine` ring.  Over Fp that is the field itself.  Over Q it is the
@@ -15,8 +15,8 @@ eliminating a term c against a leading coefficient a is the engine's
 step (m, q) with m*c == q*a, which scales the working polynomial by m
 and subtracts q times the shifted divisor.  Over the integers m = a/g
 and q = c/g with g = gcd(c, a); over Fp, m = 1 and q = c/a.
-Fractions appear only where results leave the engine
-(`Rationals.lift`): the monic reduced basis, the cofactors, and the
+Proper fractions appear only where results leave the engine
+(`Rationals.lift`): in the monic reduced basis, the cofactors, and the
 quotients and remainder of p_divmod and normal_form.
 
 Cofactors are what turn ideal-membership answers into checkable
@@ -65,19 +65,19 @@ every cofactor is the same as without the criteria.  Cyclic-5 reduces
 
 Working over Q on integer multiples changes no choice the engine makes:
 pairs are chosen by leading monomials only, and each polynomial the
-engine reduces is a nonzero integer multiple of the one the Fraction
+engine reduces is a nonzero integer multiple of the one the rational
 arithmetic would reduce, with the same terms.  So the S-pair trace and
 the pair count are those of the field arithmetic, and the monic basis,
 quotients, remainders and cofactors are equal to it exactly.
 
-A coefficient is zero exactly when it is falsy (Fraction or int).
+A coefficient is zero exactly when it is falsy.
 """
 from __future__ import annotations
 
 from fractions import Fraction as _Q
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import count
+from itertools import count, islice, product
 from math import gcd, lcm
 from operator import add, le, mul, neg, sub
 
@@ -157,9 +157,21 @@ class _Integers:
 _ZZ = _Integers()
 
 
+def _canon(c):
+    """c as a Q coefficient: an int when integral, else a Fraction."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _ratio(n: int, d: int):
+    """n/d as a Q coefficient, for ints n and d != 0."""
+    q, r = divmod(n, d)
+    return _Q(n, d) if r else q
+
+
 @record(frozen=True)
 class Rationals:
-    """The field of rational numbers; coefficients are fractions.Fraction.
+    """The field of rational numbers; a coefficient is an int when it is
+    integral, else a fractions.Fraction, and every operation keeps that.
 
     The Groebner engine works over `engine`, the integers: `integral`
     clears denominators on the way in and `lift` divides on the way out.
@@ -167,52 +179,48 @@ class Rationals:
 
     characteristic = 0
 
-    zero = _Q(0)
-    one = _Q(1)
+    zero = 0
+    one = 1
     engine = _ZZ
 
     def coerce(self, value):
-        if isinstance(value, _Q):
-            return value
-        if isinstance(value, int):
-            return _Q(value)
+        if isinstance(value, (int, _Q)):
+            return _canon(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
 
     def add(self, a, b):
-        return a + b
+        return _canon(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canon(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canon(a * b)
 
-    def neg(self, a):
-        return -a
+    neg = staticmethod(neg)
 
     def div(self, a, b):
-        return a / b
+        return _canon(_Q(a, b))
 
     def invert(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return self.div(1, a)
 
     def integral(self, f):
-        """(L, L*f) with L the least common denominator of f."""
+        """(L, L*f), L the least common denominator of f (f when 1)."""
         dens = [c.denominator for _, c in f]
         den = lcm(*dens)
         if den == 1:
-            return 1, tuple([(m, c.numerator) for m, c in f])
+            return 1, f
         return den, tuple([(m, c.numerator * (den // d))
                            for (m, c), d in zip(f, dens)])
 
     def lift(self, f, num, den):
-        """The engine polynomial f times num/den, with Fraction
-        coefficients."""
-        if den == 1:  # Fraction(n) skips the gcd of Fraction(n, d)
-            return tuple([(m, _Q(c * num)) for m, c in f])
-        return tuple([(m, _Q(c * num, den)) for m, c in f])
+        """The engine polynomial f times num/den (f when num == den)."""
+        if num == den:
+            return f
+        if den == 1:
+            return tuple([(m, c * num) for m, c in f])
+        return tuple([(m, _ratio(c * num, den)) for m, c in f])
 
     def __str__(self):
         return "Q"
@@ -237,13 +245,7 @@ class PrimeField:
     def characteristic(self) -> int:
         return self.p
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1 % self.p
+    zero, one = 0, 1  # p >= 2
 
     @property
     def engine(self):
@@ -779,13 +781,9 @@ class Trace:
         for j in range(self.ngens):
             terms, den = acc.get(~j, ({}, 1))
             if p:
-                d = {m: c % p for m, c in terms.items()}
-            elif den == 1:  # Fraction(n) skips the gcd of Fraction(n, d)
-                d = {m: _Q(c) for m, c in terms.items()}
-            else:
-                d = {m: _Q(c, den) for m, c in terms.items()}
-            out.append(poly_from_dict(ctx, {
-                lay.unpack(m): c for m, c in d.items() if c}))
+                terms = {m: c % p for m, c in terms.items()}
+            out.append(fld.lift(poly_from_dict(ctx, {
+                lay.unpack(m): c for m, c in terms.items() if c}), 1, den))
         return out
 
 
@@ -1100,10 +1098,11 @@ def one_cofactors(ctx: PolyContext, gens):
     return None
 
 
-def quotient_monomial_basis(ctx: PolyContext, basis):
+def quotient_monomial_basis(ctx: PolyContext, basis, most=None):
     """Monomials not divisible by any leading monomial of the basis, when
     finitely many (the quotient ring is then a finite-dimensional vector
-    space); None otherwise."""
+    space); None otherwise.  With most given, the search stops at the
+    first most + 1 of them."""
     leads = [f[0][0] for f in basis]
     if any(mono_deg(m) == 0 for m in leads):
         return []  # ideal is the whole ring
@@ -1114,17 +1113,8 @@ def quotient_monomial_basis(ctx: PolyContext, basis):
         if not pure:
             return None
         bounds.append(min(pure))
-    monos = []
-
-    def rec(prefix):
-        if len(prefix) == ctx.nvars:
-            m = tuple(prefix)
-            if not any(mono_divides(lm, m) for lm in leads):
-                monos.append(m)
-            return
-        for e in range(bounds[len(prefix)]):
-            rec(prefix + [e])
-
-    rec([])
+    monos = (m for m in product(*map(range, bounds))
+             if not any(mono_divides(lm, m) for lm in leads))
+    monos = list(islice(monos, None if most is None else most + 1))
     monos.sort(key=ctx.key)
     return monos

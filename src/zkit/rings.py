@@ -28,7 +28,8 @@ the protocol that lattices and homs into it use.
 - zero(), one(), from_int(k), element(raw), gens().
 - canonical(raw): a raw value (int, Fraction, a monomial dict, for
   quotients a term tuple, for R[1/f] a written localization.Fraction)
-  read as a canonical payload.
+  read as a canonical payload; over Q each coefficient is an int when
+  it is integral, else a Fraction (see poly.Rationals).
 - is_zero(x), sort_key(x), render(x): payload tests, order, and the
   text str() prints (the canonical text below; num / (f)^k for R[1/f]).
 - localization(f): R[1/f] for an element f of this ring.
@@ -261,12 +262,17 @@ class ResidueRing(_Integers):
         return f"Z/{self.modulus}"
 
 
-def _check_assignments(where: str, count: int, what: str) -> None:
-    """Raise ResourceExceeded before an enumeration of count items."""
+def _check_assignments(where: str, count: int, what: str,
+                       exp: int = 1) -> None:
+    """Raise ResourceExceeded before an enumeration of count^exp items,
+    named whole when short and as count^exp otherwise."""
     cap = current_limits().max_assignments
-    if count > cap:
+    # past cap's bit length, count^exp >= 2^exp > cap: no power formed
+    if count > 1 and exp > cap.bit_length() or count ** exp > cap:
+        size = (count ** exp if exp == 1 or exp * count.bit_length() <= 256
+                else f"{count}^{exp}")
         raise ResourceExceeded(
-            f"{where}: {count} {what} exceed max_assignments={cap}")
+            f"{where}: {size} {what} exceed max_assignments={cap}")
 
 
 def _ext_gcd_list(values):
@@ -403,11 +409,10 @@ class QuotientRing(_Ring):
         ctx = self.ctx
         if isinstance(raw, (int, _Q)):
             p = poly.const_poly(ctx, raw)
-        elif isinstance(raw, dict):
-            p = poly.poly_from_dict(ctx, {m: ctx.field.coerce(c)
-                                          for m, c in raw.items()})
-        elif isinstance(raw, tuple):
-            p = poly.poly_from_dict(ctx, dict(raw))
+        elif isinstance(raw, (dict, tuple)):
+            coerce = ctx.field.coerce
+            p = poly.poly_from_dict(ctx, {m: coerce(c) for m, c in (
+                raw.items() if isinstance(raw, dict) else raw)})
         else:
             raise TypeError(f"cannot read {raw!r} as a polynomial")
         return poly.normal_form(ctx, p, self.relation_basis)
@@ -430,8 +435,7 @@ class QuotientRing(_Ring):
         return x
 
     def sort_key(self, x):
-        return tuple((m, (c.numerator, c.denominator) if isinstance(c, _Q)
-                      else c) for m, c in x)
+        return tuple([(m, (c.numerator, c.denominator)) for m, c in x])
 
     def localization(self, f):
         from .localization import LocalizedQuotient  # built on this module
@@ -442,11 +446,16 @@ class QuotientRing(_Ring):
             if self.is_trivial:
                 return [self.zero()]
             raise CodomainNotFinite(f"{self} is infinite")
-        monos = poly.quotient_monomial_basis(self.ctx, self.relation_basis)
+        # p^top > max_assignments, so past top monomials the count is
+        # a lower bound and the search stops
+        top = current_limits().max_assignments.bit_length()
+        monos = poly.quotient_monomial_basis(self.ctx, self.relation_basis,
+                                             top)
         if monos is None:
             raise CodomainNotFinite(f"{self} has an infinite monomial basis")
-        _check_assignments("elements", self.base.p ** len(monos),
-                           f"elements of {self}")
+        more = "or more " if len(monos) > top else ""
+        _check_assignments("elements", self.base.p,
+                           f"{more}elements of {self}", len(monos))
         return [RingElement(self, poly.poly_from_dict(self.ctx,
                                                       dict(zip(monos, c))))
                 for c in itertools.product(range(self.base.p),
@@ -521,9 +530,7 @@ class FieldRing(QuotientRing):
         return (((), c),) if c else ()
 
     def canonical(self, raw) -> Poly:
-        if isinstance(raw, dict):
-            raw = raw.get((), 0)
-        elif isinstance(raw, tuple):
+        if isinstance(raw, (dict, tuple)):
             raw = dict(raw).get((), 0)
         elif not isinstance(raw, (int, _Q)):
             raise TypeError(f"cannot read {raw!r} in {self}")
@@ -1014,8 +1021,8 @@ def enumerate_homs(domain, codomain) -> list:
     except NotWellDefined:
         return []
     nvars = len(domain.variables)
-    _check_assignments("rings.enumerate_homs", len(elements) ** nvars,
-                       f"assignments into {codomain}")
+    _check_assignments("rings.enumerate_homs", len(elements),
+                       f"assignments into {codomain}", nvars)
     index, add, mul = _index_arithmetic(codomain, elements)
     zero = index[codomain.zero().payload]
     coeff = _coefficient_images(domain, codomain)

@@ -25,8 +25,9 @@ has relations, and its coefficients modulo the characteristic when that
 is not 0 (Z/n and Fp), which keeps every intermediate bounded; each
 product of a power is refused before it forms more term pairs than
 Limits.max_assignments.  Normal forms are unique, so the payload is the
-one that reducing at every operation would give.  Integer coefficients
-over Q stay ints until canonical runs.
+one that reducing at every operation would give.  Over Q, canonical
+writes each coefficient as a Q payload holds it (see poly): an int when
+it is integral, else a Fraction.
 """
 from __future__ import annotations
 

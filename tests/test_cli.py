@@ -201,14 +201,25 @@ def test_verify_rejects_cut_and_inflated_certificates():
     ("ring R = Z; elem a = 2^99999999999;", "ResourceExceeded"),
     ("ring R = Z; elem a = 2^10000 * 2^10000;", "ResourceExceeded"),
     ("ring S = Q[x]/(x^2); elem a = 2^99999999999;", "ResourceExceeded"),
+    # p^k elements past max_assignments: counted without printing p^k,
+    # and refused before the monomial basis is listed in full
+    ("ring R = Fp(2)[x]; points R over Fp(2)[x,y,z]/(x^60, y^60, z^60);",
+     "ResourceExceeded"),
+    ("ring R = Fp(2)[x];"
+     " points R over Fp(2)[x,y,z]/(x^1000, y^1000, z^1000);",
+     "ResourceExceeded"),
 ])
 def test_cli_bad_input_is_an_error_record(tmp_path, source, kind):
+    # every input here is refused before any large work, so well under 1 s
     script = tmp_path / "bad.zk"
     script.write_text(source)
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "zkit.cli", str(script), "--json"],
         capture_output=True, text=True, timeout=120)
+    elapsed = time.perf_counter() - start
     assert proc.returncode == 2, proc.stderr
+    assert elapsed < 1.0, elapsed
     assert "Traceback" not in proc.stderr
     data = json.loads(proc.stdout)
     jsonschema.validate(data, REPORT_SCHEMA)
