@@ -162,16 +162,15 @@ def _canon(c):
     return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
-def _ratio(n: int, d: int):
-    """n/d as a Q coefficient, for ints n and d != 0."""
+def _ratio(n, d):
+    """n/d as a Q coefficient, for rationals n and d != 0."""
     q, r = divmod(n, d)
     return _Q(n, d) if r else q
 
 
 @record(frozen=True)
 class Rationals:
-    """The field of rational numbers; a coefficient is an int when it is
-    integral, else a fractions.Fraction, and every operation keeps that.
+    """The rationals; a coefficient is an int, or a Fraction if not integral.
 
     The Groebner engine works over `engine`, the integers: `integral`
     clears denominators on the way in and `lift` divides on the way out.
@@ -197,7 +196,8 @@ class Rationals:
     def mul(self, a, b):
         return _canon(a * b)
 
-    neg = staticmethod(neg)
+    def neg(self, a):
+        return -a
 
     def div(self, a, b):
         return _canon(_Q(a, b))
@@ -215,11 +215,9 @@ class Rationals:
                            for (m, c), d in zip(f, dens)])
 
     def lift(self, f, num, den):
-        """The engine polynomial f times num/den (f when num == den)."""
+        """f * num/den for an engine or Q polynomial f; f when num == den."""
         if num == den:
             return f
-        if den == 1:
-            return tuple([(m, c * num) for m, c in f])
         return tuple([(m, _ratio(c * num, den)) for m, c in f])
 
     def __str__(self):
@@ -245,7 +243,13 @@ class PrimeField:
     def characteristic(self) -> int:
         return self.p
 
-    zero, one = 0, 1  # p >= 2
+    @property
+    def zero(self):
+        return 0
+
+    @property
+    def one(self):
+        return 1 % self.p
 
     @property
     def engine(self):
@@ -780,10 +784,9 @@ class Trace:
         out = []
         for j in range(self.ngens):
             terms, den = acc.get(~j, ({}, 1))
-            if p:
-                terms = {m: c % p for m, c in terms.items()}
             out.append(fld.lift(poly_from_dict(ctx, {
-                lay.unpack(m): c for m, c in terms.items() if c}), 1, den))
+                lay.unpack(m): r for m, c in terms.items()
+                if (r := c % p if p else c)}), 1, den))
         return out
 
 
@@ -1098,11 +1101,11 @@ def one_cofactors(ctx: PolyContext, gens):
     return None
 
 
-def quotient_monomial_basis(ctx: PolyContext, basis, most=None):
+def quotient_monomial_basis(ctx: PolyContext, basis, most):
     """Monomials not divisible by any leading monomial of the basis, when
     finitely many (the quotient ring is then a finite-dimensional vector
-    space); None otherwise.  With most given, the search stops at the
-    first most + 1 of them."""
+    space); None otherwise.  The search stops at the first most + 1 of
+    them."""
     leads = [f[0][0] for f in basis]
     if any(mono_deg(m) == 0 for m in leads):
         return []  # ideal is the whole ring
@@ -1115,6 +1118,6 @@ def quotient_monomial_basis(ctx: PolyContext, basis, most=None):
         bounds.append(min(pure))
     monos = (m for m in product(*map(range, bounds))
              if not any(mono_divides(lm, m) for lm in leads))
-    monos = list(islice(monos, None if most is None else most + 1))
+    monos = list(islice(monos, most + 1))
     monos.sort(key=ctx.key)
     return monos

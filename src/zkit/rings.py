@@ -28,8 +28,7 @@ the protocol that lattices and homs into it use.
 - zero(), one(), from_int(k), element(raw), gens().
 - canonical(raw): a raw value (int, Fraction, a monomial dict, for
   quotients a term tuple, for R[1/f] a written localization.Fraction)
-  read as a canonical payload; over Q each coefficient is an int when
-  it is integral, else a Fraction (see poly.Rationals).
+  read as a canonical payload (Q coefficients as in poly.Rationals).
 - is_zero(x), sort_key(x), render(x): payload tests, order, and the
   text str() prints (the canonical text below; num / (f)^k for R[1/f]).
 - localization(f): R[1/f] for an element f of this ring.
@@ -530,7 +529,9 @@ class FieldRing(QuotientRing):
         return (((), c),) if c else ()
 
     def canonical(self, raw) -> Poly:
-        if isinstance(raw, (dict, tuple)):
+        if isinstance(raw, dict):
+            raw = raw.get((), 0)
+        elif isinstance(raw, tuple):
             raw = dict(raw).get((), 0)
         elif not isinstance(raw, (int, _Q)):
             raise TypeError(f"cannot read {raw!r} in {self}")

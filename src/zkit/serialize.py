@@ -26,8 +26,7 @@ is not 0 (Z/n and Fp), which keeps every intermediate bounded; each
 product of a power is refused before it forms more term pairs than
 Limits.max_assignments.  Normal forms are unique, so the payload is the
 one that reducing at every operation would give.  Over Q, canonical
-writes each coefficient as a Q payload holds it (see poly): an int when
-it is integral, else a Fraction.
+gives each coefficient its one form (an int or a proper Fraction).
 """
 from __future__ import annotations
 

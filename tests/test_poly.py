@@ -151,14 +151,16 @@ def test_quotient_monomial_basis():
     x, y = var_poly(ctx, 0), var_poly(ctx, 1)
     basis, _ = buchberger(ctx, [p_mul(ctx, x, x),
                                  p_mul(ctx, y, p_mul(ctx, y, y))])
-    monos = quotient_monomial_basis(ctx, basis)
+    monos = quotient_monomial_basis(ctx, basis, 100)
     assert len(monos) == 6
+    # the search stops at most + 1 monomials
+    assert len(quotient_monomial_basis(ctx, basis, 3)) == 4
     # x alone leaves y free: infinite
     basis2, _ = buchberger(ctx, [x])
-    assert quotient_monomial_basis(ctx, basis2) is None
+    assert quotient_monomial_basis(ctx, basis2, 100) is None
     # unit ideal: empty basis of monomials
     basis3, _ = buchberger(ctx, [const_poly(ctx, 2)])
-    assert quotient_monomial_basis(ctx, basis3) == []
+    assert quotient_monomial_basis(ctx, basis3, 100) == []
 
 
 def test_normal_form_is_linear():

@@ -1,15 +1,14 @@
 """Run the CLI over a fixed set of scripts, and compare two such runs.
 
-    python tools/same_output.py run SRC OUT [--extra DIR ...]
+    python tools/same_output.py run SRC OUT
     python tools/same_output.py diff OLD NEW
 
 `run` writes, for each script, the exit code and the `--json --seed 11`
 report of `python -m zkit.cli` with the zkit sources under SRC, minus
 each result's `ms`, to OUT/<name>.json.  The scripts are the corpus
-(tests/scripts/*.zk), the bench.gen `ideal-decide` and `points-glue`
-scripts of seeds 1-3 (generated by importing bench.gen from this
-checkout, so two runs read the same scripts), and the *.zk files of
-each --extra DIR, which run where they are.
+(tests/scripts/*.zk) and the bench.gen `ideal-decide` and `points-glue`
+scripts of seeds 1-3, generated by importing bench.gen from this
+checkout, so two runs read the same scripts.
 
 `diff` prints each script whose output differs between two runs, or is
 in one of them only, and exits 1 when there is any.
@@ -27,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 
 
-def scripts(out: Path, extra) -> list:
+def scripts(out: Path) -> list:
     """(name, path) of every script a run reads; generated ones are
     written under out/scripts."""
     sys.path.insert(0, str(ROOT))
@@ -43,15 +42,12 @@ def scripts(out: Path, extra) -> list:
                 path = where / f"{make.__name__}-{seed}-{sc.name}.zk"
                 path.write_text(sc.source())
                 found.append((path.stem, path))
-    for d in extra:
-        d = Path(d).resolve()
-        found += [(f"{d.name}-{p.stem}", p) for p in sorted(d.glob("*.zk"))]
     return found
 
 
-def run(src: Path, out: Path, extra) -> None:
+def run(src: Path, out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    for name, path in scripts(out, extra):
+    for name, path in scripts(out):
         proc = subprocess.run(
             [sys.executable, "-m", "zkit.cli", "--json", "--seed", "11",
              path.name], cwd=path.parent, env=env, capture_output=True,
@@ -84,14 +80,13 @@ def main(argv=None) -> int:
     r = sub.add_parser("run")
     r.add_argument("src", type=Path)
     r.add_argument("out", type=Path)
-    r.add_argument("--extra", action="append", default=[])
     d = sub.add_parser("diff")
     d.add_argument("old", type=Path)
     d.add_argument("new", type=Path)
     args = ap.parse_args(argv)
     if args.cmd == "run":
         args.out.mkdir(parents=True, exist_ok=True)
-        run(args.src, args.out, args.extra)
+        run(args.src, args.out)
         return 0
     return diff(args.old, args.new)
 
