@@ -11,20 +11,19 @@ Parsing is independent of any ring; name and sort resolution happen at
 evaluation time, so a lattice operation applied to a ring element is a
 TypeMismatch report, not a parse error.
 
-The tokenizer is one regex scan; tokens are named tuples carrying their
-1-based line and column.  Expressions are read by precedence climbing
-over one table (_PREC: | below & below + and - below *), with prefix
-minus and ^ on an operand: -x^2 is -(x^2) and -x*y is (-x)*y.  The
-operators of one precedence level make one Chain, read left to right,
-and a parenthesized first operand of that level joins it: (a + b) + c
-is a + b + c.  The printer uses the same table, so printing and
-re-parsing gives the same AST.
+The tokenizer is one regex findall into parallel lists of token kinds
+and texts; only a syntax error scans again, for its line and column.
+Expressions are read by precedence climbing over one table (_PREC: |
+below & below + and - below *), with prefix minus and ^ on an operand:
+-x^2 is -(x^2) and -x*y is (-x)*y.  The operators of one precedence
+level make one Chain, read left to right, and a parenthesized first
+operand of that level joins it: (a + b) + c is a + b + c.  The printer
+uses the same table, so printing and re-parsing gives the same AST.
 """
 from __future__ import annotations
 
 import re
 import sys
-from typing import NamedTuple
 
 from .errors import ScriptSyntaxError
 from .records import record
@@ -33,63 +32,36 @@ from .records import record
 # ---------------------------------------------------------------------------
 # tokens
 
-# Blanks before a token are part of its match; other whitespace (a run
-# with a newline in it) is a token of its own, so that lines are counted.
-# The last group takes any single character, which is an error, so every
-# position matches and one finditer scan covers the source.
-_TOKEN_RE = re.compile(r"""[ \t]*(?:
-    (?P<radmem>radical-member\b)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>\d+)
-  | (?P<arrow>->)
-  | (?P<eqeq>==)
-  | (?P<leq><=)
-  | (?P<sym>[;=()\[\]{},+\-*/^|&])
-  | (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<string>"[^"\n]*")
-  | (?P<bad>.)
+# Whitespace and comments before a token are part of its match, and the
+# one group is its text.  The last alternative takes any one character,
+# an error, or nothing at the end of the source, the eof token; a source
+# that ends in blanks or a comment has a second eof token, never read.
+_TOKEN_RE = re.compile(r"""(?:\s+|\#[^\n]*)*(
+    radical-member\b | [A-Za-z_][A-Za-z0-9_]* | \d+ | -> | == | <=
+  | [;=()\[\]{},+\-*/^|&] | "[^"\n]*" | .?
 )""", re.VERBOSE)
 
-# token groups whose kind is their own text
-_SYMBOLIC = frozenset(("arrow", "eqeq", "leq", "sym"))
+# A token's kind by its whole text, else by its first character;
+# _rare_kind decides the rest as the regex's alternatives did.
+_KINDS = {"": "eof", **{s: s for s in (*";=()[]{},+-*/^|&", "->", "==", "<=")},
+          **dict.fromkeys("0123456789", "int"), **dict.fromkeys(
+              "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "name")}
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
+def _rare_kind(text: str) -> str:
+    """A string, an int of non-ASCII digits (\\d takes every Unicode
+    decimal digit) or an unexpected character, which is kind "bad"."""
+    if text[0] == '"' and len(text) > 1:
+        return "string"
+    return "int" if text[0].isdecimal() else "bad"
 
 
 def tokenize(source: str):
-    """Tokens with 1-based line and column, ending with an eof token."""
-    tokens = []
-    append = tokens.append
-    new = tuple.__new__  # builds a Token without a Python-level __new__
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind == "ws":
-            newlines = m.group(kind).count("\n")
-            if newlines:
-                line += newlines
-                line_start = source.rfind("\n", 0, m.end()) + 1
-            continue
-        if kind == "comment":
-            continue
-        text = m.group(kind)
-        column = m.start(kind) - line_start + 1
-        if kind in _SYMBOLIC:
-            kind = text
-        elif kind == "radmem":
-            kind = "name"
-        elif kind == "bad":
-            raise ScriptSyntaxError(f"unexpected character {text!r}",
-                                    line, column)
-        append(new(Token, (kind, text, line, column)))
-    append(Token("eof", "", line, len(source) - line_start + 1))
-    return tokens
+    """Parallel lists of the kinds and texts of the tokens, which end
+    with an eof token, or two when the source ends in blanks."""
+    get = _KINDS.get
+    texts = _TOKEN_RE.findall(source)
+    return [get(t) or get(t[0]) or _rare_kind(t) for t in texts], texts
 
 
 # ---------------------------------------------------------------------------
@@ -260,31 +232,42 @@ MAX_NESTING = 50
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0  # open parentheses, D(...) and prefix minuses
+    """Recursive descent over the parallel kinds and texts lists of
+    tokenize, with pos the index of the next token."""
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def __init__(self, source: str):
+        self.source = source
+        self.kinds, self.texts = kinds, texts = tokenize(source)
+        self.pos = self.depth = 0  # depth: open (, D( and prefix minuses
+        if "bad" in kinds:
+            index = kinds.index("bad")
+            raise self.error(f"unexpected character {texts[index]!r}", index)
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def error(self, message: str, index: int) -> ScriptSyntaxError:
+        """The syntax error at token index, whose line and column a second
+        scan finds: only a script that fails to parse pays for them."""
+        matches = _TOKEN_RE.finditer(self.source)
+        for _ in range(index):
+            next(matches)
+        start = next(matches).start(1)
+        line = self.source.count("\n", 0, start) + 1
+        return ScriptSyntaxError(message, line,
+                                 start - self.source.rfind("\n", 0, start))
 
-    def expect(self, kind: str, what: str = "") -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            want = what or kind
-            raise ScriptSyntaxError(f"expected {want}, found {tok.text!r}",
-                                    tok.line, tok.column)
+    def advance(self) -> str:
+        """Pass the next token, never eof, and return its text."""
+        self.pos += 1
+        return self.texts[self.pos - 1]
+
+    def expect(self, kind: str, what: str = "") -> str:
+        if self.kinds[self.pos] != kind:
+            raise self.error(f"expected {what or kind}, found "
+                             f"{self.texts[self.pos]!r}", self.pos)
         return self.advance()
 
     def at(self, kind: str, text: str = None) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == kind and (text is None or tok.text == text)
+        return self.kinds[self.pos] == kind and (
+            text is None or self.texts[self.pos] == text)
 
     # -- statements ---------------------------------------------------------
 
@@ -296,12 +279,11 @@ class _Parser:
         return Script(tuple(stmts))
 
     def statement(self):
-        tok = self.peek()
-        if tok.kind != "name":
-            raise ScriptSyntaxError(f"expected a statement, found {tok.text!r}",
-                                    tok.line, tok.column)
-        word = tok.text
-        self.advance()
+        pos = self.pos
+        word = self.texts[pos]
+        if self.kinds[pos] != "name":
+            raise self.error(f"expected a statement, found {word!r}", pos)
+        self.pos += 1
         if word == "ring":
             return self.ring_decl()
         if word in ("elem", "ideal", "latt"):
@@ -316,10 +298,10 @@ class _Parser:
             if self.at("["):
                 ideal = BracketList(self.bracket_exprs())
             else:
-                ideal = NameRef(self.expect("name").text)
+                ideal = NameRef(self.expect("name"))
             return RadicalMemberCmd(element, ideal)
         if word == "localize":
-            name = self.expect("name").text
+            name = self.expect("name")
             self.expect_word("at")
             return LocalizeCmd(name, self.expr())
         if word == "glue":
@@ -328,7 +310,7 @@ class _Parser:
             self.expect_word("with")
             return GlueCmd(items, self.bracket_fracs())
         if word == "points":
-            name = self.expect("name").text
+            name = self.expect("name")
             self.expect_word("over")
             return PointsCmd(name, self.ring_expr_or_name())
         if word == "cover":
@@ -348,53 +330,48 @@ class _Parser:
         if word == "qcqs":
             return QcqsCmd(self.expr())
         if word == "verify":
-            tok = self.expect("string", "a quoted file path")
-            return VerifyCmd(tok.text[1:-1])
-        raise ScriptSyntaxError(f"unknown statement {word!r}",
-                                tok.line, tok.column)
+            return VerifyCmd(self.expect("string", "a quoted file path")[1:-1])
+        raise self.error(f"unknown statement {word!r}", pos)
 
-    def expect_word(self, word: str):
-        tok = self.peek()
-        if tok.kind != "name" or tok.text != word:
-            raise ScriptSyntaxError(f"expected '{word}', found {tok.text!r}",
-                                    tok.line, tok.column)
-        return self.advance()
+    def expect_word(self, word: str) -> None:
+        if not self.at("name", word):
+            raise self.error(
+                f"expected '{word}', found {self.texts[self.pos]!r}", self.pos)
+        self.pos += 1
 
     def ring_decl(self) -> RingDecl:
-        name = self.expect("name").text
+        name = self.expect("name")
         self.expect("=")
         return RingDecl(name, self.ring_expr())
 
     def ring_expr_or_name(self):
-        tok = self.peek()
-        if tok.kind == "name" and tok.text not in ("Z", "Q", "Fp"):
-            return RingName(self.advance().text)
+        if self.at("name") and self.texts[self.pos] not in ("Z", "Q", "Fp"):
+            return RingName(self.advance())
         return self.ring_expr()
 
     def ring_expr(self) -> RingExpr:
-        tok = self.expect("name", "a ring expression")
-        if tok.text == "Z":
+        head = self.expect("name", "a ring expression")
+        if head == "Z":
             if self.at("/"):
                 self.advance()
                 return RingExpr("Zmod", self.integer())
             return RingExpr("Z")
-        if tok.text == "Q":
+        if head == "Q":
             variables, relations = self.poly_part()
             return RingExpr("Q", 0, variables, relations)
-        if tok.text == "Fp":
+        if head == "Fp":
             self.expect("(")
             p = self.integer()
             self.expect(")")
             variables, relations = self.poly_part()
             return RingExpr("Fp", p, variables, relations)
-        raise ScriptSyntaxError(f"unknown ring kind {tok.text!r}",
-                                tok.line, tok.column)
+        raise self.error(f"unknown ring kind {head!r}", self.pos - 1)
 
     def poly_part(self):
         if not self.at("["):
             return (), ()
         self.advance()
-        names = self.listed(lambda: self.expect("name").text, "]")
+        names = self.listed(lambda: self.expect("name"), "]")
         relations = ()
         if self.at("/"):
             self.advance()
@@ -403,7 +380,7 @@ class _Parser:
         return names, relations
 
     def bind(self, kind: str) -> Bind:
-        name = self.expect("name").text
+        name = self.expect("name")
         self.expect("=")
         if kind == "ideal" and self.at("["):
             return Bind(kind, name, BracketList(self.bracket_exprs()))
@@ -411,12 +388,10 @@ class _Parser:
 
     def check_cmd(self) -> CheckCmd:
         left = self.expr()
-        tok = self.peek()
-        if tok.kind not in ("==", "<="):
-            raise ScriptSyntaxError(f"expected '==' or '<=', found {tok.text!r}",
-                                    tok.line, tok.column)
-        self.advance()
-        return CheckCmd(tok.kind, left, self.expr())
+        if self.kinds[self.pos] not in ("==", "<="):
+            raise self.error(f"expected '==' or '<=', found "
+                             f"{self.texts[self.pos]!r}", self.pos)
+        return CheckCmd(self.advance(), left, self.expr())
 
     def optional_over(self):
         if self.at("name", "over"):
@@ -455,7 +430,7 @@ class _Parser:
         assignments = []
         if not self.at("}"):
             while True:
-                name = self.expect("name").text
+                name = self.expect("name")
                 self.expect("->")
                 assignments.append((name, self.expr()))
                 if not self.at(","):
@@ -470,13 +445,13 @@ class _Parser:
         with right operands of strictly higher precedence; a first
         operand that is a Chain of that level, as in (a + b) + c, grows."""
         left = self.unary(no_div)
-        tokens = self.tokens
-        while (prec := _PREC.get(tokens[self.pos].kind, 0)) >= min_prec:
+        kinds = self.kinds
+        while (prec := _PREC.get(kinds[self.pos], 0)) >= min_prec:
             if type(left) is Chain and _PREC[left.ops[0]] == prec:
                 ops, args = list(left.ops), list(left.args)
             else:
                 ops, args = [], [left]
-            while _PREC.get(op := tokens[self.pos].kind) == prec:
+            while _PREC.get(op := kinds[self.pos]) == prec:
                 self.pos += 1
                 ops.append(op)
                 args.append(self.expr(no_div, prec + 1))
@@ -485,84 +460,82 @@ class _Parser:
 
     def integer(self) -> int:
         """The value of the int token that comes next."""
-        tok = self.expect("int")
+        text = self.expect("int")
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:  # more digits than Python reads into an int
-            raise ScriptSyntaxError(
-                f"integer literal of {len(tok.text)} digits is past "
+            raise self.error(
+                f"integer literal of {len(text)} digits is past "
                 f"sys.get_int_max_str_digits() = "
-                f"{sys.get_int_max_str_digits()}",
-                tok.line, tok.column) from None
+                f"{sys.get_int_max_str_digits()}", self.pos - 1) from None
 
-    def nest(self, tok: Token) -> None:
-        """Open one more level of nesting at tok."""
+    def nest(self, pos: int) -> None:
+        """Open one more level of nesting at token pos."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ScriptSyntaxError(
-                f"expression nested deeper than {MAX_NESTING} levels",
-                tok.line, tok.column)
+            raise self.error(
+                f"expression nested deeper than {MAX_NESTING} levels", pos)
 
     def unary(self, no_div: bool):
         """Prefix minus binds looser than ^ and tighter than *."""
-        tok = self.tokens[self.pos]
-        if tok.kind == "-":
+        pos = self.pos
+        if self.kinds[pos] == "-":
             self.pos += 1
-            self.nest(tok)
+            self.nest(pos)
             node = Neg(self.unary(no_div))
             self.depth -= 1
             return node
         base = self.atom(no_div)
-        if self.tokens[self.pos].kind == "^":
+        if self.kinds[self.pos] == "^":
             self.pos += 1
             return Pow(base, self.integer())
         return base
 
     def atom(self, no_div: bool = False):
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        kind = tok.kind
+        kinds = self.kinds
+        pos = self.pos
+        kind = kinds[pos]
         if kind == "int":
             value = self.integer()
-            if (not no_div and tokens[self.pos].kind == "/"
-                    and tokens[self.pos + 1].kind == "int"):
+            if (not no_div and kinds[self.pos] == "/"
+                    and kinds[self.pos + 1] == "int"):
                 self.pos += 1
                 return RatLit(value, self.integer())
             return IntLit(value)
         if kind == "name":
             self.pos += 1
-            if tok.text != "D" or tokens[self.pos].kind != "(":
-                return NameRef(tok.text)
+            text = self.texts[pos]
+            if text != "D" or kinds[self.pos] != "(":
+                return NameRef(text)
             self.pos += 1
-            self.nest(tok)
+            self.nest(pos)
             args = self.listed(self.expr, ")")
             self.depth -= 1
             return DLit(args)
         if kind == "(":
             self.pos += 1
-            self.nest(tok)
+            self.nest(pos)
             inner = self.expr()  # parentheses re-enable rational literals
             self.expect(")")
             self.depth -= 1
             return inner
-        raise ScriptSyntaxError(f"expected an expression, found {tok.text!r}",
-                                tok.line, tok.column)
+        raise self.error(
+            f"expected an expression, found {self.texts[pos]!r}", pos)
 
 
 def parse(source: str) -> Script:
-    return _Parser(tokenize(source)).script()
+    return _Parser(source).script()
 
 
 def parse_expression(source: str):
     """Parse a single element or lattice expression, such as 1/2 * x + 3
     or D(x) | D(y).  Certificates are never read with it: their elements
     are canonical text, which serialize.element_from_str reads."""
-    parser = _Parser(tokenize(source))
+    parser = _Parser(source)
     node = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ScriptSyntaxError(f"trailing input {tok.text!r}",
-                                tok.line, tok.column)
+    pos = parser.pos
+    if parser.kinds[pos] != "eof":
+        raise parser.error(f"trailing input {parser.texts[pos]!r}", pos)
     return node
 
 

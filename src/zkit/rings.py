@@ -745,8 +745,9 @@ def terms_to_str(terms, variables) -> str:
 # more than the language: a ")" anywhere, variables in any order, any
 # exponent, coefficient or term order, repeated and zero terms.  The
 # payload must print back to the text, and that rejects all of these.
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a variable
 _FACTOR = re.compile(r"(-\(?| [-+*] |)(?:([0-9]+)(?:/([0-9]+))?"
-                     r"|([A-Za-z_][A-Za-z0-9_]*)(?:\^([0-9]+))?)\)?")
+                     rf"|({_NAME.pattern})(?:\^([0-9]+))?)\)?")
 
 
 def read_terms(ring, text: str):

@@ -44,7 +44,7 @@ from .ideals import BezoutCertificate
 from .limits import current_limits
 from .localization import Fraction, frac_eq
 from .poly import PrimeField, Rationals
-from .rings import (IntegerRing, ResidueRing, RingElement,
+from .rings import (_NAME, IntegerRing, ResidueRing, RingElement,
                     _check_assignments, make_hom, normalize, polynomial_ring,
                     quotient_by, read_terms, terms_to_str)
 
@@ -66,6 +66,9 @@ def ring_to_json(ring) -> dict:
 
 
 def ring_from_json(data: dict):
+    """The ring of a JSON description in the shape ring_to_json writes;
+    variables that are not a list of names, or relations that are not a
+    list of canonical texts, are InvalidWitness."""
     kind = data["kind"]
     if kind == "Z":
         return IntegerRing()
@@ -73,10 +76,15 @@ def ring_from_json(data: dict):
         return ResidueRing(data["n"])
     if kind == "polyquot":
         base = Rationals() if data["base"] == "Q" else PrimeField(data["base"]["Fp"])
-        free = polynomial_ring(base, data["variables"],
-                               data.get("order", "grevlex"))
+        variables, relations = data["variables"], data["relations"]
+        if type(variables) is not list or not all(
+                type(v) is str and _NAME.fullmatch(v) for v in variables):
+            raise InvalidWitness("variables is not a list of names")
+        if type(relations) is not list:  # element_from_str reads only str
+            raise InvalidWitness("relations is not a list")
+        free = polynomial_ring(base, variables, data.get("order", "grevlex"))
         return quotient_by(free, [element_from_str(free, s)
-                                  for s in data["relations"]])
+                                  for s in relations])
     raise ValueError(f"unknown ring kind {kind!r}")
 
 
@@ -252,24 +260,22 @@ def element_from_str(ring, text: str) -> RingElement:
 # ---------------------------------------------------------------------------
 # certificates
 
-def bezout_to_json(cert: BezoutCertificate, claim: str = "bezout") -> dict:
+def bezout_to_json(cert: BezoutCertificate) -> dict:
     ring = cert.ring
-    return {"claim": claim,
+    return {"claim": "bezout",
             "ring": ring_to_json(ring) if ring is not None else None,
             "generators": [str(g) for g in cert.generators],
             "cofactors": [str(c) for c in cert.cofactors]}
 
 
 def membership_to_json(ring, element, generators, cofactors,
-                       exponent: int = None) -> dict:
-    data = {"claim": "membership" if exponent is None else "radical-membership",
+                       exponent: int) -> dict:
+    return {"claim": "radical-membership",
             "ring": ring_to_json(ring),
             "element": str(element),
             "generators": [str(g) for g in generators],
-            "cofactors": [str(c) for c in cofactors]}
-    if exponent is not None:
-        data["exponent"] = exponent
-    return data
+            "cofactors": [str(c) for c in cofactors],
+            "exponent": exponent}
 
 
 def glue_to_json(cover, fractions, witnesses, glued) -> dict:
@@ -386,21 +392,19 @@ def verify_certificate(data: dict, reader: CertificateReader = None) -> tuple:
     read = reader.elements
     try:
         claim = data.get("claim")
-        if claim in ("bezout", "bezout-power"):
+        if claim == "bezout":
             gens, cofs = _lists(data, "generators", "cofactors")
             ring = reader.ring(data["ring"])
             ok = BezoutCertificate(tuple(read(ring, gens)),
                                    tuple(read(ring, cofs))).verify()
             return ok, "sum(cofactor*generator) == 1" if ok else "sum != 1"
-        if claim in ("membership", "radical-membership"):
+        if claim == "radical-membership":
             gens, cofs = _lists(data, "generators", "cofactors")
             ring = reader.ring(data["ring"])
             a = reader.element(ring, data["element"])
             total = ring.zero()
             for c, g in zip(read(ring, cofs), read(ring, gens)):
                 total = total + c * g
-            if claim == "membership":
-                return total == a, f"sum == {data['element']}"
             k = data["exponent"]
             cap = current_limits().max_exponent
             if type(k) is not int or not 1 <= k <= cap:

@@ -704,9 +704,11 @@ def reference_ideal_member(ring, a, gens):
 # ---------------------------------------------------------------------------
 # Reference script front end: the regex-per-position tokenizer with
 # frozen-dataclass tokens and the six-level recursive descent over
-# expressions that zkit.dsl's finditer scan and precedence climbing
-# replaced.  Statements are parsed by the shared code.  Both must give
-# equal ASTs, and equal ScriptSyntaxError lines and columns.
+# expressions that zkit.dsl's findall scan and precedence climbing
+# replaced.  Statements are parsed by the shared code, over the kinds and
+# texts lists the reference tokens give, and the error hook reads the
+# tokens' own positions.  Both must give equal ASTs, and equal
+# ScriptSyntaxError lines and columns.
 
 _REF_TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -759,6 +761,16 @@ def reference_tokenize(source):
 
 
 class ReferenceParser(dsl._Parser):
+    def __init__(self, source):
+        self.tokens = reference_tokenize(source)
+        self.kinds = [tok.kind for tok in self.tokens]
+        self.texts = [tok.text for tok in self.tokens]
+        self.pos = self.depth = 0
+
+    def error(self, message, index):
+        tok = self.tokens[index]
+        return ScriptSyntaxError(message, tok.line, tok.column)
+
     def peek(self, ahead=0):
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
@@ -780,7 +792,7 @@ class ReferenceParser(dsl._Parser):
         level, as in (a + b) + c, is spliced in."""
         ops, args = [], [operand(no_div)]
         while self.peek().kind in level:
-            ops.append(self.advance().kind)
+            ops.append(self.advance())
             args.append(operand(no_div))
         if not ops:
             return args[0]
@@ -811,7 +823,7 @@ class ReferenceParser(dsl._Parser):
         base = self.atom(no_div)
         if self.at("^"):
             self.advance()
-            exp = int(self.expect("int").text)
+            exp = int(self.expect("int"))
             return dsl.Pow(base, exp)
         return base
 
@@ -822,7 +834,7 @@ class ReferenceParser(dsl._Parser):
             value = int(tok.text)
             if not no_div and self.at("/") and self.peek(1).kind == "int":
                 self.advance()
-                den = int(self.advance().text)
+                den = int(self.advance())
                 return dsl.RatLit(value, den)
             return dsl.IntLit(value)
         if tok.kind == "name" and tok.text == "D" and self.peek(1).kind == "(":
@@ -847,11 +859,11 @@ class ReferenceParser(dsl._Parser):
 
 
 def reference_parse(source):
-    return ReferenceParser(reference_tokenize(source)).script()
+    return ReferenceParser(source).script()
 
 
 def reference_parse_expression(source):
-    parser = ReferenceParser(reference_tokenize(source))
+    parser = ReferenceParser(source)
     node = parser.expr()
     tok = parser.peek()
     if tok.kind != "eof":

@@ -300,8 +300,8 @@ def test_verify_checks_list_lengths_before_reading_elements():
     for cert in [
             {"claim": "bezout", "ring": ring, "generators": ["?", "?"],
              "cofactors": ["?"]},
-            {"claim": "membership", "ring": ring, "element": "?",
-             "generators": ["?"], "cofactors": []},
+            {"claim": "radical-membership", "ring": ring, "element": "?",
+             "generators": ["?"], "cofactors": [], "exponent": 1},
             {"claim": "glue", "ring": ring, "cover": ["?", "?"],
              "cover_cofactors": ["?", "?"],
              "family": [{"num": "?", "den": "?", "exp": 0}],

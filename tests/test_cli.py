@@ -264,7 +264,25 @@ def test_failed_invariant_is_an_error_record(monkeypatch):
     assert report.exit_code == 2
 
 
+def _unit_report(claim="bezout", **ring):
+    """A report of one certificate of 1 * 1 == 1 over Q[x], with the
+    claim and the ring fields given."""
+    return {"results": [{"certificate": {
+        "claim": claim, "ring": {
+            "kind": "polyquot", "base": "Q", "variables": ["x"],
+            "relations": [], "order": "grevlex", **ring},
+        "element": "1", "generators": ["1"], "cofactors": ["1"]}}]}
+
+
 @pytest.mark.parametrize("report, status", [
+    (_unit_report(), "ok"),
+    # claims zkit does not write, and rings in a shape it does not write
+    (_unit_report("membership"), "refuted"),
+    (_unit_report("bezout-power"), "refuted"),
+    (_unit_report(variables="xy"), "refuted"),
+    (_unit_report(variables=["a b"]), "refuted"),
+    (_unit_report(variables=[""]), "refuted"),
+    (_unit_report(relations="x"), "refuted"),
     ({"results": [{"certificate": [1, 2]}]}, "refuted"),
     ({"results": [{"certificate": "x"}]}, "refuted"),
     ({"results": [{"certificate": {
@@ -278,26 +296,32 @@ def test_failed_invariant_is_an_error_record(monkeypatch):
     ({"results": [5]}, "error"),
     ({"results": 5}, "error"),
     ([1], "error"),
-], ids=["certificate-list", "certificate-string", "float-modulus",
-        "float-field-size", "entry-int", "results-int", "top-level-list"])
+], ids=["unit", "claim-membership", "claim-bezout-power",
+        "variables-string", "variable-with-blank", "variable-empty",
+        "relations-string", "certificate-list", "certificate-string",
+        "float-modulus", "float-field-size", "entry-int", "results-int",
+        "top-level-list"])
 def test_verify_malformed_report(tmp_path, report, status):
-    """A certificate that is not an object fails on its own; a report
-    that is not an object with a list of objects is an error record.
-    Neither is a traceback."""
+    """A certificate that is not an object, or whose claim or ring is
+    not one zkit writes, fails on its own; a report that is not an
+    object with a list of objects is an error record.  Neither is a
+    traceback."""
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
     script = tmp_path / "verify.zk"
     script.write_text(f'verify "{path}";')
     (res,) = run_source(script.read_text()).results
     assert res.status == status, res.result
-    if status == "refuted":
-        assert res.result["checked"] == 1 and res.result["passed"] == 0
-    else:
+    if status == "error":
         assert res.result["kind"] == "InvalidWitness"
+    else:
+        assert res.result["checked"] == 1
+        assert res.result["passed"] == (status == "ok")
     proc = subprocess.run(
         [sys.executable, "-m", "zkit.cli", str(script), "--json"],
         capture_output=True, text=True)
-    assert proc.returncode == {"refuted": 1, "error": 2}[status], proc.stderr
+    assert proc.returncode == {"ok": 0, "refuted": 1, "error": 2}[status], \
+        proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import reference_parse, reference_parse_expression
-from zkit.dsl import parse, parse_expression
+from zkit.dsl import IntLit, parse, parse_expression
 from zkit.errors import ScriptSyntaxError
 
 SCRIPTS = sorted((Path(__file__).parent / "scripts").glob("*.zk"))
@@ -126,3 +126,51 @@ def test_parser_errors_match_reference_on_malformed_scripts():
             assert new == ref, (path.stem, bad)
             failures += isinstance(new, tuple)
     assert failures > 500  # most mutations are syntax errors
+
+
+# Token boundaries of the findall tokenizer: comments and blanks before
+# the end of the input (which give a second, empty end match the parser
+# must not read past), \r\n line ends, a quote that opens no string, a
+# digit outside ASCII, a letter outside ASCII and the \b that ends
+# radical-member.
+@pytest.mark.parametrize("source", [
+    "ring R = Z; # a comment that ends the input",
+    "ring R = Z;   \t",
+    "ring R = Z;\n  \n\t",
+    "ring R = Z;\r\nelem a = 2;\r\n",
+    "ring R = Z;\nelem a = ٣;",
+    "ring R = Q[x];\nradical-member x in [x];",
+])
+def test_token_boundaries_accepted(source):
+    assert parse(source) == reference_parse(source)
+
+
+def test_non_ascii_digits_read_as_their_value():
+    (decl,) = parse("elem a = ٣;").statements
+    assert decl.value == IntLit(3)
+
+
+@pytest.mark.parametrize("source, message, line, column", [
+    ('verify "abc', "unexpected character '\"'", 1, 8),
+    ("ring é = Z;", "unexpected character 'é'", 1, 6),
+    ("ring R = Z;\r\nelem a = ?;\r\n", "unexpected character '?'", 2, 10),
+    ("ring R = Z;\r\nelem a = ;", "expected an expression, found ';'", 2, 10),
+    ("ring R = Z; radical-membership 1 in [1];",
+     "unknown statement 'radical'", 1, 13),
+    ("ring R = Z # no semicolon", "expected ';' after statement, found ''",
+     1, 26),
+    ("ring R = Z\n# no semicolon\n", "expected ';' after statement, found ''",
+     3, 1),
+    ("ring R = Z  ", "expected ';' after statement, found ''", 1, 13),
+])
+def test_token_boundaries_rejected(source, message, line, column):
+    expected = ("error", f"{line}:{column}: {message}", line, column)
+    assert _outcome(parse, source) == expected
+    assert _outcome(reference_parse, source) == expected
+
+
+@pytest.mark.parametrize("source", ["x + 1  ", "x + 1 # c", "x +  ", "x # c",
+                                    "x y  "])
+def test_expression_ends_match_reference(source):
+    assert (_outcome(parse_expression, source)
+            == _outcome(reference_parse_expression, source))
