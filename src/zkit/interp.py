@@ -224,10 +224,20 @@ def _hom_from_spec(env, domain, codomain, spec: dsl.HomSpec):
 # ---------------------------------------------------------------------------
 # command execution
 
-def _point_json(pt) -> dict:
-    phi = pt.hom
-    return {v: str(i)
-            for v, i in zip(phi.domain.variables, phi.generator_images)}
+def _points_json(pts) -> list:
+    """Each point's coordinates by variable name; the points share one
+    value ring, so each distinct coordinate is rendered once."""
+    text = {}  # image payload -> its rendering
+    rows = []
+    for pt in pts:
+        row = {}
+        for v, img in zip(pt.hom.domain.variables, pt.hom.generator_images):
+            s = text.get(img.payload)
+            if s is None:
+                s = text[img.payload] = str(img)
+            row[v] = s
+        rows.append(row)
+    return rows
 
 
 def _execute(stmt, env: _Env, options: Options):
@@ -328,7 +338,7 @@ def _execute(stmt, env: _Env, options: Options):
         codomain = _build_ring(stmt.over, env)
         pts = points_over(whole_scheme(ring), codomain)
         return "ok", {"count": len(pts),
-                      "points": [_point_json(p) for p in pts]}, None
+                      "points": _points_json(pts)}, None
     if isinstance(stmt, dsl.CoverCmd):
         ring = env.current_ring()
         u = _eval_latt(env, ring, stmt.latt)

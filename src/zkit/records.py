@@ -4,14 +4,22 @@
 fields first) into fields and builds, in one exec per class, the
 __init__, __eq__ and __hash__ that dataclasses generates for them:
 __init__ takes the fields in order, with plain defaults or a
-default_factory, and ends by calling __post_init__ when the class has
-one; __eq__ compares the tuples of compared fields of two instances of
-the same class; __hash__ hashes that tuple on a frozen record and is
-None on a mutable one.  So construction, equality and hash values (and
-with them dict and set order) are those of the dataclass.  __repr__ is
-one shared function giving the dataclass text, and on a frozen record so
-are __setattr__ and __delattr__, which raise AttributeError.  Methods
-the class body defines itself are kept.
+default_factory, stores each field (on a frozen record through
+object.__setattr__, bound once per class rather than looked up per
+field) and ends by calling __post_init__ when the class has one; __eq__
+is True at once when both sides are one object (as for two elements of
+one shared ring) and otherwise compares the tuples of compared fields of
+two instances of the same class; __hash__ hashes that tuple on a frozen
+record and is None on a mutable one.  So construction, equality and hash
+values (and with them dict and set order) are those of the dataclass.
+__repr__ is one shared function giving the dataclass text, and on a
+frozen record so are __setattr__ and __delattr__, which raise
+AttributeError.  Methods the class body defines itself are kept.
+
+__init__ does not write into self.__dict__: on CPython 3.11 reading
+__dict__ turns the instance's inline attribute values into a dict, and
+every later field read then goes through that dict, several times
+slower.
 
 There are no ClassVar, InitVar, keyword-only, slots or ordering options:
 zkit uses none of them.
@@ -81,7 +89,7 @@ def _build(cls, frozen: bool):
     cls.__record_fields__ = fields
     cls.__record_repr__ = tuple(f.name for f in fields if f.repr)
 
-    env = {"_object": object, "_FACTORY": _FACTORY}
+    env = {"_setattr": object.__setattr__, "_FACTORY": _FACTORY}
     params, body = ["self"], []
     for f in fields:
         name, value = f.name, f.name
@@ -94,7 +102,7 @@ def _build(cls, frozen: bool):
             params.append(f"{name}=_dflt_{name}")
         else:
             params.append(name)
-        body.append(f"_object.__setattr__(self,{name!r},{value})" if frozen
+        body.append(f"_setattr(self,{name!r},{value})" if frozen
                     else f"self.{name}={value}")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
@@ -104,6 +112,8 @@ def _build(cls, frozen: bool):
         f" def __init__({', '.join(params)}):",
         *[f"  {line}" for line in body or ["pass"]],
         " def __eq__(self, other):",
+        "  if other is self:",
+        "   return True",
         "  if other.__class__ is self.__class__:",
         f"   return {_tuple('self', compared)}=={_tuple('other', compared)}",
         "  return NotImplemented",

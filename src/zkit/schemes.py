@@ -10,7 +10,8 @@ Standard opens D(f) are affine: their points correspond to homs out of
 the localization presentation R[1/f], in both directions explicitly.
 Arbitrary compact opens get a finite affine cover by reading off their
 generator list, and the qcqs report packages that cover together with
-executed glue-preserves-membership trials.
+executed glue-preserves-membership trials; one report decides each
+distinct point once, for sampling and for every trial.
 """
 from __future__ import annotations
 
@@ -236,13 +237,28 @@ class LocalityTrial:
                 and self.glued_equals_point)
 
 
+def _decide(V: CompactOpen, phi: RingHom, decided: dict):
+    """point_membership(V, phi), decided once per distinct point of V:
+    decided maps (value ring, image payloads) to the point or None."""
+    key = (phi.codomain, tuple([i.payload for i in phi.generator_images]))
+    if key in decided:
+        return decided[key]
+    pt = decided[key] = point_membership(V, phi)
+    return pt
+
+
 def locality_trial(pt: SchemePoint, cover: UnimodularCover,
-                   rng: random.Random) -> LocalityTrial:
+                   rng: random.Random,
+                   decided: dict | None = None) -> LocalityTrial:
     """Restrict a point of V (a SchemePoint, so membership is already
     witnessed) along a cover of its value ring, pad the components'
     denominators by random powers 0..2 of f_i, glue back generator by
     generator, and check that the result is still a point of V (and is
-    the original point)."""
+    the original point).  The homs are decided through decided (see
+    _decide), which qcqs_certificate shares across its trials; without
+    it, the trial decides its own."""
+    if decided is None:
+        decided = {}
     V, psi = pt.open, pt.hom
     domain = V.scheme.ring
     homs = []
@@ -251,10 +267,10 @@ def locality_trial(pt: SchemePoint, cover: UnimodularCover,
         homs.append(make_hom(domain, L, [
             L.fraction(img * L.f ** pad, pad)
             for img, pad in zip(psi.generator_images, pads)]))
-    components_member = all(point_membership(V, h) is not None
+    components_member = all(_decide(V, h, decided) is not None
                             for h in homs)
     glued = glue_hom(make_hom_family(cover, domain, homs))
-    glued_member = point_membership(V, glued) is not None
+    glued_member = _decide(V, glued, decided) is not None
     return LocalityTrial(
         ring=str(cover.ring),
         cover_elements=tuple(str(f) for f in cover.elements),
@@ -265,11 +281,12 @@ def locality_trial(pt: SchemePoint, cover: UnimodularCover,
     )
 
 
-def _candidate_points(V: CompactOpen, rng: random.Random, budget: int = 40):
+def _candidate_points(V: CompactOpen, rng: random.Random, decided: dict,
+                      budget: int = 40):
     """Points of V with small value rings, for sampling: the members of
-    V among the ring's sample_homs."""
+    V among the ring's sample_homs, each decided through decided."""
     return [pt for phi in V.scheme.ring.sample_homs(rng, budget)
-            if (pt := point_membership(V, phi)) is not None]
+            if (pt := _decide(V, phi, decided)) is not None]
 
 
 def _candidate_cover(ring, rng: random.Random) -> UnimodularCover:
@@ -303,10 +320,16 @@ class QcqsReport:
 def qcqs_certificate(V: CompactOpen, *, seed: int = 0,
                      trials: int = 5) -> QcqsReport:
     """Bundle the affine cover with sampled glue-preserves-membership
-    runs over the value rings where points of V could be found."""
+    runs over the value rings where points of V could be found.
+
+    The candidates, each trial's component homs and its glued hom are
+    decided through one dict per call (see _decide), so each distinct
+    point is decided once, and a glued hom equal to its sampled point
+    gets the candidate's SchemePoint back."""
     rng = random.Random(seed)
     cover = affine_cover(V)
-    points = _candidate_points(V, rng)
+    decided = {}
+    points = _candidate_points(V, rng, decided)
     records = []
     note = ""
     if not points:
@@ -315,7 +338,7 @@ def qcqs_certificate(V: CompactOpen, *, seed: int = 0,
         for _ in range(trials):
             pt = rng.choice(points)
             test_cover = _candidate_cover(pt.values, rng)
-            records.append(locality_trial(pt, test_cover, rng))
+            records.append(locality_trial(pt, test_cover, rng, decided))
     if cover.degenerate:
         note = (note + "; " if note else "") + "empty open: degenerate cover"
     return QcqsReport(V, cover, tuple(records), note)

@@ -67,15 +67,19 @@ def ring_to_json(ring) -> dict:
 
 def ring_from_json(data: dict):
     """The ring of a JSON description in the shape ring_to_json writes;
-    variables that are not a list of names, or relations that are not a
-    list of canonical texts, are InvalidWitness."""
+    a base other than "Q" or {"Fp": p}, variables that are not a list of
+    names, or relations that are not a list of canonical texts, are
+    InvalidWitness."""
     kind = data["kind"]
     if kind == "Z":
         return IntegerRing()
     if kind == "Zmod":
         return ResidueRing(data["n"])
     if kind == "polyquot":
-        base = Rationals() if data["base"] == "Q" else PrimeField(data["base"]["Fp"])
+        base = data["base"]
+        if base != "Q" and not (type(base) is dict and base.keys() == {"Fp"}):
+            raise InvalidWitness('base is not "Q" or {"Fp": p}')
+        base = Rationals() if base == "Q" else PrimeField(base["Fp"])
         variables, relations = data["variables"], data["relations"]
         if type(variables) is not list or not all(
                 type(v) is str and _NAME.fullmatch(v) for v in variables):

@@ -3,11 +3,12 @@
 Everything takes an explicit random.Random so failures reproduce from
 the seed printed by the test that used them.  The end of the file holds
 reference engines that the fast ones are checked against: hom
-construction, application, points and enumeration on RingElements, a
-scan-based Groebner engine, the recursive-descent script parser, the
-RingElement evaluator of element expressions, the certificate printer
-and reader that went through the script AST, and the stdlib-dataclass
-twins of zkit's record classes.
+construction, application, points and enumeration on RingElements, the
+qcqs report that decides every hom on its own, a scan-based Groebner
+engine, the recursive-descent script parser, the RingElement evaluator
+of element expressions, the certificate printer and reader that went
+through the script AST, and the stdlib-dataclass twins of zkit's record
+classes.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import dataclasses
 import heapq
 import importlib
 import pkgutil
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,9 +24,11 @@ from math import gcd, lcm
 
 import zkit
 from zkit import (IntegerRing, NotWellDefined, PrimeField, QuotientRing,
-                  Rationals, ResidueRing, RingHom, fin_gen_ideal, make_cover,
-                  make_hom, radical_member, unimodular_certificate)
+                  Rationals, ResidueRing, RingHom, fin_gen_ideal, glue_hom,
+                  make_cover, make_hom, make_hom_family, radical_member,
+                  unimodular_certificate)
 from zkit import dsl
+from zkit import schemes as S
 from zkit import poly as P
 from zkit import rings as R
 from zkit.errors import (InvalidWitness, NonInvertibleDenominator,
@@ -224,6 +228,54 @@ def reference_points_over(V, codomain):
         if certs[u] is not None:
             pts.append(SchemePoint(V, phi, certs[u]))
     return pts
+
+
+# Reference qcqs report: the loop that schemes.qcqs_certificate ran
+# before its decisions were shared.  Every candidate, component and glued
+# hom is decided on its own, through schemes.point_membership (looked up
+# on the module, so a test can count the calls), and the random draws
+# come in the same order.
+
+def _reference_locality_trial(pt, cover, rng):
+    V, psi = pt.open, pt.hom
+    domain = V.scheme.ring
+    homs = []
+    for L in cover.localized:
+        pads = [rng.randrange(0, 3) for _ in psi.generator_images]
+        homs.append(make_hom(domain, L, [
+            L.fraction(img * L.f ** pad, pad)
+            for img, pad in zip(psi.generator_images, pads)]))
+    components_member = all(S.point_membership(V, h) is not None
+                            for h in homs)
+    glued = glue_hom(make_hom_family(cover, domain, homs))
+    glued_member = S.point_membership(V, glued) is not None
+    return S.LocalityTrial(
+        ring=str(cover.ring),
+        cover_elements=tuple(str(f) for f in cover.elements),
+        point=str(psi),
+        components_member=components_member,
+        glued_member=glued_member,
+        glued_equals_point=glued.generator_images == psi.generator_images,
+    )
+
+
+def reference_qcqs(V, *, seed=0, trials=5):
+    rng = random.Random(seed)
+    cover = S.affine_cover(V)
+    points = [pt for phi in V.scheme.ring.sample_homs(rng, 40)
+              if (pt := S.point_membership(V, phi)) is not None]
+    records = []
+    note = ""
+    if not points:
+        note = "no qualifying point found for locality sampling"
+    else:
+        for _ in range(trials):
+            pt = rng.choice(points)
+            test_cover = S._candidate_cover(pt.values, rng)
+            records.append(_reference_locality_trial(pt, test_cover, rng))
+    if cover.degenerate:
+        note = (note + "; " if note else "") + "empty open: degenerate cover"
+    return S.QcqsReport(V, cover, tuple(records), note)
 
 
 # Reference hom enumeration: the depth-first walk on RingElements that

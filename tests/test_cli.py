@@ -274,36 +274,41 @@ def _unit_report(claim="bezout", **ring):
         "element": "1", "generators": ["1"], "cofactors": ["1"]}}]}
 
 
-@pytest.mark.parametrize("report, status", [
-    (_unit_report(), "ok"),
+@pytest.mark.parametrize("report, status, detail", [
+    (_unit_report(), "ok", None),
     # claims zkit does not write, and rings in a shape it does not write
-    (_unit_report("membership"), "refuted"),
-    (_unit_report("bezout-power"), "refuted"),
-    (_unit_report(variables="xy"), "refuted"),
-    (_unit_report(variables=["a b"]), "refuted"),
-    (_unit_report(variables=[""]), "refuted"),
-    (_unit_report(relations="x"), "refuted"),
-    ({"results": [{"certificate": [1, 2]}]}, "refuted"),
-    ({"results": [{"certificate": "x"}]}, "refuted"),
+    (_unit_report("membership"), "refuted", "unknown claim"),
+    (_unit_report("bezout-power"), "refuted", "unknown claim"),
+    (_unit_report(variables="xy"), "refuted", "variables"),
+    (_unit_report(variables=["a b"]), "refuted", "variables"),
+    (_unit_report(variables=[""]), "refuted", "variables"),
+    (_unit_report(relations="x"), "refuted", "relations"),
+    (_unit_report(base={"Fp": 2, "x": 1}), "refuted", "base"),
+    (_unit_report(base="R"), "refuted", "base"),
+    ({"results": [{"certificate": [1, 2]}]}, "refuted", None),
+    ({"results": [{"certificate": "x"}]}, "refuted", None),
     ({"results": [{"certificate": {
         "claim": "bezout", "ring": {"kind": "Zmod", "n": 6.0},
-        "generators": ["5", "3"], "cofactors": ["5", "2"]}}]}, "refuted"),
+        "generators": ["5", "3"], "cofactors": ["5", "2"]}}]},
+     "refuted", None),
     ({"results": [{"certificate": {
         "claim": "bezout", "ring": {
             "kind": "polyquot", "base": {"Fp": 7.0}, "variables": [],
             "relations": [], "order": "grevlex"},
-        "generators": ["3"], "cofactors": ["5"]}}]}, "refuted"),
-    ({"results": [5]}, "error"),
-    ({"results": 5}, "error"),
-    ([1], "error"),
+        "generators": ["3"], "cofactors": ["5"]}}]}, "refuted", None),
+    ({"results": [5]}, "error", None),
+    ({"results": 5}, "error", None),
+    ([1], "error", None),
 ], ids=["unit", "claim-membership", "claim-bezout-power",
         "variables-string", "variable-with-blank", "variable-empty",
-        "relations-string", "certificate-list", "certificate-string",
+        "relations-string", "base-extra-key", "base-unknown",
+        "certificate-list", "certificate-string",
         "float-modulus", "float-field-size", "entry-int", "results-int",
         "top-level-list"])
-def test_verify_malformed_report(tmp_path, report, status):
+def test_verify_malformed_report(tmp_path, report, status, detail):
     """A certificate that is not an object, or whose claim or ring is
-    not one zkit writes, fails on its own; a report that is not an
+    not one zkit writes, fails on its own, with a detail that names the
+    claim or the ring field where one is given; a report that is not an
     object with a list of objects is an error record.  Neither is a
     traceback."""
     path = tmp_path / "report.json"
@@ -317,6 +322,9 @@ def test_verify_malformed_report(tmp_path, report, status):
     else:
         assert res.result["checked"] == 1
         assert res.result["passed"] == (status == "ok")
+    if detail is not None:
+        (failure,) = res.result["failures"]
+        assert detail in failure["detail"], failure
     proc = subprocess.run(
         [sys.executable, "-m", "zkit.cli", str(script), "--json"],
         capture_output=True, text=True)

@@ -2,11 +2,16 @@
 
 Each record class is compared with its dataclass twin (tests/helpers.py)
 on sample instances: repr, hash, equality within and across classes,
-defaults, and `limits`' replace.  The last test checks that the CLI
-starts without loading dataclasses or inspect.
+defaults, and `limits`' replace.  Each record class is also checked on
+its own: an instance equals itself without comparing fields, a frozen
+one refuses assignment and deletion, __post_init__ sees every field,
+and copies and pickles are equal with equal hashes.  The last test
+checks that the CLI starts without loading dataclasses or inspect.
 """
+import copy
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +23,7 @@ from zkit import (AffineScheme, IntegerRing, Limits, PrimeField, Rationals,
                   ZarElt)
 from zkit.dsl import IntLit
 from zkit.limits import current_limits, limits, set_limits
-from zkit.records import replace
+from zkit.records import record, replace
 
 CLASSES = record_classes()
 Z = IntegerRing()
@@ -104,6 +109,82 @@ def test_record_matches_its_dataclass_twin(cls):
             setattr(recs[0], name, 1)
         with pytest.raises(AttributeError):
             delattr(recs[0], name)
+
+
+class _Incomparable:
+    """A field value whose __eq__ must not be called."""
+
+    def __eq__(self, other):
+        raise AssertionError("a field's __eq__ was called")
+
+    __hash__ = object.__hash__
+
+
+def _frozen(cls):
+    """Frozen records hash; mutable ones have no __hash__."""
+    return cls.__hash__ is not None
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__qualname__)
+def test_record_equals_itself_without_comparing_fields(cls):
+    obj = cls.__new__(cls)
+    vars(obj).update({f.name: _Incomparable() for f in cls.__record_fields__})
+    assert obj == obj
+    assert not obj != obj
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__qualname__)
+def test_frozen_record_refuses_assignment_and_deletion(cls):
+    rec = cls(*_samples(cls)[0])
+    before = dict(vars(rec))
+    for f in cls.__record_fields__:
+        if _frozen(cls):
+            with pytest.raises(AttributeError):
+                setattr(rec, f.name, 1)
+            with pytest.raises(AttributeError):
+                delattr(rec, f.name)
+        else:
+            setattr(rec, f.name, 1)
+            assert getattr(rec, f.name) == 1
+    if _frozen(cls):
+        assert vars(rec) == before
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__qualname__)
+def test_post_init_sees_every_field(cls, monkeypatch):
+    """__post_init__ runs after every field is stored: on the class
+    itself where it defines one, and on a record subclass that adds one
+    otherwise."""
+    args = _samples(cls)[0]
+    expected = {f.name: a for f, a in zip(cls.__record_fields__, args)}
+    seen = []
+    own = vars(cls).get("__post_init__")
+
+    def capture(self):
+        seen.append({f.name: getattr(self, f.name)
+                     for f in cls.__record_fields__})
+        if own is not None:
+            own(self)
+
+    if own is not None:
+        monkeypatch.setattr(cls, "__post_init__", capture)
+        cls(*args)
+    else:
+        sub = record(frozen=_frozen(cls))(
+            type(cls.__name__, (cls,), {"__post_init__": capture}))
+        sub(*args)
+    assert seen == [expected]
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__qualname__)
+def test_record_copies_and_pickles_to_an_equal_object(cls):
+    rec = cls(*_samples(cls)[0])
+    for other in (copy.copy(rec), copy.deepcopy(rec),
+                  pickle.loads(pickle.dumps(rec))):
+        assert other.__class__ is rec.__class__
+        assert other == rec
+        if _frozen(cls):
+            assert hash(other) == hash(rec)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__qualname__)

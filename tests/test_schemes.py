@@ -3,15 +3,16 @@ import random
 import pytest
 
 from zkit import (CodomainNotFinite, CompactOpen, IntegerRing, PrimeField,
-                  QuotientRing, Rationals, affine_cover, compact_open,
-                  empty_open, enumerate_homs, function_eval, localize,
+                  QuotientRing, Rationals, ResidueRing, affine_cover,
+                  compact_open, empty_open, enumerate_homs, function_eval, localize,
                   locality_trial, make_hom,
                   point_from_localized_hom, point_membership,
                   point_to_localized_hom, points_over, polynomial_ring,
                   qcqs_certificate, quotient_by, standard_open,
                   whole_scheme, zar_eq_top, zar_join, zar_leq, zar_meet)
+from zkit import schemes
 from helpers import (random_element, random_quotient_ring,
-                     random_unimodular_cover)
+                     random_unimodular_cover, reference_qcqs)
 
 Z = IntegerRing()
 F5 = QuotientRing(PrimeField(5))
@@ -205,3 +206,48 @@ def test_qcqs_reports():
     # deterministic under a fixed seed
     again = qcqs_certificate(compact_open(Qx, [x, 1 - x]), seed=7, trials=4)
     assert [t.point for t in again.trials] == [t.point for t in rep.trials]
+
+
+def _qcqs_rings():
+    F5x = polynomial_ring(PrimeField(5), ["x"])
+    F7xy = polynomial_ring(PrimeField(7), ["x", "y"])
+    x, y = F7xy.gens()
+    return {
+        "Fp(5)[x]": F5x,
+        "Fp(7)[x,y]/(y^2-x^3-1)": quotient_by(F7xy, [y ** 2 - x ** 3 - 1]),
+        "Z": Z,
+        "Z/12": ResidueRing(12),
+        "Q[x]": polynomial_ring(Rationals(), ["x"]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_qcqs_rings()))
+def test_qcqs_decides_each_point_once(name, monkeypatch):
+    """qcqs_certificate gives the report of the per-hom loop (trials,
+    note, ok and cover), and decides membership once per distinct
+    (value ring, image payloads) that loop decides."""
+    ring = _qcqs_rings()[name]
+    decided = []
+    membership = schemes.point_membership
+
+    def counted(V, phi):
+        decided.append((phi.codomain, tuple(
+            i.payload for i in phi.generator_images)))
+        return membership(V, phi)
+
+    monkeypatch.setattr(schemes, "point_membership", counted)
+    for seed in range(10):
+        rng = random.Random(seed)
+        V = compact_open(ring, [random_element(ring, rng, max_deg=2)
+                                for _ in range(rng.randrange(1, 3))])
+        decided.clear()
+        report = qcqs_certificate(V, seed=seed)
+        ours = list(decided)
+        decided.clear()
+        ref = reference_qcqs(V, seed=seed)
+        assert report.trials == ref.trials, (name, seed)
+        assert report.note == ref.note
+        assert report.ok == ref.ok
+        assert report.cover == ref.cover
+        assert len(ours) == len(set(ours)) == len(set(decided)), (name, seed)
+        assert set(ours) == set(decided)
