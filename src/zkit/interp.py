@@ -406,7 +406,7 @@ def _execute(stmt, env: _Env, options: Options):
             # is at fault, not a name
             raise InvalidWitness(f"report {stmt.path!r} is not readable "
                                  f"JSON: {exc}")
-        entries = data.get("results", []) if type(data) is dict else None
+        entries = data.get("results") if type(data) is dict else None
         if type(entries) is not list or any(type(e) is not dict
                                             for e in entries):
             raise InvalidWitness(f"report {stmt.path!r} is not an object "

@@ -10,10 +10,12 @@ that str() prints for every element (see rings): a sum of monomials in
 descending term order, such as 6 * x^2 - 5/3 or -(3 * x^2) + y.
 element_from_str accepts exactly that language and rejects any other
 text with InvalidWitness before any arithmetic.  verify_certificate
-reads through a CertificateReader, which the verify statements of one
-run (one interp.run_script call) share: a run reads each distinct ring
-JSON and each element text of a ring once, and a read that failed
-raises again, with the same detail, each time it is asked for.
+reads every JSON object of a certificate (the certificate, its rings, a
+base and each glue family entry) through _Fields, by one rule: an
+object has exactly the keys that the claim's reading code reads, each
+value has the JSON type that code names, lists that are zipped together
+are equally long, and the whole shape is read before any element text.
+The reading code is the format; there is no second table.
 
 Scripts are read by the general parser (dsl) and evaluated by
 eval_element_expr into a term dict {exponent tuple: coefficient}; Z and
@@ -30,10 +32,10 @@ gives each coefficient its one form (an int or a proper Fraction).
 """
 from __future__ import annotations
 
-import json
 import sys
 from fractions import Fraction as _Q
 from functools import partial
+from itertools import chain
 from operator import add, le, sub
 
 from . import dsl
@@ -41,6 +43,7 @@ from .errors import (InvalidWitness, NonInvertibleDenominator,
                      ResourceExceeded, TypeMismatch, ZkitError)
 from .gluing import pair_differences
 from .ideals import BezoutCertificate
+from .lattice import zar_elt
 from .limits import current_limits
 from .localization import Fraction, frac_eq
 from .poly import PrimeField, Rationals
@@ -65,31 +68,30 @@ def ring_to_json(ring) -> dict:
             "order": ring.order}
 
 
-def ring_from_json(data: dict):
-    """The ring of a JSON description in the shape ring_to_json writes;
-    a base other than "Q" or {"Fp": p}, variables that are not a list of
-    names, or relations that are not a list of canonical texts, are
-    InvalidWitness."""
-    kind = data["kind"]
-    if kind == "Z":
-        return IntegerRing()
-    if kind == "Zmod":
-        return ResidueRing(data["n"])
-    if kind == "polyquot":
-        base = data["base"]
-        if base != "Q" and not (type(base) is dict and base.keys() == {"Fp"}):
-            raise InvalidWitness('base is not "Q" or {"Fp": p}')
-        base = Rationals() if base == "Q" else PrimeField(base["Fp"])
-        variables, relations = data["variables"], data["relations"]
-        if type(variables) is not list or not all(
-                type(v) is str and _NAME.fullmatch(v) for v in variables):
-            raise InvalidWitness("variables is not a list of names")
-        if type(relations) is not list:  # element_from_str reads only str
-            raise InvalidWitness("relations is not a list")
-        free = polynomial_ring(base, variables, data.get("order", "grevlex"))
-        return quotient_by(free, [element_from_str(free, s)
-                                  for s in relations])
-    raise ValueError(f"unknown ring kind {kind!r}")
+def ring_from_json(data: dict, at: str = "ring."):
+    """The ring of a JSON description in the shape ring_to_json writes,
+    read by _Fields; the paths a detail names start with at."""
+    ring = _Fields(data, at)
+    kind = ring.get("kind", str)
+    if kind in ("Z", "Zmod"):
+        n = ring.get("n", int) if kind == "Zmod" else None
+        ring.done()
+        return IntegerRing() if n is None else ResidueRing(n)
+    if kind != "polyquot":
+        raise InvalidWitness(f"{at}kind {kind!r} is not a ring kind")
+    base = ring.get("base")
+    if base != "Q":
+        fp = _Fields(base, at + "base.")
+        base = fp.get("Fp", int)
+        fp.done()
+    names = ring.get("variables", [str])
+    if not all(map(_NAME.fullmatch, names)):
+        raise InvalidWitness(f"{at}variables is not a list of names")
+    relations = ring.get("relations", [str])
+    free = polynomial_ring(Rationals() if base == "Q" else PrimeField(base),
+                           names, ring.get("order", str))
+    ring.done()
+    return quotient_by(free, [element_from_str(free, s) for s in relations])
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +250,9 @@ def element_from_str(ring, text: str) -> RingElement:
     in a quotient ring are refused as written.
     """
     try:
-        terms = read_terms(ring, text) if type(text) is str else None
-    except ValueError:  # an integer past int()'s digit limit
-        terms = None
+        terms = read_terms(ring, text)
+    except (TypeError, ValueError):  # not a text, or an integer past
+        terms = None                 # int()'s digit limit
     if terms is not None:
         leads = ring.leading_monomials
         if not (leads and any(all(map(le, lm, m))
@@ -303,45 +305,100 @@ def point_to_json(pt) -> dict:
             "cofactors": [str(c) for c in pt.witness.cofactors]}
 
 
-def _lists(data: dict, *keys) -> list:
-    """The lists data holds under keys, each as long as the first; every
-    certificate checks this before it reads any element."""
-    lists = [data[key] for key in keys]
-    for key, value in zip(keys, lists):
-        if type(value) is not list:
-            raise InvalidWitness(f"{key} is not a list")
-        if len(value) != len(lists[0]):
-            raise InvalidWitness(f"{len(value)} {key} for "
-                                 f"{len(lists[0])} {keys[0]}")
-    return lists
+# the names of the JSON types a reader asks for, by the Python type that
+# json.loads gives each; types are compared exactly, so a boolean is not
+# an integer
+_JSON = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
-_canonical_json = json.JSONEncoder(sort_keys=True).encode
+def _misfit(value, kind):
+    """None when value has the JSON type kind (dict, list, str or int,
+    or [k] for a list of items of type k), else the rest of a detail
+    that starts with the path of value."""
+    if not isinstance(kind, list):
+        return None if type(value) is kind else f" is not {_JSON[kind]}"
+    if type(value) is not list:
+        return " is not a list"
+    # the items, or the items of items that are all lists, at once
+    item, items = kind[0], value
+    if isinstance(item, list) and {*map(type, value)} <= {list}:
+        item, items = item[0], [*chain.from_iterable(value)]
+    if isinstance(item, list) or not {*map(type, items)} <= {item}:
+        for i, x in enumerate(value):
+            if (fault := _misfit(x, kind[0])) is not None:
+                return f"[{i}]{fault}"
+    return None
+
+
+class _Fields:
+    """One JSON object of a certificate, read a key at a time.  Each read
+    names a key and its JSON type, and done() refuses any key that no
+    read named.  A failed read raises InvalidWitness, whose detail names
+    the path of the value: at (such as "ring." or "family[1].") + key."""
+
+    __slots__ = ("data", "at", "read")
+
+    def __init__(self, data, at: str = ""):
+        if type(data) is not dict:
+            raise InvalidWitness(f"{at[:-1] or 'the certificate'} is not "
+                                 "an object")
+        self.data, self.at, self.read = data, at, {}
+
+    def get(self, key, kind=None, like=None):
+        """The value under key, of the JSON type kind (any when None);
+        given like, a list as long as the one read under like."""
+        try:
+            value = self.read[key] = self.data[key]
+        except KeyError:
+            raise InvalidWitness(f"{self.at}{key} is missing") from None
+        if kind is not None and type(value) is not kind and (
+                fault := _misfit(value, kind)) is not None:
+            raise InvalidWitness(f"{self.at}{key}{fault}")
+        if like is not None and len(value) != len(self.read[like]):
+            raise InvalidWitness(f"{len(value)} {self.at}{key} for "
+                                 f"{len(self.read[like])} {self.at}{like}")
+        return value
+
+    def exponent(self, key, lo: int, hi: int, noun: str) -> int:
+        """The integer under key, in [lo, hi]; noun names it in a detail."""
+        k = self.get(key)
+        if type(k) is not int or not lo <= k <= hi:
+            raise InvalidWitness(f"{noun} {k!r} at {self.at}{key} is not "
+                                 f"an integer in [{lo}, {hi}]")
+        return k
+
+    def done(self) -> None:
+        if len(self.read) != len(self.data):
+            extra = min(self.data.keys() - self.read.keys())
+            raise InvalidWitness(f"unexpected key {self.at}{extra}")
+
+    def rings(self, reader, *keys) -> list:
+        """The rings under keys, read by reader once this object is done."""
+        data = [self.get(key) for key in keys]
+        self.done()
+        return [reader.ring(ring, f"{self.at}{key}.")
+                for ring, key in zip(data, keys)]
 
 
 class CertificateReader:
     """The rings and elements of the certificates that one run verifies.
 
-    A ring is interned by the canonical text of its JSON, so its
-    relation_basis and other cached properties are computed once per
-    distinct ring description, and each element text is read once per
-    interned ring.  A failed read is not kept: it raises again, with
-    the same detail, when it is asked for again.  The interp keeps one
-    reader per run_script call, so nothing outlives the run.
+    A ring is interned by the repr of its JSON, which tells JSON values
+    apart, so its cached properties (relation_basis) are computed once
+    per distinct ring, and each element text is read once per ring.  A
+    failed read is not kept: asked for again, it fails again with the
+    same detail.  The interp keeps one reader per run_script call, so
+    nothing outlives the run.
     """
 
     def __init__(self):
-        self._rings = {}     # canonical JSON text -> ring
+        self._rings = {}     # repr of a ring's JSON -> ring
         self._elements = {}  # id of a ring in _rings -> {text: element}
 
-    def ring(self, data):
-        try:
-            key = _canonical_json(data)
-        except (TypeError, ValueError):  # not JSON data: read it as it is
-            return ring_from_json(data)
-        ring = self._rings.get(key)
-        if ring is None:
-            ring = self._rings[key] = ring_from_json(data)
+    def ring(self, data, at: str = "ring."):
+        key = repr(data)
+        if (ring := self._rings.get(key)) is None:
+            ring = self._rings[key] = ring_from_json(data, at)
             self._elements[id(ring)] = {}
         return ring
 
@@ -354,8 +411,8 @@ class CertificateReader:
             e = memo[text] = element_from_str(ring, text)
         return e
 
-    def elements(self, ring, texts) -> list:
-        return [self.element(ring, s) for s in texts]
+    def elements(self, ring, texts) -> tuple:
+        return tuple([self.element(ring, s) for s in texts])
 
 
 def _pair_exponents_fault(ring, fracs, pairs):
@@ -363,14 +420,14 @@ def _pair_exponents_fault(ring, fracs, pairs):
     None: one [i, j, k] for each pair i < j, in the order of
     gluing.pair_differences, where (f_i f_j)^k kills the difference."""
     count = len(fracs) * (len(fracs) - 1) // 2
-    if type(pairs) is not list or len(pairs) != count:
+    if len(pairs) != count:
         return f"pair_exponents must list the {count} pairs i < j"
     cap = max(current_limits().max_exponent, ring.saturation_bound)
     for entry, ((i, j), diff) in zip(pairs, pair_differences(fracs)):
-        if type(entry) is not list or entry[:2] != [i, j] or len(entry) != 3:
+        if entry[:2] != [i, j] or len(entry) != 3:
             return f"pair_exponents entry {entry!r} is not [{i}, {j}, k]"
         k = entry[2]
-        if type(k) is not int or not 0 <= k <= cap:
+        if not 0 <= k <= cap:
             return f"pair exponent {k!r} is not an integer in [0, {cap}]"
         if k:
             diff = diff * (fracs[i].f * fracs[j].f) ** k
@@ -380,91 +437,78 @@ def _pair_exponents_fault(ring, fracs, pairs):
 
 
 def verify_certificate(data: dict, reader: CertificateReader = None) -> tuple:
-    """Re-verify a serialized certificate; returns (ok, detail).
-
-    Rings and elements are read through reader, which the certificates
-    of one run share; without one the certificate is read on its own.
-    Every list that is zipped with another must match its length, and a
-    claimed exponent must lie within the exponent cap, so a truncated or
-    inflated certificate is rejected rather than checked in part or at
-    unbounded cost.
+    """Re-verify a certificate, as json.loads returns it; returns (ok,
+    detail).  Each claim reads the whole certificate through _Fields
+    before it reads any element text.  Rings and elements are read
+    through reader, which the certificates of one run share.
     """
-    if type(data) is not dict:
-        return False, "the certificate is not an object"
     if reader is None:
         reader = CertificateReader()
     read = reader.elements
     try:
-        claim = data.get("claim")
+        cert = _Fields(data)
+        claim = cert.get("claim", str)
         if claim == "bezout":
-            gens, cofs = _lists(data, "generators", "cofactors")
-            ring = reader.ring(data["ring"])
-            ok = BezoutCertificate(tuple(read(ring, gens)),
-                                   tuple(read(ring, cofs))).verify()
+            gens = cert.get("generators", [str])
+            cofs = cert.get("cofactors", [str], like="generators")
+            (ring,) = cert.rings(reader, "ring")
+            ok = BezoutCertificate(read(ring, gens), read(ring, cofs)).verify()
             return ok, "sum(cofactor*generator) == 1" if ok else "sum != 1"
         if claim == "radical-membership":
-            gens, cofs = _lists(data, "generators", "cofactors")
-            ring = reader.ring(data["ring"])
-            a = reader.element(ring, data["element"])
+            gens = cert.get("generators", [str])
+            cofs = cert.get("cofactors", [str], like="generators")
+            a = cert.get("element", str)
+            k = cert.exponent("exponent", 1, current_limits().max_exponent,
+                              "radical exponent")
+            (ring,) = cert.rings(reader, "ring")
+            a = reader.element(ring, a)
             total = ring.zero()
             for c, g in zip(read(ring, cofs), read(ring, gens)):
                 total = total + c * g
-            k = data["exponent"]
-            cap = current_limits().max_exponent
-            if type(k) is not int or not 1 <= k <= cap:
-                return False, f"exponent {k!r} is not an integer in [1, {cap}]"
             return total == a ** k, f"sum == element^{k}"
         if claim == "glue":
-            cover, cover_cofs, family = _lists(data, "cover",
-                                               "cover_cofactors", "family")
+            cover = cert.get("cover", [str])
+            cover_cofs = cert.get("cover_cofactors", [str], like="cover")
             cap = current_limits().max_exponent
-            for i, (text, frdata) in enumerate(zip(cover, family)):
-                k = frdata["exp"]
-                if type(k) is not int or not 0 <= k <= cap:
-                    return False, (f"family exponent {k!r} is not an "
-                                   f"integer in [0, {cap}]")
-                den = frdata.get("den")
-                if type(den) is not str or den != text:
+            family = []
+            for i, entry in enumerate(cert.get("family", list, like="cover")):
+                entry = _Fields(entry, f"family[{i}].")
+                num, den = entry.get("num", str), entry.get("den", str)
+                family.append((num, entry.exponent("exp", 0, cap,
+                                                   "family exponent")))
+                entry.done()
+                if den != cover[i]:
                     return False, (f"family den {den!r} is not cover "
                                    f"element {i}")
-            ring = reader.ring(data["ring"])
+            pairs = cert.get("pair_exponents", [[int]])
+            glued = cert.get("glued", str)
+            (ring,) = cert.rings(reader, "ring")
             cover = read(ring, cover)
-            if not BezoutCertificate(tuple(cover),
-                                     tuple(read(ring, cover_cofs))).verify():
+            if not BezoutCertificate(cover, read(ring, cover_cofs)).verify():
                 return False, "cover certificate failed"
-            glued = reader.element(ring, data["glued"])
-            fracs = [Fraction(ring, f, reader.element(ring, frdata["num"]),
-                              frdata["exp"])
-                     for f, frdata in zip(cover, family)]
+            glued = reader.element(ring, glued)
+            fracs = [Fraction(ring, f, reader.element(ring, num), k)
+                     for f, (num, k) in zip(cover, family)]
             for fr in fracs:
                 if not frac_eq(Fraction(ring, fr.f, glued), fr):
                     return False, f"restriction to R[1/({fr.f})] differs"
-            fault = _pair_exponents_fault(ring, fracs, data["pair_exponents"])
+            fault = _pair_exponents_fault(ring, fracs, pairs)
             if fault is not None:
                 return False, fault
             return True, "cover verifies and all restrictions match"
         if claim == "point":
-            from .lattice import zar_elt
-            images, gens, cofs = (_lists(data, key)[0] for key in
-                                  ("images", "open", "cofactors"))
-            domain = reader.ring(data["domain"])
-            if len(images) != len(domain.variables):
-                return False, "image count does not match the domain"
-            codomain = reader.ring(data["codomain"])
-            phi = make_hom(domain, codomain,  # re-verifies
-                           tuple(read(codomain, images)))
-            # cofactors align with the normalized pulled-back generators
-            norm = list(zar_elt(codomain, [phi(g) for g in
-                                           read(domain, gens)]).generators)
-            if not norm:
-                norm = [codomain.zero()]
-            if len(norm) != len(cofs):
-                return False, "cofactor count does not match the open"
-            total = codomain.zero()
-            for c, g in zip(read(codomain, cofs), norm):
-                total = total + c * g
-            ok = total == codomain.one()
+            images = cert.get("images", [str])
+            gens = cert.get("open", [str])
+            cofs = cert.get("cofactors", [str])
+            domain, codomain = cert.rings(reader, "domain", "codomain")
+            # make_hom checks the relations; the cofactors align with the
+            # normalized pulled-back generators
+            phi = make_hom(domain, codomain, read(codomain, images))
+            norm = zar_elt(codomain, [phi(g) for g in
+                                      read(domain, gens)]).generators
+            ok = BezoutCertificate(norm or (codomain.zero(),),
+                                   read(codomain, cofs)).verify()
             return ok, "hom well-defined and membership certificate checks"
         return False, f"unknown claim {claim!r}"
-    except (ZkitError, KeyError, ValueError, TypeError) as exc:
+    except (ZkitError, ValueError) as exc:
         return False, f"verification error: {exc}"

@@ -312,3 +312,104 @@ def test_verify_checks_list_lengths_before_reading_elements():
         {"claim": "bezout", "ring": ring, "generators": "12",
          "cofactors": ["1", "2"]})
     assert not ok and "generators is not a list" in detail
+
+
+# ---------------------------------------------------------------------------
+# structural edits: every key, JSON type and nesting of a certificate is
+# read, so every edit of them is rejected, with a detail naming its path
+
+def _nodes(value, path=()):
+    """(path, value) for value and everything nested in it; a path is a
+    tuple of object keys and list indices."""
+    yield path, value
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _nodes(item, path + (key,))
+
+
+def _path_text(path) -> str:
+    """A path as a detail names it, such as family[1].exp."""
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else \
+            f".{key}" if text else key
+    return text
+
+
+def _skeleton(value):
+    """value with each text and number replaced by its type's name:
+    certificates with equal skeletons have the same structure to edit."""
+    if isinstance(value, dict):
+        return {key: _skeleton(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_skeleton(item) for item in value]
+    return type(value).__name__
+
+
+# a JSON value of each JSON type; bool and int are distinct here
+_SAMPLES = (None, True, 7, 1.5, "7", [], {})
+
+
+def _structural_edits(cert):
+    """(kind, path, new) for every structural edit of cert: new is the
+    value that takes the place of the one at path; drop deletes the key
+    at path and add puts one there, so they need none."""
+    for path, value in _nodes(cert):
+        if path and isinstance(path[-1], str):
+            yield "drop", path, None
+        if isinstance(value, dict):
+            yield "add", path + ("extra",), None
+        yield "wrap", path, [value]
+        if isinstance(value, list) and len(value) == 1:
+            yield "unwrap", path, value[0]
+        for sample in _SAMPLES:
+            if type(sample) is not type(value):
+                yield "retype", path, sample
+
+
+def _apply(cert, kind, path, new):
+    cert = json.loads(json.dumps(cert))
+    if not path:
+        return new
+    parent = cert
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "add":
+        parent[path[-1]] = 0
+    else:
+        parent[path[-1]] = new
+    return cert
+
+
+@pytest.fixture(scope="module")
+def structures(certificates):
+    """One certificate of each skeleton, each edit kind mapped to its
+    edits; every one of them verifies as it is."""
+    found = {}
+    for name, cert in certificates:
+        key = json.dumps(_skeleton(cert), sort_keys=True)
+        if key not in found:
+            assert verify_certificate(cert)[0], name
+            edits = {}
+            for kind, path, new in _structural_edits(cert):
+                edits.setdefault(kind, []).append((path, new))
+            found[key] = (name, cert, edits)
+    assert len(found) > 20
+    return list(found.values())
+
+
+@settings(max_examples=1500, deadline=None)
+@given(data=st.data())
+def test_verify_rejects_every_structural_edit(structures, data):
+    """Dropping a key, adding one at any object, giving a value another
+    JSON type, and wrapping a value in a list or unwrapping a one-item
+    list: each is rejected, by a detail that names the path edited."""
+    name, cert, edits = data.draw(st.sampled_from(structures))
+    kind = data.draw(st.sampled_from(sorted(edits)))
+    path, new = data.draw(st.sampled_from(edits[kind]))
+    ok, detail = verify_certificate(_apply(cert, kind, path, new))
+    assert not ok, (name, kind, path)
+    assert _path_text(path) in detail, (name, kind, path, detail)

@@ -266,12 +266,29 @@ def test_failed_invariant_is_an_error_record(monkeypatch):
 
 def _unit_report(claim="bezout", **ring):
     """A report of one certificate of 1 * 1 == 1 over Q[x], with the
-    claim and the ring fields given."""
+    claim and the ring fields given, and no other certificate field."""
     return {"results": [{"certificate": {
         "claim": claim, "ring": {
             "kind": "polyquot", "base": "Q", "variables": ["x"],
             "relations": [], "order": "grevlex", **ring},
-        "element": "1", "generators": ["1"], "cofactors": ["1"]}}]}
+        "generators": ["1"], "cofactors": ["1"]}}]}
+
+
+def _edited(report, edit):
+    """A copy of a report of one certificate, edit applied to the
+    certificate."""
+    report = json.loads(json.dumps(report))
+    edit(report["results"][0]["certificate"])
+    return report
+
+
+# a glue over Z of 1 from the cover [2, 3] (-1 * 2 + 1 * 3 == 1)
+_UNIT_GLUE = {"results": [{"certificate": {
+    "claim": "glue", "ring": {"kind": "Z"}, "cover": ["2", "3"],
+    "cover_cofactors": ["-1", "1"],
+    "family": [{"num": "1", "den": "2", "exp": 0},
+               {"num": "1", "den": "3", "exp": 0}],
+    "pair_exponents": [[0, 1, 0]], "glued": "1"}}]}
 
 
 @pytest.mark.parametrize("report, status, detail", [
@@ -296,21 +313,42 @@ def _unit_report(claim="bezout", **ring):
             "kind": "polyquot", "base": {"Fp": 7.0}, "variables": [],
             "relations": [], "order": "grevlex"},
         "generators": ["3"], "cofactors": ["5"]}}]}, "refuted", None),
+    # keys and JSON types that no writer produces, each rejected with a
+    # detail that names its path
+    (_edited(_unit_report(), lambda c: c.update(element="1")), "refuted",
+     "unexpected key element"),
+    (_edited(_unit_report(), lambda c: c.update(ring={"kind": "Z", "n": 5})),
+     "refuted", "unexpected key ring.n"),
+    (_edited(_unit_report(), lambda c: c["ring"].pop("order")), "refuted",
+     "ring.order is missing"),
+    (_UNIT_GLUE, "ok", None),
+    (_edited(_UNIT_GLUE, lambda c: c["family"][0].update(extra=1)),
+     "refuted", "unexpected key family[0].extra"),
+    (_edited(_UNIT_GLUE,
+             lambda c: c.update(pair_exponents=[[False, True, 0]])),
+     "refuted", "pair_exponents[0][0] is not an integer"),
+    (_edited(_UNIT_GLUE, lambda c: c.update(pair_exponents=[[0.0, 1, 0]])),
+     "refuted", "pair_exponents[0][0] is not an integer"),
     ({"results": [5]}, "error", None),
     ({"results": 5}, "error", None),
     ([1], "error", None),
+    ({}, "error", None),
+    ({"version": 1}, "error", None),
 ], ids=["unit", "claim-membership", "claim-bezout-power",
         "variables-string", "variable-with-blank", "variable-empty",
         "relations-string", "base-extra-key", "base-unknown",
         "certificate-list", "certificate-string",
-        "float-modulus", "float-field-size", "entry-int", "results-int",
-        "top-level-list"])
+        "float-modulus", "float-field-size", "bezout-extra-key",
+        "ring-extra-key", "ring-without-order", "glue-unit",
+        "family-entry-extra-key", "pair-entry-booleans",
+        "pair-entry-float", "entry-int", "results-int", "top-level-list",
+        "no-results", "version-only"])
 def test_verify_malformed_report(tmp_path, report, status, detail):
-    """A certificate that is not an object, or whose claim or ring is
-    not one zkit writes, fails on its own, with a detail that names the
-    claim or the ring field where one is given; a report that is not an
-    object with a list of objects is an error record.  Neither is a
-    traceback."""
+    """A certificate that is not an object, or whose claim, keys or JSON
+    types are not the ones zkit writes, fails on its own, with a detail
+    that names the claim or the path of the field where one is given; a
+    report that is not an object with a list of result objects, such as
+    one with no results, is an error record.  Neither is a traceback."""
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
     script = tmp_path / "verify.zk"
