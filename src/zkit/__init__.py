@@ -35,11 +35,9 @@ from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
                     RingHom, enumerate_homs, hom_apply, hom_compose,
                     identity_hom, is_unit, make_hom, normalize,
                     polynomial_ring, quotient_by)
-from .schemes import (AffineCover, AffineScheme, CompactOpen, QcqsReport,
-                      SchemePoint, affine_cover, compact_open,
-                      empty_open, function_eval, locality_trial,
-                      point_from_localized_hom,
+from .schemes import (AffineCover, QcqsReport, SchemePoint, affine_cover,
+                      locality_trial, point_from_localized_hom,
                       point_membership, point_to_localized_hom, points_over,
-                      qcqs_certificate, standard_open, whole_scheme)
+                      qcqs_certificate)
 
 __version__ = "0.1.0"

@@ -25,16 +25,16 @@ from .errors import (IncompatibleFamily, InvalidWitness, NotUnimodular,
                      UnknownName, UnsupportedBase, ZkitError)
 from .gluing import glue_element, make_cover, make_family
 from .ideals import fin_gen_ideal, radical_witness, unimodular_certificate
-from .lattice import ZarElt, zar_elt, zar_eq, zar_join, zar_leq, zar_meet
+from .lattice import (ZarElt, zar_elt, zar_eq, zar_join, zar_leq, zar_meet,
+                      zar_top)
 from .limits import current_limits, limits
 from .localization import localize
 from .poly import PrimeField, Rationals
 from .records import field, record
 from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
                     hom_apply, make_hom, quotient_by)
-from .schemes import (AffineScheme, CompactOpen, affine_cover,
-                      point_membership, points_over, qcqs_certificate,
-                      whole_scheme)
+from .schemes import (affine_cover, point_membership, points_over,
+                      qcqs_certificate)
 
 
 REPORT_SCHEMA = {
@@ -336,17 +336,17 @@ def _execute(stmt, env: _Env, options: Options):
     if isinstance(stmt, dsl.PointsCmd):
         ring = env.ring(stmt.ring_name)
         codomain = _build_ring(stmt.over, env)
-        pts = points_over(whole_scheme(ring), codomain)
+        pts = points_over(zar_top(ring), codomain)
         return "ok", {"count": len(pts),
                       "points": _points_json(pts)}, None
     if isinstance(stmt, dsl.CoverCmd):
         ring = env.current_ring()
         u = _eval_latt(env, ring, stmt.latt)
-        cov = affine_cover(_compact_open(u))
+        cov = affine_cover(u)
         cert = (serialize.bezout_to_json(cov.top_certificate)
                 if cov.top_certificate is not None else None)
         return "ok", {"n": cov.n,
-                      "opens": [str(o.element) for o in cov.opens],
+                      "opens": [str(o) for o in cov.opens],
                       "join_matches": cov.join_matches,
                       "covers_whole_scheme": cov.top_certificate is not None,
                       "degenerate": cov.degenerate}, cert
@@ -361,7 +361,7 @@ def _execute(stmt, env: _Env, options: Options):
         except NotWellDefined as exc:
             return "refuted", {"member": False,
                                "reason": f"not a point: {exc}"}, None
-        pt = point_membership(_compact_open(u), phi)
+        pt = point_membership(u, phi)
         if pt is None:
             return "refuted", {"member": False,
                                "reason": "pulled-back open is not top"}, None
@@ -377,13 +377,13 @@ def _execute(stmt, env: _Env, options: Options):
     if isinstance(stmt, dsl.QcqsCmd):
         ring = env.current_ring()
         u = _eval_latt(env, ring, stmt.latt)
-        report = qcqs_certificate(_compact_open(u), seed=options.seed)
+        report = qcqs_certificate(u, seed=options.seed)
         cert = (serialize.bezout_to_json(report.cover.top_certificate)
                 if report.cover.top_certificate is not None else None)
         result = {
             "open": str(u),
             "cover": {"n": report.cover.n,
-                      "opens": [str(o.element) for o in report.cover.opens],
+                      "opens": [str(o) for o in report.cover.opens],
                       "join_matches": report.cover.join_matches},
             "locality_trials": [
                 {"ring": t.ring, "cover": list(t.cover_elements),
@@ -425,10 +425,6 @@ def _execute(stmt, env: _Env, options: Options):
                   "failures": failures}
         return ("ok" if not failures else "refuted"), result, None
     raise TypeMismatch(f"cannot execute {stmt!r}")
-
-
-def _compact_open(u: ZarElt) -> CompactOpen:
-    return CompactOpen(AffineScheme(u.ring), u)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Compact opens of affine schemes and their points.
 
-An affine scheme is a ring R regarded through its points: the B-valued
-points are the homs R -> B.  A compact open of it is a lattice element
-u over R; its points are the homs phi with D(phi(u1), ..., phi(un))
-equal to the top of the codomain's lattice, and each such point carries
-the Bezout certificate that witnesses this.
+An affine scheme Sp(R) is a ring R regarded through its points: the
+B-valued points are the homs R -> B.  By Yoneda, a compact open
+subfunctor of Sp(R) is exactly an element of the Zariski lattice L_R,
+and a global function on Sp(R) is exactly an element of R; so a compact
+open here is the ZarElt u itself, and evaluating a function at a point
+is hom_apply.  The points of u are the homs phi with D(phi(u1), ...,
+phi(un)) equal to the top of the codomain's lattice, and each such point
+carries the Bezout certificate that witnesses this.
 
 Standard opens D(f) are affine: their points correspond to homs out of
 the localization presentation R[1/f], in both directions explicitly.
@@ -20,102 +23,54 @@ from .errors import (InvariantViolated, NotUnimodular, ResourceExceeded,
                      RingMismatch, UnsupportedBase)
 from .gluing import (UnimodularCover, glue_hom, make_cover, make_hom_family)
 from .ideals import BezoutCertificate, unimodular_certificate
-from .lattice import (ZarElt, lattice_morphism, support_D, zar_bottom,
-                      zar_elt, zar_eq, zar_eq_top, zar_top)
+from .lattice import (ZarElt, lattice_morphism, support_D, zar_elt, zar_eq,
+                      zar_eq_top)
 from .localization import LocalizedRing
 from .records import record
-from .rings import (RingElement, RingHom, _coefficient_images, _evaluate,
-                    _index_arithmetic, enumerate_homs, hom_apply, make_hom,
-                    normalize)
-
-
-@record(frozen=True)
-class AffineScheme:
-    """A ring seen through its functor of points."""
-
-    ring: object
-
-    def __str__(self):
-        return f"Sp({self.ring})"
-
-
-@record(frozen=True)
-class CompactOpen:
-    """A compact open of an affine scheme, i.e. a lattice element of its
-    coordinate ring; equality of opens is zar_eq of the elements."""
-
-    scheme: AffineScheme
-    element: ZarElt
-
-    def __post_init__(self):
-        if self.element.ring != self.scheme.ring:
-            raise RingMismatch("lattice element over the wrong ring")
-
-    def __str__(self):
-        return f"{self.element} of {self.scheme}"
+from .rings import (RingHom, _coefficient_images, _evaluate,
+                    _index_arithmetic, enumerate_homs, hom_apply, make_hom)
 
 
 @record(frozen=True)
 class SchemePoint:
     """A B-valued point of a compact open, with its membership witness."""
 
-    open: CompactOpen
+    open: ZarElt
     hom: RingHom
     witness: BezoutCertificate
 
-    @property
-    def values(self):
-        return self.hom.codomain
-
     def __str__(self):
-        return f"{self.hom} in {self.open.element}"
-
-
-def whole_scheme(ring) -> CompactOpen:
-    return CompactOpen(AffineScheme(ring), zar_top(ring))
-
-
-def empty_open(ring) -> CompactOpen:
-    return CompactOpen(AffineScheme(ring), zar_bottom(ring))
-
-
-def standard_open(ring, f) -> CompactOpen:
-    return CompactOpen(AffineScheme(ring), support_D(normalize(ring, f)))
-
-
-def compact_open(ring, gens) -> CompactOpen:
-    return CompactOpen(AffineScheme(ring), zar_elt(ring, gens))
+        return f"{self.hom} in {self.open}"
 
 
 # ---------------------------------------------------------------------------
 # points
 
-def point_membership(V: CompactOpen, phi: RingHom):
-    """The point of V at phi, certificate included, or None when the
-    pulled-back lattice element is not everything."""
-    if phi.domain != V.scheme.ring:
-        raise RingMismatch(f"{phi} does not start at {V.scheme}")
-    cert = zar_eq_top(lattice_morphism(phi, V.element))
+def point_membership(u: ZarElt, phi: RingHom):
+    """The point of u at phi, certificate included, or None when the
+    pulled-back lattice element is not everything.  A phi out of another
+    ring is a RingMismatch (from lattice_morphism)."""
+    cert = zar_eq_top(lattice_morphism(phi, u))
     if cert is None:
         return None
-    return SchemePoint(V, phi, cert)
+    return SchemePoint(u, phi, cert)
 
 
-def points_over(V: CompactOpen, codomain) -> list:
-    """All codomain-valued points of V, in enumeration order.
+def points_over(u: ZarElt, codomain) -> list:
+    """All codomain-valued points of u, in enumeration order.
 
     The homs come from rings.enumerate_homs, under
-    Limits.max_assignments.  V is pulled back on indices into
-    codomain.elements(), as the enumeration walks: V's generators are
+    Limits.max_assignments.  u is pulled back on indices into
+    codomain.elements(), as the enumeration walks: u's generators are
     compiled once to terms with coefficient indices and evaluated at
     each hom's image indices, with the codomain's sums and products
-    memoized (rings._index_arithmetic).  Many homs pull V back to the
+    memoized (rings._index_arithmetic).  Many homs pull u back to the
     same element (D(1) for the whole scheme), so membership is decided
     once per distinct set of nonzero image indices and its certificate
-    shared: each point's witness is what point_membership(V, phi)
+    shared: each point's witness is what point_membership(u, phi)
     returns.
     """
-    domain = V.scheme.ring
+    domain = u.ring
     homs = enumerate_homs(domain, codomain)
     if not homs:
         return []
@@ -123,7 +78,7 @@ def points_over(V: CompactOpen, codomain) -> list:
     index, add, mul = _index_arithmetic(codomain, elements)
     coeff = _coefficient_images(domain, codomain)
     gens = [[(mono, index[coeff(c)]) for mono, c in domain.terms(g.payload)]
-            for g in V.element.generators]
+            for g in u.generators]
     zero = index[codomain.zero().payload]
     certs = {}  # nonzero pulled-back indices -> certificate or None
     pts = []
@@ -135,14 +90,8 @@ def points_over(V: CompactOpen, codomain) -> list:
             certs[key] = zar_eq_top(zar_elt(codomain,
                                             [elements[i] for i in key]))
         if certs[key] is not None:
-            pts.append(SchemePoint(V, phi, certs[key]))
+            pts.append(SchemePoint(u, phi, certs[key]))
     return pts
-
-
-def function_eval(r: RingElement, pt: SchemePoint) -> RingElement:
-    """Evaluate a global function at a point: functions on Sp(R) are
-    represented by R itself, and evaluation is application of the hom."""
-    return hom_apply(pt.hom, r)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +106,7 @@ def point_from_localized_hom(L: LocalizedRing, psi: RingHom) -> SchemePoint:
     base = L.ring
     images = psi.generator_images[:len(base.variables)]
     phi = make_hom(base, psi.codomain, images)
-    pt = point_membership(standard_open(base, L.f), phi)
+    pt = point_membership(support_D(L.f), phi)
     if pt is None:
         raise InvariantViolated("presentation hom failed to give a point")
     return pt
@@ -166,11 +115,9 @@ def point_from_localized_hom(L: LocalizedRing, psi: RingHom) -> SchemePoint:
 def point_to_localized_hom(pt: SchemePoint, L: LocalizedRing) -> RingHom:
     """A point of D(f) gives a hom out of the presentation of R[1/f]:
     the Bezout certificate on the singleton <phi(f)> is an inverse, and
-    it becomes the image of the inverse variable."""
-    base = L.ring
-    if pt.open.scheme.ring != base:
-        raise RingMismatch(f"{pt} is not a point over {base}")
-    if not zar_eq(pt.open.element, support_D(L.f)):
+    it becomes the image of the inverse variable.  A point over another
+    ring than L's base is a RingMismatch (from zar_eq)."""
+    if not zar_eq(pt.open, support_D(L.f)):
         raise UnsupportedBase(f"{pt.open} is not the standard open at {L.f}")
     phi = pt.hom
     cert = unimodular_certificate([hom_apply(phi, L.f)])
@@ -191,7 +138,7 @@ class AffineCover:
     join_matches re-verifies the covering condition and top_certificate
     is present exactly when the open is everything."""
 
-    open: CompactOpen
+    open: ZarElt
     opens: tuple
     join_matches: bool
     top_certificate: object
@@ -202,17 +149,14 @@ class AffineCover:
         return len(self.opens)
 
 
-def affine_cover(V: CompactOpen) -> AffineCover:
+def affine_cover(u: ZarElt) -> AffineCover:
     """Read the cover off the generator list: u = join of the D(f_i)."""
-    ring = V.scheme.ring
-    gens = V.element.generators
-    opens = tuple(standard_open(ring, f) for f in gens)
-    join = zar_elt(ring, gens)
+    gens = u.generators
     return AffineCover(
-        open=V,
-        opens=opens,
-        join_matches=zar_eq(join, V.element),
-        top_certificate=zar_eq_top(V.element),
+        open=u,
+        opens=tuple(support_D(f) for f in gens),
+        join_matches=zar_eq(zar_elt(u.ring, gens), u),
+        top_certificate=zar_eq_top(u),
         degenerate=not gens,
     )
 
@@ -237,40 +181,36 @@ class LocalityTrial:
                 and self.glued_equals_point)
 
 
-def _decide(V: CompactOpen, phi: RingHom, decided: dict):
-    """point_membership(V, phi), decided once per distinct point of V:
+def _decide(u: ZarElt, phi: RingHom, decided: dict):
+    """point_membership(u, phi), decided once per distinct point of u:
     decided maps (value ring, image payloads) to the point or None."""
     key = (phi.codomain, tuple([i.payload for i in phi.generator_images]))
     if key in decided:
         return decided[key]
-    pt = decided[key] = point_membership(V, phi)
+    pt = decided[key] = point_membership(u, phi)
     return pt
 
 
 def locality_trial(pt: SchemePoint, cover: UnimodularCover,
-                   rng: random.Random,
-                   decided: dict | None = None) -> LocalityTrial:
-    """Restrict a point of V (a SchemePoint, so membership is already
+                   rng: random.Random, decided: dict) -> LocalityTrial:
+    """Restrict a point of u (a SchemePoint, so membership is already
     witnessed) along a cover of its value ring, pad the components'
     denominators by random powers 0..2 of f_i, glue back generator by
-    generator, and check that the result is still a point of V (and is
+    generator, and check that the result is still a point of u (and is
     the original point).  The homs are decided through decided (see
-    _decide), which qcqs_certificate shares across its trials; without
-    it, the trial decides its own."""
-    if decided is None:
-        decided = {}
-    V, psi = pt.open, pt.hom
-    domain = V.scheme.ring
+    _decide), which qcqs_certificate shares across its trials."""
+    u, psi = pt.open, pt.hom
+    domain = u.ring
     homs = []
     for L in cover.localized:
         pads = [rng.randrange(0, 3) for _ in psi.generator_images]
         homs.append(make_hom(domain, L, [
             L.fraction(img * L.f ** pad, pad)
             for img, pad in zip(psi.generator_images, pads)]))
-    components_member = all(_decide(V, h, decided) is not None
+    components_member = all(_decide(u, h, decided) is not None
                             for h in homs)
     glued = glue_hom(make_hom_family(cover, domain, homs))
-    glued_member = _decide(V, glued, decided) is not None
+    glued_member = _decide(u, glued, decided) is not None
     return LocalityTrial(
         ring=str(cover.ring),
         cover_elements=tuple(str(f) for f in cover.elements),
@@ -281,12 +221,12 @@ def locality_trial(pt: SchemePoint, cover: UnimodularCover,
     )
 
 
-def _candidate_points(V: CompactOpen, rng: random.Random, decided: dict,
+def _candidate_points(u: ZarElt, rng: random.Random, decided: dict,
                       budget: int = 40):
-    """Points of V with small value rings, for sampling: the members of
-    V among the ring's sample_homs, each decided through decided."""
-    return [pt for phi in V.scheme.ring.sample_homs(rng, budget)
-            if (pt := _decide(V, phi, decided)) is not None]
+    """Points of u with small value rings, for sampling: the members of
+    u among the ring's sample_homs, each decided through decided."""
+    return [pt for phi in u.ring.sample_homs(rng, budget)
+            if (pt := _decide(u, phi, decided)) is not None]
 
 
 def _candidate_cover(ring, rng: random.Random) -> UnimodularCover:
@@ -307,7 +247,7 @@ def _candidate_cover(ring, rng: random.Random) -> UnimodularCover:
 class QcqsReport:
     """The affine cover of a compact open plus executed locality evidence."""
 
-    open: CompactOpen
+    open: ZarElt
     cover: AffineCover
     trials: tuple
     note: str = ""
@@ -317,19 +257,19 @@ class QcqsReport:
         return self.cover.join_matches and all(t.ok for t in self.trials)
 
 
-def qcqs_certificate(V: CompactOpen, *, seed: int = 0,
+def qcqs_certificate(u: ZarElt, *, seed: int = 0,
                      trials: int = 5) -> QcqsReport:
     """Bundle the affine cover with sampled glue-preserves-membership
-    runs over the value rings where points of V could be found.
+    runs over the value rings where points of u could be found.
 
     The candidates, each trial's component homs and its glued hom are
     decided through one dict per call (see _decide), so each distinct
     point is decided once, and a glued hom equal to its sampled point
     gets the candidate's SchemePoint back."""
     rng = random.Random(seed)
-    cover = affine_cover(V)
+    cover = affine_cover(u)
     decided = {}
-    points = _candidate_points(V, rng, decided)
+    points = _candidate_points(u, rng, decided)
     records = []
     note = ""
     if not points:
@@ -337,8 +277,8 @@ def qcqs_certificate(V: CompactOpen, *, seed: int = 0,
     else:
         for _ in range(trials):
             pt = rng.choice(points)
-            test_cover = _candidate_cover(pt.values, rng)
+            test_cover = _candidate_cover(pt.hom.codomain, rng)
             records.append(locality_trial(pt, test_cover, rng, decided))
     if cover.degenerate:
         note = (note + "; " if note else "") + "empty open: degenerate cover"
-    return QcqsReport(V, cover, tuple(records), note)
+    return QcqsReport(u, cover, tuple(records), note)

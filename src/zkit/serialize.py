@@ -25,9 +25,10 @@ between, sums are never reduced.  A product, and each step of
 square-and-multiply, is reduced modulo the relations only when the ring
 has relations, and its coefficients modulo the characteristic when that
 is not 0 (Z/n and Fp), which keeps every intermediate bounded; each
-product of a power is refused before it forms more term pairs than
-Limits.max_assignments.  Normal forms are unique, so the payload is the
-one that reducing at every operation would give.  Over Q, canonical
+product of a power is refused before it forms more term pairs, weighted
+by coefficient size, than Limits.max_assignments.  Normal forms are
+unique, so the payload is the one that reducing at every operation would
+give.  Over Q, canonical
 gives each coefficient its one form (an int or a proper Fraction).
 """
 from __future__ import annotations
@@ -120,6 +121,14 @@ def _check_digits(coeffs, k: int = 1) -> None:
             f"past sys.get_int_max_str_digits() = {limit}")
 
 
+def _weight(terms):
+    """len(terms) times its largest coefficient's size in 64-bit words,
+    at least 1; a fraction counts by the larger of its two parts."""
+    top = max([max(abs(c.numerator), c.denominator) for c in terms.values()],
+              default=0)
+    return len(terms) * max(1, -(-top.bit_length() // 64))
+
+
 class _TermReader:
     """Reads element expressions over one ring into term dicts
     {exponent tuple: coefficient} (see the module docstring)."""
@@ -185,8 +194,11 @@ class _TermReader:
         """mul, refused before it forms more term pairs than
         max_assignments: a power of a sum doubles its terms with each
         squaring, so (x + 1)^99999999999 would otherwise run until a
-        timeout stopped it."""
-        _check_assignments("serialize.power", len(a) * len(b), "term pairs")
+        timeout stopped it.  Each pair is weighted by the two operands'
+        largest coefficient sizes (see _weight), since over Q the
+        coefficients grow with the terms."""
+        _check_assignments("serialize.power", _weight(a) * _weight(b),
+                           "term pairs")
         return self.mul(a, b)
 
     def leaf_terms(self, node):
@@ -301,7 +313,7 @@ def point_to_json(pt) -> dict:
             "domain": ring_to_json(phi.domain),
             "codomain": ring_to_json(phi.codomain),
             "images": [str(i) for i in phi.generator_images],
-            "open": [str(g) for g in pt.open.element.generators],
+            "open": [str(g) for g in pt.open.generators],
             "cofactors": [str(c) for c in pt.witness.cofactors]}
 
 

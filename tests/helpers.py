@@ -220,9 +220,9 @@ def reference_points_over(V, codomain):
     per distinct pulled-back element."""
     certs = {}
     pts = []
-    for phi in R.enumerate_homs(V.scheme.ring, codomain):
+    for phi in R.enumerate_homs(V.ring, codomain):
         u = zar_elt(codomain, [reference_hom_apply(phi, g)
-                               for g in V.element.generators])
+                               for g in V.generators])
         if u not in certs:
             certs[u] = zar_eq_top(u)
         if certs[u] is not None:
@@ -238,7 +238,7 @@ def reference_points_over(V, codomain):
 
 def _reference_locality_trial(pt, cover, rng):
     V, psi = pt.open, pt.hom
-    domain = V.scheme.ring
+    domain = V.ring
     homs = []
     for L in cover.localized:
         pads = [rng.randrange(0, 3) for _ in psi.generator_images]
@@ -262,7 +262,7 @@ def _reference_locality_trial(pt, cover, rng):
 def reference_qcqs(V, *, seed=0, trials=5):
     rng = random.Random(seed)
     cover = S.affine_cover(V)
-    points = [pt for phi in V.scheme.ring.sample_homs(rng, 40)
+    points = [pt for phi in V.ring.sample_homs(rng, 40)
               if (pt := S.point_membership(V, phi)) is not None]
     records = []
     note = ""
@@ -271,7 +271,7 @@ def reference_qcqs(V, *, seed=0, trials=5):
     else:
         for _ in range(trials):
             pt = rng.choice(points)
-            test_cover = S._candidate_cover(pt.values, rng)
+            test_cover = S._candidate_cover(pt.hom.codomain, rng)
             records.append(_reference_locality_trial(pt, test_cover, rng))
     if cover.degenerate:
         note = (note + "; " if note else "") + "empty open: degenerate cover"

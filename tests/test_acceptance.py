@@ -16,13 +16,13 @@ import pytest
 import sympy
 
 from zkit import (IntegerRing, PrimeField, QuotientRing, Rationals,
-                  ResidueRing, compact_open, affine_cover, enumerate_homs,
+                  ResidueRing, affine_cover, enumerate_homs,
                   fin_gen_ideal, glue_element, glue_hom, ideal_member,
                   is_unit, localize, locality_trial, make_family,
                   make_hom, point_from_localized_hom,
                   point_membership, point_to_localized_hom, points_over,
                   polynomial_ring, pushdown, quotient_by, restrict,
-                  restrict_hom, standard_open, support_D, whole_scheme,
+                  restrict_hom, support_D,
                   zar_bottom, zar_elt, zar_eq, zar_eq_top, zar_join,
                   zar_leq, zar_meet, zar_top)
 from zkit.dsl import parse, pretty_print
@@ -222,7 +222,7 @@ def test_criterion_5_standard_open_bijection():
         cases += 1
         field = QuotientRing(PrimeField(p))
         L = localize(ring, f)
-        pts = points_over(standard_open(ring, f), field)
+        pts = points_over(support_D(f), field)
         homs = enumerate_homs(L.presentation, field)
         if len(pts) != len(homs):
             failures += 1
@@ -250,8 +250,8 @@ def test_criterion_6_cover_extraction():
         ring = random_ring(rng)
         u = zar_elt(ring, [random_element(ring, rng, 2)
                            for _ in range(rng.randrange(4))])
-        cov = affine_cover(compact_open(ring, list(u.generators)))
-        join = zar_elt(ring, [o.element.generators[0] for o in cov.opens]) \
+        cov = affine_cover(zar_elt(ring, list(u.generators)))
+        join = zar_elt(ring, [o.generators[0] for o in cov.opens]) \
             if cov.opens else zar_bottom(ring)
         if not (cov.join_matches and zar_eq(join, u)):
             failures += 1
@@ -267,7 +267,7 @@ def test_criterion_7_fermat_counts(p, n):
     ring = quotient_by(free, [x ** n + y ** n - z ** n])
     field = QuotientRing(PrimeField(p))
     start = time.perf_counter()
-    pts = points_over(whole_scheme(ring), field)
+    pts = points_over(zar_top(ring), field)
     elapsed = time.perf_counter() - start
     brute = sum(1 for a in range(p) for b in range(p) for c in range(p)
                 if (pow(a, n, p) + pow(b, n, p) - pow(c, n, p)) % p == 0)
@@ -286,18 +286,18 @@ def test_criterion_8_locality_sampling():
     for p in (5, 7):
         field = QuotientRing(PrimeField(p))
         ring = polynomial_ring(PrimeField(p), ["x"])
-        V = standard_open(ring, ring.var("x"))
+        V = support_D(ring.var("x"))
         for pt in points_over(V, field):
             setups.append((pt, field))
     # integer points valued in residue rings
-    VZ = compact_open(Z, [2, 3])
+    VZ = zar_elt(Z, [2, 3])
     for m in (5, 7, 11, 25, 35):
         pt = point_membership(VZ, make_hom(Z, ResidueRing(m)))
         if pt is not None:
             setups.append((pt, ResidueRing(m)))
     # rational endo points
     Qx = polynomial_ring(Rationals(), ["x"])
-    VQ = compact_open(Qx, [Qx.var("x"), 1 - Qx.var("x")])
+    VQ = zar_elt(Qx, [Qx.var("x"), 1 - Qx.var("x")])
     for c in (0, 1, 2, -1, 3):
         pt = point_membership(VQ, make_hom(Qx, Qx, (Qx.from_int(c),)))
         if pt is not None:
@@ -305,7 +305,7 @@ def test_criterion_8_locality_sampling():
     while trials < 100:
         pt, S = setups[trials % len(setups)]
         cover = random_unimodular_cover(S, rng)
-        trial = locality_trial(pt, cover, rng)
+        trial = locality_trial(pt, cover, rng, {})
         trials += 1
         if not trial.ok:
             failures += 1

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zkit import (IntegerRing, NotWellDefined, PrimeField, QuotientRing,
-                  Rationals, ResidueRing, ResourceExceeded, compact_open,
-                  enumerate_homs, hom_apply, limits, localize, make_hom,
-                  points_over, polynomial_ring, quotient_by, schemes,
-                  whole_scheme)
+                  Rationals, ResidueRing, ResourceExceeded, enumerate_homs,
+                  hom_apply, limits, localize, make_hom, points_over,
+                  polynomial_ring, quotient_by, schemes, zar_elt, zar_top)
 from helpers import (random_element, reference_hom_apply,
                      reference_make_hom, reference_points_over)
 
@@ -123,9 +122,9 @@ def test_make_hom_and_hom_apply_match_reference(kind, p, n, seed):
 def test_points_over_matches_reference(kind, p, n, seed):
     rng = random.Random(seed)
     domain, codomain = _pair(kind, p, n, rng, finite=True)
-    opens = [whole_scheme(domain)] + [
-        compact_open(domain, [random_element(domain, rng, max_deg=2)
-                              for _ in range(rng.randrange(0, 3))])
+    opens = [zar_top(domain)] + [
+        zar_elt(domain, [random_element(domain, rng, max_deg=2)
+                         for _ in range(rng.randrange(0, 3))])
         for _ in range(2)]
     for V in opens:
         pts = points_over(V, codomain)
@@ -144,6 +143,6 @@ def test_points_over_past_the_cap_raises_before_any_pull_back(monkeypatch):
     free = polynomial_ring(PrimeField(101), ["x", "y", "z"])
     with limits(max_assignments=10201):
         with pytest.raises(ResourceExceeded) as exc:
-            points_over(whole_scheme(free), F101)
+            points_over(zar_top(free), F101)
     assert str(exc.value).startswith(
         "rings.enumerate_homs: 1030301 assignments")

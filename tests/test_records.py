@@ -19,8 +19,7 @@ from pathlib import Path
 import pytest
 
 from helpers import dataclass_twin, record_classes
-from zkit import (AffineScheme, IntegerRing, Limits, PrimeField, Rationals,
-                  ZarElt)
+from zkit import IntegerRing, Limits, PrimeField, Rationals
 from zkit.dsl import IntLit
 from zkit.limits import current_limits, limits, set_limits
 from zkit.records import record, replace
@@ -38,8 +37,6 @@ SAMPLES = {
                      (PrimeField(5), ("y",), ((((2,), 1),),), "lex")),
     "Fraction": ((Z, Z.element(2), Z.element(3), 0),
                  (Z, Z.element(5), Z.element(7), 2)),
-    "CompactOpen": ((AffineScheme(Z), ZarElt(Z, (Z.element(2),))),
-                    (AffineScheme(Z), ZarElt(Z, (Z.element(3),)))),
 }
 VALUES_A = (1, "a", (2, 3), None, IntLit(4))
 VALUES_B = (2, "b", (3,), 0.5, IntLit(5))

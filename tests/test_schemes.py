@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from zkit import (CodomainNotFinite, CompactOpen, IntegerRing, PrimeField,
-                  QuotientRing, Rationals, ResidueRing, affine_cover,
-                  compact_open, empty_open, enumerate_homs, function_eval, localize,
-                  locality_trial, make_hom,
-                  point_from_localized_hom, point_membership,
+from zkit import (CodomainNotFinite, IntegerRing, PrimeField, QuotientRing,
+                  Rationals, ResidueRing, RingMismatch, affine_cover,
+                  enumerate_homs, hom_apply, localize, locality_trial,
+                  make_hom, point_from_localized_hom, point_membership,
                   point_to_localized_hom, points_over, polynomial_ring,
-                  qcqs_certificate, quotient_by, standard_open,
-                  whole_scheme, zar_eq_top, zar_join, zar_leq, zar_meet)
+                  qcqs_certificate, quotient_by, support_D, zar_bottom,
+                  zar_elt, zar_eq_top, zar_join, zar_leq, zar_meet, zar_top)
 from zkit import schemes
 from helpers import (random_element, random_quotient_ring,
                      random_unimodular_cover, reference_qcqs)
@@ -34,20 +33,36 @@ def brute_force_fermat_count(p, n):
 def test_fermat_point_counts(p, n):
     ring = fermat_ring(p, n)
     field = QuotientRing(PrimeField(p))
-    pts = points_over(whole_scheme(ring), field)
+    pts = points_over(zar_top(ring), field)
     assert len(pts) == brute_force_fermat_count(p, n)
 
 
 def test_point_membership_examples():
     Qx = polynomial_ring(Rationals(), ["x"])
     x = Qx.var("x")
-    V = standard_open(Qx, x)
+    V = support_D(x)
     assert point_membership(V, make_hom(Qx, Qx, (Qx.zero(),))) is None
     pt = point_membership(V, make_hom(Qx, Qx, (Qx.from_int(2),)))
     assert pt is not None and pt.witness.verify()
     # top admits every hom
-    top = whole_scheme(Qx)
+    top = zar_top(Qx)
     assert point_membership(top, make_hom(Qx, Qx, (Qx.zero(),))) is not None
+
+
+def test_an_open_and_a_point_over_other_rings_are_a_ring_mismatch():
+    """An open is a lattice element over its own ring, so the ring checks
+    are lattice_morphism's and zar_eq's: a hom out of another ring is not
+    a point of it, and a point of an open over another ring does not
+    lift to R[1/f]."""
+    F5x = polynomial_ring(PrimeField(5), ["x"])
+    F5y = polynomial_ring(PrimeField(5), ["y"])
+    u = support_D(F5x.var("x"))
+    phi = make_hom(F5y, F5, (F5.one(),))
+    with pytest.raises(RingMismatch, match="is not over the domain of"):
+        point_membership(u, phi)
+    pt = points_over(support_D(F5y.var("y")), F5)[0]
+    with pytest.raises(RingMismatch):
+        point_to_localized_hom(pt, localize(F5x, F5x.var("x")))
 
 
 def test_points_over_witness_is_point_membership():
@@ -59,10 +74,10 @@ def test_points_over_witness_is_point_membership():
         p = (2, 3, 5)[trial % 3]
         ring = random_quotient_ring(rng, base=PrimeField(p), max_vars=2,
                                     max_relations=1, rel_deg=2)
-        opens = (compact_open(ring, [random_element(ring, rng, max_deg=2)
-                                     for _ in range(rng.randrange(1, 3))])
+        opens = (zar_elt(ring, [random_element(ring, rng, max_deg=2)
+                                for _ in range(rng.randrange(1, 3))])
                  for _ in range(20))
-        V = next((V for V in opens if zar_eq_top(V.element) is None), None)
+        V = next((V for V in opens if zar_eq_top(V) is None), None)
         if V is None:  # the zero ring, or only units drawn
             continue
         field = QuotientRing(PrimeField(p))
@@ -81,11 +96,11 @@ def test_points_over_witness_is_point_membership():
 
 def test_points_over_standard_open():
     F5x = polynomial_ring(PrimeField(5), ["x"])
-    pts = points_over(standard_open(F5x, F5x.var("x")), F5)
+    pts = points_over(support_D(F5x.var("x")), F5)
     assert [str(p.hom.generator_images[0]) for p in pts] == ["1", "2", "3", "4"]
-    assert points_over(empty_open(F5x), F5) == []
+    assert points_over(zar_bottom(F5x), F5) == []
     with pytest.raises(CodomainNotFinite):
-        points_over(whole_scheme(Z), Z)
+        points_over(zar_top(Z), Z)
 
 
 def test_point_sets_respect_lattice():
@@ -102,25 +117,22 @@ def test_point_sets_respect_lattice():
 
         def rand_open():
             from helpers import random_element
-            return compact_open(ring, [random_element(ring, rng, 2)
-                                       for _ in range(rng.randrange(3))])
+            return zar_elt(ring, [random_element(ring, rng, 2)
+                                  for _ in range(rng.randrange(3))])
 
-        V, W = rand_open(), rand_open()
-        u, v = V.element, W.element
-        assert (keyset(CompactOpen(V.scheme, zar_join(u, v)))
-                == keyset(V) | keyset(W))
-        assert (keyset(CompactOpen(V.scheme, zar_meet(u, v)))
-                == keyset(V) & keyset(W))
+        u, v = rand_open(), rand_open()
+        assert keyset(zar_join(u, v)) == keyset(u) | keyset(v)
+        assert keyset(zar_meet(u, v)) == keyset(u) & keyset(v)
         if zar_leq(u, v):
-            assert keyset(V) <= keyset(W)
-        assert len(keyset(whole_scheme(ring))) == len(total)
+            assert keyset(u) <= keyset(v)
+        assert len(keyset(zar_top(ring))) == len(total)
 
 
 def test_standard_open_bijection_round_trips():
     F5x = polynomial_ring(PrimeField(5), ["x"])
     L = localize(F5x, F5x.var("x"))
     pres_homs = enumerate_homs(L.presentation, F5)
-    pts = points_over(standard_open(F5x, F5x.var("x")), F5)
+    pts = points_over(support_D(F5x.var("x")), F5)
     assert len(pres_homs) == len(pts) == 4
     for psi in pres_homs:
         pt = point_from_localized_hom(L, psi)
@@ -136,44 +148,44 @@ def test_standard_open_bijection_f_is_one():
     F5x = polynomial_ring(PrimeField(5), ["x"])
     L = localize(F5x, F5x.one())
     pres_homs = enumerate_homs(L.presentation, F5)
-    pts = points_over(standard_open(F5x, F5x.one()), F5)
+    pts = points_over(support_D(F5x.one()), F5)
     assert len(pres_homs) == len(pts) == 5
 
 
 def test_affine_cover():
-    ac = affine_cover(compact_open(Z, [4, 9]))
+    ac = affine_cover(zar_elt(Z, [4, 9]))
     assert ac.n == 2 and ac.join_matches
     assert ac.top_certificate is not None and ac.top_certificate.verify()
-    assert [str(o.element) for o in ac.opens] == ["D(4)", "D(9)"]
-    whole = affine_cover(whole_scheme(Z))
+    assert [str(o) for o in ac.opens] == ["D(4)", "D(9)"]
+    assert ac.opens == (support_D(Z.element(4)), support_D(Z.element(9)))
+    whole = affine_cover(zar_top(Z))
     assert whole.n == 1 and whole.top_certificate is not None
-    degenerate = affine_cover(empty_open(Z))
+    degenerate = affine_cover(zar_bottom(Z))
     assert degenerate.n == 0 and degenerate.degenerate and degenerate.join_matches
-    partial = affine_cover(compact_open(Z, [6, 10]))
+    partial = affine_cover(zar_elt(Z, [6, 10]))
     assert partial.top_certificate is None and partial.join_matches
 
 
 def test_function_eval():
     F5x = polynomial_ring(PrimeField(5), ["x"])
     x = F5x.var("x")
-    pts = points_over(whole_scheme(F5x), F5)
+    pts = points_over(zar_top(F5x), F5)
     pt2 = next(p for p in pts if str(p.hom.generator_images[0]) == "2")
-    assert function_eval(x ** 2 + 1, pt2).is_zero
-    assert function_eval(F5x.one(), pt2) == F5.one()
+    assert hom_apply(pt2.hom, x ** 2 + 1).is_zero
+    assert hom_apply(pt2.hom, F5x.one()) == F5.one()
     rng = random.Random(79)
     from helpers import random_element
     for pt in pts[:3]:
         r = random_element(F5x, rng, 2)
         s = random_element(F5x, rng, 2)
-        assert function_eval(r + s, pt) == \
-            function_eval(r, pt) + function_eval(s, pt)
-        assert function_eval(r * s, pt) == \
-            function_eval(r, pt) * function_eval(s, pt)
+        phi = pt.hom
+        assert hom_apply(phi, r + s) == hom_apply(phi, r) + hom_apply(phi, s)
+        assert hom_apply(phi, r * s) == hom_apply(phi, r) * hom_apply(phi, s)
 
 
 def test_loc_point_membership():
     F5x = polynomial_ring(PrimeField(5), ["x"])
-    V = standard_open(F5x, F5x.var("x"))
+    V = support_D(F5x.var("x"))
     L = localize(F5, F5.from_int(2))
     h = make_hom(F5x, L, (L.from_base(F5.from_int(3)),))
     pt = point_membership(V, h)
@@ -186,25 +198,25 @@ def test_loc_point_membership():
 def test_locality_trials():
     rng = random.Random(83)
     F5x = polynomial_ring(PrimeField(5), ["x"])
-    V = standard_open(F5x, F5x.var("x"))
+    V = support_D(F5x.var("x"))
     for pt in points_over(V, F5):
         cover = random_unimodular_cover(F5, rng)
-        trial = locality_trial(pt, cover, rng)
+        trial = locality_trial(pt, cover, rng, {})
         assert trial.ok, trial
 
 
 def test_qcqs_reports():
     Qx = polynomial_ring(Rationals(), ["x"])
     x = Qx.var("x")
-    rep = qcqs_certificate(compact_open(Qx, [x, 1 - x]), seed=7, trials=4)
+    rep = qcqs_certificate(zar_elt(Qx, [x, 1 - x]), seed=7, trials=4)
     assert rep.ok and len(rep.trials) == 4
     assert rep.cover.n == 2
-    rep2 = qcqs_certificate(whole_scheme(Z), seed=1, trials=3)
+    rep2 = qcqs_certificate(zar_top(Z), seed=1, trials=3)
     assert rep2.ok and rep2.cover.top_certificate is not None
-    rep3 = qcqs_certificate(empty_open(Qx), seed=2)
+    rep3 = qcqs_certificate(zar_bottom(Qx), seed=2)
     assert rep3.cover.degenerate and "degenerate" in rep3.note
     # deterministic under a fixed seed
-    again = qcqs_certificate(compact_open(Qx, [x, 1 - x]), seed=7, trials=4)
+    again = qcqs_certificate(zar_elt(Qx, [x, 1 - x]), seed=7, trials=4)
     assert [t.point for t in again.trials] == [t.point for t in rep.trials]
 
 
@@ -238,8 +250,8 @@ def test_qcqs_decides_each_point_once(name, monkeypatch):
     monkeypatch.setattr(schemes, "point_membership", counted)
     for seed in range(10):
         rng = random.Random(seed)
-        V = compact_open(ring, [random_element(ring, rng, max_deg=2)
-                                for _ in range(rng.randrange(1, 3))])
+        V = zar_elt(ring, [random_element(ring, rng, max_deg=2)
+                           for _ in range(rng.randrange(1, 3))])
         decided.clear()
         report = qcqs_certificate(V, seed=seed)
         ours = list(decided)

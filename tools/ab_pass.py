@@ -2,6 +2,7 @@
 
     python tools/ab_pass.py OLD_SRC NEW_SRC [--workload points-glue]
                             [--seed 1] [--rounds 20]
+    python tools/ab_pass.py OLD_SRC NEW_SRC --workload cert-replay
 
 Each tree's `zkit` package is copied under its own name (`zkit_a` for
 OLD_SRC, `zkit_b` for NEW_SRC) into a temporary directory, without its
@@ -13,6 +14,14 @@ interp.run_script and the JSON text of Report.to_json.  The trees
 alternate script by script, and the one that goes first alternates
 from round to round; each script keeps its best time over the rounds,
 so a slow spell of a shared host costs both trees alike and drops out.
+
+`--workload cert-replay` times the verify path instead.  Tree A runs the
+seed-1 scripts of both decision workloads once; their certificates,
+tampered copies included, become the report files that
+tools/same_output.replay_reports makes, written to the temporary
+directory.  The timed scripts are verify statements over those files,
+VERIFY_PER_SCRIPT to a script as bench/run.py groups them, run with
+Options(base_dir=...) so that both trees read the same files.
 
 The two trees' reports, minus each result's `ms`, must be equal.  The
 last lines give the sum of the best times of each tree and their ratio
@@ -31,7 +40,8 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("ideal-decide", "points-glue")
+WORKLOADS = ("ideal-decide", "points-glue", "cert-replay")
+VERIFY_PER_SCRIPT = 20
 
 
 def scripts(workload: str, seed: int) -> list:
@@ -44,6 +54,26 @@ def scripts(workload: str, seed: int) -> list:
     return [(sc.name, sc.source()) for sc in make(seed)]
 
 
+def replay_scripts(tree, where: Path) -> list:
+    """(name, source) of verify scripts over the seed-1 replay report
+    files, built from tree's decision outputs and written under where."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    from same_output import replay_reports
+
+    outputs = {f"{w.replace('-', '_')}-1-{name}":
+               {"report": run(tree, src)[1]}
+               for w in ("ideal-decide", "points-glue")
+               for name, src in scripts(w, 1)}
+    where.mkdir()
+    lines = []
+    for stem, text in replay_reports(outputs).items():
+        (where / f"{stem}.json").write_text(text)
+        lines.append(f'verify "{stem}.json";\n')
+    return [(f"verify-{i // VERIFY_PER_SCRIPT:02d}",
+             "".join(lines[i:i + VERIFY_PER_SCRIPT]))
+            for i in range(0, len(lines), VERIFY_PER_SCRIPT)]
+
+
 def load(src: Path, name: str, where: Path):
     """The dsl and interp modules of src's zkit, imported as `name`."""
     shutil.copytree(src / "zkit", where / name,
@@ -52,11 +82,13 @@ def load(src: Path, name: str, where: Path):
             importlib.import_module(f"{name}.interp"))
 
 
-def run(tree, source: str):
-    """(seconds, report without ms) of one script under one tree."""
+def run(tree, source: str, base_dir: Path = None):
+    """(seconds, report without ms) of one script under one tree, with
+    relative verify paths read under base_dir."""
     dsl, interp = tree
     t0 = perf_counter()
-    report = interp.run_script(dsl.parse(source), interp.Options())
+    report = interp.run_script(dsl.parse(source),
+                               interp.Options(base_dir=base_dir))
     data = report.to_json()
     json.dumps(data, indent=2, default=str)
     elapsed = perf_counter() - t0
@@ -73,19 +105,24 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=20)
     args = ap.parse_args(argv)
+    replay = args.workload == "cert-replay"
+    if replay and args.seed != 1:
+        ap.error("cert-replay has seed-1 report files only")
 
-    work = scripts(args.workload, args.seed)
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         trees = [load(args.old, "zkit_a", Path(tmp)),
                  load(args.new, "zkit_b", Path(tmp))]
+        base_dir = Path(tmp) / "reports" if replay else None
+        work = (replay_scripts(trees[0], base_dir) if replay
+                else scripts(args.workload, args.seed))
         best = [[float("inf")] * len(work) for _ in trees]
         outputs = [[None] * len(work) for _ in trees]
         for rnd in range(args.rounds):
             order = (0, 1) if rnd % 2 == 0 else (1, 0)
             for k, (_, source) in enumerate(work):
                 for t in order:
-                    elapsed, data = run(trees[t], source)
+                    elapsed, data = run(trees[t], source, base_dir)
                     best[t][k] = min(best[t][k], elapsed)
                     outputs[t][k] = data
     differ = [name for (name, _), a, b in zip(work, *outputs) if a != b]
