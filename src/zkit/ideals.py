@@ -9,12 +9,12 @@ The ring-specific engines are the ideal primitives of the ring protocol
 (see rings): Buchberger in the ambient free ring for polynomial
 quotient rings (the ring's own relations are always adjoined), and a gcd
 surrogate for Z and Z/n.  This module turns their answers into
-witnesses and checks them.  Witnesses are built on demand: a decision
-(radical membership, a refuted membership or unimodularity test) builds
-no cofactor, and a positive membership answer lifts only the
-combination it returns, by the reverse pass over the Groebner run's
-trace (see poly).  A radical witness is one unit-cofactor test in
-A[1/a], A the ring's ambient domain (see radical_witness).
+witnesses and checks them.  Witnesses are built on demand: a refuted
+membership or unimodularity test builds no cofactor, and a positive
+membership answer lifts only the combination it returns, by the reverse
+pass over the Groebner run's trace (see poly).  One unit-cofactor test
+in A[1/a], A the ring's ambient domain, decides radical membership and
+builds the radical witness when asked (see radical_witness).
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from functools import lru_cache
 
 from .errors import InvariantViolated, ResourceExceeded, RingMismatch
 from .limits import current_limits
+from .localization import localize
 from .records import record
 from .rings import RingElement, normalize
 
@@ -126,15 +127,23 @@ def ideal_member(a: RingElement, ideal: FinGenIdeal):
     return tuple(normalize(ring, c) for c in gb.lift(quotients)[:n])
 
 
-def radical_member(a: RingElement, ideal: FinGenIdeal) -> bool:
-    """Decide whether a^k lies in the ideal for some k >= 1."""
+def _radical_unit_test(a: RingElement, ideal: FinGenIdeal):
+    """(L, unit cofactors) of radical_witness's test in L = A[1/a]; the
+    cofactors are None exactly when a is outside the radical."""
     ring = ideal.ring
     if a.ring != ring:
         raise RingMismatch(f"{a!r} not in {ring}")
-    if a.is_zero:
-        return True
-    return ring.radical_member(a.payload,
-                               [e.payload for e in ideal.generators])
+    A = ring.ambient
+    L = localize(A, a.payload)
+    gens = ([e.payload for e in ideal.generators] + list(ring.relations)
+            + [A.from_int(ring.characteristic).payload])
+    return L, L.unit_cofactors([L._make(g, 0) for g in gens])
+
+
+def radical_member(a: RingElement, ideal: FinGenIdeal) -> bool:
+    """Decide whether a^k lies in the ideal for some k >= 1: the unit
+    test of radical_witness, which builds no cofactor."""
+    return _radical_unit_test(a, ideal)[1] is not None
 
 
 def radical_witness(a: RingElement, ideal: FinGenIdeal):
@@ -146,24 +155,17 @@ def radical_witness(a: RingElement, ideal: FinGenIdeal):
     sum(num_i * a^(k - e_i) * g_i) in A, a domain, and so in the ring,
     for k the largest e_i (at least 1), refused past the exponent cap.
     """
-    ring = ideal.ring
-    if a.ring != ring:
-        raise RingMismatch(f"{a!r} not in {ring}")
-    from .localization import localize  # built on this module
-    A = ring.ambient
-    L = localize(A, a.payload)
-    gens = ([e.payload for e in ideal.generators] + list(ring.relations)
-            + [A.from_int(ring.characteristic).payload])
-    cof = L.unit_cofactors([L._make(g, 0) for g in gens])
+    L, cof = _radical_unit_test(a, ideal)
     if cof is None:
         return None
-    written = [L.written(c) for c in cof]
+    written = [L.written(c) for c in cof()]
     k = max([1] + [w.exp for w in written])
     cap = current_limits().max_exponent
     if k > cap:
         raise ResourceExceeded(
             f"ideals.radical_witness: exponent {k} exceeds max_exponent={cap}")
-    return k, tuple(normalize(ring, (w.num * L.f ** (k - w.exp)).payload)
+    return k, tuple(normalize(ideal.ring,
+                              (w.num * L.f ** (k - w.exp)).payload)
                     for w in written[:len(ideal.generators)])
 
 
@@ -174,7 +176,6 @@ def saturates(a: RingElement, f: RingElement) -> bool:
         raise RingMismatch(f"{a.ring} vs {f.ring}")
     if a.is_zero:
         return True
-    from .localization import localize  # built on this module
     L = localize(a.ring, f)
     return L.element(L.from_base(a)).is_zero
 
@@ -246,7 +247,7 @@ def _bezout(ring, elements: tuple):
     if cof is None:
         return None
     full = [ring.zero()] * len(elements)
-    for (i, _), c in zip(nonzero, cof):
+    for (i, _), c in zip(nonzero, cof()):
         full[i] = RingElement(ring, c)
     cert = BezoutCertificate(elements, tuple(full))
     if not cert.verify():

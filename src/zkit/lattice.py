@@ -10,16 +10,15 @@ attempted), so lattice elements are unsuitable as dict keys for semantic
 purposes.
 
 R[1/f] is a ring like any other, so its lattice is a ZarElt over it.
-Its order is decided back in R by absorbing one denominator factor:
-r/f^n lies under D(b1, ..., bm) iff r*f lies in sqrt(<b1, ..., bm>)
-(see localization), which is exactly what makes the pushdown map sending
-D(r/f^n) to the meet of D(r) and D(f) a support.
+Its order is decided back in R: u <= v iff pushdown(u) <= pushdown(v),
+pushdown sending D(r/f^n) to D(r) /\\ D(f) = D(r*f).  The denominators
+being units, r/f^n lies under D(b/f^k, ...) iff r*f lies in sqrt(<b,
+...>), and (r*f)^k in <b> gives (r*f)^(k+1) in <b*f>.
 """
 from __future__ import annotations
 
 from .errors import RingMismatch
-from .ideals import fin_gen_ideal, radical_member, \
-    unimodular_certificate
+from .ideals import fin_gen_ideal, radical_member, unimodular_certificate
 from .localization import LocalizedRing, canonical_map
 from .records import record
 from .rings import RingElement, RingHom, hom_apply, normalize
@@ -34,6 +33,11 @@ class ZarElt:
 
     ring: object
     generators: tuple
+
+    def __post_init__(self):
+        for g in self.generators:
+            if g.ring != self.ring:
+                raise RingMismatch(f"{g!r} is not an element of {self.ring}")
 
     def __str__(self):
         return f"D({', '.join(str(g) for g in self.generators)})"
@@ -86,10 +90,12 @@ def zar_meet(u: ZarElt, v: ZarElt) -> ZarElt:
 
 def zar_leq(u: ZarElt, v: ZarElt) -> bool:
     """u <= v iff every generator of u lies in sqrt(<generators of v>);
-    a generator of v itself needs no decision."""
+    a generator of v needs no decision.  R[1/f] compares pushdowns."""
     _check_ring(u, v)
     if u.generators == v.generators:
         return True
+    if isinstance(u.ring, LocalizedRing):
+        return zar_leq(pushdown(u.ring, u), pushdown(u.ring, v))
     ideal = fin_gen_ideal(v.ring, v.generators)
     own = {g.payload for g in v.generators}
     return all(g.payload in own or radical_member(g, ideal)

@@ -21,13 +21,13 @@ instead.  The payloads are
 The kernel of R -> R[1/f] is the set of elements that some power of f
 kills, so ideals.saturates decides a * f^k == 0 as a/1 == 0 here.
 
-Radical membership is decided back in R on numerators, the denominators
-being units: a/f^k lies in sqrt(<b_i/f^k_i>) iff a*f lies in
-sqrt(<b_i>) in R.  Over Z and Z/n, extended Euclid gives g = gcd(b_i,
-n) = sum a_i b_i.  The ideal is the unit ideal iff g | f^e for some e,
-the least such e being found by dividing gcd(g, f) out of g as m is
-found from n; then c_i = a_i f^k_i / g = a_i f^k_i (f^e / g) / f^e
-gives 1 = sum c_i b_i/f^k_i.
+R[1/f] has no ambient domain, so radicals are decided back in R, through
+lattice.pushdown.  Its unit cofactors are its own: over Z and Z/n,
+extended Euclid gives g = gcd(b_i, n) = sum a_i b_i.  The ideal of the
+b_i/f^k_i is the unit ideal iff g | f^e for some e, the least such e
+being found by dividing gcd(g, f) out of g as m is found from n; then
+c_i = a_i f^k_i / g = a_i f^k_i (f^e / g) / f^e gives 1 = sum c_i
+b_i/f^k_i.
 
 Fraction is the written form num/f^exp that scripts, glue families and
 certificates carry; L.element reads one, L.written writes a payload.
@@ -41,7 +41,6 @@ from functools import cached_property, lru_cache, partial
 from . import poly
 from .errors import (BaseMismatch, InvalidWitness, RingMismatch,
                      UnsupportedBase)
-from .ideals import fin_gen_ideal, radical_member
 from .records import record
 from .rings import (QuotientRing, RingElement, RingHom, _ext_gcd_list,
                     _rabinowitsch, _Ring, make_hom, normalize)
@@ -94,6 +93,11 @@ class LocalizedRing(_Ring):
     def presentation(self) -> QuotientRing:
         raise UnsupportedBase(f"{self.ring} has no polynomial presentation")
 
+    @property
+    def ambient(self):
+        raise UnsupportedBase(f"{self} has no ambient domain: decide in "
+                              f"{self.ring} through lattice.pushdown")
+
     def zero(self):
         return self.element(0)
 
@@ -120,10 +124,6 @@ class LocalizedRing(_Ring):
     def render(self, x) -> str:
         fr = self.written(x)
         return str(fr) if fr.exp else str(fr.num)
-
-    def radical_member(self, a, gens) -> bool:
-        ideal = fin_gen_ideal(self.ring, [self.written(g).num for g in gens])
-        return radical_member(self.written(a).num * self.f, ideal)
 
     def localization(self, g):
         """R[1/f][1/g] is R[1/(f*num)] for g = num/f^e, and only base
@@ -175,7 +175,7 @@ class LocalizedIntegers(LocalizedRing):
     def unit_cofactors(self, gens):  # see the module docstring
         written = [self.written(g) for g in gens]
         if self.is_trivial:  # 1 = 0: every cofactor is 0
-            return [self.zero().payload] * len(written)
+            return lambda: [self.zero().payload] * len(written)
         f = self.f.payload
         g, coeffs = _ext_gcd_list([w.num.payload for w in written]
                                   + [self.ring.modulus])
@@ -183,8 +183,8 @@ class LocalizedIntegers(LocalizedRing):
         if rest != 1:  # g is no unit here
             return None
         scale = f ** e // g  # 1/g == scale / f^e
-        return [self._make(a * scale * f ** w.exp, e)
-                for a, w in zip(coeffs, written)]
+        return lambda: [self._make(a * scale * f ** w.exp, e)
+                        for a, w in zip(coeffs, written)]
 
     def written(self, x) -> Fraction:
         return self.fraction(x[0], x[1])
@@ -244,7 +244,7 @@ class _Presented(LocalizedRing):
     def unit_cofactors(self, gens):
         gens = list(gens)
         if self.is_trivial:  # 1 = 0: every cofactor is 0
-            return [()] * len(gens)
+            return lambda: [()] * len(gens)
         return self._payloads.unit_cofactors(gens)
 
 

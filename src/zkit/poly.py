@@ -1087,17 +1087,18 @@ def is_reduced_basis(ctx: PolyContext, basis) -> bool:
 
 
 def one_cofactors(ctx: PolyContext, gens):
-    """If 1 lies in the ideal of gens, return cofactors c with
-    sum(c_i * gens_i) == 1, else None.
+    """None when 1 is not in the ideal of gens, else a function of no
+    arguments returning cofactors c with sum(c_i * gens_i) == 1.
 
     Relies on the stop_at_one early exit: a constant can only ever enter
     the basis through insert(), and the early exit returns it made
     monic, so the returned basis is exactly (1,) whenever the ideal is
-    the whole ring; the constant is then lifted by the trace.
+    the whole ring; the function lifts that constant by the trace, so a
+    decision that reads only whether it is None lifts nothing.
     """
     basis, trace = buchberger(ctx, list(gens), track=True, stop_at_one=True)
     if len(basis) == 1 and mono_deg(basis[0][0][0]) == 0:
-        return trace.lift([basis[0]])
+        return lambda: trace.lift([basis[0]])
     return None
 
 

@@ -42,6 +42,7 @@ the protocol that lattices and homs into it use.
 - ambient: the domain A that ideal computations run in, the ring being
   A modulo its relations and its characteristic: the free polynomial
   ring of a quotient (the field itself for a field), Z for Z and Z/n.
+  R[1/f] has none and raises UnsupportedBase (see localization).
 - ideal_basis(gens): (basis, lift): the reduced Groebner basis (or the
   gcd) of the generators plus relations, in the ambient ring, and a
   function that takes multipliers q aligned with basis, not all zero,
@@ -50,9 +51,9 @@ the protocol that lattices and homs into it use.
   is called (for quotients, by a reverse pass over the Groebner run's
   trace, see poly); lift is None when the basis is empty.
 - divide(x, basis): quotients and remainder of x by such a basis.
-- unit_cofactors(gens): cofactors c with sum(c_i * gens_i) == 1, or None;
-  a refuted answer builds no cofactor.
-- radical_member(a, gens): whether a^k lies in <gens> for some k.
+- unit_cofactors(gens): None when 1 is not in <gens>, else a function of
+  no arguments that builds cofactors c with sum(c_i * gens_i) == 1.  A
+  decision only asks whether it is None, and so builds no cofactor.
 - saturation_bound: an exponent that a k with a * f^k == 0 (see
   ideals.saturates) never needs to exceed (n's bit length + 1 for Z/n),
   or 0 when the ring gives none.
@@ -214,11 +215,9 @@ class _Integers(_Ring):
 
     def unit_cofactors(self, gens):
         g, coeffs = _ext_gcd_list(list(gens) + [self.modulus])
-        return [self._reduce(c) for c in coeffs[:-1]] if g == 1 else None
-
-    def radical_member(self, a, gens) -> bool:
-        d, _ = _ext_gcd_list(list(gens) + [self.modulus])
-        return _int_radical_member(a, d)
+        if g != 1:
+            return None
+        return lambda: [self._reduce(c) for c in coeffs[:-1]]
 
     def random_element(self, rng):
         return self.element(rng.randrange(self.modulus) if self.modulus
@@ -305,14 +304,6 @@ def _ext_gcd_pair(a, b):
     if old_r < 0:
         old_s, old_t = -old_s, -old_t
     return old_s, old_t
-
-
-def _int_radical_member(a: int, d: int) -> bool:
-    """a in sqrt(<d>) over Z: d == 0 reduces to a == 0, else check
-    d | a^bitlen(d) (no prime exponent in d exceeds log2 d)."""
-    if d == 0:
-        return a == 0
-    return pow(a, d.bit_length(), d) == 0
 
 
 @record(frozen=True)
@@ -473,15 +464,8 @@ class QuotientRing(_Ring):
         cof = poly.one_cofactors(self.ctx, gens + list(self.relations))
         if cof is None:
             return None
-        return [poly.normal_form(self.ctx, c, self.relation_basis)
-                for c in cof[:len(gens)]]
-
-    def radical_member(self, a, gens) -> bool:
-        # Rabinowitsch: a in sqrt(I) iff 1 in I + relations + <t*a - 1>;
-        # the basis as stop_at_one leaves it, unreduced and untracked
-        basis, _ = poly.buchberger(*_rabinowitsch(self, tuple(gens), a),
-                                   stop_at_one=True)
-        return len(basis) == 1 and poly.mono_deg(basis[0][0][0]) == 0
+        return lambda: [poly.normal_form(self.ctx, c, self.relation_basis)
+                        for c in cof()[:len(gens)]]
 
     def random_element(self, rng):
         payload = {}
@@ -567,6 +551,7 @@ class FieldRing(QuotientRing):
         cof = self.unit_cofactors(gens)
         if cof is None:
             return (), None
+        cof = cof()
         return (self._scalar(self.base.one),), \
             lambda quotients: [self.mul(quotients[0], c) for c in cof]
 
@@ -578,13 +563,9 @@ class FieldRing(QuotientRing):
         gens = list(gens)
         for i, g in enumerate(gens):
             if g:
-                cof = [()] * len(gens)
-                cof[i] = (((), self.base.invert(g[0][1])),)
-                return cof
+                return lambda: [(((), self.base.invert(g[0][1])),)
+                                if j == i else () for j in range(len(gens))]
         return None
-
-    def radical_member(self, a, gens) -> bool:
-        return not a or any(gens)
 
 
 def _rabinowitsch(ring: QuotientRing, gens, f):
@@ -694,7 +675,7 @@ def is_unit(a: RingElement):
     cof = a.ring.unit_cofactors([a.payload])
     if cof is None:
         return None
-    inv = RingElement(a.ring, cof[0])
+    inv = RingElement(a.ring, cof()[0])
     if a * inv != a.ring.one():
         raise InvariantViolated("inverse witness failed to verify")
     return inv

@@ -99,6 +99,24 @@ def test_corpus_matches_golden_report(name):
     assert data == GOLDEN[name]
 
 
+def test_corpus_runs_no_untracked_unit_test(monkeypatch):
+    """Every stop_at_one run of the corpus, a decision's included, is
+    the tracked run whose trace a witness lifts."""
+    from zkit import poly
+    calls, real = [], poly.buchberger
+
+    def counted(ctx, gens, **kw):
+        calls.append(kw)
+        return real(ctx, gens, **kw)
+
+    monkeypatch.setattr(poly, "buchberger", counted)
+    for name in sorted(p.stem for p in SCRIPTS.glob("*.zk")):
+        run_source(load(name), Options(seed=0))
+    unit_tests = [kw for kw in calls if kw.get("stop_at_one")]
+    assert unit_tests
+    assert all(kw.get("track") for kw in unit_tests)
+
+
 @pytest.mark.parametrize("name", MANIFEST["ok"])
 def test_certificates_reverify(name, tmp_path):
     """Feed every emitted certificate back through the verify command."""

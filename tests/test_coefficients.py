@@ -115,7 +115,7 @@ def test_trace_lift_cofactors(gens, multipliers):
     basis, trace = buchberger(ctx, gens, track=True)
     for c in trace.lift((multipliers + [()] * len(basis))[:len(basis)]):
         assert_one_form(c)
-    for c in one_cofactors(ctx, gens + [(((0, 0), 1),)]) or ():
+    for c in one_cofactors(ctx, gens + [(((0, 0), 1),)])():
         assert_one_form(c)
 
 

@@ -316,6 +316,29 @@ def test_radical_member_statement_decides_once(monkeypatch):
     assert res.result == {"member": False} and len(runs) == 1
 
 
+def test_check_decides_by_the_unit_test_alone(monkeypatch):
+    """check decides D(u) <= D(v) by radical_witness's unit test and
+    lifts no cofactor; it reads no exponent, so a cap that makes the
+    radical-member statement an error record leaves it answered."""
+    from zkit import dsl, interp, poly
+    lifts, real = [], poly.Trace.lift
+    monkeypatch.setattr(poly.Trace, "lift",
+                        lambda self, m: lifts.append(m) or real(self, m))
+    script = dsl.parse("ring S = Q[x, y];\n"
+                       "check D(x + y) <= D(x^3, y^2);\n"
+                       "check D(x + 1) <= D(x^3, y^2);\n")
+    for options in (interp.Options(), interp.Options(max_exponent=2)):
+        _, yes, no = interp.run_script(script, options).results
+        assert (yes.status, yes.result) == ("ok", {"holds": True})
+        assert (no.status, no.result) == ("refuted", {"holds": False})
+    assert lifts == []
+    _, res = interp.run_script(dsl.parse(
+        "ring S = Q[x, y];\nradical-member x + y in [x^3, y^2];\n"),
+        interp.Options(max_exponent=2)).results
+    assert res.status == "error"
+    assert res.result["kind"] == "ResourceExceeded"
+
+
 def _radical_cases():
     """(ring, a, generators, k): k the witness exponent, None when a is
     outside the radical; one refuted case per ring."""

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from zkit import (IntegerRing, Rationals, ResidueRing,
-                  RingMismatch, hom_compose, is_unit, lattice_morphism,
+from zkit import (IntegerRing, PrimeField, Rationals, ResidueRing,
+                  RingMismatch, ZarElt, hom_compose, is_unit, lattice_morphism,
                   localize, make_hom,
                   polynomial_ring, pushdown, quotient_by, restrict,
                   support_D, zar_bottom, zar_elt, zar_eq, zar_eq_top,
@@ -224,6 +224,18 @@ def test_zariski_separated_random():
                 for f in cover.elements)
             assert differs, (ring, str(u), str(v),
                              [str(f) for f in cover.elements])
+
+
+def test_zar_elt_refuses_generators_of_another_ring():
+    """D(x + 6) over Fp(5)[x] from an element of Fp(7)[x] is no lattice
+    element, however it is built, so no scheme layer reads it."""
+    F5x = polynomial_ring(PrimeField(5), ["x"])
+    F7x = polynomial_ring(PrimeField(7), ["x"])
+    with pytest.raises(RingMismatch):
+        ZarElt(F5x, (F7x.var("x") + 6,))
+    with pytest.raises(RingMismatch):
+        zar_elt(F5x, [F7x.var("x") + 6])
+    assert ZarElt(F5x, (F5x.var("x") + 6,)) == zar_elt(F5x, [F5x.var("x") + 1])
 
 
 def test_zar_leq_decides_only_foreign_generators(monkeypatch):

@@ -5,15 +5,49 @@ from hypothesis import given, settings, strategies as st
 
 from zkit import (BaseMismatch, IntegerRing, InvalidWitness, NotWellDefined,
                   PrimeField, QuotientRing, Rationals, ResidueRing,
-                  UnsupportedBase, canonical_map, double_localization_maps,
-                  frac_eq, from_presentation, hom_compose, is_unit,
-                  localize, make_hom, polynomial_ring, quotient_by,
-                  saturates, to_presentation, universal_property, zar_elt, zar_eq_top,
-                  zar_leq)
+                  UnsupportedBase, ZkitError, canonical_map,
+                  double_localization_maps, fin_gen_ideal, frac_eq,
+                  from_presentation, hom_compose, is_unit, localize,
+                  make_hom, polynomial_ring, quotient_by, radical_member,
+                  radical_witness, saturates, support_D, to_presentation,
+                  universal_property, zar_elt, zar_eq_top, zar_leq)
 from helpers import (random_element, random_ring, ref_frac_eq,
                      ref_loc_eq_top, ref_loc_leq)
 
 Z = IntegerRing()
+
+
+def _localized_radicals():
+    """(L, a, generators, whether a lies in their radical) over Z[1/2]
+    and Q[x][1/x]."""
+    Qx = polynomial_ring(Rationals(), ["x"])
+    x = Qx.var("x")
+    LZ, LQ = localize(Z, 2), localize(Qx, x)
+    return [
+        (LZ, LZ.element(LZ.fraction(6, 1)), [LZ.element(12)], True),
+        (LZ, LZ.element(5), [LZ.element(12)], False),
+        (LQ, LQ.element(LQ.fraction(x + 1, 2)),
+         [LQ.element(LQ.fraction(x ** 2 + x))], True),
+        (LQ, LQ.element(LQ.fraction(x - 1)), [LQ.element(LQ.fraction(x + 1))],
+         False),
+    ]
+
+
+@pytest.mark.parametrize("L, a, gens, member", _localized_radicals(),
+                         ids=["Z-in", "Z-out", "Qx-in", "Qx-out"])
+def test_radicals_over_a_localization_go_through_pushdown(L, a, gens,
+                                                          member):
+    """R[1/f] has no ambient domain: radical_member and radical_witness
+    refuse it with a ZkitError naming lattice.pushdown, and zar_leq
+    decides the same question back in R."""
+    ideal = fin_gen_ideal(L, gens)
+    for decide in (radical_member, radical_witness):
+        with pytest.raises(ZkitError, match="lattice.pushdown") as err:
+            decide(a, ideal)
+        assert type(err.value) is UnsupportedBase
+    assert zar_leq(support_D(a), zar_elt(L, gens)) == member
+    assert ref_loc_leq([L.written(a.payload)],
+                       [L.written(g.payload) for g in gens]) == member
 
 
 def test_frac_eq_examples():

@@ -138,7 +138,7 @@ def test_one_cofactors():
     ctx = PolyContext(Rationals(), 1)
     x = var_poly(ctx, 0)
     one = const_poly(ctx, 1)
-    cof = one_cofactors(ctx, [x, p_sub(ctx, one, x)])
+    cof = one_cofactors(ctx, [x, p_sub(ctx, one, x)])()
     acc = p_add(ctx, p_mul(ctx, cof[0], x),
                 p_mul(ctx, cof[1], p_sub(ctx, one, x)))
     assert acc == one

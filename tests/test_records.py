@@ -37,6 +37,7 @@ SAMPLES = {
                      (PrimeField(5), ("y",), ((((2,), 1),),), "lex")),
     "Fraction": ((Z, Z.element(2), Z.element(3), 0),
                  (Z, Z.element(5), Z.element(7), 2)),
+    "ZarElt": ((Z, (Z.element(2),)), (Z, (Z.element(3), Z.element(5)))),
 }
 VALUES_A = (1, "a", (2, 3), None, IntLit(4))
 VALUES_B = (2, "b", (3,), 0.5, IntLit(5))
