@@ -10,8 +10,9 @@ common power N, take the largest pairwise witness exponent k (any k at
 or past the witnesses works, and k >= 1 keeps N + k >= 1), find
 cofactors of the f_i^(N+k) (the ring's own, see ideals.power_certificate)
 and recombine.  The result is verified against the input family before
-it is returned, and restricting a global element then gluing gives back
-that element on the nose.
+it is returned, in the cover's own rings R[1/f_i] (cover.localized,
+built once per cover), and restricting a global element then gluing
+gives back that element on the nose.
 
 A hom A -> R out of A = k[x]/I is its generator images, so homs are
 glued generator by generator: the written images of each generator
@@ -26,8 +27,8 @@ from .errors import (IncompatibleFamily, InvariantViolated, NotUnimodular,
                      RingMismatch)
 from .ideals import (BezoutCertificate, power_certificate,
                      saturation_member, unimodular_certificate)
-from .localization import (Fraction, FractionMap, canonical_map, frac_eq,
-                           localize)
+from .localization import (Fraction, FractionMap, canonical_map, localize,
+                           localized_name)
 from .records import record
 from .rings import (RingElement, RingHom, _powers, hom_apply, hom_compose,
                     make_hom, normalize)
@@ -106,9 +107,10 @@ def check_compatibility(cover: UnimodularCover, elements) -> CompatCheck:
     elements = tuple(elements)
     if len(elements) != len(cover):
         raise IncompatibleFamily("family size does not match the cover")
-    for x, L in zip(elements, cover.localized):
-        if not isinstance(x, Fraction) or x.ring != cover.ring or x.f != L.f:
-            raise RingMismatch(f"{x!r} is not a fraction over {L}")
+    for x, f in zip(elements, cover.elements):
+        if not isinstance(x, Fraction) or x.ring != cover.ring or x.f != f:
+            raise RingMismatch(f"{x!r} is not a fraction over "
+                               f"{localized_name(cover.ring, f)}")
     witnesses = []
     for (i, j), diff in pair_differences(elements):
         k = saturation_member(diff, elements[i].f * elements[j].f)
@@ -159,7 +161,7 @@ def glue_element(fam: CompatibleFamily) -> RingElement:
     for b, r, f in zip(cof, aligned, fs):
         g = g + b * r * f ** k
     for x, L in zip(fam.elements, cover.localized):
-        if not frac_eq(L.from_base(g), x):
+        if not L.equal(L.from_base(g), x):
             raise IncompatibleFamily(
                 "glued element fails to restrict to the family")
     return g

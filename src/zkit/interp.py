@@ -28,11 +28,11 @@ from .ideals import fin_gen_ideal, radical_witness, unimodular_certificate
 from .lattice import (ZarElt, zar_elt, zar_eq, zar_join, zar_leq, zar_meet,
                       zar_top)
 from .limits import current_limits, limits
-from .localization import localize
+from .localization import Fraction, localize
 from .poly import PrimeField, Rationals
 from .records import field, record
 from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
-                    hom_apply, make_hom, quotient_by)
+                    hom_apply, make_hom, normalize, quotient_by)
 from .schemes import (affine_cover, point_membership, points_over,
                       qcqs_certificate)
 
@@ -324,7 +324,7 @@ def _execute(stmt, env: _Env, options: Options):
                 raise TypeMismatch(
                     f"denominator {den} is not the cover element {f}")
             num = _eval_elem(env, ring, lit.num)
-            fracs.append(localize(ring, f).fraction(num, lit.exp))
+            fracs.append(Fraction(ring, f, normalize(ring, num), lit.exp))
         try:
             fam = make_family(cover, tuple(fracs))
             glued = glue_element(fam)

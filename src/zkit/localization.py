@@ -31,12 +31,19 @@ b_i/f^k_i.
 
 Fraction is the written form num/f^exp that scripts, glue families and
 certificates carry; L.element reads one, L.written writes a payload.
+
+localize builds a new R[1/f] on every call, and no module keeps one:
+what it computes once (its modulus, its presentation and that one's
+basis) lives as long as whoever holds it.  A unimodular cover holds the
+R[1/f_i] of its elements (gluing.UnimodularCover.localized) for the
+statement that made it.  frac_eq, which verify calls once per glue
+restriction, builds and drops its own.
 """
 from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 from . import poly
 from .errors import (BaseMismatch, InvalidWitness, RingMismatch,
@@ -69,6 +76,11 @@ class Fraction:
         return f"<{self}>"
 
 
+def localized_name(ring, f) -> str:
+    """How R[1/f] is written, built or not."""
+    return f"{ring}[1/({f})]"
+
+
 @record(frozen=True)
 class LocalizedRing(_Ring):
     """R[1/f]; localize picks the subclass that holds the payload
@@ -78,7 +90,7 @@ class LocalizedRing(_Ring):
     f: RingElement  # an element of ring, as localize makes sure
 
     def __str__(self):
-        return f"{self.ring}[1/({self.f})]"
+        return localized_name(self.ring, self.f)
 
     @property
     def is_q_algebra(self) -> bool:
@@ -113,6 +125,11 @@ class LocalizedRing(_Ring):
                 raise BaseMismatch(f"{raw!r} is not a fraction of {self}")
             return self._make(raw.num.payload, raw.exp)
         return self._make(self.ring.canonical(raw), 0)
+
+    def equal(self, a, b) -> bool:
+        """a == b here, each a Fraction of this ring or a raw base value
+        (BaseMismatch for a fraction of another)."""
+        return self.canonical(a) == self.canonical(b)
 
     def fraction(self, num, exp: int = 0) -> Fraction:
         return Fraction(self.ring, self.f, normalize(self.ring, num), exp)
@@ -285,26 +302,15 @@ class LocalizedField(_Presented):
         return Fraction(self.ring, self.f, RingElement(self.ring, x), 0)
 
 
-LOCALIZATION_CACHE_SIZE = 1024  # (ring, f) pairs whose R[1/f] is kept
-
-
-@lru_cache(maxsize=LOCALIZATION_CACHE_SIZE)
-def _localization(ring, f: RingElement) -> LocalizedRing:
-    """ring.localization(f), one per (ring, f) among the
-    LOCALIZATION_CACHE_SIZE most recently used, so that what it computes
-    once (its modulus, its presentation and that one's basis) is
-    computed once."""
-    return ring.localization(f)
-
-
 def localize(ring, f) -> LocalizedRing:
-    return _localization(ring, normalize(ring, f))
+    return ring.localization(normalize(ring, f))
 
 
 def frac_eq(a: Fraction, b: Fraction) -> bool:
-    """r/f^n == r'/f^m in R[1/f] (BaseMismatch across R or f)."""
-    L = _localization(a.ring, a.f)
-    return L.canonical(a) == L.canonical(b)
+    """r/f^n == r'/f^m in R[1/f] (BaseMismatch across R or f), in an
+    R[1/f] of its own: a caller that compares in one R[1/f] again and
+    again holds it and calls L.equal."""
+    return a.ring.localization(a.f).equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -621,23 +621,6 @@ def _divide(fld, work: dict, rows, guard: int, steps=None):
     return rem, total
 
 
-_DIVISORS = {}  # a relation basis is packed once, not on every normal form
-
-
-def _divisors(ctx: PolyContext, divisors):
-    """(dens, integral divisors, top degree, rows by layout) for p_divmod,
-    kept by the ids of ctx and the polynomials, which the entry holds."""
-    key = (id(ctx), *map(id, divisors))
-    if key not in _DIVISORS:
-        if len(_DIVISORS) >= 256:
-            _DIVISORS.clear()
-        pairs = [ctx.field.integral(d) for d in divisors]
-        _DIVISORS[key] = (ctx, tuple(divisors), (
-            [dd for dd, _ in pairs], [d for _, d in pairs],
-            max([sum(m) for _, d in pairs for m, _ in d], default=0), {}))
-    return _DIVISORS[key][2]
-
-
 def p_divmod(ctx: PolyContext, f: Poly, divisors, track: bool = True):
     """Multivariate division: f = sum(q_i * divisors_i) + rem, where no
     term of rem is divisible by any divisor's leading monomial.
@@ -648,18 +631,17 @@ def p_divmod(ctx: PolyContext, f: Poly, divisors, track: bool = True):
     """
     fld = ctx.field
     den, f = fld.integral(f)
-    dens, divs, top, rows = _divisors(ctx, divisors)
+    pairs = [fld.integral(d) for d in divisors]
+    dens, divs = [dd for dd, _ in pairs], [d for _, d in pairs]
 
     def run(lay):
-        if lay not in rows:
-            rows[lay] = [_row(lay, lay.packed(d), i)
-                         for i, d in enumerate(divs)]
+        rows = [_row(lay, lay.packed(d), i) for i, d in enumerate(divs)]
         steps = [] if track else None
         return (lay, steps, *_divide(ctx.engine.field, dict(lay.packed(f)),
-                                     rows[lay], lay.guard, steps))
+                                     rows, lay.guard, steps))
 
     lay, steps, rem, mult = _packed_run(
-        ctx, max([top] + [sum(m) for m, _ in f]), run)
+        ctx, max([sum(m) for p in (f, *divs) for m, _ in p], default=0), run)
     quots = None
     if track:  # terms come out in the order they were made: descending
         quots = [[] for _ in divs]

@@ -112,3 +112,87 @@ def test_src_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in src/zkit: {found}"
+
+
+_CACHES = {"lru_cache", "cache"}  # functools' memoizing decorators
+_EMPTY = {"set", "dict", "list"}  # empty when called with no arguments
+_STATE = {"OrderedDict", "defaultdict", "deque", "Counter", "ChainMap",
+          "WeakValueDictionary", "WeakKeyDictionary", "WeakSet"}
+
+
+def _cache_names(tree):
+    """The names one module binds to functools' caches, and those it
+    binds to functools itself, by its imports (aliases included)."""
+    caches, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            caches |= {a.asname or a.name for a in node.names
+                       if a.name in _CACHES}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names
+                        if a.name == "functools"}
+    return caches, modules
+
+
+def _is_cache(node, names) -> bool:
+    caches, modules = names
+    return (isinstance(node, ast.Name) and node.id in caches
+            or isinstance(node, ast.Attribute) and node.attr in _CACHES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules)
+
+
+def _cache_factory(node, names) -> bool:
+    """A cache decorator itself, or one called without a function."""
+    return _is_cache(node, names) or (isinstance(node, ast.Call)
+                                      and _is_cache(node.func, names)
+                                      and not node.args)
+
+
+def _is_state(node) -> bool:
+    """An empty {}, [], set(), dict() or list(), or any call of a
+    mutable container type of collections or weakref."""
+    if isinstance(node, ast.List):
+        return not node.elts
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+    return (name in _STATE
+            or name in _EMPTY and not node.args and not node.keywords)
+
+
+def test_src_keeps_no_module_level_cache():
+    """Nothing a run computes outlives it in a module, apart from
+    ideals.groebner's LRU (read by the tracer) and poly._Layout's table,
+    which is keyed by arity, order and width, not by input values.  In
+    src/zkit, functools' lru_cache and cache, under any import alias, are
+    applied, as a decorator or as a call, to those two only; and no
+    module-level name is bound to an empty {}, [], set(), dict() or
+    list(), or to an OrderedDict, defaultdict, deque, Counter, ChainMap
+    or weak container.  Non-empty literal tables (ORDER_KEYS, _PREC and
+    the like) are constants and are not checked."""
+    allowed = {("ideals.py", "groebner"), ("poly.py", "_Layout")}
+    applied, refs, state = [], 0, []
+    for path in sorted((ROOT / "src" / "zkit").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = _cache_names(tree)
+        for node in ast.walk(tree):
+            refs += _is_cache(node, names)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                applied += [(path.name, node.name)
+                            for d in node.decorator_list
+                            if _cache_factory(d, names)]
+            elif (isinstance(node, ast.Call)
+                  and _cache_factory(node.func, names) and node.args):
+                applied.append((path.name, ast.unparse(node.args[0])))
+        state += [f"{path.name}:{node.lineno}" for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and node.value is not None and _is_state(node.value)]
+    assert set(applied) <= allowed, f"caches applied to {applied}"
+    assert refs == len(applied), "a cache is named but not applied"
+    assert not state, f"module-level mutable state in src/zkit: {state}"

@@ -190,7 +190,6 @@ def test_field_path_runs_no_engine(monkeypatch):
     for module in (rings, localization):  # each holds its own reference
         monkeypatch.setattr(module, "_rabinowitsch",
                             no_field(module._rabinowitsch))
-    localization._localization.cache_clear()  # rebuild under the guard
     assert [_run(src) for src in FIELD_SCRIPTS] == expected
 
 

@@ -264,10 +264,14 @@ def test_saturation_cap_names_layer_value_and_cap():
 
 
 def test_caches_are_bounded():
-    """groebner and the localizations, which hold the saturation bases,
-    keep at most their module's cache size, however many distinct ideals
-    pass through."""
-    from zkit import ideals, localization
+    """groebner keeps at most its module's cache size, however many
+    distinct ideals pass through, and no localization outlives its
+    holder: an R[1/f] that no one refers to is collected, and 1034
+    distinct saturation decisions leave no R[1/f] alive."""
+    import gc
+    import weakref
+    from zkit import ideals
+    from zkit.localization import LocalizedRing, localize
     for k in range(1, ideals.GROEBNER_CACHE_SIZE + 10):
         groebner(fin_gen_ideal(Z, [k]))
     info = groebner.cache_info()
@@ -275,11 +279,20 @@ def test_caches_are_bounded():
     assert info.currsize <= info.maxsize
     F = polynomial_ring(PrimeField(32003), ["x"])
     x = F.var("x")
-    for k in range(localization.LOCALIZATION_CACHE_SIZE + 10):
+    L = localize(F, x - 1)
+    ref = weakref.ref(L)
+    del L
+    gc.collect()
+    assert ref() is None
+
+    def live():
+        gc.collect()
+        return sum(isinstance(o, LocalizedRing) for o in gc.get_objects())
+
+    before = live()
+    for k in range(1034):
         saturates(x, x - k)
-    info = localization._localization.cache_info()
-    assert info.maxsize == localization.LOCALIZATION_CACHE_SIZE
-    assert info.currsize <= info.maxsize
+    assert live() <= before
 
 
 def test_radical_member_statement_decides_once(monkeypatch):

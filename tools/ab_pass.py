@@ -27,6 +27,15 @@ The two trees' reports, minus each result's `ms`, must be equal.  The
 last lines give the sum of the best times of each tree and their ratio
 OLD / NEW (above 1 when NEW is faster); the exit code is 1 when the
 outputs differ.
+
+Best-of-rounds in one interpreter credits a module-level cache with hits
+across rounds, and bench/run.py, whose every round starts a fresh
+process, never gets them.  The change that made `check` decide through
+the witness route's unit test read 0.994 here on `ideal-decide`, while
+bench/run.py read 1378 -> 1305 statements/s (-5.3%): each decision left
+a localization in a module-level LRU, which later rounds hit.  So a
+change to caching is judged by alternating pairs of bench/run.py runs,
+not by this ratio.
 """
 from __future__ import annotations
 
