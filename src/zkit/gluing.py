@@ -12,7 +12,9 @@ cofactors of the f_i^(N+k) (the ring's own, see ideals.power_certificate)
 and recombine.  The result is verified against the input family before
 it is returned, in the cover's own rings R[1/f_i] (cover.localized,
 built once per cover), and restricting a global element then gluing
-gives back that element on the nose.
+gives back that element on the nose.  Over a free polynomial ring these
+checks and the pairwise ones compare in R itself, a domain, and build
+no presentation (see localization).
 
 A hom A -> R out of A = k[x]/I is its generator images, so homs are
 glued generator by generator: the written images of each generator

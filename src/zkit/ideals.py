@@ -14,7 +14,10 @@ membership or unimodularity test builds no cofactor, and a positive
 membership answer lifts only the combination it returns, by the reverse
 pass over the Groebner run's trace (see poly).  One unit-cofactor test
 in A[1/a], A the ring's ambient domain, decides radical membership and
-builds the radical witness when asked (see radical_witness).
+builds the radical witness when asked (see radical_witness).  A runs it
+itself (rings: local_unit_cofactors): over a polynomial ring one
+Buchberger run in A[t] with t*a - 1 adjoined decides, no A[1/a] is
+built, and only a witness writes cofactors back with t = 1/a.
 """
 from __future__ import annotations
 
@@ -128,16 +131,18 @@ def ideal_member(a: RingElement, ideal: FinGenIdeal):
 
 
 def _radical_unit_test(a: RingElement, ideal: FinGenIdeal):
-    """(L, unit cofactors) of radical_witness's test in L = A[1/a]; the
-    cofactors are None exactly when a is outside the radical."""
+    """(f, cofactors) of radical_witness's test: f is a in the ring's
+    ambient domain A, and the written unit cofactors in A[1/f] of the
+    generators, relations and characteristic are None exactly when a is
+    outside the radical."""
     ring = ideal.ring
     if a.ring != ring:
         raise RingMismatch(f"{a!r} not in {ring}")
     A = ring.ambient
-    L = localize(A, a.payload)
+    f = RingElement(A, a.payload)  # a canonical payload in A as well
     gens = ([e.payload for e in ideal.generators] + list(ring.relations)
             + [A.from_int(ring.characteristic).payload])
-    return L, L.unit_cofactors([L._make(g, 0) for g in gens])
+    return f, A.local_unit_cofactors(gens, f)
 
 
 def radical_member(a: RingElement, ideal: FinGenIdeal) -> bool:
@@ -155,18 +160,17 @@ def radical_witness(a: RingElement, ideal: FinGenIdeal):
     sum(num_i * a^(k - e_i) * g_i) in A, a domain, and so in the ring,
     for k the largest e_i (at least 1), refused past the exponent cap.
     """
-    L, cof = _radical_unit_test(a, ideal)
+    f, cof = _radical_unit_test(a, ideal)
     if cof is None:
         return None
-    written = [L.written(c) for c in cof()]
-    k = max([1] + [w.exp for w in written])
+    written = cof()
+    k = max([1] + [e for _, e in written])
     cap = current_limits().max_exponent
     if k > cap:
         raise ResourceExceeded(
             f"ideals.radical_witness: exponent {k} exceeds max_exponent={cap}")
-    return k, tuple(normalize(ideal.ring,
-                              (w.num * L.f ** (k - w.exp)).payload)
-                    for w in written[:len(ideal.generators)])
+    return k, tuple(normalize(ideal.ring, (num * f ** (k - e)).payload)
+                    for num, e in written[:len(ideal.generators)])
 
 
 def saturates(a: RingElement, f: RingElement) -> bool:
@@ -177,7 +181,7 @@ def saturates(a: RingElement, f: RingElement) -> bool:
     if a.is_zero:
         return True
     L = localize(a.ring, f)
-    return L.element(L.from_base(a)).is_zero
+    return L.equal(L.from_base(a), 0)
 
 
 def saturation_member(a: RingElement, f: RingElement):

@@ -21,6 +21,13 @@ instead.  The payloads are
 The kernel of R -> R[1/f] is the set of elements that some power of f
 kills, so ideals.saturates decides a * f^k == 0 as a/1 == 0 here.
 
+Over a free ring k[x], a domain, equal and is_trivial (and so frac_eq,
+glue_element's check and saturates) decide in R by one rule and build no
+presentation: R[1/f] is the zero ring iff f == 0, and otherwise a/f^n ==
+b/f^m iff a * f^m == b * f^n.  The presentation is built where it is
+printed (localize), where elements of R[1/f] are computed with, and over
+a quotient with relations, where the rule does not hold.
+
 R[1/f] has no ambient domain, so radicals are decided back in R, through
 lattice.pushdown.  Its unit cofactors are its own: over Z and Z/n,
 extended Euclid gives g = gcd(b_i, n) = sum a_i b_i.  The ideal of the
@@ -37,7 +44,8 @@ what it computes once (its modulus, its presentation and that one's
 basis) lives as long as whoever holds it.  A unimodular cover holds the
 R[1/f_i] of its elements (gluing.UnimodularCover.localized) for the
 statement that made it.  frac_eq, which verify calls once per glue
-restriction, builds and drops its own.
+restriction, builds and drops its own.  The radical test builds none
+(rings: local_unit_cofactors).
 """
 from __future__ import annotations
 
@@ -50,7 +58,8 @@ from .errors import (BaseMismatch, InvalidWitness, RingMismatch,
                      UnsupportedBase)
 from .records import record
 from .rings import (QuotientRing, RingElement, RingHom, _ext_gcd_list,
-                    _rabinowitsch, _Ring, make_hom, normalize)
+                    _inverse_substituted, _rabinowitsch, _Ring, make_hom,
+                    normalize)
 
 
 @record(frozen=True)
@@ -118,11 +127,18 @@ class LocalizedRing(_Ring):
 
     from_int = _Ring.element
 
-    def canonical(self, raw):
-        """A written Fraction of this ring, or a raw base value r as r/1."""
+    def _read(self, raw) -> Fraction:
+        """A written Fraction of this ring (BaseMismatch for one of
+        another), or a raw base value r as r/1."""
         if isinstance(raw, Fraction):
             if raw.ring != self.ring or raw.f != self.f:
                 raise BaseMismatch(f"{raw!r} is not a fraction of {self}")
+            return raw
+        return self.from_base(raw)
+
+    def canonical(self, raw):
+        if isinstance(raw, Fraction):
+            raw = self._read(raw)
             return self._make(raw.num.payload, raw.exp)
         return self._make(self.ring.canonical(raw), 0)
 
@@ -266,8 +282,22 @@ class _Presented(LocalizedRing):
 
 
 class LocalizedQuotient(_Presented):
-    """(k[x]/I)[1/f]; payloads are normal forms in its presentation (see
-    the module docstring)."""
+    """(k[x]/I)[1/f]; payloads are normal forms in its presentation.
+    With no relations, is_trivial and equal decide in k[x], a domain
+    (see the module docstring)."""
+
+    @cached_property
+    def is_trivial(self) -> bool:
+        if self.ring.relations:
+            return self.one().is_zero
+        return self.f.is_zero
+
+    def equal(self, a, b) -> bool:
+        if self.ring.relations:
+            return super().equal(a, b)
+        a, b = self._read(a), self._read(b)
+        return self.is_trivial or a.num * self.f ** b.exp == \
+            b.num * self.f ** a.exp
 
     def _make(self, num, exp: int):
         pres = self.presentation
@@ -278,7 +308,8 @@ class LocalizedQuotient(_Presented):
         return poly.normal_form(ctx, p, pres.relation_basis)
 
     def written(self, x) -> Fraction:
-        return _inverse_substituted(self, x)
+        return Fraction(self.ring, self.f,
+                        *_inverse_substituted(self.ring, self.f, x))
 
 
 class LocalizedField(_Presented):
@@ -389,19 +420,5 @@ def from_presentation(L: LocalizedRing, e: RingElement) -> Fraction:
     """Substitute y = 1/f: sum_k g_k * y^k |-> (sum_k g_k f^(K-k)) / f^K."""
     if e.ring != L.presentation:
         raise RingMismatch(f"{e!r} is not in the presentation of {L}")
-    return _inverse_substituted(L, e.payload)
-
-
-def _inverse_substituted(L: LocalizedRing, x) -> Fraction:
-    """The fraction of a polynomial in base[t], t its last variable and
-    standing for 1/f: the written form of a LocalizedQuotient payload
-    and of an element of the presentation."""
-    base, f = L.ring, L.f
-    slices = {}
-    for mono, coeff in x:
-        slices.setdefault(mono[-1], {})[mono[:-1]] = coeff
-    top = max(slices, default=0)
-    num = base.zero()
-    for k, terms in slices.items():
-        num = num + normalize(base, terms) * f ** (top - k)
-    return Fraction(base, f, num, top)
+    return Fraction(L.ring, L.f,
+                    *_inverse_substituted(L.ring, L.f, e.payload))

@@ -54,6 +54,11 @@ the protocol that lattices and homs into it use.
 - unit_cofactors(gens): None when 1 is not in <gens>, else a function of
   no arguments that builds cofactors c with sum(c_i * gens_i) == 1.  A
   decision only asks whether it is None, and so builds no cofactor.
+- local_unit_cofactors(gens, f): the same test in R[1/f], for payloads
+  gens of R and an element f of R; the function builds written
+  cofactors (num_i, e_i), num_i in R, with sum(num_i / f^e_i * gens_i)
+  == 1 in R[1/f].  Quotient rings run the Rabinowitsch test itself and
+  build no R[1/f]; the other kinds ask their (cheap) localization.
 - saturation_bound: an exponent that a k with a * f^k == 0 (see
   ideals.saturates) never needs to exceed (n's bit length + 1 for Z/n),
   or 0 when the ring gives none.
@@ -129,6 +134,13 @@ class _Ring:
 
     def render(self, x) -> str:
         return terms_to_str(self.terms(x), self.variables)
+
+    def local_unit_cofactors(self, gens, f):
+        L = self.localization(f)
+        cof = L.unit_cofactors([L._make(g, 0) for g in gens])
+        if cof is None:
+            return None
+        return lambda: [(w.num, w.exp) for w in map(L.written, cof())]
 
 
 class _Integers(_Ring):
@@ -467,6 +479,23 @@ class QuotientRing(_Ring):
         return lambda: [poly.normal_form(self.ctx, c, self.relation_basis)
                         for c in cof()[:len(gens)]]
 
+    def local_unit_cofactors(self, gens, f):
+        """One Buchberger run on gens + relations + <t*f - 1>
+        (_rabinowitsch); a cofactor c(t) is written by its normal form
+        modulo the monic t*f - 1 with t = 1/f (_inverse_substituted)."""
+        gens = list(gens)
+        if f.is_zero:  # R[1/0] is the zero ring: every cofactor is 0
+            return lambda: [(self.zero(), 0)] * len(gens)
+        ctx, ext = _rabinowitsch(self, gens, f.payload)
+        cof = poly.one_cofactors(ctx, ext)
+        if cof is None:
+            return None
+        rel = ext[-1]
+        monic = (ctx.field.lift(rel, 1, rel[0][1]),)
+        return lambda: [
+            _inverse_substituted(self, f, poly.normal_form(ctx, c, monic))
+            for c in cof()[:len(gens)]]
+
     def random_element(self, rng):
         payload = {}
         for _ in range(rng.randrange(1, 3)):
@@ -547,6 +576,8 @@ class FieldRing(QuotientRing):
         from .localization import LocalizedField  # built on this module
         return LocalizedField(self, f)
 
+    local_unit_cofactors = _Ring.local_unit_cofactors  # k[1/c] is k or 0
+
     def ideal_basis(self, gens):
         cof = self.unit_cofactors(gens)
         if cof is None:
@@ -573,13 +604,29 @@ def _rabinowitsch(ring: QuotientRing, gens, f):
     variable t; 1 is in their ideal iff f in sqrt(<gens> + relations),
     and a reduces to 0 by its Groebner basis iff a * f^k lies in
     <gens> + relations.  With no gens these are the relations of
-    R[1/f]'s presentation (localization)."""
+    R[1/f]'s presentation (localization).  t*f - 1 is f's terms shifted
+    by t, an order-preserving shift, followed by the constant -1, the
+    least monomial."""
     ctx = ring.ctx.extended()
-    ext = [poly.p_extend(g) for g in gens + ring.relations]
-    t = poly.var_poly(ctx, ctx.nvars - 1)
-    ext.append(poly.p_sub(ctx, poly.p_mul(ctx, t, poly.p_extend(f)),
-                          poly.const_poly(ctx, 1)))
+    ext = [poly.p_extend(g) for g in (*gens, *ring.relations)]
+    fld = ctx.field
+    ext.append(tuple([(m + (1,), c) for m, c in f])
+               + (((0,) * ctx.nvars, fld.neg(fld.one)),))
     return ctx, ext
+
+
+def _inverse_substituted(ring, f: RingElement, x):
+    """(num, top) with x == num / f^top for x a polynomial in ring[t], t
+    its last variable and standing for 1/f: sum_k g_k * t^k is
+    (sum_k g_k * f^(top - k)) / f^top."""
+    slices = {}
+    for mono, coeff in x:
+        slices.setdefault(mono[-1], {})[mono[:-1]] = coeff
+    top = max(slices, default=0)
+    num = ring.zero()
+    for k, terms in slices.items():
+        num = num + normalize(ring, terms) * f ** (top - k)
+    return num, top
 
 
 RingDesc = object  # IntegerRing | ResidueRing | QuotientRing | LocalizedRing

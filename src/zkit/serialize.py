@@ -30,6 +30,10 @@ by coefficient size, than Limits.max_assignments.  Normal forms are
 unique, so the payload is the one that reducing at every operation would
 give.  Over Q, canonical
 gives each coefficient its one form (an int or a proper Fraction).
+
+verify forms the powers that a certificate claims the same way, under
+the same cap, and only where the rules of a free ring, a domain
+(_kills, _is_power), do not decide without them.
 """
 from __future__ import annotations
 
@@ -49,8 +53,8 @@ from .limits import current_limits
 from .localization import Fraction, frac_eq
 from .poly import PrimeField, Rationals
 from .rings import (_NAME, IntegerRing, ResidueRing, RingElement,
-                    _check_assignments, make_hom, normalize, polynomial_ring,
-                    quotient_by, read_terms, terms_to_str)
+                    _check_assignments, _power, make_hom, normalize,
+                    polynomial_ring, quotient_by, read_terms, terms_to_str)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +127,9 @@ def _check_digits(coeffs, k: int = 1) -> None:
 
 def _weight(terms):
     """len(terms) times its largest coefficient's size in 64-bit words,
-    at least 1; a fraction counts by the larger of its two parts."""
-    top = max([max(abs(c.numerator), c.denominator) for c in terms.values()],
+    at least 1, for terms (monomial, coefficient) pairs; a fraction
+    counts by the larger of its two parts."""
+    top = max([max(abs(c.numerator), c.denominator) for _, c in terms],
               default=0)
     return len(terms) * max(1, -(-top.bit_length() // 64))
 
@@ -197,7 +202,8 @@ class _TermReader:
         timeout stopped it.  Each pair is weighted by the two operands'
         largest coefficient sizes (see _weight), since over Q the
         coefficients grow with the terms."""
-        _check_assignments("serialize.power", _weight(a) * _weight(b),
+        _check_assignments("serialize.power",
+                           _weight(a.items()) * _weight(b.items()),
                            "term pairs")
         return self.mul(a, b)
 
@@ -441,11 +447,50 @@ def _pair_exponents_fault(ring, fracs, pairs):
         k = entry[2]
         if not 0 <= k <= cap:
             return f"pair exponent {k!r} is not an integer in [0, {cap}]"
-        if k:
-            diff = diff * (fracs[i].f * fracs[j].f) ** k
-        if not diff.is_zero:
+        if not (diff.is_zero
+                or _kills(fracs[i].f * fracs[j].f, k, diff)):
             return f"pair ({i}, {j}) does not vanish with exponent {k}"
     return None
+
+
+def _is_free(ring) -> bool:
+    """Whether ring is a free polynomial ring, a domain."""
+    return bool(ring.variables) and not ring.relations
+
+
+def _capped_power(a: RingElement, k: int) -> RingElement:
+    """a^k for k >= 1 in the ring's own arithmetic, each product refused
+    past the term-pair cap of a script's powers (_TermReader.capped_mul)."""
+    ring = a.ring
+
+    def mul(x, y):
+        _check_assignments("serialize.power", _weight(ring.terms(x))
+                           * _weight(ring.terms(y)), "term pairs")
+        return ring.mul(x, y)
+
+    return RingElement(ring, _power(a.payload, k, mul))
+
+
+def _kills(f: RingElement, k: int, a: RingElement) -> bool:
+    """a * f^k == 0 for a != 0; over a free ring, a domain, f == 0 < k,
+    with no power formed."""
+    if not k:
+        return False
+    if _is_free(a.ring):
+        return f.is_zero
+    return (a * _capped_power(f, k)).is_zero
+
+
+def _is_power(total: RingElement, a: RingElement, k: int) -> bool:
+    """total == a^k for k >= 1.  Over a free ring the leading monomial of
+    a^k is k times a's, so a total that leads with another is refuted
+    before a^k is formed."""
+    ring = a.ring
+    if _is_free(ring) and not a.is_zero:
+        lead = tuple([e * k for e in ring.terms(a.payload)[0][0]])
+        if total.is_zero or ring.terms(total.payload)[0][0] != lead:
+            return False
+    return total == _capped_power(a, k)
 
 
 def verify_certificate(data: dict, reader: CertificateReader = None) -> tuple:
@@ -477,7 +522,7 @@ def verify_certificate(data: dict, reader: CertificateReader = None) -> tuple:
             total = ring.zero()
             for c, g in zip(read(ring, cofs), read(ring, gens)):
                 total = total + c * g
-            return total == a ** k, f"sum == element^{k}"
+            return _is_power(total, a, k), f"sum == element^{k}"
         if claim == "glue":
             cover = cert.get("cover", [str])
             cover_cofs = cert.get("cover_cofactors", [str], like="cover")

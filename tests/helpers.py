@@ -5,10 +5,10 @@ the seed printed by the test that used them.  The end of the file holds
 reference engines that the fast ones are checked against: hom
 construction, application, points and enumeration on RingElements, the
 qcqs report that decides every hom on its own, a scan-based Groebner
-engine, the recursive-descent script parser, the RingElement evaluator
-of element expressions, the certificate printer and reader that went
-through the script AST, and the stdlib-dataclass twins of zkit's record
-classes.
+engine, the radical test through a built A[1/a], the recursive-descent
+script parser, the RingElement evaluator of element expressions, the
+certificate printer and reader that went through the script AST, and
+the stdlib-dataclass twins of zkit's record classes.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from math import gcd, lcm
 import zkit
 from zkit import (IntegerRing, NotWellDefined, PrimeField, QuotientRing,
                   Rationals, ResidueRing, RingHom, fin_gen_ideal, glue_hom,
-                  make_cover, make_hom, make_hom_family, radical_member,
-                  unimodular_certificate)
+                  localize, make_cover, make_hom, make_hom_family,
+                  radical_member, unimodular_certificate)
 from zkit import dsl
 from zkit import schemes as S
 from zkit import poly as P
@@ -963,6 +963,33 @@ def reference_eval_element_expr(ring, node):
     if isinstance(node, dsl.Pow):
         return reference_eval_element_expr(ring, node.base) ** node.exp
     raise TypeMismatch(f"{node!r} is not a ring element expression")
+
+
+# ---------------------------------------------------------------------------
+# the radical test through a built A[1/a]
+
+def reference_radical_witness(a, ideal):
+    """radical_witness by the unit test in L = A[1/a] as an R[1/f] of
+    zkit: A the ring's ambient domain, L its localization (over a free
+    ring, the Rabinowitsch presentation with its relation basis), each
+    generator read into L, and the cofactors written back by L.  This
+    is the route ideals took before it ran the Rabinowitsch test
+    itself; (k, cofactors), or None outside the radical, with no cap."""
+    ring = ideal.ring
+    A = ring.ambient
+    L = localize(A, a.payload)
+    gens = ([e.payload for e in ideal.generators] + list(ring.relations)
+            + [A.from_int(ring.characteristic).payload])
+    if L.one().is_zero:  # 1 = 0 in L: every cofactor is 0
+        written = [L.fraction(0)] * len(gens)
+    else:
+        cof = L.unit_cofactors([L._make(g, 0) for g in gens])
+        if cof is None:
+            return None
+        written = [L.written(c) for c in cof()]
+    k = max([1] + [w.exp for w in written])
+    return k, tuple(R.normalize(ring, (w.num * L.f ** (k - w.exp)).payload)
+                    for w in written[:len(ideal.generators)])
 
 
 # ---------------------------------------------------------------------------

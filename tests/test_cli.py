@@ -10,7 +10,7 @@ import pytest
 
 from zkit.dsl import parse, pretty_print
 from zkit.interp import Options, REPORT_SCHEMA, run_source
-from zkit.limits import limits
+from zkit.limits import current_limits, limits
 from zkit.serialize import verify_certificate
 
 SCRIPTS = Path(__file__).parent / "scripts"
@@ -206,6 +206,75 @@ def test_verify_rejects_cut_and_inflated_certificates():
                       "cover_cofactors cut", "exponent 10**6", "den '7'",
                       "den 'x + 1'", "den 'not a ring element'", "den 5",
                       "den missing"}
+
+
+def _edited_to_the_cap(cert, cap):
+    """A copy of cert whose radical exponent, or every glue pair
+    exponent, is cap; None for the other claims."""
+    if cert["claim"] == "radical-membership":
+        return dict(cert, exponent=cap)
+    if cert["claim"] == "glue":
+        return dict(cert, pair_exponents=[[i, j, cap] for i, j, _ in
+                                          cert["pair_exponents"]])
+    return None
+
+
+def test_verify_of_exponents_edited_up_to_the_cap():
+    """Every corpus certificate with its exponents edited up to the cap
+    is decided in under 2 s each, with the verdict of the plain
+    identity: a glue pair exponent holds past the least one, and a
+    radical claim holds iff the sum of cofactor * generator is a^cap."""
+    from zkit.serialize import CertificateReader, ring_from_json
+    cap = current_limits().max_exponent
+    seen = set()
+    for name, cert in _corpus_certificates():
+        bad = _edited_to_the_cap(cert, cap)
+        if bad is None:
+            continue
+        start = time.perf_counter()
+        ok, detail = verify_certificate(bad)
+        assert time.perf_counter() - start < 2.0, (name, detail)
+        if cert["claim"] == "glue":
+            assert ok, (name, detail)
+        else:
+            reader, ring = CertificateReader(), ring_from_json(cert["ring"])
+            total = ring.zero()
+            for c, g in zip(cert["cofactors"], cert["generators"]):
+                total = total + reader.element(ring, c) * \
+                    reader.element(ring, g)
+            a = reader.element(ring, cert["element"])
+            assert ok == (total == a ** cap), (name, detail)
+        seen.add((cert["claim"], ok))
+    assert seen == {("glue", True), ("radical-membership", False),
+                    ("radical-membership", True)}
+
+
+@pytest.mark.parametrize("script, edit, status", [
+    ("radical-member x0 + x1 + x2 + 1 in [x0 + x1 + x2 + 1];",
+     lambda c: c.update(exponent=64), "refuted"),
+    # (f_0 f_1)^64 kills a difference of 0 as (f_0 f_1)^0 does: the
+    # edited exponent is a witness too, decided with no power formed
+    ("glue cover [x0 + x1 + x2 + 1, -(x0 + x1 + x2)] with "
+     "[0 / (x0 + x1 + x2 + 1)^0, 0 / (-(x0 + x1 + x2))^0];",
+     lambda c: c.update(pair_exponents=[[0, 1, 64]]), "ok"),
+], ids=["radical", "glue"])
+def test_verify_of_small_certificates_with_exponent_64(tmp_path, script,
+                                                       edit, status):
+    """Over Q[x0,x1,x2], a ~250-byte certificate whose exponent is edited
+    to the cap is decided through the CLI in under 2 s, where forming
+    (x0 + x1 + x2 + 1)^64 ran past a 20 s timeout."""
+    report = run_source(f"ring R = Q[x0, x1, x2]; {script}").to_json()
+    edit(report["results"][1]["certificate"])
+    edited, script = tmp_path / "edited.json", tmp_path / "verify.zk"
+    edited.write_text(json.dumps(report))
+    script.write_text(f'verify "{edited}";')
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "zkit.cli", str(script), "--json",
+         "--timeout-ms", "20000"], capture_output=True, text=True)
+    assert time.perf_counter() - start < 2.0
+    (res,) = json.loads(proc.stdout)["results"]
+    assert res["status"] == status, res["result"]
 
 
 @pytest.mark.parametrize("source, kind", [

@@ -11,7 +11,8 @@ from zkit import (BezoutCertificate, IntegerRing, PrimeField, QuotientRing,
                   radical_member, radical_witness, saturates,
                   saturation_member, unimodular_certificate)
 from zkit.serialize import membership_to_json, verify_certificate
-from helpers import random_element, random_ring
+from helpers import (random_element, random_poly_payload, random_ring,
+                     reference_radical_witness)
 
 Z = IntegerRing()
 
@@ -387,3 +388,90 @@ def test_radical_witness_table(ring, a, gens, k):
     assert witness[0] == k
     cert = membership_to_json(ring, a, ideal.generators, witness[1], k)
     assert verify_certificate(cert) == (True, f"sum == element^{k}")
+
+
+# ---------------------------------------------------------------------------
+# the direct radical route against the one through a built A[1/a]
+
+def _same_route(a, ideal):
+    """radical_member and radical_witness agree with the reference route
+    (tests/helpers.py) exactly, or all three hit the same cap."""
+    try:
+        want = reference_radical_witness(a, ideal)
+    except ResourceExceeded:
+        with pytest.raises(ResourceExceeded):
+            radical_member(a, ideal)
+        return None
+    assert radical_member(a, ideal) == (want is not None), (a, ideal)
+    if want is not None and want[0] > 64:  # past radical_witness's cap
+        with pytest.raises(ResourceExceeded):
+            radical_witness(a, ideal)
+        return want
+    assert radical_witness(a, ideal) == want, (a, ideal)
+    return want
+
+
+def _route_rings(rng):
+    """Free rings over Q, Fp(7) and Fp(32003) in 2-4 variables, their
+    quotients by one and by two relations, Z and Z/n."""
+    rings = []
+    for base in (Rationals(), PrimeField(7), PrimeField(32003)):
+        for nvars in (2, 3, 4):
+            free = polynomial_ring(base, "xyzw"[:nvars])
+            rings.append(free)
+            for count in (1, 2):
+                rels = [free.element(random_poly_payload(
+                    free, rng, max_deg=2, max_terms=2)) for _ in range(count)]
+                rings.append(quotient_by(free, [r for r in rels
+                                                if not r.is_zero]))
+    return rings + [Z, ResidueRing(12), ResidueRing(2 ** 6 * 3 ** 2)]
+
+
+def test_radical_route_matches_the_localization_route():
+    """Random ideals, with a a random element, a generator, a product
+    with a generator and a sum of generators."""
+    rng = random.Random(4133)
+    positive = 0
+    with limits(max_pairs=400):
+        for ring in _route_rings(rng):
+            for _ in range(4):
+                gens = [random_element(ring, rng, max_deg=2)
+                        for _ in range(rng.randrange(1, 4))]
+                ideal = fin_gen_ideal(ring, gens)
+                g = gens[0]
+                for a in (random_element(ring, rng, max_deg=2), g,
+                          g * random_element(ring, rng, max_deg=1),
+                          sum(gens, ring.zero())):
+                    positive += _same_route(a, ideal) is not None
+    assert positive > 100
+
+
+@pytest.mark.parametrize("name", ["zero", "unit", "zero-ideal", "generator"])
+def test_radical_route_edge_cases(name):
+    """a = 0 (k = 1 with zero cofactors), a unit, the zero ideal of a
+    ring with nilpotents, and a that is itself a generator."""
+    Qx = polynomial_ring(Rationals(), ["x"])
+    Qxy = polynomial_ring(Rationals(), ["x", "y"])
+    x, y = Qxy.var("x"), Qxy.var("y")
+    dual = quotient_by(Qx, [Qx.var("x") ** 2])
+    cases = {
+        "zero": [(Qxy, Qxy.zero(), [x * y], (1, (Qxy.zero(),))),
+                 (Z, Z.zero(), [4], (1, (Z.zero(),))),
+                 (ResidueRing(6), 0, [], (1, ()))],
+        "unit": [(Qxy, Qxy.from_int(3), [x + y], None),
+                 (Qxy, Qxy.from_int(3), [x, 1 - x], (1, (3 * Qxy.one(),) * 2)),
+                 (Z, Z.element(-1), [5], None)],
+        "zero-ideal": [(dual, dual.var("x"), [0], (2, ())),
+                       (Qxy, x, [], None),
+                       (ResidueRing(8), 2, [0], (3, ()))],
+        "generator": [(Qxy, x ** 2 + y, [x ** 2 + y, y ** 3], None),
+                      (dual, dual.var("x") + 1, [dual.var("x") + 1], None),
+                      (Z, Z.element(10), [10, 4], None)],
+    }[name]
+    for ring, a, gens, expected in cases:
+        a, ideal = normalize(ring, a), fin_gen_ideal(ring, gens)
+        want = _same_route(a, ideal)
+        if expected is not None:
+            assert want == expected, (ring, a, gens, want)
+        if name == "generator":
+            assert want is not None and want[0] == 1

@@ -1,4 +1,6 @@
+import json
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,8 @@ from zkit import (BaseMismatch, IntegerRing, InvalidWitness, NotWellDefined,
                   universal_property, zar_elt, zar_eq_top, zar_leq)
 from helpers import (random_element, random_ring, ref_frac_eq,
                      ref_loc_eq_top, ref_loc_leq)
+from zkit.interp import run_source
+from zkit.localization import _Presented
 
 Z = IntegerRing()
 
@@ -349,3 +353,96 @@ def test_localized_ring_matches_reference_rules():
             assert (cert is not None) == ref_loc_eq_top(L, vs), (L, vs)
             assert cert is None or cert.verify()
         assert equal > 0, L
+
+
+# ---------------------------------------------------------------------------
+# over a free ring, R[1/f] decides in R
+
+def test_domain_rule_matches_the_presentation():
+    """Over Q[x,y] and Fp(7)[x,y], a domain, L.equal (and frac_eq),
+    saturates and is_trivial decide in R; comparing in the presentation
+    (L.element, L.one) gives the same answers on random fractions with
+    exponents 0-3, padded copies among them, for f constant and for
+    f = 0, where R[1/f] is the zero ring.  A fraction of another R[1/f]
+    is refused."""
+    rng = random.Random(5081)
+    for base in (Rationals(), PrimeField(7)):
+        R = polynomial_ring(base, ["x", "y"])
+        x, y = R.var("x"), R.var("y")
+        for f in (x, x * y - 1, x ** 2 + 2 * y, R.from_int(3), R.zero()):
+            L = localize(R, f)
+            assert L.is_trivial == f.is_zero
+            equal = 0
+            for _ in range(16):
+                a = L.fraction(random_element(R, rng, 2), rng.randrange(4))
+                if rng.random() < 0.5:
+                    pad = rng.randrange(4)
+                    b = L.fraction(a.num * f ** pad, a.exp + pad)
+                else:
+                    b = L.fraction(random_element(R, rng, 2),
+                                   rng.randrange(4))
+                same = L.element(a) == L.element(b)
+                assert L.equal(a, b) == frac_eq(a, b) == same, (L, a, b)
+                raw = b.num.payload  # a base value, read as raw/1
+                assert L.equal(a, raw) == (L.element(a) == L.element(raw))
+                equal += same
+                z = rng.choice([R.zero(), a.num])
+                assert saturates(z, f) == L.element(L.from_base(z)).is_zero
+            assert equal > 0, L
+            assert L.one().is_zero == f.is_zero
+            other = localize(R, f + x)
+            for args in ((other.fraction(1), L.fraction(1)),
+                         (L.fraction(1), other.fraction(1))):
+                with pytest.raises(BaseMismatch):
+                    L.equal(*args)
+            with pytest.raises(BaseMismatch):
+                frac_eq(L.fraction(1), other.fraction(1))
+
+
+@pytest.fixture
+def presentations(monkeypatch):
+    """The R[1/f] whose presentation is evaluated, by name, in order."""
+    built, real = [], _Presented.presentation.func
+
+    def counted(self):
+        built.append(str(self))
+        return real(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(_Presented, "presentation")
+    monkeypatch.setattr(_Presented, "presentation", prop)
+    return built
+
+
+def test_free_ring_statements_build_no_presentation(presentations,
+                                                    tmp_path):
+    """check, radical-member and glue over a free ring, and verify of a
+    Q[x] glue certificate, evaluate no presentation; a localize
+    statement still builds and prints its own."""
+    report = run_source(
+        "ring S = Q[x, y];\n"
+        "check D(x + y) <= D(x^3, y^2);\n"
+        "check D(x + 1) <= D(x^3, y^2);\n"
+        "radical-member x + y in [x^3, y^2];\n"
+        "radical-member 0 in [x];\n"
+        "glue cover [x, 1 - x] with [x*y / x^1, (y - x*y) / (1 - x)^1];\n"
+        "glue cover [x, 1 - x] with [1 / x^0, 0 / (1 - x)^0];\n"
+        "ring T = Q[x];\n"
+        "glue cover [x + 1, -x] with [(x + 1)^2 / (x + 1)^2, 1 / (-x)^0];\n")
+    assert [r.status for r in report.results] == [
+        "ok", "ok", "refuted", "ok", "ok", "ok", "refuted", "ok", "ok"]
+    assert report.results[5].result == {"glued": "y"}
+    path = tmp_path / "glue.json"
+    path.write_text(json.dumps(report.to_json()))
+    (res,) = run_source(f'verify "{path}";').results
+    assert res.result == {"checked": 4, "passed": 4, "failures": []}
+    assert presentations == []
+    (_, res), = [run_source("ring S = Q[x, y]; "
+                            "localize S at x*y - 1;").results]
+    assert res.result == {
+        "localization": "Q[x,y][1/(x * y - 1)]",
+        "presentation": {"kind": "polyquot", "base": "Q",
+                         "variables": ["x", "y", "y1"],
+                         "relations": ["x * y * y1 - y1 - 1"],
+                         "order": "grevlex"}}
+    assert presentations == ["Q[x,y][1/(x * y - 1)]"]

@@ -358,3 +358,28 @@ def test_enumeration_cap():
         assert "max_assignments=10201" in str(exc.value)
         # exactly at the cap is allowed
         assert len(enumerate_homs(free, F101)) == 10201
+
+
+def test_rabinowitsch_relation_is_the_product():
+    """The t*f - 1 that rings._rabinowitsch builds by shifting f's terms
+    is p_mul(t, f) - 1 term for term, over Q with fractional
+    coefficients and over Fp, for f constant, with a constant term, in
+    a quotient ring and zero."""
+    from zkit import poly, rings
+    rng = random.Random(2207)
+    for _ in range(60):
+        ring = random_quotient_ring(rng, max_vars=3)
+        f = random_element(ring, rng, max_deg=3)
+        roll = rng.random()
+        if roll < 0.3:
+            f = f * ring.from_int(Q(rng.randrange(1, 9), 7)
+                                  if ring.is_q_algebra else 3)
+        elif roll < 0.4:
+            f = ring.zero()
+        ctx, ext = rings._rabinowitsch(ring, (f.payload,), f.payload)
+        t = poly.var_poly(ctx, ctx.nvars - 1)
+        assert ext[-1] == poly.p_sub(
+            ctx, poly.p_mul(ctx, t, poly.p_extend(f.payload)),
+            poly.const_poly(ctx, 1)), (ring, f)
+        assert ext[:-1] == [poly.p_extend(g)
+                            for g in (f.payload, *ring.relations)]

@@ -291,6 +291,26 @@ def test_verify_checks_pair_exponents(source, edit):
     assert not ok and "pair" in detail, detail
 
 
+@pytest.mark.parametrize("claim", ["radical", "glue"])
+def test_verify_forms_powers_under_the_term_pair_cap(claim):
+    """Where verify must still form a power, in a ring with relations, it
+    forms it as a script's power is formed, and a refusal names
+    max_assignments; under the default cap the same certificate holds."""
+    if claim == "radical":
+        cert = run_source("ring S = Q[x]/(x^3); "
+                          "radical-member x + 1 in [x + 1];").results[-1]
+        cert = dict(cert.certificate, exponent=64)
+    else:
+        cert = _glue_cert("ring S = Q[x, y]/(x*y); glue cover [x + 1, -x] "
+                          "with [y / (x + 1)^0, 0 / (-x)^0];")
+        assert cert["pair_exponents"] == [[0, 1, 1]]
+        cert["pair_exponents"] = [[0, 1, 64]]
+    with limits(max_assignments=4):
+        ok, detail = verify_certificate(cert)
+    assert not ok and "exceed max_assignments=4" in detail, detail
+    assert verify_certificate(cert)[0] == (claim == "glue")
+
+
 def test_pair_exponents_cap_follows_the_saturation_bound():
     """Over Z/n the saturation scan may go up to n's bit length + 1, so
     verify accepts pair exponents up to that as well."""
