@@ -21,7 +21,8 @@ class Limits:
     ring whose elements() are listed, and the |B|^generators assignments
     rings.enumerate_homs would try.  Both are checked before any element
     or assignment is built.  It also bounds the term pairs of each
-    product in a power of a sum that a script writes (serialize).
+    product in a power of a sum that a script writes, and in the powers
+    that verify forms over a ring that is not a domain (serialize).
     """
 
     max_pairs: int = 4000        # S-pairs reduced per basis computation,

@@ -24,9 +24,11 @@ kills, so ideals.saturates decides a * f^k == 0 as a/1 == 0 here.
 Over a free ring k[x], a domain, equal and is_trivial (and so frac_eq,
 glue_element's check and saturates) decide in R by one rule and build no
 presentation: R[1/f] is the zero ring iff f == 0, and otherwise a/f^n ==
-b/f^m iff a * f^m == b * f^n.  The presentation is built where it is
-printed (localize), where elements of R[1/f] are computed with, and over
-a quotient with relations, where the rule does not hold.
+b/f^m, n <= m, iff a * f^(m - n) == b, which rings._is_times_power
+decides by dividing b by f, with no power of f formed.  The
+presentation is built where it is printed (localize), where elements of
+R[1/f] are computed with, and over a quotient with relations, where the
+rule does not hold.
 
 R[1/f] has no ambient domain, so radicals are decided back in R, through
 lattice.pushdown.  Its unit cofactors are its own: over Z and Z/n,
@@ -58,8 +60,8 @@ from .errors import (BaseMismatch, InvalidWitness, RingMismatch,
                      UnsupportedBase)
 from .records import record
 from .rings import (QuotientRing, RingElement, RingHom, _ext_gcd_list,
-                    _inverse_substituted, _rabinowitsch, _Ring, make_hom,
-                    normalize)
+                    _inverse_substituted, _is_times_power, _rabinowitsch,
+                    _Ring, make_hom, normalize)
 
 
 @record(frozen=True)
@@ -283,21 +285,21 @@ class _Presented(LocalizedRing):
 
 class LocalizedQuotient(_Presented):
     """(k[x]/I)[1/f]; payloads are normal forms in its presentation.
-    With no relations, is_trivial and equal decide in k[x], a domain
+    Over a domain (no relations), is_trivial and equal decide in k[x]
     (see the module docstring)."""
 
     @cached_property
     def is_trivial(self) -> bool:
-        if self.ring.relations:
-            return self.one().is_zero
-        return self.f.is_zero
+        if self.ring.is_domain:
+            return self.f.is_zero
+        return self.one().is_zero
 
     def equal(self, a, b) -> bool:
-        if self.ring.relations:
+        if not self.ring.is_domain:
             return super().equal(a, b)
-        a, b = self._read(a), self._read(b)
-        return self.is_trivial or a.num * self.f ** b.exp == \
-            b.num * self.f ** a.exp
+        a, b = sorted((self._read(a), self._read(b)), key=lambda x: x.exp)
+        return self.is_trivial or _is_times_power(b.num, a.num, self.f,
+                                                  b.exp - a.exp)
 
     def _make(self, num, exp: int):
         pres = self.presentation

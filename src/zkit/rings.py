@@ -25,6 +25,8 @@ the protocol that lattices and homs into it use.
 - characteristic: n for Z/n and p over Fp, 0 for Z and over Q.
 - is_q_algebra: whether Q maps in (quotients over Q, localized or not).
 - is_trivial: whether 1 == 0 (never for Z and Z/n).
+- is_domain: True for Z, a field and a free polynomial ring, which are
+  domains; False for the other kinds, where no answer is sought.
 - zero(), one(), from_int(k), element(raw), gens().
 - canonical(raw): a raw value (int, Fraction, a monomial dict, for
   quotients a term tuple, for R[1/f] a written localization.Fraction)
@@ -93,6 +95,7 @@ import re
 import sys
 from fractions import Fraction as _Q
 from functools import cached_property
+from operator import add
 
 from . import poly
 from .errors import (CodomainNotFinite, InvalidRing, InvariantViolated,
@@ -112,6 +115,7 @@ class _Ring:
     variables = ()
     relations = ()
     leading_monomials = ()
+    is_domain = False
 
     def element(self, raw):
         return normalize(self, raw)
@@ -251,6 +255,7 @@ class IntegerRing(_Integers):
     """The ring of integers."""
 
     modulus = 0
+    is_domain = True
 
     def __str__(self):
         return "Z"
@@ -374,6 +379,10 @@ class QuotientRing(_Ring):
     @cached_property
     def is_q_algebra(self) -> bool:
         return self.base.characteristic == 0
+
+    @cached_property
+    def is_domain(self) -> bool:
+        return not self.relations
 
     @cached_property
     def characteristic(self) -> int:
@@ -627,6 +636,31 @@ def _inverse_substituted(ring, f: RingElement, x):
     for k, terms in slices.items():
         num = num + normalize(ring, terms) * f ** (top - k)
     return num, top
+
+
+def _is_times_power(y: RingElement, x: RingElement, f: RingElement,
+                    d: int) -> bool:
+    """y == x * f^d, for elements of a domain (is_domain).  Over a
+    polynomial ring no power of f is formed: x * f^d leads with lm(x) +
+    d * lm(f), and f must then divide y exactly d times, each division
+    leaving remainder 0, with quotient x at the end."""
+    ring = y.ring
+    if not d or f.is_zero or x.is_zero:
+        return y == (x if not d else ring.zero())
+    if y.is_zero:
+        return False
+    if not ring.variables:  # Z or a field: one coefficient
+        return y == x * f ** d
+    lead = tuple(map(add, ring.terms(x.payload)[0][0],
+                     [e * d for e in ring.terms(f.payload)[0][0]]))
+    if ring.terms(y.payload)[0][0] != lead:
+        return False
+    q = y.payload
+    for _ in range(d):
+        (q,), rem = poly.p_divmod(ring.ctx, q, (f.payload,))
+        if rem:
+            return False
+    return q == x.payload
 
 
 RingDesc = object  # IntegerRing | ResidueRing | QuotientRing | LocalizedRing

@@ -31,9 +31,11 @@ unique, so the payload is the one that reducing at every operation would
 give.  Over Q, canonical
 gives each coefficient its one form (an int or a proper Fraction).
 
-verify forms the powers that a certificate claims the same way, under
-the same cap, and only where the rules of a free ring, a domain
-(_kills, _is_power), do not decide without them.
+verify decides the powers that a certificate claims, a^k of a radical
+claim and (f_i f_j)^k of a glue pair, with none formed over a domain (Z,
+a field, a free polynomial ring; see _kills and _is_power).  Over the
+other rings it forms them as a script's powers are formed, under the
+same cap.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ from .limits import current_limits
 from .localization import Fraction, frac_eq
 from .poly import PrimeField, Rationals
 from .rings import (_NAME, IntegerRing, ResidueRing, RingElement,
-                    _check_assignments, _power, make_hom, normalize,
+                    _check_assignments, _is_times_power, make_hom, normalize,
                     polynomial_ring, quotient_by, read_terms, terms_to_str)
 
 
@@ -127,9 +129,8 @@ def _check_digits(coeffs, k: int = 1) -> None:
 
 def _weight(terms):
     """len(terms) times its largest coefficient's size in 64-bit words,
-    at least 1, for terms (monomial, coefficient) pairs; a fraction
-    counts by the larger of its two parts."""
-    top = max([max(abs(c.numerator), c.denominator) for _, c in terms],
+    at least 1; a fraction counts by the larger of its two parts."""
+    top = max([max(abs(c.numerator), c.denominator) for c in terms.values()],
               default=0)
     return len(terms) * max(1, -(-top.bit_length() // 64))
 
@@ -202,8 +203,7 @@ class _TermReader:
         timeout stopped it.  Each pair is weighted by the two operands'
         largest coefficient sizes (see _weight), since over Q the
         coefficients grow with the terms."""
-        _check_assignments("serialize.power",
-                           _weight(a.items()) * _weight(b.items()),
+        _check_assignments("serialize.power", _weight(a) * _weight(b),
                            "term pairs")
         return self.mul(a, b)
 
@@ -436,60 +436,57 @@ class CertificateReader:
 def _pair_exponents_fault(ring, fracs, pairs):
     """Why pairs is not the pair_exponents list of the family fracs, or
     None: one [i, j, k] for each pair i < j, in the order of
-    gluing.pair_differences, where (f_i f_j)^k kills the difference."""
-    count = len(fracs) * (len(fracs) - 1) // 2
-    if len(pairs) != count:
-        return f"pair_exponents must list the {count} pairs i < j"
+    gluing.pair_differences, where (f_i f_j)^k kills the difference.
+
+    verify checks the restrictions first, so over a domain each fraction
+    is the glued element's and a pair's difference is 0 unless f_i f_j
+    == 0; the differences are formed only for those pairs, and for every
+    pair over a ring that is not a domain."""
+    order = [(i, j) for j in range(len(fracs)) for i in range(j)]
+    if len(pairs) != len(order):
+        return f"pair_exponents must list the {len(order)} pairs i < j"
     cap = max(current_limits().max_exponent, ring.saturation_bound)
-    for entry, ((i, j), diff) in zip(pairs, pair_differences(fracs)):
+    diffs = None
+    for entry, (i, j) in zip(pairs, order):
         if entry[:2] != [i, j] or len(entry) != 3:
             return f"pair_exponents entry {entry!r} is not [{i}, {j}, k]"
         k = entry[2]
         if not 0 <= k <= cap:
             return f"pair exponent {k!r} is not an integer in [0, {cap}]"
-        if not (diff.is_zero
-                or _kills(fracs[i].f * fracs[j].f, k, diff)):
+        f = fracs[i].f * fracs[j].f
+        if ring.is_domain and not f.is_zero:
+            continue
+        if diffs is None:
+            diffs = dict(pair_differences(fracs))
+        if not (diffs[i, j].is_zero or _kills(f, k, diffs[i, j])):
             return f"pair ({i}, {j}) does not vanish with exponent {k}"
     return None
 
 
-def _is_free(ring) -> bool:
-    """Whether ring is a free polynomial ring, a domain."""
-    return bool(ring.variables) and not ring.relations
-
-
 def _capped_power(a: RingElement, k: int) -> RingElement:
-    """a^k for k >= 1 in the ring's own arithmetic, each product refused
-    past the term-pair cap of a script's powers (_TermReader.capped_mul)."""
+    """a^k for k >= 1, formed as a script's power is (_TermReader.power),
+    each product refused past the term-pair cap."""
     ring = a.ring
-
-    def mul(x, y):
-        _check_assignments("serialize.power", _weight(ring.terms(x))
-                           * _weight(ring.terms(y)), "term pairs")
-        return ring.mul(x, y)
-
-    return RingElement(ring, _power(a.payload, k, mul))
+    reader = _TermReader(ring, None)
+    return RingElement(ring, ring.canonical(
+        reader.power(dict(ring.terms(a.payload)), k)))
 
 
 def _kills(f: RingElement, k: int, a: RingElement) -> bool:
-    """a * f^k == 0 for a != 0; over a free ring, a domain, f == 0 < k,
-    with no power formed."""
+    """a * f^k == 0 for a != 0; over a domain, f == 0 < k, with no power
+    formed."""
     if not k:
         return False
-    if _is_free(a.ring):
+    if a.ring.is_domain:
         return f.is_zero
     return (a * _capped_power(f, k)).is_zero
 
 
 def _is_power(total: RingElement, a: RingElement, k: int) -> bool:
-    """total == a^k for k >= 1.  Over a free ring the leading monomial of
-    a^k is k times a's, so a total that leads with another is refuted
-    before a^k is formed."""
-    ring = a.ring
-    if _is_free(ring) and not a.is_zero:
-        lead = tuple([e * k for e in ring.terms(a.payload)[0][0]])
-        if total.is_zero or ring.terms(total.payload)[0][0] != lead:
-            return False
+    """total == a^k for k >= 1; over a domain with no power formed
+    (rings._is_times_power)."""
+    if a.ring.is_domain:
+        return _is_times_power(total, a.ring.one(), a, k)
     return total == _capped_power(a, k)
 
 

@@ -209,44 +209,64 @@ def test_verify_rejects_cut_and_inflated_certificates():
 
 
 def _edited_to_the_cap(cert, cap):
-    """A copy of cert whose radical exponent, or every glue pair
-    exponent, is cap; None for the other claims."""
+    """(label, copy) pairs of cert with its radical exponent, or every
+    glue pair exponent or every glue family exponent, set to cap."""
     if cert["claim"] == "radical-membership":
-        return dict(cert, exponent=cap)
+        yield "radical", dict(cert, exponent=cap)
     if cert["claim"] == "glue":
-        return dict(cert, pair_exponents=[[i, j, cap] for i, j, _ in
-                                          cert["pair_exponents"]])
-    return None
+        yield "pair", dict(cert, pair_exponents=[
+            [i, j, cap] for i, j, _ in cert["pair_exponents"]])
+        yield "family", dict(cert, family=[dict(e, exp=cap)
+                                           for e in cert["family"]])
+
+
+def _restrictions_hold(cert):
+    """Whether glued/1 == num_i/f_i^exp_i for each family entry, compared
+    in the presentation of each R[1/f_i]."""
+    from zkit.localization import Fraction, localize
+    from zkit.serialize import CertificateReader, ring_from_json
+    reader, ring = CertificateReader(), ring_from_json(cert["ring"])
+    glued = reader.element(ring, cert["glued"])
+    for f, entry in zip(cert["cover"], cert["family"]):
+        L = localize(ring, reader.element(ring, f))
+        num = reader.element(ring, entry["num"])
+        if L.element(Fraction(ring, L.f, glued)) != \
+                L.element(Fraction(ring, L.f, num, entry["exp"])):
+            return False
+    return True
 
 
 def test_verify_of_exponents_edited_up_to_the_cap():
     """Every corpus certificate with its exponents edited up to the cap
     is decided in under 2 s each, with the verdict of the plain
-    identity: a glue pair exponent holds past the least one, and a
-    radical claim holds iff the sum of cofactor * generator is a^cap."""
+    identity: a glue pair exponent holds past the least one, glue family
+    exponents hold iff each restriction still matches (compared in the
+    presentation), and a radical claim holds iff the sum of cofactor *
+    generator is a^cap."""
     from zkit.serialize import CertificateReader, ring_from_json
     cap = current_limits().max_exponent
     seen = set()
     for name, cert in _corpus_certificates():
-        bad = _edited_to_the_cap(cert, cap)
-        if bad is None:
-            continue
-        start = time.perf_counter()
-        ok, detail = verify_certificate(bad)
-        assert time.perf_counter() - start < 2.0, (name, detail)
-        if cert["claim"] == "glue":
-            assert ok, (name, detail)
-        else:
-            reader, ring = CertificateReader(), ring_from_json(cert["ring"])
-            total = ring.zero()
-            for c, g in zip(cert["cofactors"], cert["generators"]):
-                total = total + reader.element(ring, c) * \
-                    reader.element(ring, g)
-            a = reader.element(ring, cert["element"])
-            assert ok == (total == a ** cap), (name, detail)
-        seen.add((cert["claim"], ok))
-    assert seen == {("glue", True), ("radical-membership", False),
-                    ("radical-membership", True)}
+        for label, bad in _edited_to_the_cap(cert, cap):
+            start = time.perf_counter()
+            ok, detail = verify_certificate(bad)
+            assert time.perf_counter() - start < 2.0, (name, label, detail)
+            if label == "pair":
+                assert ok, (name, detail)
+            elif label == "family":
+                assert ("restriction" in detail) != _restrictions_hold(bad), \
+                    (name, detail)
+            else:
+                reader, ring = CertificateReader(), ring_from_json(cert["ring"])
+                total = ring.zero()
+                for c, g in zip(cert["cofactors"], cert["generators"]):
+                    total = total + reader.element(ring, c) * \
+                        reader.element(ring, g)
+                a = reader.element(ring, cert["element"])
+                assert ok == (total == a ** cap), (name, detail)
+            seen.add((label, ok))
+    assert seen == {("pair", True), ("family", False),
+                    ("radical", False), ("radical", True)}
 
 
 @pytest.mark.parametrize("script, edit, status", [
@@ -257,7 +277,15 @@ def test_verify_of_exponents_edited_up_to_the_cap():
     ("glue cover [x0 + x1 + x2 + 1, -(x0 + x1 + x2)] with "
      "[0 / (x0 + x1 + x2 + 1)^0, 0 / (-(x0 + x1 + x2))^0];",
      lambda c: c.update(pair_exponents=[[0, 1, 64]]), "ok"),
-], ids=["radical", "glue"])
+    # 0 / f^64 is 0 / f^0: decided by the zero numerators, and no pair
+    # difference is formed over a domain
+    ("glue cover [x0 + x1 + x2 + 1, -(x0 + x1 + x2)] with "
+     "[0 / (x0 + x1 + x2 + 1)^0, 0 / (-(x0 + x1 + x2))^0];",
+     lambda c: c["family"][0].update(exp=64), "ok"),
+    ("glue cover [x0 + x1 + x2 + 1, -(x0 + x1 + x2)] with "
+     "[(x0 + x1 + x2 + 1) / (x0 + x1 + x2 + 1)^1, 1 / (-(x0 + x1 + x2))^0];",
+     lambda c: c["family"][0].update(exp=64), "refuted"),
+], ids=["radical", "glue-pair", "glue-family-zero", "glue-family"])
 def test_verify_of_small_certificates_with_exponent_64(tmp_path, script,
                                                        edit, status):
     """Over Q[x0,x1,x2], a ~250-byte certificate whose exponent is edited

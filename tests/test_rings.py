@@ -383,3 +383,32 @@ def test_rabinowitsch_relation_is_the_product():
             poly.const_poly(ctx, 1)), (ring, f)
         assert ext[:-1] == [poly.p_extend(g)
                             for g in (f.payload, *ring.relations)]
+
+
+def test_is_times_power_matches_the_product():
+    """rings._is_times_power(y, x, f, d), which divides y by f instead of
+    forming f^d, agrees with y == x * f^d over the domains Q[x,y],
+    Fp(7)[x,y], Z and Q, for true products, products off by one term,
+    and x, f or y zero.  A ring with relations, and Z/n, are not taken
+    for domains."""
+    from zkit import rings
+    rng = random.Random(3319)
+    domains = [polynomial_ring(Rationals(), ["x", "y"]),
+               polynomial_ring(PrimeField(7), ["x", "y"]),
+               IntegerRing(), polynomial_ring(Rationals(), [])]
+    for ring in domains:
+        assert ring.is_domain
+        for _ in range(40):
+            x, f = (random_element(ring, rng, 2) for _ in range(2))
+            d = rng.randrange(5)
+            y = x * f ** d
+            roll = rng.random()
+            if roll < 0.4:
+                y = y + random_element(ring, rng, 3)
+            elif roll < 0.5:
+                y = ring.zero()
+            assert rings._is_times_power(y, x, f, d) == (y == x * f ** d), \
+                (ring, y, x, f, d)
+    S = polynomial_ring(Rationals(), ["x"])
+    assert not quotient_by(S, [S.var("x") ** 2]).is_domain
+    assert not ResidueRing(6).is_domain

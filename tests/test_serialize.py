@@ -311,6 +311,23 @@ def test_verify_forms_powers_under_the_term_pair_cap(claim):
     assert verify_certificate(cert)[0] == (claim == "glue")
 
 
+def test_verify_over_a_domain_forms_no_power():
+    """Over a free ring verify forms neither a^k nor (f_i f_j)^k, so a
+    genuine certificate holds under a max_assignments that forming
+    either would exceed."""
+    rad = run_source("ring R = Q[x, y]; elem a = x + 2*y + 1; "
+                     "radical-member a in [a^6];").results[-1].certificate
+    assert rad["exponent"] == 6
+    glue = _glue_cert("ring S = Q[x, y]; glue cover [x + y + 1, -x - y] "
+                      "with [(x + 1) / (x + y + 1)^0, "
+                      "(x + 1) * (-x - y)^3 / (-x - y)^3];")
+    glue["pair_exponents"] = [[0, 1, 64]]
+    with limits(max_assignments=4):
+        assert verify_certificate(rad) == (True, "sum == element^6")
+        assert verify_certificate(glue) == (
+            True, "cover verifies and all restrictions match")
+
+
 def test_pair_exponents_cap_follows_the_saturation_bound():
     """Over Z/n the saturation scan may go up to n's bit length + 1, so
     verify accepts pair exponents up to that as well."""
