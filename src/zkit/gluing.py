@@ -32,7 +32,7 @@ from .ideals import (BezoutCertificate, power_certificate,
 from .localization import (Fraction, FractionMap, canonical_map, localize,
                            localized_name)
 from .records import record
-from .rings import (RingElement, RingHom, _powers, hom_apply, hom_compose,
+from .rings import (RingElement, RingHom, _power, hom_apply, hom_compose,
                     make_hom, normalize)
 
 
@@ -86,22 +86,28 @@ def pair_differences(elements):
     kills the difference, and the least such k is the pair witness.  The
     aligned form is the one the gluing algorithm consumes directly
     (witnesses on unaligned representatives can be off by unit factors
-    that matter in rings with zero divisors).
+    that matter in rings with zero divisors).  Each f_i^k is formed
+    once, and only to multiply a factor that is not 0.
     """
     if not elements:
         return
     ring = elements[0].ring
-    one, mul, sub = ring.one().payload, ring.mul, ring.sub  # on payloads
-    n = max(x.exp for x in elements)
-    aligned, powers = [], []
-    for x in elements:
-        pw = _powers(x.f.payload, n, one, mul)
-        aligned.append(mul(x.num.payload, pw[n - x.exp]))
-        powers.append(pw[n])
+    mul, weight, n = ring.mul, ring.power_weight, max(x.exp for x in elements)
+    powers = {}  # (i, k) -> the payload of f_i^k
+
+    def times(r, i, k):  # r * f_i^k on payloads
+        if k and not ring.is_zero(r):
+            if (i, k) not in powers:
+                powers[i, k] = _power(elements[i].f.payload, k, mul, weight)
+            r = mul(r, powers[i, k])
+        return r
+
+    aligned = [times(x.num.payload, i, n - x.exp)
+               for i, x in enumerate(elements)]
     for j in range(len(elements)):
         for i in range(j):
-            diff = sub(mul(aligned[i], powers[j]), mul(aligned[j], powers[i]))
-            yield (i, j), RingElement(ring, diff)
+            yield (i, j), RingElement(ring, ring.sub(
+                times(aligned[i], j, n), times(aligned[j], i, n)))
 
 
 def check_compatibility(cover: UnimodularCover, elements) -> CompatCheck:

@@ -20,9 +20,9 @@ class Limits:
     max_assignments bounds finite enumeration: the element count of a
     ring whose elements() are listed, and the |B|^generators assignments
     rings.enumerate_homs would try.  Both are checked before any element
-    or assignment is built.  It also bounds the term pairs of each
-    product in a power of a sum that a script writes, and in the powers
-    that verify forms over a ring that is not a domain (serialize).
+    or assignment is built.  It also bounds the weighted term pairs of
+    each product in every power, which rings._power alone forms: a
+    script's ^, RingElement ** k, hom evaluation, gluing and verify.
     """
 
     max_pairs: int = 4000        # S-pairs reduced per basis computation,

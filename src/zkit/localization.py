@@ -59,9 +59,9 @@ from . import poly
 from .errors import (BaseMismatch, InvalidWitness, RingMismatch,
                      UnsupportedBase)
 from .records import record
-from .rings import (QuotientRing, RingElement, RingHom, _ext_gcd_list,
-                    _inverse_substituted, _is_times_power, _rabinowitsch,
-                    _Ring, make_hom, normalize)
+from .rings import (QuotientRing, RingElement, RingHom, _coefficient_weight,
+                    _ext_gcd_list, _inverse_substituted, _is_times_power,
+                    _rabinowitsch, _Ring, make_hom, normalize)
 
 
 @record(frozen=True)
@@ -176,6 +176,10 @@ class LocalizedIntegers(LocalizedRing):
         """m for Z/n (1 when f is nilpotent), 0 for Z."""
         return _strip(self.ring.modulus, self.f.payload)[0]
 
+    @cached_property
+    def power_weight(self):  # none for Z/m's bounded numerator
+        return None if self._modulus else lambda x: _coefficient_weight(x[0])
+
     def _make(self, num: int, exp: int):
         f, m = self.f.payload, self._modulus
         if m:
@@ -263,6 +267,8 @@ class _Presented(LocalizedRing):
     @cached_property
     def _payloads(self):
         return self.presentation
+
+    power_weight = property(lambda self: self._payloads.power_weight)
 
     def add(self, x, y):
         return self._payloads.add(x, y)

@@ -36,6 +36,8 @@ the protocol that lattices and homs into it use.
 - localization(f): R[1/f] for an element f of this ring.
 - unit_monomials: each variable name -> its exponent tuple.
 - add, sub, mul, neg: arithmetic on canonical payloads.
+- power_weight: a payload's weight in the term-pair cap of _power, which
+  forms every power; None for one bounded coefficient (Z/n, Fp).
 - terms(payload): the payload as (exponent tuple, coefficient) pairs;
   an integer is one term with no exponents.
 - elements(): every element of a finite ring, in a fixed order;
@@ -107,6 +109,58 @@ from .records import field, record
 
 
 # ---------------------------------------------------------------------------
+# powers
+
+def _check_digits(c, k: int = 1) -> None:
+    """Refuse c^k, for a coefficient c (a fraction by its larger part),
+    past Python's int-to-text digit limit (none when that is 0)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = k * (max(abs(c.numerator), c.denominator).bit_length() - 1)
+    if limit and bits * 3 >= limit * 10:  # log10(2) > 3/10
+        raise ResourceExceeded(
+            f"a power of at least {bits * 3 // 10} digits is "
+            f"past sys.get_int_max_str_digits() = {limit}")
+
+
+def _coefficient_weight(c) -> int:
+    """c's size in 64-bit words, at least 1; past 32 words, where c can
+    pass a digit limit (at least 640 digits), after _check_digits."""
+    words = ((abs(c.numerator) | c.denominator).bit_length() + 63) >> 6
+    if words > 32:
+        _check_digits(c)
+    return words
+
+
+def _weight(terms) -> int:
+    """len(terms) times the weight of its largest coefficient."""
+    return len(terms) * _coefficient_weight(max(
+        [max(abs(c.numerator), c.denominator) for _, c in terms], default=0))
+
+
+def _power(x, e: int, mul, weight=None):
+    """x^e for e >= 1 by square-and-multiply under mul: the one routine
+    that forms powers.  Given weight (a ring's power_weight), a product
+    a * b past max_assignments weight(a) * weight(b) term pairs is
+    refused, the cap read once per power; indices multiply plainly."""
+    if weight is not None and e > 1:
+        cap, plain = current_limits().max_assignments, mul
+
+        def mul(a, b):
+            if (pairs := weight(a) * weight(b)) > cap:
+                raise ResourceExceeded(f"rings.power: {pairs} term pairs "
+                                       f"exceed max_assignments={cap}")
+            return plain(a, b)
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if not e:
+            return result
+        x = mul(x, x)
+
+
+# ---------------------------------------------------------------------------
 # ring descriptions
 
 class _Ring:
@@ -116,6 +170,7 @@ class _Ring:
     relations = ()
     leading_monomials = ()
     is_domain = False
+    power_weight = None
 
     def element(self, raw):
         return normalize(self, raw)
@@ -256,6 +311,7 @@ class IntegerRing(_Integers):
 
     modulus = 0
     is_domain = True
+    power_weight = staticmethod(_coefficient_weight)
 
     def __str__(self):
         return "Z"
@@ -387,6 +443,10 @@ class QuotientRing(_Ring):
     @cached_property
     def characteristic(self) -> int:
         return self.base.characteristic
+
+    @cached_property
+    def power_weight(self):  # none for Fp itself: one bounded coefficient
+        return _weight if self.variables or self.is_q_algebra else None
 
     @cached_property
     def ambient(self) -> QuotientRing:
@@ -640,17 +700,17 @@ def _inverse_substituted(ring, f: RingElement, x):
 
 def _is_times_power(y: RingElement, x: RingElement, f: RingElement,
                     d: int) -> bool:
-    """y == x * f^d, for elements of a domain (is_domain).  Over a
-    polynomial ring no power of f is formed: x * f^d leads with lm(x) +
+    """y == x * f^d, f^d formed under the term-pair cap (_power), but not
+    over a polynomial ring that is a domain: x * f^d leads with lm(x) +
     d * lm(f), and f must then divide y exactly d times, each division
     leaving remainder 0, with quotient x at the end."""
     ring = y.ring
     if not d or f.is_zero or x.is_zero:
         return y == (x if not d else ring.zero())
+    if not (ring.is_domain and ring.variables):
+        return y == x * f ** d
     if y.is_zero:
         return False
-    if not ring.variables:  # Z or a field: one coefficient
-        return y == x * f ** d
     lead = tuple(map(add, ring.terms(x.payload)[0][0],
                      [e * d for e in ring.terms(f.payload)[0][0]]))
     if ring.terms(y.payload)[0][0] != lead:
@@ -735,7 +795,8 @@ class RingElement:
             raise ValueError("negative powers are not ring operations")
         if not k:
             return self.ring.one()
-        return RingElement(self.ring, _power(self.payload, k, self.ring.mul))
+        return RingElement(self.ring, _power(self.payload, k, self.ring.mul,
+                                             self.ring.power_weight))
 
 
 def normalize(ring, raw) -> RingElement:
@@ -906,33 +967,7 @@ def _base_compatible(domain, codomain) -> None:
         raise NotWellDefined(f"no map from Q into {codomain}")
 
 
-def _top_exponents(domain: QuotientRing) -> list:
-    """Largest exponent of each generator over all relations."""
-    return [max((mono[k] for rel in domain.relations for mono, _ in rel),
-                default=0) for k in range(len(domain.variables))]
-
-
-def _powers(a, top: int, one, mul) -> list:
-    """[1, a, a^2, ..., a^top] under the given arithmetic."""
-    out = [one, a][:top + 1]
-    for _ in range(top - 1):
-        out.append(mul(out[-1], a))
-    return out
-
-
-def _power(x, e: int, mul):
-    """x^e for e >= 1 by repeated squaring under the given mul."""
-    result = None
-    while True:
-        if e & 1:
-            result = x if result is None else mul(result, x)
-        e >>= 1
-        if not e:
-            return result
-        x = mul(x, x)
-
-
-def _evaluate(polys, images, add, mul) -> list:
+def _evaluate(polys, images, add, mul, weight=None) -> list:
     """The value of each polynomial at the generator images, None for a
     polynomial with no terms.
 
@@ -940,7 +975,7 @@ def _evaluate(polys, images, add, mul) -> list:
     terms; images, coefficient images and values are whatever add and
     mul compute on: codomain payloads for evaluate, element indices for
     schemes.points_over.  Each power images[k]^e is computed once per
-    call.
+    call, by _power under weight (the codomain's power_weight).
     """
     powers = {}  # (generator index, exponent) -> images[k] ** e
     out = []
@@ -951,7 +986,7 @@ def _evaluate(polys, images, add, mul) -> list:
                 if e:
                     pw = powers.get((k, e))
                     if pw is None:
-                        pw = powers[k, e] = _power(images[k], e, mul)
+                        pw = powers[k, e] = _power(images[k], e, mul, weight)
                     term = mul(term, pw)
             total = term if total is None else add(total, term)
         out.append(total)
@@ -968,7 +1003,8 @@ def evaluate(domain, codomain, images, polys) -> list:
     """
     coeff = _coefficient_images(domain, codomain)
     values = _evaluate([[(mono, coeff(c)) for mono, c in p] for p in polys],
-                       images, codomain.add, codomain.mul)
+                       images, codomain.add, codomain.mul,
+                       codomain.power_weight)
     return [codomain.zero().payload if v is None else v for v in values]
 
 
@@ -1039,7 +1075,7 @@ def _index_arithmetic(codomain, elements):
     return index, memoized(codomain.add), memoized(codomain.mul)
 
 
-def _substitute(rels: list, pw: list, add, mul) -> list:
+def _substitute(rels: list, pw: dict, add, mul) -> list:
     """Substitute the first remaining generator into partially evaluated
     relations, on element indices.
 
@@ -1069,15 +1105,16 @@ def enumerate_homs(domain, codomain) -> list:
     This checks |codomain|^generators assignments, and raises
     ResourceExceeded before trying any when that exceeds
     Limits.max_assignments.  The walk runs on indices into
-    codomain.elements(): coefficient images, powers and partial
-    substitutions are ints, and sums and products of index pairs are
-    memoized (see _index_arithmetic).  Each prefix of an assignment is
-    substituted once for all of its completions; the last generator's
-    terms are evaluated per candidate and a candidate is dropped at its
-    first relation that is not zero.  Only accepted assignments are
-    mapped back to RingElements, each image being an element of
-    codomain.elements(), so that schemes.points_over can read the
-    images back as indices and pull opens back on them.
+    codomain.elements(): coefficient images, powers (of the exponents
+    that occur in the relations, no others) and partial substitutions
+    are ints, and sums and products of index pairs are memoized (see
+    _index_arithmetic).  Each prefix of an assignment is substituted
+    once for all of its completions; the last generator's terms are
+    evaluated per candidate and a candidate is dropped at its first
+    relation that is not zero.  Only accepted assignments are mapped
+    back to RingElements, each image being an element of
+    codomain.elements(), so that schemes.points_over can read the images
+    back as indices and pull opens back on them.
     """
     elements = codomain.elements()
     try:
@@ -1103,9 +1140,9 @@ def enumerate_homs(domain, codomain) -> list:
         if all(rel[()] == zero for rel in rels):
             accept(())
         return homs
-    one = index[codomain.one().payload]
-    top = max(_top_exponents(domain))
-    table = [_powers(a, top, one, mul) for a in range(len(elements))]
+    exps = {e for rel in domain.relations for m, _ in rel for e in m} - {0}
+    table = [{e: _power(a, e, mul) for e in exps}
+             for a in range(len(elements))]
 
     def extend(rels, prefix):
         if len(prefix) < nvars - 1:

@@ -21,33 +21,32 @@ Scripts are read by the general parser (dsl) and evaluated by
 eval_element_expr into a term dict {exponent tuple: coefficient}; Z and
 Z/n are the case with no variables, whose one monomial is ().
 ring.canonical turns the dict into a payload once, at the end.  In
-between, sums are never reduced.  A product, and each step of
-square-and-multiply, is reduced modulo the relations only when the ring
-has relations, and its coefficients modulo the characteristic when that
-is not 0 (Z/n and Fp), which keeps every intermediate bounded; each
-product of a power is refused before it forms more term pairs, weighted
-by coefficient size, than Limits.max_assignments.  Normal forms are
-unique, so the payload is the one that reducing at every operation would
-give.  Over Q, canonical
-gives each coefficient its one form (an int or a proper Fraction).
+between, sums are never reduced.  A product is reduced modulo the
+relations only when the ring has relations, and its coefficients modulo
+the characteristic when that is not 0 (Z/n and Fp), which keeps every
+intermediate bounded.  A power of one term outside a quotient is that
+term's coefficient and exponents raised; every other power goes to
+rings._power, which refuses each product past Limits.max_assignments
+term pairs weighted by coefficient size.  Normal forms are unique, so
+the payload is the one that reducing at every operation would give.
+Over Q, canonical gives each coefficient its one form (an int or a
+proper Fraction).
 
 verify decides the powers that a certificate claims, a^k of a radical
-claim and (f_i f_j)^k of a glue pair, with none formed over a domain (Z,
-a field, a free polynomial ring; see _kills and _is_power).  Over the
-other rings it forms them as a script's powers are formed, under the
-same cap.
+claim and (f_i f_j)^k of a glue pair, by rings._is_times_power: with
+none formed over a free polynomial ring, and under the term-pair cap
+over every other ring.
 """
 from __future__ import annotations
 
-import sys
 from fractions import Fraction as _Q
 from functools import partial
 from itertools import chain
 from operator import add, le, sub
 
 from . import dsl
-from .errors import (InvalidWitness, NonInvertibleDenominator,
-                     ResourceExceeded, TypeMismatch, ZkitError)
+from .errors import (InvalidWitness, NonInvertibleDenominator, TypeMismatch,
+                     ZkitError)
 from .gluing import pair_differences
 from .ideals import BezoutCertificate
 from .lattice import zar_elt
@@ -55,8 +54,9 @@ from .limits import current_limits
 from .localization import Fraction, frac_eq
 from .poly import PrimeField, Rationals
 from .rings import (_NAME, IntegerRing, ResidueRing, RingElement,
-                    _check_assignments, _is_times_power, make_hom, normalize,
-                    polynomial_ring, quotient_by, read_terms, terms_to_str)
+                    _check_digits, _is_times_power, _power, _weight, make_hom,
+                    normalize, polynomial_ring, quotient_by, read_terms,
+                    terms_to_str)
 
 
 # ---------------------------------------------------------------------------
@@ -115,26 +115,6 @@ def _not_an_element(ring, node):
     raise TypeMismatch(f"{node!r} is not a ring element expression")
 
 
-def _check_digits(coeffs, k: int = 1) -> None:
-    """Refuse c^k, for a coefficient c, once it is past Python's
-    int-to-text digit limit (none when that is 0)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bits = k * max((max(abs(c.numerator), c.denominator).bit_length() - 1
-                    for c in coeffs), default=0)
-    if limit and bits * 3 >= limit * 10:  # log10(2) > 3/10
-        raise ResourceExceeded(
-            f"a power of at least {bits * 3 // 10} digits is "
-            f"past sys.get_int_max_str_digits() = {limit}")
-
-
-def _weight(terms):
-    """len(terms) times its largest coefficient's size in 64-bit words,
-    at least 1; a fraction counts by the larger of its two parts."""
-    top = max([max(abs(c.numerator), c.denominator) for c in terms.values()],
-              default=0)
-    return len(terms) * max(1, -(-top.bit_length() // 64))
-
-
 class _TermReader:
     """Reads element expressions over one ring into term dicts
     {exponent tuple: coefficient} (see the module docstring)."""
@@ -176,36 +156,18 @@ class _TermReader:
         return a
 
     def power(self, d, k):
+        if not k:
+            return {self.const: 1}
         if len(d) == 1 and self.reduce is None:
             ((m, c),) = d.items()
             if self.char:
                 c = pow(c, k, self.char)
             else:
                 # refused before the C-level power, which no timeout stops
-                _check_digits((c,), k)
+                _check_digits(c, k)
                 c = c ** k
             return {tuple([e * k for e in m]): c} if c else {}
-        result = None
-        while k:
-            if k & 1:
-                result = d if result is None else self.capped_mul(result, d)
-            k >>= 1
-            if k:
-                d = self.capped_mul(d, d)
-                if not self.char:  # the squares bound the coefficients
-                    _check_digits(d.values())
-        return {self.const: 1} if result is None else result
-
-    def capped_mul(self, a, b):
-        """mul, refused before it forms more term pairs than
-        max_assignments: a power of a sum doubles its terms with each
-        squaring, so (x + 1)^99999999999 would otherwise run until a
-        timeout stopped it.  Each pair is weighted by the two operands'
-        largest coefficient sizes (see _weight), since over Q the
-        coefficients grow with the terms."""
-        _check_assignments("serialize.power", _weight(a) * _weight(b),
-                           "term pairs")
-        return self.mul(a, b)
+        return _power(d, k, self.mul, lambda t: _weight(t.items()))
 
     def leaf_terms(self, node):
         ring = self.ring
@@ -458,36 +420,9 @@ def _pair_exponents_fault(ring, fracs, pairs):
             continue
         if diffs is None:
             diffs = dict(pair_differences(fracs))
-        if not (diffs[i, j].is_zero or _kills(f, k, diffs[i, j])):
+        if not _is_times_power(ring.zero(), diffs[i, j], f, k):
             return f"pair ({i}, {j}) does not vanish with exponent {k}"
     return None
-
-
-def _capped_power(a: RingElement, k: int) -> RingElement:
-    """a^k for k >= 1, formed as a script's power is (_TermReader.power),
-    each product refused past the term-pair cap."""
-    ring = a.ring
-    reader = _TermReader(ring, None)
-    return RingElement(ring, ring.canonical(
-        reader.power(dict(ring.terms(a.payload)), k)))
-
-
-def _kills(f: RingElement, k: int, a: RingElement) -> bool:
-    """a * f^k == 0 for a != 0; over a domain, f == 0 < k, with no power
-    formed."""
-    if not k:
-        return False
-    if a.ring.is_domain:
-        return f.is_zero
-    return (a * _capped_power(f, k)).is_zero
-
-
-def _is_power(total: RingElement, a: RingElement, k: int) -> bool:
-    """total == a^k for k >= 1; over a domain with no power formed
-    (rings._is_times_power)."""
-    if a.ring.is_domain:
-        return _is_times_power(total, a.ring.one(), a, k)
-    return total == _capped_power(a, k)
 
 
 def verify_certificate(data: dict, reader: CertificateReader = None) -> tuple:
@@ -519,7 +454,8 @@ def verify_certificate(data: dict, reader: CertificateReader = None) -> tuple:
             total = ring.zero()
             for c, g in zip(read(ring, cofs), read(ring, gens)):
                 total = total + c * g
-            return _is_power(total, a, k), f"sum == element^{k}"
+            ok = _is_times_power(total, ring.one(), a, k)
+            return ok, f"sum == element^{k}"
         if claim == "glue":
             cover = cert.get("cover", [str])
             cover_cofs = cert.get("cover_cofactors", [str], like="cover")

@@ -178,6 +178,12 @@ def _ref_relation_terms(domain, codomain):
             or zero for rel in domain.relations]
 
 
+def _top_exponents(domain) -> list:
+    """Largest exponent of each generator over all relations."""
+    return [max((mono[k] for rel in domain.relations for mono, _ in rel),
+                default=0) for k in range(len(domain.variables))]
+
+
 def _ref_power_table(a, top, one):
     pw = [one]
     for _ in range(top):
@@ -192,7 +198,7 @@ def reference_make_hom(domain, codomain, images=()):
             f"expected {len(domain.variables)} images, got {len(images)}")
     R._base_compatible(domain, codomain)
     rels = _ref_relation_terms(domain, codomain)
-    for img, top in zip(images, R._top_exponents(domain)):
+    for img, top in zip(images, _top_exponents(domain)):
         rels = _ref_substitute(rels, _ref_power_table(img, top,
                                                       codomain.one()))
     bad = next((i for i, rel in enumerate(rels) if not rel[()].is_zero),
@@ -303,7 +309,7 @@ def reference_enumerate_homs(domain, codomain):
         R._base_compatible(domain, codomain)
     except NotWellDefined:
         return []
-    top = max(R._top_exponents(domain), default=0)
+    top = max(_top_exponents(domain), default=0)
     table = [_ref_power_table(a, top, codomain.one()) for a in elements]
     nvars = len(domain.variables)
     homs = []

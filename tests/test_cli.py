@@ -8,10 +8,14 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from zkit import gluing, rings
 from zkit.dsl import parse, pretty_print
 from zkit.interp import Options, REPORT_SCHEMA, run_source
 from zkit.limits import current_limits, limits
-from zkit.serialize import verify_certificate
+from zkit.poly import PrimeField
+from zkit.rings import polynomial_ring
+from zkit.serialize import (element_from_str, ring_from_json,
+                            verify_certificate)
 
 SCRIPTS = Path(__file__).parent / "scripts"
 MANIFEST = json.loads((SCRIPTS / "manifest.json").read_text())
@@ -66,22 +70,87 @@ def test_points_over_the_assignment_cap_is_an_error_record():
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("base", ["Q", "Fp(7)"])
-def test_power_of_a_sum_past_the_assignment_cap_is_an_error_record(base):
-    """(x+1)^k doubles its term count with each squaring: the statement
-    is refused before the product that would pass max_assignments term
+@pytest.mark.parametrize("source", [
+    pytest.param("ring S = Q[x]; elem a = (x+1)^99999999999;", id="Q"),
+    pytest.param("ring S = Fp(7)[x]; elem a = (x+1)^99999999999;",
+                 id="Fp(7)"),
+    pytest.param("ring R = Q[x]; eval x^99999999 at {x -> x + 1};",
+                 id="eval"),
+    pytest.param("ring R = Q[x]; member {x -> x + 1} in D(x^99999999);",
+                 id="member"),
+    # make_hom's relation check evaluates x^99999999 at x + 1
+    pytest.param("ring R = Q[x]/(x^99999999); eval x at {x -> x + 1};",
+                 id="relation-check"),
+])
+def test_power_of_a_sum_past_the_assignment_cap_is_an_error_record(source):
+    """(x+1)^k doubles its term count with each squaring: wherever it is
+    formed, in a script's ^ or in hom evaluation, the statement is
+    refused before the product that would pass max_assignments term
     pairs, with no timeout set, instead of running until one stops it."""
     start = time.perf_counter()
-    report = run_source(f"ring S = {base}[x]; "
-                        "elem a = (x+1)^99999999999;")
+    last = run_source(source).results[-1]
     elapsed = time.perf_counter() - start
-    last = report.results[-1]
     assert last.status == "error"
     assert last.result["kind"] == "ResourceExceeded"
-    assert last.result["message"].startswith("serialize.power: ")
+    assert last.result["message"].startswith("rings.power: ")
     assert "term pairs exceed max_assignments=1000000" in \
         last.result["message"]
     assert elapsed < 1.0
+
+
+def test_points_over_a_ring_with_a_high_power_relation():
+    """enumerate_homs forms each element's powers for the exponents the
+    relations use, here only a^1000000, not every power up to it."""
+    start = time.perf_counter()
+    last = run_source("ring R = Fp(7)[x]/(x^1000000); "
+                      "points R over Fp(7);").results[-1]
+    assert time.perf_counter() - start < 0.2
+    assert last.status == "ok"
+    assert last.result["count"] == 1
+
+
+def test_power_under_the_cap_in_hom_evaluation_still_evaluates():
+    """(x + 1)^200 over Fp(7)[x] stays under the cap and is evaluated."""
+    S = polynomial_ring(PrimeField(7), ["x"])
+    expected = S.one()
+    for _ in range(200):
+        expected = expected * (S.var("x") + 1)
+    last = run_source("ring R = Fp(7)[x]; "
+                      "eval x^200 at {x -> x + 1};").results[-1]
+    assert last.status == "ok"
+    assert last.result["value"] == str(expected)
+
+
+def test_verify_of_a_zero_family_forms_no_power(tmp_path, monkeypatch):
+    """A ~370-byte glue report over Q[x0,x1,x2]/(x0^70) with a family
+    exponent edited to 64 holds: its numerators are 0, so no pair
+    difference needs a power of a cover element, and none is formed
+    (forming f_0^64 took 4 s)."""
+    source = ("ring R = Q[x0, x1, x2]/(x0^70); glue cover "
+              "[x0 + x1 + x2 + 1, -(x0 + x1 + x2)] with "
+              "[0 / (x0 + x1 + x2 + 1)^0, 0 / (-(x0 + x1 + x2))^0];")
+    bases, power = [], rings._power
+
+    def recorded(x, e, mul, weight=None):
+        bases.append(x)
+        return power(x, e, mul, weight)
+    # as the CLI runs, without the suite's post-hoc check of each basis:
+    # the restriction checks build the presentation of each R[1/f_i]
+    with limits(check_bases=False):
+        report = json.loads(json.dumps(run_source(source).to_json()))
+        cert = report["results"][-1]["certificate"]
+        cert["family"][0]["exp"] = 64
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(report))
+        for module in (rings, gluing):
+            monkeypatch.setattr(module, "_power", recorded)
+        start = time.perf_counter()
+        last = run_source(f'verify "{edited}";').results[-1]
+        assert time.perf_counter() - start < 2.0
+    assert last.status == "ok", last.result
+    ring = ring_from_json(cert["ring"])
+    cover = {element_from_str(ring, f).payload for f in cert["cover"]}
+    assert not cover.intersection(bases)
 
 
 GOLDEN = json.loads((SCRIPTS / "expected.json").read_text())

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zkit import (CodomainNotFinite, IntegerRing, NotWellDefined, PrimeField,
                   QuotientRing, Rationals, ResidueRing, ResourceExceeded,
                   RingMismatch, enumerate_homs, hom_apply, hom_compose,
-                  identity_hom, is_unit, limits, make_hom, normalize,
-                  polynomial_ring, quotient_by)
+                  identity_hom, is_unit, limits, localize, make_hom,
+                  normalize, polynomial_ring, quotient_by)
+from zkit.localization import LocalizedRing
 from helpers import (p_eval, random_element, random_quotient_ring,
                      random_ring, reference_enumerate_homs)
 
@@ -385,30 +387,69 @@ def test_rabinowitsch_relation_is_the_product():
                             for g in (f.payload, *ring.relations)]
 
 
+def _repeated_product(a, k: int):
+    """a^k as k - 1 plain products, the reference for rings._power."""
+    out = a.ring.one()
+    for _ in range(k):
+        out = out * a
+    return out
+
+
 def test_is_times_power_matches_the_product():
-    """rings._is_times_power(y, x, f, d), which divides y by f instead of
-    forming f^d, agrees with y == x * f^d over the domains Q[x,y],
-    Fp(7)[x,y], Z and Q, for true products, products off by one term,
-    and x, f or y zero.  A ring with relations, and Z/n, are not taken
-    for domains."""
+    """rings._is_times_power(y, x, f, d) agrees with y == x * f^d, f^d
+    the repeated product, for true products, products off by one term,
+    and x, f or y zero: over the domains Q[x,y], Fp(7)[x,y], Z and Q,
+    where a polynomial ring divides y by f instead of forming f^d, and
+    over Q[x,y]/(x^2), Fp(7)[x]/(x^3 - 1) and Z/12, which are not
+    domains and form f^d under the term-pair cap."""
     from zkit import rings
     rng = random.Random(3319)
-    domains = [polynomial_ring(Rationals(), ["x", "y"]),
-               polynomial_ring(PrimeField(7), ["x", "y"]),
+    Qxy = polynomial_ring(Rationals(), ["x", "y"])
+    F7x = polynomial_ring(PrimeField(7), ["x"])
+    domains = [Qxy, polynomial_ring(PrimeField(7), ["x", "y"]),
                IntegerRing(), polynomial_ring(Rationals(), [])]
-    for ring in domains:
-        assert ring.is_domain
+    others = [quotient_by(Qxy, [Qxy.var("x") ** 2]),
+              quotient_by(F7x, [F7x.var("x") ** 3 - 1]), ResidueRing(12)]
+    for ring in domains + others:
+        assert ring.is_domain == (ring in domains)
         for _ in range(40):
             x, f = (random_element(ring, rng, 2) for _ in range(2))
             d = rng.randrange(5)
-            y = x * f ** d
+            y = x * _repeated_product(f, d)
             roll = rng.random()
             if roll < 0.4:
                 y = y + random_element(ring, rng, 3)
             elif roll < 0.5:
                 y = ring.zero()
-            assert rings._is_times_power(y, x, f, d) == (y == x * f ** d), \
-                (ring, y, x, f, d)
-    S = polynomial_ring(Rationals(), ["x"])
-    assert not quotient_by(S, [S.var("x") ** 2]).is_domain
-    assert not ResidueRing(6).is_domain
+            assert rings._is_times_power(y, x, f, d) == (
+                y == x * _repeated_product(f, d)), (ring, y, x, f, d)
+
+
+def _power_rings():
+    F7 = polynomial_ring(PrimeField(7), ["x", "y"])
+    Qx = polynomial_ring(Rationals(), ["x"])
+    Qx2 = quotient_by(Qx, [Qx.var("x") ** 2])
+    return [Z, ResidueRing(12), QuotientRing(Rationals()),
+            QuotientRing(PrimeField(7)),
+            polynomial_ring(Rationals(), ["x", "y"]),
+            quotient_by(F7, [F7.var("x") ** 2 - F7.var("y")]),
+            localize(Z, 6), localize(QuotientRing(Rationals()), 3),
+            localize(Qx2, Qx2.var("x") + 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_power_is_the_repeated_product(seed):
+    """a ** k, formed by rings._power under each ring's power_weight,
+    equals the k-fold product for k in 0..6, on every ring kind: Z, Z/n,
+    Q, Fp, a free ring, a quotient, and R[1/f] over Z, a field and a
+    quotient that is not a domain."""
+    rng = random.Random(seed)
+    for ring in _power_rings():
+        if isinstance(ring, LocalizedRing):
+            a = ring.element(ring.fraction(random_element(ring.ring, rng, 2),
+                                           rng.randrange(3)))
+        else:
+            a = random_element(ring, rng, 2)
+        for k in range(7):
+            assert a ** k == _repeated_product(a, k), (ring, a, k)
