@@ -9,12 +9,9 @@ glue_element inverts the restriction map: align the denominators to a
 common power N, take the largest pairwise witness exponent k (any k at
 or past the witnesses works, and k >= 1 keeps N + k >= 1), find
 cofactors of the f_i^(N+k) (the ring's own, see ideals.power_certificate)
-and recombine.  The result is verified against the input family before
-it is returned, in the cover's own rings R[1/f_i] (cover.localized,
-built once per cover), and restricting a global element then gluing
-gives back that element on the nose.  Over a free polynomial ring these
-checks and the pairwise ones compare in R itself, a domain, and build
-no presentation (see localization).
+and recombine.  The result is checked in R before it is returned, by
+the predicate verify decides (restricts), and gluing a global element's
+restrictions gives back that element on the nose.
 
 A hom A -> R out of A = k[x]/I is its generator images, so homs are
 glued generator by generator: the written images of each generator
@@ -26,14 +23,15 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import (IncompatibleFamily, InvariantViolated, NotUnimodular,
-                     RingMismatch)
+                     ResourceExceeded, RingMismatch)
 from .ideals import (BezoutCertificate, power_certificate,
                      saturation_member, unimodular_certificate)
+from .limits import current_limits
 from .localization import (Fraction, FractionMap, canonical_map, localize,
                            localized_name)
 from .records import record
-from .rings import (RingElement, RingHom, _power, hom_apply, hom_compose,
-                    make_hom, normalize)
+from .rings import (RingElement, RingHom, _is_times_power, _power, hom_apply,
+                    hom_compose, make_hom, normalize)
 
 
 @record(frozen=True)
@@ -77,21 +75,24 @@ class CompatCheck:
     failing_pair: tuple = None
 
 
-def pair_differences(elements):
-    """((i, j), r_i f_j^N - r_j f_i^N) for each pair i < j, in the order
-    (0, 1), (0, 2), (1, 2), ..., with the fractions aligned to the largest
-    exponent N: r_i = num_i * f_i^(N - exp_i).
-
-    chi_l(x_i) == chi_r(x_j) in R[1/(f_i f_j)] iff a power (f_i f_j)^k
-    kills the difference, and the least such k is the pair witness.  The
-    aligned form is the one the gluing algorithm consumes directly
-    (witnesses on unaligned representatives can be off by unit factors
-    that matter in rings with zero divisors).  Each f_i^k is formed
-    once, and only to multiply a factor that is not 0.
-    """
-    if not elements:
-        return
-    ring = elements[0].ring
+def check_compatibility(cover: UnimodularCover, elements) -> CompatCheck:
+    """Decide all pairwise double-localization conditions, for i < j in
+    the order (0, 1), (0, 2), (1, 2), ...  With the fractions aligned to
+    the largest exponent N, r_i = num_i * f_i^(N - exp_i), chi_l(x_i) ==
+    chi_r(x_j) in R[1/(f_i f_j)] iff a power (f_i f_j)^k kills r_i f_j^N
+    - r_j f_i^N, and the least such k is the pair witness, on the
+    aligned form that glue_element consumes (witnesses on unaligned
+    representatives can be off by unit factors that matter in rings with
+    zero divisors).  Each f_i^k is formed once, and only to multiply a
+    factor that is not 0."""
+    elements = tuple(elements)
+    if len(elements) != len(cover):
+        raise IncompatibleFamily("family size does not match the cover")
+    for x, f in zip(elements, cover.elements):
+        if not isinstance(x, Fraction) or x.ring != cover.ring or x.f != f:
+            raise RingMismatch(f"{x!r} is not a fraction over "
+                               f"{localized_name(cover.ring, f)}")
+    ring = cover.ring
     mul, weight, n = ring.mul, ring.power_weight, max(x.exp for x in elements)
     powers = {}  # (i, k) -> the payload of f_i^k
 
@@ -104,27 +105,15 @@ def pair_differences(elements):
 
     aligned = [times(x.num.payload, i, n - x.exp)
                for i, x in enumerate(elements)]
+    witnesses = []
     for j in range(len(elements)):
         for i in range(j):
-            yield (i, j), RingElement(ring, ring.sub(
-                times(aligned[i], j, n), times(aligned[j], i, n)))
-
-
-def check_compatibility(cover: UnimodularCover, elements) -> CompatCheck:
-    """Decide all pairwise double-localization conditions."""
-    elements = tuple(elements)
-    if len(elements) != len(cover):
-        raise IncompatibleFamily("family size does not match the cover")
-    for x, f in zip(elements, cover.elements):
-        if not isinstance(x, Fraction) or x.ring != cover.ring or x.f != f:
-            raise RingMismatch(f"{x!r} is not a fraction over "
-                               f"{localized_name(cover.ring, f)}")
-    witnesses = []
-    for (i, j), diff in pair_differences(elements):
-        k = saturation_member(diff, elements[i].f * elements[j].f)
-        if k is None:
-            return CompatCheck(False, tuple(witnesses), (i, j))
-        witnesses.append((i, j, k))
+            diff = RingElement(ring, ring.sub(times(aligned[i], j, n),
+                                              times(aligned[j], i, n)))
+            k = saturation_member(diff, elements[i].f * elements[j].f)
+            if k is None:
+                return CompatCheck(False, tuple(witnesses), (i, j))
+            witnesses.append((i, j, k))
     return CompatCheck(True, tuple(witnesses))
 
 
@@ -158,21 +147,48 @@ def restrict_element(cover: UnimodularCover, g) -> CompatibleFamily:
 def glue_element(fam: CompatibleFamily) -> RingElement:
     """The unique global element restricting to the family."""
     cover = fam.cover
-    ring = cover.ring
     fs = cover.elements
     n_exp = max((x.exp for x in fam.elements), default=0)
     aligned = [x.num * fs[i] ** (n_exp - x.exp)
                for i, x in enumerate(fam.elements)]
     k = max([w[2] for w in fam.witnesses] + [0 if n_exp else 1])
     cof = power_certificate(cover.certificate, n_exp + k).cofactors
-    g = ring.zero()
+    g = cover.ring.zero()
     for b, r, f in zip(cof, aligned, fs):
         g = g + b * r * f ** k
-    for x, L in zip(fam.elements, cover.localized):
-        if not L.equal(L.from_base(g), x):
-            raise IncompatibleFamily(
-                "glued element fails to restrict to the family")
+    # the pair witnesses give g f_i^(N+k) == num_i f_i^(N-e_i) f_i^k
+    if not all(restricts(g, x, n_exp - x.exp + k) for x in fam.elements):
+        raise IncompatibleFamily(
+            "glued element fails to restrict to the family")
     return g
+
+
+def restricts(g: RingElement, x: Fraction, k: int) -> bool:
+    """(g f^e - num) f^k == 0 in R for x = num/f^e: g restricts to x in
+    R[1/f] with exponent k.  Decided as num f^k == g f^(e+k) by
+    rings._is_times_power; over a domain with f != 0 only k = 0 matters,
+    and no power is formed, nor f^k for num = 0."""
+    num, f = x.num, x.f
+    if x.ring.is_domain and not f.is_zero:
+        k = 0
+    elif k and not num.is_zero:
+        num = num * f ** k
+    return _is_times_power(num, g, f, x.exp + k)
+
+
+def restriction_exponents(fam: CompatibleFamily, g: RingElement) -> tuple:
+    """The least k with restricts(g, x, k) for each member x of fam, the
+    exponents a glue certificate carries; none up to max(max_exponent,
+    saturation_bound) is ResourceExceeded."""
+    top, bound = current_limits().max_exponent, g.ring.saturation_bound
+    cap = max(top, bound)
+    least = tuple(next((k for k in range(cap + 1) if restricts(g, x, k)),
+                       None) for x in fam.elements)
+    if None in least:
+        raise ResourceExceeded(
+            f"gluing.restriction_exponents: no exponent up to {cap} = "
+            f"max(max_exponent={top}, saturation_bound={bound})")
+    return least
 
 
 # ---------------------------------------------------------------------------

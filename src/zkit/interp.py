@@ -23,7 +23,8 @@ from . import dsl, serialize
 from .errors import (IncompatibleFamily, InvalidWitness, NotUnimodular,
                      NotWellDefined, ResourceExceeded, TypeMismatch,
                      UnknownName, UnsupportedBase, ZkitError)
-from .gluing import glue_element, make_cover, make_family
+from .gluing import (glue_element, make_cover, make_family,
+                     restriction_exponents)
 from .ideals import fin_gen_ideal, radical_witness, unimodular_certificate
 from .lattice import (ZarElt, zar_elt, zar_eq, zar_join, zar_leq, zar_meet,
                       zar_top)
@@ -330,8 +331,8 @@ def _execute(stmt, env: _Env, options: Options):
             glued = glue_element(fam)
         except IncompatibleFamily as exc:
             return "refuted", {"glued": None, "reason": str(exc)}, None
-        cert = serialize.glue_to_json(cover, fam.elements, fam.witnesses,
-                                      glued)
+        cert = serialize.glue_to_json(
+            cover, fam.elements, restriction_exponents(fam, glued), glued)
         return "ok", {"glued": str(glued)}, cert
     if isinstance(stmt, dsl.PointsCmd):
         ring = env.ring(stmt.ring_name)

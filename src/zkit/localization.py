@@ -21,11 +21,11 @@ instead.  The payloads are
 The kernel of R -> R[1/f] is the set of elements that some power of f
 kills, so ideals.saturates decides a * f^k == 0 as a/1 == 0 here.
 
-Over a free ring k[x], a domain, equal and is_trivial (and so frac_eq,
-glue_element's check and saturates) decide in R by one rule and build no
-presentation: R[1/f] is the zero ring iff f == 0, and otherwise a/f^n ==
-b/f^m, n <= m, iff a * f^(m - n) == b, which rings._is_times_power
-decides by dividing b by f, with no power of f formed.  The
+Over a free ring k[x], a domain, equal and is_trivial (and so frac_eq
+and saturates) decide in R by one rule and build no presentation:
+R[1/f] is the zero ring iff f == 0, and otherwise a/f^n == b/f^m, n <=
+m, iff a * f^(m - n) == b, which rings._is_times_power decides by
+dividing b by f, with no power of f formed.  The
 presentation is built where it is printed (localize), where elements of
 R[1/f] are computed with, and over a quotient with relations, where the
 rule does not hold.
@@ -45,9 +45,9 @@ localize builds a new R[1/f] on every call, and no module keeps one:
 what it computes once (its modulus, its presentation and that one's
 basis) lives as long as whoever holds it.  A unimodular cover holds the
 R[1/f_i] of its elements (gluing.UnimodularCover.localized) for the
-statement that made it.  frac_eq, which verify calls once per glue
-restriction, builds and drops its own.  The radical test builds none
-(rings: local_unit_cofactors).
+statement that made it.  frac_eq builds and drops its own.  Neither
+the radical test (rings: local_unit_cofactors) nor a glue restriction
+check (gluing.restricts) builds one.
 """
 from __future__ import annotations
 

@@ -33,9 +33,10 @@ Over Q, canonical gives each coefficient its one form (an int or a
 proper Fraction).
 
 verify decides the powers that a certificate claims, a^k of a radical
-claim and (f_i f_j)^k of a glue pair, by rings._is_times_power: with
-none formed over a free polynomial ring, and under the term-pair cap
-over every other ring.
+claim and (glued f^e - num) f^k == 0 of a glue family entry
+(gluing.restricts), by rings._is_times_power: with none formed over a
+free polynomial ring, and under the term-pair cap over every other ring.
+A glue claim builds no R[1/f]; the overlaps need no check of their own.
 """
 from __future__ import annotations
 
@@ -47,11 +48,11 @@ from operator import add, le, sub
 from . import dsl
 from .errors import (InvalidWitness, NonInvertibleDenominator, TypeMismatch,
                      ZkitError)
-from .gluing import pair_differences
+from .gluing import restricts
 from .ideals import BezoutCertificate
 from .lattice import zar_elt
 from .limits import current_limits
-from .localization import Fraction, frac_eq
+from .localization import Fraction
 from .poly import PrimeField, Rationals
 from .rings import (_NAME, IntegerRing, ResidueRing, RingElement,
                     _check_digits, _is_times_power, _power, _weight, make_hom,
@@ -264,14 +265,13 @@ def membership_to_json(ring, element, generators, cofactors,
             "exponent": exponent}
 
 
-def glue_to_json(cover, fractions, witnesses, glued) -> dict:
+def glue_to_json(cover, fractions, exponents, glued) -> dict:
     return {"claim": "glue",
             "ring": ring_to_json(cover.ring),
             "cover": [str(f) for f in cover.elements],
             "cover_cofactors": [str(c) for c in cover.certificate.cofactors],
-            "family": [{"num": str(x.num), "den": str(x.f), "exp": x.exp}
-                       for x in fractions],
-            "pair_exponents": [list(w) for w in witnesses],
+            "family": [{"num": str(x.num), "den": str(x.f), "exp": x.exp,
+                        "k": k} for x, k in zip(fractions, exponents)],
             "glued": str(glued)}
 
 
@@ -395,36 +395,6 @@ class CertificateReader:
         return tuple([self.element(ring, s) for s in texts])
 
 
-def _pair_exponents_fault(ring, fracs, pairs):
-    """Why pairs is not the pair_exponents list of the family fracs, or
-    None: one [i, j, k] for each pair i < j, in the order of
-    gluing.pair_differences, where (f_i f_j)^k kills the difference.
-
-    verify checks the restrictions first, so over a domain each fraction
-    is the glued element's and a pair's difference is 0 unless f_i f_j
-    == 0; the differences are formed only for those pairs, and for every
-    pair over a ring that is not a domain."""
-    order = [(i, j) for j in range(len(fracs)) for i in range(j)]
-    if len(pairs) != len(order):
-        return f"pair_exponents must list the {len(order)} pairs i < j"
-    cap = max(current_limits().max_exponent, ring.saturation_bound)
-    diffs = None
-    for entry, (i, j) in zip(pairs, order):
-        if entry[:2] != [i, j] or len(entry) != 3:
-            return f"pair_exponents entry {entry!r} is not [{i}, {j}, k]"
-        k = entry[2]
-        if not 0 <= k <= cap:
-            return f"pair exponent {k!r} is not an integer in [0, {cap}]"
-        f = fracs[i].f * fracs[j].f
-        if ring.is_domain and not f.is_zero:
-            continue
-        if diffs is None:
-            diffs = dict(pair_differences(fracs))
-        if not _is_times_power(ring.zero(), diffs[i, j], f, k):
-            return f"pair ({i}, {j}) does not vanish with exponent {k}"
-    return None
-
-
 def verify_certificate(data: dict, reader: CertificateReader = None) -> tuple:
     """Re-verify a certificate, as json.loads returns it; returns (ok,
     detail).  Each claim reads the whole certificate through _Fields
@@ -459,32 +429,34 @@ def verify_certificate(data: dict, reader: CertificateReader = None) -> tuple:
         if claim == "glue":
             cover = cert.get("cover", [str])
             cover_cofs = cert.get("cover_cofactors", [str], like="cover")
+            family = cert.get("family", list, like="cover")
+            glued = cert.get("glued", str)
+            ring = cert.get("ring")
+            cert.done()
             cap = current_limits().max_exponent
-            family = []
-            for i, entry in enumerate(cert.get("family", list, like="cover")):
+            entries = []
+            for i, entry in enumerate(family):
                 entry = _Fields(entry, f"family[{i}].")
                 num, den = entry.get("num", str), entry.get("den", str)
-                family.append((num, entry.exponent("exp", 0, cap,
-                                                   "family exponent")))
+                exp = entry.exponent("exp", 0, cap, "family exponent")
+                entry.get("k", int)  # its cap needs the ring, read below
                 entry.done()
                 if den != cover[i]:
                     return False, (f"family den {den!r} is not cover "
                                    f"element {i}")
-            pairs = cert.get("pair_exponents", [[int]])
-            glued = cert.get("glued", str)
-            (ring,) = cert.rings(reader, "ring")
+                entries.append((num, exp, entry))
+            ring = reader.ring(ring)
             cover = read(ring, cover)
             if not BezoutCertificate(cover, read(ring, cover_cofs)).verify():
                 return False, "cover certificate failed"
             glued = reader.element(ring, glued)
-            fracs = [Fraction(ring, f, reader.element(ring, num), k)
-                     for f, (num, k) in zip(cover, family)]
-            for fr in fracs:
-                if not frac_eq(Fraction(ring, fr.f, glued), fr):
-                    return False, f"restriction to R[1/({fr.f})] differs"
-            fault = _pair_exponents_fault(ring, fracs, pairs)
-            if fault is not None:
-                return False, fault
+            cap = max(cap, ring.saturation_bound)
+            for i, (f, (num, exp, entry)) in enumerate(zip(cover, entries)):
+                k = entry.exponent("k", 0, cap, "restriction exponent")
+                x = Fraction(ring, f, reader.element(ring, num), exp)
+                if not restricts(glued, x, k):
+                    return False, (f"restriction to R[1/({f})] differs "
+                                   f"with family[{i}].k = {k}")
             return True, "cover verifies and all restrictions match"
         if claim == "point":
             images = cert.get("images", [str])

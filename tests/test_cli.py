@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from zkit import gluing, rings
+from zkit import gluing, poly, rings
 from zkit.dsl import parse, pretty_print
 from zkit.interp import Options, REPORT_SCHEMA, run_source
 from zkit.limits import current_limits, limits
@@ -121,32 +121,31 @@ def test_power_under_the_cap_in_hom_evaluation_still_evaluates():
     assert last.result["value"] == str(expected)
 
 
+# a ~370-byte glue report over a one-relation quotient with zero divisors
+_ZERO_FAMILY = ("ring R = Q[x0, x1, x2]/(x0^70); glue cover "
+                "[x0 + x1 + x2 + 1, -(x0 + x1 + x2)] with "
+                "[0 / (x0 + x1 + x2 + 1)^0, 0 / (-(x0 + x1 + x2))^0];")
+
+
 def test_verify_of_a_zero_family_forms_no_power(tmp_path, monkeypatch):
-    """A ~370-byte glue report over Q[x0,x1,x2]/(x0^70) with a family
-    exponent edited to 64 holds: its numerators are 0, so no pair
-    difference needs a power of a cover element, and none is formed
-    (forming f_0^64 took 4 s)."""
-    source = ("ring R = Q[x0, x1, x2]/(x0^70); glue cover "
-              "[x0 + x1 + x2 + 1, -(x0 + x1 + x2)] with "
-              "[0 / (x0 + x1 + x2 + 1)^0, 0 / (-(x0 + x1 + x2))^0];")
+    """The glue report of _ZERO_FAMILY with a family exponent edited to
+    64 holds: its numerators are 0, so no restriction check needs a power
+    of a cover element, and none is formed (forming f_0^64 took 4 s)."""
     bases, power = [], rings._power
 
     def recorded(x, e, mul, weight=None):
         bases.append(x)
         return power(x, e, mul, weight)
-    # as the CLI runs, without the suite's post-hoc check of each basis:
-    # the restriction checks build the presentation of each R[1/f_i]
-    with limits(check_bases=False):
-        report = json.loads(json.dumps(run_source(source).to_json()))
-        cert = report["results"][-1]["certificate"]
-        cert["family"][0]["exp"] = 64
-        edited = tmp_path / "edited.json"
-        edited.write_text(json.dumps(report))
-        for module in (rings, gluing):
-            monkeypatch.setattr(module, "_power", recorded)
-        start = time.perf_counter()
-        last = run_source(f'verify "{edited}";').results[-1]
-        assert time.perf_counter() - start < 2.0
+    report = json.loads(json.dumps(run_source(_ZERO_FAMILY).to_json()))
+    cert = report["results"][-1]["certificate"]
+    cert["family"][0]["exp"] = 64
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(report))
+    for module in (rings, gluing):
+        monkeypatch.setattr(module, "_power", recorded)
+    start = time.perf_counter()
+    last = run_source(f'verify "{edited}";').results[-1]
+    assert time.perf_counter() - start < 0.5
     assert last.status == "ok", last.result
     ring = ring_from_json(cert["ring"])
     cover = {element_from_str(ring, f).payload for f in cert["cover"]}
@@ -239,6 +238,27 @@ def _corpus_certificates():
                 yield name, r.certificate
 
 
+def test_verify_of_a_glue_claim_builds_no_localization(monkeypatch):
+    """verify decides a glue claim by ring arithmetic in R: with
+    poly.buchberger and every ring kind's localization raising, every
+    corpus glue certificate (over Z, Z/n and free rings) still verifies,
+    and so does that of _ZERO_FAMILY, over a one-relation quotient."""
+    certs = [cert for _, cert in _corpus_certificates()
+             if cert["claim"] == "glue"]
+    assert {cert["ring"]["kind"] for cert in certs} == {
+        "Z", "Zmod", "polyquot"}
+    certs.append(run_source(_ZERO_FAMILY).results[-1].certificate)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify of a glue claim ran the engine")
+    monkeypatch.setattr(poly, "buchberger", refuse)
+    for kind in (rings._Integers, rings.QuotientRing, rings.FieldRing):
+        monkeypatch.setattr(kind, "localization", refuse)
+    for cert in certs:
+        assert verify_certificate(cert) == (
+            True, "cover verifies and all restrictions match"), cert
+
+
 def _tampered_copies(cert):
     """(label, copy) pairs, each changing a list length, an exponent or
     the den of a glue family entry, which must be its cover element."""
@@ -279,28 +299,30 @@ def test_verify_rejects_cut_and_inflated_certificates():
 
 def _edited_to_the_cap(cert, cap):
     """(label, copy) pairs of cert with its radical exponent, or every
-    glue pair exponent or every glue family exponent, set to cap."""
+    glue restriction exponent k or every glue family exponent, set to
+    cap."""
     if cert["claim"] == "radical-membership":
         yield "radical", dict(cert, exponent=cap)
     if cert["claim"] == "glue":
-        yield "pair", dict(cert, pair_exponents=[
-            [i, j, cap] for i, j, _ in cert["pair_exponents"]])
-        yield "family", dict(cert, family=[dict(e, exp=cap)
-                                           for e in cert["family"]])
+        for key, label in (("k", "k"), ("exp", "family")):
+            yield label, dict(cert, family=[dict(e, **{key: cap})
+                                            for e in cert["family"]])
 
 
 def _restrictions_hold(cert):
-    """Whether glued/1 == num_i/f_i^exp_i for each family entry, compared
-    in the presentation of each R[1/f_i]."""
-    from zkit.localization import Fraction, localize
+    """Whether (glued * f^exp - num) * f^k == 0 for each family entry,
+    with each power formed as a repeated product."""
     from zkit.serialize import CertificateReader, ring_from_json
     reader, ring = CertificateReader(), ring_from_json(cert["ring"])
     glued = reader.element(ring, cert["glued"])
     for f, entry in zip(cert["cover"], cert["family"]):
-        L = localize(ring, reader.element(ring, f))
-        num = reader.element(ring, entry["num"])
-        if L.element(Fraction(ring, L.f, glued)) != \
-                L.element(Fraction(ring, L.f, num, entry["exp"])):
+        f, diff = reader.element(ring, f), glued
+        for _ in range(entry["exp"]):
+            diff = diff * f
+        diff = diff - reader.element(ring, entry["num"])
+        for _ in range(entry["k"]):
+            diff = diff * f
+        if not diff.is_zero:
             return False
     return True
 
@@ -308,10 +330,10 @@ def _restrictions_hold(cert):
 def test_verify_of_exponents_edited_up_to_the_cap():
     """Every corpus certificate with its exponents edited up to the cap
     is decided in under 2 s each, with the verdict of the plain
-    identity: a glue pair exponent holds past the least one, glue family
-    exponents hold iff each restriction still matches (compared in the
-    presentation), and a radical claim holds iff the sum of cofactor *
-    generator is a^cap."""
+    identity: a glue restriction exponent holds past the least one, glue
+    family exponents hold iff each restriction still holds with its k,
+    and a radical claim holds iff the sum of cofactor * generator is
+    a^cap."""
     from zkit.serialize import CertificateReader, ring_from_json
     cap = current_limits().max_exponent
     seen = set()
@@ -320,7 +342,7 @@ def test_verify_of_exponents_edited_up_to_the_cap():
             start = time.perf_counter()
             ok, detail = verify_certificate(bad)
             assert time.perf_counter() - start < 2.0, (name, label, detail)
-            if label == "pair":
+            if label == "k":
                 assert ok, (name, detail)
             elif label == "family":
                 assert ("restriction" in detail) != _restrictions_hold(bad), \
@@ -334,27 +356,26 @@ def test_verify_of_exponents_edited_up_to_the_cap():
                 a = reader.element(ring, cert["element"])
                 assert ok == (total == a ** cap), (name, detail)
             seen.add((label, ok))
-    assert seen == {("pair", True), ("family", False),
+    assert seen == {("k", True), ("family", False),
                     ("radical", False), ("radical", True)}
 
 
 @pytest.mark.parametrize("script, edit, status", [
     ("radical-member x0 + x1 + x2 + 1 in [x0 + x1 + x2 + 1];",
      lambda c: c.update(exponent=64), "refuted"),
-    # (f_0 f_1)^64 kills a difference of 0 as (f_0 f_1)^0 does: the
-    # edited exponent is a witness too, decided with no power formed
+    # over a domain f^64 kills only what f^0 does: k = 64 holds as
+    # k = 0 does, decided with no power formed
     ("glue cover [x0 + x1 + x2 + 1, -(x0 + x1 + x2)] with "
-     "[0 / (x0 + x1 + x2 + 1)^0, 0 / (-(x0 + x1 + x2))^0];",
-     lambda c: c.update(pair_exponents=[[0, 1, 64]]), "ok"),
-    # 0 / f^64 is 0 / f^0: decided by the zero numerators, and no pair
-    # difference is formed over a domain
+     "[(x0 + x1 + x2 + 1) / (x0 + x1 + x2 + 1)^1, 1 / (-(x0 + x1 + x2))^0];",
+     lambda c: c["family"][0].update(k=64), "ok"),
+    # 0 / f^64 is 0 / f^0: decided by the zero numerators
     ("glue cover [x0 + x1 + x2 + 1, -(x0 + x1 + x2)] with "
      "[0 / (x0 + x1 + x2 + 1)^0, 0 / (-(x0 + x1 + x2))^0];",
      lambda c: c["family"][0].update(exp=64), "ok"),
     ("glue cover [x0 + x1 + x2 + 1, -(x0 + x1 + x2)] with "
      "[(x0 + x1 + x2 + 1) / (x0 + x1 + x2 + 1)^1, 1 / (-(x0 + x1 + x2))^0];",
      lambda c: c["family"][0].update(exp=64), "refuted"),
-], ids=["radical", "glue-pair", "glue-family-zero", "glue-family"])
+], ids=["radical", "glue-k", "glue-family-zero", "glue-family"])
 def test_verify_of_small_certificates_with_exponent_64(tmp_path, script,
                                                        edit, status):
     """Over Q[x0,x1,x2], a ~250-byte certificate whose exponent is edited
@@ -470,9 +491,9 @@ def _edited(report, edit):
 _UNIT_GLUE = {"results": [{"certificate": {
     "claim": "glue", "ring": {"kind": "Z"}, "cover": ["2", "3"],
     "cover_cofactors": ["-1", "1"],
-    "family": [{"num": "1", "den": "2", "exp": 0},
-               {"num": "1", "den": "3", "exp": 0}],
-    "pair_exponents": [[0, 1, 0]], "glued": "1"}}]}
+    "family": [{"num": "1", "den": "2", "exp": 0, "k": 0},
+               {"num": "1", "den": "3", "exp": 0, "k": 0}],
+    "glued": "1"}}]}
 
 
 @pytest.mark.parametrize("report, status, detail", [
@@ -508,11 +529,18 @@ _UNIT_GLUE = {"results": [{"certificate": {
     (_UNIT_GLUE, "ok", None),
     (_edited(_UNIT_GLUE, lambda c: c["family"][0].update(extra=1)),
      "refuted", "unexpected key family[0].extra"),
+    # the pair witnesses that glue certificates no longer carry
     (_edited(_UNIT_GLUE,
              lambda c: c.update(pair_exponents=[[False, True, 0]])),
-     "refuted", "pair_exponents[0][0] is not an integer"),
+     "refuted", "unexpected key pair_exponents"),
     (_edited(_UNIT_GLUE, lambda c: c.update(pair_exponents=[[0.0, 1, 0]])),
-     "refuted", "pair_exponents[0][0] is not an integer"),
+     "refuted", "unexpected key pair_exponents"),
+    (_edited(_UNIT_GLUE, lambda c: c["family"][1].update(k=False)),
+     "refuted", "family[1].k is not an integer"),
+    (_edited(_UNIT_GLUE, lambda c: c["family"][1].update(k=0.0)),
+     "refuted", "family[1].k is not an integer"),
+    (_edited(_UNIT_GLUE, lambda c: c["family"][1].pop("k")),
+     "refuted", "family[1].k is missing"),
     ({"results": [5]}, "error", None),
     ({"results": 5}, "error", None),
     ([1], "error", None),
@@ -525,7 +553,7 @@ _UNIT_GLUE = {"results": [{"certificate": {
         "float-modulus", "float-field-size", "bezout-extra-key",
         "ring-extra-key", "ring-without-order", "glue-unit",
         "family-entry-extra-key", "pair-entry-booleans",
-        "pair-entry-float", "entry-int", "results-int", "top-level-list",
+        "pair-entry-float", "k-boolean", "k-float", "k-missing", "entry-int", "results-int", "top-level-list",
         "no-results", "version-only"])
 def test_verify_malformed_report(tmp_path, report, status, detail):
     """A certificate that is not an object, or whose claim, keys or JSON

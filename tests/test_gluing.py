@@ -11,6 +11,9 @@ from zkit import (CompatibleFamily, CompatibleHomFamily, IncompatibleFamily,
                   restrict_element, restrict_hom)
 from helpers import (random_element, random_endo, random_ring,
                      random_unimodular_cover)
+from zkit.errors import ResourceExceeded
+from zkit.gluing import restriction_exponents, restricts
+from zkit.limits import limits
 
 Z = IntegerRing()
 
@@ -53,6 +56,45 @@ def test_nilpotent_cover_compatibility():
     cov = make_cover(Z8, [3, 5])
     fam = restrict_element(cov, 6)
     assert glue_element(fam) == Z8.element(6)
+
+
+def test_restricts_is_the_plain_identity():
+    """restricts(g, x, k) for x = num/f^e agrees with (g f^e - num) f^k
+    == 0 formed by repeated products, over random rings (zero divisors
+    included), and g restricts to x in R[1/f] whenever it holds."""
+    rng = random.Random(67)
+    for _ in range(40):
+        ring = random_ring(rng)
+        cover = random_unimodular_cover(ring, rng)
+        g = random_element(ring, rng, 2)
+        for f, L in zip(cover.elements, cover.localized):
+            e = rng.randrange(3)
+            num = (g * f ** e + random_element(ring, rng, 1) * (1 - f)
+                   if rng.random() < 0.5 else random_element(ring, rng, 2))
+            x = L.fraction(num, e)
+            diff = g * f ** e - num
+            for k in range(4):
+                assert restricts(g, x, k) == diff.is_zero, (ring, f, x, k)
+                if diff.is_zero:
+                    assert frac_eq(L.from_base(g), x)
+                diff = diff * f
+
+
+def test_restriction_exponents_are_the_least_under_the_cap():
+    """Over Q[x, y]/(x*y) the glued y restricts to 0/(-x)^0 with k = 1
+    and not 0; with the cap at 0 that k is ResourceExceeded."""
+    R = polynomial_ring(Rationals(), ["x", "y"])
+    S = quotient_by(R, [R.var("x") * R.var("y")])
+    x, y = S.var("x"), S.var("y")
+    cov = make_cover(S, [x + 1, -x])
+    La, Lb = cov.localized
+    fam = make_family(cov, (La.fraction(y), Lb.fraction(0)))
+    g = glue_element(fam)
+    assert g == y and restriction_exponents(fam, g) == (0, 1)
+    assert not restricts(g, fam.elements[1], 0)
+    with limits(max_exponent=0), pytest.raises(ResourceExceeded) as exc:
+        restriction_exponents(fam, g)
+    assert "no exponent up to 0 = max(max_exponent=0" in str(exc.value)
 
 
 def test_round_trips_with_padding_random():

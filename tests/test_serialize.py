@@ -258,37 +258,85 @@ def test_glue_statement_refuses_exponents_over_the_cap():
     assert "max_exponent=3" in over.result["message"]
 
 
+_GLUE_XY = ("ring S = Q[x, y]/(x*y); "
+            "glue cover [x + 1, -x] with [y / (x + 1)^0, 0 / (-x)^0];")
+
+
+@pytest.mark.parametrize("source", [_GLUE_QX, _GLUE_Z48, _GLUE_Z3, _GLUE_XY],
+                         ids=["Qx", "Z48", "Z-three-opens", "Qxy-xy"])
+@pytest.mark.parametrize("edit", [
+    "garbage", "wrong-k", "k-over-cap", "k-negative", "k-bool", "k-float",
+    "missing"])
+def test_verify_checks_restriction_exponents(source, edit):
+    """Each family entry num/f^e carries the least k with (glued f^e -
+    num) f^k == 0; verify refuses an edit of the largest one, with a
+    detail that names its path."""
+    cert = _glue_cert(source)
+    assert verify_certificate(cert) == (
+        True, "cover verifies and all restrictions match")
+    ks = [entry["k"] for entry in cert["family"]]
+    j = ks.index(max(ks))
+    entry = cert["family"][j]
+    if edit == "missing":
+        del entry["k"]
+    elif edit == "wrong-k":
+        if ks[j] == 0:  # over a domain k = 0 holds, and with it every k
+            return
+        entry["k"] -= 1
+    else:
+        entry["k"] = {"garbage": "garbage", "k-over-cap": 65,
+                      "k-negative": -1, "k-bool": True,
+                      "k-float": float(ks[j])}[edit]
+    ok, detail = verify_certificate(cert)
+    assert not ok and f"family[{j}].k" in detail, detail
+
+
 @pytest.mark.parametrize("source", [_GLUE_QX, _GLUE_Z48, _GLUE_Z3],
                          ids=["Qx", "Z48", "Z-three-opens"])
 @pytest.mark.parametrize("edit", [
     "garbage", "cut", "emptied", "extra", "swapped", "wrong-k", "k-over-cap",
     "k-negative", "k-bool", "k-float", "entry-short", "entry-indices"])
 def test_verify_checks_pair_exponents(source, edit):
+    """A glue certificate carries no pair exponents: the format that did,
+    with a pair_exponents list of [i, j, k] and no k in the family, is
+    refused at that key, as written and under each edit of the list that
+    verify once checked."""
     cert = _glue_cert(source)
-    assert verify_certificate(cert) == (
-        True, "cover verifies and all restrictions match")
-    pairs = cert["pair_exponents"]
+    pairs = [[i, j, 0] for j in range(len(cert["family"]))
+             for i in range(j)]
+    for entry in cert["family"]:
+        del entry["k"]
+    refused = (False, "verification error: unexpected key pair_exponents")
+    assert verify_certificate(dict(cert, pair_exponents=pairs)) == refused
     i, j, k = pairs[0]
-    if edit == "wrong-k":
-        if k == 0:  # k = 0 already kills the difference: any k does
-            return
-        pairs[0] = [i, j, k - 1]  # the least k, so k - 1 does not
-    else:
-        cert["pair_exponents"] = {
-            "garbage": "garbage",
-            "cut": pairs[:-1],
-            "emptied": [],
-            "extra": pairs + [[0, 1, 0]],
-            "swapped": pairs[::-1] if len(pairs) > 1 else [[j, i, k]],
-            "k-over-cap": [[i, j, 65]] + pairs[1:],
-            "k-negative": [[i, j, -1]] + pairs[1:],
-            "k-bool": [[i, j, True]] + pairs[1:],
-            "k-float": [[i, j, float(k)]] + pairs[1:],
-            "entry-short": [[i, j]] + pairs[1:],
-            "entry-indices": [[i, j + 1, k]] + pairs[1:],
-        }[edit]
-    ok, detail = verify_certificate(cert)
-    assert not ok and "pair" in detail, detail
+    cert["pair_exponents"] = {
+        "garbage": "garbage",
+        "cut": pairs[:-1],
+        "emptied": [],
+        "extra": pairs + [[0, 1, 0]],
+        "swapped": pairs[::-1] if len(pairs) > 1 else [[j, i, k]],
+        "wrong-k": [[i, j, k - 1]] + pairs[1:],
+        "k-over-cap": [[i, j, 65]] + pairs[1:],
+        "k-negative": [[i, j, -1]] + pairs[1:],
+        "k-bool": [[i, j, True]] + pairs[1:],
+        "k-float": [[i, j, float(k)]] + pairs[1:],
+        "entry-short": [[i, j]] + pairs[1:],
+        "entry-indices": [[i, j + 1, k]] + pairs[1:],
+    }[edit]
+    assert verify_certificate(cert) == refused
+
+
+def test_glue_over_zero_divisors_carries_a_positive_k():
+    """Over Q[x, y]/(x*y) the glued y restricts to 0/(-x)^0 only after a
+    factor -x: (y - 0) * (-x)^1 == 0, so that entry carries k = 1, and
+    verify refuses it with k = 0."""
+    cert = _glue_cert(_GLUE_XY)
+    assert cert["glued"] == "y"
+    assert [entry["k"] for entry in cert["family"]] == [0, 1]
+    assert verify_certificate(cert)[0]
+    cert["family"][1]["k"] = 0
+    assert verify_certificate(cert) == (
+        False, "restriction to R[1/(-x)] differs with family[1].k = 0")
 
 
 @pytest.mark.parametrize("claim", ["radical", "glue"])
@@ -301,10 +349,8 @@ def test_verify_forms_powers_under_the_term_pair_cap(claim):
                           "radical-member x + 1 in [x + 1];").results[-1]
         cert = dict(cert.certificate, exponent=64)
     else:
-        cert = _glue_cert("ring S = Q[x, y]/(x*y); glue cover [x + 1, -x] "
-                          "with [y / (x + 1)^0, 0 / (-x)^0];")
-        assert cert["pair_exponents"] == [[0, 1, 1]]
-        cert["pair_exponents"] = [[0, 1, 64]]
+        cert = _glue_cert(_GLUE_XY)
+        cert["family"][0]["k"] = 64  # y * (x + 1)^64 is formed
     with limits(max_assignments=4):
         ok, detail = verify_certificate(cert)
     assert not ok and "exceed max_assignments=4" in detail, detail
@@ -312,29 +358,35 @@ def test_verify_forms_powers_under_the_term_pair_cap(claim):
 
 
 def test_verify_over_a_domain_forms_no_power():
-    """Over a free ring verify forms neither a^k nor (f_i f_j)^k, so a
-    genuine certificate holds under a max_assignments that forming
-    either would exceed."""
+    """Over a free ring verify forms neither a^k nor f^k, so a genuine
+    certificate holds under a max_assignments that forming either would
+    exceed."""
     rad = run_source("ring R = Q[x, y]; elem a = x + 2*y + 1; "
                      "radical-member a in [a^6];").results[-1].certificate
     assert rad["exponent"] == 6
     glue = _glue_cert("ring S = Q[x, y]; glue cover [x + y + 1, -x - y] "
                       "with [(x + 1) / (x + y + 1)^0, "
                       "(x + 1) * (-x - y)^3 / (-x - y)^3];")
-    glue["pair_exponents"] = [[0, 1, 64]]
+    for entry in glue["family"]:
+        entry["k"] = 64
     with limits(max_assignments=4):
         assert verify_certificate(rad) == (True, "sum == element^6")
         assert verify_certificate(glue) == (
             True, "cover verifies and all restrictions match")
 
 
-def test_pair_exponents_cap_follows_the_saturation_bound():
-    """Over Z/n the saturation scan may go up to n's bit length + 1, so
-    verify accepts pair exponents up to that as well."""
-    cert = _glue_cert(_GLUE_Z48)
-    assert cert["pair_exponents"] == [[0, 1, 4]]
-    cert["pair_exponents"] = [[0, 1, 64]]
-    assert verify_certificate(cert)[0]  # any k past the least one holds
+def test_restriction_exponent_cap_follows_the_saturation_bound():
+    """Over Z/48 the least k may go up to 48's bit length + 1 = 7, past
+    max_exponent = 3, on the issuing side and in verify alike."""
+    with limits(max_exponent=3):
+        cert = _glue_cert(_GLUE_Z48)
+        assert [entry["k"] for entry in cert["family"]] == [4, 1]
+        assert verify_certificate(cert)[0]
+        cert["family"][0]["k"] = 7  # any k past the least one holds
+        assert verify_certificate(cert)[0]
+        cert["family"][0]["k"] = 8
+        ok, detail = verify_certificate(cert)
+    assert not ok and "family[0].k is not an integer in [0, 7]" in detail
 
 
 # ---------------------------------------------------------------------------

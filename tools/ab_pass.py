@@ -15,13 +15,16 @@ alternate script by script, and the one that goes first alternates
 from round to round; each script keeps its best time over the rounds,
 so a slow spell of a shared host costs both trees alike and drops out.
 
-`--workload cert-replay` times the verify path instead.  Tree A runs the
-seed-1 scripts of both decision workloads once; their certificates,
+`--workload cert-replay` times the verify path instead.  Each tree runs
+the seed-1 scripts of both decision workloads once; its certificates,
 tampered copies included, become the report files that
-tools/same_output.replay_reports makes, written to the temporary
-directory.  The timed scripts are verify statements over those files,
+tools/same_output.replay_reports makes, written to a directory of that
+tree's own.  The timed scripts are verify statements over those files,
 VERIFY_PER_SCRIPT to a script as bench/run.py groups them, run with
-Options(base_dir=...) so that both trees read the same files.
+Options(base_dir=...) so that each tree verifies the certificates it
+writes, as bench/run.py does: after a change to a certificate format,
+the other tree's certificates would be refused at the first unknown
+key, and the ratio would time the refusal.
 
 The two trees' reports, minus each result's `ms`, must be equal.  The
 last lines give the sum of the best times of each tree and their ratio
@@ -122,16 +125,22 @@ def main(argv=None) -> int:
         sys.path.insert(0, tmp)
         trees = [load(args.old, "zkit_a", Path(tmp)),
                  load(args.new, "zkit_b", Path(tmp))]
-        base_dir = Path(tmp) / "reports" if replay else None
-        work = (replay_scripts(trees[0], base_dir) if replay
-                else scripts(args.workload, args.seed))
+        if replay:
+            dirs = [Path(tmp) / f"reports_{t}" for t in "ab"]
+            works = [replay_scripts(tree, d) for tree, d in zip(trees, dirs)]
+            if [n for n, _ in works[0]] != [n for n, _ in works[1]]:
+                print("the trees write different numbers of certificates")
+                return 1
+        else:
+            dirs, works = [None, None], [scripts(args.workload, args.seed)] * 2
+        work = works[0]
         best = [[float("inf")] * len(work) for _ in trees]
         outputs = [[None] * len(work) for _ in trees]
         for rnd in range(args.rounds):
             order = (0, 1) if rnd % 2 == 0 else (1, 0)
-            for k, (_, source) in enumerate(work):
+            for k in range(len(work)):
                 for t in order:
-                    elapsed, data = run(trees[t], source, base_dir)
+                    elapsed, data = run(trees[t], works[t][k][1], dirs[t])
                     best[t][k] = min(best[t][k], elapsed)
                     outputs[t][k] = data
     differ = [name for (name, _), a, b in zip(work, *outputs) if a != b]
