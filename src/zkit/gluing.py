@@ -167,7 +167,7 @@ def restricts(g: RingElement, x: Fraction, k: int) -> bool:
     """(g f^e - num) f^k == 0 in R for x = num/f^e: g restricts to x in
     R[1/f] with exponent k.  Decided as num f^k == g f^(e+k) by
     rings._is_times_power; over a domain with f != 0 only k = 0 matters,
-    and no power is formed, nor f^k for num = 0."""
+    and no power is formed.  f^k is not formed for num = 0 either."""
     num, f = x.num, x.f
     if x.ring.is_domain and not f.is_zero:
         k = 0
