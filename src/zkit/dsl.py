@@ -19,6 +19,11 @@ below & below + and - below *), with prefix minus and ^ on an operand:
 level make one Chain, read left to right, and a parenthesized first
 operand of that level joins it: (a + b) + c is a + b + c.  The printer
 uses the same table, so printing and re-parsing gives the same AST.
+
+Statements are read and printed by one table too, _SYNTAX, whose
+parts the parser walks and the printer joins.  As a wrong entry would
+still round-trip, the round trip also rests on tests/test_parser.py,
+which checks both against the keyword ladder and printer they replaced.
 """
 from __future__ import annotations
 
@@ -218,6 +223,27 @@ class Script:
     statements: tuple
 
 
+# Each statement kind's syntax, read by the parser and the printer.  A
+# word or punctuation stands for itself; field:slot is a field of the
+# node, read by the _Parser method the slot names and printed by
+# _SLOT_PRINTERS[slot]; a first part a|b|c is one of those words.
+_SYNTAX = {
+    RingDecl: "ring name:name = ring:ring_expr",
+    Bind: "kind:elem|ideal|latt name:name = value:bind_value",
+    CheckCmd: "check left:expr op:compare right:expr",
+    UnimodularCmd: "unimodular items:bracket_exprs",
+    RadicalMemberCmd: "radical-member element:expr in ideal:ideal",
+    LocalizeCmd: "localize ring_name:name at at:expr",
+    GlueCmd: "glue cover cover_items:bracket_exprs with fractions:bracket_fracs",
+    PointsCmd: "points ring_name:name over over:ring_expr_or_name",
+    CoverCmd: "cover latt:expr",
+    MemberCmd: "member homspec:homspec in latt:expr over:over_clause",
+    EvalCmd: "eval expr:expr at homspec:homspec over:over_clause",
+    QcqsCmd: "qcqs latt:expr",
+    VerifyCmd: "verify path:string",
+}
+
+
 # ---------------------------------------------------------------------------
 # parser
 
@@ -279,59 +305,18 @@ class _Parser:
         return Script(tuple(stmts))
 
     def statement(self):
+        """The statement its first word opens, read as _SYNTAX says."""
         pos = self.pos
-        word = self.texts[pos]
+        self.word = word = self.texts[pos]
         if self.kinds[pos] != "name":
             raise self.error(f"expected a statement, found {word!r}", pos)
-        self.pos += 1
-        if word == "ring":
-            return self.ring_decl()
-        if word in ("elem", "ideal", "latt"):
-            return self.bind(word)
-        if word == "check":
-            return self.check_cmd()
-        if word == "unimodular":
-            return UnimodularCmd(self.bracket_exprs())
-        if word == "radical-member":
-            element = self.expr()
-            self.expect_word("in")
-            if self.at("["):
-                ideal = BracketList(self.bracket_exprs())
-            else:
-                ideal = NameRef(self.expect("name"))
-            return RadicalMemberCmd(element, ideal)
-        if word == "localize":
-            name = self.expect("name")
-            self.expect_word("at")
-            return LocalizeCmd(name, self.expr())
-        if word == "glue":
-            self.expect_word("cover")
-            items = self.bracket_exprs()
-            self.expect_word("with")
-            return GlueCmd(items, self.bracket_fracs())
-        if word == "points":
-            name = self.expect("name")
-            self.expect_word("over")
-            return PointsCmd(name, self.ring_expr_or_name())
-        if word == "cover":
-            return CoverCmd(self.expr())
-        if word == "member":
-            spec = self.homspec()
-            self.expect_word("in")
-            latt = self.expr()
-            over = self.optional_over()
-            return MemberCmd(spec, latt, over)
-        if word == "eval":
-            expr = self.expr()
-            self.expect_word("at")
-            spec = self.homspec()
-            over = self.optional_over()
-            return EvalCmd(expr, spec, over)
-        if word == "qcqs":
-            return QcqsCmd(self.expr())
-        if word == "verify":
-            return VerifyCmd(self.expect("string", "a quoted file path")[1:-1])
-        raise self.error(f"unknown statement {word!r}", pos)
+        if word not in _STATEMENTS:
+            raise self.error(f"unknown statement {word!r}", pos)
+        cls, parts = _STATEMENTS[word]
+        # a word or punctuation reads under the key None, dropped here
+        values = {field: read(self, *args) for field, read, args, _ in parts}
+        values.pop(None, None)
+        return cls(**values)
 
     def expect_word(self, word: str) -> None:
         if not self.at("name", word):
@@ -339,10 +324,34 @@ class _Parser:
                 f"expected '{word}', found {self.texts[self.pos]!r}", self.pos)
         self.pos += 1
 
-    def ring_decl(self) -> RingDecl:
-        name = self.expect("name")
-        self.expect("=")
-        return RingDecl(name, self.ring_expr())
+    def name(self) -> str:
+        return self.expect("name")
+
+    def string(self) -> str:
+        return self.expect("string", "a quoted file path")[1:-1]
+
+    def compare(self) -> str:
+        if self.kinds[self.pos] not in ("==", "<="):
+            raise self.error(f"expected '==' or '<=', found "
+                             f"{self.texts[self.pos]!r}", self.pos)
+        return self.advance()
+
+    def bind_value(self):
+        """An expression, or after the word ideal also a bracket list."""
+        return (self.ideal() if self.word == "ideal" and self.at("[")
+                else self.expr())
+
+    def ideal(self):
+        if self.at("["):
+            return BracketList(self.bracket_exprs())
+        return NameRef(self.expect("name"))
+
+    def over_clause(self):
+        """The ring after an optional trailing over, else None."""
+        if self.at("name", "over"):
+            self.advance()
+            return self.ring_expr_or_name()
+        return None
 
     def ring_expr_or_name(self):
         if self.at("name") and self.texts[self.pos] not in ("Z", "Q", "Fp"):
@@ -378,26 +387,6 @@ class _Parser:
             self.expect("(")
             relations = self.listed(self.expr, ")")
         return names, relations
-
-    def bind(self, kind: str) -> Bind:
-        name = self.expect("name")
-        self.expect("=")
-        if kind == "ideal" and self.at("["):
-            return Bind(kind, name, BracketList(self.bracket_exprs()))
-        return Bind(kind, name, self.expr())
-
-    def check_cmd(self) -> CheckCmd:
-        left = self.expr()
-        if self.kinds[self.pos] not in ("==", "<="):
-            raise self.error(f"expected '==' or '<=', found "
-                             f"{self.texts[self.pos]!r}", self.pos)
-        return CheckCmd(self.advance(), left, self.expr())
-
-    def optional_over(self):
-        if self.at("name", "over"):
-            self.advance()
-            return self.ring_expr_or_name()
-        return None
 
     # -- expressions --------------------------------------------------------
 
@@ -594,49 +583,55 @@ def print_ring_expr(node) -> str:
     return head
 
 
-def print_homspec(spec: HomSpec) -> str:
-    body = ", ".join(f"{n} -> {print_expr(e)}" for n, e in spec.assignments)
-    return "{" + body + "}"
+def _bracketed(items) -> str:
+    return "[" + ", ".join(map(print_expr, items)) + "]"
+
+
+_SLOT_PRINTERS = {
+    "name": str, "string": lambda path: f'"{path}"', "compare": str,
+    "expr": print_expr, "bind_value": print_expr, "ideal": print_expr,
+    "ring_expr": print_ring_expr, "ring_expr_or_name": print_ring_expr,
+    "over_clause": lambda ring: (
+        "" if ring is None else "over " + print_ring_expr(ring)),
+    "bracket_exprs": _bracketed, "bracket_fracs": _bracketed,
+    "homspec": lambda spec: "{" + ", ".join(
+        [f"{n} -> {print_expr(e)}" for n, e in spec.assignments]) + "}",
+}
+
+
+def _tables():
+    """The parts (field or None, parser method, its arguments, printer
+    or text) of each statement kind, and the kind each first word opens."""
+    parts_of, opened_by = {}, {}
+    for cls, line in _SYNTAX.items():
+        parts = []
+        for part in line.split():
+            field, _, slot = part.rpartition(":")
+            if not field:
+                read = (_Parser.expect_word if part[0].isalpha()
+                        else _Parser.expect)
+                parts.append((None, read, (part,), part))
+            elif "|" in slot:  # the first word, that opened the statement
+                parts.append((field, _Parser.advance, (), str))
+            else:
+                parts.append((field, getattr(_Parser, slot), (),
+                              _SLOT_PRINTERS[slot]))
+        parts_of[cls] = parts = tuple(parts)
+        for word in line.split()[0].rpartition(":")[2].split("|"):
+            opened_by[word] = cls, parts
+    return parts_of, opened_by
+
+
+_PARTS, _STATEMENTS = _tables()
 
 
 def print_statement(stmt) -> str:
-    if isinstance(stmt, RingDecl):
-        return f"ring {stmt.name} = {print_ring_expr(stmt.ring)};"
-    if isinstance(stmt, Bind):
-        return f"{stmt.kind} {stmt.name} = {print_expr(stmt.value)};"
-    if isinstance(stmt, CheckCmd):
-        return (f"check {print_expr(stmt.left)} {stmt.op} "
-                f"{print_expr(stmt.right)};")
-    if isinstance(stmt, UnimodularCmd):
-        return "unimodular [" + ", ".join(map(print_expr, stmt.items)) + "];"
-    if isinstance(stmt, RadicalMemberCmd):
-        return (f"radical-member {print_expr(stmt.element)} in "
-                f"{print_expr(stmt.ideal)};")
-    if isinstance(stmt, LocalizeCmd):
-        return f"localize {stmt.ring_name} at {print_expr(stmt.at)};"
-    if isinstance(stmt, GlueCmd):
-        cov = ", ".join(map(print_expr, stmt.cover_items))
-        fam = ", ".join(map(print_expr, stmt.fractions))
-        return f"glue cover [{cov}] with [{fam}];"
-    if isinstance(stmt, PointsCmd):
-        return f"points {stmt.ring_name} over {print_ring_expr(stmt.over)};"
-    if isinstance(stmt, CoverCmd):
-        return f"cover {print_expr(stmt.latt)};"
-    if isinstance(stmt, MemberCmd):
-        text = f"member {print_homspec(stmt.homspec)} in {print_expr(stmt.latt)}"
-        if stmt.over is not None:
-            text += f" over {print_ring_expr(stmt.over)}"
-        return text + ";"
-    if isinstance(stmt, EvalCmd):
-        text = f"eval {print_expr(stmt.expr)} at {print_homspec(stmt.homspec)}"
-        if stmt.over is not None:
-            text += f" over {print_ring_expr(stmt.over)}"
-        return text + ";"
-    if isinstance(stmt, QcqsCmd):
-        return f"qcqs {print_expr(stmt.latt)};"
-    if isinstance(stmt, VerifyCmd):
-        return f'verify "{stmt.path}";'
-    raise TypeError(f"not a statement node: {stmt!r}")
+    parts = _PARTS.get(stmt.__class__)
+    if parts is None:
+        raise TypeError(f"not a statement node: {stmt!r}")
+    return " ".join(filter(None, [
+        show if field is None else show(getattr(stmt, field))
+        for field, _, _, show in parts])) + ";"
 
 
 def pretty_print(script: Script) -> str:

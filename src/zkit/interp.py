@@ -4,7 +4,10 @@ Statements run in order against an environment of named rings and
 bindings; the most recently declared ring is the context for expression
 evaluation.  Each command yields one result record (echoed command,
 status, JSON result, optional certificate, elapsed milliseconds) and
-failures are contained per statement unless fail_fast is set.
+failures are contained per statement unless fail_fast is set.  Each
+statement kind has one runner, found in _RUN by the statement's dsl node
+class: runner(stmt, env, options) -> (status, result, certificate or
+None).
 
 Status semantics: "ok" means the command's claim holds, "refuted" means
 the decision procedure answered no (the result carries the failing
@@ -21,8 +24,8 @@ from pathlib import Path
 
 from . import dsl, serialize
 from .errors import (IncompatibleFamily, InvalidWitness, NotUnimodular,
-                     NotWellDefined, ResourceExceeded, TypeMismatch,
-                     UnknownName, UnsupportedBase, ZkitError)
+                     NotWellDefined, ResourceExceeded, RingMismatch,
+                     TypeMismatch, UnknownName, UnsupportedBase, ZkitError)
 from .gluing import (glue_element, make_cover, make_family,
                      restriction_exponents)
 from .ideals import fin_gen_ideal, radical_witness, unimodular_certificate
@@ -131,7 +134,10 @@ class _Timeout(ZkitError):
     pass
 
 
-def _build_ring(expr: dsl.RingExpr, env: _Env):
+def _build_ring(expr: dsl.RingExpr, env: _Env, default=None):
+    """The ring expr names or builds, or default for an absent over."""
+    if expr is None:
+        return default
     if isinstance(expr, dsl.RingName):
         return env.ring(expr.name)
     if expr.kind == "Z":
@@ -212,7 +218,11 @@ def _eval_ideal(env, ring, node):
 def _hom_from_spec(env, domain, codomain, spec: dsl.HomSpec):
     """Build a verified hom domain -> codomain from a {x -> e} spec;
     image expressions evaluate over the codomain."""
-    assigned = {name: expr for name, expr in spec.assignments}
+    assigned = {}
+    for name, expr in spec.assignments:
+        if name in assigned:
+            raise TypeMismatch(f"hom spec assigns {name!r} twice")
+        assigned[name] = expr
     expected = list(domain.variables)
     if sorted(assigned) != sorted(expected):
         raise TypeMismatch(
@@ -241,191 +251,218 @@ def _points_json(pts) -> list:
     return rows
 
 
-def _execute(stmt, env: _Env, options: Options):
-    if isinstance(stmt, dsl.RingDecl):
-        ring = _build_ring(stmt.ring, env)
-        env.rings[stmt.name] = ring
-        env.current = stmt.name
-        return "ok", {"ring": str(ring)}, None
-    if isinstance(stmt, dsl.Bind):
-        ring = env.current_ring()
-        if stmt.kind == "elem":
-            value = _eval_elem(env, ring, stmt.value)
-            result = {"elem": str(value)}
-        elif stmt.kind == "latt":
-            value = _eval_latt(env, ring, stmt.value)
-            result = {"latt": str(value)}
-        else:
-            value = _eval_ideal(env, ring, stmt.value)
-            result = {"ideal": [str(g) for g in value.generators]}
-        env.bindings[stmt.name] = _Binding(stmt.kind, value)
-        return "ok", result, None
-    if isinstance(stmt, dsl.CheckCmd):
-        ring = env.current_ring()
-        ltag, lv = _eval(env, ring, stmt.left)
-        rtag, rv = _eval(env, ring, stmt.right)
-        if ltag == "latt" and rtag == "latt":
-            holds = (zar_eq if stmt.op == "==" else zar_leq)(lv, rv)
-        elif ltag == "elem" and rtag == "elem":
-            if stmt.op == "<=":
-                raise TypeMismatch("'<=' compares lattice elements")
-            holds = lv == rv
-        else:
-            raise TypeMismatch("cannot compare a ring element with a "
-                               "lattice element")
-        return ("ok" if holds else "refuted"), {"holds": holds}, None
-    if isinstance(stmt, dsl.UnimodularCmd):
-        ring = env.current_ring()
-        elems = [_eval_elem(env, ring, e) for e in stmt.items]
-        cert = unimodular_certificate(elems)
+def _cover_json(cov) -> tuple:
+    """The fields that cover and qcqs report of a cover, and its cert."""
+    cert = (serialize.bezout_to_json(cov.top_certificate)
+            if cov.top_certificate is not None else None)
+    return {"n": cov.n, "opens": [str(o) for o in cov.opens],
+            "join_matches": cov.join_matches}, cert
+
+
+def _declare_ring(stmt, env, options):
+    ring = _build_ring(stmt.ring, env)
+    env.rings[stmt.name] = ring
+    env.current = stmt.name
+    return "ok", {"ring": str(ring)}, None
+
+
+# how a binding of each kind evaluates its value, and shows it
+_BIND = {"elem": (_eval_elem, str), "latt": (_eval_latt, str),
+         "ideal": (_eval_ideal, lambda I: [str(g) for g in I.generators])}
+
+
+def _bind(stmt, env, options):
+    evaluate, show = _BIND[stmt.kind]
+    value = evaluate(env, env.current_ring(), stmt.value)
+    env.bindings[stmt.name] = _Binding(stmt.kind, value)
+    return "ok", {stmt.kind: show(value)}, None
+
+
+def _check(stmt, env, options):
+    ring = env.current_ring()
+    ltag, lv = _eval(env, ring, stmt.left)
+    rtag, rv = _eval(env, ring, stmt.right)
+    if ltag == "latt" and rtag == "latt":
+        holds = (zar_eq if stmt.op == "==" else zar_leq)(lv, rv)
+    elif ltag == "elem" and rtag == "elem":
+        if stmt.op == "<=":
+            raise TypeMismatch("'<=' compares lattice elements")
+        if lv.ring != rv.ring:
+            raise RingMismatch(f"ring elements over {lv.ring} vs {rv.ring}")
+        holds = lv == rv
+    else:
+        raise TypeMismatch("cannot compare a ring element with a "
+                           "lattice element")
+    return ("ok" if holds else "refuted"), {"holds": holds}, None
+
+
+def _unimodular(stmt, env, options):
+    ring = env.current_ring()
+    elems = [_eval_elem(env, ring, e) for e in stmt.items]
+    cert = unimodular_certificate(elems)
+    if cert is None:
+        return "refuted", {"unimodular": False,
+                           "reason": "1 is not in the ideal"}, None
+    return "ok", {"unimodular": True}, serialize.bezout_to_json(cert)
+
+
+def _radical_member(stmt, env, options):
+    ring = env.current_ring()
+    a = _eval_elem(env, ring, stmt.element)
+    ideal = _eval_ideal(env, ring, stmt.ideal)
+    # a positive answer carries its witness: past the exponent cap
+    # the statement is radical_witness's ResourceExceeded record
+    witness = radical_witness(a, ideal)
+    if witness is None:
+        return "refuted", {"member": False}, None
+    exponent, cofs = witness
+    cert = serialize.membership_to_json(ideal.ring, a, ideal.generators,
+                                        cofs, exponent)
+    return "ok", {"member": True, "exponent": exponent}, cert
+
+
+def _localize(stmt, env, options):
+    ring = env.ring(stmt.ring_name)
+    f = _eval_elem(env, ring, stmt.at)
+    L = localize(ring, f)
+    try:
+        pres = serialize.ring_to_json(L.presentation)
+    except UnsupportedBase:
+        pres = None
+    return "ok", {"localization": str(L), "presentation": pres}, None
+
+
+def _glue(stmt, env, options):
+    ring = env.current_ring()
+    elems = [_eval_elem(env, ring, e) for e in stmt.cover_items]
+    try:
+        cover = make_cover(ring, elems)
+    except NotUnimodular as exc:
+        return "refuted", {"glued": None, "reason": str(exc)}, None
+    if len(stmt.fractions) != len(cover):
+        raise TypeMismatch("family size does not match the cover")
+    cap = current_limits().max_exponent
+    top = max(lit.exp for lit in stmt.fractions)
+    if top > cap:  # verify refuses certificates with such exponents
+        raise ResourceExceeded(
+            f"glue: exponent {top} exceeds max_exponent={cap}")
+    fracs = []
+    for f, lit in zip(cover.elements, stmt.fractions):
+        den = _eval_elem(env, ring, lit.den)
+        if den != f:
+            raise TypeMismatch(
+                f"denominator {den} is not the cover element {f}")
+        num = _eval_elem(env, ring, lit.num)
+        fracs.append(Fraction(ring, f, normalize(ring, num), lit.exp))
+    try:
+        fam = make_family(cover, tuple(fracs))
+        glued = glue_element(fam)
+    except IncompatibleFamily as exc:
+        return "refuted", {"glued": None, "reason": str(exc)}, None
+    cert = serialize.glue_to_json(
+        cover, fam.elements, restriction_exponents(fam, glued), glued)
+    return "ok", {"glued": str(glued)}, cert
+
+
+def _points(stmt, env, options):
+    ring = env.ring(stmt.ring_name)
+    codomain = _build_ring(stmt.over, env)
+    pts = points_over(zar_top(ring), codomain)
+    return "ok", {"count": len(pts), "points": _points_json(pts)}, None
+
+
+def _cover(stmt, env, options):
+    cov = affine_cover(_eval_latt(env, env.current_ring(), stmt.latt))
+    fields, cert = _cover_json(cov)
+    return "ok", {**fields,
+                  "covers_whole_scheme": cov.top_certificate is not None,
+                  "degenerate": cov.degenerate}, cert
+
+
+def _member(stmt, env, options):
+    ring = env.current_ring()
+    u = _eval_latt(env, ring, stmt.latt)
+    codomain = _build_ring(stmt.over, env, ring)
+    try:
+        phi = _hom_from_spec(env, u.ring, codomain, stmt.homspec)
+    except NotWellDefined as exc:
+        return "refuted", {"member": False,
+                           "reason": f"not a point: {exc}"}, None
+    pt = point_membership(u, phi)
+    if pt is None:
+        return "refuted", {"member": False,
+                           "reason": "pulled-back open is not top"}, None
+    return "ok", {"member": True}, serialize.point_to_json(pt)
+
+
+def _evaluate(stmt, env, options):
+    ring = env.current_ring()
+    r = _eval_elem(env, ring, stmt.expr)
+    codomain = _build_ring(stmt.over, env, ring)
+    phi = _hom_from_spec(env, r.ring, codomain, stmt.homspec)
+    return "ok", {"value": str(hom_apply(phi, r))}, None
+
+
+def _qcqs(stmt, env, options):
+    u = _eval_latt(env, env.current_ring(), stmt.latt)
+    report = qcqs_certificate(u, seed=options.seed)
+    fields, cert = _cover_json(report.cover)
+    result = {
+        "open": str(u),
+        "cover": fields,
+        "locality_trials": [
+            {"ring": t.ring, "cover": list(t.cover_elements),
+             "point": t.point, "ok": t.ok} for t in report.trials],
+        "note": report.note,
+        "ok": report.ok,
+    }
+    return ("ok" if report.ok else "refuted"), result, cert
+
+
+def _verify(stmt, env, options):
+    path = Path(stmt.path)
+    if options.base_dir is not None and not path.is_absolute():
+        path = options.base_dir / path
+    try:
+        data = json.loads(path.read_text())
+    except OSError as exc:
+        raise UnknownName(f"cannot read report {stmt.path!r}: {exc}")
+    except (ValueError, RecursionError) as exc:
+        # undecodable bytes, invalid JSON, an integer past Python's
+        # digit limit, or nesting past the recursion limit: the input
+        # is at fault, not a name
+        raise InvalidWitness(f"report {stmt.path!r} is not readable "
+                             f"JSON: {exc}")
+    entries = data.get("results") if type(data) is dict else None
+    if type(entries) is not list or any(type(e) is not dict
+                                        for e in entries):
+        raise InvalidWitness(f"report {stmt.path!r} is not an object "
+                             "with a list of result objects")
+    failures = []
+    checked = 0
+    for entry in entries:
+        cert = entry.get("certificate")
         if cert is None:
-            return "refuted", {"unimodular": False,
-                               "reason": "1 is not in the ideal"}, None
-        return "ok", {"unimodular": True}, serialize.bezout_to_json(cert)
-    if isinstance(stmt, dsl.RadicalMemberCmd):
-        ring = env.current_ring()
-        a = _eval_elem(env, ring, stmt.element)
-        ideal = _eval_ideal(env, ring, stmt.ideal)
-        # a positive answer carries its witness: past the exponent cap
-        # the statement is radical_witness's ResourceExceeded record
-        witness = radical_witness(a, ideal)
-        if witness is None:
-            return "refuted", {"member": False}, None
-        exponent, cofs = witness
-        cert = serialize.membership_to_json(ideal.ring, a, ideal.generators,
-                                            cofs, exponent)
-        return "ok", {"member": True, "exponent": exponent}, cert
-    if isinstance(stmt, dsl.LocalizeCmd):
-        ring = env.ring(stmt.ring_name)
-        f = _eval_elem(env, ring, stmt.at)
-        L = localize(ring, f)
-        try:
-            pres = serialize.ring_to_json(L.presentation)
-        except UnsupportedBase:
-            pres = None
-        return "ok", {"localization": str(L), "presentation": pres}, None
-    if isinstance(stmt, dsl.GlueCmd):
-        ring = env.current_ring()
-        elems = [_eval_elem(env, ring, e) for e in stmt.cover_items]
-        try:
-            cover = make_cover(ring, elems)
-        except NotUnimodular as exc:
-            return "refuted", {"glued": None, "reason": str(exc)}, None
-        if len(stmt.fractions) != len(cover):
-            raise TypeMismatch("family size does not match the cover")
-        cap = current_limits().max_exponent
-        top = max(lit.exp for lit in stmt.fractions)
-        if top > cap:  # verify refuses certificates with such exponents
-            raise ResourceExceeded(
-                f"glue: exponent {top} exceeds max_exponent={cap}")
-        fracs = []
-        for f, lit in zip(cover.elements, stmt.fractions):
-            den = _eval_elem(env, ring, lit.den)
-            if den != f:
-                raise TypeMismatch(
-                    f"denominator {den} is not the cover element {f}")
-            num = _eval_elem(env, ring, lit.num)
-            fracs.append(Fraction(ring, f, normalize(ring, num), lit.exp))
-        try:
-            fam = make_family(cover, tuple(fracs))
-            glued = glue_element(fam)
-        except IncompatibleFamily as exc:
-            return "refuted", {"glued": None, "reason": str(exc)}, None
-        cert = serialize.glue_to_json(
-            cover, fam.elements, restriction_exponents(fam, glued), glued)
-        return "ok", {"glued": str(glued)}, cert
-    if isinstance(stmt, dsl.PointsCmd):
-        ring = env.ring(stmt.ring_name)
-        codomain = _build_ring(stmt.over, env)
-        pts = points_over(zar_top(ring), codomain)
-        return "ok", {"count": len(pts),
-                      "points": _points_json(pts)}, None
-    if isinstance(stmt, dsl.CoverCmd):
-        ring = env.current_ring()
-        u = _eval_latt(env, ring, stmt.latt)
-        cov = affine_cover(u)
-        cert = (serialize.bezout_to_json(cov.top_certificate)
-                if cov.top_certificate is not None else None)
-        return "ok", {"n": cov.n,
-                      "opens": [str(o) for o in cov.opens],
-                      "join_matches": cov.join_matches,
-                      "covers_whole_scheme": cov.top_certificate is not None,
-                      "degenerate": cov.degenerate}, cert
-    if isinstance(stmt, dsl.MemberCmd):
-        ring = env.current_ring()
-        u = _eval_latt(env, ring, stmt.latt)
-        domain = u.ring
-        codomain = (_build_ring(stmt.over, env) if stmt.over is not None
-                    else ring)
-        try:
-            phi = _hom_from_spec(env, domain, codomain, stmt.homspec)
-        except NotWellDefined as exc:
-            return "refuted", {"member": False,
-                               "reason": f"not a point: {exc}"}, None
-        pt = point_membership(u, phi)
-        if pt is None:
-            return "refuted", {"member": False,
-                               "reason": "pulled-back open is not top"}, None
-        return "ok", {"member": True}, serialize.point_to_json(pt)
-    if isinstance(stmt, dsl.EvalCmd):
-        ring = env.current_ring()
-        r = _eval_elem(env, ring, stmt.expr)
-        codomain = (_build_ring(stmt.over, env) if stmt.over is not None
-                    else ring)
-        phi = _hom_from_spec(env, r.ring, codomain, stmt.homspec)
-        value = hom_apply(phi, r)
-        return "ok", {"value": str(value)}, None
-    if isinstance(stmt, dsl.QcqsCmd):
-        ring = env.current_ring()
-        u = _eval_latt(env, ring, stmt.latt)
-        report = qcqs_certificate(u, seed=options.seed)
-        cert = (serialize.bezout_to_json(report.cover.top_certificate)
-                if report.cover.top_certificate is not None else None)
-        result = {
-            "open": str(u),
-            "cover": {"n": report.cover.n,
-                      "opens": [str(o) for o in report.cover.opens],
-                      "join_matches": report.cover.join_matches},
-            "locality_trials": [
-                {"ring": t.ring, "cover": list(t.cover_elements),
-                 "point": t.point, "ok": t.ok} for t in report.trials],
-            "note": report.note,
-            "ok": report.ok,
-        }
-        return ("ok" if report.ok else "refuted"), result, cert
-    if isinstance(stmt, dsl.VerifyCmd):
-        path = Path(stmt.path)
-        if options.base_dir is not None and not path.is_absolute():
-            path = options.base_dir / path
-        try:
-            data = json.loads(path.read_text())
-        except OSError as exc:
-            raise UnknownName(f"cannot read report {stmt.path!r}: {exc}")
-        except (ValueError, RecursionError) as exc:
-            # undecodable bytes, invalid JSON, an integer past Python's
-            # digit limit, or nesting past the recursion limit: the input
-            # is at fault, not a name
-            raise InvalidWitness(f"report {stmt.path!r} is not readable "
-                                 f"JSON: {exc}")
-        entries = data.get("results") if type(data) is dict else None
-        if type(entries) is not list or any(type(e) is not dict
-                                            for e in entries):
-            raise InvalidWitness(f"report {stmt.path!r} is not an object "
-                                 "with a list of result objects")
-        failures = []
-        checked = 0
-        for entry in entries:
-            cert = entry.get("certificate")
-            if cert is None:
-                continue
-            checked += 1
-            ok, detail = serialize.verify_certificate(cert, env.certificates)
-            if not ok:
-                failures.append({"cmd": entry.get("cmd"), "detail": detail})
-        result = {"checked": checked, "passed": checked - len(failures),
-                  "failures": failures}
-        return ("ok" if not failures else "refuted"), result, None
-    raise TypeMismatch(f"cannot execute {stmt!r}")
+            continue
+        checked += 1
+        ok, detail = serialize.verify_certificate(cert, env.certificates)
+        if not ok:
+            failures.append({"cmd": entry.get("cmd"), "detail": detail})
+    result = {"checked": checked, "passed": checked - len(failures),
+              "failures": failures}
+    return ("ok" if not failures else "refuted"), result, None
+
+
+_RUN = {dsl.RingDecl: _declare_ring, dsl.Bind: _bind, dsl.CheckCmd: _check,
+        dsl.UnimodularCmd: _unimodular, dsl.RadicalMemberCmd: _radical_member,
+        dsl.LocalizeCmd: _localize, dsl.GlueCmd: _glue,
+        dsl.PointsCmd: _points, dsl.CoverCmd: _cover,
+        dsl.MemberCmd: _member, dsl.EvalCmd: _evaluate, dsl.QcqsCmd: _qcqs,
+        dsl.VerifyCmd: _verify}
+
+
+def _execute(stmt, env: _Env, options: Options):
+    return _RUN[stmt.__class__](stmt, env, options)
 
 
 # ---------------------------------------------------------------------------

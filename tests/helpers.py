@@ -6,7 +6,7 @@ reference engines that the fast ones are checked against: hom
 construction, application, points and enumeration on RingElements, the
 qcqs report that decides every hom on its own, a scan-based Groebner
 engine, the radical test through a built A[1/a], the recursive-descent
-script parser, the RingElement evaluator of element expressions, the
+script parser and the statement printer, the RingElement evaluator of element expressions, the
 certificate printer and reader that went through the script AST, and
 the stdlib-dataclass twins of zkit's record classes.
 """
@@ -761,12 +761,15 @@ def reference_ideal_member(ring, a, gens):
 
 # ---------------------------------------------------------------------------
 # Reference script front end: the regex-per-position tokenizer with
-# frozen-dataclass tokens and the six-level recursive descent over
-# expressions that zkit.dsl's findall scan and precedence climbing
-# replaced.  Statements are parsed by the shared code, over the kinds and
-# texts lists the reference tokens give, and the error hook reads the
-# tokens' own positions.  Both must give equal ASTs, and equal
-# ScriptSyntaxError lines and columns.
+# frozen-dataclass tokens, the six-level recursive descent over
+# expressions, the keyword ladder over statements and the isinstance
+# ladder of the statement printer that zkit.dsl's findall scan,
+# precedence climbing and _SYNTAX table replaced.  The slots within a
+# statement (ring expressions, bracket lists, hom specs) are parsed by
+# the shared code, over the kinds and texts lists the reference tokens
+# give, and the error hook reads the tokens' own positions.  Both must
+# give equal ASTs, equal printed statements, and equal ScriptSyntaxError
+# lines and columns.
 
 _REF_TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -843,6 +846,88 @@ class ReferenceParser(dsl._Parser):
     def at(self, kind, text=None):
         tok = self.peek()
         return tok.kind == kind and (text is None or tok.text == text)
+
+    def statement(self):
+        """The keyword ladder that dsl._SYNTAX replaced."""
+        pos = self.pos
+        word = self.texts[pos]
+        if self.kinds[pos] != "name":
+            raise self.error(f"expected a statement, found {word!r}", pos)
+        self.pos += 1
+        if word == "ring":
+            return self.ring_decl()
+        if word in ("elem", "ideal", "latt"):
+            return self.bind(word)
+        if word == "check":
+            return self.check_cmd()
+        if word == "unimodular":
+            return dsl.UnimodularCmd(self.bracket_exprs())
+        if word == "radical-member":
+            element = self.expr()
+            self.expect_word("in")
+            if self.at("["):
+                ideal = dsl.BracketList(self.bracket_exprs())
+            else:
+                ideal = dsl.NameRef(self.expect("name"))
+            return dsl.RadicalMemberCmd(element, ideal)
+        if word == "localize":
+            name = self.expect("name")
+            self.expect_word("at")
+            return dsl.LocalizeCmd(name, self.expr())
+        if word == "glue":
+            self.expect_word("cover")
+            items = self.bracket_exprs()
+            self.expect_word("with")
+            return dsl.GlueCmd(items, self.bracket_fracs())
+        if word == "points":
+            name = self.expect("name")
+            self.expect_word("over")
+            return dsl.PointsCmd(name, self.ring_expr_or_name())
+        if word == "cover":
+            return dsl.CoverCmd(self.expr())
+        if word == "member":
+            spec = self.homspec()
+            self.expect_word("in")
+            latt = self.expr()
+            over = self.optional_over()
+            return dsl.MemberCmd(spec, latt, over)
+        if word == "eval":
+            expr = self.expr()
+            self.expect_word("at")
+            spec = self.homspec()
+            over = self.optional_over()
+            return dsl.EvalCmd(expr, spec, over)
+        if word == "qcqs":
+            return dsl.QcqsCmd(self.expr())
+        if word == "verify":
+            return dsl.VerifyCmd(
+                self.expect("string", "a quoted file path")[1:-1])
+        raise self.error(f"unknown statement {word!r}", pos)
+
+    def ring_decl(self):
+        name = self.expect("name")
+        self.expect("=")
+        return dsl.RingDecl(name, self.ring_expr())
+
+    def bind(self, kind):
+        name = self.expect("name")
+        self.expect("=")
+        if kind == "ideal" and self.at("["):
+            return dsl.Bind(kind, name, dsl.BracketList(self.bracket_exprs()))
+        return dsl.Bind(kind, name, self.expr())
+
+    def check_cmd(self):
+        left = self.expr()
+        if self.kinds[self.pos] not in ("==", "<="):
+            raise self.error(f"expected '==' or '<=', found "
+                             f"{self.texts[self.pos]!r}", self.pos)
+        return dsl.CheckCmd(self.advance(), left, self.expr())
+
+    def optional_over(self):
+        if self.at("name", "over"):
+            self.advance()
+            return self.ring_expr_or_name()
+        return None
 
     def chain(self, level, operand, no_div):
         """operand (op operand)* for the operators op of one level, as
@@ -928,6 +1013,57 @@ def reference_parse_expression(source):
         raise ScriptSyntaxError(f"trailing input {tok.text!r}", tok.line,
                            tok.column)
     return node
+
+
+def _reference_print_homspec(spec):
+    body = ", ".join(f"{n} -> {dsl.print_expr(e)}"
+                     for n, e in spec.assignments)
+    return "{" + body + "}"
+
+
+def reference_print_statement(stmt):
+    """The isinstance ladder that dsl.print_statement's walk over
+    dsl._SYNTAX replaced."""
+    print_expr, print_ring_expr = dsl.print_expr, dsl.print_ring_expr
+    if isinstance(stmt, dsl.RingDecl):
+        return f"ring {stmt.name} = {print_ring_expr(stmt.ring)};"
+    if isinstance(stmt, dsl.Bind):
+        return f"{stmt.kind} {stmt.name} = {print_expr(stmt.value)};"
+    if isinstance(stmt, dsl.CheckCmd):
+        return (f"check {print_expr(stmt.left)} {stmt.op} "
+                f"{print_expr(stmt.right)};")
+    if isinstance(stmt, dsl.UnimodularCmd):
+        return "unimodular [" + ", ".join(map(print_expr, stmt.items)) + "];"
+    if isinstance(stmt, dsl.RadicalMemberCmd):
+        return (f"radical-member {print_expr(stmt.element)} in "
+                f"{print_expr(stmt.ideal)};")
+    if isinstance(stmt, dsl.LocalizeCmd):
+        return f"localize {stmt.ring_name} at {print_expr(stmt.at)};"
+    if isinstance(stmt, dsl.GlueCmd):
+        cov = ", ".join(map(print_expr, stmt.cover_items))
+        fam = ", ".join(map(print_expr, stmt.fractions))
+        return f"glue cover [{cov}] with [{fam}];"
+    if isinstance(stmt, dsl.PointsCmd):
+        return f"points {stmt.ring_name} over {print_ring_expr(stmt.over)};"
+    if isinstance(stmt, dsl.CoverCmd):
+        return f"cover {print_expr(stmt.latt)};"
+    if isinstance(stmt, dsl.MemberCmd):
+        text = (f"member {_reference_print_homspec(stmt.homspec)} in "
+                f"{print_expr(stmt.latt)}")
+        if stmt.over is not None:
+            text += f" over {print_ring_expr(stmt.over)}"
+        return text + ";"
+    if isinstance(stmt, dsl.EvalCmd):
+        text = (f"eval {print_expr(stmt.expr)} at "
+                f"{_reference_print_homspec(stmt.homspec)}")
+        if stmt.over is not None:
+            text += f" over {print_ring_expr(stmt.over)}"
+        return text + ";"
+    if isinstance(stmt, dsl.QcqsCmd):
+        return f"qcqs {print_expr(stmt.latt)};"
+    if isinstance(stmt, dsl.VerifyCmd):
+        return f'verify "{stmt.path}";'
+    raise TypeError(f"not a statement node: {stmt!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Names that live outside src/zkit still resolve in zkit: README's
 Python examples, and the span table and signatures of the functions the
-benchmark's tracer wraps; and src/zkit keeps the rules its readers rely
-on."""
+benchmark's tracer wraps; src/zkit keeps the rules its readers rely on;
+and tools/code_lines.py counts what it says it counts."""
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -24,24 +25,85 @@ def test_readme_python_blocks_run():
         exec(compile(pad + block.group(1), str(readme), "exec"), namespace)
 
 
-def test_trace_spans_resolve():
-    """bench/trace.py wraps each (module, attribute) of SPANS by name, and
-    rings.enumerate_homs, poly.buchberger and ideals.groebner with
-    wrappers of their own; a rename in zkit must fail here, not only in
-    a benchmark run.  trace.py is read, not imported, so nothing is
-    written under bench/."""
+def _traced() -> list:
+    """(module, attribute) of every zkit function that bench/trace.py
+    wraps: each of SPANS, and those with wrappers of their own.
+    trace.py is read, not imported, so nothing is written under bench/."""
     source = (ROOT / "bench" / "trace.py").read_text()
     spans = next(ast.literal_eval(node.value)
                  for node in ast.parse(source).body
                  if isinstance(node, ast.Assign)
                  and [t.id for t in node.targets] == ["SPANS"])
     assert spans
-    wrapped = [(mod, attr) for mod, attr, _ in spans] + [
+    return [(mod, attr) for mod, attr, _ in spans] + [
         ("rings", "enumerate_homs"), ("poly", "buchberger"),
-        ("ideals", "groebner")]
-    for mod, attr in wrapped:
+        ("ideals", "groebner"), ("dsl", "print_statement")]
+
+
+def test_trace_spans_resolve():
+    """bench/trace.py wraps each (module, attribute) of SPANS by name, and
+    rings.enumerate_homs, poly.buchberger, ideals.groebner and
+    dsl.print_statement with wrappers of their own; a rename in zkit
+    must fail here, not only in a benchmark run."""
+    for mod, attr in _traced():
         module = importlib.import_module(f"zkit.{mod}")
         assert callable(getattr(module, attr, None)), f"zkit.{mod}.{attr}"
+
+
+def _statement_classes() -> set:
+    """The node classes of the statements that the corpus parses to,
+    and of verify, which no corpus script has: it reads a report file."""
+    from zkit.dsl import parse
+    sources = [path.read_text() for path in
+               (ROOT / "tests" / "scripts").glob("*.zk")]
+    return {stmt.__class__ for source in [*sources, 'verify "r.json";']
+            for stmt in parse(source).statements}
+
+
+def test_one_syntax_line_and_one_runner_per_statement_kind():
+    """dsl._SYNTAX and interp._RUN are keyed by the same statement node
+    classes, one for each statement kind that a script can hold."""
+    from zkit import dsl, interp
+    kinds = _statement_classes()
+    assert len(kinds) == 13
+    assert set(dsl._SYNTAX) == set(interp._RUN) == kinds
+
+
+def _isinstance_calls(tree) -> list:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"]
+
+
+def test_no_isinstance_ladder_over_statement_kinds():
+    """interp asks no isinstance of a statement node class, and
+    dsl.print_statement asks no isinstance at all: each statement kind
+    is dispatched through its table entry."""
+    names = {cls.__name__ for cls in _statement_classes()}
+    tree = ast.parse((ROOT / "src" / "zkit" / "interp.py").read_text())
+    found = [ast.unparse(call) for call in _isinstance_calls(tree)
+             if {node.attr for node in ast.walk(call.args[1])
+                 if isinstance(node, ast.Attribute)} & names]
+    assert not found, f"isinstance on statement classes in interp: {found}"
+    tree = ast.parse((ROOT / "src" / "zkit" / "dsl.py").read_text())
+    printer = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "print_statement")
+    assert not _isinstance_calls(printer)
+
+
+def test_tables_hold_no_traced_function():
+    """The tracer swaps a wrapped function's module-global bindings, so
+    a table that held one would call it unwrapped: no value of
+    interp._RUN, of dsl._SLOT_PRINTERS or of a statement's parts is a
+    function that bench/trace.py wraps."""
+    from zkit import dsl, interp
+    traced = {getattr(importlib.import_module(f"zkit.{mod}"), attr)
+              for mod, attr in _traced()}
+    held = [*interp._RUN.values(), *dsl._SLOT_PRINTERS.values()]
+    held += [fn for parts in dsl._PARTS.values()
+             for _, read, _, show in parts for fn in (read, show)]
+    assert not [fn for fn in held if fn in traced]
 
 
 def _tracer_wrappers():
@@ -196,3 +258,18 @@ def test_src_keeps_no_module_level_cache():
     assert set(applied) <= allowed, f"caches applied to {applied}"
     assert refs == len(applied), "a cache is named but not applied"
     assert not state, f"module-level mutable state in src/zkit: {state}"
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
+    """tools/code_lines.py counts a line when it holds a token that is
+    neither a comment nor a docstring; every line of a multi-line string
+    that is not a docstring counts."""
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", ROOT / "tools" / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    path = tmp_path / "m.py"
+    path.write_text('"""Module\ndocstring."""\n\n# a comment\n'
+                    'def f():\n    """Doc."""\n    return """a\nb"""  # c\n'
+                    '\n\nclass C:\n    x = 1\n')
+    assert code_lines.count(path) == (12, 5)

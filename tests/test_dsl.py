@@ -73,6 +73,36 @@ def test_unknown_and_mismatch_are_contained():
     assert report.results[1].status == "error"
 
 
+@pytest.mark.parametrize("stmt", [
+    "eval x + y at {x -> 1, x -> 2, y -> 0};",
+    "member {x -> 1, y -> 0, y -> 3} in u;",
+])
+def test_hom_spec_that_names_a_variable_twice_is_refused(stmt):
+    """A hom spec assigns each variable once: a second assignment is a
+    TypeMismatch that names the variable, not a silent overwrite."""
+    report = run_source("ring F = Fp(5)[x,y]; latt u = D(x, y + 1);" + stmt)
+    last = report.results[-1]
+    assert last.status == "error"
+    assert last.result["kind"] == "TypeMismatch"
+    repeated = "x" if stmt.startswith("eval") else "y"
+    assert repr(repeated) in last.result["message"]
+
+
+def test_comparing_elements_of_different_rings_is_a_ring_mismatch():
+    """check == between ring elements of two rings is an error record,
+    as it is between lattice elements of two rings, not refuted."""
+    report = run_source("ring R = Z; elem a = 1; latt u = D(2);"
+                        " ring S = Z/2; latt v = D(1);"
+                        " check a == 1; check u == v; check a == a;")
+    elems, latts, same = report.results[-3:]
+    assert (elems.status, latts.status) == ("error", "error")
+    assert elems.result == {"kind": "RingMismatch",
+                            "message": "ring elements over Z vs Z/2"}
+    assert latts.result == {"kind": "RingMismatch",
+                            "message": "lattice elements over Z vs Z/2"}
+    assert (same.status, same.result) == ("ok", {"holds": True})
+
+
 def test_rational_literal_needs_q():
     report = run_source("ring R = Z; elem a = 1/2;")
     assert report.results[1].status == "error"

@@ -1,6 +1,7 @@
-"""The precedence-climbing parser against the recursive-descent parser
-it replaced (tests/helpers.py): equal ASTs, and equal syntax errors down
-to the line and column.  Both read the operators of one precedence level
+"""The table-driven parser and printer against the recursive-descent
+parser and the statement printer they replaced (tests/helpers.py):
+equal ASTs, equal printed statements, and equal syntax errors down to
+the line and column.  Both read the operators of one precedence level
 into one flat Chain, and a parenthesized first operand of that level
 into the same Chain, so the expressions below include long chains and
 same-level operands in parentheses on either side.
@@ -13,14 +14,22 @@ swallowed; the statement still ends in a timeout error
 tests independent of the order in which modules run.
 """
 import random
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_parse, reference_parse_expression
-from zkit.dsl import IntLit, parse, parse_expression
+from helpers import (reference_parse, reference_parse_expression,
+                     reference_print_statement)
+from zkit.dsl import IntLit, parse, parse_expression, print_statement
 from zkit.errors import ScriptSyntaxError
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))  # the bench package generates scripts
+
+from bench import gen  # noqa: E402
 
 SCRIPTS = sorted((Path(__file__).parent / "scripts").glob("*.zk"))
 
@@ -33,12 +42,46 @@ def _outcome(parse_fn, source):
         return ("error", str(exc), exc.line, exc.column)
 
 
+def _same_as_reference(source):
+    """Both parsers give one AST, and both printers one text for each of
+    its statements."""
+    script = parse(source)
+    assert script == reference_parse(source)
+    for stmt in script.statements:
+        assert print_statement(stmt) == reference_print_statement(stmt)
+
+
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
 def test_parser_matches_reference_on_corpus(path):
-    """The precedence-climbing parser gives the recursive-descent
-    parser's AST on every corpus script."""
-    source = path.read_text()
-    assert parse(source) == reference_parse(source)
+    """The table-driven parser and printer give the recursive-descent
+    parser's AST and the reference printer's text on every corpus
+    script."""
+    _same_as_reference(path.read_text())
+
+
+def test_parser_matches_reference_on_every_statement_form():
+    """Each statement kind in each of its forms, verify (which no corpus
+    script holds) and the optional over clause included."""
+    _same_as_reference("""
+        ring R = Fp(5)[x,y]/(x^2 - y); ring S = Z/6; ring T = Q;
+        elem a = x + 1; latt u = D(x) | D(y); ideal I = [x, y]; ideal J = I;
+        check a == x; check u <= D(1); unimodular [x, 1 - x];
+        radical-member a in [x^2]; radical-member a in I;
+        localize R at x; glue cover [x, 1 - x] with [1 / x^0, 1 / (1 - x)^2];
+        points R over Fp(5); points R over S; cover u; qcqs u;
+        member {x -> 1, y -> 1} in u; member {} in u over T;
+        eval a at {x -> 1, y -> 1}; eval a at {x -> 2, y -> 4} over Fp(5)[z];
+        verify "report.json"; verify "";
+    """)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_parser_matches_reference_on_generated_scripts(seed):
+    """The same on the bench.gen decision scripts that the benchmark
+    runs, about 600 statements a seed."""
+    for make in (gen.ideal_decide, gen.points_glue):
+        for sc in make(seed):
+            _same_as_reference(sc.source())
 
 
 _ATOMS = st.one_of(
@@ -124,7 +167,12 @@ def test_parser_errors_match_reference_on_malformed_scripts():
                 bad = source[:pos] + rng.choice(_NOISE) + source[pos:]
             new, ref = _outcome(parse, bad), _outcome(reference_parse, bad)
             assert new == ref, (path.stem, bad)
-            failures += isinstance(new, tuple)
+            if isinstance(new, tuple):
+                failures += 1
+            else:
+                for stmt in new.statements:
+                    assert (print_statement(stmt)
+                            == reference_print_statement(stmt)), bad
     assert failures > 500  # most mutations are syntax errors
 
 
