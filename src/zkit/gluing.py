@@ -5,13 +5,19 @@ together with its Bezout certificate.  A family of fractions x_i over
 the R[1/f_i] is compatible when each pair agrees in the double
 localization R[1/(f_i f_j)]; the witnesses are the saturation exponents.
 
-glue_element inverts the restriction map: align the denominators to a
-common power N, take the largest pairwise witness exponent k (any k at
-or past the witnesses works, and k >= 1 keeps N + k >= 1), find
-cofactors of the f_i^(N+k) (the ring's own, see ideals.power_certificate)
-and recombine.  The result is checked in R before it is returned, by
-the predicate verify decides (restricts), and gluing a global element's
-restrictions gives back that element on the nose.
+glue_element inverts the restriction map.  Over a domain (is_domain)
+R -> R[1/f] is injective for f != 0, so the glued element is the exact
+quotient num_i / f_i^e_i of a member with f_i != 0
+(rings._exact_quotient), and no power certificate is formed.  Over the
+other rings it aligns the denominators to a common power N, takes the
+largest pairwise witness exponent k (any k at or past the witnesses
+works, and k >= 1 keeps N + k >= 1), finds cofactors of the f_i^(N+k)
+(the ring's own, see ideals.power_certificate) and recombines.  Either
+way the result is checked in R before it is returned, by the predicate
+verify decides (restricts): the least exponent with which it restricts
+to each member is found once, and is what a glue certificate carries.
+Gluing a global element's restrictions gives back that element on the
+nose.
 
 A hom A -> R out of A = k[x]/I is its generator images, so homs are
 glued generator by generator: the written images of each generator
@@ -30,8 +36,8 @@ from .limits import current_limits
 from .localization import (Fraction, FractionMap, canonical_map, localize,
                            localized_name)
 from .records import record
-from .rings import (RingElement, RingHom, _is_times_power, _power, hom_apply,
-                    hom_compose, make_hom, normalize)
+from .rings import (RingElement, RingHom, _exact_quotient, _is_times_power,
+                    _power, hom_apply, hom_compose, make_hom, normalize)
 
 
 @record(frozen=True)
@@ -84,7 +90,12 @@ def check_compatibility(cover: UnimodularCover, elements) -> CompatCheck:
     aligned form that glue_element consumes (witnesses on unaligned
     representatives can be off by unit factors that matter in rings with
     zero divisors).  Each f_i^k is formed once, and only to multiply a
-    factor that is not 0."""
+    factor that is not 0.
+
+    Over a domain with every f_i != 0 no power (f_i f_j)^k kills a
+    nonzero element, so the pair (i, j) holds exactly when x_i == x_j in
+    Frac(R), with witness 0: the first failing pair is (0, j) for the
+    first j with x_j != x_0."""
     elements = tuple(elements)
     if len(elements) != len(cover):
         raise IncompatibleFamily("family size does not match the cover")
@@ -93,6 +104,15 @@ def check_compatibility(cover: UnimodularCover, elements) -> CompatCheck:
             raise RingMismatch(f"{x!r} is not a fraction over "
                                f"{localized_name(cover.ring, f)}")
     ring = cover.ring
+    if ring.is_domain and not any(f.is_zero for f in cover.elements):
+        x = elements[0]
+        den = x.f ** x.exp
+        j = next((j for j, y in enumerate(elements[1:], 1)
+                  if y.num * den != x.num * y.f ** y.exp), len(elements))
+        witnesses = tuple((i, m, 0) for m in range(j) for i in range(m))
+        if j < len(elements):
+            return CompatCheck(False, witnesses, (0, j))
+        return CompatCheck(True, witnesses)
     mul, weight, n = ring.mul, ring.power_weight, max(x.exp for x in elements)
     powers = {}  # (i, k) -> the payload of f_i^k
 
@@ -144,23 +164,27 @@ def restrict_element(cover: UnimodularCover, g) -> CompatibleFamily:
     return make_family(cover, tuple(L.from_base(g) for L in cover.localized))
 
 
-def glue_element(fam: CompatibleFamily) -> RingElement:
-    """The unique global element restricting to the family."""
-    cover = fam.cover
-    fs = cover.elements
-    n_exp = max((x.exp for x in fam.elements), default=0)
-    aligned = [x.num * fs[i] ** (n_exp - x.exp)
-               for i, x in enumerate(fam.elements)]
-    k = max([w[2] for w in fam.witnesses] + [0 if n_exp else 1])
-    cof = power_certificate(cover.certificate, n_exp + k).cofactors
-    g = cover.ring.zero()
-    for b, r, f in zip(cof, aligned, fs):
-        g = g + b * r * f ** k
-    # the pair witnesses give g f_i^(N+k) == num_i f_i^(N-e_i) f_i^k
-    if not all(restricts(g, x, n_exp - x.exp + k) for x in fam.elements):
-        raise IncompatibleFamily(
-            "glued element fails to restrict to the family")
-    return g
+def glue_element(fam: CompatibleFamily) -> tuple:
+    """The unique global element g restricting to the family, and the
+    least k with restricts(g, x, k) for each member x
+    (restriction_exponents), the exponents a glue certificate carries.
+
+    Over a domain g is the exact quotient num / f^e of the member x =
+    num/f^e with f != 0 and the least e, or None when f^e does not
+    divide num.  Over the other rings the pair witnesses give g
+    f_i^(N+k) == num_i f_i^(N-e_i) f_i^k for the recombined g."""
+    cover, ring = fam.cover, fam.cover.ring
+    if ring.is_domain:
+        x = min((x for x in fam.elements if not x.f.is_zero),
+                key=lambda x: x.exp)
+        g = _exact_quotient(x.num, x.f, x.exp)
+    else:
+        n_exp, k = _alignment(fam)
+        cof = power_certificate(cover.certificate, n_exp + k).cofactors
+        g = ring.zero()
+        for b, x, f in zip(cof, fam.elements, cover.elements):
+            g = g + b * (x.num * f ** (n_exp - x.exp)) * f ** k
+    return g, restriction_exponents(fam, g)
 
 
 def restricts(g: RingElement, x: Fraction, k: int) -> bool:
@@ -176,15 +200,32 @@ def restricts(g: RingElement, x: Fraction, k: int) -> bool:
     return _is_times_power(num, g, f, x.exp + k)
 
 
-def restriction_exponents(fam: CompatibleFamily, g: RingElement) -> tuple:
-    """The least k with restricts(g, x, k) for each member x of fam, the
-    exponents a glue certificate carries; none up to max(max_exponent,
-    saturation_bound) is ResourceExceeded."""
+def _alignment(fam: CompatibleFamily) -> tuple:
+    """(N, k): the largest member exponent and the largest pair witness,
+    k >= 1 when N = 0 so that N + k >= 1."""
+    n_exp = max((x.exp for x in fam.elements), default=0)
+    return n_exp, max([w[2] for w in fam.witnesses] + [0 if n_exp else 1])
+
+
+def restriction_exponents(fam: CompatibleFamily, g) -> tuple:
+    """The least k with restricts(g, x, k) for each member x = num/f^e of
+    fam, sought up to N - e + k for (N, k) = _alignment(fam), where the
+    pair witnesses promise one (restricts is monotone in k); with f = 0
+    every k >= 1 holds, R[1/0] being the zero ring.  A g of None, or a
+    member with no k there, is IncompatibleFamily; a least k past
+    max(max_exponent, saturation_bound), which verify refuses, is
+    ResourceExceeded."""
+    n_exp, top_k = _alignment(fam)
+    least = (None,) if g is None else tuple(
+        next((k for k in range(n_exp - x.exp + top_k + 1)
+              if (k and x.f.is_zero) or restricts(g, x, k)), None)
+        for x in fam.elements)
+    if None in least:
+        raise IncompatibleFamily(
+            "glued element fails to restrict to the family")
     top, bound = current_limits().max_exponent, g.ring.saturation_bound
     cap = max(top, bound)
-    least = tuple(next((k for k in range(cap + 1) if restricts(g, x, k)),
-                       None) for x in fam.elements)
-    if None in least:
+    if max(least) > cap:
         raise ResourceExceeded(
             f"gluing.restriction_exponents: no exponent up to {cap} = "
             f"max(max_exponent={top}, saturation_bound={bound})")
@@ -259,4 +300,4 @@ def glue_hom(fam: CompatibleHomFamily) -> RingHom:
     pairwise checks cannot see).
     """
     return make_hom(fam.domain, fam.cover.ring,
-                    [glue_element(f) for f in fam.families])
+                    [glue_element(f)[0] for f in fam.families])

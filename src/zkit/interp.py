@@ -26,8 +26,7 @@ from . import dsl, serialize
 from .errors import (IncompatibleFamily, InvalidWitness, NotUnimodular,
                      NotWellDefined, ResourceExceeded, RingMismatch,
                      TypeMismatch, UnknownName, UnsupportedBase, ZkitError)
-from .gluing import (glue_element, make_cover, make_family,
-                     restriction_exponents)
+from .gluing import glue_element, make_cover, make_family
 from .ideals import fin_gen_ideal, radical_witness, unimodular_certificate
 from .lattice import (ZarElt, zar_elt, zar_eq, zar_join, zar_leq, zar_meet,
                       zar_top)
@@ -356,11 +355,10 @@ def _glue(stmt, env, options):
         fracs.append(Fraction(ring, f, normalize(ring, num), lit.exp))
     try:
         fam = make_family(cover, tuple(fracs))
-        glued = glue_element(fam)
+        glued, exponents = glue_element(fam)
     except IncompatibleFamily as exc:
         return "refuted", {"glued": None, "reason": str(exc)}, None
-    cert = serialize.glue_to_json(
-        cover, fam.elements, restriction_exponents(fam, glued), glued)
+    cert = serialize.glue_to_json(cover, fam.elements, exponents, glued)
     return "ok", {"glued": str(glued)}, cert
 
 

@@ -54,7 +54,8 @@ the protocol that lattices and homs into it use.
   with sum(c_j * g_j) == sum(q_i * basis_i).  Nothing is lifted until it
   is called (for quotients, by a reverse pass over the Groebner run's
   trace, see poly); lift is None when the basis is empty.
-- divide(x, basis): quotients and remainder of x by such a basis.
+- divide(x, basis): quotients and remainder of x by such a basis;
+  over a domain, also by one nonzero element (_exact_quotient).
 - unit_cofactors(gens): None when 1 is not in <gens>, else a function of
   no arguments that builds cofactors c with sum(c_i * gens_i) == 1.  A
   decision only asks whether it is None, and so builds no cofactor.
@@ -656,8 +657,11 @@ class FieldRing(QuotientRing):
             lambda quotients: [self.mul(quotients[0], c) for c in cof]
 
     def divide(self, x, basis):
-        # a basis here is () or (1,), see ideal_basis
-        return ([x], ()) if basis else ([], x)
+        # a basis here is () or one nonzero c: (1,) from ideal_basis
+        if not basis:
+            return [], x
+        inverse = self._scalar(self.base.invert(basis[0][0][1]))
+        return [self.mul(x, inverse)], ()
 
     def unit_cofactors(self, gens):
         gens = list(gens)
@@ -702,8 +706,7 @@ def _is_times_power(y: RingElement, x: RingElement, f: RingElement,
                     d: int) -> bool:
     """y == x * f^d, f^d formed under the term-pair cap (_power), but not
     over a polynomial ring that is a domain: x * f^d leads with lm(x) +
-    d * lm(f), and f must then divide y exactly d times, each division
-    leaving remainder 0, with quotient x at the end."""
+    d * lm(f), and y must then be x times f^d by _exact_quotient."""
     ring = y.ring
     if not d or f.is_zero or x.is_zero:
         return y == (x if not d else ring.zero())
@@ -713,14 +716,20 @@ def _is_times_power(y: RingElement, x: RingElement, f: RingElement,
         return False
     lead = tuple(map(add, ring.terms(x.payload)[0][0],
                      [e * d for e in ring.terms(f.payload)[0][0]]))
-    if ring.terms(y.payload)[0][0] != lead:
-        return False
-    q = y.payload
+    return (ring.terms(y.payload)[0][0] == lead
+            and _exact_quotient(y, f, d) == x)
+
+
+def _exact_quotient(y: RingElement, f: RingElement, d: int):
+    """The q with y == q * f^d, for f != 0 in a domain, or None when f^d
+    does not divide y: f divides y d times (the ring's divide), each
+    division leaving remainder 0, and no power of f is formed."""
+    ring, q, basis = y.ring, y.payload, (f.payload,)
     for _ in range(d):
-        (q,), rem = poly.p_divmod(ring.ctx, q, (f.payload,))
+        (q,), rem = ring.divide(q, basis)
         if rem:
-            return False
-    return q == x.payload
+            return None
+    return RingElement(ring, q)
 
 
 RingDesc = object  # IntegerRing | ResidueRing | QuotientRing | LocalizedRing

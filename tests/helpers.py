@@ -5,10 +5,11 @@ the seed printed by the test that used them.  The end of the file holds
 reference engines that the fast ones are checked against: hom
 construction, application, points and enumeration on RingElements, the
 qcqs report that decides every hom on its own, a scan-based Groebner
-engine, the radical test through a built A[1/a], the recursive-descent
-script parser and the statement printer, the RingElement evaluator of element expressions, the
-certificate printer and reader that went through the script AST, and
-the stdlib-dataclass twins of zkit's record classes.
+engine, the radical test through a built A[1/a], gluing through a power
+certificate over every ring, the recursive-descent script parser and
+the statement printer, the RingElement evaluator of element
+expressions, the certificate printer and reader that went through the
+script AST, and the stdlib-dataclass twins of zkit's record classes.
 """
 from __future__ import annotations
 
@@ -31,10 +32,14 @@ from zkit import dsl
 from zkit import schemes as S
 from zkit import poly as P
 from zkit import rings as R
-from zkit.errors import (InvalidWitness, NonInvertibleDenominator,
-                         ScriptSyntaxError, TypeMismatch)
+from zkit.errors import (IncompatibleFamily, InvalidWitness,
+                         NonInvertibleDenominator, ResourceExceeded,
+                         RingMismatch, ScriptSyntaxError, TypeMismatch)
+from zkit.gluing import CompatCheck
+from zkit.ideals import power_certificate, saturation_member
 from zkit.lattice import zar_elt, zar_eq_top
 from zkit.limits import current_limits
+from zkit.localization import Fraction as LocFraction, localized_name
 from zkit.records import MISSING
 from zkit.schemes import SchemePoint
 from zkit.serialize import eval_element_expr
@@ -1132,6 +1137,85 @@ def reference_radical_witness(a, ideal):
     k = max([1] + [w.exp for w in written])
     return k, tuple(R.normalize(ring, (w.num * L.f ** (k - w.exp)).payload)
                     for w in written[:len(ideal.generators)])
+
+
+# ---------------------------------------------------------------------------
+# gluing through a power certificate over every ring
+
+def _ref_restricts(g, x, k) -> bool:
+    """(g f^e - num) f^k == 0 for x = num/f^e, each power formed as a
+    repeated product."""
+    diff = g
+    for _ in range(x.exp):
+        diff = diff * x.f
+    diff = diff - x.num
+    for _ in range(k):
+        diff = diff * x.f
+    return diff.is_zero
+
+
+def reference_check_compatibility(cover, elements):
+    """check_compatibility as it was for every ring: each pair (i, j), i
+    < j in the order (0, 1), (0, 2), (1, 2), ..., on the fractions
+    aligned to the largest exponent N, with the least k that (f_i
+    f_j)^k kills r_i f_j^N - r_j f_i^N (ideals.saturation_member) as
+    its witness."""
+    elements = tuple(elements)
+    if len(elements) != len(cover):
+        raise IncompatibleFamily("family size does not match the cover")
+    for x, f in zip(elements, cover.elements):
+        if not isinstance(x, LocFraction) or x.ring != cover.ring \
+                or x.f != f:
+            raise RingMismatch(f"{x!r} is not a fraction over "
+                               f"{localized_name(cover.ring, f)}")
+    n = max(x.exp for x in elements)
+    aligned = [x.num * x.f ** (n - x.exp) for x in elements]
+    witnesses = []
+    for j in range(len(elements)):
+        for i in range(j):
+            fi, fj = elements[i].f, elements[j].f
+            k = saturation_member(aligned[i] * fj ** n - aligned[j] * fi ** n,
+                                  fi * fj)
+            if k is None:
+                return CompatCheck(False, tuple(witnesses), (i, j))
+            witnesses.append((i, j, k))
+    return CompatCheck(True, tuple(witnesses))
+
+
+def reference_glue_element(fam):
+    """glue_element as it was for every ring: the members aligned to the
+    largest exponent N, the largest pair witness k (at least 1 when N =
+    0), cofactors of the f_i^(N+k) (ideals.power_certificate) and the
+    recombination sum(b_i r_i f_i^k), checked to restrict to each member
+    with exponent N - e_i + k."""
+    cover = fam.cover
+    fs = cover.elements
+    n_exp = max((x.exp for x in fam.elements), default=0)
+    aligned = [x.num * fs[i] ** (n_exp - x.exp)
+               for i, x in enumerate(fam.elements)]
+    k = max([w[2] for w in fam.witnesses] + [0 if n_exp else 1])
+    cof = power_certificate(cover.certificate, n_exp + k).cofactors
+    g = cover.ring.zero()
+    for b, r, f in zip(cof, aligned, fs):
+        g = g + b * r * f ** k
+    if not all(_ref_restricts(g, x, n_exp - x.exp + k) for x in fam.elements):
+        raise IncompatibleFamily(
+            "glued element fails to restrict to the family")
+    return g
+
+
+def reference_restriction_exponents(fam, g) -> tuple:
+    """The least k with (g f^e - num) f^k == 0 for each member, scanned
+    from 0 up to max(max_exponent, saturation_bound)."""
+    top, bound = current_limits().max_exponent, g.ring.saturation_bound
+    cap = max(top, bound)
+    least = tuple(next((k for k in range(cap + 1) if _ref_restricts(g, x, k)),
+                       None) for x in fam.elements)
+    if None in least:
+        raise ResourceExceeded(
+            f"gluing.restriction_exponents: no exponent up to {cap} = "
+            f"max(max_exponent={top}, saturation_bound={bound})")
+    return least
 
 
 # ---------------------------------------------------------------------------

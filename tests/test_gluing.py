@@ -1,19 +1,34 @@
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from zkit import (CompatibleFamily, CompatibleHomFamily, IncompatibleFamily,
-                  IntegerRing, NotUnimodular, NotWellDefined, Rationals,
-                  ResidueRing, check_compatibility,
+                  IntegerRing, NotUnimodular, NotWellDefined, PrimeField,
+                  QuotientRing, Rationals, ResidueRing, check_compatibility,
                   frac_eq, glue_element, glue_hom, identity_hom, localize,
                   make_cover, make_family, make_hom, make_hom_family,
                   polynomial_ring, pullback_cover, quotient_by,
                   restrict_element, restrict_hom)
-from helpers import (random_element, random_endo, random_ring,
-                     random_unimodular_cover)
-from zkit.errors import ResourceExceeded
+from helpers import (random_element, random_endo, random_quotient_ring,
+                     random_ring, random_unimodular_cover,
+                     reference_check_compatibility, reference_glue_element,
+                     reference_restriction_exponents)
+from zkit import gluing
+from zkit.errors import ResourceExceeded, ZkitError
 from zkit.gluing import restriction_exponents, restricts
+from zkit.interp import Options, run_source
 from zkit.limits import limits
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))  # the bench package generates scripts
+
+from bench import check, gen  # noqa: E402
+
+SCRIPTS = Path(__file__).parent / "scripts"
 
 Z = IntegerRing()
 
@@ -31,14 +46,14 @@ def test_restrict_then_glue_identity():
     cov = make_cover(Z, [2, 3])
     for g in (5, 0, -7):
         fam = restrict_element(cov, g)
-        assert glue_element(fam) == Z.element(g)
+        assert glue_element(fam) == (Z.element(g), (0, 0))
 
 
 def test_glue_spec_family():
     cov = make_cover(Z, [2, 3])
     L2, L3 = cov.localized
     fam = make_family(cov, (L2.fraction(10, 1), L3.fraction(15, 1)))
-    assert glue_element(fam) == Z.element(5)
+    assert glue_element(fam) == (Z.element(5), (0, 0))
 
 
 def test_incompatible_family_detected():
@@ -55,7 +70,7 @@ def test_nilpotent_cover_compatibility():
     Z8 = ResidueRing(8)
     cov = make_cover(Z8, [3, 5])
     fam = restrict_element(cov, 6)
-    assert glue_element(fam) == Z8.element(6)
+    assert glue_element(fam)[0] == Z8.element(6)
 
 
 def test_restricts_is_the_plain_identity():
@@ -89,8 +104,8 @@ def test_restriction_exponents_are_the_least_under_the_cap():
     cov = make_cover(S, [x + 1, -x])
     La, Lb = cov.localized
     fam = make_family(cov, (La.fraction(y), Lb.fraction(0)))
-    g = glue_element(fam)
-    assert g == y and restriction_exponents(fam, g) == (0, 1)
+    g, least = glue_element(fam)
+    assert g == y and least == restriction_exponents(fam, g) == (0, 1)
     assert not restricts(g, fam.elements[1], 0)
     with limits(max_exponent=0), pytest.raises(ResourceExceeded) as exc:
         restriction_exponents(fam, g)
@@ -108,7 +123,7 @@ def test_round_trips_with_padding_random():
             k = rng.randrange(0, 3)
             padded.append(L.fraction(g * f ** k, k))
         fam = make_family(cover, tuple(padded))
-        glued = glue_element(fam)
+        glued, _ = glue_element(fam)
         assert glued == g, (ring, str(g), [str(f) for f in cover.elements])
         for x, L in zip(fam.elements, cover.localized):
             assert frac_eq(L.from_base(glued), x)
@@ -129,7 +144,7 @@ def test_glue_with_localization_kernel_noise():
         x2 = L3.fraction(g * R48.element(3) ** k2 + R48.element(16 * m2), k2)
         assert frac_eq(x1, L2.from_base(g))
         assert frac_eq(x2, L3.from_base(g))
-        glued = glue_element(make_family(cov, (x1, x2)))
+        glued, _ = glue_element(make_family(cov, (x1, x2)))
         assert frac_eq(L2.from_base(glued), x1)
         assert frac_eq(L3.from_base(glued), x2)
         assert glued == g  # separatedness pins the global element
@@ -143,7 +158,7 @@ def test_glue_with_localization_kernel_noise():
     g = x + 2
     fam = make_family(cov, (La.fraction(g * x + 3 * y, 1),
                             Lb.fraction(g * (1 - x) ** 2, 2)))
-    glued = glue_element(fam)
+    glued, _ = glue_element(fam)
     assert glued == g
 
 
@@ -176,11 +191,172 @@ def test_glue_adversarial_families_random():
                 nontrivial_noise += 1
             components.append(L.fraction(g * f ** k + z, k))
         fam = make_family(cover, tuple(components))
-        glued = glue_element(fam)
+        glued, _ = glue_element(fam)
         assert glued == g
         for x, L in zip(fam.elements, cover.localized):
             assert frac_eq(L.from_base(glued), x)
     assert nontrivial_noise > 0  # the sampler must actually hit kernels
+
+
+GLUE_KINDS = ("Z", "Q[x]", "Fp", "Fp[x]", "Z/n", "quotient")
+
+
+def _glue_ring(rng, kind):
+    p = rng.choice((2, 3, 5, 7, 11, 13))
+    return {"Z": lambda: Z,
+            "Q[x]": lambda: polynomial_ring(Rationals(), ["x"]),
+            "Fp": lambda: QuotientRing(PrimeField(p)),
+            "Fp[x]": lambda: polynomial_ring(PrimeField(p), ["x"]),
+            "Z/n": lambda: ResidueRing(rng.randrange(2, 65)),
+            # with relations (not a domain) or without (a free ring)
+            "quotient": lambda: random_quotient_ring(rng, max_vars=2)}[kind]()
+
+
+def _glue_cover(ring, rng):
+    """The unit cover [1], [1, 0], a random cover, or a random cover
+    with a 0 element in a random slot."""
+    roll = rng.randrange(4)
+    if roll < 2:
+        return make_cover(ring, [ring.one(), ring.zero()][:roll + 1])
+    elements = list(random_unimodular_cover(ring, rng).elements)
+    if roll == 3:
+        elements.insert(rng.randrange(len(elements) + 1), ring.zero())
+    return make_cover(ring, elements)
+
+
+def _glue_members(cover, rng):
+    """Members (g f^e + z) / f^e of a global g, e in 0..3, z 0 or in the
+    kernel of R -> R[1/f] (any element for f = 0); perturbed, one
+    numerator plus a random element, four times in ten."""
+    ring = cover.ring
+    g = random_element(ring, rng, 2)
+    members = []
+    for f, L in zip(cover.elements, cover.localized):
+        e = rng.randrange(4)
+        z = _kernel_element(ring, f, rng) if rng.random() < 0.5 \
+            else ring.zero()
+        members.append(L.fraction(g * f ** e + z, e))
+    if rng.random() < 0.4:
+        i = rng.randrange(len(members))
+        x = members[i]
+        members[i] = cover.localized[i].fraction(
+            x.num + random_element(ring, rng, 1), x.exp)
+    return tuple(members)
+
+
+def _outcome(fn):
+    """fn's value, or the type and message of the ZkitError it raises."""
+    try:
+        return fn()
+    except ZkitError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_glue(fam):
+    g = reference_glue_element(fam)
+    return g, reference_restriction_exponents(fam, g)
+
+
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_glue_matches_reference_on_seeded_families(seed):
+    """check_compatibility and glue_element against the power-certificate
+    route they replaced over a domain (tests/helpers.py), on seeded
+    families over Z, Q[x], Fp, Fp[x], Z/n and quotient rings: equal
+    witnesses and failing pairs, equal glued elements and exponents k,
+    and equal exception types and messages.  A failed check's witnesses
+    also forge a CompatibleFamily, which both must refuse alike."""
+    rng = random.Random(f"glue-reference/{seed}")
+    seen = set()
+    for trial in range(72):
+        kind = GLUE_KINDS[trial % len(GLUE_KINDS)]
+        ring = _glue_ring(rng, kind)
+        cover = _glue_cover(ring, rng)
+        members = _glue_members(cover, rng)
+        got = check_compatibility(cover, members)
+        want = reference_check_compatibility(cover, members)
+        assert (got.ok, got.witnesses, got.failing_pair) == \
+            (want.ok, want.witnesses, want.failing_pair), (ring, cover)
+        fam = CompatibleFamily(cover, members, got.witnesses)
+        glued = _outcome(lambda: glue_element(fam))
+        assert glued == _outcome(lambda: _reference_glue(fam)), (ring, cover)
+        zero = any(f.is_zero for f in cover.elements)
+        seen.add((ring.is_domain, zero, got.ok,
+                  isinstance(glued[0], type) or max(glued[1]) > 0))
+        seen.update(("exp", x.exp) for x in members)
+        seen.add(("unit cover", cover.elements == (ring.one(),)))
+    assert {("exp", e) for e in range(4)} <= seen
+    assert ("unit cover", True) in seen
+    # a domain: with and without a 0 element, refused, and a k of 1
+    assert {(True, False, False, True), (True, False, True, False),
+            (True, True, True, True)} <= seen
+
+
+def _domain_glue_subscript(sc):
+    """The ring declarations of a bench.gen script and its glue and qcqs
+    statements over a domain (Z, Q[x], Fp(p)[x]): its Z/n glue goes."""
+    return [st for st in sc.stmts
+            if st.src.startswith(("ring", "qcqs"))
+            or st.src.startswith("glue") and st.expect["mod"] is None]
+
+
+def test_domain_glue_forms_no_power_certificate(monkeypatch):
+    """With gluing.power_certificate made to raise, every corpus script
+    but zmod_cover.zk (over Z/6) answers as expected.json pins it, and
+    the seed-1 bench.gen glue and qcqs statements over Z, Q[x] and Fp
+    answer as they were built to; zmod_cover.zk still reaches it."""
+    class Reached(Exception):
+        pass  # not a ZkitError: run_script lets it through
+
+    def refuse(cert, m):
+        raise Reached(m)
+
+    monkeypatch.setattr(gluing, "power_certificate", refuse)
+    golden = json.loads((SCRIPTS / "expected.json").read_text())
+    reaching = set()
+    for path in sorted(SCRIPTS.glob("*.zk")):
+        try:
+            data = json.loads(json.dumps(run_source(
+                path.read_text(), Options(seed=0)).to_json(), default=str))
+        except Reached:
+            reaching.add(path.stem)
+            continue
+        for entry in data["results"]:
+            del entry["ms"]
+        assert data == golden[path.stem], path.stem
+    assert reaching == {"zmod_cover"}
+    answered = {"glue": 0, "qcqs": 0}
+    for sc in gen.ideal_decide(1) + gen.points_glue(1):
+        stmts = _domain_glue_subscript(sc)
+        report = run_source("".join(st.src + ";\n" for st in stmts))
+        for st, entry in zip(stmts, report.to_json()["results"]):
+            assert check.check_statement(st.expect, entry) is None, st.src
+            kind = st.src.split()[0]
+            if kind in answered:
+                answered[kind] += 1
+    assert answered["glue"] >= 36 + 12 * 3 and answered["qcqs"] >= 12
+
+
+def test_each_restriction_is_decided_once(monkeypatch):
+    """A glue statement decides each member's restriction once: its scan
+    calls restricts k + 1 times for a member whose least exponent is k,
+    and once for f = 0 (k is 0 or 1 there), and nothing checks the
+    glued element again before the certificate is written."""
+    calls, real = [], gluing.restricts
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gluing, "restricts", counted)
+    expected = 0
+    scripts = sorted(SCRIPTS.glob("glue_*.zk")) + [SCRIPTS / "zmod_cover.zk"]
+    for path in scripts:
+        for entry in run_source(path.read_text()).to_json()["results"]:
+            cert = entry["certificate"]
+            if cert and cert["claim"] == "glue":
+                expected += sum(1 if m["den"] == "0" else m["k"] + 1
+                                for m in cert["family"])
+    assert expected and len(calls) == expected
 
 
 def test_pullback_cover_square():

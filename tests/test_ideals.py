@@ -221,10 +221,11 @@ def test_power_certificate():
 
 
 def _glue_known(cover, g, m):
-    """Glue the family g * f^m / f^m, which needs a power-m certificate."""
+    """Glue the family g * f^m / f^m, through a power-m certificate over
+    a ring that is not a domain and an exact quotient over a domain."""
     fracs = tuple(localize(cover.ring, f).fraction(g * f ** m, m)
                   for f in cover.elements)
-    return glue_element(make_family(cover, fracs))
+    return glue_element(make_family(cover, fracs))[0]
 
 
 def test_resource_caps():

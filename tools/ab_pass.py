@@ -26,8 +26,11 @@ writes, as bench/run.py does: after a change to a certificate format,
 the other tree's certificates would be refused at the first unknown
 key, and the ratio would time the refusal.
 
-The two trees' reports, minus each result's `ms`, must be equal.  The
-last lines give the sum of the best times of each tree and their ratio
+The two trees' reports, minus each result's `ms`, must be equal.  A
+table follows with one row per statement kind (the first word of each
+result's `cmd`): the sum over its statements of each tree's best `ms`
+over the rounds, and their ratio, which shows where a saving sits.  The
+last line gives the sum of the best times of each tree and their ratio
 OLD / NEW (above 1 when NEW is faster); the exit code is 1 when the
 outputs differ.
 
@@ -95,8 +98,9 @@ def load(src: Path, name: str, where: Path):
 
 
 def run(tree, source: str, base_dir: Path = None):
-    """(seconds, report without ms) of one script under one tree, with
-    relative verify paths read under base_dir."""
+    """(seconds, report without ms, (kind, ms) of each statement) of one
+    script under one tree, with relative verify paths read under
+    base_dir; a statement's kind is the first word of its cmd."""
     dsl, interp = tree
     t0 = perf_counter()
     report = interp.run_script(dsl.parse(source),
@@ -104,9 +108,25 @@ def run(tree, source: str, base_dir: Path = None):
     data = report.to_json()
     json.dumps(data, indent=2, default=str)
     elapsed = perf_counter() - t0
-    for r in data.get("results", ()):
-        r.pop("ms", None)
-    return elapsed, data
+    stmts = [(r["cmd"].split()[0], r.pop("ms"))
+             for r in data.get("results", ())]
+    return elapsed, data, stmts
+
+
+def kind_table(stmt_best) -> list:
+    """Lines of the per-kind table: for each statement kind, each tree's
+    sum of its statements' best ms and the ratio old / new, the kind
+    with the most old time first."""
+    sums = {}
+    for t, scripts in enumerate(stmt_best):
+        for stmts in scripts:
+            for kind, ms in stmts:
+                sums.setdefault(kind, [0.0, 0.0])[t] += ms
+    lines = [f"{'kind':<16} {'old ms':>10} {'new ms':>10} {'old/new':>8}"]
+    for kind, (old, new) in sorted(sums.items(), key=lambda kv: -kv[1][0]):
+        ratio = f"{old / new:8.3f}" if new else f"{'-':>8}"
+        lines.append(f"{kind:<16} {old:10.2f} {new:10.2f} {ratio}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -136,19 +156,25 @@ def main(argv=None) -> int:
         work = works[0]
         best = [[float("inf")] * len(work) for _ in trees]
         outputs = [[None] * len(work) for _ in trees]
+        stmt_best = [[None] * len(work) for _ in trees]
         for rnd in range(args.rounds):
             order = (0, 1) if rnd % 2 == 0 else (1, 0)
             for k in range(len(work)):
                 for t in order:
-                    elapsed, data = run(trees[t], works[t][k][1], dirs[t])
+                    elapsed, data, stmts = run(trees[t], works[t][k][1],
+                                               dirs[t])
                     best[t][k] = min(best[t][k], elapsed)
                     outputs[t][k] = data
+                    kept = stmt_best[t][k] or stmts
+                    stmt_best[t][k] = [(kind, min(ms, was)) for (kind, ms),
+                                       (_, was) in zip(stmts, kept)]
     differ = [name for (name, _), a, b in zip(work, *outputs) if a != b]
     for name in differ:
         print(f"output differs: {name}")
     old, new = (sum(b) * 1e3 for b in best)
     print(f"{args.workload} seed {args.seed}: {len(work)} scripts, "
           f"best of {args.rounds} rounds each")
+    print("\n".join(kind_table(stmt_best)))
     print(f"old {old:.2f} ms  new {new:.2f} ms  old/new {old / new:.3f}")
     return 1 if differ else 0
 
