@@ -16,8 +16,8 @@ from .errors import (BaseMismatch, CodomainNotFinite, IncompatibleFamily,
                      ZkitError)
 from .gluing import (CompatibleFamily, CompatibleHomFamily, UnimodularCover,
                      check_compatibility, glue_element, glue_hom, make_cover,
-                     make_family, make_hom_family, pullback_cover,
-                     restrict_element, restrict_hom)
+                     make_family, make_hom_family, restrict_element,
+                     restrict_hom)
 from .ideals import (BezoutCertificate, FinGenIdeal, GroebnerBasis,
                      fin_gen_ideal, groebner, ideal_member, power_certificate,
                      radical_member, radical_witness, saturates,
@@ -26,15 +26,12 @@ from .lattice import (ZarElt, lattice_morphism, pushdown, restrict, support_D,
                       zar_bottom, zar_elt, zar_eq, zar_eq_top, zar_join,
                       zar_leq, zar_meet, zar_top)
 from .limits import Limits, current_limits, limits, set_limits
-from .localization import (Fraction, LocalizedRing, canonical_map,
-                           double_localization_maps, frac_eq,
-                           from_presentation, localize, to_presentation,
-                           universal_property)
+from .localization import (Fraction, LocalizedRing, canonical_map, frac_eq,
+                           localize, universal_property)
 from .poly import PolyContext, PrimeField, Rationals, is_prime
 from .rings import (IntegerRing, QuotientRing, ResidueRing, RingElement,
-                    RingHom, enumerate_homs, hom_apply, hom_compose,
-                    identity_hom, is_unit, make_hom, normalize,
-                    polynomial_ring, quotient_by)
+                    RingHom, enumerate_homs, hom_apply, hom_compose, is_unit,
+                    make_hom, normalize, polynomial_ring, quotient_by)
 from .schemes import (AffineCover, QcqsReport, SchemePoint, affine_cover,
                       locality_trial, point_from_localized_hom,
                       point_membership, point_to_localized_hom, points_over,

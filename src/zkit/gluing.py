@@ -28,16 +28,14 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import (IncompatibleFamily, InvariantViolated, NotUnimodular,
-                     ResourceExceeded, RingMismatch)
-from .ideals import (BezoutCertificate, power_certificate,
+from .errors import (IncompatibleFamily, NotUnimodular, ResourceExceeded,
+                     RingMismatch)
+from .ideals import (BezoutCertificate, power_certificate, saturation_cap,
                      saturation_member, unimodular_certificate)
-from .limits import current_limits
-from .localization import (Fraction, FractionMap, canonical_map, localize,
-                           localized_name)
+from .localization import Fraction, canonical_map, localize, localized_name
 from .records import record
 from .rings import (RingElement, RingHom, _exact_quotient, _is_times_power,
-                    _power, hom_apply, hom_compose, make_hom, normalize)
+                    _power, hom_compose, make_hom, normalize)
 
 
 @record(frozen=True)
@@ -213,8 +211,7 @@ def restriction_exponents(fam: CompatibleFamily, g) -> tuple:
     pair witnesses promise one (restricts is monotone in k); with f = 0
     every k >= 1 holds, R[1/0] being the zero ring.  A g of None, or a
     member with no k there, is IncompatibleFamily; a least k past
-    max(max_exponent, saturation_bound), which verify refuses, is
-    ResourceExceeded."""
+    ideals.saturation_cap, which verify refuses, is ResourceExceeded."""
     n_exp, top_k = _alignment(fam)
     least = (None,) if g is None else tuple(
         next((k for k in range(n_exp - x.exp + top_k + 1)
@@ -223,35 +220,11 @@ def restriction_exponents(fam: CompatibleFamily, g) -> tuple:
     if None in least:
         raise IncompatibleFamily(
             "glued element fails to restrict to the family")
-    top, bound = current_limits().max_exponent, g.ring.saturation_bound
-    cap = max(top, bound)
+    cap, why = saturation_cap(g.ring)
     if max(least) > cap:
         raise ResourceExceeded(
-            f"gluing.restriction_exponents: no exponent up to {cap} = "
-            f"max(max_exponent={top}, saturation_bound={bound})")
+            f"gluing.restriction_exponents: no exponent up to {why}")
     return least
-
-
-# ---------------------------------------------------------------------------
-# pullback of covers
-
-def pullback_cover(cover: UnimodularCover, phi: RingHom):
-    """Push a cover of R along phi : R -> A; returns the cover of A by
-    the phi(f_i) (certificate re-verified) and the maps R[1/f_i] ->
-    A[1/phi(f_i)], r/f^n |-> phi(r)/phi(f)^n, that close the squares
-    with the canonical maps."""
-    if phi.domain != cover.ring:
-        raise RingMismatch("cover and hom live over different rings")
-    images = tuple(hom_apply(phi, f) for f in cover.elements)
-    cofs = tuple(hom_apply(phi, a) for a in cover.certificate.cofactors)
-    cert = BezoutCertificate(images, cofs)
-    if not cert.verify():
-        raise InvariantViolated("pulled back certificate failed to verify")
-    new_cover = UnimodularCover(phi.codomain, images, cert)
-    one = phi.codomain.one()
-    maps = tuple(FractionMap(src, dst, phi, one)
-                 for src, dst in zip(cover.localized, new_cover.localized))
-    return new_cover, maps
 
 
 # ---------------------------------------------------------------------------

@@ -184,26 +184,32 @@ def saturates(a: RingElement, f: RingElement) -> bool:
     return L.equal(L.from_base(a), 0)
 
 
+def saturation_cap(ring) -> tuple:
+    """(cap, text): the largest k of a * f^k == 0 over ring that a search
+    tries or verify accepts, max(max_exponent, saturation_bound), and the
+    text that names it in a refusal."""
+    top, bound = current_limits().max_exponent, ring.saturation_bound
+    cap = max(top, bound)
+    return cap, f"{cap} = max(max_exponent={top}, saturation_bound={bound})"
+
+
 def saturation_member(a: RingElement, f: RingElement):
     """Least k with a * f^k == 0, or None when no power works.
 
     The decision runs first (it does not search); the least-exponent
-    scan afterwards is capped and raises ResourceExceeded when it fails
-    to reach the witness.
+    scan afterwards is capped (saturation_cap) and raises
+    ResourceExceeded when it fails to reach the witness.
     """
     if not saturates(a, f):
         return None
-    top, bound = current_limits().max_exponent, a.ring.saturation_bound
-    cap = max(top, bound)
+    cap, why = saturation_cap(a.ring)
     acc = a
     for k in range(cap + 1):
         if acc.is_zero:
             return k
         acc = acc * f
-    raise ResourceExceeded(
-        f"ideals.saturation_member: exponent {cap + 1} exceeded "
-        f"{cap} = max(max_exponent={top}, saturation_bound={bound}) "
-        f"with no saturation exponent")
+    raise ResourceExceeded(f"ideals.saturation_member: exponent {cap + 1} "
+                           f"exceeded {why} with no saturation exponent")
 
 
 def unimodular_certificate(elements):

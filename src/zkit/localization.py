@@ -13,7 +13,8 @@ instead.  The payloads are
   coprime to f, since (Z/n)[1/f] is Z/m (the zero ring when m = 1);
 - over k[x]/I, the payload of num*y^exp in the Rabinowitsch
   presentation k[x, y]/(I + <y*f - 1>) (rings._rabinowitsch), whose
-  arithmetic it is;
+  arithmetic it is: the payload of an element of L.presentation is one
+  of L, and L.written reads it back as num/f^exp;
 - over the field k itself (rings.FieldRing), the field payload of
   num*f^(-exp), since k[1/f] is k for f != 0 (and the zero ring, with
   payload 0, for f = 0); no basis is computed.
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property, partial
+from functools import cached_property
 
 from . import poly
 from .errors import (BaseMismatch, InvalidWitness, RingMismatch,
@@ -246,10 +247,6 @@ class _Presented(LocalizedRing):
     def sort_key(self, x):
         return self.ring.sort_key(x)
 
-    @property
-    def inverse_variable(self) -> str:
-        return self.presentation.variables[-1]
-
     @cached_property
     def presentation(self) -> QuotientRing:
         """base[y]/(relations + <y*f - 1>) (Rabinowitsch presentation),
@@ -383,50 +380,3 @@ def universal_property(L: LocalizedRing, phi, witness) -> InducedMap:
     if check != check.ring.one():
         raise InvalidWitness(f"phi(f) * w = {check} != 1")
     return InducedMap(L, phi, witness)
-
-
-@record(frozen=True)
-class FractionMap:
-    """r/f^n |-> phi(r) * c^n / g^n : R[1/f] -> A[1/g] on written
-    fractions, for phi : R -> A with phi(f) * c == g: the double
-    localization maps and the squares of pulled-back covers."""
-
-    source: LocalizedRing
-    target: LocalizedRing
-    phi: object
-    factor: RingElement
-
-    def __call__(self, a: Fraction) -> Fraction:
-        if a.ring != self.source.ring or a.f != self.source.f:
-            raise BaseMismatch(f"{a!r} is not a fraction of {self.source}")
-        return self.target.fraction(self.phi(a.num) * self.factor ** a.exp,
-                                    a.exp)
-
-
-def double_localization_maps(ring, fi, fj):
-    """(chi_left, chi_right) : R[1/f_i], R[1/f_j] -> R[1/(f_i f_j)],
-    multiplying through by the other element: r/f_i^n |-> r*f_j^n /
-    (f_i f_j)^n, and symmetrically."""
-    fi, fj = normalize(ring, fi), normalize(ring, fj)
-    target, same = localize(ring, fi * fj), partial(normalize, ring)
-    return (FractionMap(localize(ring, fi), target, same, fj),
-            FractionMap(localize(ring, fj), target, same, fi))
-
-
-# ---------------------------------------------------------------------------
-# the presentation
-
-def to_presentation(L: LocalizedRing, a: Fraction) -> RingElement:
-    """r/f^n |-> r * y^n reduced in base[y]/(relations + <y*f - 1>)."""
-    pres = L.presentation
-    fr = L.written(normalize(L, a).payload)
-    y = pres.var(L.inverse_variable)
-    return normalize(pres, poly.p_extend(fr.num.payload)) * y ** fr.exp
-
-
-def from_presentation(L: LocalizedRing, e: RingElement) -> Fraction:
-    """Substitute y = 1/f: sum_k g_k * y^k |-> (sum_k g_k f^(K-k)) / f^K."""
-    if e.ring != L.presentation:
-        raise RingMismatch(f"{e!r} is not in the presentation of {L}")
-    return Fraction(L.ring, L.f,
-                    *_inverse_substituted(L.ring, L.f, e.payload))

@@ -1034,10 +1034,6 @@ def make_hom(domain, codomain, images=()) -> RingHom:
     return RingHom(domain, codomain, images, checks)
 
 
-def identity_hom(ring) -> RingHom:
-    return make_hom(ring, ring, ring.gens())
-
-
 def hom_apply(phi: RingHom, a: RingElement) -> RingElement:
     if a.ring != phi.domain:
         raise RingMismatch(f"{a!r} is not in the domain of {phi}")

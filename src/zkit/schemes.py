@@ -135,8 +135,10 @@ def point_to_localized_hom(pt: SchemePoint, L: LocalizedRing) -> RingHom:
 class AffineCover:
     """A finite cover of a compact open by the standard opens D(f_i) of
     its generators (each affine, as Sp(R[1/f_i]): localize(ring, f_i));
-    join_matches re-verifies the covering condition and top_certificate
-    is present exactly when the open is everything."""
+    top_certificate is present exactly when the open is everything.
+    join_matches compares u with zar_elt of u's own generators, which
+    always holds: it checks no covering condition, and is kept because
+    it is part of the output."""
 
     open: ZarElt
     opens: tuple

@@ -49,7 +49,7 @@ from . import dsl
 from .errors import (InvalidWitness, NonInvertibleDenominator, TypeMismatch,
                      ZkitError)
 from .gluing import restricts
-from .ideals import BezoutCertificate
+from .ideals import BezoutCertificate, saturation_cap
 from .lattice import zar_elt
 from .limits import current_limits
 from .localization import Fraction
@@ -450,7 +450,7 @@ def verify_certificate(data: dict, reader: CertificateReader = None) -> tuple:
             if not BezoutCertificate(cover, read(ring, cover_cofs)).verify():
                 return False, "cover certificate failed"
             glued = reader.element(ring, glued)
-            cap = max(cap, ring.saturation_bound)
+            cap = saturation_cap(ring)[0]
             for i, (f, (num, exp, entry)) in enumerate(zip(cover, entries)):
                 k = entry.exponent("k", 0, cap, "restriction exponent")
                 x = Fraction(ring, f, reader.element(ring, num), exp)

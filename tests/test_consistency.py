@@ -1,7 +1,8 @@
 """Names that live outside src/zkit still resolve in zkit: README's
-Python examples, and the span table and signatures of the functions the
-benchmark's tracer wraps; src/zkit keeps the rules its readers rely on;
-and tools/code_lines.py counts what it says it counts."""
+Python examples, the span table and signatures of the functions the
+benchmark's tracer wraps, and the allow-list of tools/reach.py; src/zkit
+keeps the rules its readers rely on; and tools/code_lines.py counts what
+it says it counts."""
 import ast
 import importlib
 import importlib.util
@@ -48,6 +49,29 @@ def test_trace_spans_resolve():
     for mod, attr in _traced():
         module = importlib.import_module(f"zkit.{mod}")
         assert callable(getattr(module, attr, None)), f"zkit.{mod}.{attr}"
+
+
+def test_reach_allow_list_resolves():
+    """Every name on the allow-list of tools/reach.py, module.qualname,
+    is a function or method defined in src/zkit under that qualname, so
+    a rename or a deletion must edit the list.  reach.py is read, not
+    imported, as trace.py is."""
+    source = (ROOT / "tools" / "reach.py").read_text()
+    allow = next(ast.literal_eval(node.value)
+                 for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["ALLOW"])
+    names = [name for names in allow.values() for name in names]
+    assert names and len(names) == len(set(names))
+    for name in names:
+        mod, *path = name.split(".")
+        obj = importlib.import_module(f"zkit.{mod}")
+        for part in path:
+            obj = getattr(obj, "__dict__", {}).get(part)
+        obj = getattr(obj, "fget", getattr(obj, "func", obj))  # properties
+        assert (getattr(obj, "__module__", None) == f"zkit.{mod}"
+                and obj.__qualname__ == ".".join(path)
+                and callable(obj)), name
 
 
 def _statement_classes() -> set:

@@ -8,10 +8,9 @@ import pytest
 from zkit import (CompatibleFamily, CompatibleHomFamily, IncompatibleFamily,
                   IntegerRing, NotUnimodular, NotWellDefined, PrimeField,
                   QuotientRing, Rationals, ResidueRing, check_compatibility,
-                  frac_eq, glue_element, glue_hom, identity_hom, localize,
-                  make_cover, make_family, make_hom, make_hom_family,
-                  polynomial_ring, pullback_cover, quotient_by,
-                  restrict_element, restrict_hom)
+                  frac_eq, glue_element, glue_hom, localize, make_cover,
+                  make_family, make_hom, make_hom_family, polynomial_ring,
+                  quotient_by, restrict_element, restrict_hom)
 from helpers import (random_element, random_endo, random_quotient_ring,
                      random_ring, random_unimodular_cover,
                      reference_check_compatibility, reference_glue_element,
@@ -359,34 +358,6 @@ def test_each_restriction_is_decided_once(monkeypatch):
     assert expected and len(calls) == expected
 
 
-def test_pullback_cover_square():
-    rng = random.Random(67)
-    cov = make_cover(Z, [2, 3])
-    phi = make_hom(Z, ResidueRing(7))
-    pulled, maps = pullback_cover(cov, phi)
-    assert pulled.certificate.verify()
-    for _ in range(20):
-        r = Z.element(rng.randrange(-30, 30))
-        for i, (L, Lp) in enumerate(zip(cov.localized, pulled.localized)):
-            lhs = maps[i](L.from_base(r))
-            rhs = Lp.from_base(phi(r))
-            assert frac_eq(lhs, rhs)
-    # identity pullback keeps the cover
-    ident = make_hom(Z, Z)
-    same, _ = pullback_cover(cov, ident)
-    assert same.elements == cov.elements
-
-
-def test_pullback_cover_poly():
-    Qx = polynomial_ring(Rationals(), ["x"])
-    x = Qx.var("x")
-    cov = make_cover(Qx, [x, 1 - x])
-    phi = make_hom(Qx, Qx, (x + 1,))
-    pulled, maps = pullback_cover(cov, phi)
-    assert [str(e) for e in pulled.elements] == ["x + 1", "-x"]
-    assert pulled.certificate.verify()
-
-
 def test_hom_level_round_trips():
     Qx = polynomial_ring(Rationals(), ["x"])
     Qt = polynomial_ring(Rationals(), ["t"])
@@ -480,7 +451,7 @@ def test_glue_hom_integer_domains():
     glued = glue_hom(fam6)
     assert glued.domain == Z6 and glued.codomain == Z6
     for ring, elements in ((Z, [2, 3]), (ResidueRing(12), [3, 4])):
-        ident = identity_hom(ring)
+        ident = make_hom(ring, ring, ring.gens())
         glued = glue_hom(restrict_hom(make_cover(ring, elements), ident))
         assert glued == ident
         assert glued(ring.element(7)) == ring.element(7)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from zkit import (CodomainNotFinite, IntegerRing, NotWellDefined, PrimeField,
                   QuotientRing, Rationals, ResidueRing, ResourceExceeded,
                   RingMismatch, enumerate_homs, hom_apply, hom_compose,
-                  identity_hom, is_unit, limits, localize, make_hom,
-                  normalize, polynomial_ring, quotient_by)
+                  is_unit, limits, localize, make_hom, normalize,
+                  polynomial_ring, quotient_by)
 from zkit.localization import LocalizedRing
 from helpers import (p_eval, random_element, random_quotient_ring,
                      random_ring, reference_enumerate_homs)
@@ -119,7 +119,7 @@ def test_hom_examples():
     x = Qx.var("x")
     phi = make_hom(Qx, Qx, (x + 1,))
     assert hom_apply(phi, x ** 2) == x ** 2 + 2 * x + 1
-    assert hom_apply(identity_hom(Qx), x ** 2) == x ** 2
+    assert hom_apply(make_hom(Qx, Qx, Qx.gens()), x ** 2) == x ** 2
     psi = make_hom(Qx, Qx, (2 * x,))
     assert hom_compose(psi, phi).generator_images[0] == 2 * x + 1
     to8 = make_hom(Z, ResidueRing(8))
@@ -132,9 +132,10 @@ def test_hom_examples():
     F5x = polynomial_ring(PrimeField(5), ["x"])
     at2 = make_hom(F5x, ResidueRing(5), (2,))
     assert hom_apply(at2, F5x.var("x") ** 2 + 3) == ResidueRing(5).element(2)
-    assert str(identity_hom(Z)) == "canonical : Z -> Z"
-    assert str(identity_hom(Z6)) == "canonical : Z/6 -> Z/6"
-    assert hom_apply(identity_hom(Z6), Z6.element(4)) == Z6.element(4)
+    assert str(make_hom(Z, Z, Z.gens())) == "canonical : Z -> Z"
+    assert str(make_hom(Z6, Z6, Z6.gens())) == "canonical : Z/6 -> Z/6"
+    assert hom_apply(make_hom(Z6, Z6, Z6.gens()), Z6.element(4)) \
+        == Z6.element(4)
 
 
 def test_hom_verification():
