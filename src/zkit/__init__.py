@@ -25,7 +25,7 @@ from .ideals import (BezoutCertificate, FinGenIdeal, GroebnerBasis,
 from .lattice import (ZarElt, lattice_morphism, pushdown, restrict, support_D,
                       zar_bottom, zar_elt, zar_eq, zar_eq_top, zar_join,
                       zar_leq, zar_meet, zar_top)
-from .limits import Limits, current_limits, limits, set_limits
+from .limits import Limits, current_limits, limits
 from .localization import (Fraction, LocalizedRing, canonical_map, frac_eq,
                            localize, universal_property)
 from .poly import PolyContext, PrimeField, Rationals, is_prime

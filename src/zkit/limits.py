@@ -1,4 +1,4 @@
-"""Work caps and instrumentation for the decision engines.
+"""Work caps for the decision engines.
 
 Groebner-basis computation is doubly exponential in the worst case, and
 saturation witnesses have no a-priori exponent bound, so every search in
@@ -30,7 +30,6 @@ class Limits:
     max_basis: int = 256         # basis elements per computation
     max_exponent: int = 64       # witness exponents (radical, saturation, glue)
     max_assignments: int = 10**6  # elements listed / homs tried per enumeration
-    check_bases: bool = False    # post-hoc Buchberger criterion on every basis
 
 
 _LIMITS: ContextVar[Limits] = ContextVar("zkit_limits", default=Limits())
@@ -38,13 +37,6 @@ _LIMITS: ContextVar[Limits] = ContextVar("zkit_limits", default=Limits())
 
 def current_limits() -> Limits:
     return _LIMITS.get()
-
-
-def set_limits(**overrides) -> Limits:
-    """Permanently override selected caps, returning the new Limits."""
-    new = replace(_LIMITS.get(), **overrides)
-    _LIMITS.set(new)
-    return new
 
 
 @contextmanager
@@ -56,17 +48,3 @@ def limits(**overrides):
     finally:
         _LIMITS.reset(token)
 
-
-class GroebnerStats:
-    """Counters filled in when check_bases is active (test mode)."""
-
-    def __init__(self):
-        self.bases_computed = 0
-        self.bases_checked = 0
-
-    def reset(self):
-        self.bases_computed = 0
-        self.bases_checked = 0
-
-
-stats = GroebnerStats()

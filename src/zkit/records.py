@@ -8,8 +8,8 @@ default_factory, stores each field (on a frozen record through
 object.__setattr__, bound once per class rather than looked up per
 field) and ends by calling __post_init__ when the class has one; __eq__
 is True at once when both sides are one object (as for two elements of
-one shared ring) and otherwise compares the tuples of compared fields of
-two instances of the same class; __hash__ hashes that tuple on a frozen
+one shared ring) and otherwise compares the tuples of fields of two
+instances of the same class; __hash__ hashes that tuple on a frozen
 record and is None on a mutable one.  So construction, equality and hash
 values (and with them dict and set order) are those of the dataclass.
 __repr__ is one shared function giving the dataclass text, and on a
@@ -21,8 +21,8 @@ __dict__ turns the instance's inline attribute values into a dict, and
 every later field read then goes through that dict, several times
 slower.
 
-There are no ClassVar, InitVar, keyword-only, slots or ordering options:
-zkit uses none of them.
+There are no ClassVar, InitVar, keyword-only, slots, ordering, compare
+or repr options: zkit uses none of them.
 """
 from __future__ import annotations
 
@@ -33,26 +33,22 @@ _FACTORY = object()         # the __init__ default of a default_factory field
 class Field:
     """A field's name and options; `field(...)` makes one for a class body."""
 
-    __slots__ = ("name", "default", "default_factory", "compare", "repr")
+    __slots__ = ("name", "default", "default_factory")
 
-    def __init__(self, default=MISSING, default_factory=MISSING,
-                 compare=True, repr=True):
+    def __init__(self, default=MISSING, default_factory=MISSING):
         self.name = None
         self.default = default
         self.default_factory = default_factory
-        self.compare = compare
-        self.repr = repr
 
 
-def field(*, default=MISSING, default_factory=MISSING, compare=True,
-          repr=True) -> Field:
-    return Field(default, default_factory, compare, repr)
+def field(*, default=MISSING, default_factory=MISSING) -> Field:
+    return Field(default, default_factory)
 
 
 def _repr(self):
     cls = self.__class__
     return cls.__qualname__ + "(" + ", ".join(
-        [f"{name}={getattr(self, name)!r}" for name in cls.__record_repr__]
+        [f"{f.name}={getattr(self, f.name)!r}" for f in cls.__record_fields__]
     ) + ")"
 
 
@@ -87,7 +83,6 @@ def _build(cls, frozen: bool):
         fields[name] = f
     fields = tuple(fields.values())
     cls.__record_fields__ = fields
-    cls.__record_repr__ = tuple(f.name for f in fields if f.repr)
 
     env = {"_setattr": object.__setattr__, "_FACTORY": _FACTORY}
     params, body = ["self"], []
@@ -106,7 +101,6 @@ def _build(cls, frozen: bool):
                     else f"self.{name}={value}")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
-    compared = [f for f in fields if f.compare]
     text = "\n".join([
         f"def __create_fn__({', '.join(env)}):",
         f" def __init__({', '.join(params)}):",
@@ -115,10 +109,10 @@ def _build(cls, frozen: bool):
         "  if other is self:",
         "   return True",
         "  if other.__class__ is self.__class__:",
-        f"   return {_tuple('self', compared)}=={_tuple('other', compared)}",
+        f"   return {_tuple('self', fields)}=={_tuple('other', fields)}",
         "  return NotImplemented",
         " def __hash__(self):",
-        f"  return hash({_tuple('self', compared)})",
+        f"  return hash({_tuple('self', fields)})",
         " return __init__, __eq__, __hash__",
     ])
     ns = {}

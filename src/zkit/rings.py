@@ -75,7 +75,7 @@ zero, one, from_int, element, gens and elements give RingElements; the
 other methods take and return payloads.  Homomorphisms are finite data:
 one codomain element per domain variable.  Construction verifies
 well-definedness (every relation maps to zero, and the characteristic
-is compatible) and records the checked images.  Homs are evaluated on
+is compatible) and keeps only the images.  Homs are evaluated on
 payloads: evaluate substitutes the images' payloads for the generators
 with the codomain's payload arithmetic, mapping each coefficient once
 per call, and make_hom (on the relations) and hom_apply both call it.
@@ -106,7 +106,7 @@ from .errors import (CodomainNotFinite, InvalidRing, InvariantViolated,
                      UnknownVariable)
 from .limits import current_limits
 from .poly import Poly, PolyContext, PrimeField, Rationals
-from .records import field, record
+from .records import record
 
 
 # ---------------------------------------------------------------------------
@@ -926,16 +926,11 @@ def read_terms(ring, text: str):
 
 @record(frozen=True)
 class RingHom:
-    """A ring map given by generator images, verified at construction.
-
-    relation_checks records the normal form of every domain relation
-    image (all zero by construction); it is evidence, not data.
-    """
+    """A ring map given by generator images, verified at construction."""
 
     domain: RingDesc
     codomain: RingDesc
     generator_images: tuple = ()
-    relation_checks: tuple = field(default=(), compare=False, repr=False)
 
     def __call__(self, a: RingElement) -> RingElement:
         return hom_apply(self, a)
@@ -1024,14 +1019,15 @@ def make_hom(domain, codomain, images=()) -> RingHom:
         raise NotWellDefined(
             f"expected {len(domain.variables)} images, got {len(images)}")
     _base_compatible(domain, codomain)
-    checks = tuple(RingElement(codomain, v) for v in evaluate(
-        domain, codomain, [i.payload for i in images], domain.relations))
-    bad = next((i for i, c in enumerate(checks) if not c.is_zero), None)
+    values = evaluate(domain, codomain, [i.payload for i in images],
+                      domain.relations)
+    bad = next((i for i, v in enumerate(values) if not codomain.is_zero(v)),
+               None)
     if bad is not None:
         raise NotWellDefined(
             f"relation {terms_to_str(domain.relations[bad], domain.variables)}"
-            f" maps to {checks[bad]} != 0")
-    return RingHom(domain, codomain, images, checks)
+            f" maps to {codomain.render(values[bad])} != 0")
+    return RingHom(domain, codomain, images)
 
 
 def hom_apply(phi: RingHom, a: RingElement) -> RingElement:
@@ -1105,7 +1101,7 @@ def _substitute(rels: list, pw: dict, add, mul) -> list:
 def enumerate_homs(domain, codomain) -> list:
     """All homomorphisms into a finite ring, in lexicographic assignment
     order over the codomain's element enumeration (itertools.product
-    order), each with its relation_checks.
+    order).
 
     This checks |codomain|^generators assignments, and raises
     ResourceExceeded before trying any when that exceeds
@@ -1134,12 +1130,11 @@ def enumerate_homs(domain, codomain) -> list:
     coeff = _coefficient_images(domain, codomain)
     rels = [{mono: index[coeff(c)] for mono, c in rel}
             or {(0,) * nvars: zero} for rel in domain.relations]
-    checks = (elements[zero],) * len(rels)
     homs = []
 
     def accept(prefix):
         homs.append(RingHom(domain, codomain,
-                            tuple(elements[i] for i in prefix), checks))
+                            tuple(elements[i] for i in prefix)))
 
     if not nvars:
         if all(rel[()] == zero for rel in rels):

@@ -3,15 +3,19 @@ from pathlib import Path
 
 import pytest
 
-from zkit.limits import set_limits, stats
+from zkit import poly
 
 sys.path.insert(0, str(Path(__file__).parent))  # make helpers importable
+
+from helpers import checked_buchberger  # noqa: E402
 
 
 @pytest.fixture(scope="session", autouse=True)
 def verified_bases():
-    """Run the whole suite with post-hoc Buchberger verification on every
-    computed basis (criterion checks count on the stats)."""
-    set_limits(check_bases=True)
-    stats.reset()
-    yield stats
+    """Run the whole suite with the post-hoc Buchberger check of
+    helpers.check_basis on every basis a Buchberger run returns.  Every
+    poly.buchberger call looks _buchberger up when it runs, so names
+    bound by `from zkit.poly import buchberger` are checked too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_buchberger", checked_buchberger(poly._buchberger))
+        yield

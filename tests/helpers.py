@@ -1,4 +1,5 @@
-"""Shared random samplers for the test suite.
+"""Shared random samplers for the test suite, and the post-hoc
+Buchberger check that conftest.py runs on every basis.
 
 Everything takes an explicit random.Random so failures reproduce from
 the seed printed by the test that used them.  The end of the file holds
@@ -33,8 +34,9 @@ from zkit import schemes as S
 from zkit import poly as P
 from zkit import rings as R
 from zkit.errors import (IncompatibleFamily, InvalidWitness,
-                         NonInvertibleDenominator, ResourceExceeded,
-                         RingMismatch, ScriptSyntaxError, TypeMismatch)
+                         InvariantViolated, NonInvertibleDenominator,
+                         ResourceExceeded, RingMismatch, ScriptSyntaxError,
+                         TypeMismatch)
 from zkit.gluing import CompatCheck
 from zkit.ideals import power_certificate, saturation_member
 from zkit.lattice import zar_elt, zar_eq_top
@@ -143,6 +145,14 @@ def random_endo(ring, rng):
 # ---------------------------------------------------------------------------
 # payload arithmetic that only the tests use
 
+def mono_div(a, b):
+    return tuple([x - y for x, y in zip(a, b)])
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
 def p_scale(ctx, f, c):
     """f * c for a coefficient c."""
     return P.p_term_mul(ctx, f, (0,) * ctx.nvars, c)
@@ -160,14 +170,92 @@ def p_eval(ctx, f, point):
 
 
 # ---------------------------------------------------------------------------
+# The post-hoc Buchberger check, from outside the engine.  conftest.py
+# routes every poly._buchberger run of the session through
+# checked_buchberger, and check_basis decides each basis a run returns.
+# BASES counts the bases returned and the bases that passed.
+
+BASES = {"computed": 0, "checked": 0}
+
+
+def is_groebner(ctx, basis) -> bool:
+    """Post-hoc Buchberger criterion: every S-polynomial reduces to zero."""
+    basis = list(basis)
+    for j in range(len(basis)):
+        for i in range(j):
+            fi, fj = basis[i], basis[j]
+            lcm = mono_lcm(fi[0][0], fj[0][0])
+            mi = mono_div(lcm, fi[0][0])
+            mj = mono_div(lcm, fj[0][0])
+            s = P.p_sub(ctx,
+                        P.p_term_mul(ctx, fi, mi, ctx.field.invert(fi[0][1])),
+                        P.p_term_mul(ctx, fj, mj, ctx.field.invert(fj[0][1])))
+            if P.normal_form(ctx, s, basis):
+                return False
+    return True
+
+
+def is_reduced_basis(ctx, basis) -> bool:
+    """Monic, and no leading monomial divides any term of another element."""
+    for i, f in enumerate(basis):
+        if f[0][1] != ctx.field.one:
+            return False
+        for j, g in enumerate(basis):
+            if i == j:
+                continue
+            if any(P.mono_divides(f[0][0], m) for m, _ in g):
+                return False
+    return True
+
+
+def check_basis(ctx, basis, stop_at_one) -> None:
+    """Raise InvariantViolated unless basis is what a Buchberger run may
+    return.  (1,) passes as it is.  A stop_at_one basis (engine
+    coefficients, not minimized) passes when its minimal part, made
+    monic, meets the Buchberger criterion and every other element
+    reduces to zero by it: then that part is a Groebner basis of the
+    whole, and so is the whole.  Any other basis must be reduced and
+    meet the criterion."""
+    BASES["computed"] += 1
+    if basis != (((0,) * ctx.nvars, ctx.field.one),):
+        if stop_at_one:
+            monic = [ctx.field.lift(f, 1, f[0][1]) for f in basis]
+            # the elements whose leading monomial no other's divides; of
+            # equal ones, the first
+            core = [f for i, f in enumerate(monic)
+                    if not any(P.mono_divides(g[0][0], f[0][0])
+                               and (g[0][0] != f[0][0] or j < i)
+                               for j, g in enumerate(monic) if j != i)]
+            if not is_groebner(ctx, core) or any(
+                    P.normal_form(ctx, f, core) for f in monic
+                    if f not in core):
+                raise InvariantViolated("Buchberger criterion failed")
+        else:
+            if not is_reduced_basis(ctx, basis):
+                raise InvariantViolated("basis not reduced")
+            if not is_groebner(ctx, basis):
+                raise InvariantViolated("Buchberger criterion failed")
+    BASES["checked"] += 1
+
+
+def checked_buchberger(run):
+    """poly._buchberger's run, with check_basis on each basis it returns."""
+    def checked(ctx, lay, gens, track, stop_at_one):
+        basis, trace = run(ctx, lay, gens, track, stop_at_one)
+        check_basis(ctx, basis, stop_at_one)
+        return basis, trace
+    return checked
+
+
+# ---------------------------------------------------------------------------
 # Reference homs on RingElements: hom construction, application and
 # points of an open, as they were before rings.evaluate computed them on
 # payloads and schemes.points_over pulled opens back on element indices.
 # Every coefficient goes through from_int (or normalize) once per term,
 # relations are substituted one generator at a time, and every hom pulls
 # the open back by RingElement arithmetic.  The fast code must give equal
-# images, equal relation_checks, the same NotWellDefined message, and the
-# same points with equal witnesses in the same order.
+# homs, the same NotWellDefined message, and the same points with equal
+# witnesses in the same order.
 
 def _ref_coeff_image(domain, codomain, c):
     if not domain.is_q_algebra:
@@ -211,7 +299,7 @@ def reference_make_hom(domain, codomain, images=()):
     if bad is not None:
         rel = R.terms_to_str(domain.relations[bad], domain.variables)
         raise NotWellDefined(f"relation {rel} maps to {rels[bad][()]} != 0")
-    return RingHom(domain, codomain, images, tuple(rel[()] for rel in rels))
+    return RingHom(domain, codomain, images)
 
 
 def reference_hom_apply(phi, a):
@@ -293,8 +381,7 @@ def reference_qcqs(V, *, seed=0, trials=5):
 # rings.enumerate_homs replaced by index arithmetic.  Powers are tabled
 # once per element, each prefix is substituted once for its completions,
 # and every relation is fully evaluated for every assignment.  The fast
-# walk must return the same homs, in the same order, with equal
-# relation_checks.
+# walk must return the same homs, in the same order.
 
 def _ref_substitute(rels, pw):
     out = []
@@ -322,8 +409,7 @@ def reference_enumerate_homs(domain, codomain):
     def extend(rels, prefix):
         if len(prefix) == nvars:
             if all(rel[()].is_zero for rel in rels):
-                homs.append(RingHom(domain, codomain, prefix,
-                                    tuple(rel[()] for rel in rels)))
+                homs.append(RingHom(domain, codomain, prefix))
             return
         for a, pw in zip(elements, table):
             extend(_ref_substitute(rels, pw), prefix + (a,))
@@ -366,7 +452,7 @@ def reference_divmod(ctx, f, divisors, track=True):
         c = work.pop(m)
         for i, (lm, lc) in enumerate(leads):
             if P.mono_divides(lm, m):
-                q = P.mono_div(m, lm)
+                q = mono_div(m, lm)
                 qc = fld.div(c, lc)
                 if track:
                     s = fld.add(quo[i].get(q, fld.zero), qc)
@@ -411,7 +497,7 @@ def _ref_update(basis, pairs, t):
         return basis[k][0][0]
 
     def lcm(i, j):
-        return P.mono_lcm(lm(i), lm(j))
+        return mono_lcm(lm(i), lm(j))
 
     def coprime(i, j):
         return lcm(i, j) == P.mono_mul(lm(i), lm(j))
@@ -477,15 +563,15 @@ def reference_buchberger(ctx, gens, *, track=False, stop_at_one=False,
         add_pairs(t)
     while pairs:
         best = min(range(len(pairs)),
-                   key=lambda k: ctx.key(P.mono_lcm(basis[pairs[k][0]][0][0],
-                                                    basis[pairs[k][1]][0][0])))
+                   key=lambda k: ctx.key(mono_lcm(basis[pairs[k][0]][0][0],
+                                                  basis[pairs[k][1]][0][0])))
         i, j = pairs.pop(best)
         fi, fj = basis[i], basis[j]
         lmi, lmj = fi[0][0], fj[0][0]
-        lcm = P.mono_lcm(lmi, lmj)
+        lcm = mono_lcm(lmi, lmj)
         if lcm == P.mono_mul(lmi, lmj):
             continue
-        mi, mj = P.mono_div(lcm, lmi), P.mono_div(lcm, lmj)
+        mi, mj = mono_div(lcm, lmi), mono_div(lcm, lmj)
         s = P.p_sub(ctx, P.p_term_mul(ctx, fi, mi, fld.one),
                     P.p_term_mul(ctx, fj, mj, fld.one))
         scof = None
@@ -550,7 +636,7 @@ def _fwd_divide(ctx, f, divisors):
             continue
         for lm, lc, tail, quo in leads:
             if P.mono_divides(lm, m):
-                q = P.mono_div(m, lm)
+                q = mono_div(m, lm)
                 if lc is None:
                     qc = c
                 else:
@@ -700,12 +786,12 @@ def reference_buchberger_tracked(ctx, gens, *, track=False,
         _ref_update(basis, pairs, t)
     while pairs:
         best = min(range(len(pairs)),
-                   key=lambda k: ctx.key(P.mono_lcm(basis[pairs[k][0]][0][0],
-                                                    basis[pairs[k][1]][0][0])))
+                   key=lambda k: ctx.key(mono_lcm(basis[pairs[k][0]][0][0],
+                                                  basis[pairs[k][1]][0][0])))
         i, j = pairs.pop(best)
         fi, fj = basis[i], basis[j]
-        lcm_ij = P.mono_lcm(fi[0][0], fj[0][0])
-        mi, mj = P.mono_div(lcm_ij, fi[0][0]), P.mono_div(lcm_ij, fj[0][0])
+        lcm_ij = mono_lcm(fi[0][0], fj[0][0])
+        mi, mj = mono_div(lcm_ij, fi[0][0]), mono_div(lcm_ij, fj[0][0])
         ci, cj = eng.step(fi[0][1], fj[0][1])
         s = _fwd_shift_sub(ectx, fi, mi, ci, fj, mj, cj)
         scof = None
@@ -1370,7 +1456,7 @@ def dataclass_twin(cls):
                       if n not in names]
     specs = []
     for name in names:
-        kwargs = {"compare": options[name].compare, "repr": options[name].repr}
+        kwargs = {}
         if name in vars(cls):
             kwargs["default"] = vars(cls)[name]
         elif options[name].default_factory is not MISSING:

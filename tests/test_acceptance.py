@@ -27,10 +27,10 @@ from zkit import (IntegerRing, PrimeField, QuotientRing, Rationals,
                   zar_leq, zar_meet, zar_top)
 from zkit.dsl import parse, pretty_print
 from zkit.interp import Options, REPORT_SCHEMA, run_source
-from zkit.limits import stats
 
-from helpers import (random_element, random_endo, random_quotient_ring,
-                     random_ring, random_unimodular_cover)
+from helpers import (BASES, random_element, random_endo,
+                     random_quotient_ring, random_ring,
+                     random_unimodular_cover)
 
 Z = IntegerRing()
 SCRIPTS = Path(__file__).parent / "scripts"
@@ -317,10 +317,11 @@ def test_criterion_8_locality_sampling():
 def test_criterion_9_groebner_sanity():
     failures = 0
     # (a) every basis this test computes passes the post-hoc Buchberger
-    # criterion (conftest enables check_bases session-wide; any violation
-    # would have raised at computation time), counted once its work is
-    # done and over its own bases only, so no earlier test decides it
-    computed, checked = stats.bases_computed, stats.bases_checked
+    # criterion (conftest checks every basis session-wide with
+    # helpers.check_basis; any violation would have raised at computation
+    # time), counted once its work is done and over its own bases only,
+    # so no earlier test decides it
+    computed, checked = BASES["computed"], BASES["checked"]
     # (b) integer membership vs an independent gcd oracle (math.gcd)
     rng = random.Random(1009)
     for _ in range(500):
@@ -381,8 +382,8 @@ def test_criterion_9_groebner_sanity():
             oracle = sympy.rem(to_sympy(a), spoly, xsym).is_zero
         if mine != oracle:
             failures += 1
-    computed = stats.bases_computed - computed
-    checked = stats.bases_checked - checked
+    computed = BASES["computed"] - computed
+    checked = BASES["checked"] - checked
     verdict(9, computed > 0 and checked == computed and failures == 0,
             f"Buchberger criterion re-verified on all "
             f"{checked}/{computed} bases; "

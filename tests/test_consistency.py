@@ -9,6 +9,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+from zkit.records import _frozen_setattr
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -191,13 +193,17 @@ def test_trace_wrappers_match_signatures():
 
 
 def test_src_has_no_assert_statements():
-    """Invariants raise: `python -O` strips assert statements."""
+    """Invariants raise: `python -O` strips assert statements.  So do the
+    test helpers and conftest, which hold the post-hoc Buchberger check
+    that the suite also runs under -O."""
     found = []
-    for path in sorted((ROOT / "src" / "zkit").rglob("*.py")):
+    paths = [*sorted((ROOT / "src" / "zkit").rglob("*.py")),
+             ROOT / "tests" / "helpers.py", ROOT / "tests" / "conftest.py"]
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"assert statements in src/zkit: {found}"
+    assert not found, f"assert statements: {found}"
 
 
 _CACHES = {"lru_cache", "cache"}  # functools' memoizing decorators
@@ -260,7 +266,9 @@ def test_src_keeps_no_module_level_cache():
     module-level name is bound to an empty {}, [], set(), dict() or
     list(), or to an OrderedDict, defaultdict, deque, Counter, ChainMap
     or weak container.  Non-empty literal tables (ORDER_KEYS, _PREC and
-    the like) are constants and are not checked."""
+    the like) are constants and are not checked.  No module-level name
+    of an imported zkit module holds an instance of a zkit class other
+    than a frozen record (such as poly._ZZ)."""
     allowed = {("ideals.py", "groebner"), ("poly.py", "_Layout")}
     applied, refs, state = [], 0, []
     for path in sorted((ROOT / "src" / "zkit").rglob("*.py")):
@@ -279,6 +287,10 @@ def test_src_keeps_no_module_level_cache():
         state += [f"{path.name}:{node.lineno}" for node in tree.body
                   if isinstance(node, (ast.Assign, ast.AnnAssign))
                   and node.value is not None and _is_state(node.value)]
+        module = importlib.import_module(f"zkit.{path.stem}")
+        state += [f"{path.name}:{name}" for name, value in vars(module).items()
+                  if type(value).__module__.startswith("zkit.")
+                  and type(value).__setattr__ is not _frozen_setattr]
     assert set(applied) <= allowed, f"caches applied to {applied}"
     assert refs == len(applied), "a cache is named but not applied"
     assert not state, f"module-level mutable state in src/zkit: {state}"

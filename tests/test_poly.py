@@ -3,13 +3,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import p_scale, reference_buchberger, reference_divmod
-from zkit import ResourceExceeded, poly
+from helpers import (BASES, check_basis, is_groebner, is_reduced_basis,
+                     p_scale, reference_buchberger, reference_divmod)
+from zkit import (InvariantViolated, ResourceExceeded, poly, polynomial_ring,
+                  quotient_by)
 from zkit.limits import limits
 from zkit.poly import (PolyContext, PrimeField, Rationals, buchberger,
-                       const_poly, is_groebner, is_prime, is_reduced_basis,
-                       normal_form, one_cofactors, p_add, p_divmod, p_mul,
-                       p_neg, p_sub, poly_from_dict,
+                       const_poly, is_prime, normal_form, one_cofactors,
+                       p_add, p_divmod, p_mul, p_neg, p_sub, poly_from_dict,
                        quotient_monomial_basis, var_poly)
 
 ORDERS = ("lex", "grlex", "grevlex")
@@ -114,6 +115,40 @@ def test_buchberger_textbook_example():
     }
     assert rendered == expected
     assert is_groebner(ctx, basis) and is_reduced_basis(ctx, basis)
+
+
+def test_basis_check_sees_every_buchberger_run():
+    """conftest.py routes poly._buchberger through helpers.check_basis:
+    the reduced basis of a quotient by two relations, one_cofactors'
+    stop_at_one run and a call of the buchberger name this module bound
+    at import each add one basis to the count, and each basis passes."""
+    Qxy = polynomial_ring(Rationals(), ["x", "y"])
+    x, y = Qxy.var("x"), Qxy.var("y")
+    ctx = Qxy.ctx
+    gens = [p_sub(ctx, x.payload, y.payload), p_mul(ctx, x.payload, y.payload)]
+    runs = {"relation_basis":
+            lambda: quotient_by(Qxy, [x * x - y, x * y]).relation_basis,
+            "one_cofactors": lambda: one_cofactors(ctx, gens),
+            "buchberger": lambda: buchberger(ctx, gens)}
+    for name, run in runs.items():
+        before = dict(BASES)
+        run()
+        assert BASES == {k: v + 1 for k, v in before.items()}, name
+
+
+def test_basis_check_refuses_planted_faults():
+    """check_basis refuses a Groebner basis that is not reduced, and a
+    reduced basis that is not Groebner, returned by either kind of run."""
+    ctx = PolyContext(Rationals(), 2)
+    x, y = var_poly(ctx, 0), var_poly(ctx, 1)
+    x2 = p_mul(ctx, x, x)
+    with pytest.raises(InvariantViolated, match="basis not reduced"):
+        check_basis(ctx, (x, x2), stop_at_one=False)  # x divides x^2
+    # reduced, but the S-polynomial y^2 of x^2 + y and x*y is left over
+    planted = (p_add(ctx, x2, y), p_mul(ctx, x, y))
+    for stop_at_one in (False, True):
+        with pytest.raises(InvariantViolated, match="criterion failed"):
+            check_basis(ctx, planted, stop_at_one)
 
 
 def test_cofactor_identity_random():

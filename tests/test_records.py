@@ -21,7 +21,7 @@ import pytest
 from helpers import dataclass_twin, record_classes
 from zkit import IntegerRing, Limits, PrimeField, Rationals
 from zkit.dsl import IntLit
-from zkit.limits import current_limits, limits, set_limits
+from zkit.limits import current_limits, limits
 from zkit.records import record, replace
 
 CLASSES = record_classes()
@@ -214,20 +214,10 @@ def test_interp_records_are_mutable_and_unhashable():
         hash(options)
 
 
-def test_ring_hom_relation_checks_are_evidence_not_data():
-    from zkit.rings import RingHom
-    twin = dataclass_twin(RingHom)
-    a = RingHom(Z, Z, (), (1,))
-    b = RingHom(Z, Z, (), (2,))
-    assert a == b and hash(a) == hash(b)
-    assert repr(a) == repr(twin(Z, Z, (), (1,)))
-    assert "relation_checks" not in repr(a)
-
-
 def test_limits_replace_matches_dataclasses_replace():
     twin = dataclass_twin(Limits)
     for changes in ({}, {"max_pairs": 5}, {"max_exponent": 3,
-                                            "check_bases": True}):
+                                            "max_assignments": 10}):
         new = replace(Limits(), **changes)
         expected = dataclasses.replace(twin(), **changes)
         assert repr(new) == repr(expected)
@@ -240,11 +230,6 @@ def test_limits_replace_matches_dataclasses_replace():
     with limits(max_basis=7) as current:
         assert current == replace(before, max_basis=7)
     assert current_limits() is before
-    try:
-        assert set_limits(max_pairs=9) == replace(before, max_pairs=9)
-    finally:
-        set_limits(max_pairs=before.max_pairs)
-    assert current_limits() == before
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -68,24 +68,17 @@ ALLOW = {
         "poly._desc_grlex", "poly._desc_lex", "poly._key_grlex",
         "poly._key_lex"),
     "a Buchberger run to a reduced basis (a quotient by more than one "
-    "relation), check_bases, which only tests set, or a finite quotient's "
-    "monomials: no script of the map takes these paths": (
-        "poly._minimal", "poly._reduced", "poly.is_groebner",
-        "poly.is_reduced_basis", "poly.mono_div", "poly.mono_divides",
-        "poly.mono_lcm"),
+    "relation) or a finite quotient's monomials: no script of the map "
+    "takes these paths": (
+        "poly._minimal", "poly._reduced", "poly.mono_divides"),
     "the engine API that bench/trace.py wraps (ROADMAP item 3), or only "
     "it calls": (
         "ideals.groebner", "ideals.ideal_member", "localization.frac_eq",
         "rings.FieldRing.ideal_basis", "rings.QuotientRing.ideal_basis",
         "rings._Integers.ideal_basis"),
-    "GroebnerStats, which ROADMAP item 2 replaces": (
-        "limits.GroebnerStats.reset",),
     "a library entry point that tests call; the map runs the CLI with "
     "--json, not its table": (
-        "cli._render_table", "interp.run_source", "limits.set_limits"),
-    "element arithmetic on a bound name, which no script of the map "
-    "writes": (
-        "serialize._TermReader.leaf_terms",),
+        "cli._render_table", "interp.run_source"),
 }
 KEPT = {name for names in ALLOW.values() for name in names}
 
