@@ -115,6 +115,8 @@ class _Env:
         self.rings = {}
         self.bindings = {}
         self.current = None
+        # the statements of a run share the rings they build (_build_ring)
+        self.built = {}
         # the verify statements of a run share their rings and elements
         self.certificates = serialize.CertificateReader()
 
@@ -134,19 +136,35 @@ class _Timeout(ZkitError):
 
 
 def _build_ring(expr: dsl.RingExpr, env: _Env, default=None):
-    """The ring expr names or builds, or default for an absent over."""
+    """The ring expr names or builds, or default for an absent over.
+
+    A run builds each ring once: one without relations is kept under its
+    kind, modulus and variables, so a later equal expression builds
+    nothing, and one with relations is interned by value once they are
+    read, so its relation basis is computed once per run.
+    """
     if expr is None:
         return default
     if isinstance(expr, dsl.RingName):
         return env.ring(expr.name)
-    if expr.kind == "Z":
-        return IntegerRing()
-    if expr.kind == "Zmod":
-        return ResidueRing(expr.modulus)
-    base = Rationals() if expr.kind == "Q" else PrimeField(expr.modulus)
-    free = QuotientRing(base, expr.variables)
-    return quotient_by(free, [serialize.eval_element_expr(free, r)
-                              for r in expr.relations])
+    built = env.built
+    key = (expr.kind, expr.modulus, expr.variables)
+    ring = built.get(key)
+    if ring is None:
+        if expr.kind == "Z":
+            ring = IntegerRing()
+        elif expr.kind == "Zmod":
+            ring = ResidueRing(expr.modulus)
+        else:
+            base = (Rationals() if expr.kind == "Q"
+                    else PrimeField(expr.modulus))
+            ring = QuotientRing(base, expr.variables)
+        built[key] = ring
+    if expr.relations:
+        ring = quotient_by(ring, [serialize.eval_element_expr(ring, r)
+                                  for r in expr.relations])
+        ring = built.setdefault(ring, ring)
+    return ring
 
 
 _ELEMENT_NODES = (dsl.IntLit, dsl.RatLit, dsl.NameRef, dsl.Neg, dsl.Chain,

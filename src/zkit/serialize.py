@@ -21,16 +21,24 @@ Scripts are read by the general parser (dsl) and evaluated by
 eval_element_expr into a term dict {exponent tuple: coefficient}; Z and
 Z/n are the case with no variables, whose one monomial is ().
 ring.canonical turns the dict into a payload once, at the end.  In
-between, sums are never reduced.  A product is reduced modulo the
-relations only when the ring has relations, and its coefficients modulo
-the characteristic when that is not 0 (Z/n and Fp), which keeps every
-intermediate bounded.  A power of one term outside a quotient is that
-term's coefficient and exponents raised; every other power goes to
-rings._power, which refuses each product past Limits.max_assignments
-term pairs weighted by coefficient size.  Normal forms are unique, so
-the payload is the one that reducing at every operation would give.
-Over Q, canonical gives each coefficient its one form (an int or a
-proper Fraction).
+between, sums are never reduced.  A * chain is read as one running
+term, a coefficient and a list of exponents: numbers, negated factors
+and variables fold into it, and so do powers of variables outside a
+quotient.  Any other factor (a sum, a bound name, a power in a quotient
+or of anything but a variable) is read as a term dict, and dicts are
+multiplied.  Each product of dicts, and the running term once at the
+end of the chain, is reduced modulo the relations when the ring has
+relations, and its coefficients modulo the characteristic when that is
+not 0 (Z/n and Fp), which keeps every intermediate bounded.  In a
+quotient a power of a variable is not folded, since reducing x^k as
+one term takes about k steps: like every power but that of one term
+outside a quotient (its coefficient and exponents raised, a number's
+digits checked first), it goes to rings._power, which squares, reduces
+each product, and refuses each product past Limits.max_assignments term
+pairs weighted by coefficient size.  Normal forms are unique, so the
+payload is the one that reducing at every operation would give.  Over
+Q, canonical gives each coefficient its one form (an int or a proper
+Fraction).
 
 verify decides the powers that a certificate claims, a^k of a radical
 claim and (glued f^e - num) f^k == 0 of a glue family entry
@@ -174,16 +182,62 @@ class _TermReader:
         ring = self.ring
         return dict(ring.terms(normalize(ring, self.leaf(node)).payload))
 
+    def number(self, node):
+        """The value of an IntLit or a RatLit."""
+        if type(node) is dsl.IntLit:
+            return node.value
+        if not self.ring.is_q_algebra:
+            raise TypeMismatch("rational literals need a Q coefficient base")
+        if node.den == 0:
+            raise NonInvertibleDenominator(
+                f"{node.num}/0 has a zero denominator")
+        return _Q(node.num, node.den)
+
+    def product(self, args):
+        """The product of the factors of a * chain, read as one term: a
+        coefficient and exponents into which numbers, signs, variables
+        and, outside a quotient, powers of variables fold.  Every other
+        factor is read as a term dict and multiplied by mul."""
+        units, fold_powers = self.units, self.reduce is None
+        c, e, terms = 1, list(self.const), None
+        for arg in args:
+            kind = type(arg)
+            while kind is dsl.Neg:
+                c, arg = -c, arg.arg
+                kind = type(arg)
+            if kind is dsl.IntLit or kind is dsl.RatLit:
+                c *= self.number(arg)
+                continue
+            mono = None
+            if kind is dsl.NameRef:
+                mono, k = units.get(arg.name), 1
+            elif (kind is dsl.Pow and fold_powers
+                  and type(arg.base) is dsl.NameRef):
+                mono, k = units.get(arg.base.name), arg.exp
+            if mono is not None:
+                e[mono.index(1)] += k
+            else:
+                d = self.read(arg)
+                terms = d if terms is None else self.mul(terms, d)
+        if self.char:
+            c %= self.char
+        if not c:
+            return {}
+        term = {tuple(e): c}
+        if terms is not None:
+            return self.mul(terms, term)
+        return dict(self.reduce(term)) if self.reduce is not None else term
+
     def read(self, node):
         kind = type(node)
         if kind is dsl.Chain:
             args = node.args
+            if node.ops[0] == "*":
+                return self.product(args)
             a = self.read(args[0])
             for op, arg in zip(node.ops, args[1:]):
                 b = self.read(arg)
-                if op == "*":
-                    a = self.mul(a, b)
-                elif op == "+" or op == "-":
+                if op == "+" or op == "-":
                     a = self.merge(a, b, add if op == "+" else sub)
                 else:  # | or &, after its first two operands
                     return self.leaf_terms(node)
@@ -193,17 +247,11 @@ class _TermReader:
         if kind is dsl.NameRef:
             mono = self.units.get(node.name)
             return {mono: 1} if mono is not None else self.leaf_terms(node)
-        if kind is dsl.IntLit:
-            return {self.const: node.value} if node.value else {}
+        if kind is dsl.IntLit or kind is dsl.RatLit:
+            c = self.number(node)
+            return {self.const: c} if c else {}
         if kind is dsl.Neg:
             return {m: -c for m, c in self.read(node.arg).items()}
-        if kind is dsl.RatLit:
-            if not self.ring.is_q_algebra:
-                raise TypeMismatch("rational literals need a Q coefficient base")
-            if node.den == 0:
-                raise NonInvertibleDenominator(
-                    f"{node.num}/0 has a zero denominator")
-            return {self.const: _Q(node.num, node.den)} if node.num else {}
         return self.leaf_terms(node)
 
 

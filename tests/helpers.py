@@ -1165,7 +1165,9 @@ def reference_print_statement(stmt):
 # message.
 
 
-def reference_eval_element_expr(ring, node):
+def reference_eval_element_expr(ring, node, bound=None):
+    """node's element of ring; bound maps the names that are bound, in a
+    script, to elements of ring."""
     if isinstance(node, dsl.IntLit):
         return ring.from_int(node.value)
     if isinstance(node, dsl.RatLit):
@@ -1177,13 +1179,15 @@ def reference_eval_element_expr(ring, node):
     if isinstance(node, dsl.NameRef):
         if node.name in ring.variables:
             return ring.var(node.name)
+        if bound and node.name in bound:
+            return bound[node.name]
         raise TypeMismatch(f"unknown variable {node.name!r} in {ring}")
     if isinstance(node, dsl.Neg):
-        return -reference_eval_element_expr(ring, node.arg)
+        return -reference_eval_element_expr(ring, node.arg, bound)
     if isinstance(node, dsl.Chain):
-        value = reference_eval_element_expr(ring, node.args[0])
+        value = reference_eval_element_expr(ring, node.args[0], bound)
         for op, arg in zip(node.ops, node.args[1:]):
-            right = reference_eval_element_expr(ring, arg)
+            right = reference_eval_element_expr(ring, arg, bound)
             if op == "+":
                 value = value + right
             elif op == "-":
@@ -1194,7 +1198,7 @@ def reference_eval_element_expr(ring, node):
                 raise TypeMismatch(f"operator {op!r} is not a ring operation")
         return value
     if isinstance(node, dsl.Pow):
-        return reference_eval_element_expr(ring, node.base) ** node.exp
+        return reference_eval_element_expr(ring, node.base, bound) ** node.exp
     raise TypeMismatch(f"{node!r} is not a ring element expression")
 
 

@@ -1,8 +1,9 @@
 """Reading element expressions: the term-dict evaluator against the
 RingElement evaluator it replaced (tests/helpers.py), script leaves,
-certificates whose powers or products would cost without bound, the
-exponents a glue certificate claims, and the certificate reader that
-the verify statements of one run share."""
+products read as one term, certificates whose powers or products would
+cost without bound, the exponents a glue certificate claims, the
+certificate reader that the verify statements of one run share, and
+the rings that the statements of one run build once."""
 import json
 import random
 import sys
@@ -13,14 +14,16 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (random_quotient_ring, reference_eval_element_expr,
+from helpers import (BASES, random_quotient_ring, reference_eval_element_expr,
                      SMALL_PRIMES)
 from zkit import (IntegerRing, PrimeField, QuotientRing, Rationals,
                   ResidueRing)
 from zkit.dsl import Chain, IntLit, NameRef, Neg, Pow, RatLit
-from zkit.errors import InvalidWitness, ZkitError
+from zkit.errors import InvalidWitness, TypeMismatch, ZkitError
+from zkit import interp
 from zkit.interp import Options, run_source
 from zkit.limits import limits
+from zkit.rings import quotient_by
 from zkit.serialize import (CertificateReader, element_from_str,
                             eval_element_expr, ring_to_json,
                             verify_certificate)
@@ -40,22 +43,55 @@ def _rings(rng):
         yield QuotientRing(base)
         yield QuotientRing(base, ("x", "y"))
         yield QuotientRing(base, ("x",), ((((0,), base.one),),))  # 1 = 0
+        yield _parabola(base)
     for _ in range(12):
         yield random_quotient_ring(rng, max_vars=3)
 
 
-def _chain(rng, ring, depth, bad, ops):
+def _parabola(base):
+    """base[x, y] / (x^2 - y), where x^k reduces to a power of y."""
+    free = QuotientRing(base, ("x", "y"))
+    return quotient_by(free, [free.element({(2, 0): 1, (0, 1): -1})])
+
+
+def _chain(rng, ring, depth, bad, bound, ops):
     """A Chain of two or three random operands, its operators drawn from
     ops."""
     count = rng.randrange(2, 4)
     return Chain(tuple(rng.choice(ops) for _ in range(count - 1)),
-                 tuple(_tree(rng, ring, depth - 1, bad)
+                 tuple(_tree(rng, ring, depth - 1, bad, bound)
                        for _ in range(count)))
 
 
-def _tree(rng, ring, depth, bad):
+def _product(rng, ring, depth, bad, bound):
+    """A * chain of two to six factors, which mixes numbers, rational
+    literals (outside Q only when bad), negated factors, variables,
+    powers of variables up to huge exponents, bound names and
+    subtrees."""
+    def factor():
+        roll = rng.random()
+        if roll < 0.15:
+            return IntLit(rng.randrange(70))
+        if roll < 0.25 and (ring.is_q_algebra or bad):
+            return RatLit(rng.randrange(8), rng.randrange(1, 8))
+        if roll < 0.35:
+            return Neg(factor())
+        if ring.variables and roll < 0.55:
+            return NameRef(rng.choice(ring.variables))
+        if ring.variables and roll < 0.7:
+            return Pow(NameRef(rng.choice(ring.variables)),
+                       rng.choice([rng.randrange(5), rng.randrange(2 ** 40)]))
+        if bound and roll < 0.8:
+            return NameRef(rng.choice(bound))
+        return _tree(rng, ring, depth - 1, bad, bound)
+    count = rng.randrange(2, 7)
+    return Chain(("*",) * (count - 1), tuple(factor() for _ in range(count)))
+
+
+def _tree(rng, ring, depth, bad, bound=()):
     """A random element expression; with bad, its leaves include each
-    kind of error the evaluator reports."""
+    kind of error the evaluator reports.  bound names the names that a
+    leaf may give besides the ring's variables."""
     names = ring.variables
     if depth == 0 or rng.random() < 0.25:
         roll = rng.random()
@@ -63,6 +99,8 @@ def _tree(rng, ring, depth, bad):
             return rng.choice([RatLit(rng.randrange(5), 0),
                                RatLit(1, rng.randrange(1, 5)),
                                NameRef("unknown")])
+        if bound and roll < 0.2:
+            return NameRef(rng.choice(bound))
         if names and roll < 0.5:
             return NameRef(rng.choice(names))
         if ring.is_q_algebra and roll < 0.65:
@@ -70,38 +108,127 @@ def _tree(rng, ring, depth, bad):
         return IntLit(rng.randrange(70))
     roll = rng.random()
     if bad and roll < 0.05:
-        return _chain(rng, ring, depth, bad, rng.choice("|&"))
+        return _chain(rng, ring, depth, bad, bound, rng.choice("|&"))
+    if roll < 0.3:
+        return _chain(rng, ring, depth, bad, bound, "+-")
     if roll < 0.55:
-        return _chain(rng, ring, depth, bad, rng.choice(["+-", "*"]))
+        return _product(rng, ring, depth, bad, bound)
     if roll < 0.7:
-        return Neg(_tree(rng, ring, depth - 1, bad))
+        return Neg(_tree(rng, ring, depth - 1, bad, bound))
     if names and ring.relations and roll < 0.8:
         return Pow(NameRef(rng.choice(names)), rng.randrange(2 ** 40))
-    return Pow(_tree(rng, ring, depth - 1, bad), rng.randrange(4))
+    return Pow(_tree(rng, ring, depth - 1, bad, bound), rng.randrange(4))
 
 
-def _outcome(evaluate, ring, node):
+def _bound_leaf(ring, bound):
+    """The leaf resolver of a script in which the names of bound are
+    bound: every other leaf is refused as eval_element_expr refuses it
+    when no resolver is given."""
+    def leaf(node):
+        if type(node) is not NameRef:
+            raise TypeMismatch(
+                f"operator {node.ops[0]!r} is not a ring operation")
+        if node.name not in bound:
+            raise TypeMismatch(f"unknown variable {node.name!r} in {ring}")
+        return bound[node.name]
+    return leaf
+
+
+def _outcome(evaluate, *args):
     try:
-        return "ok", repr(evaluate(ring, node).payload)
+        return "ok", repr(evaluate(*args).payload)
     except ZkitError as exc:
         return type(exc).__name__, str(exc)
 
 
 def test_evaluator_matches_reference():
     """Equal payloads (coefficient types included) over Z, Z/n, Q, Fp,
-    quotients and the zero ring, or the same error and message."""
+    quotients and the zero ring, or the same error and message; every
+    other expression names bound elements, read through a leaf
+    resolver."""
     rng = random.Random(2024)
     kinds = set()
     for ring in _rings(rng):
         for k in range(30):
-            node = _tree(rng, ring, rng.randrange(1, 5), bad=k % 3 == 0)
-            new = _outcome(eval_element_expr, ring, node)
-            assert new == _outcome(reference_eval_element_expr, ring,
-                                   node), (str(ring), node)
+            bound = {} if k % 2 else {"b0": ring.random_element(rng),
+                                      "b1": ring.random_element(rng)}
+            node = _tree(rng, ring, rng.randrange(1, 5), bad=k % 3 == 0,
+                         bound=tuple(bound))
+            new = _outcome(eval_element_expr, ring, node,
+                           _bound_leaf(ring, bound) if bound else None)
+            assert new == _outcome(reference_eval_element_expr, ring, node,
+                                   bound), (str(ring), node)
             kinds.add(new[0] if new[0] == "ok" else new[1].split()[1])
     # every error case came up: a rational literal outside Q, a zero
     # denominator, an unknown variable, and | or & on elements
     assert kinds == {"ok", "literals", "has", "variable", "'|'", "'&'"}
+
+
+def _digits(k: int) -> str:
+    """The ResourceExceeded message for 3^k, refused before it is formed."""
+    limit = sys.get_int_max_str_digits()
+    return (f"a power of at least {k * 3 // 10} digits is past "
+            f"sys.get_int_max_str_digits() = {limit}")
+
+
+_RATIONAL = "rational literals need a Q coefficient base"
+
+
+@pytest.mark.parametrize("ring, expr, result", [
+    # x^1000000000 is formed by squaring with reduction, not folded into
+    # the product's term: reducing that term would take 500 million steps
+    ("Fp(5)[x,y]/(x^2 - y)", "y * x^1000000000", {"elem": "y^500000001"}),
+    ("Fp(5)[x,y]/(x^2 - y)", "x^1000000001 * 2 * y",
+     {"elem": "2 * x * y^500000001"}),
+    ("Q[x,y]/(x^2 - y)", "-x^1000000000 * 1/2",
+     {"elem": "-(1/2 * y^500000000)"}),
+    # a power of a number is refused by its digits, alone or as a factor
+    ("Z", "3^3000000", ("ResourceExceeded", _digits(3000000))),
+    ("Z", "2 * 3^3000000 * x", ("ResourceExceeded", _digits(3000000))),
+    ("Q[x]", "x * -3^3000000", ("ResourceExceeded", _digits(3000000))),
+    # a rational literal outside Q, and a later error that comes second
+    ("Fp(5)[x]", "x * 1/2", ("TypeMismatch", _RATIONAL)),
+    ("Z/6", "2 * -1/2 * q", ("TypeMismatch", _RATIONAL)),
+    ("Z", "2 * 1/0", ("TypeMismatch", _RATIONAL)),
+    ("Q[x]", "x * 1/0 * 3^3000000", ("NonInvertibleDenominator",
+                                     "1/0 has a zero denominator")),
+], ids=["Fp-parabola", "Fp-parabola-coefficient", "Q-parabola", "Z-digits",
+        "Z-digits-factor", "Q-digits-factor", "Fp-rational", "Zmod-rational",
+        "Z-rational-zero", "Q-zero-denominator"])
+def test_products_keep_their_answers_and_speed(ring, expr, result):
+    """What a * chain gives, or how it is refused, at once; a slow read
+    is cut off by the statement timeout, and fails here in seconds."""
+    start = time.perf_counter()
+    res = run_source(f"ring S = {ring}; elem a = {expr};",
+                     Options(timeout_ms=5000)).results[-1]
+    assert time.perf_counter() - start < 1.0
+    if isinstance(result, tuple):
+        kind, message = result
+        result = {"kind": kind, "message": message}
+    assert res.result == result
+
+
+def _circle_and_hyperbola():
+    """Fp(7)[x, y] / (x^2 + y^2 - 1, x*y - 2), two relations."""
+    free = QuotientRing(PrimeField(7), ("x", "y"))
+    return quotient_by(free, [
+        free.element({(2, 0): 1, (0, 2): 1, (0, 0): -1}),
+        free.element({(1, 1): 1, (0, 0): -2})])
+
+
+@pytest.mark.parametrize("ring", [
+    _parabola(PrimeField(5)), _parabola(Rationals()), _circle_and_hyperbola()],
+    ids=["Fp-parabola", "Q-parabola", "Fp-two-relations"])
+def test_a_long_product_of_a_variable_is_its_power(ring):
+    """x*x*...*x, 300 factors, read as one term and reduced once, is the
+    payload of the reference, which reduces at every product, and that
+    of x^300."""
+    x = NameRef("x")
+    product = eval_element_expr(ring, Chain(("*",) * 299, (x,) * 300))
+    assert product == reference_eval_element_expr(
+        ring, Chain(("*",) * 299, (x,) * 300))
+    assert product == eval_element_expr(ring, Pow(x, 300))
+    assert not product.is_zero
 
 
 def test_script_leaves_are_bound_elements():
@@ -487,3 +614,54 @@ def test_failed_reads_are_not_kept():
     for _ in range(2):
         with pytest.raises(ZkitError, match="modulus 1 is below 2"):
             reader.ring(bad)
+
+
+# ---------------------------------------------------------------------------
+# one ring per ring expression and run
+
+_TWO_RELATIONS = "Fp(5)[a,b]/(a^2 - b, b^3 - a)"
+
+
+def _codomains(monkeypatch, *sources) -> list:
+    """The codomain of every eval statement of each source, run by its
+    own run_source, in order."""
+    seen = []
+
+    def hom_apply(phi, r):
+        seen.append(phi.codomain)
+        return real(phi, r)
+    real = interp.hom_apply
+    monkeypatch.setattr(interp, "hom_apply", hom_apply)
+    for source in sources:
+        assert {r.status for r in run_source(source).results} == {"ok"}
+    return seen
+
+
+def test_a_run_builds_each_over_ring_once(monkeypatch):
+    """Two statements over Fp(5) in one script evaluate into one ring
+    object; the next run builds its own, equal one."""
+    source = ("ring R = Fp(5)[x,y]; "
+              "eval x*y at {x -> 1, y -> 2} over Fp(5); "
+              "eval x + y at {x -> 3, y -> 4} over Fp(5);")
+    first, second, third, fourth = _codomains(monkeypatch, source, source)
+    assert first is second and third is fourth
+    assert first == third and first is not third
+
+
+def test_a_run_computes_an_over_ring_basis_once(monkeypatch):
+    """An over ring with two relations, named by two statements, runs its
+    relation basis Buchberger once per run; declared again under another
+    name, it is the same ring."""
+    source = (f"ring S = {_TWO_RELATIONS}; ring T = {_TWO_RELATIONS}; "
+              f"ring R = Fp(5)[x]; "
+              f"eval x at {{x -> a}} over {_TWO_RELATIONS}; "
+              f"eval x^2 + 1 at {{x -> b}} over {_TWO_RELATIONS}; "
+              "eval x at {x -> a*b} over S; eval x at {x -> a*b} over T;")
+    computed = BASES["computed"]
+    rings = _codomains(monkeypatch, source)
+    assert BASES["computed"] == computed + 1
+    assert all(ring is rings[0] for ring in rings)
+    assert len(rings[0].relation_basis) > 1
+    _codomains(monkeypatch, source)
+    assert BASES["computed"] == computed + 2
+

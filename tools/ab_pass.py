@@ -30,9 +30,12 @@ The two trees' reports, minus each result's `ms`, must be equal.  A
 table follows with one row per statement kind (the first word of each
 result's `cmd`): the sum over its statements of each tree's best `ms`
 over the rounds, and their ratio, which shows where a saving sits.  The
-last line gives the sum of the best times of each tree and their ratio
-OLD / NEW (above 1 when NEW is faster); the exit code is 1 when the
-outputs differ.
+line after it gives each tree's median statement `ms` (the lower median
+of every statement's best `ms`, the nearest-rank median that
+bench/run.py reports as `stmt_ms_p50`) and their ratio.  The last line
+gives the sum of the best times of each tree and their ratio OLD / NEW
+(above 1 when NEW is faster); the exit code is 1 when the outputs
+differ.
 
 Best-of-rounds in one interpreter credits a module-level cache with hits
 across rounds, and bench/run.py, whose every round starts a fresh
@@ -49,6 +52,7 @@ import argparse
 import importlib
 import json
 import shutil
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -113,6 +117,10 @@ def run(tree, source: str, base_dir: Path = None):
     return elapsed, data, stmts
 
 
+def ratio(old: float, new: float) -> str:
+    return f"{old / new:8.3f}" if new else f"{'-':>8}"
+
+
 def kind_table(stmt_best) -> list:
     """Lines of the per-kind table: for each statement kind, each tree's
     sum of its statements' best ms and the ratio old / new, the kind
@@ -124,9 +132,17 @@ def kind_table(stmt_best) -> list:
                 sums.setdefault(kind, [0.0, 0.0])[t] += ms
     lines = [f"{'kind':<16} {'old ms':>10} {'new ms':>10} {'old/new':>8}"]
     for kind, (old, new) in sorted(sums.items(), key=lambda kv: -kv[1][0]):
-        ratio = f"{old / new:8.3f}" if new else f"{'-':>8}"
-        lines.append(f"{kind:<16} {old:10.2f} {new:10.2f} {ratio}")
+        lines.append(f"{kind:<16} {old:10.2f} {new:10.2f} {ratio(old, new)}")
     return lines
+
+
+def median_line(stmt_best) -> str:
+    """Each tree's median statement ms, and their ratio old / new."""
+    old, new = (statistics.median_low([ms for stmts in scripts
+                                       for _, ms in stmts])
+                for scripts in stmt_best)
+    return (f"median statement ms: old {old:.4f}  new {new:.4f}  "
+            f"old/new {ratio(old, new).strip()}")
 
 
 def main(argv=None) -> int:
@@ -175,6 +191,7 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}: {len(work)} scripts, "
           f"best of {args.rounds} rounds each")
     print("\n".join(kind_table(stmt_best)))
+    print(median_line(stmt_best))
     print(f"old {old:.2f} ms  new {new:.2f} ms  old/new {old / new:.3f}")
     return 1 if differ else 0
 
